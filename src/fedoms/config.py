@@ -28,7 +28,9 @@ from .data import (
     synthetic_linear,
 )
 from .learners import LearnerConfig, run_fomd_oms, run_nco_oms
+from .protocol import EpochSchedule, ProtocolError
 from .results import RunArtifact
+from .sampling import validate_subset_size
 from .spaces import (
     CoordinateMap,
     IdentityMap,
@@ -116,6 +118,13 @@ def _as_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field} must be a number, got {value!r}", field=field)
     return float(value)
+
+
+def _check_schedule(horizon: int, epochs: int) -> None:
+    try:
+        EpochSchedule(horizon, epochs)
+    except ProtocolError as exc:
+        raise ConfigError(str(exc), field="epochs") from exc
 
 
 def _parse_space(entry, position: int) -> SpaceSpec:
@@ -209,15 +218,10 @@ def parse_config(blob: dict) -> ExperimentConfig:
     num_spaces = len(spaces)
 
     subset_size = _as_int(blob["subset_size"], "subset_size")
-    if num_spaces == 1:
-        _require(subset_size == 1,
-                 "subset_size must be 1 when there is a single space",
-                 "subset_size")
-    else:
-        _require(2 <= subset_size <= num_spaces,
-                 f"subset_size must satisfy 2 <= J <= K (K={num_spaces} spaces); "
-                 "J=1 is rejected because the estimator weights divide by J-1",
-                 "subset_size")
+    try:
+        validate_subset_size(subset_size, num_spaces)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field="subset_size") from exc
 
     horizon = blob.get("horizon")
     if horizon is not None:
@@ -236,10 +240,7 @@ def parse_config(blob: dict) -> ExperimentConfig:
                  "nco has no communication epochs; omit 'epochs' or set it "
                  "equal to the horizon", "epochs")
         if horizon is not None:
-            _require(horizon % epochs == 0,
-                     f"epochs must divide the horizon exactly "
-                     f"({horizon} rounds over {epochs} epochs leaves a remainder)",
-                     "epochs")
+            _check_schedule(horizon, epochs)
 
     uniform_init = blob.get("uniform_init", False)
     _require(isinstance(uniform_init, bool), "uniform_init must be a boolean",
@@ -330,10 +331,8 @@ def build_experiment(config: ExperimentConfig):
         raise ConfigError(
             f"horizon {config.horizon} does not match the {streams.horizon} "
             "rounds per client derived from the data", field="horizon")
-    if config.epochs is not None and streams.horizon % config.epochs != 0:
-        raise ConfigError(
-            f"epochs must divide the horizon exactly ({streams.horizon} rounds "
-            f"over {config.epochs} epochs leaves a remainder)", field="epochs")
+    if config.epochs is not None:
+        _check_schedule(streams.horizon, config.epochs)
     spaces = build_spaces(config, streams.input_dim)
     learner = LearnerConfig(
         spaces=spaces,

@@ -1,12 +1,13 @@
 """Complete learners: step-size schedules, the cooperative and noncooperative
 drivers, and regret accounting.
 
-The cooperative learner (:func:`run_fomd_oms`) runs the epoch protocol from
-:mod:`fedoms.protocol`; the noncooperative baseline (:func:`run_nco_oms`)
-runs one independent copy of the selection/update loop per client, with
-single-client schedules and zero communication.  Both consume the same
-pre-laid per-client uniform tables and share every numeric kernel, so at
-M=1 the two produce bit-identical traces.
+Both learners run the one round kernel, :func:`fedoms.protocol.run_epoch`.
+The cooperative learner (:func:`run_fomd_oms`) runs it with one server for
+all M clients over its communication epochs; the noncooperative baseline
+(:func:`run_nco_oms`) runs it with M servers, one per client, one round per
+epoch, single-client schedules and zero communication.  Both consume the
+same pre-laid per-client uniform tables, so at M=1 the two produce
+bit-identical traces.
 """
 
 from __future__ import annotations
@@ -18,15 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Streams
-from .mirror import (
-    InfBox,
-    L2Ball,
-    entropy_step_log_batch,
-    materialize,
-    project,
-    project_rows_per_row,
-    step_rows,
-)
+from .mirror import InfBox, L2Ball, materialize, project
 from .protocol import (
     AuditLog,
     ClientBatch,
@@ -34,21 +27,12 @@ from .protocol import (
     RunSetup,
     ServerState,
     TraceBuffers,
-    _check_bounds,
-    _check_bounds_flat,
-    _constraint_encoding,
-    _fused_columns,
     run_epoch,
 )
 from .results import RunArtifact
 from .rng import sampling_uniforms
-from .sampling import (
-    _validate_subset_size,
-    group_subsets,
-    inclusion_probabilities,
-    subsets_from_uniforms,
-)
-from .spaces import HypothesisSpace, IdentityMap, Loss, loss_derivative, loss_value
+from .sampling import validate_subset_size
+from .spaces import HypothesisSpace, Loss, loss_derivative, loss_value
 
 __all__ = [
     "ScheduleParams",
@@ -88,7 +72,7 @@ class ScheduleParams:
     loss_bounds: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _validate_subset_size(self.subset_size, self.num_spaces)
+        validate_subset_size(self.subset_size, self.num_spaces)
         if self.clients < 1:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
         if self.horizon < 1:
@@ -228,7 +212,7 @@ class LearnerConfig:
             object.__setattr__(self, "spaces", tuple(self.spaces))
         if not self.spaces:
             raise ValueError("at least one hypothesis space is required")
-        _validate_subset_size(self.subset_size, len(self.spaces))
+        validate_subset_size(self.subset_size, len(self.spaces))
         if self.clients < 1:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
         if self.horizon < 1:
@@ -270,8 +254,7 @@ def _assemble(
     schedule: EpochSchedule,
     buffers: TraceBuffers,
     final_probs: np.ndarray,
-    uplink_bits: int,
-    downlink_bits: int,
+    state: ServerState,
     wall: float,
     audit: AuditLog | None,
 ) -> RunArtifact:
@@ -298,11 +281,54 @@ def _assemble(
         uplink_bits=buffers.uplink_bits.ravel(),
         downlink_bits=buffers.downlink_bits.ravel(),
         final_probs=final_probs,
-        total_uplink_bits=int(uplink_bits),
-        total_downlink_bits=int(downlink_bits),
+        total_uplink_bits=int(state.uplink_bits),
+        total_downlink_bits=int(state.downlink_bits),
         wall_seconds=wall,
         meta=meta,
     )
+
+
+def _run_servers(
+    config: LearnerConfig,
+    streams: Streams,
+    servers: int,
+    schedule: EpochSchedule,
+    params: ScheduleParams,
+    communicates: bool,
+) -> tuple[ServerState, TraceBuffers, float, AuditLog | None]:
+    """Run every epoch of ``schedule`` on ``servers`` server states.
+
+    Each server starts from the initial distribution of ``params`` and zero
+    models, and steps with the schedules of ``params``.  Returns the final
+    state, the trace, the wall time of the epoch loop and the audit log.
+    """
+    M, T = config.clients, config.horizon
+    audit = AuditLog() if communicates and config.audit else None
+    setup = RunSetup(
+        spaces=config.spaces,
+        loss=config.loss,
+        subset_size=config.subset_size,
+        epochs=schedule,
+        mirror_rate=eta_schedule(params),
+        param_rates=lambda epoch: lambda_schedule_all(params, epoch),
+        audit=audit,
+        communicates=communicates,
+    )
+    log_p = np.log(initial_distribution(params, uniform=config.uniform_init))
+    state = ServerState(
+        log_p=np.tile(log_p, (servers, 1)),
+        weights=np.zeros((servers, config.num_spaces, setup.max_dim)),
+    )
+    batch = ClientBatch(
+        xs=np.ascontiguousarray(streams.xs, dtype=float),
+        ys=np.ascontiguousarray(streams.ys, dtype=float),
+        uniforms=sampling_uniforms(config.master_seed, M, T, config.subset_size),
+    )
+    buffers = TraceBuffers.allocate(T, M)
+    start = time.perf_counter()
+    for epoch in range(1, schedule.epochs + 1):
+        run_epoch(state, setup, batch, epoch, buffers)
+    return state, buffers, time.perf_counter() - start, audit
 
 
 # ---------------------------------------------------------------------------
@@ -320,54 +346,27 @@ def run_fomd_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
     """
 
     _validate_pair(config, streams)
-    M, T = config.clients, config.horizon
-    schedule = EpochSchedule(T, config.effective_epochs)
+    schedule = EpochSchedule(config.horizon, config.effective_epochs)
     params = ScheduleParams.from_spaces(
-        config.spaces, config.subset_size, M, schedule.epochs
+        config.spaces, config.subset_size, config.clients, schedule.epochs
     )
-    dims = np.array([s.dim for s in config.spaces], dtype=np.int64)
-    if (dims == dims[0]).all():
-        # uniform widths: a (K, dim) matrix lets epochs slice rows directly
-        initial_weights = np.zeros((config.num_spaces, int(dims[0])))
-    else:
-        initial_weights = [np.zeros(s.dim) for s in config.spaces]
-    state = ServerState(
-        log_p=np.log(initial_distribution(params, uniform=config.uniform_init)),
-        weights=initial_weights,
+    state, buffers, wall, audit = _run_servers(
+        config, streams, 1, schedule, params, communicates=True
     )
-    batch = ClientBatch(
-        xs=np.ascontiguousarray(streams.xs, dtype=float),
-        ys=np.ascontiguousarray(streams.ys, dtype=float),
-        uniforms=sampling_uniforms(config.master_seed, M, T, config.subset_size),
-    )
-    buffers = TraceBuffers.allocate(T, M)
-    audit = AuditLog() if config.audit else None
-    setup = RunSetup(
-        spaces=config.spaces,
-        loss=config.loss,
-        subset_size=config.subset_size,
-        epochs=schedule,
-        mirror_rate=eta_schedule(params),
-        param_rates=lambda epoch: lambda_schedule_all(params, epoch),
-        audit=audit,
-    )
-    start = time.perf_counter()
-    for epoch in range(1, schedule.epochs + 1):
-        run_epoch(state, setup, batch, epoch, buffers)
-    wall = time.perf_counter() - start
     return _assemble(
-        "fomd_oms", config, streams, schedule, buffers, materialize(state.log_p),
-        state.uplink_bits, state.downlink_bits, wall, audit,
+        "fomd_oms", config, streams, schedule, buffers,
+        materialize(state.log_p)[0], state, wall, audit,
     )
 
 
 def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
     """Run the noncooperative baseline: per-client independent learners.
 
-    Every client keeps its own sampling distribution and parameter vectors
-    and updates them with single-client schedules; nothing is communicated,
-    so both bit counters stay zero.  Clients are advanced in lock-step so the
-    whole population is vectorized, but no value ever crosses clients.
+    Every client is its own server: it keeps its own sampling distribution
+    and parameter vectors, communicates every round with nobody, and updates
+    with single-client schedules over the round horizon.  Nothing is sent,
+    so both bit counters stay zero.  Clients are advanced in lock-step so
+    the whole population is vectorized, but no value ever crosses clients.
     ``epochs`` must be unset: with no communication there is nothing to
     batch.  ``audit`` is ignored for the same reason.
     """
@@ -377,153 +376,17 @@ def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
         raise ValueError(
             "the noncooperative learner has no communication epochs; leave epochs unset"
         )
-    M, T, K = config.clients, config.horizon, config.num_spaces
-    params = ScheduleParams.from_spaces(config.spaces, config.subset_size, 1, T)
-    eta = eta_schedule(params)
-    scales = np.array([s.loss_bound for s in config.spaces], dtype=float)
-    log_p = np.tile(
-        np.log(initial_distribution(params, uniform=config.uniform_init)), (M, 1)
+    schedule = EpochSchedule(config.horizon, config.horizon)
+    params = ScheduleParams.from_spaces(
+        config.spaces, config.subset_size, 1, config.horizon
     )
-    uniforms = sampling_uniforms(config.master_seed, M, T, config.subset_size)
-    xs = np.ascontiguousarray(streams.xs, dtype=float)
-    ys = np.ascontiguousarray(streams.ys, dtype=float)
-    buffers = TraceBuffers.allocate(T, M)
-
-    dims = np.array([s.dim for s in config.spaces], dtype=np.int64)
-    if (dims == dims[0]).all():
-        start = time.perf_counter()
-        log_p = _nco_rounds_flat(config, params, eta, scales, log_p, uniforms,
-                                 xs, ys, buffers)
-        wall = time.perf_counter() - start
-        return _assemble(
-            "nco_oms", config, streams, EpochSchedule(T, T), buffers,
-            materialize(log_p), 0, 0, wall, None,
-        )
-
-    weights = [np.zeros((M, s.dim)) for s in config.spaces]
-    all_spaces = list(range(K))
-    all_rows = np.arange(M)
-    full_subset = config.subset_size == K
-    start = time.perf_counter()
-    for t0 in range(T):
-        probs = materialize(log_p)
-        indices = subsets_from_uniforms(probs, config.subset_size, uniforms[:, t0, :])
-        inclusion = inclusion_probabilities(probs, config.subset_size)
-        leads = indices[:, 0]
-        rates = lambda_schedule_all(params, t0 + 1)
-        xt = xs[:, t0, :]
-        yt = ys[:, t0]
-        estimates = np.zeros((M, K))
-        touched = all_spaces if full_subset else [int(i) for i in np.unique(indices)]
-        for i in touched:
-            rows = all_rows if full_subset else (indices == i).any(axis=1).nonzero()[0]
-            space = config.spaces[i]
-            phi = space.feature_map(xt[rows])
-            values = (phi * weights[i][rows]).sum(axis=1)
-            closs = loss_value(config.loss, values, yt[rows])
-            dvals = loss_derivative(config.loss, values, yt[rows])
-            _check_bounds(closs, dvals, phi, space, i, t0 + 1)
-            inc = inclusion[rows, i]
-            estimates[rows, i] = closs / inc
-            weights[i][rows] = step_rows(
-                space.constraint,
-                weights[i][rows],
-                (dvals[:, None] * phi) / inc[:, None],
-                float(rates[i]),
-            )
-            slots = (leads[rows] == i).nonzero()[0]
-            if slots.size:
-                lead_rows = rows[slots]
-                buffers.predictions[t0, lead_rows] = values[slots]
-                buffers.losses[t0, lead_rows] = closs[slots]
-        buffers.leads[t0] = leads
-        log_p = entropy_step_log_batch(log_p, estimates, scales, eta)
-    wall = time.perf_counter() - start
+    state, buffers, wall, _ = _run_servers(
+        config, streams, config.clients, schedule, params, communicates=False
+    )
     return _assemble(
-        "nco_oms", config, streams, EpochSchedule(T, T), buffers,
-        materialize(log_p), 0, 0, wall, None,
+        "nco_oms", config, streams, schedule, buffers,
+        materialize(state.log_p), state, wall, None,
     )
-
-
-def _nco_rounds_flat(
-    config: LearnerConfig,
-    params: ScheduleParams,
-    eta: float,
-    scales: np.ndarray,
-    log_p: np.ndarray,
-    uniforms: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    buffers: TraceBuffers,
-) -> np.ndarray:
-    """Noncooperative rounds with per-(client, space) work in flat arrays.
-
-    Requires every space to share one feature dimension.  Produces the same
-    floats as the grouped loop bit for bit, for the reasons given on
-    :func:`fedoms.protocol._epoch_flat`.  Returns the final per-client
-    log-probability rows.
-    """
-    M, T, K = config.clients, config.horizon, config.num_spaces
-    spaces = config.spaces
-    dim = spaces[0].dim
-    weight_cube = np.zeros((K, M, dim))
-    box_mask, cons_bound = _constraint_encoding(spaces, np.arange(K))
-    lipschitz = np.array([s.lipschitz_bound for s in spaces])
-    tol = 1e-9
-    loss_limits = scales * (1.0 + 1e-12) + tol
-    g_limits = lipschitz * (1.0 + 1e-12) + tol
-    g_limits_sq = g_limits * g_limits
-    columns = _fused_columns(spaces)
-    identity = all(isinstance(s.feature_map, IdentityMap) for s in spaces)
-
-    for t0 in range(T):
-        probs = materialize(log_p)
-        indices = subsets_from_uniforms(probs, config.subset_size, uniforms[:, t0, :])
-        inclusion = inclusion_probabilities(probs, config.subset_size)
-        rates = lambda_schedule_all(params, t0 + 1)
-        groups = group_subsets(indices)
-        touched = groups.touched
-        starts = groups.bounds[:-1]
-        rows = groups.rows
-        flat_spaces = groups.space_ids()
-
-        # the fused gathers pick the same floats the per-space maps would
-        if columns is not None:
-            yt = ys[rows, t0]
-            phi = xs[rows, t0, columns[flat_spaces]][:, None]
-        elif identity:
-            yt = ys[rows, t0]
-            phi = xs[rows, t0, :]
-        else:
-            xt = xs[:, t0, :][rows]
-            yt = ys[:, t0][rows]
-            phi = np.empty((rows.size, dim))
-            for k in range(touched.size):
-                seg = slice(starts[k], groups.bounds[k + 1])
-                phi[seg] = spaces[int(touched[k])].feature_map(xt[seg])
-        w_rows = weight_cube[flat_spaces, rows]
-        values = (phi * w_rows).sum(axis=1)
-        closs = loss_value(config.loss, values, yt)
-        dvals = loss_derivative(config.loss, values, yt)
-        gsq = (dvals * dvals) * (phi * phi).sum(axis=1)
-        _check_bounds_flat(closs, gsq, starts, touched, spaces,
-                           loss_limits[touched], g_limits_sq[touched], t0 + 1)
-        inc = inclusion[rows, flat_spaces]
-        estimates = np.zeros((M, K))
-        estimates[rows, flat_spaces] = closs / inc
-        grad_rows = (dvals[:, None] * phi) / inc[:, None]
-        weight_cube[flat_spaces, rows] = project_rows_per_row(
-            w_rows - rates[flat_spaces][:, None] * grad_rows,
-            box_mask[flat_spaces],
-            cons_bound[flat_spaces],
-        )
-        lead_mask = groups.slots == 0
-        lead_rows = rows[lead_mask]
-        buffers.predictions[t0, lead_rows] = values[lead_mask]
-        buffers.losses[t0, lead_rows] = closs[lead_mask]
-        buffers.leads[t0] = indices[:, 0]
-        log_p = entropy_step_log_batch(log_p, estimates, scales, eta)
-    return log_p
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,14 @@ This module owns everything that crosses the client/server boundary:
 * :func:`account_bits` — closed-form information-bit cost of each message.
 * :func:`aggregate_reports` — the server-side merge of client reports into
   importance-weighted loss/gradient estimates.
-* :func:`run_epoch` — one full communication epoch of the cooperative
-  protocol, vectorized across clients.
+* :class:`ServerState` / :func:`run_epoch` — the round kernel: one
+  communication epoch of S servers, vectorized across clients.  The
+  cooperative learner runs it with one server for all clients, the
+  noncooperative baseline with one server per client and no messages.
 
-The engine keeps the server's sampling distribution in log space; see
-:mod:`fedoms.mirror` for why.
+The engine keeps each server's sampling distribution in log space (see
+:mod:`fedoms.mirror` for why) and its models as one zero-padded (K, d_max)
+block, so spaces of mixed widths share every code path.
 """
 
 from __future__ import annotations
@@ -31,9 +34,13 @@ from .mirror import (
     entropy_step_log_batch,
     materialize,
     project_rows_per_row,
-    step_rows,
 )
-from .sampling import group_subsets, inclusion_probabilities, subsets_from_uniforms
+from .sampling import (
+    SubsetGroups,
+    group_subsets,
+    inclusion_probabilities,
+    subsets_from_uniforms,
+)
 from .spaces import (
     CoordinateMap,
     HypothesisSpace,
@@ -104,8 +111,8 @@ class EpochSchedule:
             raise ProtocolError(f"epochs must be >= 1, got {self.epochs}")
         if self.horizon % self.epochs != 0:
             raise ProtocolError(
-                f"epochs must divide the horizon exactly: "
-                f"{self.horizon} % {self.epochs} != 0"
+                f"epochs must divide the horizon exactly ({self.horizon} rounds "
+                f"over {self.epochs} epochs leaves a remainder)"
             )
 
     @property
@@ -431,17 +438,19 @@ def aggregate_reports(
 
 @dataclass
 class ServerState:
-    """Mutable server state threaded through epochs.
+    """Mutable state of S servers threaded through epochs.
 
-    ``log_p`` is the sampling distribution in log space; ``weights[i]`` the
-    parameter vector of space ``i``, held either as a list of vectors or,
-    when every space shares one width, as a (K, dim) matrix.  Bit counters
-    accumulate the information bits of every message sent so far (summed
-    over clients).
+    Row ``s`` of ``log_p`` (S, K) is server ``s``'s sampling distribution in
+    log space, and ``weights[s, i]`` (S, K, d_max) its parameter vector of
+    space ``i``, zero past that space's width.  Client ``j`` of ``M`` belongs
+    to server ``j * S // M``: the cooperative learner runs one server for
+    every client (S=1) and the noncooperative baseline one per client (S=M).
+    Bit counters accumulate the information bits of every message sent so
+    far (summed over clients).
     """
 
     log_p: np.ndarray
-    weights: list[np.ndarray] | np.ndarray
+    weights: np.ndarray
     rounds_done: int = 0
     epochs_done: int = 0
     uplink_bits: int = 0
@@ -486,6 +495,8 @@ class RunSetup:
 
     The cached properties gather per-space constants once per run; epochs
     slice them instead of rebuilding arrays from the space objects.
+    ``communicates`` is False for the noncooperative baseline: its clients
+    send nothing, so no bits are charged and there is no wire to audit.
     """
 
     spaces: tuple[HypothesisSpace, ...]
@@ -495,6 +506,7 @@ class RunSetup:
     mirror_rate: float  # eta, constant across epochs
     param_rates: Callable[[int], np.ndarray]  # epoch -> (K,) step sizes
     audit: "AuditLog | None" = None
+    communicates: bool = True
 
     @property
     def num_spaces(self) -> int:
@@ -503,6 +515,11 @@ class RunSetup:
     @cached_property
     def dims(self) -> np.ndarray:
         return np.array([s.dim for s in self.spaces], dtype=np.int64)
+
+    @cached_property
+    def max_dim(self) -> int:
+        """d_max: the width of every weight row and feature row."""
+        return int(self.dims.max())
 
     @cached_property
     def scales(self) -> np.ndarray:
@@ -519,13 +536,27 @@ class RunSetup:
 
     @cached_property
     def constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-space (box?, bound) encoding for row-batched projections."""
-        return _constraint_encoding(self.spaces, np.arange(self.num_spaces))
+        """Per-space constraints as (box?, bound) arrays for row-batched steps."""
+        box = np.array([isinstance(s.constraint, InfBox) for s in self.spaces])
+        bound = np.array([
+            s.constraint.half_width if isinstance(s.constraint, InfBox)
+            else s.constraint.radius
+            for s in self.spaces
+        ], dtype=float)
+        return box, bound
 
     @cached_property
     def feature_columns(self) -> np.ndarray | None:
-        """Input column per space when every map reads one coordinate, else None."""
-        return _fused_columns(self.spaces)
+        """Input column per space when every map reads one coordinate, else None.
+
+        Such runs gather all (client, space) feature values with one indexing
+        operation instead of a per-space loop; the gathered floats are the
+        same bytes either way.
+        """
+        maps = [s.feature_map for s in self.spaces]
+        if all(isinstance(m, CoordinateMap) for m in maps):
+            return np.array([m.index for m in maps], dtype=np.int64)
+        return None
 
     @cached_property
     def identity_features(self) -> bool:
@@ -582,25 +613,34 @@ def _audit_epoch(
     setup: RunSetup,
     epoch: int,
     indices: np.ndarray,
-    broadcast_weights: list[np.ndarray],
+    groups: SubsetGroups,
+    weights: np.ndarray,
     mean_losses: np.ndarray,
-    mean_grads: dict[int, np.ndarray],
-    rows_by_space: dict[int, np.ndarray],
+    mean_grads: np.ndarray,
     inclusion: np.ndarray,
     loss_est: np.ndarray,
-    grad_est: dict[int, np.ndarray],
+    stepped: np.ndarray,
+    grad_est: np.ndarray,
     down_bits: np.ndarray,
     up_bits: np.ndarray,
 ) -> None:
-    """Replay one epoch through the serialized message path and compare."""
+    """Replay one epoch of the single server through the serialized message path.
+
+    ``weights`` (K, d_max) are the broadcast models.  ``mean_losses`` and
+    ``mean_grads`` hold each client's report per sampled space, in the flat
+    order of ``groups``; ``grad_est[k]`` is the engine's estimate for space
+    ``stepped[k]``, and ``loss_est`` its (K,) loss estimate.
+    """
     K = setup.num_spaces
     dims = setup.dims
-    clients = indices.shape[0]
+    clients, J = indices.shape
+    flat_of = np.empty((clients, J), dtype=np.int64)
+    flat_of[groups.rows, groups.slots] = np.arange(groups.rows.size)
     reports = []
     for j in range(clients):
         idx = tuple(int(i) for i in indices[j])
         down = DownlinkMessage(
-            epoch, j, idx, tuple(broadcast_weights[i] for i in idx)
+            epoch, j, idx, tuple(weights[i, :dims[i]] for i in idx)
         )
         frame = encode_downlink(down, K)
         if frame.payload_bits != account_bits(down, K):
@@ -618,14 +658,10 @@ def _audit_epoch(
                         f"epoch {epoch} client {j}: downlink float round-trip failed"
                     )
                     break
-        # Build the client's report from the engine's per-space accumulators.
-        slots = []
-        grads = []
-        for i in idx:
-            pos = int(np.searchsorted(rows_by_space[i], j))
-            slots.append(mean_losses[j, i])
-            grads.append(mean_grads[i][pos])
-        up = UplinkMessage(epoch, j, idx, np.array(slots), tuple(grads))
+        # Build the client's report from the engine's per-entry means.
+        flat = flat_of[j]
+        grads = tuple(mean_grads[f, :dims[i]] for f, i in zip(flat, idx))
+        up = UplinkMessage(epoch, j, idx, mean_losses[flat], grads)
         uframe = encode_uplink(up, K)
         if uframe.payload_bits != account_bits(up, K):
             audit.note(f"epoch {epoch} client {j}: uplink bit account mismatch")
@@ -639,37 +675,50 @@ def _audit_epoch(
     agg_loss, agg_grad = aggregate_reports(reports, inclusion, K, dims)
     if not np.allclose(agg_loss, loss_est, rtol=1e-12, atol=1e-12):
         audit.note(f"epoch {epoch}: aggregated losses disagree with engine")
-    for i, g in grad_est.items():
+    for k, i in enumerate(stepped.tolist()):
+        g = grad_est[k, :dims[i]]
         if i not in agg_grad or not np.allclose(agg_grad[i], g, rtol=1e-12, atol=1e-12):
             audit.note(f"epoch {epoch}: aggregated gradient for space {i} disagrees")
 
 
 def _check_bounds(
     losses: np.ndarray,
-    dvals: np.ndarray,
-    features: np.ndarray,
-    space: HypothesisSpace,
-    index: int,
+    grad_sq: np.ndarray,
+    starts: np.ndarray,
+    touched: np.ndarray,
+    loss_limit: np.ndarray,
+    g_limit_sq: np.ndarray,
+    spaces: Sequence[HypothesisSpace],
     round_index: int,
 ) -> None:
-    """Abort the run if a loss or gradient breaks its declared bound."""
-    tol = 1e-9
-    worst = losses.max(initial=0.0)
-    if worst > space.loss_bound * (1.0 + 1e-12) + tol:
+    """Abort the run if a loss or gradient breaks its declared bound.
+
+    ``losses`` and ``grad_sq`` (squared gradient norms) are flat arrays
+    sorted into one segment per space of ``touched``, starting at
+    ``starts``; the limits are aligned with ``touched``.  The tests are
+    written as ``not (worst <= limit)`` so that a NaN fails them.
+    """
+    worst = np.maximum.reduceat(losses, starts)
+    ok = worst <= loss_limit
+    if not ok.all():
+        k = int(np.flatnonzero(~ok)[0])
+        i = int(touched[k])
         raise RunInvariantError(
-            f"round {round_index}: space {index} produced loss {float(worst):.6g} "
-            f"above its declared bound {space.loss_bound:.6g}; the step-size "
-            f"schedule is invalid for this data"
+            f"round {round_index}: space {i} produced loss {float(worst[k]):.6g} "
+            f"outside its declared bound {spaces[i].loss_bound:.6g}; the "
+            f"step-size schedule is invalid for this data"
         )
     # compare squared norms; take the square root only to report a failure
-    gsq = ((dvals * dvals) * (features * features).sum(axis=1)).max(initial=0.0)
-    g_limit = space.lipschitz_bound * (1.0 + 1e-12) + tol
-    if gsq > g_limit * g_limit:
+    worst = np.maximum.reduceat(grad_sq, starts)
+    ok = worst <= g_limit_sq
+    if not ok.all():
+        k = int(np.flatnonzero(~ok)[0])
+        i = int(touched[k])
         raise RunInvariantError(
-            f"round {round_index}: space {index} produced gradient norm "
-            f"{float(np.sqrt(gsq)):.6g} above its declared bound "
-            f"{space.lipschitz_bound:.6g}; the step-size schedule is invalid "
-            f"for this data"
+            f"round {round_index}: space {i} produced gradient norm "
+            f"{float(np.sqrt(worst[k])):.6g} outside its declared bound "
+            f"{spaces[i].lipschitz_bound:.6g}; the step-size schedule is "
+            f"invalid for this data"
         )
 
 
@@ -680,186 +729,64 @@ def run_epoch(
     epoch: int,
     buffers: TraceBuffers,
 ) -> None:
-    """Advance the cooperative protocol by one communication epoch.
+    """Advance every server by one communication epoch.
 
-    Epoch ``epoch`` (1-based): broadcast current models to every client's
-    sampled subset, let each client predict with its lead space for every
-    round of the epoch, collect epoch-averaged raw losses/gradients, apply
-    importance weights, average over clients, and take one mirror step on
-    the sampling distribution plus one projected-gradient step per touched
-    space.  Writes per-round trace rows into ``buffers`` and accumulates
-    exact bit counts in ``state``.
+    Epoch ``epoch`` (1-based): each server samples a subset of spaces for
+    each of its clients and broadcasts those spaces' current models; each
+    client predicts with its lead space for every round of the epoch and
+    reports epoch-averaged raw losses and gradients; each server applies
+    importance weights, averages over its clients, and takes one mirror step
+    on its sampling distribution plus one projected-gradient step per space
+    its clients sampled.  Writes per-round trace rows into ``buffers`` and,
+    when ``setup.communicates``, accumulates exact bit counts in ``state``.
+
+    All per-(client, space) work runs on flat arrays sorted by space.  Its
+    floats do not depend on S except through the aggregation: with S=1 each
+    space's reports are summed in ascending client order, and with S=M each
+    (server, space) pair has exactly one report, so nothing is summed.
     """
 
-    sched = setup.epochs
     if epoch != state.epochs_done + 1:
         raise ProtocolError(
             f"epochs must run in order: got {epoch}, expected {state.epochs_done + 1}"
         )
-    N = sched.rounds_per_epoch
+    M = clients.count
+    S = state.log_p.shape[0]
+    if S != 1 and S != M:
+        raise ProtocolError(f"{S} servers for {M} clients; expected 1 or {M}")
+    N = setup.epochs.rounds_per_epoch
     t0 = (epoch - 1) * N  # 0-based index of the epoch's first round
     K = setup.num_spaces
     J = setup.subset_size
-    dims = setup.dims
+    spaces = setup.spaces
 
     probs = materialize(state.log_p)
     indices = subsets_from_uniforms(probs, J, clients.uniforms[:, t0, :])
     inclusion = inclusion_probabilities(probs, J)
-    leads = indices[:, 0]
-
-    q = bits_per_index(K)
-    down_bits = 32 * dims[indices].sum(axis=1) + J * q
-    up_bits = down_bits + 32 * J
-
-    if (dims == dims[0]).all():
-        loss_est = _epoch_flat(
-            state, setup, clients, epoch, buffers, indices, inclusion,
-            down_bits, up_bits,
-        )
-    else:
-        loss_est = _epoch_grouped(
-            state, setup, clients, epoch, buffers, indices, inclusion,
-            down_bits, up_bits,
-        )
-
-    state.log_p = entropy_step_log_batch(
-        state.log_p[None, :], loss_est[None, :], setup.scales, setup.mirror_rate
-    )[0]
-    buffers.leads[t0:t0 + N] = leads[None, :]
-    buffers.downlink_bits[t0] = down_bits
-    buffers.uplink_bits[t0 + N - 1] = up_bits
-    state.downlink_bits += int(down_bits.sum())
-    state.uplink_bits += int(up_bits.sum())
-    state.rounds_done += N
-    state.epochs_done = epoch
-
-
-def _constraint_encoding(
-    spaces: Sequence[HypothesisSpace], touched: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-space constraints as (box?, bound) arrays for row-batched steps."""
-    box = np.empty(touched.size, dtype=bool)
-    bound = np.empty(touched.size, dtype=float)
-    for k, i in enumerate(touched):
-        c = spaces[int(i)].constraint
-        if isinstance(c, InfBox):
-            box[k] = True
-            bound[k] = c.half_width
-        else:
-            box[k] = False
-            bound[k] = c.radius
-    return box, bound
-
-
-def _fused_columns(spaces: Sequence[HypothesisSpace]) -> np.ndarray | None:
-    """Input column per space if every map reads a single coordinate.
-
-    Such runs can gather all (client, space) feature values with one indexing
-    operation instead of a per-space loop; the gathered floats are the same
-    bytes either way.  Returns None when any map is of another kind.
-    """
-    maps = [s.feature_map for s in spaces]
-    if all(isinstance(m, CoordinateMap) for m in maps):
-        return np.array([m.index for m in maps], dtype=np.int64)
-    return None
-
-
-def _check_bounds_flat(
-    closs: np.ndarray,
-    gsq: np.ndarray,
-    starts: np.ndarray,
-    touched: np.ndarray,
-    spaces: Sequence[HypothesisSpace],
-    loss_limit: np.ndarray,
-    g_limit_sq: np.ndarray,
-    round_index: int,
-) -> None:
-    """Segment-wise :func:`_check_bounds` over flat sorted arrays.
-
-    ``gsq`` holds squared per-example gradient norms; max-reductions are
-    order-insensitive, so the per-segment maxima equal the grouped ones.
-    """
-    worst_loss = np.maximum.reduceat(closs, starts)
-    bad = worst_loss > loss_limit
-    if bad.any():
-        k = int(bad.nonzero()[0][0])
-        i = int(touched[k])
-        raise RunInvariantError(
-            f"round {round_index}: space {i} produced loss "
-            f"{float(worst_loss[k]):.6g} above its declared bound "
-            f"{spaces[i].loss_bound:.6g}; the step-size schedule is invalid "
-            f"for this data"
-        )
-    worst_gsq = np.maximum.reduceat(gsq, starts)
-    bad = worst_gsq > g_limit_sq
-    if bad.any():
-        k = int(bad.nonzero()[0][0])
-        i = int(touched[k])
-        raise RunInvariantError(
-            f"round {round_index}: space {i} produced gradient norm "
-            f"{float(np.sqrt(worst_gsq[k])):.6g} above its declared bound "
-            f"{spaces[i].lipschitz_bound:.6g}; the step-size schedule is "
-            f"invalid for this data"
-        )
-
-
-def _epoch_flat(
-    state: ServerState,
-    setup: RunSetup,
-    clients: ClientBatch,
-    epoch: int,
-    buffers: TraceBuffers,
-    indices: np.ndarray,
-    inclusion: np.ndarray,
-    down_bits: np.ndarray,
-    up_bits: np.ndarray,
-) -> np.ndarray:
-    """Epoch core with all per-(client, space) work in flat sorted arrays.
-
-    Requires every space to share one feature dimension.  Produces the same
-    floats as :func:`_epoch_grouped` bit for bit: element-wise work does not
-    depend on the grouping, each per-space gradient reduction visits the
-    same rows in the same ascending order, and the bound checks reduce with
-    max, which is order-free.
-    """
-    sched = setup.epochs
-    N = sched.rounds_per_epoch
-    t0 = (epoch - 1) * N
-    M = clients.count
-    K = setup.num_spaces
-    spaces = setup.spaces
-    dim = spaces[0].dim
 
     groups = group_subsets(indices)
     touched = groups.touched
-    starts = groups.bounds[:-1]
+    bounds = groups.bounds
+    starts = bounds[:-1]
     rows = groups.rows
     flat_spaces = groups.space_ids()
     lead_mask = groups.slots == 0
     lead_rows = rows[lead_mask]
-
-    if setup.audit is not None:
-        broadcast_weights = [w.copy() for w in state.weights]
-
-    weights = state.weights
-    if isinstance(weights, np.ndarray):
-        w_stack = weights[touched]
-    else:
-        w_stack = np.stack([weights[int(i)] for i in touched])
-    w_flat = w_stack[groups.segment_of]
-
+    servers = rows if S == M else 0
+    w_flat = state.weights[servers, flat_spaces]
     loss_limit = setup.limits[0][touched]
     g_limit_sq = setup.limits[1][touched]
-    columns = setup.feature_columns
-    flat_columns = columns[flat_spaces] if columns is not None else None
-    identity = setup.identity_features
 
-    loss_sums = np.zeros((M, K))
-    grad_sums = np.zeros((rows.size, dim))
-    phi = None if flat_columns is not None or identity else np.empty((rows.size, dim))
+    columns = setup.feature_columns
+    identity = setup.identity_features
+    if columns is not None:
+        flat_columns = columns[flat_spaces]
+    elif not identity:
+        widths = setup.dims[touched]
+        phi = np.zeros((rows.size, setup.max_dim))  # zero past each space's width
     for t in range(t0, t0 + N):
         # the fused gathers pick the same floats the per-space maps would
-        if flat_columns is not None:
+        if columns is not None:
             yt = clients.ys[rows, t]
             phi = clients.xs[rows, t, flat_columns][:, None]
         elif identity:
@@ -869,170 +796,70 @@ def _epoch_flat(
             xt = clients.xs[:, t, :][rows]
             yt = clients.ys[:, t][rows]
             for k in range(touched.size):
-                seg = slice(starts[k], groups.bounds[k + 1])
-                phi[seg] = spaces[int(touched[k])].feature_map(xt[seg])
-        # row-wise multiply-add rather than a matmul: the noncooperative
-        # engine predicts with per-client weight rows, and the two code
-        # paths must produce bitwise-equal floats at M=1
+                seg = slice(starts[k], bounds[k + 1])
+                phi[seg, :widths[k]] = spaces[touched[k]].feature_map(xt[seg])
         values = (phi * w_flat).sum(axis=1)
         closs = loss_value(setup.loss, values, yt)
         dvals = loss_derivative(setup.loss, values, yt)
         gsq = (dvals * dvals) * (phi * phi).sum(axis=1)
-        _check_bounds_flat(closs, gsq, starts, touched, spaces,
-                           loss_limit, g_limit_sq, t + 1)
-        loss_sums[rows, flat_spaces] += closs  # (row, space) pairs are unique
-        grad_sums += dvals[:, None] * phi
+        _check_bounds(closs, gsq, starts, touched, loss_limit, g_limit_sq,
+                      spaces, t + 1)
+        # seeding the sums with the first round, and not dividing a one-round
+        # epoch by N=1, gives the same values as summing from zero (losses
+        # are never -0.0) while sparing the nco rounds two array passes each
+        if t == t0:
+            loss_sum, grad_sum = closs, dvals[:, None] * phi
+        else:
+            loss_sum = loss_sum + closs
+            grad_sum = grad_sum + dvals[:, None] * phi
         buffers.predictions[t, lead_rows] = values[lead_mask]
         buffers.losses[t, lead_rows] = closs[lead_mask]
 
     # Server aggregation: mean over the epoch, importance weight, mean over
-    # clients.  Spaces outside every subset contribute exact zeros.
-    mean_losses = loss_sums / N
-    loss_est = (mean_losses / inclusion[None, :]).sum(axis=0) / M
-    grad_est = np.empty((touched.size, dim))
-    mean_grads: dict[int, np.ndarray] = {}
-    for k in range(touched.size):
-        i = int(touched[k])
-        mg = grad_sums[starts[k]:groups.bounds[k + 1]] / N
-        grad_est[k] = (mg / inclusion[i]).sum(axis=0) / M
-        if setup.audit is not None:
-            mean_grads[i] = mg
+    # the server's clients.  Spaces outside every subset estimate to zero.
+    mean_losses = loss_sum / N if N > 1 else loss_sum
+    mean_grads = grad_sum / N if N > 1 else grad_sum
+    if S == M:
+        inc = inclusion[rows, flat_spaces]
+        loss_est = np.zeros((M, K))
+        loss_est[rows, flat_spaces] = mean_losses / inc
+        grad_est = mean_grads / inc[:, None]
+        stepped = flat_spaces
+        w_old = w_flat
+    else:
+        reports = np.zeros((M, K))
+        reports[rows, flat_spaces] = mean_losses
+        loss_est = (reports / inclusion).sum(axis=0, keepdims=True) / M
+        grad_est = np.empty((touched.size, mean_grads.shape[1]))
+        for k in range(touched.size):
+            seg = mean_grads[starts[k]:bounds[k + 1]]
+            grad_est[k] = (seg / inclusion[0, touched[k]]).sum(axis=0) / M
+        stepped = touched
+        w_old = state.weights[0, touched]
 
-    if setup.audit is not None:
-        rows_by_space = {
-            int(touched[k]): rows[starts[k]:groups.bounds[k + 1]]
-            for k in range(touched.size)
-        }
-        _audit_epoch(
-            setup.audit,
-            setup,
-            epoch,
-            indices,
-            broadcast_weights,
-            mean_losses,
-            mean_grads,
-            rows_by_space,
-            inclusion,
-            loss_est,
-            {int(touched[k]): grad_est[k] for k in range(touched.size)},
-            down_bits,
-            up_bits,
-        )
+    if setup.communicates:
+        down_bits = 32 * setup.dims[indices].sum(axis=1) + J * bits_per_index(K)
+        up_bits = down_bits + 32 * J
+        if setup.audit is not None:
+            _audit_epoch(
+                setup.audit, setup, epoch, indices, groups, state.weights[0],
+                mean_losses, mean_grads, inclusion[0], loss_est[0], stepped,
+                grad_est, down_bits, up_bits,
+            )
+        buffers.downlink_bits[t0] = down_bits
+        buffers.uplink_bits[t0 + N - 1] = up_bits
+        state.downlink_bits += int(down_bits.sum())
+        state.uplink_bits += int(up_bits.sum())
 
     rates = setup.param_rates(epoch)
     box_mask, bound = setup.constraints
-    projected = project_rows_per_row(
-        w_stack - rates[touched][:, None] * grad_est,
-        box_mask[touched], bound[touched],
+    state.weights[servers, stepped] = project_rows_per_row(
+        w_old - rates[stepped][:, None] * grad_est,
+        box_mask[stepped], bound[stepped],
     )
-    if isinstance(weights, np.ndarray):
-        weights[touched] = projected
-    else:
-        for k in range(touched.size):
-            weights[int(touched[k])] = projected[k]
-    return loss_est
-
-
-def _epoch_grouped(
-    state: ServerState,
-    setup: RunSetup,
-    clients: ClientBatch,
-    epoch: int,
-    buffers: TraceBuffers,
-    indices: np.ndarray,
-    inclusion: np.ndarray,
-    down_bits: np.ndarray,
-    up_bits: np.ndarray,
-) -> np.ndarray:
-    """Epoch core grouped space by space; handles mixed feature dimensions."""
-    sched = setup.epochs
-    N = sched.rounds_per_epoch
-    t0 = (epoch - 1) * N
-    M = clients.count
-    K = setup.num_spaces
-    J = setup.subset_size
-    leads = indices[:, 0]
-
-    if J == K:
-        # every client samples every space; membership scans are redundant
-        all_rows = np.arange(M)
-        touched = list(range(K))
-        rows_by_space = {i: all_rows for i in touched}
-        lead_slots = {i: (leads == i).nonzero()[0] for i in touched}
-    else:
-        touched = [int(i) for i in np.unique(indices)]
-        rows_by_space = {
-            i: (indices == i).any(axis=1).nonzero()[0] for i in touched
-        }
-        lead_slots = {
-            i: (leads[rows_by_space[i]] == i).nonzero()[0] for i in touched
-        }
-
-    if setup.audit is not None:
-        broadcast_weights = [w.copy() for w in state.weights]
-
-    loss_sums = np.zeros((M, K))
-    grad_sums: dict[int, np.ndarray] = {}
-
-    for t in range(t0, t0 + N):
-        xt = clients.xs[:, t, :]
-        yt = clients.ys[:, t]
-        for i in touched:
-            rows = rows_by_space[i]
-            space = setup.spaces[i]
-            phi = space.feature_map(xt[rows])
-            # row-wise multiply-add rather than a matmul: the noncooperative
-            # engine predicts with per-client weight rows, and the two code
-            # paths must produce bitwise-equal floats at M=1
-            values = (phi * state.weights[i][None, :]).sum(axis=1)
-            closs = loss_value(setup.loss, values, yt[rows])
-            dvals = loss_derivative(setup.loss, values, yt[rows])
-            _check_bounds(closs, dvals, phi, space, i, t + 1)
-            loss_sums[rows, i] += closs
-            acc = grad_sums.get(i)
-            if acc is None:
-                grad_sums[i] = dvals[:, None] * phi
-            else:
-                acc += dvals[:, None] * phi
-            slots = lead_slots[i]
-            if slots.size:
-                lead_rows = rows[slots]
-                buffers.predictions[t, lead_rows] = values[slots]
-                buffers.losses[t, lead_rows] = closs[slots]
-
-    # Server aggregation: mean over the epoch, importance weight, mean over
-    # clients.  Spaces outside every subset contribute exact zeros.
-    mean_losses = loss_sums / N
-    loss_est = (mean_losses / inclusion[None, :]).sum(axis=0) / M
-    grad_est: dict[int, np.ndarray] = {}
-    mean_grads: dict[int, np.ndarray] = {}
-    for i in touched:
-        mean_grads[i] = grad_sums[i] / N
-        grad_est[i] = (mean_grads[i] / inclusion[i]).sum(axis=0) / M
-
-    if setup.audit is not None:
-        _audit_epoch(
-            setup.audit,
-            setup,
-            epoch,
-            indices,
-            broadcast_weights,
-            mean_losses,
-            mean_grads,
-            rows_by_space,
-            inclusion,
-            loss_est,
-            grad_est,
-            down_bits,
-            up_bits,
-        )
-
-    rates = setup.param_rates(epoch)
-    for i in touched:
-        state.weights[i] = step_rows(
-            setup.spaces[i].constraint,
-            state.weights[i][None, :],
-            grad_est[i][None, :],
-            float(rates[i]),
-        )[0]
-    return loss_est
+    state.log_p = entropy_step_log_batch(
+        state.log_p, loss_est, setup.scales, setup.mirror_rate
+    )
+    buffers.leads[t0:t0 + N] = indices[:, 0][None, :]
+    state.rounds_done += N
+    state.epochs_done = epoch

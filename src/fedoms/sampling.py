@@ -36,7 +36,8 @@ class SamplingOutcome:
         return int(self.ordered_indices.size)
 
 
-def _validate_subset_size(subset_size: int, num_spaces: int) -> None:
+def validate_subset_size(subset_size: int, num_spaces: int) -> None:
+    """Reject a subset size J the estimators cannot use with K spaces."""
     if num_spaces == 1:
         if subset_size != 1:
             raise ValueError(f"subset_size must be 1 when K=1, got {subset_size}")
@@ -79,7 +80,7 @@ def subsets_from_uniforms(probs: np.ndarray, subset_size: int, uniforms: np.ndar
     probs = np.asarray(probs, dtype=float)
     shared = probs.ndim == 1
     num_spaces = probs.shape[-1]
-    _validate_subset_size(subset_size, num_spaces)
+    validate_subset_size(subset_size, num_spaces)
 
     out = np.empty((n, subset_size), dtype=np.int64)
     cum = np.cumsum(probs, axis=-1)
@@ -127,7 +128,7 @@ def sample_subset(p: np.ndarray, subset_size: int, rng: np.random.Generator) -> 
     Consumes exactly ``subset_size`` uniforms from ``rng``.
     """
     p = check_simplex(p)
-    _validate_subset_size(subset_size, p.size)
+    validate_subset_size(subset_size, p.size)
     u = rng.random((1, subset_size))
     idx = subsets_from_uniforms(p, subset_size, u)[0]
     return SamplingOutcome(ordered_indices=idx, inclusion_probs=inclusion_probabilities(p, subset_size))

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface and config validation."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -278,9 +279,11 @@ def test_audit_bits_rejects_noncooperative_config(tmp_path, capsys):
 
 def test_module_entry_point_runs(tmp_path):
     path = _write_config(tmp_path)
+    # the child imports the same fedoms as this process, installed or not
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-m", "fedoms.cli", "validate", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "ok"
 

@@ -236,8 +236,8 @@ def test_single_client_cooperative_equals_noncooperative_bitwise():
 
 
 def _mixed_dimension_spaces(input_dim):
-    # identity and single-coordinate maps together force the engine onto its
-    # mixed-dimension code path
+    # identity and single-coordinate maps together mix feature widths, so
+    # the engine pads the narrower spaces' weight and feature rows with zeros
     return (
         make_space(IdentityMap(input_dim), radius=0.5, loss_kind=Loss.SQUARE),
         make_space(CoordinateMap(input_dim, 1), radius=1.0, loss_kind=Loss.SQUARE),
@@ -245,32 +245,42 @@ def _mixed_dimension_spaces(input_dim):
     )
 
 
-def test_flat_and_grouped_epoch_cores_agree_bitwise(monkeypatch):
-    # the engine picks the flat core whenever all spaces share one feature
-    # dimension; forcing the grouped core instead must not move a single bit
-    import fedoms.protocol as protocol
-
-    box_spaces = tuple(
-        make_space(IdentityMap(4), radius=r, loss_kind=Loss.ABSOLUTE,
+def _box_spaces(input_dim):
+    return tuple(
+        make_space(IdentityMap(input_dim), radius=r, loss_kind=Loss.ABSOLUTE,
                    constraint=InfBox(r))
         for r in (0.3, 0.6, 0.9)
     )
-    cases = [
-        (_nested_spaces(4, (0.25, 0.5, 0.75, 1.0)), Loss.SQUARE, 2, 20),
-        (_nested_spaces(4, (0.25, 0.5, 0.75, 1.0)), Loss.SQUARE, 4, None),
-        (box_spaces, Loss.ABSOLUTE, 2, None),
-    ]
-    streams = synthetic_linear(input_dim=4, clients=5, horizon=60, seed=17)
-    for spaces, loss, subset, epochs in cases:
-        cfg = LearnerConfig(spaces=spaces, loss=loss, clients=5,
-                            subset_size=subset, horizon=60, epochs=epochs,
-                            master_seed=17)
-        flat = run_fomd_oms(cfg, streams)
-        with monkeypatch.context() as patch:
-            patch.setattr(protocol, "_epoch_flat", protocol._epoch_grouped)
-            grouped = run_fomd_oms(cfg, streams)
-        assert _trace_tuple(flat) == _trace_tuple(grouped)
-        assert np.array_equal(flat.final_probs, grouped.final_probs)
+
+
+@pytest.mark.parametrize("spaces, loss", [
+    (_mixed_dimension_spaces(4), Loss.SQUARE),
+    (_box_spaces(4), Loss.ABSOLUTE),
+])
+def test_noncooperative_clients_each_match_the_solo_reference(spaces, loss):
+    # every noncooperative client is the cooperative learner run alone on
+    # its own stream, with its own slice of the uniform table
+    M, T, J, seed = 3, 60, 2, 41
+    streams = synthetic_linear(input_dim=4, clients=M, horizon=T, seed=seed)
+    cfg = LearnerConfig(spaces=spaces, loss=loss, clients=M, subset_size=J,
+                        horizon=T, master_seed=seed)
+    art = run_nco_oms(cfg, streams)
+    uniforms = sampling_uniforms(seed, M, T, J)
+    for j in range(M):
+        ref = oracles.reference_fomd(
+            spaces, loss, streams.xs[j:j + 1], streams.ys[j:j + 1],
+            subset_size=J, epochs=T, uniforms=uniforms[j:j + 1],
+        )
+        assert np.array_equal(art.lead_indices.reshape(T, M)[:, j], ref["leads"][:, 0])
+        np.testing.assert_allclose(
+            art.predictions.reshape(T, M)[:, j], ref["predictions"][:, 0],
+            atol=1e-9, rtol=0,
+        )
+        np.testing.assert_allclose(
+            art.losses.reshape(T, M)[:, j], ref["losses"][:, 0], atol=1e-9, rtol=0
+        )
+        np.testing.assert_allclose(art.final_probs[j], ref["final_probs"],
+                                   atol=1e-9, rtol=0)
 
 
 @pytest.mark.parametrize("epochs", [60, 15])

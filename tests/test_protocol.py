@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedoms.learners import LearnerConfig, run_fomd_oms
-from fedoms.data import synthetic_linear
+from fedoms.learners import LearnerConfig, run_fomd_oms, run_nco_oms
+from fedoms.data import Streams, synthetic_linear
 from fedoms.protocol import (
     AuditLog,
     ClientBatch,
@@ -276,8 +276,6 @@ def _one_space_config(horizon, **kwargs):
 
 
 def _constant_streams(values, targets):
-    from fedoms.data import Streams
-
     xs = np.asarray(values, dtype=float)[None, :, None]
     ys = np.asarray(targets, dtype=float)[None, :]
     return Streams(xs=xs, ys=ys, meta={})
@@ -350,6 +348,22 @@ def test_run_invariant_violation_aborts_the_run():
                          subset_size=1, horizon=2)
     with pytest.raises(RunInvariantError, match="gradient"):
         run_fomd_oms(cfg2, streams)
+
+
+@pytest.mark.parametrize("run_learner", [run_fomd_oms, run_nco_oms])
+def test_nan_target_aborts_naming_the_round_and_space(run_learner):
+    # NaN fails every ordered comparison, so the bound check must not pass it
+    # on to the mirror step, which cannot say where it came from
+    streams = synthetic_linear(input_dim=3, clients=2, horizon=10, seed=4)
+    ys = streams.ys.copy()
+    ys[1, 6] = np.nan
+    spaces = tuple(make_space(IdentityMap(3), radius=r, loss_kind=Loss.SQUARE)
+                   for r in (0.5, 1.0))
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=2, subset_size=2,
+                        horizon=10, master_seed=4)
+    # J=K: client 1 samples both spaces, and space 0 is checked first
+    with pytest.raises(RunInvariantError, match="round 7: space 0 produced loss nan"):
+        run_learner(cfg, Streams(xs=streams.xs, ys=ys, meta={}))
 
 
 def test_client_batch_validates_shapes():
