@@ -37,16 +37,27 @@ from .config import (
     resolve_output_dir,
     run_from_config,
 )
+from .data import DataError
 from .learners import run_fomd_oms, run_nco_oms
+from .mirror import MirrorError
+from .protocol import ProtocolError, RunInvariantError
 from .results import compute_mse
+
+# library errors reported as a JSON error object with exit status 2
+REPORTED_ERRORS = (ConfigError, DataError, ProtocolError, RunInvariantError, MirrorError)
 
 
 def _emit(blob: dict) -> None:
     print(json.dumps(blob, indent=2, sort_keys=True))
 
 
-def _fail(error: ConfigError) -> int:
-    _emit(error.to_dict())
+def _fail(error: Exception) -> int:
+    if isinstance(error, ConfigError):
+        blob = error.to_dict()
+    else:
+        blob = {"status": "error", "message": str(error)}
+    blob["kind"] = type(error).__name__
+    _emit(blob)
     return 2
 
 
@@ -203,7 +214,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except REPORTED_ERRORS as exc:
         return _fail(exc)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,7 +99,8 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
 
     ``target_column`` selects the target by header name or by position
     (negative indices count from the right).  Every other column becomes a
-    feature.  Parse failures report the offending row and column.
+    feature.  Parse failures and non-finite cells (``nan``, ``inf``) report
+    the offending row and column.
     """
 
     path = Path(path)
@@ -124,6 +126,7 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
                 )
             target_pos = header.index(target_column)
         rows: list[list[float]] = []
+        line_nos = array("i")  # file line of each data row, for diagnostics
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # ignore blank lines
@@ -142,9 +145,16 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
                         f"non-numeric cell {cell!r}"
                     ) from None
             rows.append(parsed)
+            line_nos.append(line_no)
     if not rows:
         raise DataError(f"{path}: no data rows")
     table = np.array(rows, dtype=float)
+    if not np.isfinite(table).all():
+        r, col = (int(v) for v in np.argwhere(~np.isfinite(table))[0])
+        raise DataError(
+            f"{path}: row {line_nos[r]}, column {header[col]!r}: "
+            f"non-finite cell {float(table[r, col])}"
+        )
     features = np.delete(table, target_pos, axis=1)
     feature_names = tuple(h for i, h in enumerate(header) if i != target_pos)
     logger.info("ingested %s: %d rows, %d features", path, table.shape[0], features.shape[1])

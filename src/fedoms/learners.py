@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Streams
-from .mirror import InfBox, L2Ball, materialize, project
+from .mirror import InfBox, L2Ball, constraint_arrays, materialize, project
 from .protocol import (
     AuditLog,
     ClientBatch,
@@ -254,7 +254,6 @@ def _assemble(
     schedule: EpochSchedule,
     buffers: TraceBuffers,
     final_probs: np.ndarray,
-    state: ServerState,
     wall: float,
     audit: AuditLog | None,
 ) -> RunArtifact:
@@ -281,8 +280,8 @@ def _assemble(
         uplink_bits=buffers.uplink_bits.ravel(),
         downlink_bits=buffers.downlink_bits.ravel(),
         final_probs=final_probs,
-        total_uplink_bits=int(state.uplink_bits),
-        total_downlink_bits=int(state.downlink_bits),
+        total_uplink_bits=int(buffers.uplink_bits.sum()),
+        total_downlink_bits=int(buffers.downlink_bits.sum()),
         wall_seconds=wall,
         meta=meta,
     )
@@ -355,7 +354,7 @@ def run_fomd_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
     )
     return _assemble(
         "fomd_oms", config, streams, schedule, buffers,
-        materialize(state.log_p)[0], state, wall, audit,
+        materialize(state.log_p)[0], wall, audit,
     )
 
 
@@ -385,7 +384,7 @@ def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
     )
     return _assemble(
         "nco_oms", config, streams, schedule, buffers,
-        materialize(state.log_p), state, wall, None,
+        materialize(state.log_p), wall, None,
     )
 
 
@@ -394,22 +393,15 @@ def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
 
 
 def _check_feasible(constraint: L2Ball | InfBox, w: np.ndarray, tol: float = 1e-9) -> None:
-    if isinstance(constraint, L2Ball):
-        norm = float(np.linalg.norm(w))
-        if norm > constraint.radius + tol:
-            raise ValueError(
-                f"comparator is infeasible: norm {norm:.6g} exceeds radius "
-                f"{constraint.radius:.6g}"
-            )
-    elif isinstance(constraint, InfBox):
-        worst = float(np.abs(w).max())
-        if worst > constraint.half_width + tol:
-            raise ValueError(
-                f"comparator is infeasible: coordinate magnitude {worst:.6g} exceeds "
-                f"half width {constraint.half_width:.6g}"
-            )
+    (box,), (bound,) = constraint_arrays([constraint])
+    if box:
+        size, measure, limit = float(np.abs(w).max()), "coordinate magnitude", "half width"
     else:
-        raise TypeError(f"unsupported constraint {constraint!r}")
+        size, measure, limit = float(np.linalg.norm(w)), "norm", "radius"
+    if size > bound + tol:
+        raise ValueError(
+            f"comparator is infeasible: {measure} {size:.6g} exceeds {limit} {bound:.6g}"
+        )
 
 
 def regret_accounting(

@@ -1,19 +1,23 @@
 """Online mirror descent primitives.
 
-Two geometries are implemented:
-
-* a weighted negative-entropy regularizer over the probability simplex,
-  ``psi(p) = sum_i (scale_i / eta) * p_i * log(p_i)``, whose mirror step is a
+* The weighted negative-entropy regularizer over the probability simplex,
+  ``psi(p) = sum_i (scale_i / eta) * p_i * log(p_i)``: its mirror step is a
   per-coordinate exponential reweighting followed by an exact renormalization
-  via a scalar multiplier found by a monotone Newton solve;
-* the Euclidean regularizer over a convex constraint set (an L2 ball or a
-  coordinate-wise box), whose mirror step is projected gradient descent.
+  via a scalar multiplier found by a monotone Newton solve.  The round kernel
+  steps a batch of log-space states at once (:func:`entropy_step_log_batch`);
+  :func:`entropy_mirror_step` is the one-vector form on linear probabilities.
+* Euclidean projection onto a convex constraint set, an L2 ball or a
+  coordinate-wise box: the projection half of the projected gradient step
+  the round kernel takes on every sampled space's model.
+  :func:`constraint_arrays` turns constraint objects into the (box?, bound)
+  arrays that :func:`project_rows_per_row` projects a stack of rows with.
 
 All functions are pure: they never mutate their array arguments.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -67,17 +71,6 @@ class WeightedEntropyGeometry:
             raise ValueError("scales must be a non-empty 1-d array")
         if not np.all(np.isfinite(scales)) or np.any(scales <= 0):
             raise ValueError("scales must be finite and strictly positive")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-
-
-@dataclass(frozen=True)
-class EuclideanGeometry:
-    """Euclidean geometry with a step size and a constraint set."""
-    learning_rate: float
-    constraint: L2Ball | InfBox
-
-    def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
@@ -217,10 +210,10 @@ def entropy_step_log_batch(
     return out
 
 
-def solve_entropy_multiplier(
+def _check_step_inputs(
     geometry: WeightedEntropyGeometry, p: np.ndarray, losses: np.ndarray
-) -> float:
-    """Normalizing multiplier of one entropy mirror step (in [-max losses, 0])."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one entropy step's inputs; return p with its sum pinned to 1."""
     p = check_simplex(p)
     losses = np.asarray(losses, dtype=float)
     if losses.shape != p.shape:
@@ -229,7 +222,14 @@ def solve_entropy_multiplier(
         raise ValueError("geometry scales do not match p")
     if np.any(losses < 0) or not np.all(np.isfinite(losses)):
         raise ValueError("losses must be finite and non-negative")
-    p = p / p.sum()
+    return p / p.sum(), losses  # an exact unit sum keeps the bracket valid
+
+
+def solve_entropy_multiplier(
+    geometry: WeightedEntropyGeometry, p: np.ndarray, losses: np.ndarray
+) -> float:
+    """Normalizing multiplier of one entropy mirror step (in [-max losses, 0])."""
+    p, losses = _check_step_inputs(geometry, p, losses)
     rates = geometry.learning_rate / geometry.scales
     lam = _solve_multiplier_batch(np.log(p)[None, :], losses[None, :], rates)
     return float(lam[0])
@@ -244,15 +244,7 @@ def entropy_mirror_step(
     the multiplier lam chosen so the result lies on the simplex.  With equal
     scales this coincides with exponentiated gradient plus normalization.
     """
-    p = check_simplex(p)
-    losses = np.asarray(losses, dtype=float)
-    if losses.shape != p.shape:
-        raise ValueError(f"losses shape {losses.shape} does not match p shape {p.shape}")
-    if geometry.scales.shape != p.shape:
-        raise ValueError("geometry scales do not match p")
-    if np.any(losses < 0) or not np.all(np.isfinite(losses)):
-        raise ValueError("losses must be finite and non-negative")
-    p = p / p.sum()  # pin the sum to 1 exactly so the bracket is valid
+    p, losses = _check_step_inputs(geometry, p, losses)
     if not losses.any():  # identity short-circuit
         return p
     log_new = entropy_step_log_batch(
@@ -261,41 +253,30 @@ def entropy_mirror_step(
     return materialize(log_new[0])
 
 
-def bregman_divergence_entropy(
-    geometry: WeightedEntropyGeometry, p: np.ndarray, q: np.ndarray
-) -> float:
-    """Bregman divergence of the weighted-entropy regularizer.
+# --------------------------------------------------------------------------
+# Euclidean projection
+# --------------------------------------------------------------------------
 
-    D(p, q) = (1/eta) * sum_i scale_i * (p_i log(p_i/q_i) + q_i - p_i).
-    Both arguments must be strictly positive simplex points.
+def constraint_arrays(
+    constraints: Sequence[L2Ball | InfBox],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(box?, bound) arrays of a sequence of constraint sets.
+
+    Entry ``k`` of the boolean array says whether constraint ``k`` is an
+    :class:`InfBox`; the float array holds its half width, or the radius of
+    an :class:`L2Ball`.  This is the form :func:`project_rows_per_row` takes.
     """
-    p = check_simplex(p, name="p")
-    q = check_simplex(q, name="q")
-    if p.shape != q.shape or p.shape != geometry.scales.shape:
-        raise ValueError("p, q and geometry scales must share one shape")
-    terms = geometry.scales * (p * np.log(p / q) + q - p)
-    return float(terms.sum() / geometry.learning_rate)
-
-
-# --------------------------------------------------------------------------
-# Euclidean mirror step (projected gradient descent)
-# --------------------------------------------------------------------------
-
-def project_rows(constraint: L2Ball | InfBox, w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a (B, d) stack of vectors onto the constraint set."""
-    if isinstance(constraint, L2Ball):
-        norms = np.sqrt((w * w).sum(axis=1))
-        scale = np.minimum(1.0, constraint.radius / np.maximum(norms, 1e-300))
-        return w * scale[:, None]
-    if isinstance(constraint, InfBox):
-        return np.clip(w, -constraint.half_width, constraint.half_width)
-    raise TypeError(f"unsupported constraint {constraint!r}")
-
-
-def step_rows(constraint: L2Ball | InfBox, w: np.ndarray, gradients: np.ndarray,
-              learning_rate: float) -> np.ndarray:
-    """Projected gradient step on a (B, d) stack of vectors."""
-    return project_rows(constraint, w - learning_rate * gradients)
+    box, bound = [], []
+    for constraint in constraints:
+        if isinstance(constraint, L2Ball):
+            box.append(False)
+            bound.append(constraint.radius)
+        elif isinstance(constraint, InfBox):
+            box.append(True)
+            bound.append(constraint.half_width)
+        else:
+            raise TypeError(f"unsupported constraint {constraint!r}")
+    return np.array(box, dtype=bool), np.array(bound, dtype=float)
 
 
 def project_rows_per_row(w: np.ndarray, box_mask: np.ndarray,
@@ -304,8 +285,7 @@ def project_rows_per_row(w: np.ndarray, box_mask: np.ndarray,
 
     Row ``k`` projects onto the L2 ball of radius ``bound[k]`` when
     ``box_mask[k]`` is false, else onto the inf-box of half width
-    ``bound[k]``.  Row for row this equals :func:`project_rows` with the
-    corresponding constraint, including the exact no-op on interior points.
+    ``bound[k]``; a point already inside its set is returned unchanged.
     """
     if not box_mask.any():
         norms = np.sqrt((w * w).sum(axis=1))
@@ -324,17 +304,7 @@ def project_rows_per_row(w: np.ndarray, box_mask: np.ndarray,
 
 
 def project(constraint: L2Ball | InfBox, w: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the constraint set."""
+    """Euclidean projection of one vector onto the constraint set."""
     w = np.asarray(w, dtype=float)
-    return project_rows(constraint, w[None, :])[0]
-
-
-def euclidean_step(geometry: EuclideanGeometry, w: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-    """Projected gradient step: project(w - learning_rate * gradient)."""
-    w = np.asarray(w, dtype=float)
-    gradient = np.asarray(gradient, dtype=float)
-    if w.shape != gradient.shape:
-        raise ValueError(f"gradient shape {gradient.shape} does not match w shape {w.shape}")
-    if not np.all(np.isfinite(gradient)):
-        raise ValueError("gradient has non-finite entries")
-    return step_rows(geometry.constraint, w[None, :], gradient[None, :], geometry.learning_rate)[0]
+    box, bound = constraint_arrays((constraint,))
+    return project_rows_per_row(w[None, :], box, bound)[0]

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mirror import (
-    InfBox,
+    constraint_arrays,
     entropy_step_log_batch,
     materialize,
     project_rows_per_row,
@@ -118,21 +118,6 @@ class EpochSchedule:
     @property
     def rounds_per_epoch(self) -> int:
         return self.horizon // self.epochs
-
-    def epoch_of(self, round_index: int) -> int:
-        """1-based epoch containing 1-based round ``round_index``."""
-        if not 1 <= round_index <= self.horizon:
-            raise ProtocolError(f"round {round_index} outside horizon {self.horizon}")
-        return (round_index - 1) // self.rounds_per_epoch + 1
-
-    def first_round(self, epoch: int) -> int:
-        """1-based first round of 1-based epoch ``epoch``."""
-        if not 1 <= epoch <= self.epochs:
-            raise ProtocolError(f"epoch {epoch} outside schedule of {self.epochs}")
-        return (epoch - 1) * self.rounds_per_epoch + 1
-
-    def last_round(self, epoch: int) -> int:
-        return self.first_round(epoch) + self.rounds_per_epoch - 1
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +319,9 @@ def decode_frame(
     """Parse a frame back into a message (floats come back as float64).
 
     ``dims`` gives the parameter dimension of every space, so the decoder can
-    slice the float block once the trailing indices are known.
+    slice the float block once the trailing indices are known.  The header's
+    ``payload_bits`` must equal the bits the payload carries: 8 per float
+    byte plus ceil(log2 K) per index.
     """
 
     q = bits_per_index(num_spaces)
@@ -342,6 +329,12 @@ def decode_frame(
     if nidx_bytes > len(frame.payload):
         raise ProtocolError("payload too short for declared index count")
     split = len(frame.payload) - nidx_bytes
+    carried = 8 * split + q * frame.index_count
+    if frame.payload_bits != carried:
+        raise ProtocolError(
+            f"header claims {frame.payload_bits} payload bits but the payload "
+            f"carries {carried}"
+        )
     indices = _unpack_indices(frame.payload[split:], frame.index_count, num_spaces)
     floats = np.frombuffer(frame.payload[:split], dtype="<f4").astype(float)
     want = sum(int(dims[i]) for i in indices)
@@ -445,16 +438,12 @@ class ServerState:
     space ``i``, zero past that space's width.  Client ``j`` of ``M`` belongs
     to server ``j * S // M``: the cooperative learner runs one server for
     every client (S=1) and the noncooperative baseline one per client (S=M).
-    Bit counters accumulate the information bits of every message sent so
-    far (summed over clients).
+    The bits of every message are recorded in the trace (:class:`TraceBuffers`).
     """
 
     log_p: np.ndarray
     weights: np.ndarray
-    rounds_done: int = 0
     epochs_done: int = 0
-    uplink_bits: int = 0
-    downlink_bits: int = 0
 
 
 @dataclass(frozen=True)
@@ -537,13 +526,7 @@ class RunSetup:
     @cached_property
     def constraints(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-space constraints as (box?, bound) arrays for row-batched steps."""
-        box = np.array([isinstance(s.constraint, InfBox) for s in self.spaces])
-        bound = np.array([
-            s.constraint.half_width if isinstance(s.constraint, InfBox)
-            else s.constraint.radius
-            for s in self.spaces
-        ], dtype=float)
-        return box, bound
+        return constraint_arrays([s.constraint for s in self.spaces])
 
     @cached_property
     def feature_columns(self) -> np.ndarray | None:
@@ -643,8 +626,6 @@ def _audit_epoch(
             epoch, j, idx, tuple(weights[i, :dims[i]] for i in idx)
         )
         frame = encode_downlink(down, K)
-        if frame.payload_bits != account_bits(down, K):
-            audit.note(f"epoch {epoch} client {j}: downlink bit account mismatch")
         if frame.payload_bits != int(down_bits[j]):
             audit.note(f"epoch {epoch} client {j}: engine downlink bits mismatch")
         back = decode_frame(Frame.from_bytes(frame.to_bytes()), K, dims)
@@ -663,8 +644,6 @@ def _audit_epoch(
         grads = tuple(mean_grads[f, :dims[i]] for f, i in zip(flat, idx))
         up = UplinkMessage(epoch, j, idx, mean_losses[flat], grads)
         uframe = encode_uplink(up, K)
-        if uframe.payload_bits != account_bits(up, K):
-            audit.note(f"epoch {epoch} client {j}: uplink bit account mismatch")
         if uframe.payload_bits != int(up_bits[j]):
             audit.note(f"epoch {epoch} client {j}: engine uplink bits mismatch")
         uback = decode_frame(Frame.from_bytes(uframe.to_bytes()), K, dims)
@@ -737,8 +716,8 @@ def run_epoch(
     reports epoch-averaged raw losses and gradients; each server applies
     importance weights, averages over its clients, and takes one mirror step
     on its sampling distribution plus one projected-gradient step per space
-    its clients sampled.  Writes per-round trace rows into ``buffers`` and,
-    when ``setup.communicates``, accumulates exact bit counts in ``state``.
+    its clients sampled.  Writes per-round trace rows into ``buffers``,
+    including, when ``setup.communicates``, the exact bits of every message.
 
     All per-(client, space) work runs on flat arrays sorted by space.  Its
     floats do not depend on S except through the aggregation: with S=1 each
@@ -848,8 +827,6 @@ def run_epoch(
             )
         buffers.downlink_bits[t0] = down_bits
         buffers.uplink_bits[t0 + N - 1] = up_bits
-        state.downlink_bits += int(down_bits.sum())
-        state.uplink_bits += int(up_bits.sum())
 
     rates = setup.param_rates(epoch)
     box_mask, bound = setup.constraints
@@ -861,5 +838,4 @@ def run_epoch(
         state.log_p, loss_est, setup.scales, setup.mirror_rate
     )
     buffers.leads[t0:t0 + N] = indices[:, 0][None, :]
-    state.rounds_done += N
     state.epochs_done = epoch

@@ -81,10 +81,6 @@ class RunArtifact:
         """Total realized lead-model loss over all clients and rounds."""
         return float(self.losses.sum())
 
-    def seconds_per_client(self) -> float:
-        """Indicative per-client wall time: the serial simulation divided by M."""
-        return self.wall_seconds / self.clients
-
     def to_csv(self, path: str | Path) -> Path:
         """Write the trace as CSV with the fixed column order.
 
@@ -117,7 +113,6 @@ class RunArtifact:
             "total_downlink_bits": self.total_downlink_bits,
             "final_probs": np.asarray(self.final_probs).tolist(),
             "wall_seconds": self.wall_seconds,
-            "seconds_per_client": self.seconds_per_client(),
             "meta": {k: v for k, v in self.meta.items() if _jsonable(v)},
         }
 
@@ -131,8 +126,7 @@ class MetricsSummary:
     """Aggregate metrics over repetition runs of one configuration.
 
     ``mse_std`` is the sample standard deviation (ddof=1) across runs, 0.0
-    for a single run.  Per-client running times are indicative only: the
-    simulation is serial and divides wall time by the client count.
+    for a single run.
     """
 
     runs: int
@@ -142,12 +136,10 @@ class MetricsSummary:
     cumulative_losses: tuple[float, ...]
     total_uplink_bits: int
     total_downlink_bits: int
-    seconds_per_client: tuple[float, ...]
     final_probs: tuple[tuple[float, ...], ...]
-    regret_estimates: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "runs": self.runs,
             "mse_values": list(self.mse_values),
             "mse_mean": self.mse_mean,
@@ -155,19 +147,14 @@ class MetricsSummary:
             "cumulative_losses": list(self.cumulative_losses),
             "total_uplink_bits": self.total_uplink_bits,
             "total_downlink_bits": self.total_downlink_bits,
-            "seconds_per_client": list(self.seconds_per_client),
             "final_probs": [list(p) for p in self.final_probs],
         }
-        if self.regret_estimates is not None:
-            out["regret_estimates"] = list(self.regret_estimates)
-        return out
 
 
 def compute_mse(
     artifacts: "list[RunArtifact] | tuple[RunArtifact, ...]",
-    regret_estimates: "list[float] | None" = None,
 ) -> MetricsSummary:
-    """Fold repetition runs into mean/stddev MSE plus bit and time totals."""
+    """Fold repetition runs into mean/stddev MSE plus bit totals."""
     if not artifacts:
         raise ValueError("no artifacts to summarize")
     values = [a.mse() for a in artifacts]
@@ -180,10 +167,8 @@ def compute_mse(
         cumulative_losses=tuple(a.cumulative_loss() for a in artifacts),
         total_uplink_bits=sum(a.total_uplink_bits for a in artifacts),
         total_downlink_bits=sum(a.total_downlink_bits for a in artifacts),
-        seconds_per_client=tuple(a.seconds_per_client() for a in artifacts),
         final_probs=tuple(
             tuple(float(v) for v in np.asarray(a.final_probs).ravel())
             for a in artifacts
         ),
-        regret_estimates=None if regret_estimates is None else tuple(regret_estimates),
     )

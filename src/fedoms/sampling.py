@@ -1,4 +1,4 @@
-"""Subset sampling of hypothesis spaces and importance-weighted estimation.
+"""Subset sampling of hypothesis spaces and importance-weighted loss estimates.
 
 Each round a client evaluates only a small ordered subset ``(A_1, ..., A_J)``
 of the K spaces: the lead index ``A_1`` is drawn from the current probability
@@ -8,17 +8,19 @@ probability of space i has the closed form
 
     P[i in O] = ((K - J) / (K - 1)) * p_i + (J - 1) / (K - 1),
 
-which is what the importance-weighted loss and gradient estimators divide by.
-All sampling consumes exactly J uniform draws per outcome, so draws can be
-laid out in a (round, slot) table ahead of time and replayed.
+which is what the importance-weighted estimates divide by.  The round kernel
+applies those weights to losses and gradients itself;
+:func:`estimate_losses` is the one-outcome form of the loss estimate.
+All sampling consumes exactly J uniform draws per outcome, so draws are laid
+out in a (round, slot) table ahead of time and replayed through
+:func:`subsets_from_uniforms`; :func:`group_subsets` sorts a table of
+sampled subsets by space for the kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .mirror import check_simplex
 
 
 @dataclass(frozen=True)
@@ -122,18 +124,6 @@ def subsets_from_uniforms(probs: np.ndarray, subset_size: int, uniforms: np.ndar
     return out
 
 
-def sample_subset(p: np.ndarray, subset_size: int, rng: np.random.Generator) -> SamplingOutcome:
-    """Draw one ordered subset of spaces: lead from p, the rest uniformly.
-
-    Consumes exactly ``subset_size`` uniforms from ``rng``.
-    """
-    p = check_simplex(p)
-    validate_subset_size(subset_size, p.size)
-    u = rng.random((1, subset_size))
-    idx = subsets_from_uniforms(p, subset_size, u)[0]
-    return SamplingOutcome(ordered_indices=idx, inclusion_probs=inclusion_probabilities(p, subset_size))
-
-
 def estimate_losses(raw_losses: np.ndarray, outcome: SamplingOutcome) -> np.ndarray:
     """Importance-weighted loss estimates over all K spaces.
 
@@ -149,21 +139,6 @@ def estimate_losses(raw_losses: np.ndarray, outcome: SamplingOutcome) -> np.ndar
         raise ValueError("raw_losses has non-finite entries")
     out = np.zeros(outcome.inclusion_probs.size)
     out[idx] = raw / outcome.inclusion_probs[idx]
-    return out
-
-
-def estimate_gradients(raw_gradients: list[np.ndarray], outcome: SamplingOutcome,
-                       dims: list[int]) -> list[np.ndarray]:
-    """Importance-weighted gradient estimates: one vector per space, zeros off-subset."""
-    idx = outcome.ordered_indices
-    if len(raw_gradients) != idx.size:
-        raise ValueError(f"got {len(raw_gradients)} gradients for a subset of size {idx.size}")
-    out = [np.zeros(d) for d in dims]
-    for a, i in enumerate(idx):
-        g = np.asarray(raw_gradients[a], dtype=float)
-        if g.shape != (dims[i],):
-            raise ValueError(f"gradient {a} has shape {g.shape}, expected ({dims[i]},)")
-        out[i] = g / outcome.inclusion_probs[i]
     return out
 
 

@@ -1,4 +1,4 @@
-"""Hypothesis spaces: feature maps, prediction, losses and their constants.
+"""Hypothesis spaces: feature maps, losses and their constants.
 
 A hypothesis space is a set of linear predictors ``x -> <w, phi(x)>`` with w
 ranging over a ball or box of radius ``radius`` and ``phi`` one of three
@@ -229,23 +229,3 @@ def make_space(feature_map: FeatureMap, radius: float, loss_kind: Loss, *,
         lipschitz_bound=lipschitz_bound if lipschitz_bound is not None else g_def,
     )
 
-
-def predict(space: HypothesisSpace, w: np.ndarray, x: np.ndarray) -> float:
-    """Evaluate <w, phi(x)> for a single example."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (space.dim,):
-        raise ValueError(f"w has shape {w.shape}, expected ({space.dim},)")
-    return float(space.feature_map(x) @ w)
-
-
-def loss_and_gradient(kind: Loss, space: HypothesisSpace, w: np.ndarray,
-                      x: np.ndarray, y: float) -> tuple[float, np.ndarray]:
-    """Realized loss and its gradient in w at one example."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (space.dim,):
-        raise ValueError(f"w has shape {w.shape}, expected ({space.dim},)")
-    phi = space.feature_map(x)
-    v = float(phi @ w)
-    c = float(loss_value(kind, v, y))
-    g = float(loss_derivative(kind, v, y)) * phi
-    return c, g

@@ -45,22 +45,6 @@ def exponentiated_gradient(p, losses, eta):
     return np.array([wi / s for wi in w])
 
 
-def weighted_entropy_bregman(scales, eta, p, q):
-    """Closed-form divergence, scalar loop."""
-    acc = 0.0
-    for ci, pi, qi in zip(scales, p, q):
-        acc += ci * (pi * math.log(pi / qi) + qi - pi)
-    return acc / eta
-
-
-def project_l2_grid(w, radius):
-    """L2-ball projection via scaling law (independent of library code)."""
-    n = math.sqrt(sum(x * x for x in w))
-    if n <= radius:
-        return np.asarray(w, dtype=float)
-    return np.asarray([x * radius / n for x in w])
-
-
 def finite_difference_gradient(f, w, h=1e-6):
     """Central finite differences of a scalar function of a vector."""
     w = np.asarray(w, dtype=float)
@@ -136,7 +120,8 @@ def _reference_subset(p, subset_size, uniforms):
     return chosen
 
 
-def _reference_project(w, constraint):
+def reference_project(w, constraint):
+    """Euclidean projection onto an L2 ball or an inf-box, one coordinate at a time."""
     from fedoms.mirror import InfBox, L2Ball
 
     if isinstance(constraint, L2Ball):
@@ -251,7 +236,7 @@ def reference_fomd(spaces, loss_kind, xs, ys, subset_size, epochs,
                     g = g + (grad_sums[(j, i)] / n_per) / inclusion[i]
             g = g / clients
             lam = schedule_lambda(radii[i], lips[i], k, subset_size, clients, r)
-            weights[i] = _reference_project(weights[i] - lam * g, spaces[i].constraint)
+            weights[i] = reference_project(weights[i] - lam * g, spaces[i].constraint)
         p = _reference_mirror(p, estimates, bounds, eta)
     return {
         "predictions": preds,

@@ -9,6 +9,9 @@ import pytest
 
 from fedoms.cli import main
 from fedoms.config import ConfigError, load_config, parse_config
+from fedoms.data import DataError
+from fedoms.mirror import MirrorError
+from fedoms.protocol import ProtocolError, RunInvariantError
 
 
 def _base_config(**overrides):
@@ -154,9 +157,8 @@ def test_run_is_byte_deterministic(tmp_path):
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
     summary_a = json.loads((out_a / "summary.json").read_text())
     summary_b = json.loads((out_b / "summary.json").read_text())
-    for timing_key in ("wall_seconds", "seconds_per_client"):
-        summary_a.pop(timing_key)
-        summary_b.pop(timing_key)
+    summary_a.pop("wall_seconds")
+    summary_b.pop("wall_seconds")
     assert summary_a == summary_b
 
 
@@ -202,6 +204,45 @@ def test_run_rejects_horizon_mismatched_to_csv(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     blob = _last_json(capsys.readouterr().out)
     assert blob["field"] == "horizon" and "does not match" in blob["message"]
+
+
+def test_run_on_a_csv_with_a_nan_cell_reports_the_cell(tmp_path, capsys):
+    from fedoms.data import write_regression_csv
+
+    csv_path = write_regression_csv(tmp_path / "data.csv", rows=60, input_dim=3,
+                                    seed=1)
+    lines = csv_path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = "nan"
+    lines[5] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    cfg = _base_config(horizon=None, epochs=None)
+    cfg["data"] = {"source": "csv", "path": str(csv_path),
+                   "target_column": "target"}
+    path = tmp_path / "csv_cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["status"] == "error" and blob["kind"] == "ConfigError"
+    assert blob["field"] == "data"
+    assert "row 6, column 'f1': non-finite cell nan" in blob["message"]
+
+
+@pytest.mark.parametrize(
+    "error", [DataError, ProtocolError, RunInvariantError, MirrorError],
+    ids=lambda error: error.__name__)
+def test_library_errors_keep_the_json_error_contract(error, tmp_path, capsys,
+                                                     monkeypatch):
+    from fedoms import cli
+
+    def fail(config):
+        raise error("round 3: something broke")
+
+    monkeypatch.setattr(cli, "run_from_config", fail)
+    assert main(["run", str(_write_config(tmp_path))]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob == {"status": "error", "kind": error.__name__,
+                    "message": "round 3: something broke"}
 
 
 def test_run_rejects_coordinate_index_out_of_range(tmp_path, capsys):

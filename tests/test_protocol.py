@@ -38,12 +38,10 @@ from fedoms.spaces import IdentityMap, Loss, make_space
 def test_epoch_schedule_partitions_rounds():
     sched = EpochSchedule(horizon=12, epochs=3)
     assert sched.rounds_per_epoch == 4
-    assert sched.epoch_of(1) == 1
-    assert sched.epoch_of(4) == 1
-    assert sched.epoch_of(5) == 2
-    assert sched.epoch_of(12) == 3
-    assert sched.first_round(2) == 5
-    assert sched.last_round(2) == 8
+    # the trace labels rounds 1-4 epoch 1, rounds 5-8 epoch 2, and so on
+    art = run_fomd_oms(_one_space_config(12, epochs=3), _constant_streams([1.0] * 12, [0.5] * 12))
+    assert art.epoch_ids.tolist() == [1] * 4 + [2] * 4 + [3] * 4
+    assert art.round_ids.tolist() == list(range(1, 13))
 
 
 def test_epoch_schedule_rejects_ragged_split():
@@ -53,17 +51,14 @@ def test_epoch_schedule_rejects_ragged_split():
         EpochSchedule(horizon=0, epochs=1)
     with pytest.raises(ProtocolError):
         EpochSchedule(horizon=10, epochs=0)
-    sched = EpochSchedule(horizon=10, epochs=5)
-    with pytest.raises(ProtocolError):
-        sched.epoch_of(11)
-    with pytest.raises(ProtocolError):
-        sched.first_round(6)
 
 
 def test_single_round_epochs_are_the_identity_schedule():
     sched = EpochSchedule(horizon=7, epochs=7)
     assert sched.rounds_per_epoch == 1
-    assert [sched.epoch_of(t) for t in range(1, 8)] == list(range(1, 8))
+    art = run_fomd_oms(_one_space_config(7), _constant_streams([1.0] * 7, [0.5] * 7))
+    assert art.epochs == 7
+    assert art.epoch_ids.tolist() == art.round_ids.tolist() == list(range(1, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +181,25 @@ def test_frame_rejects_malformed_blobs():
     with pytest.raises(ProtocolError, match="padding"):
         decode_frame(bad, 4, [2, 2, 2, 2])
     # float block the wrong length for the decoded indices
-    short = Frame(1, 0, frame.payload_bits, KIND_DOWNLINK, 2, frame.payload[4:])
-    with pytest.raises(ProtocolError):
+    short = Frame(1, 0, frame.payload_bits - 32, KIND_DOWNLINK, 2, frame.payload[4:])
+    with pytest.raises(ProtocolError, match="float block"):
         decode_frame(short, 4, [2, 2, 2, 2])
+
+
+@pytest.mark.parametrize("kind", [KIND_DOWNLINK, KIND_UPLINK])
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_decode_rejects_a_header_whose_bit_count_is_off_by_one(kind, offset):
+    # K=8, J=2: the index block holds 6 bits plus 2 of padding, so a header one
+    # bit off still fits in the payload and only an exact count can catch it
+    rng = np.random.default_rng(3)
+    dims = [3] * 8
+    msg = _random_messages(rng, 8, dims, 2, kind)
+    frame = encode_downlink(msg, 8) if kind == KIND_DOWNLINK else encode_uplink(msg, 8)
+    blob = bytearray(frame.to_bytes())
+    struct.pack_into("<I", blob, 8, frame.payload_bits + offset)
+    tampered = Frame.from_bytes(bytes(blob))
+    with pytest.raises(ProtocolError, match="payload bits"):
+        decode_frame(tampered, 8, dims)
 
 
 @settings(max_examples=60, deadline=None)

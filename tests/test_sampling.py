@@ -30,25 +30,25 @@ def empirical_inclusion(p, j, n, seed=0):
 # validation and basic structure
 # --------------------------------------------------------------------------
 
+def _uniforms(seed, n, j):
+    return rngmod.stream(seed, rngmod.ROLE_TEST).random((n, j))
+
+
 def test_subset_size_validation():
     p = random_simplex(RNG, 5)
-    rng = rngmod.stream(1, rngmod.ROLE_TEST)
-    with pytest.raises(ValueError):
-        sampling.sample_subset(p, 1, rng)
-    with pytest.raises(ValueError):
-        sampling.sample_subset(p, 6, rng)
-    with pytest.raises(ValueError):
-        sampling.sample_subset(p, 0, rng)
-    out = sampling.sample_subset(p, 5, rng)  # J = K allowed
-    assert sorted(out.ordered_indices.tolist()) == [0, 1, 2, 3, 4]
+    for j in (1, 6, 0):
+        with pytest.raises(ValueError):
+            sampling.subsets_from_uniforms(p, j, _uniforms(1, 3, j))
+    out = sampling.subsets_from_uniforms(p, 5, _uniforms(1, 3, 5))  # J = K allowed
+    assert all(sorted(row) == [0, 1, 2, 3, 4] for row in out.tolist())
 
 
 def test_degenerate_single_space():
-    out = sampling.sample_subset(np.array([1.0]), 1, rngmod.stream(0, rngmod.ROLE_TEST))
-    assert out.lead_index == 0
-    np.testing.assert_array_equal(out.inclusion_probs, [1.0])
+    out = sampling.subsets_from_uniforms(np.array([1.0]), 1, _uniforms(0, 4, 1))
+    np.testing.assert_array_equal(out, np.zeros((4, 1)))
+    np.testing.assert_array_equal(sampling.inclusion_probabilities(np.array([1.0]), 1), [1.0])
     with pytest.raises(ValueError):
-        sampling.sample_subset(np.array([1.0]), 2, rngmod.stream(0, rngmod.ROLE_TEST))
+        sampling.subsets_from_uniforms(np.array([1.0]), 2, _uniforms(0, 4, 2))
 
 
 def test_outcome_indices_distinct_lead_first():
@@ -56,27 +56,24 @@ def test_outcome_indices_distinct_lead_first():
         k = int(RNG.integers(2, 12))
         j = int(RNG.integers(2, k + 1))
         p = random_simplex(RNG, k)
-        out = sampling.sample_subset(p, j, rngmod.stream(int(RNG.integers(1e9)), rngmod.ROLE_TEST))
-        idx = out.ordered_indices
-        assert len(set(idx.tolist())) == j
-        assert out.lead_index == idx[0]
+        idx = sampling.subsets_from_uniforms(p, j, _uniforms(int(RNG.integers(1e9)), 5, j))
+        assert idx.shape == (5, j)
+        assert all(len(set(row)) == j for row in idx.tolist())
         assert np.all((0 <= idx) & (idx < k))
 
 
 def test_sampling_consumes_exactly_j_uniforms():
+    # one row of J draws per decision; a table of any other width is refused
     p = random_simplex(RNG, 6)
-    a = rngmod.stream(77, rngmod.ROLE_TEST)
-    b = rngmod.stream(77, rngmod.ROLE_TEST)
-    sampling.sample_subset(p, 3, a)
-    b.random(3)
-    assert a.random() == b.random()
+    with pytest.raises(ValueError, match="3 slots per row, expected 2"):
+        sampling.subsets_from_uniforms(p, 2, _uniforms(77, 4, 3))
 
 
 def test_sampling_is_deterministic_given_stream():
     p = random_simplex(RNG, 8)
-    a = sampling.sample_subset(p, 4, rngmod.stream(5, rngmod.ROLE_SAMPLING, 2))
-    b = sampling.sample_subset(p, 4, rngmod.stream(5, rngmod.ROLE_SAMPLING, 2))
-    np.testing.assert_array_equal(a.ordered_indices, b.ordered_indices)
+    a = sampling.subsets_from_uniforms(p, 4, rngmod.stream(5, rngmod.ROLE_SAMPLING, 2).random((6, 4)))
+    b = sampling.subsets_from_uniforms(p, 4, rngmod.stream(5, rngmod.ROLE_SAMPLING, 2).random((6, 4)))
+    np.testing.assert_array_equal(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -162,12 +159,6 @@ def test_estimates_zero_off_subset_and_weighted_on_subset():
     assert est[2] == pytest.approx(1.0 / incl[2])
     assert est[0] == pytest.approx(3.0 / incl[0])
 
-    grads = sampling.estimate_gradients(
-        [np.array([1.0, 1.0]), np.array([-2.0])], out, dims=[1, 3, 2])
-    np.testing.assert_allclose(grads[2], np.array([1.0, 1.0]) / incl[2])
-    np.testing.assert_allclose(grads[0], np.array([-2.0]) / incl[0])
-    np.testing.assert_array_equal(grads[1], np.zeros(3))
-
 
 def test_loss_estimator_is_unbiased_monte_carlo():
     k, j = 5, 2
@@ -192,7 +183,11 @@ def test_estimator_range_bound():
         k = int(RNG.integers(2, 10))
         j = int(RNG.integers(2, k + 1))
         p = random_simplex(RNG, k)
-        out = sampling.sample_subset(p, j, rngmod.stream(int(RNG.integers(1e9)), rngmod.ROLE_TEST))
+        out = sampling.SamplingOutcome(
+            ordered_indices=sampling.subsets_from_uniforms(
+                p, j, _uniforms(int(RNG.integers(1e9)), 1, j))[0],
+            inclusion_probs=sampling.inclusion_probabilities(p, j),
+        )
         c = RNG.uniform(0, 1, size=j)  # losses bounded by 1
         est = sampling.estimate_losses(c, out)
         assert np.all(est <= (k - 1.0) / (j - 1.0) + 1e-9)
@@ -204,8 +199,6 @@ def test_estimate_losses_validation():
         sampling.estimate_losses(np.array([1.0]), out)
     with pytest.raises(ValueError):
         sampling.estimate_losses(np.array([np.inf, 1.0]), out)
-    with pytest.raises(ValueError):
-        sampling.estimate_gradients([np.zeros(2)], out, dims=[2, 2, 2])
 
 
 @settings(deadline=None, max_examples=100)
@@ -214,10 +207,11 @@ def test_subset_size_matches_request(k, data):
     j = data.draw(st.integers(2, k))
     seed = data.draw(st.integers(0, 2**31 - 1))
     p = np.full(k, 1.0 / k)
-    out = sampling.sample_subset(p, j, rngmod.stream(seed, rngmod.ROLE_TEST))
-    assert out.subset_size == j
-    assert out.inclusion_probs.shape == (k,)
-    assert np.all(out.inclusion_probs > 0) and np.all(out.inclusion_probs <= 1.0 + 1e-12)
+    idx = sampling.subsets_from_uniforms(p, j, _uniforms(seed, 3, j))
+    assert idx.shape == (3, j)
+    incl = sampling.inclusion_probabilities(p, j)
+    assert incl.shape == (k,)
+    assert np.all(incl > 0) and np.all(incl <= 1.0 + 1e-12)
 
 
 # --------------------------------------------------------------------------
