@@ -27,6 +27,7 @@ from .protocol import (
     RunSetup,
     ServerState,
     TraceBuffers,
+    check_header_fields,
     run_epoch,
 )
 from .results import RunArtifact
@@ -152,9 +153,18 @@ def lambda_schedule(params: ScheduleParams, space_index: int, t: int) -> float:
 def lambda_schedule_all(params: ScheduleParams, t: int) -> np.ndarray:
     """Vector of all K parameter step sizes at round ``t``."""
     _check_round(params, t)
+    return _lambda_table(params, np.array([float(t)]))[0]
+
+
+def _lambda_table(params: ScheduleParams, rounds: np.ndarray) -> np.ndarray:
+    """(len(rounds), K) step sizes, one row per round in ``rounds``.
+
+    Elementwise IEEE operations: a row comes out the same bits whichever
+    call computes it, so a per-run table matches ``lambda_schedule_all``.
+    """
     g = params.exploration_ratio
-    denom = 2.0 * np.sqrt(params.variance_factor * max(g * g, float(t)))
-    return np.asarray(params.radii) / (np.asarray(params.lipschitz) * denom)
+    denom = 2.0 * np.sqrt(params.variance_factor * np.maximum(g * g, rounds))
+    return np.asarray(params.radii) / (np.asarray(params.lipschitz) * denom[:, None])
 
 
 def initial_distribution(params: ScheduleParams, uniform: bool = False) -> np.ndarray:
@@ -303,13 +313,15 @@ def _run_servers(
     """
     M, T = config.clients, config.horizon
     audit = AuditLog() if communicates and config.audit else None
+    if audit is not None:  # fail before the first epoch, not at its frames
+        check_header_fields(schedule.epochs, M - 1, config.subset_size)
     setup = RunSetup(
         spaces=config.spaces,
         loss=config.loss,
         subset_size=config.subset_size,
         epochs=schedule,
         mirror_rate=eta_schedule(params),
-        param_rates=lambda epoch: lambda_schedule_all(params, epoch),
+        param_rates=_lambda_table(params, np.arange(1.0, schedule.epochs + 1.0)),
         audit=audit,
         communicates=communicates,
     )

@@ -17,6 +17,7 @@ All functions are pure: they never mutate their array arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +75,16 @@ class WeightedEntropyGeometry:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """(K,) per-coordinate ratios learning_rate / scale_i."""
+        return self.learning_rate / self.scales
+
+    @cached_property
+    def rate_range(self) -> tuple[float, float]:
+        """Smallest and largest entry of :attr:`rates`."""
+        return float(self.rates.min()), float(self.rates.max())
+
 
 # --------------------------------------------------------------------------
 # simplex helpers
@@ -96,10 +107,9 @@ def check_simplex(p: np.ndarray, *, name: str = "p") -> np.ndarray:
 def materialize(log_p: np.ndarray) -> np.ndarray:
     """Linear-space probabilities from log-space state (floored + renormalized)."""
     p = np.exp(log_p)
-    p = np.maximum(p, PROB_FLOOR)
-    if log_p.ndim == 1:
-        return p / p.sum()
-    return p / p.sum(axis=-1, keepdims=True)
+    np.maximum(p, PROB_FLOOR, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +119,7 @@ def materialize(log_p: np.ndarray) -> np.ndarray:
 def _solve_multiplier_batch(
     log_p: np.ndarray,
     losses: np.ndarray,
-    rates: np.ndarray,
+    geometry: WeightedEntropyGeometry,
 ) -> np.ndarray:
     """Newton solve for the normalizing multipliers of a batch of entropy steps.
 
@@ -117,7 +127,8 @@ def _solve_multiplier_batch(
     ----------
     log_p : (B, K) log-probabilities; every row sums to 1 in linear space.
     losses : (B, K) non-negative loss vectors.
-    rates : (K,) the per-coordinate ratio learning_rate / scale_i.
+    geometry : the step's scales and learning rate; its ``rates`` are the
+        per-coordinate ratios learning_rate / scale_i.
 
     Returns
     -------
@@ -130,7 +141,11 @@ def _solve_multiplier_batch(
     S is convex and decreasing in lam, >= 1 at lam = -max_i loss_i and <= 1
     at lam = 0, so that bracket always contains the root.  Writing
     A = S(0) <= 1, the root also satisfies log(A)/r_min <= lam <= log(A)/r_max
-    (bound each factor exp(-r_i lam) by the extreme rates).  The root solve
+    (bound each factor exp(-r_i lam) by the extreme rates).  With equal rates
+    r the two bounds coincide: S(lam) = A exp(-r lam), so lam = log(A)/r
+    exactly, and the lower end of the intersected bracket,
+    min(max(-max_i loss_i, log(A)/r), min(0, log(A)/r)), is returned without
+    a Newton iteration (0 on all-zero loss rows).  Otherwise the root solve
     runs Newton on log S rather than S: log S is a log-sum-exp of affine
     functions of lam, hence also convex and decreasing, so iterates started
     from the left end of the intersected bracket (where log S >= 0) increase
@@ -139,21 +154,23 @@ def _solve_multiplier_batch(
     single stiff exponential in one move instead of creeping by 1/r_max per
     iteration.  The bracket is kept as a safeguard: candidates are clamped
     into it, and a stagnating step falls back to the midpoint, so worst-case
-    behaviour is that of plain bisection.  With equal rates the starting
-    bracket already collapses onto the root and the loop exits after one
-    residual check.
+    behaviour is that of plain bisection.
     """
-    shifted = log_p - rates[None, :] * losses  # log(p_i) - r_i c_i
+    rates = geometry.rates
+    r_min, r_max = geometry.rate_range
+    shifted = log_p - rates * losses  # log(p_i) - r_i c_i
     max_c = losses.max(axis=1)
     m = shifted.max(axis=1)
     log_a = m + np.log(np.exp(shifted - m[:, None]).sum(axis=1))  # log S(0) <= ~0
-    r_min = float(rates.min())
-    r_max = float(rates.max())
+    # all-zero loss rows have lam = 0; rounding can also invert the bracket
+    # by ~1 ulp, which taking its smaller end repairs
+    zero_rows = max_c <= 0.0
+    if r_min == r_max:
+        root = log_a / r_min
+        lam = np.minimum(np.maximum(-max_c, root), np.minimum(0.0, root))
+        return np.where(zero_rows, 0.0, lam)
     lo = np.maximum(-max_c, log_a / r_min)
     hi = np.minimum(0.0, log_a / r_max)
-    # all-zero loss rows have lam = 0; rounding can also invert the bracket
-    # by ~1 ulp, which the clamp below repairs
-    zero_rows = max_c <= 0.0
     lo = np.where(zero_rows, 0.0, np.minimum(lo, hi))
     hi = np.where(zero_rows, 0.0, hi)
     lam = lo.copy()
@@ -189,25 +206,30 @@ def _solve_multiplier_batch(
 def entropy_step_log_batch(
     log_p: np.ndarray,
     losses: np.ndarray,
-    scales: np.ndarray,
-    learning_rate: float,
+    geometry: WeightedEntropyGeometry,
 ) -> np.ndarray:
     """Weighted-entropy mirror step on a batch of log-space simplex states.
 
+    ``geometry`` supplies the scales and the learning rate; a caller that
+    steps many times reuses one geometry, so its rates are derived once.
     Returns new log-probabilities; each output row is renormalized in log
     space so that its linear-space sum is 1 to machine precision, which keeps
     the solver's starting bracket valid over arbitrarily long update sequences.
     """
     losses = np.asarray(losses, dtype=float)
-    if np.any(losses < 0) or not np.all(np.isfinite(losses)):
-        raise ValueError("losses must be finite and non-negative")
-    rates = learning_rate / np.asarray(scales, dtype=float)
-    lam = _solve_multiplier_batch(log_p, losses, rates)
-    out = log_p - rates[None, :] * (lam[:, None] + losses)
+    _check_losses(losses)
+    lam = _solve_multiplier_batch(log_p, losses, geometry)
+    out = log_p - geometry.rates * (lam[:, None] + losses)
     # exact renormalization (cheap logsumexp; keeps sum(exp(out)) == 1)
     m = out.max(axis=1, keepdims=True)
-    out = out - (m + np.log(np.exp(out - m).sum(axis=1, keepdims=True)))
+    out -= m + np.log(np.exp(out - m).sum(axis=1, keepdims=True))
     return out
+
+
+def _check_losses(losses: np.ndarray) -> None:
+    # both comparisons are False on NaN, which min and max propagate
+    if not (losses.min() >= 0.0 and losses.max() < np.inf):
+        raise ValueError("losses must be finite and non-negative")
 
 
 def _check_step_inputs(
@@ -220,8 +242,7 @@ def _check_step_inputs(
         raise ValueError(f"losses shape {losses.shape} does not match p shape {p.shape}")
     if geometry.scales.shape != p.shape:
         raise ValueError("geometry scales do not match p")
-    if np.any(losses < 0) or not np.all(np.isfinite(losses)):
-        raise ValueError("losses must be finite and non-negative")
+    _check_losses(losses)
     return p / p.sum(), losses  # an exact unit sum keeps the bracket valid
 
 
@@ -230,8 +251,7 @@ def solve_entropy_multiplier(
 ) -> float:
     """Normalizing multiplier of one entropy mirror step (in [-max losses, 0])."""
     p, losses = _check_step_inputs(geometry, p, losses)
-    rates = geometry.learning_rate / geometry.scales
-    lam = _solve_multiplier_batch(np.log(p)[None, :], losses[None, :], rates)
+    lam = _solve_multiplier_batch(np.log(p)[None, :], losses[None, :], geometry)
     return float(lam[0])
 
 
@@ -247,9 +267,7 @@ def entropy_mirror_step(
     p, losses = _check_step_inputs(geometry, p, losses)
     if not losses.any():  # identity short-circuit
         return p
-    log_new = entropy_step_log_batch(
-        np.log(p)[None, :], losses[None, :], geometry.scales, geometry.learning_rate
-    )
+    log_new = entropy_step_log_batch(np.log(p)[None, :], losses[None, :], geometry)
     return materialize(log_new[0])
 
 

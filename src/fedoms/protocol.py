@@ -25,11 +25,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .mirror import (
+    WeightedEntropyGeometry,
     constraint_arrays,
     entropy_step_log_batch,
     materialize,
@@ -57,6 +58,7 @@ __all__ = [
     "DownlinkMessage",
     "UplinkMessage",
     "Frame",
+    "check_header_fields",
     "KIND_DOWNLINK",
     "KIND_UPLINK",
     "bits_per_index",
@@ -180,6 +182,23 @@ _HEADER = struct.Struct("<IIIBBH")
 HEADER_BYTES = _HEADER.size  # 16
 
 
+def check_header_fields(epoch: int, client_id: int, index_count: int,
+                        payload_bits: int = 0) -> None:
+    """Raise :class:`ProtocolError` unless the values fit the frame header.
+
+    Epoch, client id and payload bit count are unsigned 32-bit fields and
+    the index count (the subset size J) an unsigned 8-bit one.
+    """
+    for name, value, width in (("epoch", epoch, 32), ("client id", client_id, 32),
+                               ("payload bit count", payload_bits, 32),
+                               ("index count (subset size)", index_count, 8)):
+        if not 0 <= value < 1 << width:
+            raise ProtocolError(
+                f"{name} {value} does not fit the frame header's unsigned "
+                f"{width}-bit field (0 to {(1 << width) - 1})"
+            )
+
+
 @dataclass(frozen=True)
 class Frame:
     """One wire frame: fixed 16-byte header plus payload bytes.
@@ -283,18 +302,26 @@ def _float_block(vectors: Sequence[np.ndarray]) -> bytes:
     return b"".join(np.asarray(v, dtype="<f4").tobytes() for v in vectors)
 
 
-def encode_downlink(message: DownlinkMessage, num_spaces: int) -> Frame:
-    """Serialize a broadcast: f32 weights in index order, then packed indices."""
-    floats = _float_block(message.weights)
+def _frame(message: DownlinkMessage | UplinkMessage, kind: int, num_spaces: int,
+           floats: bytes) -> Frame:
+    # a decoded frame's fields come from fixed-width header fields, so only
+    # the encoders need the header check
     packed, _ = _pack_indices(message.indices, num_spaces)
+    bits = account_bits(message, num_spaces)
+    check_header_fields(message.epoch, message.client_id, len(message.indices), bits)
     return Frame(
         epoch=message.epoch,
         client_id=message.client_id,
-        payload_bits=account_bits(message, num_spaces),
-        kind=KIND_DOWNLINK,
+        payload_bits=bits,
+        kind=kind,
         index_count=len(message.indices),
         payload=floats + packed,
     )
+
+
+def encode_downlink(message: DownlinkMessage, num_spaces: int) -> Frame:
+    """Serialize a broadcast: f32 weights in index order, then packed indices."""
+    return _frame(message, KIND_DOWNLINK, num_spaces, _float_block(message.weights))
 
 
 def encode_uplink(message: UplinkMessage, num_spaces: int) -> Frame:
@@ -302,15 +329,7 @@ def encode_uplink(message: UplinkMessage, num_spaces: int) -> Frame:
     floats = _float_block([np.asarray(message.mean_losses)]) + _float_block(
         message.mean_gradients
     )
-    packed, _ = _pack_indices(message.indices, num_spaces)
-    return Frame(
-        epoch=message.epoch,
-        client_id=message.client_id,
-        payload_bits=account_bits(message, num_spaces),
-        kind=KIND_UPLINK,
-        index_count=len(message.indices),
-        payload=floats + packed,
-    )
+    return _frame(message, KIND_UPLINK, num_spaces, floats)
 
 
 def decode_frame(
@@ -493,7 +512,7 @@ class RunSetup:
     subset_size: int
     epochs: EpochSchedule
     mirror_rate: float  # eta, constant across epochs
-    param_rates: Callable[[int], np.ndarray]  # epoch -> (K,) step sizes
+    param_rates: np.ndarray  # (epochs, K) step sizes; row e - 1 is epoch e
     audit: "AuditLog | None" = None
     communicates: bool = True
 
@@ -513,6 +532,11 @@ class RunSetup:
     @cached_property
     def scales(self) -> np.ndarray:
         return np.array([s.loss_bound for s in self.spaces], dtype=float)
+
+    @cached_property
+    def mirror_geometry(self) -> WeightedEntropyGeometry:
+        """The sampling distribution's entropy geometry: loss-bound scales, rate eta."""
+        return WeightedEntropyGeometry(self.scales, self.mirror_rate)
 
     @cached_property
     def limits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -720,9 +744,15 @@ def run_epoch(
     including, when ``setup.communicates``, the exact bits of every message.
 
     All per-(client, space) work runs on flat arrays sorted by space.  Its
-    floats do not depend on S except through the aggregation: with S=1 each
-    space's reports are summed in ascending client order, and with S=M each
-    (server, space) pair has exactly one report, so nothing is summed.
+    floats do not depend on S except through the aggregation.  With S=M each
+    (server, space) pair has exactly one report, so nothing is summed.  With
+    S=1 numpy's ``sum(axis=0)`` adds the importance-weighted reports over
+    clients: the losses as a dense (M, K) table, the gradients over each
+    space's contiguous (n, d_max) segment.  Over a block more than one column
+    wide it adds the rows one at a time in ascending client order; over a
+    single column (K = 1, or d_max = 1) it sums pairwise, in an order fixed
+    by n alone.  Either way the sampled subsets fix the order, so the floats
+    are reproducible.
     """
 
     if epoch != state.epochs_done + 1:
@@ -745,10 +775,10 @@ def run_epoch(
 
     groups = group_subsets(indices)
     touched = groups.touched
-    bounds = groups.bounds
-    starts = bounds[:-1]
+    starts = groups.bounds[:-1]
+    ends = groups.bounds.tolist()  # Python ints slice without a conversion
     rows = groups.rows
-    flat_spaces = groups.space_ids()
+    flat_spaces = groups.spaces
     lead_mask = groups.slots == 0
     lead_rows = rows[lead_mask]
     servers = rows if S == M else 0
@@ -775,7 +805,7 @@ def run_epoch(
             xt = clients.xs[:, t, :][rows]
             yt = clients.ys[:, t][rows]
             for k in range(touched.size):
-                seg = slice(starts[k], bounds[k + 1])
+                seg = slice(ends[k], ends[k + 1])
                 phi[seg, :widths[k]] = spaces[touched[k]].feature_map(xt[seg])
         values = (phi * w_flat).sum(axis=1)
         closs = loss_value(setup.loss, values, yt)
@@ -798,21 +828,24 @@ def run_epoch(
     # the server's clients.  Spaces outside every subset estimate to zero.
     mean_losses = loss_sum / N if N > 1 else loss_sum
     mean_grads = grad_sum / N if N > 1 else grad_sum
+    inc = inclusion[servers, flat_spaces]
+    reports = np.zeros((M, K))
+    reports[rows, flat_spaces] = mean_losses / inc
     if S == M:
-        inc = inclusion[rows, flat_spaces]
-        loss_est = np.zeros((M, K))
-        loss_est[rows, flat_spaces] = mean_losses / inc
+        loss_est = reports
         grad_est = mean_grads / inc[:, None]
         stepped = flat_spaces
         w_old = w_flat
     else:
-        reports = np.zeros((M, K))
-        reports[rows, flat_spaces] = mean_losses
-        loss_est = (reports / inclusion).sum(axis=0, keepdims=True) / M
+        loss_est = reports.sum(axis=0, keepdims=True)
+        loss_est /= M
+        # one scalar division per segment: dividing the whole (n, d_max)
+        # block by an (n, 1) column runs one inner loop per row, which costs
+        # more than the division itself when the rows are wide
         grad_est = np.empty((touched.size, mean_grads.shape[1]))
-        for k in range(touched.size):
-            seg = mean_grads[starts[k]:bounds[k + 1]]
-            grad_est[k] = (seg / inclusion[0, touched[k]]).sum(axis=0) / M
+        for k, share in enumerate(inclusion[0, touched].tolist()):
+            grad_est[k] = (mean_grads[ends[k]:ends[k + 1]] / share).sum(axis=0)
+        grad_est /= M
         stepped = touched
         w_old = state.weights[0, touched]
 
@@ -828,14 +861,12 @@ def run_epoch(
         buffers.downlink_bits[t0] = down_bits
         buffers.uplink_bits[t0 + N - 1] = up_bits
 
-    rates = setup.param_rates(epoch)
+    rates = setup.param_rates[epoch - 1]
     box_mask, bound = setup.constraints
     state.weights[servers, stepped] = project_rows_per_row(
         w_old - rates[stepped][:, None] * grad_est,
         box_mask[stepped], bound[stepped],
     )
-    state.log_p = entropy_step_log_batch(
-        state.log_p, loss_est, setup.scales, setup.mirror_rate
-    )
+    state.log_p = entropy_step_log_batch(state.log_p, loss_est, setup.mirror_geometry)
     buffers.leads[t0:t0 + N] = indices[:, 0][None, :]
     state.epochs_done = epoch

@@ -75,26 +75,22 @@ def subsets_from_uniforms(probs: np.ndarray, subset_size: int, uniforms: np.ndar
     -------
     (n, J) integer indices, distinct within each row, lead first.
     """
-    uniforms = np.asarray(uniforms, dtype=float)
     n, j = uniforms.shape
     if j != subset_size:
         raise ValueError(f"uniforms have {j} slots per row, expected {subset_size}")
-    probs = np.asarray(probs, dtype=float)
-    shared = probs.ndim == 1
     num_spaces = probs.shape[-1]
     validate_subset_size(subset_size, num_spaces)
 
     out = np.empty((n, subset_size), dtype=np.int64)
-    cum = np.cumsum(probs, axis=-1)
+    lead = out[:, 0]
+    cum = probs.cumsum(axis=-1)
     # inverse CDF; ties resolved as "insert right" in both layouts
-    if shared:
-        targets = uniforms[:, 0] * cum[-1]
-        lead = np.searchsorted(cum, targets, side="right")
+    if probs.ndim == 1:
+        lead[:] = np.searchsorted(cum, uniforms[:, 0] * cum[-1], side="right")
     else:
         targets = uniforms[:, 0] * cum[:, -1]
-        lead = (cum <= targets[:, None]).sum(axis=1)
-    lead = np.minimum(lead, num_spaces - 1)
-    out[:, 0] = lead
+        (cum <= targets[:, None]).sum(axis=1, out=lead)
+    np.minimum(lead, num_spaces - 1, out=lead)
     if subset_size == 1:
         return out
 
@@ -104,7 +100,7 @@ def subsets_from_uniforms(probs: np.ndarray, subset_size: int, uniforms: np.ndar
         # shifted past the lead, so skip materializing the pool
         pos = np.minimum((uniforms[:, 1] * (num_spaces - 1)).astype(np.int64),
                          num_spaces - 2)
-        out[:, 1] = pos + (pos >= lead)
+        np.add(pos, pos >= lead, out=out[:, 1])
         return out
     # int32 pool: indices are small, and the pool dominates memory traffic
     base = np.arange(num_spaces - 1, dtype=np.int32)
@@ -148,26 +144,21 @@ class SubsetGroups:
 
     ``touched`` lists the sampled space ids in ascending order; the entries
     of segment ``k`` (flat positions ``bounds[k]:bounds[k + 1]``) all sampled
-    space ``touched[k]``.  ``rows[f]`` / ``slots[f]`` give the client and the
-    within-subset position of flat entry ``f``; within a segment the rows are
-    strictly ascending, since no client samples a space twice.  ``segment_of``
-    maps each flat entry back to its segment index, so ``touched[segment_of]``
-    is the space id per entry.
+    space ``touched[k]``, which ``spaces`` repeats per entry.  ``rows[f]`` /
+    ``slots[f]`` give the client and the within-subset position of flat
+    entry ``f``; within a segment the rows are strictly ascending, since no
+    client samples a space twice.
     """
 
-    touched: np.ndarray     # (S,) ascending space ids
-    bounds: np.ndarray      # (S + 1,) segment offsets into the flat order
-    segment_of: np.ndarray  # (clients * J,)
-    rows: np.ndarray        # (clients * J,) client per flat entry
-    slots: np.ndarray       # (clients * J,) subset position per flat entry
+    touched: np.ndarray  # (S,) ascending space ids
+    bounds: np.ndarray   # (S + 1,) segment offsets into the flat order
+    spaces: np.ndarray   # (clients * J,) space id per flat entry
+    rows: np.ndarray     # (clients * J,) client per flat entry
+    slots: np.ndarray    # (clients * J,) subset position per flat entry
 
     @property
     def size(self) -> int:
         return int(self.touched.size)
-
-    def space_ids(self) -> np.ndarray:
-        """Space id per flat entry (``touched`` gathered by segment)."""
-        return self.touched[self.segment_of]
 
 
 def group_subsets(indices: np.ndarray) -> SubsetGroups:
@@ -175,25 +166,18 @@ def group_subsets(indices: np.ndarray) -> SubsetGroups:
 
     One stable sort of the flattened table (so rows stay ascending within a
     space) replaces a per-space membership scan; all downstream per-space
-    work can then run on contiguous slices.
+    work can then run on contiguous slices.  Segment offsets come from the
+    per-space counts.
     """
     if indices.ndim != 2:
         raise ValueError(f"indices must be 2-d, got shape {indices.shape}")
-    subset_size = indices.shape[1]
     flat = indices.ravel()
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    first = np.empty(sorted_flat.size, dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_flat[1:], sorted_flat[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    segment_of = np.cumsum(first)
-    segment_of -= 1
-    rows, slots = np.divmod(order, subset_size)
-    return SubsetGroups(
-        touched=sorted_flat[starts],
-        bounds=np.concatenate((starts, [sorted_flat.size])),
-        segment_of=segment_of,
-        rows=rows,
-        slots=slots,
-    )
+    order = flat.argsort(kind="stable")
+    spaces = flat[order]
+    counts = np.bincount(spaces)
+    touched = counts.nonzero()[0]
+    bounds = np.zeros(touched.size + 1, dtype=np.int64)
+    np.cumsum(counts[touched], out=bounds[1:])
+    rows, slots = np.divmod(order, indices.shape[1])
+    return SubsetGroups(touched=touched, bounds=bounds, spaces=spaces,
+                        rows=rows, slots=slots)

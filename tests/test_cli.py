@@ -307,6 +307,21 @@ def test_audit_bits_confirms_account_matches_frames(tmp_path, capsys):
     assert report["total_uplink_bits"] > 0
 
 
+def test_audit_bits_rejects_a_subset_too_large_for_the_frame_header(tmp_path, capsys):
+    # the header stores the index count in one byte, so J=256 cannot be sent
+    cfg = _base_config(
+        subset_size=256, horizon=300, epochs=3, loss="linear",
+        spaces=[{"kind": "coordinate", "index": i} for i in range(256)],
+        data={"source": "biased_arm", "input_dim": 256},
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["audit-bits", str(path)]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["status"] == "error" and blob["kind"] == "ProtocolError"
+    assert "index count (subset size) 256" in blob["message"]
+
+
 def test_audit_bits_rejects_noncooperative_config(tmp_path, capsys):
     path = _write_config(tmp_path, algorithm="nco", epochs=None)
     assert main(["audit-bits", str(path)]) == 2

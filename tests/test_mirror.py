@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fedoms import mirror
 
@@ -102,6 +102,62 @@ def test_step_lands_on_simplex(data):
     assert abs(out.sum() - 1.0) <= 1e-9
 
 
+@st.composite
+def _log_simplex_batch(draw, k):
+    """(B, K) log-probabilities whose rows sum to 1 in linear space."""
+    b = draw(st.integers(1, 6))
+    raw = np.array(draw(st.lists(st.lists(st.floats(1e-3, 10.0), min_size=k, max_size=k),
+                                 min_size=b, max_size=b)))
+    return np.log(raw / raw.sum(axis=1, keepdims=True))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_equal_rate_multiplier_is_the_closed_form_bracket_end(data):
+    # with one shared rate r, S(lam) = S(0) exp(-r lam), so the solver returns
+    # the bracket end min(max(-max loss, log S(0)/r), min(0, log S(0)/r))
+    # without iterating; all-zero loss rows keep lam = 0
+    k = data.draw(st.integers(1, 8), label="K")
+    log_p = data.draw(_log_simplex_batch(k), label="log_p")
+    b = log_p.shape[0]
+    losses = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k),
+                                         min_size=b, max_size=b)), dtype=float).reshape(b, k)
+    zero = np.array(data.draw(st.lists(st.booleans(), min_size=b, max_size=b)))
+    losses[zero] = 0.0
+    geom = mirror.WeightedEntropyGeometry(np.full(k, data.draw(st.floats(0.1, 10.0))),
+                                          data.draw(st.floats(1e-3, 5.0)))
+    r = geom.rates[0]
+
+    shifted = log_p - r * losses
+    m = shifted.max(axis=1)
+    log_s0 = m + np.log(np.exp(shifted - m[:, None]).sum(axis=1))
+    max_c = losses.max(axis=1)
+    bracket_end = np.minimum(np.maximum(-max_c, log_s0 / r), np.minimum(0.0, log_s0 / r))
+    want = np.where(max_c == 0.0, 0.0, bracket_end)
+
+    lam = mirror._solve_multiplier_batch(log_p, losses, geom)
+    assert lam.tobytes() == want.tobytes()
+    assert np.all(lam[max_c == 0.0] == 0.0)
+    stepped = np.exp(mirror.entropy_step_log_batch(log_p, losses, geom))
+    assert np.all(stepped >= 0.0)
+    np.testing.assert_allclose(stepped.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_unequal_rate_step_matches_grid_oracle(data):
+    k = data.draw(st.integers(2, 8), label="K")
+    p = np.exp(data.draw(_log_simplex_batch(k), label="log_p")[0])
+    scales = np.array(data.draw(st.lists(st.floats(0.5, 8.0), min_size=k, max_size=k)))
+    assume(np.ptp(scales) > 0.0)
+    eta = data.draw(st.floats(0.01, 2.0))
+    losses = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k)))
+    geom = mirror.WeightedEntropyGeometry(scales, eta)
+    want, want_lam = entropy_step_grid(scales, eta, p, losses)
+    np.testing.assert_allclose(mirror.entropy_mirror_step(geom, p, losses), want, atol=1e-6)
+    assert mirror.solve_entropy_multiplier(geom, p, losses) == pytest.approx(want_lam, abs=1e-6)
+
+
 def test_batch_step_matches_single_rows():
     # rows in a batch share only the exit iteration, so results can differ
     # from a lone-row call by the bisection tolerance but no more
@@ -116,22 +172,22 @@ def test_batch_step_matches_single_rows():
     logs = np.array(logs)
     logs -= np.log(np.exp(logs).sum(axis=1, keepdims=True))
     losses = np.array(losses)
-    batch = mirror.entropy_step_log_batch(logs, losses, scales, eta)
+    geom = mirror.WeightedEntropyGeometry(scales, eta)
+    batch = mirror.entropy_step_log_batch(logs, losses, geom)
     assert np.allclose(np.exp(batch).sum(axis=1), 1.0, atol=1e-12)
     for b in range(11):
-        row = mirror.entropy_step_log_batch(logs[b : b + 1], losses[b : b + 1], scales, eta)
+        row = mirror.entropy_step_log_batch(logs[b : b + 1], losses[b : b + 1], geom)
         np.testing.assert_allclose(np.exp(batch[b]), np.exp(row[0]), atol=1e-9)
 
 
 def test_long_horizon_log_state_stays_normalized():
     k = 5
-    scales = np.array([1.0, 2.0, 4.0, 1.5, 3.0])
-    eta = 0.2
+    geom = mirror.WeightedEntropyGeometry(np.array([1.0, 2.0, 4.0, 1.5, 3.0]), 0.2)
     log_p = np.log(np.full((1, k), 1.0 / k))
     rng = np.random.default_rng(7)
     for _ in range(20000):
         losses = rng.uniform(0.0, 2.0, size=(1, k))
-        log_p = mirror.entropy_step_log_batch(log_p, losses, scales, eta)
+        log_p = mirror.entropy_step_log_batch(log_p, losses, geom)
     p = mirror.materialize(log_p[0])
     assert abs(p.sum() - 1.0) <= 1e-9
     assert np.all(p >= mirror.PROB_FLOOR)

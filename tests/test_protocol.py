@@ -186,6 +186,35 @@ def test_frame_rejects_malformed_blobs():
         decode_frame(short, 4, [2, 2, 2, 2])
 
 
+def test_encoders_reject_header_fields_that_do_not_fit():
+    too_many = tuple(range(256))  # the index count is a one-byte field
+    down = DownlinkMessage(1, 0, too_many, tuple(np.zeros(1) for _ in too_many))
+    with pytest.raises(ProtocolError, match="index count .* 256 .* 8-bit"):
+        encode_downlink(down, num_spaces=256)
+    up = UplinkMessage(1, 0, too_many, np.zeros(256), tuple(np.zeros(1) for _ in too_many))
+    with pytest.raises(ProtocolError, match="index count"):
+        encode_uplink(up, num_spaces=256)
+    for epoch, client in ((2**32, 0), (1, 2**32), (-1, 0)):
+        msg = DownlinkMessage(epoch, client, (0, 1), (np.zeros(1), np.zeros(1)))
+        with pytest.raises(ProtocolError, match="32-bit"):
+            encode_downlink(msg, num_spaces=4)
+    # the largest values that fit still round-trip
+    edge = DownlinkMessage(2**32 - 1, 2**32 - 1, tuple(range(255)),
+                           tuple(np.zeros(1) for _ in range(255)))
+    back = decode_frame(Frame.from_bytes(encode_downlink(edge, 256).to_bytes()), 256, [1] * 256)
+    assert (back.epoch, back.client_id, back.indices) == (edge.epoch, edge.client_id, edge.indices)
+
+
+def test_audited_run_checks_the_header_limits_before_its_first_epoch():
+    streams = synthetic_linear(input_dim=2, clients=2, horizon=4, seed=1)
+    spaces = tuple(make_space(IdentityMap(2), radius=1.0, loss_kind=Loss.SQUARE)
+                   for _ in range(256))
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=2, subset_size=256,
+                        horizon=4, epochs=2, audit=True)
+    with pytest.raises(ProtocolError, match="subset size"):
+        run_fomd_oms(cfg, streams)
+
+
 @pytest.mark.parametrize("kind", [KIND_DOWNLINK, KIND_UPLINK])
 @pytest.mark.parametrize("offset", [-1, 1])
 def test_decode_rejects_a_header_whose_bit_count_is_off_by_one(kind, offset):
