@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,8 +64,8 @@ class Streams:
     """Per-client example sequences of equal length.
 
     ``xs[j, t - 1]`` / ``ys[j, t - 1]`` is client ``j``'s example at round
-    ``t``.  ``meta`` records provenance (generator kind, hidden parameters,
-    source file) for the run summary.
+    ``t``.  Every value must be finite.  ``meta`` records provenance
+    (generator kind, hidden parameters, source file) for the run summary.
     """
 
     xs: np.ndarray  # (clients, horizon, input_dim)
@@ -76,6 +77,12 @@ class Streams:
             raise DataError(f"xs must be (M,T,d) and ys (M,T), got {self.xs.shape}, {self.ys.shape}")
         if self.xs.shape[:2] != self.ys.shape:
             raise DataError(f"xs {self.xs.shape} inconsistent with ys {self.ys.shape}")
+        # min and max carry any NaN or infinity, and need no full-size mask
+        extremes = [f(a, initial=0.0) for a in (self.xs, self.ys) for f in (np.min, np.max)]
+        if not np.isfinite(extremes).all():
+            bad = ~(np.isfinite(self.xs).all(axis=2) & np.isfinite(self.ys))
+            j, t = (int(v) for v in np.argwhere(bad)[0])
+            raise DataError(f"non-finite stream value at client {j}, round {t + 1}")
 
     @property
     def clients(self) -> int:
@@ -101,13 +108,18 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
     (negative indices count from the right).  Every other column becomes a
     feature.  Parse failures and non-finite cells (``nan``, ``inf``) report
     the offending row and column.
+
+    The data rows are parsed in one ``np.loadtxt`` call.  When that call
+    refuses the file or finds a non-finite cell, the file is parsed again
+    row by row with :mod:`csv` and ``float``: that parser names the bad row
+    and column, and it also accepts what ``loadtxt`` does not (quoted cells,
+    ``1_0``, whitespace-only lines), with the same floats.
     """
 
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -125,6 +137,40 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
                     f"{header}"
                 )
             target_pos = header.index(target_column)
+        table = _parse_table(fh, len(header))
+    if table is None:
+        table = _parse_rows(path, header)
+    features = np.delete(table, target_pos, axis=1)
+    feature_names = tuple(h for i, h in enumerate(header) if i != target_pos)
+    logger.info("ingested %s: %d rows, %d features", path, table.shape[0], features.shape[1])
+    return RawDataset(features, table[:, target_pos], feature_names, header[target_pos])
+
+
+def _parse_table(lines, width: int) -> np.ndarray | None:
+    """The data rows in one ``loadtxt`` call, or None if the row parser must run.
+
+    ``loadtxt`` and ``float`` read a number with the same correctly rounded
+    conversion, and any quote character fails ``loadtxt``'s conversion, so a
+    table returned here is the one the row parser builds.
+    """
+    with warnings.catch_warnings():
+        # a header-only file: the row parser raises "no data rows" instead
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            return None
+    if table.shape[0] == 0 or table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _parse_rows(path: Path, header: list[str]) -> np.ndarray:
+    """Parse the data rows cell by cell, naming the first bad row and column."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, already read
         rows: list[list[float]] = []
         line_nos = array("i")  # file line of each data row, for diagnostics
         for line_no, row in enumerate(reader, start=2):
@@ -155,10 +201,7 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
             f"{path}: row {line_nos[r]}, column {header[col]!r}: "
             f"non-finite cell {float(table[r, col])}"
         )
-    features = np.delete(table, target_pos, axis=1)
-    feature_names = tuple(h for i, h in enumerate(header) if i != target_pos)
-    logger.info("ingested %s: %d rows, %d features", path, table.shape[0], features.shape[1])
-    return RawDataset(features, table[:, target_pos], feature_names, header[target_pos])
+    return table
 
 
 def preprocess_and_partition(dataset: RawDataset, clients: int, seed: int) -> Streams:
@@ -270,8 +313,10 @@ def generate_adversarial(spec: AdversarialSpec) -> Streams:
     """Materialize the hard instance described by ``spec``.
 
     Both kinds embed the K decision coordinates into the first K of
-    ``input_dim`` coordinates (the rest are zero) and replicate one shared
-    stream across all clients, so every client faces the same adversary.
+    ``input_dim`` coordinates (the rest are zero) and share one stream
+    across all clients, so every client faces the same adversary.  The
+    streams' ``xs`` and ``ys`` are read-only broadcast views of that one
+    stream: M clients cost the memory of one.
     """
 
     rng = stream(spec.seed, ROLE_ADVERSARY)
@@ -289,8 +334,8 @@ def generate_adversarial(spec: AdversarialSpec) -> Streams:
         x[:, :K] = (rng.random((T, K)) < probs[None, :]).astype(float)
         y = np.ones(T)
         meta.update(hidden_arm=hidden, bias=float(rho))
-    xs = np.broadcast_to(x, (spec.clients, T, d)).copy()
-    ys = np.broadcast_to(y, (spec.clients, T)).copy()
+    xs = np.broadcast_to(x, (spec.clients, T, d))
+    ys = np.broadcast_to(y, (spec.clients, T))
     return Streams(xs=xs, ys=ys, meta=meta)
 
 

@@ -331,8 +331,10 @@ def _run_servers(
         weights=np.zeros((servers, config.num_spaces, setup.max_dim)),
     )
     batch = ClientBatch(
-        xs=np.ascontiguousarray(streams.xs, dtype=float),
-        ys=np.ascontiguousarray(streams.ys, dtype=float),
+        # the kernel gathers rows and columns into new arrays, so a
+        # broadcast view (one stream shared by every client) is not copied
+        xs=np.asarray(streams.xs, dtype=float),
+        ys=np.asarray(streams.ys, dtype=float),
         uniforms=sampling_uniforms(config.master_seed, M, T, config.subset_size),
     )
     buffers = TraceBuffers.allocate(T, M)

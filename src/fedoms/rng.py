@@ -7,6 +7,8 @@ reproducible regardless of how client work is interleaved.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Role constants: the first element of every spawn key.  Keeping them in one
@@ -27,15 +29,18 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+@functools.lru_cache(maxsize=1)
 def sampling_uniforms(master_seed: int, clients: int, horizon: int, subset_size: int) -> np.ndarray:
     """Pre-draw the subset-sampling uniforms for a whole run.
 
-    Returns an array of shape (clients, horizon, subset_size).  Round t of
-    client j always reads slot [j, t-1, :], whether or not earlier slots were
-    consumed, which is what makes batched and unbatched schedules replayable
-    against each other.
+    Returns a read-only array of shape (clients, horizon, subset_size).
+    Round t of client j always reads slot [j, t-1, :], whether or not earlier
+    slots were consumed, which is what makes batched and unbatched schedules
+    replayable against each other.  The last table is kept: the learner runs
+    of one seed (cooperative, audited, noncooperative) share it.
     """
     table = np.empty((clients, horizon, subset_size))
     for j in range(clients):
         table[j] = stream(master_seed, ROLE_SAMPLING, j).random((horizon, subset_size))
+    table.setflags(write=False)
     return table

@@ -245,3 +245,23 @@ def reference_fomd(spaces, loss_kind, xs, ys, subset_size, epochs,
         "final_probs": np.array(p),
         "weights": weights,
     }
+
+
+# ---------------------------------------------------------------------------
+# Trace CSV writer: one row at a time, each cell read as a numpy scalar and
+# converted on its own.  This is the writer ``RunArtifact.to_csv`` replaced.
+
+
+def reference_trace_csv(artifact) -> str:
+    """The trace CSV text of ``artifact``, formatted row by row."""
+    from fedoms.results import TRACE_COLUMNS
+
+    lines = [",".join(TRACE_COLUMNS) + "\n"]
+    for k in range(artifact.rows):
+        lines.append(
+            f"{int(artifact.round_ids[k])},{int(artifact.client_ids[k])},"
+            f"{int(artifact.epoch_ids[k])},{int(artifact.lead_indices[k])},"
+            f"{float(artifact.predictions[k])!r},{float(artifact.losses[k])!r},"
+            f"{int(artifact.uplink_bits[k])},{int(artifact.downlink_bits[k])}\n"
+        )
+    return "".join(lines)

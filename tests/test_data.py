@@ -1,9 +1,15 @@
 """Tests for ingestion, preprocessing, generators, and summary metrics."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from fedoms import data, results
 from fedoms.data import (
     AdversarialSpec,
     DataError,
@@ -17,6 +23,8 @@ from fedoms.data import (
     write_regression_csv,
 )
 from fedoms.results import MetricsSummary, RunArtifact, compute_mse
+
+from oracles import reference_trace_csv
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +84,67 @@ def test_ingest_elevators_shaped_table(tmp_path):
     ds = ingest_csv(f, target_column="target")
     assert ds.rows == 16590
     assert ds.input_dim == 18
+
+
+def _fast_and_row_parses(path):
+    with path.open(newline="") as fh:
+        header = next(csv.reader(fh))
+        fast = data._parse_table(fh, len(header))
+    return fast, data._parse_rows(path, header)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_pad = st.text(alphabet=" \t", max_size=2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    table=st.integers(1, 5).flatmap(
+        lambda width: st.lists(st.lists(st.tuples(_pad, _finite, _pad),
+                                        min_size=width, max_size=width),
+                               min_size=1, max_size=20)),
+    blanks=st.lists(st.booleans(), min_size=21, max_size=21),
+    endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=21, max_size=21),
+)
+def test_fast_parse_matches_the_row_parser_bit_for_bit(tmp_path_factory, table, blanks,
+                                                        endings):
+    width = len(table[0])
+    lines = [",".join(f"c{i}" for i in range(width)) + endings[0]]
+    for row, blank, end in zip(table, blanks, endings[1:]):
+        if blank:
+            lines.append(end)
+        lines.append(",".join(f"{a}{v!r}{b}" for a, v, b in row) + end)
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_text("".join(lines), newline="")
+    fast, rows = _fast_and_row_parses(path)
+    assert fast is not None  # the row parser is not what ran
+    assert np.array_equal(fast.view(np.int64), rows.view(np.int64))
+    expected = np.array([[v for _, v, _ in row] for row in table])
+    assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+    ds = ingest_csv(path)
+    assert np.array_equal(ds.targets.view(np.int64), fast[:, -1].view(np.int64))
+    assert np.array_equal(ds.features.view(np.int64), fast[:, :-1].view(np.int64))
+
+
+def test_cells_loadtxt_refuses_are_parsed_as_before(tmp_path):
+    # quoted cells, underscores and whitespace-only lines fail the one-call
+    # parse; the row parser still accepts them with float()'s values
+    f = _write(tmp_path / "q.csv", 'a,b,y\n"1.5",1_0,"-2e3"\n   \n4, 5 ,"6"\n')
+    fast, rows = _fast_and_row_parses(f)
+    assert fast is None
+    assert np.array_equal(rows, [[1.5, 10.0, -2000.0], [4.0, 5.0, 6.0]])
+    ds = ingest_csv(f, target_column="y")
+    assert np.array_equal(ds.features, [[1.5, 10.0], [4.0, 5.0]])
+    assert np.array_equal(ds.targets, [-2000.0, 6.0])
+
+
+def test_header_only_file_raises_without_a_warning(tmp_path):
+    for text in ("a,b,y\n", "a,b,y\n\n\r\n"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="no data rows"):
+                ingest_csv(_write(tmp_path / "h.csv", text))
+        assert caught == []
 
 
 def test_regression_csv_is_deterministic(tmp_path):
@@ -283,6 +352,18 @@ def test_streams_shape_validation():
         Streams(xs=np.zeros((2, 5, 3)), ys=np.zeros((2, 6)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_streams_reject_non_finite_values_naming_client_and_round(bad):
+    xs, ys = np.zeros((3, 5, 2)), np.zeros((3, 5))
+    xs[2, 4, 1] = bad
+    ys[1, 3] = bad  # the first bad (client, round) in client-major order
+    with pytest.raises(DataError, match="client 1, round 4"):
+        Streams(xs=xs, ys=ys)
+    ys[1, 3] = 0.0
+    with pytest.raises(DataError, match="client 2, round 5"):
+        Streams(xs=xs, ys=ys)
+
+
 # ---------------------------------------------------------------------------
 # Metrics summaries
 
@@ -311,6 +392,38 @@ def _artifact(predictions, targets, clients, horizon, **overrides):
     )
     fields.update(overrides)
     return RunArtifact(**fields)
+
+
+_BLOCK = results._EXPORT_BLOCK_ROWS
+_SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 1e-4,
+                   1e16, 9999999999999998.0, 1e22, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 0.1, 1 / 3)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    shape=st.sampled_from([(1, 1), (3, 7), (1, _BLOCK - 1), (4, _BLOCK // 4), (1, _BLOCK + 1),
+                           (5, (2 * _BLOCK + 3) // 5 + 1)]),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(st.tuples(st.sampled_from(_SPECIAL_FLOATS), st.integers(0, 10**6)),
+                      max_size=30),
+)
+def test_trace_csv_bytes_match_the_row_writer(tmp_path_factory, shape, seed, specials):
+    clients, horizon = shape
+    n = clients * horizon
+    rng = np.random.default_rng(seed)
+    predictions = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    losses = rng.random(n) ** 3
+    for value, at in specials:
+        predictions[at % n] = value
+        losses[(at // 7) % n] = abs(value)
+    art = _artifact(predictions, np.zeros(n), clients, horizon,
+                    lead_indices=rng.integers(0, 16, n),
+                    losses=losses,
+                    uplink_bits=rng.integers(0, 2**40, n),
+                    downlink_bits=rng.integers(0, 2**20, n))
+    path = art.to_csv(tmp_path_factory.mktemp("trace") / "trace.csv")
+    assert path.read_bytes() == reference_trace_csv(art).encode()
 
 
 def test_mse_hand_example():

@@ -18,7 +18,7 @@ from fedoms.learners import (
     run_nco_oms,
 )
 from fedoms.mirror import InfBox
-from fedoms.rng import sampling_uniforms
+from fedoms.rng import ROLE_SAMPLING, sampling_uniforms, stream
 from fedoms.spaces import CoordinateMap, IdentityMap, Loss, make_space
 
 
@@ -183,6 +183,19 @@ def test_engine_matches_reference_implementation(epochs):
     np.testing.assert_allclose(art.final_probs, ref["final_probs"], atol=1e-9, rtol=0)
 
 
+def test_sampling_uniforms_are_kept_and_read_only():
+    first = sampling_uniforms(7, 3, 20, 2)
+    for j in range(3):
+        assert np.array_equal(first[j], stream(7, ROLE_SAMPLING, j).random((20, 2)))
+    again = sampling_uniforms(7, 3, 20, 2)
+    assert again.tobytes() == first.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        again[0, 0, 0] = 0.5
+    other = sampling_uniforms(8, 3, 20, 2)
+    assert other.tobytes() != first.tobytes()
+    assert sampling_uniforms(7, 3, 20, 2).tobytes() == first.tobytes()
+
+
 def test_engine_matches_reference_at_full_subsets():
     spaces = _nested_spaces(3, (0.5, 1.0, 1.5))
     streams = synthetic_linear(input_dim=3, clients=2, horizon=60, seed=8)
@@ -333,6 +346,27 @@ def test_noncooperative_runs_send_nothing():
     assert art.total_uplink_bits == 0
     assert art.total_downlink_bits == 0
     assert art.uplink_bits.sum() == 0 and art.downlink_bits.sum() == 0
+
+
+@pytest.mark.parametrize("with_identity", [False, True])
+def test_shared_adversarial_stream_runs_like_a_contiguous_copy(tmp_path, with_identity):
+    # generate_adversarial hands every client one read-only broadcast view;
+    # the kernel must read it exactly as it reads per-client copies
+    spec = AdversarialSpec(kind="biased_arm", num_spaces=4, input_dim=4,
+                           horizon=60, clients=3, seed=5, bias=0.2)
+    shared = generate_adversarial(spec)
+    assert shared.xs.strides[0] == 0 and not shared.xs.flags.writeable
+    copied = Streams(xs=shared.xs.copy(), ys=shared.ys.copy(), meta=shared.meta)
+    spaces = tuple(make_space(CoordinateMap(4, i), radius=1.0, loss_kind=Loss.LINEAR)
+                   for i in range(4))
+    if with_identity:  # mixed widths take the per-space gather
+        spaces += (make_space(IdentityMap(4), radius=0.25, loss_kind=Loss.LINEAR),)
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.LINEAR, clients=3, subset_size=2,
+                        horizon=60, master_seed=5)
+    for run in (run_fomd_oms, run_nco_oms):
+        a = run(cfg, shared).to_csv(tmp_path / "shared.csv")
+        b = run(cfg, copied).to_csv(tmp_path / "copied.csv")
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_noncooperative_clients_with_identical_streams_reach_identical_states():

@@ -393,17 +393,18 @@ def test_run_invariant_violation_aborts_the_run():
 @pytest.mark.parametrize("run_learner", [run_fomd_oms, run_nco_oms])
 def test_nan_target_aborts_naming_the_round_and_space(run_learner):
     # NaN fails every ordered comparison, so the bound check must not pass it
-    # on to the mirror step, which cannot say where it came from
+    # on to the mirror step, which cannot say where it came from.  Streams
+    # refuses non-finite values when it is built, so the NaN is written into
+    # a built one: the kernel's own check is what must fire
     streams = synthetic_linear(input_dim=3, clients=2, horizon=10, seed=4)
-    ys = streams.ys.copy()
-    ys[1, 6] = np.nan
+    streams.ys[1, 6] = np.nan
     spaces = tuple(make_space(IdentityMap(3), radius=r, loss_kind=Loss.SQUARE)
                    for r in (0.5, 1.0))
     cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=2, subset_size=2,
                         horizon=10, master_seed=4)
     # J=K: client 1 samples both spaces, and space 0 is checked first
     with pytest.raises(RunInvariantError, match="round 7: space 0 produced loss nan"):
-        run_learner(cfg, Streams(xs=streams.xs, ys=ys, meta={}))
+        run_learner(cfg, streams)
 
 
 def test_client_batch_validates_shapes():
