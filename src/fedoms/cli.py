@@ -7,16 +7,16 @@ Subcommands:
 * ``run <config.json>`` -- execute one experiment; writes ``trace.csv`` and
   ``summary.json`` into the output directory.
 * ``ab <config.json>`` -- paired comparison of the federated and the
-  noncooperative learner over shared seeds; prints a per-seed table and
-  writes ``ab.json``.
+  noncooperative learner over shared seeds; prints a per-seed table to
+  stderr and writes ``ab.json``.
 * ``audit-bits <config.json>`` -- run with the wire-format audit enabled and
   write ``audit.json`` recording whether every frame's encoded payload
   matched the analytic bit account.
 
-All failures print a machine-readable JSON error object to stdout and exit
-with status 2.  The output directory defaults to the current directory and
-can be overridden with ``--out`` or the ``FEDOMS_OUT_DIR`` environment
-variable.
+Every subcommand prints one JSON object to stdout; all failures print a
+machine-readable JSON error object there and exit with status 2.  The
+output directory defaults to the current directory and can be overridden
+with ``--out`` or the ``FEDOMS_OUT_DIR`` environment variable.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .data import DataError
 from .learners import run_fomd_oms, run_nco_oms
 from .mirror import MirrorError
 from .protocol import ProtocolError, RunInvariantError
-from .results import compute_mse
 
 # library errors reported as a JSON error object with exit status 2
 REPORTED_ERRORS = (ConfigError, DataError, ProtocolError, RunInvariantError, MirrorError)
@@ -106,7 +104,7 @@ def _cmd_ab(args) -> int:
     config = load_config(args.config)
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1", field="seeds")
-    fed_runs, solo_runs, rows = [], [], []
+    rows = []
     for offset in range(args.seeds):
         seed = config.seed + offset
         paired = dataclasses.replace(config, seed=seed, epochs=None,
@@ -114,8 +112,6 @@ def _cmd_ab(args) -> int:
         learner, streams = build_experiment(paired)
         fed = run_fomd_oms(learner, streams)
         solo = run_nco_oms(learner, streams)
-        fed_runs.append(fed)
-        solo_runs.append(solo)
         delta = solo.mse() - fed.mse()
         rows.append({
             "seed": seed,
@@ -124,15 +120,13 @@ def _cmd_ab(args) -> int:
             "delta": delta,
             "sign": "+" if delta > 0 else ("-" if delta < 0 else "0"),
         })
-    fed_summary = compute_mse(fed_runs)
-    solo_summary = compute_mse(solo_runs)
     deltas = np.array([row["delta"] for row in rows])
     report = {
         "status": "ok",
         "seeds": args.seeds,
         "rows": rows,
-        "mse_federated_mean": fed_summary.mse_mean,
-        "mse_noncooperative_mean": solo_summary.mse_mean,
+        "mse_federated_mean": float(np.mean([r["mse_federated"] for r in rows])),
+        "mse_noncooperative_mean": float(np.mean([r["mse_noncooperative"] for r in rows])),
         "delta_mean": float(deltas.mean()),
         "wins_federated": int((deltas > 0).sum()),
     }
@@ -140,14 +134,15 @@ def _cmd_ab(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ab.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
-    header = f"{'seed':>6}  {'federated':>12}  {'noncoop':>12}  {'delta':>12}  sign"
-    print(header)
+    # the table is for people; stdout carries only the JSON object
+    print(f"{'seed':>6}  {'federated':>12}  {'noncoop':>12}  {'delta':>12}  sign",
+          file=sys.stderr)
     for row in rows:
         print(f"{row['seed']:>6}  {row['mse_federated']:>12.6f}  "
               f"{row['mse_noncooperative']:>12.6f}  {row['delta']:>12.6f}  "
-              f"{row['sign']:>4}")
+              f"{row['sign']:>4}", file=sys.stderr)
     print(f"mean delta (noncoop - federated): {report['delta_mean']:.6f} "
-          f"({report['wins_federated']}/{args.seeds} wins)")
+          f"({report['wins_federated']}/{args.seeds} wins)", file=sys.stderr)
     _emit({k: v for k, v in report.items() if k != "rows"})
     return 0
 

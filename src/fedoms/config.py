@@ -27,8 +27,8 @@ from .data import (
     preprocess_and_partition,
     synthetic_linear,
 )
-from .learners import LearnerConfig, run_fomd_oms, run_nco_oms
-from .protocol import EpochSchedule, ProtocolError
+from .learners import LearnerConfig, check_update_steps, run_fomd_oms, run_nco_oms
+from .protocol import EpochSchedule, ProtocolError, check_header_fields
 from .results import RunArtifact
 from .sampling import validate_subset_size
 from .spaces import (
@@ -125,6 +125,14 @@ def _check_schedule(horizon: int, epochs: int) -> None:
         EpochSchedule(horizon, epochs)
     except ProtocolError as exc:
         raise ConfigError(str(exc), field="epochs") from exc
+
+
+def _check_steps(num_spaces: int, horizon: Optional[int], epochs: Optional[int]) -> None:
+    """Reject a step count too small for the mirror rate; names the field that set it."""
+    try:
+        check_update_steps(num_spaces, horizon if epochs is None else epochs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field="horizon" if epochs is None else "epochs") from exc
 
 
 def _parse_space(entry, position: int) -> SpaceSpec:
@@ -241,12 +249,27 @@ def parse_config(blob: dict) -> ExperimentConfig:
                  "equal to the horizon", "epochs")
         if horizon is not None:
             _check_schedule(horizon, epochs)
+    if horizon is not None or epochs is not None:
+        _check_steps(num_spaces, horizon, epochs)
 
     uniform_init = blob.get("uniform_init", False)
     _require(isinstance(uniform_init, bool), "uniform_init must be a boolean",
              "uniform_init")
     audit = blob.get("audit", False)
     _require(isinstance(audit, bool), "audit must be a boolean", "audit")
+    if audit and algorithm == "fomd":
+        # an audited run's frame header holds J, every client id and every
+        # epoch number; the epoch count is unknown while a CSV file sets the
+        # horizon
+        checks = [("subset_size", 0, 0, subset_size), ("clients", 0, clients - 1, 0)]
+        if epochs is not None or horizon is not None:
+            checks.append(("horizon", horizon, 0, 0) if epochs is None
+                          else ("epochs", epochs, 0, 0))
+        for field, *header in checks:
+            try:
+                check_header_fields(*header)
+            except ProtocolError as exc:
+                raise ConfigError(str(exc), field=field) from exc
 
     return ExperimentConfig(
         algorithm=algorithm, clients=clients, subset_size=subset_size,
@@ -333,6 +356,7 @@ def build_experiment(config: ExperimentConfig):
             "rounds per client derived from the data", field="horizon")
     if config.epochs is not None:
         _check_schedule(streams.horizon, config.epochs)
+    _check_steps(len(config.spaces), streams.horizon, config.epochs)
     spaces = build_spaces(config, streams.input_dim)
     learner = LearnerConfig(
         spaces=spaces,

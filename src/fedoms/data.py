@@ -122,6 +122,8 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
             header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: row 1: {exc}") from None
         header = [h.strip() for h in header]
         if isinstance(target_column, int):
             if not -len(header) <= target_column < len(header):
@@ -173,25 +175,29 @@ def _parse_rows(path: Path, header: list[str]) -> np.ndarray:
         next(reader)  # the header, already read
         rows: list[list[float]] = []
         line_nos = array("i")  # file line of each data row, for diagnostics
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # ignore blank lines
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {line_no} has {len(row)} cells, expected "
-                    f"{len(header)}"
-                )
-            parsed = []
-            for col, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
+        line_no = 1
+        try:
+            for line_no, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue  # ignore blank lines
+                if len(row) != len(header):
                     raise DataError(
-                        f"{path}: row {line_no}, column {header[col]!r}: "
-                        f"non-numeric cell {cell!r}"
-                    ) from None
-            rows.append(parsed)
-            line_nos.append(line_no)
+                        f"{path}: row {line_no} has {len(row)} cells, expected "
+                        f"{len(header)}"
+                    )
+                parsed = []
+                for col, cell in enumerate(row):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {line_no}, column {header[col]!r}: "
+                            f"non-numeric cell {cell!r}"
+                        ) from None
+                rows.append(parsed)
+                line_nos.append(line_no)
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+            raise DataError(f"{path}: row {line_no + 1}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     table = np.array(rows, dtype=float)

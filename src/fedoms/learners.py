@@ -38,9 +38,9 @@ from .spaces import HypothesisSpace, Loss, loss_derivative, loss_value
 __all__ = [
     "ScheduleParams",
     "LearnerConfig",
+    "check_update_steps",
     "eta_schedule",
     "lambda_schedule",
-    "lambda_schedule_all",
     "initial_distribution",
     "run_fomd_oms",
     "run_nco_oms",
@@ -53,6 +53,14 @@ logger = logging.getLogger("fedoms.learners")
 
 # ---------------------------------------------------------------------------
 # Step-size schedules
+
+
+def check_update_steps(num_spaces: int, steps: int) -> None:
+    """Reject K * steps < 2: the mirror rate's sqrt(ln(K * steps)) would be 0."""
+    if num_spaces * steps < 2:
+        raise ValueError(
+            f"num_spaces * update steps must be >= 2 for a positive mirror rate "
+            f"(got {num_spaces} * {steps})")
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,7 @@ class ScheduleParams:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.num_spaces * self.horizon < 2:
-            raise ValueError("num_spaces * horizon must be >= 2 for a positive mirror rate")
+        check_update_steps(self.num_spaces, self.horizon)
         for name in ("radii", "lipschitz", "loss_bounds"):
             vals = getattr(self, name)
             if len(vals) != self.num_spaces:
@@ -117,20 +124,14 @@ class ScheduleParams:
         return 1.0 + self.exploration_ratio / self.clients
 
 
-def _check_round(params: ScheduleParams, t: int) -> None:
-    if not 1 <= t <= params.horizon:
-        raise ValueError(f"round {t} outside horizon [1, {params.horizon}]")
-
-
-def eta_schedule(params: ScheduleParams, t: int = 1) -> float:
+def eta_schedule(params: ScheduleParams) -> float:
     """Mirror-step rate: sqrt(ln(K*H)) / (2 sqrt(variance_factor * H)), capped.
 
-    Constant in ``t`` for fixed parameters.  The cap (J-1)/(2(K-J)) keeps the
+    The same at every update step.  The cap (J-1)/(2(K-J)) keeps the
     implicit exponential weights stable when the sampled subset is much
     smaller than K; it disappears at J=K.
     """
 
-    _check_round(params, t)
     K, J, H = params.num_spaces, params.subset_size, params.horizon
     rate = float(np.sqrt(np.log(K * H)) / (2.0 * np.sqrt(params.variance_factor * H)))
     if J < K:
@@ -138,30 +139,18 @@ def eta_schedule(params: ScheduleParams, t: int = 1) -> float:
     return rate
 
 
-def lambda_schedule(params: ScheduleParams, space_index: int, t: int) -> float:
-    """Parameter step size of one space at round ``t``.
+def lambda_schedule(params: ScheduleParams, rounds: np.ndarray) -> np.ndarray:
+    """(len(rounds), K) parameter step sizes, one row per update step in ``rounds``.
 
-    Flat at its t = exploration_ratio^2 value until ``t`` exceeds that
-    threshold, then decays as 1/sqrt(t); non-increasing throughout.
+    Space i's step size is flat at its t = exploration_ratio^2 value until
+    ``t`` exceeds that threshold, then decays as 1/sqrt(t); non-increasing
+    throughout.  Every ``t`` must lie in [1, horizon].  Elementwise IEEE
+    operations: a row comes out the same bits whichever call computes it.
     """
-
-    if not 0 <= space_index < params.num_spaces:
-        raise ValueError(f"space index {space_index} outside [0, {params.num_spaces})")
-    return float(lambda_schedule_all(params, t)[space_index])
-
-
-def lambda_schedule_all(params: ScheduleParams, t: int) -> np.ndarray:
-    """Vector of all K parameter step sizes at round ``t``."""
-    _check_round(params, t)
-    return _lambda_table(params, np.array([float(t)]))[0]
-
-
-def _lambda_table(params: ScheduleParams, rounds: np.ndarray) -> np.ndarray:
-    """(len(rounds), K) step sizes, one row per round in ``rounds``.
-
-    Elementwise IEEE operations: a row comes out the same bits whichever
-    call computes it, so a per-run table matches ``lambda_schedule_all``.
-    """
+    rounds = np.asarray(rounds, dtype=float)
+    if not ((rounds >= 1).all() and (rounds <= params.horizon).all()):
+        raise ValueError(f"rounds must lie in [1, {params.horizon}], got "
+                         f"{rounds.min():g} to {rounds.max():g}")
     g = params.exploration_ratio
     denom = 2.0 * np.sqrt(params.variance_factor * np.maximum(g * g, rounds))
     return np.asarray(params.radii) / (np.asarray(params.lipschitz) * denom[:, None])
@@ -321,7 +310,7 @@ def _run_servers(
         subset_size=config.subset_size,
         epochs=schedule,
         mirror_rate=eta_schedule(params),
-        param_rates=_lambda_table(params, np.arange(1.0, schedule.epochs + 1.0)),
+        param_rates=lambda_schedule(params, np.arange(1.0, schedule.epochs + 1.0)),
         audit=audit,
         communicates=communicates,
     )

@@ -3,9 +3,10 @@
 * The weighted negative-entropy regularizer over the probability simplex,
   ``psi(p) = sum_i (scale_i / eta) * p_i * log(p_i)``: its mirror step is a
   per-coordinate exponential reweighting followed by an exact renormalization
-  via a scalar multiplier found by a monotone Newton solve.  The round kernel
-  steps a batch of log-space states at once (:func:`entropy_step_log_batch`);
-  :func:`entropy_mirror_step` is the one-vector form on linear probabilities.
+  via a scalar multiplier found by a monotone Newton solve
+  (:func:`solve_entropy_multiplier`).  The round kernel steps a batch of
+  log-space states at once (:func:`entropy_step_log_batch`) and reads linear
+  probabilities back with :func:`materialize`.
 * Euclidean projection onto a convex constraint set, an L2 ball or a
   coordinate-wise box: the projection half of the projected gradient step
   the round kernel takes on every sampled space's model.
@@ -22,10 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-SIMPLEX_SUM_TOL = 1e-9
-BISECT_SUM_TOL = 1e-12
 # converge on |log S| instead of |S - 1|; |log S| <= 5e-13 forces
-# |S - 1| <= exp(5e-13) - 1 < BISECT_SUM_TOL
+# |S - 1| <= exp(5e-13) - 1 < 1e-12
 LOG_SUM_TOL = 5e-13
 BISECT_MAX_ITER = 200
 PROB_FLOOR = 1e-300
@@ -90,20 +89,6 @@ class WeightedEntropyGeometry:
 # simplex helpers
 # --------------------------------------------------------------------------
 
-def check_simplex(p: np.ndarray, *, name: str = "p") -> np.ndarray:
-    """Validate a probability vector: strictly positive, sums to 1 within tolerance."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d array")
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"{name} has non-finite entries")
-    if np.any(p <= 0):
-        raise ValueError(f"{name} must be strictly positive")
-    if abs(p.sum() - 1.0) > SIMPLEX_SUM_TOL:
-        raise ValueError(f"{name} sums to {p.sum()!r}, expected 1 within {SIMPLEX_SUM_TOL}")
-    return p
-
-
 def materialize(log_p: np.ndarray) -> np.ndarray:
     """Linear-space probabilities from log-space state (floored + renormalized)."""
     p = np.exp(log_p)
@@ -116,7 +101,7 @@ def materialize(log_p: np.ndarray) -> np.ndarray:
 # weighted-entropy mirror step
 # --------------------------------------------------------------------------
 
-def _solve_multiplier_batch(
+def solve_entropy_multiplier(
     log_p: np.ndarray,
     losses: np.ndarray,
     geometry: WeightedEntropyGeometry,
@@ -133,8 +118,7 @@ def _solve_multiplier_batch(
     Returns
     -------
     (B,) multipliers lam with lam in [-max_i loss_i, 0] such that
-    S(lam) = sum_i p_i * exp(-rates_i * (lam + loss_i)) = 1 within
-    ``BISECT_SUM_TOL``.
+    S(lam) = sum_i p_i * exp(-rates_i * (lam + loss_i)) = 1 within 1e-12.
 
     Notes
     -----
@@ -218,7 +202,7 @@ def entropy_step_log_batch(
     """
     losses = np.asarray(losses, dtype=float)
     _check_losses(losses)
-    lam = _solve_multiplier_batch(log_p, losses, geometry)
+    lam = solve_entropy_multiplier(log_p, losses, geometry)
     out = log_p - geometry.rates * (lam[:, None] + losses)
     # exact renormalization (cheap logsumexp; keeps sum(exp(out)) == 1)
     m = out.max(axis=1, keepdims=True)
@@ -230,45 +214,6 @@ def _check_losses(losses: np.ndarray) -> None:
     # both comparisons are False on NaN, which min and max propagate
     if not (losses.min() >= 0.0 and losses.max() < np.inf):
         raise ValueError("losses must be finite and non-negative")
-
-
-def _check_step_inputs(
-    geometry: WeightedEntropyGeometry, p: np.ndarray, losses: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate one entropy step's inputs; return p with its sum pinned to 1."""
-    p = check_simplex(p)
-    losses = np.asarray(losses, dtype=float)
-    if losses.shape != p.shape:
-        raise ValueError(f"losses shape {losses.shape} does not match p shape {p.shape}")
-    if geometry.scales.shape != p.shape:
-        raise ValueError("geometry scales do not match p")
-    _check_losses(losses)
-    return p / p.sum(), losses  # an exact unit sum keeps the bracket valid
-
-
-def solve_entropy_multiplier(
-    geometry: WeightedEntropyGeometry, p: np.ndarray, losses: np.ndarray
-) -> float:
-    """Normalizing multiplier of one entropy mirror step (in [-max losses, 0])."""
-    p, losses = _check_step_inputs(geometry, p, losses)
-    lam = _solve_multiplier_batch(np.log(p)[None, :], losses[None, :], geometry)
-    return float(lam[0])
-
-
-def entropy_mirror_step(
-    geometry: WeightedEntropyGeometry, p: np.ndarray, losses: np.ndarray
-) -> np.ndarray:
-    """One weighted-entropy mirror-descent update of a probability vector.
-
-    New probabilities are ``p_i * exp(-eta * (lam + loss_i) / scale_i)`` with
-    the multiplier lam chosen so the result lies on the simplex.  With equal
-    scales this coincides with exponentiated gradient plus normalization.
-    """
-    p, losses = _check_step_inputs(geometry, p, losses)
-    if not losses.any():  # identity short-circuit
-        return p
-    log_new = entropy_step_log_batch(np.log(p)[None, :], losses[None, :], geometry)
-    return materialize(log_new[0])
 
 
 # --------------------------------------------------------------------------

@@ -492,10 +492,6 @@ class ClientBatch:
     def count(self) -> int:
         return self.xs.shape[0]
 
-    @property
-    def horizon(self) -> int:
-        return self.xs.shape[1]
-
 
 @dataclass(frozen=True)
 class RunSetup:
@@ -609,10 +605,6 @@ class AuditLog:
 
     def note(self, message: str) -> None:
         self.mismatches.append(message)
-
-    @property
-    def clean(self) -> bool:
-        return not self.mismatches
 
 
 def _audit_epoch(

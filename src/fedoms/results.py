@@ -1,11 +1,10 @@
-"""Run artifacts, trace serialization, and summary metrics.
+"""Run artifacts and trace serialization.
 
 A completed run produces a :class:`RunArtifact`: one row per (round, client)
 pair holding the lead space, the lead model's prediction and realized loss,
 and the information bits moved that round.  The artifact serializes to a
 stable CSV (column order fixed, shortest round-trip float repr) so repeated
-runs with the same seed are byte-identical.  :func:`compute_mse` folds one
-or more artifacts into a :class:`MetricsSummary`.
+runs with the same seed are byte-identical, and to a JSON-ready summary.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["RunArtifact", "MetricsSummary", "compute_mse", "TRACE_COLUMNS"]
+__all__ = ["RunArtifact", "TRACE_COLUMNS"]
 
 TRACE_COLUMNS = (
     "round",
@@ -128,56 +127,3 @@ class RunArtifact:
 
 def _jsonable(value) -> bool:
     return isinstance(value, (str, int, float, bool, list, tuple, type(None)))
-
-
-@dataclass(frozen=True)
-class MetricsSummary:
-    """Aggregate metrics over repetition runs of one configuration.
-
-    ``mse_std`` is the sample standard deviation (ddof=1) across runs, 0.0
-    for a single run.
-    """
-
-    runs: int
-    mse_values: tuple[float, ...]
-    mse_mean: float
-    mse_std: float
-    cumulative_losses: tuple[float, ...]
-    total_uplink_bits: int
-    total_downlink_bits: int
-    final_probs: tuple[tuple[float, ...], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "mse_values": list(self.mse_values),
-            "mse_mean": self.mse_mean,
-            "mse_std": self.mse_std,
-            "cumulative_losses": list(self.cumulative_losses),
-            "total_uplink_bits": self.total_uplink_bits,
-            "total_downlink_bits": self.total_downlink_bits,
-            "final_probs": [list(p) for p in self.final_probs],
-        }
-
-
-def compute_mse(
-    artifacts: "list[RunArtifact] | tuple[RunArtifact, ...]",
-) -> MetricsSummary:
-    """Fold repetition runs into mean/stddev MSE plus bit totals."""
-    if not artifacts:
-        raise ValueError("no artifacts to summarize")
-    values = [a.mse() for a in artifacts]
-    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return MetricsSummary(
-        runs=len(artifacts),
-        mse_values=tuple(values),
-        mse_mean=float(np.mean(values)),
-        mse_std=std,
-        cumulative_losses=tuple(a.cumulative_loss() for a in artifacts),
-        total_uplink_bits=sum(a.total_uplink_bits for a in artifacts),
-        total_downlink_bits=sum(a.total_downlink_bits for a in artifacts),
-        final_probs=tuple(
-            tuple(float(v) for v in np.asarray(a.final_probs).ravel())
-            for a in artifacts
-        ),
-    )

@@ -18,7 +18,7 @@ ROLE_PERMUTE = 1       # dataset permutation
 ROLE_FEATURES = 2      # random-feature draws (one per hypothesis space)
 ROLE_DATA = 3          # synthetic example streams (per client)
 ROLE_ADVERSARY = 4     # adversarial generators (shared across clients)
-ROLE_TEST = 9          # scratch streams for tests
+# role 9 is reserved for the test suite's scratch streams
 
 
 def stream(master_seed: int, *path: int) -> np.random.Generator:

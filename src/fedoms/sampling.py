@@ -1,4 +1,4 @@
-"""Subset sampling of hypothesis spaces and importance-weighted loss estimates.
+"""Subset sampling of hypothesis spaces.
 
 Each round a client evaluates only a small ordered subset ``(A_1, ..., A_J)``
 of the K spaces: the lead index ``A_1`` is drawn from the current probability
@@ -8,34 +8,18 @@ probability of space i has the closed form
 
     P[i in O] = ((K - J) / (K - 1)) * p_i + (J - 1) / (K - 1),
 
-which is what the importance-weighted estimates divide by.  The round kernel
-applies those weights to losses and gradients itself;
-:func:`estimate_losses` is the one-outcome form of the loss estimate.
-All sampling consumes exactly J uniform draws per outcome, so draws are laid
-out in a (round, slot) table ahead of time and replayed through
-:func:`subsets_from_uniforms`; :func:`group_subsets` sorts a table of
-sampled subsets by space for the kernel.
+which is what the importance-weighted estimates divide by; the round kernel
+(:func:`fedoms.protocol.run_epoch`) applies those weights to the reported
+losses and gradients.  All sampling consumes exactly J uniform draws per
+outcome, so draws are laid out in a (round, slot) table ahead of time and
+replayed through :func:`subsets_from_uniforms`; :func:`group_subsets` sorts
+a table of sampled subsets by space for the kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SamplingOutcome:
-    """Ordered sampled subset plus the inclusion probabilities it was drawn under."""
-    ordered_indices: np.ndarray  # (J,) distinct ints, lead first
-    inclusion_probs: np.ndarray  # (K,) in (0, 1]
-
-    @property
-    def lead_index(self) -> int:
-        return int(self.ordered_indices[0])
-
-    @property
-    def subset_size(self) -> int:
-        return int(self.ordered_indices.size)
 
 
 def validate_subset_size(subset_size: int, num_spaces: int) -> None:
@@ -120,24 +104,6 @@ def subsets_from_uniforms(probs: np.ndarray, subset_size: int, uniforms: np.ndar
     return out
 
 
-def estimate_losses(raw_losses: np.ndarray, outcome: SamplingOutcome) -> np.ndarray:
-    """Importance-weighted loss estimates over all K spaces.
-
-    ``raw_losses`` holds the realized losses of the sampled spaces, aligned
-    with ``outcome.ordered_indices``; unsampled coordinates estimate to zero.
-    The estimator is unbiased: E[out_i] equals the true loss of space i.
-    """
-    raw = np.asarray(raw_losses, dtype=float)
-    idx = outcome.ordered_indices
-    if raw.shape != idx.shape:
-        raise ValueError(f"raw_losses shape {raw.shape} does not match subset shape {idx.shape}")
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("raw_losses has non-finite entries")
-    out = np.zeros(outcome.inclusion_probs.size)
-    out[idx] = raw / outcome.inclusion_probs[idx]
-    return out
-
-
 @dataclass(frozen=True)
 class SubsetGroups:
     """A (clients, J) subset table sorted into contiguous per-space segments.
@@ -155,10 +121,6 @@ class SubsetGroups:
     spaces: np.ndarray   # (clients * J,) space id per flat entry
     rows: np.ndarray     # (clients * J,) client per flat entry
     slots: np.ndarray    # (clients * J,) subset position per flat entry
-
-    @property
-    def size(self) -> int:
-        return int(self.touched.size)
 
 
 def group_subsets(indices: np.ndarray) -> SubsetGroups:

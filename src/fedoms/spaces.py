@@ -108,12 +108,6 @@ def gaussian_rff(input_dim: int, feature_count: int, width: float,
     return GaussianRFFMap(width=width, weights=weights, phases=phases)
 
 
-def gaussian_kernel(x: np.ndarray, v: np.ndarray, width: float) -> float:
-    """Exact Gaussian kernel exp(-||x - v||^2 / (2 width^2))."""
-    d = np.asarray(x, dtype=float) - np.asarray(v, dtype=float)
-    return float(np.exp(-float(d @ d) / (2.0 * width * width)))
-
-
 def feature_norm_bound(feature_map: FeatureMap, domain_radius: float | None = None) -> float:
     """Upper bound on ||phi(x)||_2 over the data domain.
 

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+# the spawn-key role of the tests' scratch streams; fedoms.rng reserves it
+ROLE_TEST = 9
+
 
 def entropy_step_grid(scales, eta, p, losses, stages=5, points=100):
     """Entropy mirror step solved by iterated grid refinement over the multiplier.
@@ -43,6 +46,12 @@ def exponentiated_gradient(p, losses, eta):
     w = [pi * math.exp(-eta * ci) for pi, ci in zip(p, losses)]
     s = sum(w)
     return np.array([wi / s for wi in w])
+
+
+def gaussian_kernel(x, v, width):
+    """Exact Gaussian kernel exp(-||x - v||^2 / (2 width^2))."""
+    d = np.asarray(x, dtype=float) - np.asarray(v, dtype=float)
+    return float(np.exp(-float(d @ d) / (2.0 * width * width)))
 
 
 def finite_difference_gradient(f, w, h=1e-6):

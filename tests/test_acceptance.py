@@ -30,22 +30,22 @@ from fedoms.learners import (
     run_fomd_oms,
     run_nco_oms,
 )
-from fedoms.mirror import WeightedEntropyGeometry, entropy_mirror_step, solve_entropy_multiplier
-from fedoms.protocol import account_bits, bits_per_index, encode_downlink, DownlinkMessage
-from fedoms.sampling import (
-    SamplingOutcome,
-    estimate_losses,
-    inclusion_probabilities,
-    subsets_from_uniforms,
+from fedoms.mirror import (
+    WeightedEntropyGeometry,
+    entropy_step_log_batch,
+    materialize,
+    solve_entropy_multiplier,
 )
-from fedoms.spaces import (
-    CoordinateMap,
-    IdentityMap,
-    Loss,
-    gaussian_kernel,
-    gaussian_rff,
-    make_space,
+from fedoms.protocol import (
+    DownlinkMessage,
+    UplinkMessage,
+    account_bits,
+    aggregate_reports,
+    bits_per_index,
+    encode_downlink,
 )
+from fedoms.sampling import inclusion_probabilities, subsets_from_uniforms
+from fedoms.spaces import CoordinateMap, IdentityMap, Loss, gaussian_rff, make_space
 
 MC_GRID = ((5, 2), (10, 2), (10, 5))
 MC_DRAWS = 1_000_000
@@ -71,7 +71,7 @@ def subset_monte_carlo():
     worst_z_inclusion = 0.0
     start = time.perf_counter()
     for num_spaces, subset_size in MC_GRID:
-        gen = frng.stream(0, frng.ROLE_TEST, num_spaces, subset_size)
+        gen = frng.stream(0, oracles.ROLE_TEST, num_spaces, subset_size)
         p_vectors = gen.dirichlet(np.ones(num_spaces), size=MC_VECTORS)
         c_vectors = gen.random((MC_VECTORS, num_spaces))
         uniforms = gen.random((MC_DRAWS, subset_size))
@@ -97,19 +97,23 @@ def subset_monte_carlo():
                                     (np.abs(mean_estimate - c) / sd_estimator).max())
     elapsed = time.perf_counter() - start
 
-    # tie the counting shortcut to the production estimator on a sub-batch:
-    # summing estimate_losses() vectors must reproduce the bincount sums
+    # tie the counting shortcut to the server's aggregation on a sub-batch:
+    # one report per sampled row, merged by aggregate_reports (which the
+    # audit ties to the engine), sums to the bincount sums; the merge
+    # returns the mean over reports, so the sum is the mean times the count
     num_spaces, subset_size = MC_GRID[0]
-    gen = frng.stream(0, frng.ROLE_TEST, num_spaces, subset_size)
+    gen = frng.stream(0, oracles.ROLE_TEST, num_spaces, subset_size)
     p = gen.dirichlet(np.ones(num_spaces))
     c = gen.random(num_spaces)
     uniforms = gen.random((1000, subset_size))
     incl = inclusion_probabilities(p, subset_size)
     subsets = subsets_from_uniforms(p, subset_size, uniforms)
-    direct = np.zeros(num_spaces)
-    for row in subsets:
-        outcome = SamplingOutcome(ordered_indices=row, inclusion_probs=incl)
-        direct += estimate_losses(c[row], outcome)
+    reports = [UplinkMessage(epoch=1, client_id=j, indices=tuple(row.tolist()),
+                             mean_losses=c[row],
+                             mean_gradients=tuple(np.zeros(1) for _ in row))
+               for j, row in enumerate(subsets)]
+    mean_estimate, _ = aggregate_reports(reports, incl, num_spaces, [1] * num_spaces)
+    direct = mean_estimate * len(reports)
     flat = subsets.ravel()
     shortcut = np.bincount(flat, weights=(c / incl)[flat], minlength=num_spaces)
     assert np.allclose(direct, shortcut, rtol=1e-12, atol=1e-12)
@@ -139,7 +143,7 @@ def test_criterion_02_inclusion_probability_closed_form(subset_monte_carlo, capf
 
 
 def test_criterion_03_simplex_projection_against_grid_oracle(capfd):
-    gen = frng.stream(1, frng.ROLE_TEST, 3)
+    gen = frng.stream(1, oracles.ROLE_TEST, 3)
     worst_sum = worst_gap = worst_lam_gap = 0.0
     lam_in_range = True
     for trial in range(1000):
@@ -154,8 +158,10 @@ def test_criterion_03_simplex_projection_against_grid_oracle(capfd):
             scales = gen.uniform(0.5, 4.0, size=num_spaces)
         eta = float(gen.uniform(0.01, 2.0))
         geometry = WeightedEntropyGeometry(scales=scales, learning_rate=eta)
-        stepped = entropy_mirror_step(geometry, p, losses)
-        lam = solve_entropy_multiplier(geometry, p, losses)
+        # the kernel's step: log-space state in, linear probabilities out
+        log_p = np.log(p / p.sum())[None, :]
+        stepped = materialize(entropy_step_log_batch(log_p, losses[None, :], geometry))[0]
+        lam = float(solve_entropy_multiplier(log_p, losses[None, :], geometry)[0])
         oracle_p, oracle_lam = oracles.entropy_step_grid(scales, eta, p, losses)
         worst_sum = max(worst_sum, abs(float(stepped.sum()) - 1.0))
         lam_in_range = lam_in_range and -float(losses.max()) <= lam <= 0.0
@@ -317,7 +323,7 @@ def test_criterion_08_random_feature_kernel_fidelity(capfd):
     for features, budget in budgets.items():
         worst = 0.0
         for width in (0.5, 1.0, 2.0, 4.0):
-            gen = frng.stream(0, frng.ROLE_TEST, 8, features, int(width * 4))
+            gen = frng.stream(0, oracles.ROLE_TEST, 8, features, int(width * 4))
             errors = np.empty(1000)
             for pair in range(1000):
                 fmap = gaussian_rff(input_dim, features, width, gen)
@@ -326,7 +332,7 @@ def test_criterion_08_random_feature_kernel_fidelity(capfd):
                 x = gen.normal(size=input_dim) * scale
                 v = gen.normal(size=input_dim) * scale
                 approx = float(fmap(x) @ fmap(v))
-                errors[pair] = abs(approx - gaussian_kernel(x, v, width))
+                errors[pair] = abs(approx - oracles.gaussian_kernel(x, v, width))
             worst = max(worst, float(errors.mean()))
         ok = ok and worst <= budget
         detail.append(f"D={features}: {worst:.4f} <= {budget}")
@@ -379,7 +385,7 @@ def test_criterion_10_step_size_schedules_match_independent_evaluator(capfd):
     from fedoms.learners import (ScheduleParams, eta_schedule,
                                  initial_distribution, lambda_schedule)
 
-    gen = frng.stream(2, frng.ROLE_TEST)
+    gen = frng.stream(2, oracles.ROLE_TEST)
     worst = 0.0
     for point in range(200):
         num_spaces = int(gen.integers(2, 41))
@@ -403,7 +409,7 @@ def test_criterion_10_step_size_schedules_match_independent_evaluator(capfd):
             eta_schedule(params)
             - oracles.schedule_eta(num_spaces, subset_size, clients, horizon)))
         worst = max(worst, abs(
-            lambda_schedule(params, space, t)
+            lambda_schedule(params, np.array([float(t)]))[0, space]
             - oracles.schedule_lambda(radii[space], lipschitz[space],
                                       num_spaces, subset_size, clients, t)))
         worst = max(worst, float(np.abs(

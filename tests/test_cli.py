@@ -41,9 +41,8 @@ def _write_config(tmp_path, name="cfg.json", **overrides):
 
 
 def _last_json(captured: str) -> dict:
-    """Parse the JSON object that ends the captured stdout."""
-    start = captured.index("{")
-    return json.loads(captured[start:])
+    """Parse the captured stdout, which must be exactly one JSON object."""
+    return json.loads(captured)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +107,40 @@ def test_validate_rejects_malformed_file(tmp_path, capsys):
     assert "not valid JSON" in _last_json(capsys.readouterr().out)["message"]
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
     assert "cannot read" in _last_json(capsys.readouterr().out)["message"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("steps, field", [({"horizon": 1, "epochs": None}, "horizon"),
+                                          ({"horizon": 10, "epochs": 1}, "epochs")])
+def test_one_space_with_one_update_step_is_a_config_error(command, steps, field,
+                                                          tmp_path, capsys):
+    # K * update steps = 1 leaves the mirror rate sqrt(ln(K * steps)) at 0
+    path = _write_config(tmp_path, subset_size=1, spaces=[{"kind": "identity"}],
+                         **steps)
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(path), *out]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["kind"] == "ConfigError" and blob["field"] == field
+    assert "update steps must be >= 2" in blob["message"]
+
+
+@pytest.mark.parametrize("overrides, field, message", [
+    ({"subset_size": 256, "horizon": 300, "epochs": 3, "loss": "linear",
+      "spaces": [{"kind": "coordinate", "index": i} for i in range(256)],
+      "data": {"source": "biased_arm", "input_dim": 256}},
+     "subset_size", "index count (subset size) 256"),
+    ({"clients": 2**32 + 1}, "clients", "client id 4294967296"),
+    ({"horizon": 2**32, "epochs": None}, "horizon", "epoch 4294967296"),
+], ids=["subset_size", "clients", "horizon"])
+def test_validate_checks_the_frame_header_of_an_audited_config(overrides, field, message,
+                                                               tmp_path, capsys):
+    path = _write_config(tmp_path, audit=True, **overrides)
+    assert main(["validate", str(path)]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["kind"] == "ConfigError" and blob["field"] == field
+    assert message in blob["message"]
+    # without the audit no frame is sent, so the same shape is valid
+    assert main(["validate", str(_write_config(tmp_path, **overrides))]) == 0
 
 
 def test_parse_config_field_diagnostics():
@@ -228,6 +261,47 @@ def test_run_on_a_csv_with_a_nan_cell_reports_the_cell(tmp_path, capsys):
     assert "row 6, column 'f1': non-finite cell nan" in blob["message"]
 
 
+def test_run_on_a_csv_with_one_row_per_client_and_one_space_is_a_config_error(tmp_path,
+                                                                               capsys):
+    # the horizon comes from the file: 2 rows over 2 clients is 1 update step
+    from fedoms.data import write_regression_csv
+
+    csv_path = write_regression_csv(tmp_path / "data.csv", rows=2, input_dim=3, seed=1)
+    cfg = _base_config(horizon=None, epochs=None, subset_size=1,
+                       spaces=[{"kind": "identity"}])
+    cfg["data"] = {"source": "csv", "path": str(csv_path), "target_column": "target"}
+    path = tmp_path / "csv_cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path)]) == 0  # the horizon is not known yet
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["kind"] == "ConfigError" and blob["field"] == "horizon"
+    assert "update steps must be >= 2" in blob["message"]
+
+
+def test_run_on_a_csv_cell_over_the_csv_field_limit_reports_the_row(tmp_path, capsys):
+    from fedoms.data import write_regression_csv
+
+    csv_path = write_regression_csv(tmp_path / "data.csv", rows=60, input_dim=3,
+                                    seed=1)
+    lines = csv_path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = '"' + "1" * 140_000 + '"'  # csv's default field limit is 131,072
+    lines[5] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    cfg = _base_config(horizon=None, epochs=None)
+    cfg["data"] = {"source": "csv", "path": str(csv_path),
+                   "target_column": "target"}
+    path = tmp_path / "csv_cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["status"] == "error" and blob["kind"] == "ConfigError"
+    assert blob["field"] == "data"
+    assert "row 6: field larger than field limit" in blob["message"]
+
+
 @pytest.mark.parametrize(
     "error", [DataError, ProtocolError, RunInvariantError, MirrorError],
     ids=lambda error: error.__name__)
@@ -277,9 +351,12 @@ def test_ab_reports_paired_deltas(tmp_path, capsys):
             row["mse_noncooperative"] - row["mse_federated"])
     assert report["delta_mean"] == pytest.approx(
         sum(r["delta"] for r in report["rows"]) / 3)
-    table = capsys.readouterr().out
-    assert "mean delta (noncoop - federated)" in table
-    assert "sign" in table
+    captured = capsys.readouterr()
+    # stdout is the JSON summary alone; the table goes to stderr
+    blob = _last_json(captured.out)
+    assert blob["status"] == "ok" and blob["delta_mean"] == report["delta_mean"]
+    assert "mean delta (noncoop - federated)" in captured.err
+    assert "sign" in captured.err
 
 
 def test_ab_seed_column_offsets_from_config_seed(tmp_path):

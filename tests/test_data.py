@@ -22,7 +22,7 @@ from fedoms.data import (
     synthetic_linear,
     write_regression_csv,
 )
-from fedoms.results import MetricsSummary, RunArtifact, compute_mse
+from fedoms.results import RunArtifact
 
 from oracles import reference_trace_csv
 
@@ -77,6 +77,12 @@ def test_ingest_errors_carry_row_and_column_diagnostics(tmp_path):
         ingest_csv(_write(tmp_path / "h.csv", "a,b,y\n"))
     with pytest.raises(DataError, match="out of range"):
         ingest_csv(missing, target_column=5)
+    # a cell over csv's 131,072-character field limit, in the body or the header
+    huge = '"' + "1" * 140_000 + '"'
+    with pytest.raises(DataError, match="row 4: field larger than field limit"):
+        ingest_csv(_write(tmp_path / "l.csv", f"a,b,y\n1,2,3\n\n4,{huge},6\n"))
+    with pytest.raises(DataError, match="row 1: field larger than field limit"):
+        ingest_csv(_write(tmp_path / "l.csv", f"a,{huge},y\n1,2,3\n"))
 
 
 def test_ingest_elevators_shaped_table(tmp_path):
@@ -430,11 +436,6 @@ def test_mse_hand_example():
     # errors (0.1, 0.2, 0, 0.3) over M=2, T=2: MSE = 0.14/4 = 0.035
     art = _artifact([0.1, 0.2, 0.0, 0.3], [0.0, 0.0, 0.0, 0.0], clients=2, horizon=2)
     assert art.mse() == pytest.approx(0.035, abs=1e-15)
-    summary = compute_mse([art])
-    assert summary.mse_mean == pytest.approx(0.035, abs=1e-15)
-    assert summary.mse_std == 0.0
-    assert summary.runs == 1
-    assert summary.total_uplink_bits == 40
 
 
 def test_mse_perfect_and_constant_predictors():
@@ -442,19 +443,6 @@ def test_mse_perfect_and_constant_predictors():
     assert perfect.mse() == 0.0
     constant = _artifact([0.0, 0.0], [1.0, 1.0], clients=1, horizon=2)
     assert constant.mse() == 1.0
-
-
-def test_compute_mse_aggregates_over_runs():
-    a = _artifact([0.1, 0.1], [0.0, 0.0], clients=1, horizon=2)
-    b = _artifact([0.3, 0.3], [0.0, 0.0], clients=1, horizon=2)
-    summary = compute_mse([a, b])
-    assert summary.mse_values == (pytest.approx(0.01), pytest.approx(0.09))
-    assert summary.mse_mean == pytest.approx(0.05)
-    assert summary.mse_std == pytest.approx(np.std([0.01, 0.09], ddof=1))
-    d = summary.to_dict()
-    assert d["runs"] == 2 and d["mse_values"] == list(summary.mse_values)
-    with pytest.raises(ValueError, match="no artifacts"):
-        compute_mse([])
 
 
 def test_artifact_validates_column_lengths():

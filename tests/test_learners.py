@@ -12,7 +12,6 @@ from fedoms.learners import (
     eta_schedule,
     initial_distribution,
     lambda_schedule,
-    lambda_schedule_all,
     regret_accounting,
     run_fomd_oms,
     run_nco_oms,
@@ -57,22 +56,21 @@ def test_lambda_matches_hand_value_and_is_flat_early():
     # K=10, J=2, M=10, U=1, G=4: flat at 1/(8 sqrt(1.8*64)) until t > 64
     params = _params(10, 2, 10, 10_000, G=4.0)
     expected = 1.0 / (8.0 * np.sqrt(1.8 * 64.0))
-    assert lambda_schedule(params, 0, 1) == pytest.approx(expected, rel=1e-12)
-    assert lambda_schedule(params, 0, 64) == lambda_schedule(params, 0, 1)
-    assert lambda_schedule(params, 0, 65) < lambda_schedule(params, 0, 64)
+    at_1, at_64, at_65 = lambda_schedule(params, [1, 64, 65])[:, 0]
+    assert at_1 == pytest.approx(expected, rel=1e-12)
+    assert at_64 == at_1
+    assert at_65 < at_64
 
 
 def test_lambda_reduces_to_inverse_sqrt_t_at_full_subsets():
     params = _params(4, 4, 1, 100, U=0.5, G=2.0)
-    for t in (1, 10, 99):
-        assert lambda_schedule(params, 2, t) == pytest.approx(
-            0.5 / (2.0 * 2.0 * np.sqrt(t)), rel=1e-12
-        )
+    for t, rate in zip((1, 10, 99), lambda_schedule(params, [1, 10, 99])[:, 2]):
+        assert rate == pytest.approx(0.5 / (2.0 * 2.0 * np.sqrt(t)), rel=1e-12)
 
 
 def test_lambda_is_non_increasing():
     params = _params(12, 3, 4, 500, U=2.0, G=3.0)
-    values = [lambda_schedule(params, 5, t) for t in range(1, 501)]
+    values = lambda_schedule(params, np.arange(1, 501))[:, 5].tolist()
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -86,10 +84,10 @@ def test_schedules_match_independent_evaluator_on_a_grid():
         U, G = float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5))
         params = _params(K, J, M, T, U=U, G=G)
         t = int(rng.integers(1, T + 1))
-        assert eta_schedule(params, t) == pytest.approx(
+        assert eta_schedule(params) == pytest.approx(
             oracles.schedule_eta(K, J, M, T), abs=1e-12, rel=1e-12
         )
-        assert lambda_schedule(params, 0, t) == pytest.approx(
+        assert lambda_schedule(params, [t])[0, 0] == pytest.approx(
             oracles.schedule_lambda(U, G, K, J, M, t), abs=1e-12, rel=1e-12
         )
 
@@ -144,10 +142,11 @@ def test_schedule_params_validation():
     with pytest.raises(ValueError, match="positive"):
         ScheduleParams(num_spaces=2, subset_size=2, clients=1, horizon=10,
                        radii=(1.0, -1.0), lipschitz=(1.0, 1.0), loss_bounds=(1.0, 1.0))
-    with pytest.raises(ValueError, match="round"):
-        eta_schedule(_params(5, 2, 1, 100), 101)
-    with pytest.raises(ValueError, match="space index"):
-        lambda_schedule(_params(5, 2, 1, 100), 5, 1)
+    with pytest.raises(ValueError, match="update steps"):
+        _params(1, 1, 1, 1)  # K * steps = 1: the mirror rate would be 0
+    for outside in ([101], [0], [1, 101], [np.nan]):
+        with pytest.raises(ValueError, match=r"rounds must lie in \[1, 100\]"):
+            lambda_schedule(_params(5, 2, 1, 100), outside)
 
 
 # ---------------------------------------------------------------------------

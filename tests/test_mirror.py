@@ -14,6 +14,20 @@ def random_simplex(rng, k):
     return p / p.sum()
 
 
+def _step(geom, p, losses):
+    """One kernel entropy step of a linear probability vector, read back linear."""
+    log_p = np.log(np.asarray(p, dtype=float))[None, :]
+    return mirror.materialize(
+        mirror.entropy_step_log_batch(log_p, np.asarray(losses, dtype=float)[None, :], geom))[0]
+
+
+def _multiplier(geom, p, losses):
+    """The kernel's normalizing multiplier for the same step."""
+    log_p = np.log(np.asarray(p, dtype=float))[None, :]
+    return float(mirror.solve_entropy_multiplier(
+        log_p, np.asarray(losses, dtype=float)[None, :], geom)[0])
+
+
 # --------------------------------------------------------------------------
 # weighted-entropy step
 # --------------------------------------------------------------------------
@@ -21,14 +35,14 @@ def random_simplex(rng, k):
 def test_two_point_step_matches_hand_value():
     # eta = ln 2, equal scales, losses (1, 0): weights (0.25, 0.5) -> (1/3, 2/3)
     geom = mirror.WeightedEntropyGeometry(np.ones(2), np.log(2.0))
-    out = mirror.entropy_mirror_step(geom, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+    out = _step(geom, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
     np.testing.assert_allclose(out, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
 
 def test_multiplier_matches_hand_value():
     # closed form for the same instance: lam = -log2(4/3)
     geom = mirror.WeightedEntropyGeometry(np.ones(2), np.log(2.0))
-    lam = mirror.solve_entropy_multiplier(geom, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+    lam = _multiplier(geom, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
     assert lam == pytest.approx(-np.log2(4.0 / 3.0), abs=1e-10)
 
 
@@ -40,11 +54,11 @@ def test_step_agrees_with_grid_oracle_on_random_instances():
         eta = float(RNG.uniform(0.01, 2.0))
         losses = RNG.uniform(0.0, 5.0, size=k)
         geom = mirror.WeightedEntropyGeometry(scales, eta)
-        got = mirror.entropy_mirror_step(geom, p, losses)
+        got = _step(geom, p, losses)
         want, lam = entropy_step_grid(scales, eta, p, losses)
         np.testing.assert_allclose(got, want, atol=1e-6)
         assert abs(got.sum() - 1.0) <= 1e-9
-        got_lam = mirror.solve_entropy_multiplier(geom, p, losses)
+        got_lam = _multiplier(geom, p, losses)
         assert -losses.max() - 1e-12 <= got_lam <= 0.0
         assert got_lam == pytest.approx(lam, abs=1e-6)
 
@@ -57,7 +71,7 @@ def test_equal_scales_reduce_to_exponentiated_gradient():
         eta = float(RNG.uniform(0.05, 1.5))
         losses = RNG.uniform(0.0, 3.0, size=k)
         geom = mirror.WeightedEntropyGeometry(np.full(k, scale), eta)
-        got = mirror.entropy_mirror_step(geom, p, losses)
+        got = _step(geom, p, losses)
         want = exponentiated_gradient(p, losses, eta / scale)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -65,27 +79,16 @@ def test_equal_scales_reduce_to_exponentiated_gradient():
 def test_zero_losses_are_identity():
     geom = mirror.WeightedEntropyGeometry(np.array([2.0, 1.0, 3.0]), 0.7)
     p = np.array([0.2, 0.5, 0.3])
-    out = mirror.entropy_mirror_step(geom, p, np.zeros(3))
+    out = _step(geom, p, np.zeros(3))
     np.testing.assert_allclose(out, p, atol=1e-15)
 
 
 def test_step_rejects_bad_losses():
     geom = mirror.WeightedEntropyGeometry(np.ones(2), 0.5)
     p = np.array([0.4, 0.6])
-    with pytest.raises(ValueError):
-        mirror.entropy_mirror_step(geom, p, np.array([-0.1, 0.0]))
-    with pytest.raises(ValueError):
-        mirror.entropy_mirror_step(geom, p, np.array([np.nan, 0.0]))
-    with pytest.raises(ValueError):
-        mirror.entropy_mirror_step(geom, p, np.array([1.0, 2.0, 3.0]))
-
-
-def test_step_rejects_non_simplex_inputs():
-    geom = mirror.WeightedEntropyGeometry(np.ones(2), 0.5)
-    with pytest.raises(ValueError):
-        mirror.entropy_mirror_step(geom, np.array([0.2, 0.2]), np.zeros(2))
-    with pytest.raises(ValueError):
-        mirror.entropy_mirror_step(geom, np.array([0.0, 1.0]), np.zeros(2))
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            _step(geom, p, np.array([bad, 0.0]))
 
 
 @settings(deadline=None, max_examples=150)
@@ -97,7 +100,7 @@ def test_step_lands_on_simplex(data):
     scales = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k)))
     eta = data.draw(st.floats(1e-3, 5.0))
     p = np.array(raw) / np.sum(raw)
-    out = mirror.entropy_mirror_step(mirror.WeightedEntropyGeometry(scales, eta), p, losses)
+    out = _step(mirror.WeightedEntropyGeometry(scales, eta), p, losses)
     assert np.all(out > 0)
     assert abs(out.sum() - 1.0) <= 1e-9
 
@@ -135,7 +138,7 @@ def test_equal_rate_multiplier_is_the_closed_form_bracket_end(data):
     bracket_end = np.minimum(np.maximum(-max_c, log_s0 / r), np.minimum(0.0, log_s0 / r))
     want = np.where(max_c == 0.0, 0.0, bracket_end)
 
-    lam = mirror._solve_multiplier_batch(log_p, losses, geom)
+    lam = mirror.solve_entropy_multiplier(log_p, losses, geom)
     assert lam.tobytes() == want.tobytes()
     assert np.all(lam[max_c == 0.0] == 0.0)
     stepped = np.exp(mirror.entropy_step_log_batch(log_p, losses, geom))
@@ -154,8 +157,8 @@ def test_unequal_rate_step_matches_grid_oracle(data):
     losses = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k)))
     geom = mirror.WeightedEntropyGeometry(scales, eta)
     want, want_lam = entropy_step_grid(scales, eta, p, losses)
-    np.testing.assert_allclose(mirror.entropy_mirror_step(geom, p, losses), want, atol=1e-6)
-    assert mirror.solve_entropy_multiplier(geom, p, losses) == pytest.approx(want_lam, abs=1e-6)
+    np.testing.assert_allclose(_step(geom, p, losses), want, atol=1e-6)
+    assert _multiplier(geom, p, losses) == pytest.approx(want_lam, abs=1e-6)
 
 
 def test_batch_step_matches_single_rows():

@@ -5,6 +5,9 @@ from scipy import stats
 
 from fedoms import rng as rngmod
 from fedoms import sampling
+from fedoms.protocol import UplinkMessage, aggregate_reports
+
+from oracles import ROLE_TEST
 
 RNG = np.random.default_rng(33)
 
@@ -15,7 +18,7 @@ def random_simplex(rng, k):
 
 
 def empirical_inclusion(p, j, n, seed=0):
-    rng = rngmod.stream(seed, rngmod.ROLE_TEST)
+    rng = rngmod.stream(seed, ROLE_TEST)
     counts = np.zeros(p.size)
     done = 0
     while done < n:
@@ -31,7 +34,7 @@ def empirical_inclusion(p, j, n, seed=0):
 # --------------------------------------------------------------------------
 
 def _uniforms(seed, n, j):
-    return rngmod.stream(seed, rngmod.ROLE_TEST).random((n, j))
+    return rngmod.stream(seed, ROLE_TEST).random((n, j))
 
 
 def test_subset_size_validation():
@@ -115,7 +118,7 @@ def test_empirical_inclusion_matches_formula():
 def test_lead_index_follows_p_chi_squared():
     p = np.array([0.4, 0.25, 0.2, 0.1, 0.05])
     n = 100_000
-    u = rngmod.stream(9, rngmod.ROLE_TEST).random((n, 2))
+    u = rngmod.stream(9, ROLE_TEST).random((n, 2))
     idx = sampling.subsets_from_uniforms(p, 2, u)
     counts = np.bincount(idx[:, 0], minlength=5)
     _, pval = stats.chisquare(counts, f_exp=p * n)
@@ -126,7 +129,7 @@ def test_non_lead_uniform_over_complement():
     # condition on the lead: remaining slots hit the complement uniformly
     p = np.array([0.5, 0.3, 0.1, 0.1])
     n = 120_000
-    u = rngmod.stream(11, rngmod.ROLE_TEST).random((n, 2))
+    u = rngmod.stream(11, ROLE_TEST).random((n, 2))
     idx = sampling.subsets_from_uniforms(p, 2, u)
     mask = idx[:, 0] == 0
     counts = np.bincount(idx[mask, 1], minlength=4)[1:]
@@ -137,7 +140,7 @@ def test_non_lead_uniform_over_complement():
 def test_per_row_and_shared_probs_agree():
     k = 6
     p = random_simplex(RNG, k)
-    u = rngmod.stream(21, rngmod.ROLE_TEST).random((500, 3))
+    u = rngmod.stream(21, ROLE_TEST).random((500, 3))
     shared = sampling.subsets_from_uniforms(p, 3, u)
     tiled = sampling.subsets_from_uniforms(np.tile(p, (500, 1)), 3, u)
     np.testing.assert_array_equal(shared, tiled)
@@ -147,14 +150,19 @@ def test_per_row_and_shared_probs_agree():
 # importance-weighted estimators
 # --------------------------------------------------------------------------
 
+def _estimate(raw_losses, indices, incl):
+    """The server's loss estimate from one client's report on ``indices``."""
+    report = UplinkMessage(epoch=1, client_id=0, indices=tuple(int(i) for i in indices),
+                           mean_losses=np.asarray(raw_losses, dtype=float),
+                           mean_gradients=tuple(np.zeros(1) for _ in indices))
+    loss_est, _ = aggregate_reports([report], incl, incl.size, [1] * incl.size)
+    return loss_est
+
+
 def test_estimates_zero_off_subset_and_weighted_on_subset():
     p = np.array([0.5, 0.25, 0.25])
-    out = sampling.SamplingOutcome(
-        ordered_indices=np.array([2, 0]),
-        inclusion_probs=sampling.inclusion_probabilities(p, 2),
-    )
-    est = sampling.estimate_losses(np.array([1.0, 3.0]), out)
     incl = sampling.inclusion_probabilities(p, 2)
+    est = _estimate(np.array([1.0, 3.0]), [2, 0], incl)
     assert est[1] == 0.0
     assert est[2] == pytest.approx(1.0 / incl[2])
     assert est[0] == pytest.approx(3.0 / incl[0])
@@ -165,7 +173,7 @@ def test_loss_estimator_is_unbiased_monte_carlo():
     p = np.array([0.35, 0.3, 0.2, 0.1, 0.05])
     true = np.array([1.0, 0.5, 2.0, 0.0, 3.0])
     n = 200_000
-    u = rngmod.stream(13, rngmod.ROLE_TEST).random((n, j))
+    u = rngmod.stream(13, ROLE_TEST).random((n, j))
     idx = sampling.subsets_from_uniforms(p, j, u)
     incl = sampling.inclusion_probabilities(p, j)
     member = np.zeros((n, k))
@@ -183,22 +191,11 @@ def test_estimator_range_bound():
         k = int(RNG.integers(2, 10))
         j = int(RNG.integers(2, k + 1))
         p = random_simplex(RNG, k)
-        out = sampling.SamplingOutcome(
-            ordered_indices=sampling.subsets_from_uniforms(
-                p, j, _uniforms(int(RNG.integers(1e9)), 1, j))[0],
-            inclusion_probs=sampling.inclusion_probabilities(p, j),
-        )
+        subset = sampling.subsets_from_uniforms(
+            p, j, _uniforms(int(RNG.integers(1e9)), 1, j))[0]
         c = RNG.uniform(0, 1, size=j)  # losses bounded by 1
-        est = sampling.estimate_losses(c, out)
+        est = _estimate(c, subset, sampling.inclusion_probabilities(p, j))
         assert np.all(est <= (k - 1.0) / (j - 1.0) + 1e-9)
-
-
-def test_estimate_losses_validation():
-    out = sampling.SamplingOutcome(np.array([0, 1]), np.array([0.6, 0.6, 0.8]))
-    with pytest.raises(ValueError):
-        sampling.estimate_losses(np.array([1.0]), out)
-    with pytest.raises(ValueError):
-        sampling.estimate_losses(np.array([np.inf, 1.0]), out)
 
 
 @settings(deadline=None, max_examples=100)
@@ -225,7 +222,7 @@ def test_group_subsets_hand_example():
     np.testing.assert_array_equal(groups.bounds, [0, 2, 4, 5, 8])
     np.testing.assert_array_equal(groups.rows, [1, 3, 0, 3, 2, 0, 1, 2])
     np.testing.assert_array_equal(groups.slots, [0, 1, 1, 0, 1, 0, 1, 0])
-    assert groups.size == 4  # touched spaces
+    assert groups.touched.size == 4
     assert groups.rows.size == groups.slots.size == idx.size
 
 

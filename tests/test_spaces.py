@@ -8,7 +8,7 @@ from fedoms import rng as rngmod
 from fedoms import spaces
 from fedoms.mirror import InfBox, L2Ball
 
-from oracles import finite_difference_gradient
+from oracles import ROLE_TEST, finite_difference_gradient, gaussian_kernel
 
 RNG = np.random.default_rng(511)
 
@@ -59,11 +59,11 @@ def test_rff_monte_carlo_estimates_gaussian_kernel():
     vals = [
         float(m(x) @ m(v))
         for m in (
-            spaces.gaussian_rff(3, 200, width, rngmod.stream(s, rngmod.ROLE_TEST))
+            spaces.gaussian_rff(3, 200, width, rngmod.stream(s, ROLE_TEST))
             for s in range(200)
         )
     ]
-    want = spaces.gaussian_kernel(x, v, width)
+    want = gaussian_kernel(x, v, width)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(np.mean(vals) - want) <= 3.5 * se
 
@@ -101,7 +101,7 @@ def test_gradients_match_finite_differences():
     for kind in spaces.Loss:
         for fm in (spaces.IdentityMap(4),
                    spaces.CoordinateMap(4, 1),
-                   spaces.gaussian_rff(4, 12, 1.3, rngmod.stream(3, rngmod.ROLE_TEST, 1))):
+                   spaces.gaussian_rff(4, 12, 1.3, rngmod.stream(3, ROLE_TEST, 1))):
             space = spaces.make_space(fm, 1.0, kind)
             w = RNG.uniform(-0.3, 0.3, size=space.dim)
             x = RNG.uniform(-1, 1, size=4)
@@ -118,7 +118,7 @@ def test_gradients_match_finite_differences():
 
 def test_prediction_bounded_by_radius_times_feature_bound():
     for _ in range(50):
-        fm = spaces.gaussian_rff(3, 30, 1.0, rngmod.stream(int(RNG.integers(1e6)), rngmod.ROLE_TEST))
+        fm = spaces.gaussian_rff(3, 30, 1.0, rngmod.stream(int(RNG.integers(1e6)), ROLE_TEST))
         space = spaces.make_space(fm, 0.8, spaces.Loss.SQUARE)
         w = RNG.normal(size=space.dim)
         w = 0.8 * w / np.linalg.norm(w)
