@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,7 +118,14 @@ def _as_int(value, field: str) -> int:
 def _as_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field} must be a number, got {value!r}", field=field)
-    return float(value)
+    # json reads NaN, Infinity and out-of-range literals such as 1e400 as
+    # non-finite floats; an integer too large for a float overflows
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    _require(math.isfinite(number), f"{field} must be a finite number, got {value!r}", field)
+    return number
 
 
 def _check_schedule(horizon: int, epochs: int) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Streams
-from .mirror import InfBox, L2Ball, constraint_arrays, materialize, project
+from .mirror import materialize, project_rows_per_row
 from .protocol import (
     AuditLog,
     ClientBatch,
@@ -395,18 +395,6 @@ def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
 # Regret accounting
 
 
-def _check_feasible(constraint: L2Ball | InfBox, w: np.ndarray, tol: float = 1e-9) -> None:
-    (box,), (bound,) = constraint_arrays([constraint])
-    if box:
-        size, measure, limit = float(np.abs(w).max()), "coordinate magnitude", "half width"
-    else:
-        size, measure, limit = float(np.linalg.norm(w)), "norm", "radius"
-    if size > bound + tol:
-        raise ValueError(
-            f"comparator is infeasible: {measure} {size:.6g} exceeds {limit} {bound:.6g}"
-        )
-
-
 def regret_accounting(
     artifact: RunArtifact,
     streams: Streams,
@@ -416,15 +404,18 @@ def regret_accounting(
 ) -> float:
     """Cumulative lead-model loss minus the comparator's loss on the same data.
 
-    The comparator is a fixed parameter vector in ``space``; it must be
-    feasible for the space's constraint set.  Summation runs over all
-    clients and rounds.
+    The comparator is a fixed parameter vector in ``space``; it must lie in
+    the space's ball.  Summation runs over all clients and rounds.
     """
 
     w = np.asarray(comparator, dtype=float)
     if w.shape != (space.dim,):
         raise ValueError(f"comparator has shape {w.shape}, expected ({space.dim},)")
-    _check_feasible(space.constraint, w)
+    norm = float(np.linalg.norm(w))
+    if norm > space.radius + 1e-9:
+        raise ValueError(
+            f"comparator is infeasible: norm {norm:.6g} exceeds radius {space.radius:.6g}"
+        )
     phi = space.feature_map(streams.xs.reshape(-1, streams.input_dim))
     comparator_loss = float(
         loss_value(loss_kind, phi @ w, streams.ys.reshape(-1)).sum()
@@ -473,7 +464,7 @@ def best_fixed_hypothesis(
     best_w, best_f = w.copy(), objective(w)
     for s in range(1, steps + 1):
         rate = space.radius / (space.lipschitz_bound * np.sqrt(s))
-        w = project(space.constraint, w - rate * gradient(w))
+        w = project_rows_per_row((w - rate * gradient(w))[None, :], space.radius)[0]
         f = objective(w)
         if f < best_f:
             best_f, best_w = f, w.copy()

@@ -7,11 +7,9 @@
   (:func:`solve_entropy_multiplier`).  The round kernel steps a batch of
   log-space states at once (:func:`entropy_step_log_batch`) and reads linear
   probabilities back with :func:`materialize`.
-* Euclidean projection onto a convex constraint set, an L2 ball or a
-  coordinate-wise box: the projection half of the projected gradient step
-  the round kernel takes on every sampled space's model.
-  :func:`constraint_arrays` turns constraint objects into the (box?, bound)
-  arrays that :func:`project_rows_per_row` projects a stack of rows with.
+* Euclidean projection onto a ball of given radius
+  (:func:`project_rows_per_row`): the projection half of the projected
+  gradient step the round kernel takes on every sampled space's model.
 
 All functions are pure: they never mutate their array arguments.
 """
@@ -19,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -35,28 +32,8 @@ class MirrorError(RuntimeError):
 
 
 # --------------------------------------------------------------------------
-# geometries and constraint sets
+# entropy geometry
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class L2Ball:
-    """Euclidean ball { w : ||w||_2 <= radius }."""
-    radius: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"L2Ball radius must be positive, got {self.radius}")
-
-
-@dataclass(frozen=True)
-class InfBox:
-    """Coordinate-wise box { w : ||w||_inf <= half_width }."""
-    half_width: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.half_width) and self.half_width > 0):
-            raise ValueError(f"InfBox half_width must be positive, got {self.half_width}")
-
 
 @dataclass(frozen=True)
 class WeightedEntropyGeometry:
@@ -220,54 +197,13 @@ def _check_losses(losses: np.ndarray) -> None:
 # Euclidean projection
 # --------------------------------------------------------------------------
 
-def constraint_arrays(
-    constraints: Sequence[L2Ball | InfBox],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(box?, bound) arrays of a sequence of constraint sets.
+def project_rows_per_row(w: np.ndarray, radius: np.ndarray | float) -> np.ndarray:
+    """Euclidean projection of a (B, d) stack of rows onto L2 balls.
 
-    Entry ``k`` of the boolean array says whether constraint ``k`` is an
-    :class:`InfBox`; the float array holds its half width, or the radius of
-    an :class:`L2Ball`.  This is the form :func:`project_rows_per_row` takes.
+    Row ``k`` projects onto the ball of radius ``radius[k]`` (a scalar
+    radius serves every row); a row already inside its ball is returned
+    unchanged.
     """
-    box, bound = [], []
-    for constraint in constraints:
-        if isinstance(constraint, L2Ball):
-            box.append(False)
-            bound.append(constraint.radius)
-        elif isinstance(constraint, InfBox):
-            box.append(True)
-            bound.append(constraint.half_width)
-        else:
-            raise TypeError(f"unsupported constraint {constraint!r}")
-    return np.array(box, dtype=bool), np.array(bound, dtype=float)
-
-
-def project_rows_per_row(w: np.ndarray, box_mask: np.ndarray,
-                         bound: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a (B, d) stack where each row has its own set.
-
-    Row ``k`` projects onto the L2 ball of radius ``bound[k]`` when
-    ``box_mask[k]`` is false, else onto the inf-box of half width
-    ``bound[k]``; a point already inside its set is returned unchanged.
-    """
-    if not box_mask.any():
-        norms = np.sqrt((w * w).sum(axis=1))
-        scale = np.minimum(1.0, bound / np.maximum(norms, 1e-300))
-        return w * scale[:, None]
-    if box_mask.all():
-        return np.clip(w, -bound[:, None], bound[:, None])
-    out = np.empty_like(w)
-    ball = ~box_mask
-    wb = w[ball]
-    norms = np.sqrt((wb * wb).sum(axis=1))
-    out[ball] = wb * np.minimum(1.0, bound[ball] / np.maximum(norms, 1e-300))[:, None]
-    half = bound[box_mask][:, None]
-    out[box_mask] = np.clip(w[box_mask], -half, half)
-    return out
-
-
-def project(constraint: L2Ball | InfBox, w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of one vector onto the constraint set."""
-    w = np.asarray(w, dtype=float)
-    box, bound = constraint_arrays((constraint,))
-    return project_rows_per_row(w[None, :], box, bound)[0]
+    norms = np.sqrt((w * w).sum(axis=1))
+    scale = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
+    return w * scale[:, None]

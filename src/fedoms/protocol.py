@@ -31,7 +31,6 @@ import numpy as np
 
 from .mirror import (
     WeightedEntropyGeometry,
-    constraint_arrays,
     entropy_step_log_batch,
     materialize,
     project_rows_per_row,
@@ -544,9 +543,9 @@ class RunSetup:
         return loss_limits, g_limits * g_limits
 
     @cached_property
-    def constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-space constraints as (box?, bound) arrays for row-batched steps."""
-        return constraint_arrays([s.constraint for s in self.spaces])
+    def constraints(self) -> np.ndarray:
+        """(K,) per-space ball radii for row-batched projections."""
+        return np.array([s.radius for s in self.spaces], dtype=float)
 
     @cached_property
     def feature_columns(self) -> np.ndarray | None:
@@ -854,10 +853,8 @@ def run_epoch(
         buffers.uplink_bits[t0 + N - 1] = up_bits
 
     rates = setup.param_rates[epoch - 1]
-    box_mask, bound = setup.constraints
     state.weights[servers, stepped] = project_rows_per_row(
-        w_old - rates[stepped][:, None] * grad_est,
-        box_mask[stepped], bound[stepped],
+        w_old - rates[stepped][:, None] * grad_est, setup.constraints[stepped]
     )
     state.log_p = entropy_step_log_batch(state.log_p, loss_est, setup.mirror_geometry)
     buffers.leads[t0:t0 + N] = indices[:, 0][None, :]

@@ -50,7 +50,7 @@ def subsets_from_uniforms(probs: np.ndarray, subset_size: int, uniforms: np.ndar
 
     Parameters
     ----------
-    probs : (K,) shared probability vector or (n, K) one per row.
+    probs : (n, K) probability vectors, one per row, or (1, K) shared by all.
     subset_size : J.
     uniforms : (n, J) draws in [0, 1); column 0 picks the lead by inverse CDF,
         columns 1..J-1 drive a partial Fisher-Yates pass over the complement.
@@ -60,6 +60,8 @@ def subsets_from_uniforms(probs: np.ndarray, subset_size: int, uniforms: np.ndar
     (n, J) integer indices, distinct within each row, lead first.
     """
     n, j = uniforms.shape
+    if probs.ndim != 2:
+        raise ValueError(f"probs must be (n, K) or (1, K), got shape {probs.shape}")
     if j != subset_size:
         raise ValueError(f"uniforms have {j} slots per row, expected {subset_size}")
     num_spaces = probs.shape[-1]
@@ -68,12 +70,9 @@ def subsets_from_uniforms(probs: np.ndarray, subset_size: int, uniforms: np.ndar
     out = np.empty((n, subset_size), dtype=np.int64)
     lead = out[:, 0]
     cum = probs.cumsum(axis=-1)
-    # inverse CDF; ties resolved as "insert right" in both layouts
-    if probs.ndim == 1:
-        lead[:] = np.searchsorted(cum, uniforms[:, 0] * cum[-1], side="right")
-    else:
-        targets = uniforms[:, 0] * cum[:, -1]
-        (cum <= targets[:, None]).sum(axis=1, out=lead)
+    # inverse CDF: the lead is the number of cumulative masses <= the target
+    targets = uniforms[:, 0] * cum[:, -1]
+    (cum <= targets[:, None]).sum(axis=1, out=lead)
     np.minimum(lead, num_spaces - 1, out=lead)
     if subset_size == 1:
         return out

@@ -1,7 +1,7 @@
 """Hypothesis spaces: feature maps, losses and their constants.
 
 A hypothesis space is a set of linear predictors ``x -> <w, phi(x)>`` with w
-ranging over a ball or box of radius ``radius`` and ``phi`` one of three
+ranging over the L2 ball of radius ``radius`` and ``phi`` one of three
 feature maps:
 
 * ``IdentityMap`` — raw features;
@@ -11,18 +11,17 @@ feature maps:
   unbiased estimate of the Gaussian kernel ``exp(-||x - v||^2 / (2 width^2))``.
 
 Each space also carries a bound ``loss_bound`` on its per-round losses and a
-bound ``lipschitz_bound`` on its per-round gradient norms; these scale the
-entropy geometry and the step sizes of the learners.
+bound ``lipschitz_bound`` on its per-round gradient norms, both derived from
+the radius; these scale the entropy geometry and the step sizes of the
+learners.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .mirror import InfBox, L2Ball
 
 
 # --------------------------------------------------------------------------
@@ -108,21 +107,18 @@ def gaussian_rff(input_dim: int, feature_count: int, width: float,
     return GaussianRFFMap(width=width, weights=weights, phases=phases)
 
 
-def feature_norm_bound(feature_map: FeatureMap, domain_radius: float | None = None) -> float:
-    """Upper bound on ||phi(x)||_2 over the data domain.
+def feature_norm_bound(feature_map: FeatureMap) -> float:
+    """Upper bound on ||phi(x)||_2 over the data domain [-1, 1]^d.
 
     Random cosine features are bounded by sqrt(2) regardless of the input;
-    identity and coordinate maps need the caller to say how large the raw
-    features can get (after harness preprocessing the domain is [-1, 1]^d, so
-    sqrt(d) and 1 respectively).
+    harness preprocessing scales raw features into [-1, 1], which bounds an
+    identity map by sqrt(d) and a coordinate map by 1.
     """
     if isinstance(feature_map, GaussianRFFMap):
         return math.sqrt(2.0)
-    if domain_radius is None:
-        if isinstance(feature_map, CoordinateMap):
-            return 1.0
-        return math.sqrt(feature_map.input_dim)
-    return float(domain_radius)
+    if isinstance(feature_map, CoordinateMap):
+        return 1.0
+    return math.sqrt(feature_map.input_dim)
 
 
 # --------------------------------------------------------------------------
@@ -187,10 +183,9 @@ def default_constants(kind: Loss, radius: float, feature_bound: float) -> tuple[
 
 @dataclass(frozen=True)
 class HypothesisSpace:
-    """One candidate model class: a feature map plus a constrained weight set."""
+    """One candidate model class: a feature map and the L2 ball of ``radius``."""
     feature_map: FeatureMap
     radius: float
-    constraint: L2Ball | InfBox = field(default=None)  # type: ignore[assignment]
     feature_bound: float = 0.0
     loss_bound: float = 0.0       # C_i: upper bound on per-round losses
     lipschitz_bound: float = 0.0  # G_i: upper bound on per-round gradient norms
@@ -198,28 +193,15 @@ class HypothesisSpace:
     def __post_init__(self):
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.constraint is None:
-            object.__setattr__(self, "constraint", L2Ball(self.radius))
 
     @property
     def dim(self) -> int:
         return self.feature_map.output_dim
 
 
-def make_space(feature_map: FeatureMap, radius: float, loss_kind: Loss, *,
-               constraint: L2Ball | InfBox | None = None,
-               domain_radius: float | None = None,
-               loss_bound: float | None = None,
-               lipschitz_bound: float | None = None) -> HypothesisSpace:
-    """Assemble a space, filling in default bounds where not overridden."""
-    b = feature_norm_bound(feature_map, domain_radius)
-    c_def, g_def = default_constants(loss_kind, radius, b)
-    return HypothesisSpace(
-        feature_map=feature_map,
-        radius=radius,
-        constraint=constraint if constraint is not None else L2Ball(radius),
-        feature_bound=b,
-        loss_bound=loss_bound if loss_bound is not None else c_def,
-        lipschitz_bound=lipschitz_bound if lipschitz_bound is not None else g_def,
-    )
-
+def make_space(feature_map: FeatureMap, radius: float, loss_kind: Loss) -> HypothesisSpace:
+    """Assemble a space with the bounds its radius and feature map imply."""
+    b = feature_norm_bound(feature_map)
+    loss_bound, lipschitz_bound = default_constants(loss_kind, radius, b)
+    return HypothesisSpace(feature_map=feature_map, radius=radius, feature_bound=b,
+                           loss_bound=loss_bound, lipschitz_bound=lipschitz_bound)

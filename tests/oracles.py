@@ -129,19 +129,12 @@ def _reference_subset(p, subset_size, uniforms):
     return chosen
 
 
-def reference_project(w, constraint):
-    """Euclidean projection onto an L2 ball or an inf-box, one coordinate at a time."""
-    from fedoms.mirror import InfBox, L2Ball
-
-    if isinstance(constraint, L2Ball):
-        n = math.sqrt(sum(float(x) * float(x) for x in w))
-        if n <= constraint.radius:
-            return np.asarray(w, dtype=float)
-        return np.asarray([float(x) * constraint.radius / n for x in w])
-    if isinstance(constraint, InfBox):
-        h = constraint.half_width
-        return np.asarray([min(max(float(x), -h), h) for x in w])
-    raise TypeError(constraint)
+def reference_project(w, radius):
+    """Euclidean projection onto the L2 ball of ``radius``, one coordinate at a time."""
+    n = math.sqrt(sum(float(x) * float(x) for x in w))
+    if n <= radius:
+        return np.asarray(w, dtype=float)
+    return np.asarray([float(x) * radius / n for x in w])
 
 
 def _reference_mirror(p, estimates, scales, eta):
@@ -245,7 +238,7 @@ def reference_fomd(spaces, loss_kind, xs, ys, subset_size, epochs,
                     g = g + (grad_sums[(j, i)] / n_per) / inclusion[i]
             g = g / clients
             lam = schedule_lambda(radii[i], lips[i], k, subset_size, clients, r)
-            weights[i] = reference_project(weights[i] - lam * g, spaces[i].constraint)
+            weights[i] = reference_project(weights[i] - lam * g, radii[i])
         p = _reference_mirror(p, estimates, bounds, eta)
     return {
         "predictions": preds,

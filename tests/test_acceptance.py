@@ -81,7 +81,7 @@ def subset_monte_carlo():
             counts = np.zeros(num_spaces)
             value_sums = np.zeros(num_spaces)
             for lo in range(0, MC_DRAWS, MC_CHUNK):
-                subsets = subsets_from_uniforms(p, subset_size,
+                subsets = subsets_from_uniforms(p[None, :], subset_size,
                                                 uniforms[lo:lo + MC_CHUNK])
                 flat = subsets.ravel()  # indices are distinct within a row
                 counts += np.bincount(flat, minlength=num_spaces)
@@ -107,7 +107,7 @@ def subset_monte_carlo():
     c = gen.random(num_spaces)
     uniforms = gen.random((1000, subset_size))
     incl = inclusion_probabilities(p, subset_size)
-    subsets = subsets_from_uniforms(p, subset_size, uniforms)
+    subsets = subsets_from_uniforms(p[None, :], subset_size, uniforms)
     reports = [UplinkMessage(epoch=1, client_id=j, indices=tuple(row.tolist()),
                              mean_losses=c[row],
                              mean_gradients=tuple(np.zeros(1) for _ in row))

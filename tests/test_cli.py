@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface and config validation."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -122,6 +123,26 @@ def test_one_space_with_one_update_step_is_a_config_error(command, steps, field,
     blob = _last_json(capsys.readouterr().out)
     assert blob["kind"] == "ConfigError" and blob["field"] == field
     assert "update steps must be >= 2" in blob["message"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("overrides, field", [
+    ({"spaces": [{"kind": "identity", "radius": math.inf}, {"kind": "identity"}]},
+     "spaces[0].radius"),
+    ({"spaces": [{"kind": "identity"}, {"kind": "rff", "features": 4, "width": math.inf}]},
+     "spaces[1].width"),
+    ({"loss": "linear", "spaces": [{"kind": "coordinate", "index": i} for i in range(2)],
+      "data": {"source": "biased_arm", "input_dim": 2, "bias": math.nan}},
+     "data.bias"),
+], ids=["radius-Infinity", "width-Infinity", "bias-NaN"])
+def test_non_finite_numbers_are_config_errors(command, overrides, field, tmp_path, capsys):
+    # json writes and reads these as the bare literals Infinity and NaN
+    path = _write_config(tmp_path, **overrides)
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(path), *out]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["kind"] == "ConfigError" and blob["field"] == field
+    assert "must be a finite number" in blob["message"]
 
 
 @pytest.mark.parametrize("overrides, field, message", [

@@ -1,7 +1,10 @@
 """Tests for schedules, the two drivers, and regret accounting."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from fedoms.data import AdversarialSpec, Streams, generate_adversarial, synthetic_linear
@@ -16,9 +19,16 @@ from fedoms.learners import (
     run_fomd_oms,
     run_nco_oms,
 )
-from fedoms.mirror import InfBox
+from fedoms.protocol import RunInvariantError
 from fedoms.rng import ROLE_SAMPLING, sampling_uniforms, stream
-from fedoms.spaces import CoordinateMap, IdentityMap, Loss, make_space
+from fedoms.spaces import (
+    CoordinateMap,
+    IdentityMap,
+    Loss,
+    feature_norm_bound,
+    gaussian_rff,
+    make_space,
+)
 
 
 def _params(K, J, M, T, U=1.0, G=1.0, C=1.0):
@@ -257,17 +267,16 @@ def _mixed_dimension_spaces(input_dim):
     )
 
 
-def _box_spaces(input_dim):
+def _absolute_spaces(input_dim):
     return tuple(
-        make_space(IdentityMap(input_dim), radius=r, loss_kind=Loss.ABSOLUTE,
-                   constraint=InfBox(r))
+        make_space(IdentityMap(input_dim), radius=r, loss_kind=Loss.ABSOLUTE)
         for r in (0.3, 0.6, 0.9)
     )
 
 
 @pytest.mark.parametrize("spaces, loss", [
     (_mixed_dimension_spaces(4), Loss.SQUARE),
-    (_box_spaces(4), Loss.ABSOLUTE),
+    (_absolute_spaces(4), Loss.ABSOLUTE),
 ])
 def test_noncooperative_clients_each_match_the_solo_reference(spaces, loss):
     # every noncooperative client is the cooperative learner run alone on
@@ -552,3 +561,86 @@ def test_selection_concentrates_on_spaces_that_can_express_the_signal():
                         horizon=1500, master_seed=29, uniform_init=True)
     art = run_fomd_oms(cfg, streams)
     assert art.final_probs[5:].max() > art.final_probs[:3].max()
+
+
+# ---------------------------------------------------------------------------
+# Engine invariants on random small configs
+
+
+@st.composite
+def _small_runs(draw):
+    """K <= 5 spaces of mixed maps over one input width, a valid J, M <= 4,
+    T <= 30 and an epoch count R dividing T with K * R >= 2; radii in
+    (0.1, 2], capped for the linear loss at radius * feature_bound <= 1."""
+    K = draw(st.integers(1, 5))
+    J = 1 if K == 1 else draw(st.integers(2, K))
+    T = draw(st.integers(2 if K == 1 else 1, 30))
+    R = draw(st.sampled_from([r for r in range(1, T + 1) if T % r == 0 and K * r >= 2]))
+    d = draw(st.integers(2, 4))
+    loss = draw(st.sampled_from(list(Loss)))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    spaces = []
+    for _ in range(K):
+        kind = draw(st.sampled_from(["identity", "coordinate", "rff"]))
+        if kind == "identity":
+            fm = IdentityMap(d)
+        elif kind == "coordinate":
+            fm = CoordinateMap(d, draw(st.integers(0, d - 1)))
+        else:
+            fm = gaussian_rff(d, draw(st.integers(1, 6)), draw(st.floats(0.5, 3.0)), rng)
+        # the linear loss 1 - v*y is negative once |v| can pass 1, and such
+        # runs fail (test_linear_loss_past_unit_reach_fails_as_a_named_invariant)
+        top = min(2.0, 1.0 / feature_norm_bound(fm)) if loss is Loss.LINEAR else 2.0
+        radius = draw(st.floats(0.1, top, exclude_min=True))
+        spaces.append(make_space(fm, radius, loss))
+    return tuple(spaces), loss, J, draw(st.integers(1, 4)), T, R, d, seed
+
+
+@settings(deadline=None, max_examples=100)
+@given(_small_runs())
+def test_engine_invariants_hold_on_random_small_configs(run):
+    spaces, loss, J, M, T, R, d, seed = run
+    K = len(spaces)
+    streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=seed)
+    reach = np.array([s.radius * s.feature_bound for s in spaces])
+    dims = [s.dim for s in spaces]
+    index_bits = J * (K - 1).bit_length()  # J * ceil(log2 K)
+    for learner, epochs in ((run_fomd_oms, R), (run_nco_oms, None)):
+        art = learner(LearnerConfig(spaces=spaces, loss=loss, clients=M, subset_size=J,
+                                    horizon=T, epochs=epochs, master_seed=seed), streams)
+        probs = np.atleast_2d(art.final_probs)
+        assert probs.min() >= 0.0
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
+        # feasible weights bound every prediction by radius * feature bound
+        lead = art.lead_indices
+        assert np.all(np.abs(art.predictions) <= reach[lead] * (1.0 + 1e-9))
+        down = art.downlink_bits.reshape(T, M)
+        up = art.uplink_bits.reshape(T, M)
+        if learner is run_nco_oms:
+            assert not down.any() and not up.any()
+            continue
+        N = T // R
+        first, last = down[::N], up[N - 1::N]
+        assert not np.delete(down, np.s_[::N], axis=0).any()
+        assert not np.delete(up, np.s_[N - 1::N], axis=0).any()
+        np.testing.assert_array_equal(last, first + 32 * J)
+        # each downlink carries the weights of a J-subset holding the lead
+        for bits, i in zip(first.ravel().tolist(), lead.reshape(T, M)[::N].ravel().tolist()):
+            others = dims[:i] + dims[i + 1:]
+            sums = {dims[i] + sum(c) for c in itertools.combinations(others, J - 1)}
+            assert bits - index_bits in {32 * s for s in sums}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a linear-loss space whose radius * feature_bound exceeds 1 yields negative "
+    "losses, which no bound check names: fomd runs on, nco's mirror step raises "
+    "a bare ValueError (the linear-loss FOUND line in CHANGES.md)"))
+@pytest.mark.parametrize("learner", [run_fomd_oms, run_nco_oms])
+def test_linear_loss_past_unit_reach_fails_as_a_named_invariant(learner):
+    space = make_space(IdentityMap(2), 2.0, Loss.LINEAR)
+    streams = synthetic_linear(input_dim=2, clients=2, horizon=11, seed=0)
+    cfg = LearnerConfig(spaces=(space,), loss=Loss.LINEAR, clients=2, subset_size=1,
+                        horizon=11, master_seed=0)
+    with pytest.raises(RunInvariantError, match="loss"):
+        learner(cfg, streams)

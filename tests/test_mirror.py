@@ -219,10 +219,9 @@ def test_sum_is_monotone_in_multiplier():
 # Euclidean projection
 # --------------------------------------------------------------------------
 
-def _project_one(constraint, w):
-    # the kernel's projection, one row under one constraint
-    box, bound = mirror.constraint_arrays([constraint])
-    return mirror.project_rows_per_row(np.asarray(w, dtype=float)[None, :], box, bound)[0]
+def _project_one(radius, w):
+    # the kernel's projection, one row onto one ball
+    return mirror.project_rows_per_row(np.asarray(w, dtype=float)[None, :], radius)[0]
 
 
 def test_euclidean_step_is_projected_gradient():
@@ -231,27 +230,12 @@ def test_euclidean_step_is_projected_gradient():
     # unprojected point (1.3, -0.9) has norm > 1 -> scaled back to the sphere
     bar = w - 0.25 * g
     want = bar / np.linalg.norm(bar)
-    np.testing.assert_allclose(_project_one(mirror.L2Ball(1.0), bar), want, atol=1e-14)
-
-
-def test_inf_box_clamps_per_coordinate():
-    out = _project_one(mirror.InfBox(0.2), np.array([1.0, -0.1, -0.05]))
-    np.testing.assert_array_equal(out, [0.2, -0.1, -0.05])
+    np.testing.assert_allclose(_project_one(1.0, bar), want, atol=1e-14)
 
 
 def test_interior_point_is_untouched():
     bar = np.array([1.0, 1.0]) - 0.1 * np.array([0.5, -0.5])
-    np.testing.assert_array_equal(_project_one(mirror.L2Ball(5.0), bar), bar)
-    np.testing.assert_array_equal(_project_one(mirror.InfBox(5.0), bar), bar)
-
-
-def test_constraint_arrays_encode_kind_and_bound():
-    box, bound = mirror.constraint_arrays(
-        [mirror.L2Ball(2.0), mirror.InfBox(0.5), mirror.L2Ball(1.0)])
-    np.testing.assert_array_equal(box, [False, True, False])
-    np.testing.assert_array_equal(bound, [2.0, 0.5, 1.0])
-    with pytest.raises(TypeError):
-        mirror.constraint_arrays([2.0])
+    np.testing.assert_array_equal(_project_one(5.0, bar), bar)
 
 
 @settings(deadline=None, max_examples=200)
@@ -260,14 +244,9 @@ def test_constraint_arrays_encode_kind_and_bound():
     st.floats(0.05, 20.0),
 )
 def test_projection_is_idempotent_and_feasible(vals, radius):
-    w = np.array(vals)
-    for cons in (mirror.L2Ball(radius), mirror.InfBox(radius)):
-        pw = mirror.project(cons, w)
-        np.testing.assert_allclose(mirror.project(cons, pw), pw, atol=1e-12)
-        if isinstance(cons, mirror.L2Ball):
-            assert np.linalg.norm(pw) <= radius * (1 + 1e-12)
-        else:
-            assert np.max(np.abs(pw)) <= radius * (1 + 1e-12)
+    pw = _project_one(radius, vals)
+    np.testing.assert_allclose(_project_one(radius, pw), pw, atol=1e-12)
+    assert np.linalg.norm(pw) <= radius * (1 + 1e-12)
 
 
 @settings(deadline=None, max_examples=100)
@@ -279,9 +258,8 @@ def test_projection_is_idempotent_and_feasible(vals, radius):
 def test_projection_is_nonexpansive(a, b, radius):
     n = min(len(a), len(b))
     u, v = np.array(a[:n]), np.array(b[:n])
-    for cons in (mirror.L2Ball(radius), mirror.InfBox(radius)):
-        pu, pv = mirror.project(cons, u), mirror.project(cons, v)
-        assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-9
+    pu, pv = _project_one(radius, u), _project_one(radius, v)
+    assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-9
 
 
 def test_geometry_validation():
@@ -289,16 +267,11 @@ def test_geometry_validation():
         mirror.WeightedEntropyGeometry(np.array([1.0, -1.0]), 0.5)
     with pytest.raises(ValueError):
         mirror.WeightedEntropyGeometry(np.array([1.0, 1.0]), 0.0)
-    with pytest.raises(ValueError):
-        mirror.L2Ball(-2.0)
-    with pytest.raises(ValueError):
-        mirror.InfBox(0.0)
 
 
 def test_per_row_projection_equals_stacked_projection_exactly():
-    # one constraint per row, across all-ball, all-box, and mixed masks: each
-    # row equals its one-row projection bit for bit, and the reference
-    # projection exactly on interior rows and box clamps; scaled ball rows
+    # one radius per row: each row equals its one-row projection bit for bit,
+    # and the reference projection exactly on interior rows; scaled rows
     # round in a different order from the reference, so within a few ulps
     rng = np.random.default_rng(91)
     for _ in range(50):
@@ -306,18 +279,12 @@ def test_per_row_projection_equals_stacked_projection_exactly():
         d = int(rng.integers(1, 6))
         # mix interior points with far-exterior ones
         w = rng.normal(scale=rng.choice([0.1, 5.0]), size=(b, d))
-        bound = rng.uniform(0.2, 2.0, size=b)
-        for box_mask in (
-            np.zeros(b, dtype=bool),
-            np.ones(b, dtype=bool),
-            rng.random(b) < 0.5,
-        ):
-            got = mirror.project_rows_per_row(w, box_mask, bound)
-            for i in range(b):
-                cons = mirror.InfBox(bound[i]) if box_mask[i] else mirror.L2Ball(bound[i])
-                want = reference_project(w[i], cons)
-                if box_mask[i] or np.linalg.norm(w[i]) <= bound[i]:
-                    np.testing.assert_array_equal(got[i], want)
-                else:
-                    np.testing.assert_allclose(got[i], want, rtol=1e-15, atol=0.0)
-                np.testing.assert_array_equal(mirror.project(cons, w[i]), got[i])
+        radius = rng.uniform(0.2, 2.0, size=b)
+        got = mirror.project_rows_per_row(w, radius)
+        for i in range(b):
+            want = reference_project(w[i], radius[i])
+            if np.linalg.norm(w[i]) <= radius[i]:
+                np.testing.assert_array_equal(got[i], want)
+            else:
+                np.testing.assert_allclose(got[i], want, rtol=1e-15, atol=0.0)
+            np.testing.assert_array_equal(_project_one(radius[i], w[i]), got[i])

@@ -1,6 +1,7 @@
 """Tests for the communication layer: epochs, frames, bit accounting,
 aggregation, and the epoch engine."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -402,14 +403,13 @@ def test_halving_the_epoch_count_halves_the_bits():
 
 def test_run_invariant_violation_aborts_the_run():
     streams = _constant_streams([1.0, 1.0], [1.0, 1.0])
-    tight_loss = make_space(IdentityMap(1), radius=1.0, loss_kind=Loss.SQUARE,
-                            loss_bound=1e-6)
+    space = make_space(IdentityMap(1), radius=1.0, loss_kind=Loss.SQUARE)
+    tight_loss = dataclasses.replace(space, loss_bound=1e-6)
     cfg = LearnerConfig(spaces=(tight_loss,), loss=Loss.SQUARE, clients=1,
                         subset_size=1, horizon=2)
     with pytest.raises(RunInvariantError, match="loss"):
         run_fomd_oms(cfg, streams)
-    tight_grad = make_space(IdentityMap(1), radius=1.0, loss_kind=Loss.SQUARE,
-                            lipschitz_bound=1e-6)
+    tight_grad = dataclasses.replace(space, lipschitz_bound=1e-6)
     cfg2 = LearnerConfig(spaces=(tight_grad,), loss=Loss.SQUARE, clients=1,
                          subset_size=1, horizon=2)
     with pytest.raises(RunInvariantError, match="gradient"):

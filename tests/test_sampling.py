@@ -23,7 +23,7 @@ def empirical_inclusion(p, j, n, seed=0):
     done = 0
     while done < n:
         chunk = min(200_000, n - done)
-        idx = sampling.subsets_from_uniforms(p, j, rng.random((chunk, j)))
+        idx = sampling.subsets_from_uniforms(p[None, :], j, rng.random((chunk, j)))
         np.add.at(counts, idx.ravel(), 1.0)
         done += chunk
     return counts / n
@@ -41,17 +41,19 @@ def test_subset_size_validation():
     p = random_simplex(RNG, 5)
     for j in (1, 6, 0):
         with pytest.raises(ValueError):
-            sampling.subsets_from_uniforms(p, j, _uniforms(1, 3, j))
-    out = sampling.subsets_from_uniforms(p, 5, _uniforms(1, 3, 5))  # J = K allowed
+            sampling.subsets_from_uniforms(p[None, :], j, _uniforms(1, 3, j))
+    out = sampling.subsets_from_uniforms(p[None, :], 5, _uniforms(1, 3, 5))  # J = K allowed
     assert all(sorted(row) == [0, 1, 2, 3, 4] for row in out.tolist())
+    with pytest.raises(ValueError, match=r"probs must be \(n, K\) or \(1, K\)"):
+        sampling.subsets_from_uniforms(p, 2, _uniforms(1, 3, 2))  # 1-d is refused
 
 
 def test_degenerate_single_space():
-    out = sampling.subsets_from_uniforms(np.array([1.0]), 1, _uniforms(0, 4, 1))
+    out = sampling.subsets_from_uniforms(np.array([[1.0]]), 1, _uniforms(0, 4, 1))
     np.testing.assert_array_equal(out, np.zeros((4, 1)))
     np.testing.assert_array_equal(sampling.inclusion_probabilities(np.array([1.0]), 1), [1.0])
     with pytest.raises(ValueError):
-        sampling.subsets_from_uniforms(np.array([1.0]), 2, _uniforms(0, 4, 2))
+        sampling.subsets_from_uniforms(np.array([[1.0]]), 2, _uniforms(0, 4, 2))
 
 
 def test_outcome_indices_distinct_lead_first():
@@ -59,7 +61,7 @@ def test_outcome_indices_distinct_lead_first():
         k = int(RNG.integers(2, 12))
         j = int(RNG.integers(2, k + 1))
         p = random_simplex(RNG, k)
-        idx = sampling.subsets_from_uniforms(p, j, _uniforms(int(RNG.integers(1e9)), 5, j))
+        idx = sampling.subsets_from_uniforms(p[None, :], j, _uniforms(int(RNG.integers(1e9)), 5, j))
         assert idx.shape == (5, j)
         assert all(len(set(row)) == j for row in idx.tolist())
         assert np.all((0 <= idx) & (idx < k))
@@ -69,13 +71,13 @@ def test_sampling_consumes_exactly_j_uniforms():
     # one row of J draws per decision; a table of any other width is refused
     p = random_simplex(RNG, 6)
     with pytest.raises(ValueError, match="3 slots per row, expected 2"):
-        sampling.subsets_from_uniforms(p, 2, _uniforms(77, 4, 3))
+        sampling.subsets_from_uniforms(p[None, :], 2, _uniforms(77, 4, 3))
 
 
 def test_sampling_is_deterministic_given_stream():
     p = random_simplex(RNG, 8)
-    a = sampling.subsets_from_uniforms(p, 4, rngmod.stream(5, rngmod.ROLE_SAMPLING, 2).random((6, 4)))
-    b = sampling.subsets_from_uniforms(p, 4, rngmod.stream(5, rngmod.ROLE_SAMPLING, 2).random((6, 4)))
+    a = sampling.subsets_from_uniforms(p[None, :], 4, rngmod.stream(5, rngmod.ROLE_SAMPLING, 2).random((6, 4)))
+    b = sampling.subsets_from_uniforms(p[None, :], 4, rngmod.stream(5, rngmod.ROLE_SAMPLING, 2).random((6, 4)))
     np.testing.assert_array_equal(a, b)
 
 
@@ -119,7 +121,7 @@ def test_lead_index_follows_p_chi_squared():
     p = np.array([0.4, 0.25, 0.2, 0.1, 0.05])
     n = 100_000
     u = rngmod.stream(9, ROLE_TEST).random((n, 2))
-    idx = sampling.subsets_from_uniforms(p, 2, u)
+    idx = sampling.subsets_from_uniforms(p[None, :], 2, u)
     counts = np.bincount(idx[:, 0], minlength=5)
     _, pval = stats.chisquare(counts, f_exp=p * n)
     assert pval > 0.001
@@ -130,7 +132,7 @@ def test_non_lead_uniform_over_complement():
     p = np.array([0.5, 0.3, 0.1, 0.1])
     n = 120_000
     u = rngmod.stream(11, ROLE_TEST).random((n, 2))
-    idx = sampling.subsets_from_uniforms(p, 2, u)
+    idx = sampling.subsets_from_uniforms(p[None, :], 2, u)
     mask = idx[:, 0] == 0
     counts = np.bincount(idx[mask, 1], minlength=4)[1:]
     _, pval = stats.chisquare(counts)
@@ -141,7 +143,7 @@ def test_per_row_and_shared_probs_agree():
     k = 6
     p = random_simplex(RNG, k)
     u = rngmod.stream(21, ROLE_TEST).random((500, 3))
-    shared = sampling.subsets_from_uniforms(p, 3, u)
+    shared = sampling.subsets_from_uniforms(p[None, :], 3, u)
     tiled = sampling.subsets_from_uniforms(np.tile(p, (500, 1)), 3, u)
     np.testing.assert_array_equal(shared, tiled)
 
@@ -174,7 +176,7 @@ def test_loss_estimator_is_unbiased_monte_carlo():
     true = np.array([1.0, 0.5, 2.0, 0.0, 3.0])
     n = 200_000
     u = rngmod.stream(13, ROLE_TEST).random((n, j))
-    idx = sampling.subsets_from_uniforms(p, j, u)
+    idx = sampling.subsets_from_uniforms(p[None, :], j, u)
     incl = sampling.inclusion_probabilities(p, j)
     member = np.zeros((n, k))
     member[np.arange(n)[:, None], idx] = 1.0
@@ -192,7 +194,7 @@ def test_estimator_range_bound():
         j = int(RNG.integers(2, k + 1))
         p = random_simplex(RNG, k)
         subset = sampling.subsets_from_uniforms(
-            p, j, _uniforms(int(RNG.integers(1e9)), 1, j))[0]
+            p[None, :], j, _uniforms(int(RNG.integers(1e9)), 1, j))[0]
         c = RNG.uniform(0, 1, size=j)  # losses bounded by 1
         est = _estimate(c, subset, sampling.inclusion_probabilities(p, j))
         assert np.all(est <= (k - 1.0) / (j - 1.0) + 1e-9)
@@ -204,7 +206,7 @@ def test_subset_size_matches_request(k, data):
     j = data.draw(st.integers(2, k))
     seed = data.draw(st.integers(0, 2**31 - 1))
     p = np.full(k, 1.0 / k)
-    idx = sampling.subsets_from_uniforms(p, j, _uniforms(seed, 3, j))
+    idx = sampling.subsets_from_uniforms(p[None, :], j, _uniforms(seed, 3, j))
     assert idx.shape == (3, j)
     incl = sampling.inclusion_probabilities(p, j)
     assert incl.shape == (k,)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from fedoms import rng as rngmod
 from fedoms import spaces
-from fedoms.mirror import InfBox, L2Ball
 
 from oracles import ROLE_TEST, finite_difference_gradient, gaussian_kernel
 
@@ -80,7 +79,6 @@ def test_feature_norm_bound_defaults():
     assert spaces.feature_norm_bound(spaces.CoordinateMap(5, 1)) == 1.0
     fm = spaces.gaussian_rff(2, 8, 1.0, RNG)
     assert spaces.feature_norm_bound(fm) == pytest.approx(math.sqrt(2.0))
-    assert spaces.feature_norm_bound(spaces.IdentityMap(9), domain_radius=2.5) == 2.5
 
 
 # --------------------------------------------------------------------------
@@ -162,11 +160,11 @@ def test_realized_values_never_exceed_default_bounds(kind, radius, scale):
     assert np.linalg.norm(g) <= space.lipschitz_bound + 1e-9
 
 
-def test_make_space_overrides():
-    space = spaces.make_space(
-        spaces.IdentityMap(2), 1.0, spaces.Loss.SQUARE,
-        constraint=InfBox(0.5), loss_bound=7.0, lipschitz_bound=3.0)
-    assert isinstance(space.constraint, InfBox)
-    assert space.loss_bound == 7.0 and space.lipschitz_bound == 3.0
-    default = spaces.make_space(spaces.IdentityMap(2), 1.0, spaces.Loss.SQUARE)
-    assert isinstance(default.constraint, L2Ball)
+def test_make_space_derives_every_bound_from_the_radius():
+    space = spaces.make_space(spaces.IdentityMap(4), 0.5, spaces.Loss.SQUARE)
+    assert space.feature_bound == 2.0
+    assert (space.loss_bound, space.lipschitz_bound) == spaces.default_constants(
+        spaces.Loss.SQUARE, 0.5, 2.0)
+    for radius in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            spaces.make_space(spaces.IdentityMap(4), radius, spaces.Loss.SQUARE)
