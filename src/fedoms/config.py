@@ -28,8 +28,14 @@ from .data import (
     preprocess_and_partition,
     synthetic_linear,
 )
-from .learners import LearnerConfig, check_update_steps, run_fomd_oms, run_nco_oms
-from .protocol import EpochSchedule, ProtocolError, check_header_fields
+from .learners import (
+    LearnerConfig,
+    check_epochs,
+    check_update_steps,
+    run_fomd_oms,
+    run_nco_oms,
+)
+from .protocol import ProtocolError, check_header_fields
 from .results import RunArtifact
 from .sampling import validate_subset_size
 from .spaces import (
@@ -130,8 +136,8 @@ def _as_number(value, field: str) -> float:
 
 def _check_schedule(horizon: int, epochs: int) -> None:
     try:
-        EpochSchedule(horizon, epochs)
-    except ProtocolError as exc:
+        check_epochs(horizon, epochs)
+    except ValueError as exc:
         raise ConfigError(str(exc), field="epochs") from exc
 
 
@@ -351,7 +357,13 @@ def build_spaces(config: ExperimentConfig, input_dim: int) -> tuple:
             feature_map = gaussian_rff(
                 input_dim, spec.features, spec.width,
                 rng.stream(config.seed, rng.ROLE_FEATURES, position))
-        built.append(make_space(feature_map, spec.radius, Loss(config.loss)))
+        try:
+            built.append(make_space(feature_map, spec.radius, Loss(config.loss)))
+        except ValueError as exc:  # a radius whose bounds leave the float range
+            raise ConfigError(
+                f"spaces[{position}].radius is too large for "
+                f"{input_dim}-dimensional inputs: {exc}",
+                field=f"spaces[{position}].radius") from exc
     return tuple(built)
 
 

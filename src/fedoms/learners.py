@@ -1,6 +1,13 @@
 """Complete learners: step-size schedules, the cooperative and noncooperative
 drivers, and regret accounting.
 
+A run is a :class:`LearnerConfig`, which checks the run's shape when it is
+built, plus the two objects of :mod:`fedoms.protocol` the driver makes from
+it: a ``RunSetup`` that the run reads (spaces, streams, sampling uniforms,
+step sizes) and a ``ServerState`` that it writes (distributions, models,
+trace).  The schedules are closed forms in plain numbers (K, J, clients,
+update steps) and the spaces' radius, Lipschitz and loss-bound arrays.
+
 Both learners run the one round kernel, :func:`fedoms.protocol.run_epoch`.
 The cooperative learner (:func:`run_fomd_oms`) runs it with one server for
 all M clients over its communication epochs; the noncooperative baseline
@@ -22,11 +29,8 @@ from .data import Streams
 from .mirror import materialize, project_rows_per_row
 from .protocol import (
     AuditLog,
-    ClientBatch,
-    EpochSchedule,
     RunSetup,
     ServerState,
-    TraceBuffers,
     check_header_fields,
     run_epoch,
 )
@@ -36,8 +40,8 @@ from .sampling import validate_subset_size
 from .spaces import HypothesisSpace, Loss, loss_derivative, loss_value
 
 __all__ = [
-    "ScheduleParams",
     "LearnerConfig",
+    "check_epochs",
     "check_update_steps",
     "eta_schedule",
     "lambda_schedule",
@@ -53,6 +57,11 @@ logger = logging.getLogger("fedoms.learners")
 
 # ---------------------------------------------------------------------------
 # Step-size schedules
+#
+# ``steps`` is the number of update steps a server takes: the round horizon
+# T for per-round communication, or the epoch count R for the batched
+# protocol.  ``clients`` is the number of clients a server averages over:
+# M for the cooperative learner, 1 for the noncooperative baseline.
 
 
 def check_update_steps(num_spaces: int, steps: int) -> None:
@@ -63,110 +72,86 @@ def check_update_steps(num_spaces: int, steps: int) -> None:
             f"(got {num_spaces} * {steps})")
 
 
-@dataclass(frozen=True)
-class ScheduleParams:
-    """Inputs of the step-size schedules.
+def check_epochs(horizon: int, epochs: int) -> None:
+    """Reject an epoch count below 1 or one that leaves a ragged final epoch.
 
-    ``horizon`` is the number of update steps the server takes: the round
-    horizon T for per-round communication, or the epoch count R for the
-    batched protocol.  The noncooperative baseline uses ``clients=1``.
+    Decisions are frozen within an epoch and communication happens once per
+    epoch, so the ``horizon`` rounds must split into ``epochs`` equal blocks
+    rather than be silently truncated.
     """
-
-    num_spaces: int
-    subset_size: int
-    clients: int
-    horizon: int
-    radii: tuple[float, ...]
-    lipschitz: tuple[float, ...]
-    loss_bounds: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        validate_subset_size(self.subset_size, self.num_spaces)
-        if self.clients < 1:
-            raise ValueError(f"clients must be >= 1, got {self.clients}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        check_update_steps(self.num_spaces, self.horizon)
-        for name in ("radii", "lipschitz", "loss_bounds"):
-            vals = getattr(self, name)
-            if len(vals) != self.num_spaces:
-                raise ValueError(f"{name} has {len(vals)} entries, expected {self.num_spaces}")
-            if not all(np.isfinite(v) and v > 0 for v in vals):
-                raise ValueError(f"{name} entries must be positive and finite, got {vals}")
-
-    @staticmethod
-    def from_spaces(
-        spaces: "tuple[HypothesisSpace, ...] | list[HypothesisSpace]",
-        subset_size: int,
-        clients: int,
-        horizon: int,
-    ) -> "ScheduleParams":
-        return ScheduleParams(
-            num_spaces=len(spaces),
-            subset_size=subset_size,
-            clients=clients,
-            horizon=horizon,
-            radii=tuple(float(s.radius) for s in spaces),
-            lipschitz=tuple(float(s.lipschitz_bound) for s in spaces),
-            loss_bounds=tuple(float(s.loss_bound) for s in spaces),
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if horizon % epochs != 0:
+        raise ValueError(
+            f"epochs must divide the horizon exactly ({horizon} rounds "
+            f"over {epochs} epochs leaves a remainder)"
         )
 
-    @property
-    def exploration_ratio(self) -> float:
-        """(K - J) / (J - 1): the variance overhead of sampling J of K spaces."""
-        if self.num_spaces == 1:
-            return 0.0
-        return (self.num_spaces - self.subset_size) / (self.subset_size - 1.0)
 
-    @property
-    def variance_factor(self) -> float:
-        """1 + exploration_ratio / clients, the schedule's horizon inflation."""
-        return 1.0 + self.exploration_ratio / self.clients
+def _exploration_ratio(num_spaces: int, subset_size: int) -> float:
+    """(K - J) / (J - 1): the variance overhead of sampling J of K spaces."""
+    if num_spaces == 1:
+        return 0.0
+    return (num_spaces - subset_size) / (subset_size - 1.0)
 
 
-def eta_schedule(params: ScheduleParams) -> float:
-    """Mirror-step rate: sqrt(ln(K*H)) / (2 sqrt(variance_factor * H)), capped.
+def eta_schedule(num_spaces: int, subset_size: int, clients: int, steps: int) -> float:
+    """Mirror-step rate: sqrt(ln(K*H)) / (2 sqrt(v * H)), capped.
 
-    The same at every update step.  The cap (J-1)/(2(K-J)) keeps the
-    implicit exponential weights stable when the sampled subset is much
-    smaller than K; it disappears at J=K.
+    ``v = 1 + exploration ratio / clients`` inflates the horizon ``H =
+    steps``.  The rate is the same at every update step.  The cap
+    (J-1)/(2(K-J)) keeps the implicit exponential weights stable when the
+    sampled subset is much smaller than K; it disappears at J=K.
     """
 
-    K, J, H = params.num_spaces, params.subset_size, params.horizon
-    rate = float(np.sqrt(np.log(K * H)) / (2.0 * np.sqrt(params.variance_factor * H)))
+    K, J, H = num_spaces, subset_size, steps
+    variance = 1.0 + _exploration_ratio(K, J) / clients
+    rate = float(np.sqrt(np.log(K * H)) / (2.0 * np.sqrt(variance * H)))
     if J < K:
         rate = min(rate, (J - 1.0) / (2.0 * (K - J)))
     return rate
 
 
-def lambda_schedule(params: ScheduleParams, rounds: np.ndarray) -> np.ndarray:
+def lambda_schedule(
+    radii: np.ndarray,
+    lipschitz: np.ndarray,
+    subset_size: int,
+    clients: int,
+    steps: int,
+    rounds: np.ndarray,
+) -> np.ndarray:
     """(len(rounds), K) parameter step sizes, one row per update step in ``rounds``.
 
-    Space i's step size is flat at its t = exploration_ratio^2 value until
-    ``t`` exceeds that threshold, then decays as 1/sqrt(t); non-increasing
-    throughout.  Every ``t`` must lie in [1, horizon].  Elementwise IEEE
-    operations: a row comes out the same bits whichever call computes it.
+    Space i's step size radii[i] / (lipschitz[i] * 2 sqrt(v * t)) is flat at
+    its t = exploration_ratio^2 value until ``t`` exceeds that threshold,
+    then decays as 1/sqrt(t); non-increasing throughout.  Every ``t`` must
+    lie in [1, steps].  Elementwise IEEE operations: a row comes out the
+    same bits whichever call computes it.
     """
     rounds = np.asarray(rounds, dtype=float)
-    if not ((rounds >= 1).all() and (rounds <= params.horizon).all()):
-        raise ValueError(f"rounds must lie in [1, {params.horizon}], got "
+    if not ((rounds >= 1).all() and (rounds <= steps).all()):
+        raise ValueError(f"rounds must lie in [1, {steps}], got "
                          f"{rounds.min():g} to {rounds.max():g}")
-    g = params.exploration_ratio
-    denom = 2.0 * np.sqrt(params.variance_factor * np.maximum(g * g, rounds))
-    return np.asarray(params.radii) / (np.asarray(params.lipschitz) * denom[:, None])
+    radii = np.asarray(radii)
+    g = _exploration_ratio(radii.shape[0], subset_size)
+    denom = 2.0 * np.sqrt((1.0 + g / clients) * np.maximum(g * g, rounds))
+    return radii / (np.asarray(lipschitz) * denom[:, None])
 
 
-def initial_distribution(params: ScheduleParams, uniform: bool = False) -> np.ndarray:
+def initial_distribution(loss_bounds: np.ndarray, steps: int,
+                         uniform: bool = False) -> np.ndarray:
     """Initial sampling distribution: nearly all mass on the cheapest space.
 
     Every space gets 1/sqrt(K*H) and the spaces of minimal loss bound split
-    the remaining 1 - sqrt(K/H) evenly — starting at the least costly space
-    caps the worst-case early loss.  ``uniform=True`` selects the flat
-    benchmark preset instead; when K >= H the formula would leave nothing to
-    split, so the uniform fallback is used with a logged warning.
+    the remaining 1 - sqrt(K/H) evenly, with H = ``steps`` — starting at the
+    least costly space caps the worst-case early loss.  ``uniform=True``
+    selects the flat benchmark preset instead; when K >= H the formula would
+    leave nothing to split, so the uniform fallback is used with a logged
+    warning.
     """
 
-    K, H = params.num_spaces, params.horizon
+    bounds = np.asarray(loss_bounds)
+    K, H = bounds.shape[0], steps
     if uniform:
         p = np.full(K, 1.0 / K)
     elif K >= H:
@@ -175,7 +160,6 @@ def initial_distribution(params: ScheduleParams, uniform: bool = False) -> np.nd
         )
         p = np.full(K, 1.0 / K)
     else:
-        bounds = np.asarray(params.loss_bounds)
         cheapest = bounds == bounds.min()
         p = np.full(K, 1.0 / np.sqrt(K * H))
         p += (1.0 - np.sqrt(K / H)) * cheapest / cheapest.sum()
@@ -193,7 +177,8 @@ class LearnerConfig:
     ``epochs`` (cooperative learner only) batches the horizon into that many
     communication rounds; ``None`` communicates every round.  ``audit``
     additionally pushes every message through the serialized wire path and
-    cross-checks it against the vectorized engine.
+    cross-checks it against the vectorized engine.  ``loss`` may be given as
+    its string value; it is stored as a :class:`Loss`.
     """
 
     spaces: tuple[HypothesisSpace, ...]
@@ -209,6 +194,7 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.spaces, tuple):
             object.__setattr__(self, "spaces", tuple(self.spaces))
+        object.__setattr__(self, "loss", Loss(self.loss))
         if not self.spaces:
             raise ValueError("at least one hypothesis space is required")
         validate_subset_size(self.subset_size, len(self.spaces))
@@ -217,7 +203,9 @@ class LearnerConfig:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.epochs is not None:
-            EpochSchedule(self.horizon, self.epochs)  # validates divisibility
+            check_epochs(self.horizon, self.epochs)
+        # the baseline steps T >= R times, so this bounds both learners
+        check_update_steps(self.num_spaces, self.effective_epochs)
 
     @property
     def num_spaces(self) -> int:
@@ -250,14 +238,14 @@ def _assemble(
     algorithm: str,
     config: LearnerConfig,
     streams: Streams,
-    schedule: EpochSchedule,
-    buffers: TraceBuffers,
+    epochs: int,
+    state: ServerState,
     final_probs: np.ndarray,
     wall: float,
     audit: AuditLog | None,
 ) -> RunArtifact:
     M, T = config.clients, config.horizon
-    N = schedule.rounds_per_epoch
+    N = T // epochs
     meta = dict(streams.meta)
     meta.update(seed=config.master_seed, subset_size=config.subset_size)
     if audit is not None:
@@ -267,20 +255,20 @@ def _assemble(
         algorithm=algorithm,
         clients=M,
         horizon=T,
-        epochs=schedule.epochs,
+        epochs=epochs,
         num_spaces=config.num_spaces,
         round_ids=np.repeat(np.arange(1, T + 1, dtype=np.int64), M),
         client_ids=np.tile(np.arange(M, dtype=np.int64), T),
         epoch_ids=np.repeat(np.arange(T, dtype=np.int64) // N + 1, M),
-        lead_indices=buffers.leads.ravel(),
-        predictions=buffers.predictions.ravel(),
-        losses=buffers.losses.ravel(),
+        lead_indices=state.leads.ravel(),
+        predictions=state.predictions.ravel(),
+        losses=state.losses.ravel(),
         targets=np.ascontiguousarray(streams.ys, dtype=float).T.ravel(),
-        uplink_bits=buffers.uplink_bits.ravel(),
-        downlink_bits=buffers.downlink_bits.ravel(),
+        uplink_bits=state.uplink_bits.ravel(),
+        downlink_bits=state.downlink_bits.ravel(),
         final_probs=final_probs,
-        total_uplink_bits=int(buffers.uplink_bits.sum()),
-        total_downlink_bits=int(buffers.downlink_bits.sum()),
+        total_uplink_bits=int(state.uplink_bits.sum()),
+        total_downlink_bits=int(state.downlink_bits.sum()),
         wall_seconds=wall,
         meta=meta,
     )
@@ -289,48 +277,60 @@ def _assemble(
 def _run_servers(
     config: LearnerConfig,
     streams: Streams,
-    servers: int,
-    schedule: EpochSchedule,
-    params: ScheduleParams,
-    communicates: bool,
-) -> tuple[ServerState, TraceBuffers, float, AuditLog | None]:
-    """Run every epoch of ``schedule`` on ``servers`` server states.
+    epochs: int,
+    cooperative: bool,
+) -> tuple[ServerState, float, AuditLog | None]:
+    """Run ``epochs`` equal communication epochs and return the final state.
 
-    Each server starts from the initial distribution of ``params`` and zero
-    models, and steps with the schedules of ``params``.  Returns the final
-    state, the trace, the wall time of the epoch loop and the audit log.
+    The cooperative learner runs one server that averages over all M clients
+    and communicates; the baseline runs one silent server per client.  Each
+    server starts from the initial distribution and zero models, and steps
+    with the schedules of its client count over ``epochs`` update steps.
+    Returns the final state, the wall time of the epoch loop and the audit
+    log.
     """
-    M, T = config.clients, config.horizon
-    audit = AuditLog() if communicates and config.audit else None
+    M, T, K, J = config.clients, config.horizon, config.num_spaces, config.subset_size
+    servers, clients = (1, M) if cooperative else (M, 1)
+    audit = AuditLog() if cooperative and config.audit else None
     if audit is not None:  # fail before the first epoch, not at its frames
-        check_header_fields(schedule.epochs, M - 1, config.subset_size)
+        check_header_fields(epochs, M - 1, J)
+    spaces = config.spaces
+    radii = np.array([s.radius for s in spaces], dtype=float)
+    lipschitz = np.array([s.lipschitz_bound for s in spaces], dtype=float)
+    loss_bounds = np.array([s.loss_bound for s in spaces], dtype=float)
     setup = RunSetup(
-        spaces=config.spaces,
+        spaces=spaces,
         loss=config.loss,
-        subset_size=config.subset_size,
-        epochs=schedule,
-        mirror_rate=eta_schedule(params),
-        param_rates=lambda_schedule(params, np.arange(1.0, schedule.epochs + 1.0)),
-        audit=audit,
-        communicates=communicates,
-    )
-    log_p = np.log(initial_distribution(params, uniform=config.uniform_init))
-    state = ServerState(
-        log_p=np.tile(log_p, (servers, 1)),
-        weights=np.zeros((servers, config.num_spaces, setup.max_dim)),
-    )
-    batch = ClientBatch(
+        subset_size=J,
         # the kernel gathers rows and columns into new arrays, so a
         # broadcast view (one stream shared by every client) is not copied
         xs=np.asarray(streams.xs, dtype=float),
         ys=np.asarray(streams.ys, dtype=float),
-        uniforms=sampling_uniforms(config.master_seed, M, T, config.subset_size),
+        uniforms=sampling_uniforms(config.master_seed, M, T, J),
+        rounds_per_epoch=T // epochs,
+        radii=radii,
+        lipschitz=lipschitz,
+        loss_bounds=loss_bounds,
+        mirror_rate=eta_schedule(K, J, clients, epochs),
+        param_rates=lambda_schedule(radii, lipschitz, J, clients, epochs,
+                                    np.arange(1.0, epochs + 1.0)),
+        audit=audit,
+        communicates=cooperative,
     )
-    buffers = TraceBuffers.allocate(T, M)
+    log_p = np.log(initial_distribution(loss_bounds, epochs, uniform=config.uniform_init))
+    state = ServerState(
+        log_p=np.tile(log_p, (servers, 1)),
+        weights=np.zeros((servers, K, setup.max_dim)),
+        predictions=np.zeros((T, M)),
+        losses=np.zeros((T, M)),
+        leads=np.zeros((T, M), dtype=np.int64),
+        uplink_bits=np.zeros((T, M), dtype=np.int64),
+        downlink_bits=np.zeros((T, M), dtype=np.int64),
+    )
     start = time.perf_counter()
-    for epoch in range(1, schedule.epochs + 1):
-        run_epoch(state, setup, batch, epoch, buffers)
-    return state, buffers, time.perf_counter() - start, audit
+    for epoch in range(1, epochs + 1):
+        run_epoch(state, setup, epoch)
+    return state, time.perf_counter() - start, audit
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +348,10 @@ def run_fomd_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
     """
 
     _validate_pair(config, streams)
-    schedule = EpochSchedule(config.horizon, config.effective_epochs)
-    params = ScheduleParams.from_spaces(
-        config.spaces, config.subset_size, config.clients, schedule.epochs
-    )
-    state, buffers, wall, audit = _run_servers(
-        config, streams, 1, schedule, params, communicates=True
-    )
+    epochs = config.effective_epochs
+    state, wall, audit = _run_servers(config, streams, epochs, cooperative=True)
     return _assemble(
-        "fomd_oms", config, streams, schedule, buffers,
+        "fomd_oms", config, streams, epochs, state,
         materialize(state.log_p)[0], wall, audit,
     )
 
@@ -378,15 +373,9 @@ def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
         raise ValueError(
             "the noncooperative learner has no communication epochs; leave epochs unset"
         )
-    schedule = EpochSchedule(config.horizon, config.horizon)
-    params = ScheduleParams.from_spaces(
-        config.spaces, config.subset_size, 1, config.horizon
-    )
-    state, buffers, wall, _ = _run_servers(
-        config, streams, config.clients, schedule, params, communicates=False
-    )
+    state, wall, _ = _run_servers(config, streams, config.horizon, cooperative=False)
     return _assemble(
-        "nco_oms", config, streams, schedule, buffers,
+        "nco_oms", config, streams, config.horizon, state,
         materialize(state.log_p), wall, None,
     )
 

@@ -2,18 +2,19 @@
 
 This module owns everything that crosses the client/server boundary:
 
-* :class:`EpochSchedule` — partition of the round horizon into equal
-  communication epochs.
 * :class:`DownlinkMessage` / :class:`UplinkMessage` — the logical payloads
   exchanged once per epoch, plus :class:`Frame` with a byte-exact wire
   encoding (header + IEEE-754 single floats + bit-packed indices).
 * :func:`account_bits` — closed-form information-bit cost of each message.
 * :func:`aggregate_reports` — the server-side merge of client reports into
   importance-weighted loss/gradient estimates.
-* :class:`ServerState` / :func:`run_epoch` — the round kernel: one
-  communication epoch of S servers, vectorized across clients.  The
-  cooperative learner runs it with one server for all clients, the
-  noncooperative baseline with one server per client and no messages.
+* :func:`run_epoch` — the round kernel: one communication epoch of S
+  servers, vectorized across clients.  It reads a :class:`RunSetup` (the
+  spaces, the client streams, the pre-drawn sampling uniforms and the step
+  sizes) and writes a :class:`ServerState` (the distributions, the models
+  and the round-by-round trace).  The cooperative learner runs it with one
+  server for all clients, the noncooperative baseline with one server per
+  client and no messages.
 
 The engine keeps each server's sampling distribution in log space (see
 :mod:`fedoms.mirror` for why) and its models as one zero-padded (K, d_max)
@@ -53,7 +54,6 @@ from .spaces import (
 __all__ = [
     "ProtocolError",
     "RunInvariantError",
-    "EpochSchedule",
     "DownlinkMessage",
     "UplinkMessage",
     "Frame",
@@ -67,16 +67,14 @@ __all__ = [
     "decode_frame",
     "aggregate_reports",
     "ServerState",
-    "ClientBatch",
     "RunSetup",
-    "TraceBuffers",
     "AuditLog",
     "run_epoch",
 ]
 
 
 class ProtocolError(ValueError):
-    """Raised for malformed schedules, messages, or frames."""
+    """Raised for malformed messages or frames, or epochs run out of order."""
 
 
 class RunInvariantError(RuntimeError):
@@ -86,39 +84,6 @@ class RunInvariantError(RuntimeError):
     schedules, so a violation silently invalidates every guarantee of the
     run; we abort instead of continuing with a broken configuration.
     """
-
-
-# ---------------------------------------------------------------------------
-# Epoch bookkeeping
-
-
-@dataclass(frozen=True)
-class EpochSchedule:
-    """Partition of ``horizon`` rounds into ``epochs`` equal blocks.
-
-    Decisions are frozen within a block and communication happens once per
-    block: model broadcast at the first round, report upload at the last.
-    ``horizon % epochs`` must be zero — ragged final epochs are rejected
-    rather than silently truncated.
-    """
-
-    horizon: int
-    epochs: int
-
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ProtocolError(f"horizon must be >= 1, got {self.horizon}")
-        if self.epochs < 1:
-            raise ProtocolError(f"epochs must be >= 1, got {self.epochs}")
-        if self.horizon % self.epochs != 0:
-            raise ProtocolError(
-                f"epochs must divide the horizon exactly ({self.horizon} rounds "
-                f"over {self.epochs} epochs leaves a remainder)"
-            )
-
-    @property
-    def rounds_per_epoch(self) -> int:
-        return self.horizon // self.epochs
 
 
 # ---------------------------------------------------------------------------
@@ -449,63 +414,52 @@ def aggregate_reports(
 
 @dataclass
 class ServerState:
-    """Mutable state of S servers threaded through epochs.
+    """What a run writes: S servers' distributions and models, and the trace.
 
     Row ``s`` of ``log_p`` (S, K) is server ``s``'s sampling distribution in
     log space, and ``weights[s, i]`` (S, K, d_max) its parameter vector of
     space ``i``, zero past that space's width.  Client ``j`` of ``M`` belongs
     to server ``j * S // M``: the cooperative learner runs one server for
     every client (S=1) and the noncooperative baseline one per client (S=M).
-    The bits of every message are recorded in the trace (:class:`TraceBuffers`).
+    The five (horizon, clients) panels hold the trace: the lead space, its
+    prediction and loss per round and client, and the bits of every message,
+    charged at an epoch's first (downlink) and last (uplink) round.
     """
 
     log_p: np.ndarray
     weights: np.ndarray
+    predictions: np.ndarray
+    losses: np.ndarray
+    leads: np.ndarray
+    uplink_bits: np.ndarray
+    downlink_bits: np.ndarray
     epochs_done: int = 0
 
 
 @dataclass(frozen=True)
-class ClientBatch:
-    """Per-client data and pre-drawn sampling randomness for a whole run.
+class RunSetup:
+    """What a run reads: the same for every epoch.
 
     ``uniforms[j, t - 1]`` holds the uniform variates the server consumes
     when it samples the subset for client ``j`` at round ``t``; with one
     decision per epoch only the first-round slot of each epoch is read, so
     batched and unbatched runs consume identical randomness per decision.
-    """
-
-    xs: np.ndarray  # (clients, horizon, input_dim)
-    ys: np.ndarray  # (clients, horizon)
-    uniforms: np.ndarray  # (clients, horizon, subset_size)
-
-    def __post_init__(self) -> None:
-        if self.xs.ndim != 3 or self.ys.ndim != 2 or self.uniforms.ndim != 3:
-            raise ProtocolError("xs must be (M,T,d), ys (M,T), uniforms (M,T,J)")
-        if self.xs.shape[:2] != self.ys.shape or self.xs.shape[:2] != self.uniforms.shape[:2]:
-            raise ProtocolError(
-                f"inconsistent shapes: xs {self.xs.shape}, ys {self.ys.shape}, "
-                f"uniforms {self.uniforms.shape}"
-            )
-
-    @property
-    def count(self) -> int:
-        return self.xs.shape[0]
-
-
-@dataclass(frozen=True)
-class RunSetup:
-    """Immutable per-run configuration shared by every epoch.
-
-    The cached properties gather per-space constants once per run; epochs
-    slice them instead of rebuilding arrays from the space objects.
-    ``communicates`` is False for the noncooperative baseline: its clients
-    send nothing, so no bits are charged and there is no wire to audit.
+    ``radii``, ``lipschitz`` and ``loss_bounds`` are the spaces' (K,)
+    constants, gathered once per run.  ``communicates`` is False for the
+    noncooperative baseline: its clients send nothing, so no bits are
+    charged and there is no wire to audit.
     """
 
     spaces: tuple[HypothesisSpace, ...]
     loss: Loss
     subset_size: int
-    epochs: EpochSchedule
+    xs: np.ndarray  # (clients, horizon, input_dim)
+    ys: np.ndarray  # (clients, horizon)
+    uniforms: np.ndarray  # (clients, horizon, subset_size)
+    rounds_per_epoch: int
+    radii: np.ndarray
+    lipschitz: np.ndarray
+    loss_bounds: np.ndarray
     mirror_rate: float  # eta, constant across epochs
     param_rates: np.ndarray  # (epochs, K) step sizes; row e - 1 is epoch e
     audit: "AuditLog | None" = None
@@ -525,27 +479,17 @@ class RunSetup:
         return int(self.dims.max())
 
     @cached_property
-    def scales(self) -> np.ndarray:
-        return np.array([s.loss_bound for s in self.spaces], dtype=float)
-
-    @cached_property
     def mirror_geometry(self) -> WeightedEntropyGeometry:
         """The sampling distribution's entropy geometry: loss-bound scales, rate eta."""
-        return WeightedEntropyGeometry(self.scales, self.mirror_rate)
+        return WeightedEntropyGeometry(self.loss_bounds, self.mirror_rate)
 
     @cached_property
     def limits(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-space (loss limit, squared gradient-norm limit) for bound checks."""
         tol = 1e-9
-        loss_limits = self.scales * (1.0 + 1e-12) + tol
-        lipschitz = np.array([s.lipschitz_bound for s in self.spaces])
-        g_limits = lipschitz * (1.0 + 1e-12) + tol
+        loss_limits = self.loss_bounds * (1.0 + 1e-12) + tol
+        g_limits = self.lipschitz * (1.0 + 1e-12) + tol
         return loss_limits, g_limits * g_limits
-
-    @cached_property
-    def constraints(self) -> np.ndarray:
-        """(K,) per-space ball radii for row-batched projections."""
-        return np.array([s.radius for s in self.spaces], dtype=float)
 
     @cached_property
     def feature_columns(self) -> np.ndarray | None:
@@ -564,27 +508,6 @@ class RunSetup:
     def identity_features(self) -> bool:
         """True when every space feeds the raw input through unchanged."""
         return all(isinstance(s.feature_map, IdentityMap) for s in self.spaces)
-
-
-@dataclass
-class TraceBuffers:
-    """Round-by-round trace of a run, one (horizon, clients) panel per field."""
-
-    predictions: np.ndarray
-    losses: np.ndarray
-    leads: np.ndarray
-    uplink_bits: np.ndarray
-    downlink_bits: np.ndarray
-
-    @staticmethod
-    def allocate(horizon: int, clients: int) -> "TraceBuffers":
-        return TraceBuffers(
-            predictions=np.zeros((horizon, clients)),
-            losses=np.zeros((horizon, clients)),
-            leads=np.zeros((horizon, clients), dtype=np.int64),
-            uplink_bits=np.zeros((horizon, clients), dtype=np.int64),
-            downlink_bits=np.zeros((horizon, clients), dtype=np.int64),
-        )
 
 
 @dataclass
@@ -690,7 +613,9 @@ def _check_bounds(
     ``losses`` and ``grad_sq`` (squared gradient norms) are flat arrays
     sorted into one segment per space of ``touched``, starting at
     ``starts``; the limits are aligned with ``touched``.  The tests are
-    written as ``not (worst <= limit)`` so that a NaN fails them.
+    written as ``not (worst <= limit)`` so that a NaN fails them.  Losses
+    must also be non-negative, which the entropy step requires; a linear
+    loss goes negative once a space's radius times feature bound passes 1.
     """
     worst = np.maximum.reduceat(losses, starts)
     ok = worst <= loss_limit
@@ -701,6 +626,14 @@ def _check_bounds(
             f"round {round_index}: space {i} produced loss {float(worst[k]):.6g} "
             f"outside its declared bound {spaces[i].loss_bound:.6g}; the "
             f"step-size schedule is invalid for this data"
+        )
+    if not (losses >= 0.0).all():
+        least = np.minimum.reduceat(losses, starts)
+        k = int(np.flatnonzero(~(least >= 0.0))[0])
+        raise RunInvariantError(
+            f"round {round_index}: space {int(touched[k])} produced loss "
+            f"{float(least[k]):.6g} below zero; the entropy step needs "
+            f"non-negative losses"
         )
     # compare squared norms; take the square root only to report a failure
     worst = np.maximum.reduceat(grad_sq, starts)
@@ -716,13 +649,7 @@ def _check_bounds(
         )
 
 
-def run_epoch(
-    state: ServerState,
-    setup: RunSetup,
-    clients: ClientBatch,
-    epoch: int,
-    buffers: TraceBuffers,
-) -> None:
+def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     """Advance every server by one communication epoch.
 
     Epoch ``epoch`` (1-based): each server samples a subset of spaces for
@@ -731,7 +658,7 @@ def run_epoch(
     reports epoch-averaged raw losses and gradients; each server applies
     importance weights, averages over its clients, and takes one mirror step
     on its sampling distribution plus one projected-gradient step per space
-    its clients sampled.  Writes per-round trace rows into ``buffers``,
+    its clients sampled.  Writes per-round trace rows into ``state``,
     including, when ``setup.communicates``, the exact bits of every message.
 
     All per-(client, space) work runs on flat arrays sorted by space.  Its
@@ -750,18 +677,18 @@ def run_epoch(
         raise ProtocolError(
             f"epochs must run in order: got {epoch}, expected {state.epochs_done + 1}"
         )
-    M = clients.count
+    M = setup.ys.shape[0]
     S = state.log_p.shape[0]
     if S != 1 and S != M:
         raise ProtocolError(f"{S} servers for {M} clients; expected 1 or {M}")
-    N = setup.epochs.rounds_per_epoch
+    N = setup.rounds_per_epoch
     t0 = (epoch - 1) * N  # 0-based index of the epoch's first round
     K = setup.num_spaces
     J = setup.subset_size
     spaces = setup.spaces
 
     probs = materialize(state.log_p)
-    indices = subsets_from_uniforms(probs, J, clients.uniforms[:, t0, :])
+    indices = subsets_from_uniforms(probs, J, setup.uniforms[:, t0, :])
     inclusion = inclusion_probabilities(probs, J)
 
     groups = group_subsets(indices)
@@ -787,14 +714,14 @@ def run_epoch(
     for t in range(t0, t0 + N):
         # the fused gathers pick the same floats the per-space maps would
         if columns is not None:
-            yt = clients.ys[rows, t]
-            phi = clients.xs[rows, t, flat_columns][:, None]
+            yt = setup.ys[rows, t]
+            phi = setup.xs[rows, t, flat_columns][:, None]
         elif identity:
-            yt = clients.ys[rows, t]
-            phi = clients.xs[rows, t, :]
+            yt = setup.ys[rows, t]
+            phi = setup.xs[rows, t, :]
         else:
-            xt = clients.xs[:, t, :][rows]
-            yt = clients.ys[:, t][rows]
+            xt = setup.xs[:, t, :][rows]
+            yt = setup.ys[:, t][rows]
             for k in range(touched.size):
                 seg = slice(ends[k], ends[k + 1])
                 phi[seg, :widths[k]] = spaces[touched[k]].feature_map(xt[seg])
@@ -812,8 +739,8 @@ def run_epoch(
         else:
             loss_sum = loss_sum + closs
             grad_sum = grad_sum + dvals[:, None] * phi
-        buffers.predictions[t, lead_rows] = values[lead_mask]
-        buffers.losses[t, lead_rows] = closs[lead_mask]
+        state.predictions[t, lead_rows] = values[lead_mask]
+        state.losses[t, lead_rows] = closs[lead_mask]
 
     # Server aggregation: mean over the epoch, importance weight, mean over
     # the server's clients.  Spaces outside every subset estimate to zero.
@@ -849,13 +776,13 @@ def run_epoch(
                 mean_losses, mean_grads, inclusion[0], loss_est[0], stepped,
                 grad_est, down_bits, up_bits,
             )
-        buffers.downlink_bits[t0] = down_bits
-        buffers.uplink_bits[t0 + N - 1] = up_bits
+        state.downlink_bits[t0] = down_bits
+        state.uplink_bits[t0 + N - 1] = up_bits
 
     rates = setup.param_rates[epoch - 1]
     state.weights[servers, stepped] = project_rows_per_row(
-        w_old - rates[stepped][:, None] * grad_est, setup.constraints[stepped]
+        w_old - rates[stepped][:, None] * grad_est, setup.radii[stepped]
     )
     state.log_p = entropy_step_log_batch(state.log_p, loss_est, setup.mirror_geometry)
-    buffers.leads[t0:t0 + N] = indices[:, 0][None, :]
+    state.leads[t0:t0 + N] = indices[:, 0][None, :]
     state.epochs_done = epoch

@@ -183,16 +183,23 @@ def default_constants(kind: Loss, radius: float, feature_bound: float) -> tuple[
 
 @dataclass(frozen=True)
 class HypothesisSpace:
-    """One candidate model class: a feature map and the L2 ball of ``radius``."""
+    """One candidate model class: a feature map and the L2 ball of ``radius``.
+
+    The radius and the three bounds must all be positive and finite: the
+    step sizes divide by the Lipschitz bound and scale with the radius, and
+    the entropy geometry divides by the loss bound.
+    """
     feature_map: FeatureMap
-    radius: float
-    feature_bound: float = 0.0
-    loss_bound: float = 0.0       # C_i: upper bound on per-round losses
-    lipschitz_bound: float = 0.0  # G_i: upper bound on per-round gradient norms
+    radius: float           # U_i: the weights' L2 ball
+    feature_bound: float    # upper bound on ||phi(x)||_2
+    loss_bound: float       # C_i: upper bound on per-round losses
+    lipschitz_bound: float  # G_i: upper bound on per-round gradient norms
 
     def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        for name in ("radius", "feature_bound", "loss_bound", "lipschitz_bound"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def dim(self) -> int:
@@ -200,8 +207,16 @@ class HypothesisSpace:
 
 
 def make_space(feature_map: FeatureMap, radius: float, loss_kind: Loss) -> HypothesisSpace:
-    """Assemble a space with the bounds its radius and feature map imply."""
+    """Assemble a space with the bounds its radius and feature map imply.
+
+    Raises ``ValueError`` when a bound is not a positive finite float, which
+    includes a radius so large that a bound leaves the float range.
+    """
     b = feature_norm_bound(feature_map)
-    loss_bound, lipschitz_bound = default_constants(loss_kind, radius, b)
+    try:
+        loss_bound, lipschitz_bound = default_constants(loss_kind, radius, b)
+    except OverflowError as exc:  # the square loss's (a + 1) ** 2
+        raise ValueError(
+            f"radius {radius:g} puts the loss bound past the float range") from exc
     return HypothesisSpace(feature_map=feature_map, radius=radius, feature_bound=b,
                            loss_bound=loss_bound, lipschitz_bound=lipschitz_bound)

@@ -382,8 +382,7 @@ def test_criterion_09_communication_bit_accounting(capfd):
 
 
 def test_criterion_10_step_size_schedules_match_independent_evaluator(capfd):
-    from fedoms.learners import (ScheduleParams, eta_schedule,
-                                 initial_distribution, lambda_schedule)
+    from fedoms.learners import eta_schedule, initial_distribution, lambda_schedule
 
     gen = frng.stream(2, oracles.ROLE_TEST)
     worst = 0.0
@@ -395,9 +394,6 @@ def test_criterion_10_step_size_schedules_match_independent_evaluator(capfd):
         radii = tuple(float(r) for r in gen.uniform(0.05, 4.0, num_spaces))
         lipschitz = tuple(float(g) for g in gen.uniform(0.1, 8.0, num_spaces))
         bounds = tuple(float(c) for c in gen.uniform(0.5, 9.0, num_spaces))
-        params = ScheduleParams(num_spaces=num_spaces, subset_size=subset_size,
-                                clients=clients, horizon=horizon, radii=radii,
-                                lipschitz=lipschitz, loss_bounds=bounds)
         ratio = (num_spaces - subset_size) / (subset_size - 1)
         if point % 3 == 0 and ratio >= 1.0:
             # land inside the flat head of the parameter schedule
@@ -406,14 +402,15 @@ def test_criterion_10_step_size_schedules_match_independent_evaluator(capfd):
             t = int(gen.integers(1, horizon + 1))
         space = int(gen.integers(num_spaces))
         worst = max(worst, abs(
-            eta_schedule(params)
+            eta_schedule(num_spaces, subset_size, clients, horizon)
             - oracles.schedule_eta(num_spaces, subset_size, clients, horizon)))
         worst = max(worst, abs(
-            lambda_schedule(params, np.array([float(t)]))[0, space]
+            lambda_schedule(radii, lipschitz, subset_size, clients, horizon,
+                            np.array([float(t)]))[0, space]
             - oracles.schedule_lambda(radii[space], lipschitz[space],
                                       num_spaces, subset_size, clients, t)))
         worst = max(worst, float(np.abs(
-            initial_distribution(params)
+            initial_distribution(bounds, horizon)
             - oracles.schedule_initial(bounds, num_spaces, horizon)).max()))
     ok = worst <= 1e-12
     _report(capfd, 10, ok,

@@ -340,6 +340,16 @@ def test_library_errors_keep_the_json_error_contract(error, tmp_path, capsys,
                     "message": "round 3: something broke"}
 
 
+def test_run_reports_a_radius_whose_loss_bound_overflows(tmp_path, capsys):
+    # (radius * sqrt(3) + 1) ** 2 overflows; the space cannot be built
+    path = _write_config(tmp_path, spaces=[{"kind": "identity", "radius": 1e200},
+                                           {"kind": "identity"}])
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["kind"] == "ConfigError" and blob["field"] == "spaces[0].radius"
+    assert "past the float range" in blob["message"]
+
+
 def test_run_rejects_coordinate_index_out_of_range(tmp_path, capsys):
     path = _write_config(
         tmp_path,

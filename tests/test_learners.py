@@ -10,7 +10,6 @@ import oracles
 from fedoms.data import AdversarialSpec, Streams, generate_adversarial, synthetic_linear
 from fedoms.learners import (
     LearnerConfig,
-    ScheduleParams,
     best_fixed_hypothesis,
     eta_schedule,
     initial_distribution,
@@ -31,11 +30,8 @@ from fedoms.spaces import (
 )
 
 
-def _params(K, J, M, T, U=1.0, G=1.0, C=1.0):
-    return ScheduleParams(
-        num_spaces=K, subset_size=J, clients=M, horizon=T,
-        radii=(U,) * K, lipschitz=(G,) * K, loss_bounds=(C,) * K,
-    )
+def _lambda(K, J, M, T, rounds, U=1.0, G=1.0):
+    return lambda_schedule((U,) * K, (G,) * K, J, M, T, rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -44,43 +40,38 @@ def _params(K, J, M, T, U=1.0, G=1.0, C=1.0):
 
 def test_eta_matches_hand_value():
     # K=10, J=2, M=10, T=10000: sqrt(ln 1e5) / (2 sqrt(1.8e4)), cap 1/16
-    params = _params(10, 2, 10, 10_000, G=4.0)
     expected = np.sqrt(np.log(1e5)) / (2.0 * np.sqrt(1.8e4))
     assert expected < 1.0 / 16.0
-    assert eta_schedule(params) == pytest.approx(expected, abs=1e-15)
+    assert eta_schedule(10, 2, 10, 10_000) == pytest.approx(expected, abs=1e-15)
 
 
 def test_eta_cap_engages_for_small_subsets():
     # short horizon makes the first term large; the cap (J-1)/(2(K-J)) wins
-    params = _params(10, 2, 1, 4)
-    assert eta_schedule(params) == pytest.approx(1.0 / 16.0, abs=1e-15)
+    assert eta_schedule(10, 2, 1, 4) == pytest.approx(1.0 / 16.0, abs=1e-15)
 
 
 def test_eta_has_no_cap_at_full_subsets():
-    params = _params(3, 3, 1, 50)
     expected = np.sqrt(np.log(150)) / (2.0 * np.sqrt(50.0))
-    assert eta_schedule(params) == pytest.approx(expected, abs=1e-15)
+    assert eta_schedule(3, 3, 1, 50) == pytest.approx(expected, abs=1e-15)
 
 
 def test_lambda_matches_hand_value_and_is_flat_early():
     # K=10, J=2, M=10, U=1, G=4: flat at 1/(8 sqrt(1.8*64)) until t > 64
-    params = _params(10, 2, 10, 10_000, G=4.0)
     expected = 1.0 / (8.0 * np.sqrt(1.8 * 64.0))
-    at_1, at_64, at_65 = lambda_schedule(params, [1, 64, 65])[:, 0]
+    at_1, at_64, at_65 = _lambda(10, 2, 10, 10_000, [1, 64, 65], G=4.0)[:, 0]
     assert at_1 == pytest.approx(expected, rel=1e-12)
     assert at_64 == at_1
     assert at_65 < at_64
 
 
 def test_lambda_reduces_to_inverse_sqrt_t_at_full_subsets():
-    params = _params(4, 4, 1, 100, U=0.5, G=2.0)
-    for t, rate in zip((1, 10, 99), lambda_schedule(params, [1, 10, 99])[:, 2]):
+    rates = _lambda(4, 4, 1, 100, [1, 10, 99], U=0.5, G=2.0)[:, 2]
+    for t, rate in zip((1, 10, 99), rates):
         assert rate == pytest.approx(0.5 / (2.0 * 2.0 * np.sqrt(t)), rel=1e-12)
 
 
 def test_lambda_is_non_increasing():
-    params = _params(12, 3, 4, 500, U=2.0, G=3.0)
-    values = lambda_schedule(params, np.arange(1, 501))[:, 5].tolist()
+    values = _lambda(12, 3, 4, 500, np.arange(1, 501), U=2.0, G=3.0)[:, 5].tolist()
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -92,36 +83,29 @@ def test_schedules_match_independent_evaluator_on_a_grid():
         M = int(rng.integers(1, 30))
         T = int(rng.integers(2, 100_000))
         U, G = float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5))
-        params = _params(K, J, M, T, U=U, G=G)
         t = int(rng.integers(1, T + 1))
-        assert eta_schedule(params) == pytest.approx(
+        assert eta_schedule(K, J, M, T) == pytest.approx(
             oracles.schedule_eta(K, J, M, T), abs=1e-12, rel=1e-12
         )
-        assert lambda_schedule(params, [t])[0, 0] == pytest.approx(
+        assert _lambda(K, J, M, T, [t], U=U, G=G)[0, 0] == pytest.approx(
             oracles.schedule_lambda(U, G, K, J, M, t), abs=1e-12, rel=1e-12
         )
 
 
 def test_initial_distribution_frozen_example():
     # K=10, T=1000, unique cheapest space: 0.91 for it, 0.01 for the rest
-    params = ScheduleParams(
-        num_spaces=10, subset_size=2, clients=1, horizon=1000,
-        radii=(1.0,) * 10, lipschitz=(1.0,) * 10,
-        loss_bounds=(1.0,) + (2.0,) * 9,
-    )
-    p = initial_distribution(params)
+    p = initial_distribution((1.0,) + (2.0,) * 9, 1000)
     assert p[0] == pytest.approx(0.91, abs=1e-12)
     assert np.allclose(p[1:], 0.01, atol=1e-12)
     assert p.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_initial_distribution_splits_ties_and_has_uniform_presets(caplog):
-    params = _params(4, 2, 1, 100)  # all loss bounds equal
-    assert np.allclose(initial_distribution(params), 0.25, atol=1e-15)
-    assert np.allclose(initial_distribution(params, uniform=True), 0.25, atol=1e-15)
-    short = _params(8, 2, 1, 5)  # K >= horizon: uniform fallback with warning
+    bounds = (1.0,) * 4  # all loss bounds equal
+    assert np.allclose(initial_distribution(bounds, 100), 0.25, atol=1e-15)
+    assert np.allclose(initial_distribution(bounds, 100, uniform=True), 0.25, atol=1e-15)
     with caplog.at_level("WARNING", logger="fedoms.learners"):
-        p = initial_distribution(short)
+        p = initial_distribution((1.0,) * 8, 5)  # K >= horizon: uniform fallback
     assert np.allclose(p, 1.0 / 8.0, atol=1e-15)
     assert any("falling back to uniform" in r.message for r in caplog.records)
 
@@ -132,31 +116,16 @@ def test_initial_distribution_is_a_simplex_point_for_many_sizes():
         K = int(rng.integers(2, 50))
         T = int(rng.integers(K + 1, 10_000))
         bounds = tuple(float(b) for b in rng.uniform(0.5, 3.0, size=K))
-        params = ScheduleParams(
-            num_spaces=K, subset_size=2, clients=1, horizon=T,
-            radii=(1.0,) * K, lipschitz=(1.0,) * K, loss_bounds=bounds,
-        )
-        p = initial_distribution(params)
+        p = initial_distribution(bounds, T)
         assert (p > 0).all()
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(p, oracles.schedule_initial(bounds, K, T), atol=1e-12)
 
 
-def test_schedule_params_validation():
-    with pytest.raises(ValueError, match="2 <= J <= K"):
-        _params(5, 1, 1, 100)
-    with pytest.raises(ValueError, match="clients"):
-        _params(5, 2, 0, 100)
-    with pytest.raises(ValueError, match="horizon"):
-        _params(5, 2, 1, 0)
-    with pytest.raises(ValueError, match="positive"):
-        ScheduleParams(num_spaces=2, subset_size=2, clients=1, horizon=10,
-                       radii=(1.0, -1.0), lipschitz=(1.0, 1.0), loss_bounds=(1.0, 1.0))
-    with pytest.raises(ValueError, match="update steps"):
-        _params(1, 1, 1, 1)  # K * steps = 1: the mirror rate would be 0
+def test_lambda_schedule_rejects_rounds_outside_the_horizon():
     for outside in ([101], [0], [1, 101], [np.nan]):
         with pytest.raises(ValueError, match=r"rounds must lie in \[1, 100\]"):
-            lambda_schedule(_params(5, 2, 1, 100), outside)
+            _lambda(5, 2, 1, 100, outside)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +388,24 @@ def test_learner_config_validation():
     with pytest.raises(Exception, match="divide"):
         LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=1, subset_size=2,
                       horizon=10, epochs=3)
+    with pytest.raises(ValueError, match="clients must be >= 1"):
+        LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=0, subset_size=2, horizon=10)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=1, subset_size=2, horizon=0)
+    # K * update steps = 1: the mirror rate would be 0, so construction fails
+    # and not the first run
+    one = spaces[:1]
+    with pytest.raises(ValueError, match="update steps must be >= 2"):
+        LearnerConfig(spaces=one, loss=Loss.SQUARE, clients=1, subset_size=1, horizon=1)
+    with pytest.raises(ValueError, match="update steps must be >= 2"):
+        LearnerConfig(spaces=one, loss=Loss.SQUARE, clients=1, subset_size=1,
+                      horizon=10, epochs=1)
+    LearnerConfig(spaces=one, loss=Loss.SQUARE, clients=1, subset_size=1, horizon=2)
+    # a loss given by its value is stored as the enum the kernel compares
+    cfg = LearnerConfig(spaces=spaces, loss="square", clients=1, subset_size=2, horizon=10)
+    assert cfg.loss is Loss.SQUARE
+    with pytest.raises(ValueError, match="bogus"):
+        LearnerConfig(spaces=spaces, loss="bogus", clients=1, subset_size=2, horizon=10)
 
 
 def test_streams_must_match_config():
@@ -632,10 +619,6 @@ def test_engine_invariants_hold_on_random_small_configs(run):
             assert bits - index_bits in {32 * s for s in sums}
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a linear-loss space whose radius * feature_bound exceeds 1 yields negative "
-    "losses, which no bound check names: fomd runs on, nco's mirror step raises "
-    "a bare ValueError (the linear-loss FOUND line in CHANGES.md)"))
 @pytest.mark.parametrize("learner", [run_fomd_oms, run_nco_oms])
 def test_linear_loss_past_unit_reach_fails_as_a_named_invariant(learner):
     space = make_space(IdentityMap(2), 2.0, Loss.LINEAR)

@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedoms.learners import LearnerConfig, run_fomd_oms, run_nco_oms
+from fedoms.learners import LearnerConfig, check_epochs, run_fomd_oms, run_nco_oms
 from fedoms.data import Streams, synthetic_linear
 from fedoms.protocol import (
     AuditLog,
-    ClientBatch,
     DownlinkMessage,
-    EpochSchedule,
     Frame,
     KIND_DOWNLINK,
     KIND_UPLINK,
@@ -33,30 +31,33 @@ from fedoms.spaces import IdentityMap, Loss, make_space
 
 
 # ---------------------------------------------------------------------------
-# EpochSchedule
+# Epoch schedule
 
 
 def test_epoch_schedule_partitions_rounds():
-    sched = EpochSchedule(horizon=12, epochs=3)
-    assert sched.rounds_per_epoch == 4
     # the trace labels rounds 1-4 epoch 1, rounds 5-8 epoch 2, and so on
     art = run_fomd_oms(_one_space_config(12, epochs=3), _constant_streams([1.0] * 12, [0.5] * 12))
+    assert art.epochs == 3
     assert art.epoch_ids.tolist() == [1] * 4 + [2] * 4 + [3] * 4
     assert art.round_ids.tolist() == list(range(1, 13))
 
 
 def test_epoch_schedule_rejects_ragged_split():
-    with pytest.raises(ProtocolError, match="divide"):
-        EpochSchedule(horizon=10, epochs=3)
-    with pytest.raises(ProtocolError):
-        EpochSchedule(horizon=0, epochs=1)
-    with pytest.raises(ProtocolError):
-        EpochSchedule(horizon=10, epochs=0)
+    check_epochs(12, 3)
+    with pytest.raises(ValueError, match="divide"):
+        check_epochs(10, 3)
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        check_epochs(10, 0)
+    # the learner's config applies the same rule, and its own horizon check
+    with pytest.raises(ValueError, match="divide"):
+        _one_space_config(10, epochs=3)
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        _one_space_config(10, epochs=0)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        _one_space_config(0, epochs=1)
 
 
 def test_single_round_epochs_are_the_identity_schedule():
-    sched = EpochSchedule(horizon=7, epochs=7)
-    assert sched.rounds_per_epoch == 1
     art = run_fomd_oms(_one_space_config(7), _constant_streams([1.0] * 7, [0.5] * 7))
     assert art.epochs == 7
     assert art.epoch_ids.tolist() == art.round_ids.tolist() == list(range(1, 8))
@@ -431,13 +432,6 @@ def test_nan_target_aborts_naming_the_round_and_space(run_learner):
     # J=K: client 1 samples both spaces, and space 0 is checked first
     with pytest.raises(RunInvariantError, match="round 7: space 0 produced loss nan"):
         run_learner(cfg, streams)
-
-
-def test_client_batch_validates_shapes():
-    with pytest.raises(ProtocolError):
-        ClientBatch(xs=np.zeros((2, 5, 3)), ys=np.zeros((2, 4)), uniforms=np.zeros((2, 5, 2)))
-    with pytest.raises(ProtocolError):
-        ClientBatch(xs=np.zeros((2, 5)), ys=np.zeros((2, 5)), uniforms=np.zeros((2, 5, 2)))
 
 
 def test_audit_log_reports_cleanliness():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -168,3 +169,19 @@ def test_make_space_derives_every_bound_from_the_radius():
     for radius in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="radius must be positive"):
             spaces.make_space(spaces.IdentityMap(4), radius, spaces.Loss.SQUARE)
+
+
+def test_space_bounds_must_be_positive_and_finite():
+    space = spaces.make_space(spaces.IdentityMap(4), 0.5, spaces.Loss.SQUARE)
+    for name in ("radius", "feature_bound", "loss_bound", "lipschitz_bound"):
+        for value in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                dataclasses.replace(space, **{name: value})
+    with pytest.raises(TypeError):
+        spaces.HypothesisSpace(spaces.IdentityMap(4), 0.5)  # the bounds are required
+    # a finite radius whose bounds leave the float range: the square loss
+    # bound (a + 1) ** 2 overflows, the absolute one comes out inf
+    with pytest.raises(ValueError, match="past the float range"):
+        spaces.make_space(spaces.IdentityMap(3), 1e200, spaces.Loss.SQUARE)
+    with pytest.raises(ValueError, match="loss_bound must be positive and finite"):
+        spaces.make_space(spaces.IdentityMap(4), 1e308, spaces.Loss.ABSOLUTE)
