@@ -3,15 +3,16 @@
 Subcommands:
 
 * ``validate <config.json>`` -- check a config file and report the parsed
-  shape without running anything.
+  shape without running anything; for a synthetic data source, whose input
+  width the config states, it also builds the spaces.
 * ``run <config.json>`` -- execute one experiment; writes ``trace.csv`` and
   ``summary.json`` into the output directory.
 * ``ab <config.json>`` -- paired comparison of the federated and the
   noncooperative learner over shared seeds; prints a per-seed table to
   stderr and writes ``ab.json``.
 * ``audit-bits <config.json>`` -- run with the wire-format audit enabled and
-  write ``audit.json`` recording whether every frame's encoded payload
-  matched the analytic bit account.
+  write ``audit.json`` recording whether every frame matched the analytic
+  bit account and round-tripped, and every mismatch the replay found.
 
 Every subcommand prints one JSON object to stdout; all failures print a
 machine-readable JSON error object there and exit with status 2.  The
@@ -32,6 +33,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     build_experiment,
+    build_spaces,
     load_config,
     resolve_output_dir,
     run_from_config,
@@ -75,6 +77,10 @@ def _config_digest(config: ExperimentConfig) -> dict:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
+    if config.data.source != "csv":
+        # a synthetic source states the input width, so the spaces can be
+        # built here: a radius whose bounds overflow fails now, not at run
+        build_spaces(config, config.data.input_dim)
     _emit({"status": "ok", "config": _config_digest(config)})
     return 0
 

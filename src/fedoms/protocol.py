@@ -5,9 +5,18 @@ This module owns everything that crosses the client/server boundary:
 * :class:`DownlinkMessage` / :class:`UplinkMessage` — the logical payloads
   exchanged once per epoch, plus :class:`Frame` with a byte-exact wire
   encoding (header + IEEE-754 single floats + bit-packed indices).
+  :func:`encode_frames` / :func:`decode_frames` are the one implementation
+  of that layout: they code a whole batch of frames with a fixed number of
+  numpy calls, and the one-message encoders and :func:`decode_frame` are
+  their one-frame case.
 * :func:`account_bits` — closed-form information-bit cost of each message.
 * :func:`aggregate_reports` — the server-side merge of client reports into
-  importance-weighted loss/gradient estimates.
+  importance-weighted loss/gradient estimates, one scatter-add per quantity.
+* the wire audit: with ``setup.audit`` set, each epoch's downlink frames and
+  then its uplink frames are encoded and decoded as one batch each, and
+  every check (bits against the closed form, header epoch, client id and
+  kind, indices, floats to single precision in both directions, and the
+  aggregation against the engine's) runs once over the batch.
 * :func:`run_epoch` — the round kernel: one communication epoch of S
   servers, vectorized across clients.  It reads a :class:`RunSetup` (the
   spaces, the client streams, the pre-drawn sampling uniforms and the step
@@ -23,7 +32,6 @@ block, so spaces of mixed widths share every code path.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -62,6 +70,8 @@ __all__ = [
     "KIND_UPLINK",
     "bits_per_index",
     "account_bits",
+    "encode_frames",
+    "decode_frames",
     "encode_downlink",
     "encode_uplink",
     "decode_frame",
@@ -142,8 +152,9 @@ KIND_DOWNLINK = 0
 KIND_UPLINK = 1
 
 # epoch u32 | client u32 | payload bits u32 | kind u8 | index count u8 | pad u16
-_HEADER = struct.Struct("<IIIBBH")
-HEADER_BYTES = _HEADER.size  # 16
+_HEADER = np.dtype([("epoch", "<u4"), ("client_id", "<u4"), ("payload_bits", "<u4"),
+                    ("kind", "u1"), ("index_count", "u1"), ("pad", "<u2")])
+HEADER_BYTES = _HEADER.itemsize  # 16
 
 
 def check_header_fields(epoch: int, client_id: int, index_count: int,
@@ -180,23 +191,24 @@ class Frame:
     payload: bytes
 
     def to_bytes(self) -> bytes:
-        header = _HEADER.pack(
-            self.epoch, self.client_id, self.payload_bits, self.kind, self.index_count, 0
-        )
-        return header + self.payload
+        header = np.array((self.epoch, self.client_id, self.payload_bits, self.kind,
+                           self.index_count, 0), dtype=_HEADER)
+        return header.tobytes() + self.payload
 
     @staticmethod
     def from_bytes(blob: bytes) -> "Frame":
         if len(blob) < HEADER_BYTES:
             raise ProtocolError(f"frame shorter than header: {len(blob)} bytes")
-        epoch, client_id, payload_bits, kind, count, _pad = _HEADER.unpack_from(blob)
+        header = np.frombuffer(blob, dtype=_HEADER, count=1)[0]
         payload = blob[HEADER_BYTES:]
+        payload_bits = int(header["payload_bits"])
         if payload_bits > 8 * len(payload):
             raise ProtocolError(
                 f"header claims {payload_bits} payload bits but only "
                 f"{8 * len(payload)} are present"
             )
-        return Frame(epoch, client_id, payload_bits, kind, count, payload)
+        return Frame(int(header["epoch"]), int(header["client_id"]), payload_bits,
+                     int(header["kind"]), int(header["index_count"]), payload)
 
 
 def bits_per_index(num_spaces: int) -> int:
@@ -225,75 +237,164 @@ def account_bits(message: DownlinkMessage | UplinkMessage, num_spaces: int) -> i
     raise TypeError(f"unsupported message {message!r}")
 
 
-def _pack_indices(indices: Sequence[int], num_spaces: int) -> tuple[bytes, int]:
-    """Bit-pack indices most-significant-first, zero-padded to a whole byte."""
-    q = bits_per_index(num_spaces)
-    acc = 0
-    for i in indices:
-        if not 0 <= int(i) < num_spaces:
-            raise ProtocolError(f"index {i} out of range [0, {num_spaces})")
-        acc = (acc << q) | int(i)
-    nbits = q * len(indices)
-    pad = (-nbits) % 8
-    acc <<= pad
-    return acc.to_bytes((nbits + pad) // 8, "big"), nbits
+def _left_justify(values: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move each row's ``valid`` entries of ``values`` (n, C) to the row's front.
+
+    Returns the (n, F) table, F the longest row, and the (n,) entry counts;
+    entries past a row's count are zero.
+    """
+    counts = valid.sum(axis=1)
+    table = np.zeros((values.shape[0], int(counts.max())))
+    table[np.arange(table.shape[1]) < counts[:, None]] = values[valid]
+    return table, counts
 
 
-def _unpack_indices(blob: bytes, count: int, num_spaces: int) -> tuple[int, ...]:
+def encode_frames(kind: int, epoch: int, client_ids: np.ndarray, indices: np.ndarray,
+                  floats: np.ndarray, counts: np.ndarray,
+                  num_spaces: int) -> tuple[np.ndarray, np.ndarray]:
+    """Serialize n frames of one kind and epoch into one back-to-back buffer.
+
+    Frame ``r`` goes to client ``client_ids[r]`` and carries the first
+    ``counts[r]`` entries of ``floats[r]`` as little-endian f32, then the J
+    indices of ``indices[r]`` packed ceil(log2 K) bits each, most significant
+    bit first, zero-padded to a whole byte.  The frames are built as the rows
+    of one (n, longest frame) byte table, which a row-length mask compacts.
+    Returns the uint8 buffer and the (n,) frame lengths in bytes.
+    """
+    n, J = indices.shape
     q = bits_per_index(num_spaces)
-    nbits = q * count
-    if len(blob) != (nbits + 7) // 8:
+    if not (indices.min(initial=0) >= 0 and indices.max(initial=0) < num_spaces):
+        outside = indices[(indices < 0) | (indices >= num_spaces)]
+        raise ProtocolError(f"index {int(outside[0])} out of range [0, {num_spaces})")
+    bits = 32 * counts + q * J
+    check_header_fields(epoch, int(client_ids.min()), J)
+    check_header_fields(epoch, int(client_ids.max()), J, int(bits.max()))
+    index_bytes = (q * J + 7) // 8
+    lengths = HEADER_BYTES + 4 * counts + index_bytes
+    width = HEADER_BYTES + 4 * floats.shape[1] + index_bytes
+    header = np.zeros(n, dtype=_HEADER)
+    header["epoch"] = epoch
+    header["client_id"] = client_ids
+    header["payload_bits"] = bits
+    header["kind"] = kind
+    header["index_count"] = J
+    table = np.empty((n, width), dtype=np.uint8)
+    table[:, :HEADER_BYTES] = header.view(np.uint8).reshape(n, HEADER_BYTES)
+    table[:, HEADER_BYTES:width - index_bytes] = (
+        np.ascontiguousarray(floats, dtype="<f4").view(np.uint8))
+    index_bits = (indices[:, :, None] >> np.arange(q - 1, -1, -1)) & 1
+    columns = (lengths - index_bytes)[:, None] + np.arange(index_bytes)
+    table[np.arange(n)[:, None], columns] = np.packbits(index_bits.reshape(n, q * J), axis=1)
+    if (lengths == width).all():  # the mask would keep every byte
+        return table.reshape(-1), lengths
+    return table[np.arange(width) < lengths[:, None]], lengths
+
+
+def decode_frames(buffer: np.ndarray, lengths: np.ndarray, num_spaces: int,
+                  dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parse back-to-back frames of one index count: the inverse of :func:`encode_frames`.
+
+    ``lengths`` delimits the frames of ``buffer``; ``dims`` gives every
+    space's parameter dimension, which splits the float block once the
+    indices are known.  Each header's ``payload_bits`` must equal the bits
+    its payload carries: 8 per float byte plus ceil(log2 K) per index.
+    Returns the (n,) headers (a structured array with the header's field
+    names), the (n, J) indices, the (n, J) mean losses that open an uplink
+    payload (zero for a downlink frame) and the (n, J, d_max) weight or
+    gradient vectors in index order, zero past each space's width.  Floats
+    come back as float64.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n = lengths.size
+    width = int(lengths.max())
+    if int(lengths.min()) < HEADER_BYTES:
+        raise ProtocolError(f"frame shorter than header: {int(lengths.min())} bytes")
+    if np.size(buffer) != int(lengths.sum()):
+        raise ProtocolError(f"the frames span {int(lengths.sum())} bytes but the "
+                            f"buffer holds {np.size(buffer)}")
+    if (lengths == width).all():
+        table = np.reshape(buffer, (n, width))
+    else:  # zero past each frame's end
+        table = np.zeros((n, width), dtype=np.uint8)
+        table[np.arange(width) < lengths[:, None]] = buffer
+    header = table[:, :HEADER_BYTES].copy().view(_HEADER)[:, 0]
+    J = int(header["index_count"][0])
+    if (header["index_count"] != J).any():
+        raise ProtocolError("the frames of one batch must carry the same index count")
+    q = bits_per_index(num_spaces)
+    index_bytes = (q * J + 7) // 8
+    float_bytes = lengths - (HEADER_BYTES + index_bytes)
+    if (float_bytes < 0).any():
+        raise ProtocolError("payload too short for declared index count")
+    carried = 8 * float_bytes + q * J
+    off = header["payload_bits"] != carried
+    if off.any():
+        r = int(np.flatnonzero(off)[0])
         raise ProtocolError(
-            f"index block is {len(blob)} bytes, expected {(nbits + 7) // 8}"
+            f"header claims {int(header['payload_bits'][r])} payload bits but the "
+            f"payload carries {int(carried[r])}"
         )
-    acc = int.from_bytes(blob, "big")
-    pad = 8 * len(blob) - nbits
-    if acc & ((1 << pad) - 1):
+    columns = (HEADER_BYTES + float_bytes)[:, None] + np.arange(index_bytes)
+    index_bits = np.unpackbits(table[np.arange(n)[:, None], columns], axis=1)
+    if index_bits[:, q * J:].any():
         raise ProtocolError("index block has non-zero padding bits")
-    acc >>= pad
-    out = []
-    for _ in range(count):
-        acc, low = divmod(acc, 1 << q) if q else (acc, 0)
-        out.append(low)
-    out.reverse()
-    for i in out:
-        if i >= num_spaces:
-            raise ProtocolError(f"decoded index {i} out of range [0, {num_spaces})")
-    return tuple(out)
+    indices = index_bits[:, :q * J].reshape(n, J, q) @ (1 << np.arange(q - 1, -1, -1))
+    if indices.max(initial=0) >= num_spaces:
+        raise ProtocolError(f"decoded index {int(indices[indices >= num_spaces][0])} "
+                            f"out of range [0, {num_spaces})")
+    ordered = np.sort(indices, axis=1)
+    twice = ordered[:, 1:] == ordered[:, :-1]
+    if twice.any():
+        r, a = np.argwhere(twice)[0]
+        raise ProtocolError(f"frame for client {int(header['client_id'][r])} names "
+                            f"space {int(ordered[r, a])} twice")
+    kinds = header["kind"]
+    if kinds.max() > KIND_UPLINK:  # the kinds are 0 and 1
+        raise ProtocolError(f"unknown frame kind {int(kinds[kinds > KIND_UPLINK][0])}")
+    if (float_bytes % 4).any():
+        raise ProtocolError("float block is not a whole number of 4-byte floats")
+    counts = float_bytes // 4
+    widths = np.asarray(dims, dtype=np.int64)[indices]
+    uplink = kinds == KIND_UPLINK
+    lead = uplink * J  # the mean losses that open an uplink payload
+    want = lead + widths.sum(axis=1)
+    off = counts != want
+    if off.any():
+        r = int(np.flatnonzero(off)[0])
+        raise ProtocolError(
+            f"{'uplink' if uplink[r] else 'downlink'} float block has "
+            f"{int(counts[r])} values, expected {int(want[r])}"
+        )
+    span = (width - HEADER_BYTES - index_bytes) // 4
+    # the bytes past a row's floats are not floats: widen only the floats
+    floats = table[:, HEADER_BYTES:HEADER_BYTES + 4 * span].copy().view("<f4")
+    columns = np.arange(span)
+    vectors = np.zeros((n, J, int(np.max(dims))))
+    vectors[np.arange(vectors.shape[2]) < widths[:, :, None]] = floats[
+        (columns >= lead[:, None]) & (columns < counts[:, None])]
+    losses = np.where(uplink[:, None], floats[:, :J].astype(float), 0.0)
+    return header, indices, losses, vectors
 
 
-def _float_block(vectors: Sequence[np.ndarray]) -> bytes:
-    return b"".join(np.asarray(v, dtype="<f4").tobytes() for v in vectors)
-
-
-def _frame(message: DownlinkMessage | UplinkMessage, kind: int, num_spaces: int,
-           floats: bytes) -> Frame:
-    # a decoded frame's fields come from fixed-width header fields, so only
-    # the encoders need the header check
-    packed, _ = _pack_indices(message.indices, num_spaces)
-    bits = account_bits(message, num_spaces)
-    check_header_fields(message.epoch, message.client_id, len(message.indices), bits)
-    return Frame(
-        epoch=message.epoch,
-        client_id=message.client_id,
-        payload_bits=bits,
-        kind=kind,
-        index_count=len(message.indices),
-        payload=floats + packed,
-    )
+def _encode_message(message: DownlinkMessage | UplinkMessage, kind: int,
+                    vectors: Sequence[np.ndarray], num_spaces: int) -> Frame:
+    floats = np.concatenate(
+        [np.empty(0, dtype="<f4"), *(np.asarray(v, dtype="<f4").ravel() for v in vectors)])
+    buffer, _ = encode_frames(kind, message.epoch, np.array([message.client_id]),
+                              np.array([message.indices], dtype=np.int64),
+                              floats[None, :], np.array([floats.size]), num_spaces)
+    return Frame.from_bytes(buffer.tobytes())
 
 
 def encode_downlink(message: DownlinkMessage, num_spaces: int) -> Frame:
     """Serialize a broadcast: f32 weights in index order, then packed indices."""
-    return _frame(message, KIND_DOWNLINK, num_spaces, _float_block(message.weights))
+    return _encode_message(message, KIND_DOWNLINK, message.weights, num_spaces)
 
 
 def encode_uplink(message: UplinkMessage, num_spaces: int) -> Frame:
     """Serialize a report: f32 mean losses, f32 mean gradients, packed indices."""
-    floats = _float_block([np.asarray(message.mean_losses)]) + _float_block(
-        message.mean_gradients
-    )
-    return _frame(message, KIND_UPLINK, num_spaces, floats)
+    return _encode_message(message, KIND_UPLINK,
+                           (message.mean_losses, *message.mean_gradients), num_spaces)
 
 
 def decode_frame(
@@ -301,55 +402,39 @@ def decode_frame(
 ) -> DownlinkMessage | UplinkMessage:
     """Parse a frame back into a message (floats come back as float64).
 
-    ``dims`` gives the parameter dimension of every space, so the decoder can
-    slice the float block once the trailing indices are known.  The header's
-    ``payload_bits`` must equal the bits the payload carries: 8 per float
-    byte plus ceil(log2 K) per index.
+    The one-frame case of :func:`decode_frames`, which checks the header's
+    bit count, the index block and the float block's length.
     """
-
-    q = bits_per_index(num_spaces)
-    nidx_bytes = (q * frame.index_count + 7) // 8
-    if nidx_bytes > len(frame.payload):
-        raise ProtocolError("payload too short for declared index count")
-    split = len(frame.payload) - nidx_bytes
-    carried = 8 * split + q * frame.index_count
-    if frame.payload_bits != carried:
-        raise ProtocolError(
-            f"header claims {frame.payload_bits} payload bits but the payload "
-            f"carries {carried}"
-        )
-    indices = _unpack_indices(frame.payload[split:], frame.index_count, num_spaces)
-    floats = np.frombuffer(frame.payload[:split], dtype="<f4").astype(float)
-    want = sum(int(dims[i]) for i in indices)
-    if frame.kind == KIND_DOWNLINK:
-        if floats.shape[0] != want:
-            raise ProtocolError(
-                f"downlink float block has {floats.shape[0]} values, expected {want}"
-            )
-        weights, pos = [], 0
-        for i in indices:
-            weights.append(floats[pos : pos + dims[i]])
-            pos += dims[i]
-        return DownlinkMessage(frame.epoch, frame.client_id, indices, tuple(weights))
-    if frame.kind == KIND_UPLINK:
-        count = frame.index_count
-        if floats.shape[0] != want + count:
-            raise ProtocolError(
-                f"uplink float block has {floats.shape[0]} values, expected {want + count}"
-            )
-        mean_losses = floats[:count]
-        grads, pos = [], count
-        for i in indices:
-            grads.append(floats[pos : pos + dims[i]])
-            pos += dims[i]
-        return UplinkMessage(
-            frame.epoch, frame.client_id, indices, mean_losses, tuple(grads)
-        )
-    raise ProtocolError(f"unknown frame kind {frame.kind}")
+    blob = np.frombuffer(frame.to_bytes(), dtype=np.uint8)
+    header, indices, losses, vectors = decode_frames(blob, [blob.size], num_spaces, dims)
+    idx = tuple(indices[0].tolist())
+    parts = tuple(vectors[0, a, :dims[i]] for a, i in enumerate(idx))
+    if header["kind"][0] == KIND_DOWNLINK:
+        return DownlinkMessage(frame.epoch, frame.client_id, idx, parts)
+    return UplinkMessage(frame.epoch, frame.client_id, idx, losses[0], parts)
 
 
 # ---------------------------------------------------------------------------
 # Server-side aggregation
+
+
+def _scatter_reports(spaces: np.ndarray, mean_losses: np.ndarray, mean_grads: np.ndarray,
+                    inclusion_probs: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Importance-weighted means of flat reports: one scatter-add per quantity.
+
+    Report ``r`` names space ``spaces[r]`` with raw ``mean_losses[r]`` and
+    zero-padded ``mean_grads[r]`` (d_max,); reports come in client order,
+    and each (space, coordinate) sum runs in that order.  Returns the (K,)
+    loss and (K, d_max) gradient estimates, zero for unreported spaces.
+    """
+    K = inclusion_probs.shape[0]
+    width = mean_grads.shape[1]
+    share = inclusion_probs[spaces]
+    loss_est = np.bincount(spaces, weights=mean_losses / share, minlength=K)
+    cells = (spaces * width)[:, None] + np.arange(width)
+    grad_est = np.bincount(cells.ravel(), weights=(mean_grads / share[:, None]).ravel(),
+                           minlength=K * width).reshape(K, width)
+    return loss_est / count, grad_est / count
 
 
 def aggregate_reports(
@@ -385,27 +470,30 @@ def aggregate_reports(
         raise ProtocolError(
             f"inclusion_probs shape {inclusion_probs.shape} != ({num_spaces},)"
         )
-    count = len(reports)
-    loss_est = np.zeros(num_spaces)
-    grad_est: dict[int, np.ndarray] = {}
+    spaces, losses, grads = [], [], []
     for msg in sorted(reports, key=lambda m: m.client_id):
         for slot, i in enumerate(msg.indices):
             if not 0 <= i < num_spaces:
                 raise ProtocolError(f"report refers to unknown space {i}")
+            if i in msg.indices[:slot]:
+                raise ProtocolError(
+                    f"report from client {msg.client_id} names space {i} twice")
             grad = np.asarray(msg.mean_gradients[slot], dtype=float)
             if grad.shape != (int(dims[i]),):
                 raise ProtocolError(
                     f"gradient for space {i} has shape {grad.shape}, "
                     f"expected ({dims[i]},)"
                 )
-            loss_est[i] += float(msg.mean_losses[slot]) / inclusion_probs[i]
-            if i not in grad_est:
-                grad_est[i] = np.zeros(int(dims[i]))
-            grad_est[i] += grad / inclusion_probs[i]
-    loss_est /= count
-    for i in grad_est:
-        grad_est[i] /= count
-    return loss_est, grad_est
+            spaces.append(i)
+            losses.append(float(msg.mean_losses[slot]))
+            grads.append(grad)
+    padded = np.zeros((len(grads), max(int(d) for d in dims)))
+    for r, grad in enumerate(grads):
+        padded[r, :grad.size] = grad
+    loss_est, grad_est = _scatter_reports(np.array(spaces, dtype=np.int64),
+                                          np.array(losses), padded, inclusion_probs,
+                                          len(reports))
+    return loss_est, {i: grad_est[i, :int(dims[i])] for i in sorted(set(spaces))}
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +603,12 @@ class AuditLog:
     """Optional per-epoch verification of the wire path.
 
     When attached to a run, every epoch is also executed through the
-    message/frame/aggregation code path and cross-checked against the
-    vectorized engine: frame round-trips must reproduce indices exactly and
-    floats to single precision, the closed-form bit account must equal the
-    frame's actual payload bits, and :func:`aggregate_reports` must agree
-    with the engine's aggregation to near machine precision.
+    frame/aggregation code path and cross-checked against the vectorized
+    engine: frame round-trips must reproduce the header's epoch, client id
+    and kind and the indices exactly, and the floats of both directions to
+    single precision; the closed-form bit account must equal the frame's
+    actual payload bits; and the scatter-add of the clients' reports must
+    agree with the engine's aggregation to near machine precision.
     """
 
     frames_checked: int = 0
@@ -550,51 +639,66 @@ def _audit_epoch(
     ``weights`` (K, d_max) are the broadcast models.  ``mean_losses`` and
     ``mean_grads`` hold each client's report per sampled space, in the flat
     order of ``groups``; ``grad_est[k]`` is the engine's estimate for space
-    ``stepped[k]``, and ``loss_est`` its (K,) loss estimate.
+    ``stepped[k]``, and ``loss_est`` its (K,) loss estimate.  All of the
+    epoch's downlink frames go through one :func:`encode_frames` and one
+    :func:`decode_frames` call, then all its uplink frames, and each check
+    runs once over the batch, so the replay costs a fixed number of numpy
+    calls whatever the client count.
     """
     K = setup.num_spaces
     dims = setup.dims
     clients, J = indices.shape
+    client_ids = np.arange(clients)
     flat_of = np.empty((clients, J), dtype=np.int64)
     flat_of[groups.rows, groups.slots] = np.arange(groups.rows.size)
-    reports = []
-    for j in range(clients):
-        idx = tuple(int(i) for i in indices[j])
-        down = DownlinkMessage(
-            epoch, j, idx, tuple(weights[i, :dims[i]] for i in idx)
-        )
-        frame = encode_downlink(down, K)
-        if frame.payload_bits != int(down_bits[j]):
-            audit.note(f"epoch {epoch} client {j}: engine downlink bits mismatch")
-        back = decode_frame(Frame.from_bytes(frame.to_bytes()), K, dims)
-        if not isinstance(back, DownlinkMessage) or back.indices != idx:
-            audit.note(f"epoch {epoch} client {j}: downlink index round-trip failed")
-        else:
-            for slot, i in enumerate(idx):
-                want = np.asarray(down.weights[slot], dtype="<f4").astype(float)
-                if not np.array_equal(back.weights[slot], want):
-                    audit.note(
-                        f"epoch {epoch} client {j}: downlink float round-trip failed"
-                    )
-                    break
-        # Build the client's report from the engine's per-entry means.
-        flat = flat_of[j]
-        grads = tuple(mean_grads[f, :dims[i]] for f, i in zip(flat, idx))
-        up = UplinkMessage(epoch, j, idx, mean_losses[flat], grads)
-        uframe = encode_uplink(up, K)
-        if uframe.payload_bits != int(up_bits[j]):
-            audit.note(f"epoch {epoch} client {j}: engine uplink bits mismatch")
-        uback = decode_frame(Frame.from_bytes(uframe.to_bytes()), K, dims)
-        if not isinstance(uback, UplinkMessage) or uback.indices != idx:
-            audit.note(f"epoch {epoch} client {j}: uplink round-trip failed")
-        reports.append(up)
-        audit.frames_checked += 2
-    agg_loss, agg_grad = aggregate_reports(reports, inclusion, K, dims)
-    if not np.allclose(agg_loss, loss_est, rtol=1e-12, atol=1e-12):
+    losses = mean_losses[flat_of]  # (clients, J): each client's report
+    grads = mean_grads[flat_of]  # (clients, J, d_max)
+    spread = (np.arange(setup.max_dim) < dims[indices][:, :, None]).reshape(clients, -1)
+    # (kind, name, index-check text, float values, which of them are sent, engine bits)
+    directions = (
+        (KIND_DOWNLINK, "downlink", "downlink index round-trip failed",
+         weights[indices].reshape(clients, -1), spread, down_bits),
+        (KIND_UPLINK, "uplink", "uplink round-trip failed",
+         np.concatenate([losses, grads.reshape(clients, -1)], axis=1),
+         np.concatenate([np.ones((clients, J), dtype=bool), spread], axis=1), up_bits),
+    )
+    for kind, name, index_text, values, sent, engine_bits in directions:
+        buffer, lengths = encode_frames(kind, epoch, client_ids, indices,
+                                        *_left_justify(values, sent), K)
+        header, got_indices, got_losses, got = decode_frames(buffer, lengths, K, dims)
+        got = got.reshape(clients, -1)
+        if kind == KIND_UPLINK:
+            got = np.concatenate([got_losses, got], axis=1)
+        index_bad = (got_indices != indices).any(axis=1)
+        # one row per check, one column per client
+        bad = np.stack([
+            header["payload_bits"] != engine_bits,
+            (header["epoch"] != epoch) | (header["client_id"] != client_ids)
+            | (header["kind"] != kind),
+            index_bad,
+            # floats must come back as their single-precision values
+            ((got != values.astype(np.float32)) & sent).any(axis=1) & ~index_bad,
+        ])
+        if bad.any():
+            texts = (f"engine {name} bits mismatch", f"{name} header round-trip failed",
+                     index_text, f"{name} float round-trip failed")
+            for check, j in np.argwhere(bad).tolist():
+                audit.note(f"epoch {epoch} client {j}: {texts[check]}")
+        audit.frames_checked += clients
+    # the server merges the reports as computed, before the wire rounds them
+    agg_loss, agg_grad = _scatter_reports(indices.ravel(), losses.ravel(),
+                                          grads.reshape(clients * J, -1), inclusion,
+                                          clients)
+    # np.allclose's test at rtol = atol = 1e-12, without its per-call set-up
+    if not (abs(agg_loss - loss_est) <= 1e-12 + 1e-12 * abs(loss_est)).all():
         audit.note(f"epoch {epoch}: aggregated losses disagree with engine")
-    for k, i in enumerate(stepped.tolist()):
-        g = grad_est[k, :dims[i]]
-        if i not in agg_grad or not np.allclose(agg_grad[i], g, rtol=1e-12, atol=1e-12):
+    reported = np.zeros(K, dtype=bool)
+    reported[indices] = True
+    close = abs(agg_grad[stepped] - grad_est) <= 1e-12 + 1e-12 * abs(grad_est)
+    close |= np.arange(setup.max_dim) >= dims[stepped][:, None]
+    agrees = reported[stepped] & close.all(axis=1)
+    if not agrees.all():
+        for i in stepped[~agrees].tolist():
             audit.note(f"epoch {epoch}: aggregated gradient for space {i} disagrees")
 
 

@@ -6,6 +6,7 @@ library root-finders, deliberately avoiding the code paths under test.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -267,3 +268,24 @@ def reference_trace_csv(artifact) -> str:
             f"{int(artifact.uplink_bits[k])},{int(artifact.downlink_bits[k])}\n"
         )
     return "".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Wire frame encoder: one frame at a time, the header packed with ``struct``
+# and the indices shifted into a Python integer bit by bit.  This is the
+# per-frame encoder that ``fedoms.protocol.encode_frames`` replaced.
+
+
+def reference_frame_bytes(kind, epoch, client_id, indices, floats, num_spaces) -> bytes:
+    """One frame: the 16-byte header, ``floats`` as f32, then the packed indices."""
+    q = (num_spaces - 1).bit_length()  # ceil(log2 K) bits per index
+    acc = 0
+    for i in indices:
+        acc = (acc << q) | int(i)
+    nbits = q * len(indices)
+    pad = (-nbits) % 8
+    packed = (acc << pad).to_bytes((nbits + pad) // 8, "big")
+    body = np.asarray(floats, dtype="<f4").tobytes()
+    header = struct.pack("<IIIBBH", epoch, client_id, 8 * len(body) + nbits, kind,
+                         len(indices), 0)
+    return header + body + packed

@@ -350,6 +350,16 @@ def test_run_reports_a_radius_whose_loss_bound_overflows(tmp_path, capsys):
     assert "past the float range" in blob["message"]
 
 
+def test_validate_builds_the_spaces_of_a_synthetic_source(tmp_path, capsys):
+    # the config states the input width, so validate reports what run would
+    path = _write_config(tmp_path, spaces=[{"kind": "identity", "radius": 1e200},
+                                           {"kind": "identity"}])
+    assert main(["validate", str(path)]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["kind"] == "ConfigError" and blob["field"] == "spaces[0].radius"
+    assert "past the float range" in blob["message"]
+
+
 def test_run_rejects_coordinate_index_out_of_range(tmp_path, capsys):
     path = _write_config(
         tmp_path,

@@ -2,6 +2,7 @@
 aggregation, and the epoch engine."""
 
 import dataclasses
+import inspect
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedoms.protocol as protocol
 from fedoms.learners import LearnerConfig, check_epochs, run_fomd_oms, run_nco_oms
 from fedoms.data import Streams, synthetic_linear
 from fedoms.protocol import (
@@ -24,10 +26,14 @@ from fedoms.protocol import (
     aggregate_reports,
     bits_per_index,
     decode_frame,
+    decode_frames,
     encode_downlink,
+    encode_frames,
     encode_uplink,
 )
 from fedoms.spaces import IdentityMap, Loss, make_space
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +287,73 @@ def test_index_packing_round_trips(num_spaces, data):
     assert back.indices == tuple(indices)
 
 
+@st.composite
+def _frame_batches(draw):
+    """Frames of one kind and epoch for a few clients, with K, J and the dims.
+
+    Each client samples its own J distinct spaces of mixed widths; K=1 makes
+    the index field 0 bits wide, and epoch and client ids span their 32-bit
+    fields.  The subsets and floats come from a drawn seed, which keeps a
+    failing example quick to shrink.
+    """
+    num_spaces = draw(st.one_of(st.just(1), st.integers(1, 300)), label="K")
+    subset_size = draw(st.integers(1, min(num_spaces, 255)), label="J")
+    dims = draw(st.lists(st.integers(1, 100), min_size=num_spaces,
+                         max_size=num_spaces), label="dims")
+    clients = draw(st.integers(1, 4), label="clients")
+    client_ids = np.array(draw(st.lists(st.integers(0, 2**32 - 1), min_size=clients,
+                                        max_size=clients), label="client ids"))
+    epoch = draw(st.integers(0, 2**32 - 1), label="epoch")
+    kind = draw(st.sampled_from((KIND_DOWNLINK, KIND_UPLINK)), label="kind")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    indices = np.array([rng.permutation(num_spaces)[:subset_size] for _ in range(clients)])
+    rows = []
+    for row in indices:
+        lead = rng.random(subset_size) if kind == KIND_UPLINK else np.empty(0)
+        rows.append(np.concatenate([lead, *(rng.standard_normal(dims[i]) for i in row)]))
+    return kind, epoch, client_ids, indices, rows, num_spaces, dims
+
+
+@settings(max_examples=100, deadline=None)
+@given(_frame_batches())
+def test_frame_batch_matches_the_per_frame_oracle_and_decodes_back(case):
+    kind, epoch, client_ids, indices, rows, num_spaces, dims = case
+    counts = np.array([row.size for row in rows])
+    floats = np.zeros((len(rows), counts.max()))
+    for r, row in enumerate(rows):
+        floats[r, :row.size] = row
+    buffer, lengths = encode_frames(kind, epoch, client_ids, indices, floats, counts,
+                                    num_spaces)
+    frames = [oracles.reference_frame_bytes(kind, epoch, int(c), idx.tolist(), row,
+                                            num_spaces)
+              for c, idx, row in zip(client_ids, indices, rows)]
+    assert buffer.tobytes() == b"".join(frames)
+    assert lengths.tolist() == [len(f) for f in frames]
+    header, got_indices, losses, vectors = decode_frames(buffer, lengths, num_spaces, dims)
+    assert header["epoch"].tolist() == [epoch] * len(rows)
+    assert header["client_id"].tolist() == client_ids.tolist()
+    assert header["kind"].tolist() == [kind] * len(rows)
+    assert np.array_equal(got_indices, indices)
+    J = indices.shape[1]
+    for r, row in enumerate(rows):
+        lead = J if kind == KIND_UPLINK else 0
+        assert np.array_equal(losses[r], _single(row[:J]) if lead else np.zeros(J))
+        sent = np.concatenate([vectors[r, a, :dims[i]] for a, i in enumerate(indices[r])])
+        assert np.array_equal(sent, _single(row[lead:]))
+
+
+def test_a_report_or_broadcast_naming_a_space_twice_is_rejected():
+    # without the check this report decodes and aggregates at double weight
+    up = UplinkMessage(1, 0, (1, 1), np.array([0.5, 0.5]), (np.ones(1), np.ones(1)))
+    with pytest.raises(ProtocolError, match="client 0 names space 1 twice"):
+        decode_frame(Frame.from_bytes(encode_uplink(up, 4).to_bytes()), 4, [1] * 4)
+    with pytest.raises(ProtocolError, match="client 0 names space 1 twice"):
+        aggregate_reports([up], np.full(4, 0.5), 4, [1] * 4)
+    down = DownlinkMessage(1, 7, (2, 0, 2), (np.ones(1), np.ones(1), np.ones(1)))
+    with pytest.raises(ProtocolError, match="client 7 names space 2 twice"):
+        decode_frame(Frame.from_bytes(encode_downlink(down, 4).to_bytes()), 4, [1] * 4)
+
+
 # ---------------------------------------------------------------------------
 # Aggregation
 
@@ -451,3 +524,122 @@ def test_audited_run_checks_every_frame_and_stays_clean():
     assert art.meta["audit_mismatches"] == []
     # one downlink and one uplink frame per client per epoch
     assert art.meta["audit_frames_checked"] == 2 * 3 * 5
+
+
+# ---------------------------------------------------------------------------
+# Audit fault injection: each check must name the epoch and the client or
+# the space it caught
+
+
+def _audited_run(monkeypatch, name, wrapper):
+    """Run a small audited fomd run with ``fedoms.protocol.<name>`` wrapped."""
+    monkeypatch.setattr(protocol, name, wrapper(getattr(protocol, name)))
+    streams = synthetic_linear(input_dim=4, clients=3, horizon=20, seed=21)
+    spaces = tuple(make_space(IdentityMap(4), radius=r, loss_kind=Loss.SQUARE)
+                   for r in (0.25, 0.5, 1.0))
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=3, subset_size=2,
+                        horizon=20, epochs=5, master_seed=8, audit=True)
+    art = run_fomd_oms(cfg, streams)
+    assert art.meta["audit_frames_checked"] == 2 * 3 * 5
+    return art.meta["audit_mismatches"]
+
+
+def _perturb_audit_input(name, change):
+    """Wrap ``_audit_epoch`` so that epoch 2 sees ``change(copy of input name)``."""
+    def wrapper(original):
+        def audit_epoch(*args):
+            bound = inspect.signature(original).bind(*args)
+            if bound.arguments["epoch"] == 2:
+                value = np.array(bound.arguments[name], copy=True)
+                change(value, bound.arguments)
+                bound.arguments[name] = value
+            return original(*bound.args)
+        return audit_epoch
+    return wrapper
+
+
+def _add_one_to_client_1(value, _):
+    value[1] += 1
+
+
+@pytest.mark.parametrize("name, text", [
+    ("down_bits", "engine downlink bits mismatch"),
+    ("up_bits", "engine uplink bits mismatch"),
+])
+def test_audit_names_a_bit_account_the_frame_does_not_carry(monkeypatch, name, text):
+    mismatches = _audited_run(monkeypatch, "_audit_epoch",
+                              _perturb_audit_input(name, _add_one_to_client_1))
+    assert mismatches == [f"epoch 2 client 1: {text}"]
+
+
+def test_audit_names_an_aggregated_loss_that_disagrees(monkeypatch):
+    def change(loss_est, _):
+        loss_est[0] += 1e-6
+    mismatches = _audited_run(monkeypatch, "_audit_epoch",
+                              _perturb_audit_input("loss_est", change))
+    assert mismatches == ["epoch 2: aggregated losses disagree with engine"]
+
+
+def test_audit_names_the_space_of_an_aggregated_gradient_that_disagrees(monkeypatch):
+    seen = []
+
+    def change(grad_est, arguments):
+        grad_est[-1, 0] += 1e-6
+        seen.append(int(arguments["stepped"][-1]))
+    mismatches = _audited_run(monkeypatch, "_audit_epoch",
+                              _perturb_audit_input("grad_est", change))
+    assert mismatches == [f"epoch 2: aggregated gradient for space {seen[0]} disagrees"]
+
+
+def _flip_in_client_1_frame(kind, offset_of, change=lambda byte: byte ^ 0x01):
+    """Wrap ``decode_frames`` so that one byte of client 1's epoch-2 frame changes.
+
+    ``offset_of(frame)`` picks the byte's offset within the frame's bytes.
+    """
+    def wrapper(original):
+        def decode(buffer, lengths, num_spaces, dims):
+            epoch, _, _, frame_kind = struct.unpack_from("<IIIB", buffer[:13].tobytes())
+            if epoch == 2 and frame_kind == kind:
+                buffer = buffer.copy()
+                start = int(lengths[0])
+                frame = buffer[start:start + int(lengths[1])]
+                at = start + offset_of(frame)
+                buffer[at] = change(int(buffer[at]))
+            return original(buffer, lengths, num_spaces, dims)
+        return decode
+    return wrapper
+
+
+@pytest.mark.parametrize("kind, name", [(KIND_DOWNLINK, "downlink"), (KIND_UPLINK, "uplink")])
+@pytest.mark.parametrize("offset", [16, -2], ids=["first-float", "last-float"])
+def test_audit_names_a_float_the_wire_changed(monkeypatch, kind, name, offset):
+    # 16 is the low byte of the first float (an uplink's first mean loss);
+    # with K=3 and J=2 the index block is the frame's last byte, so -2 is
+    # the high byte of the last float
+    mismatches = _audited_run(monkeypatch, "decode_frames", _flip_in_client_1_frame(
+        kind, lambda frame: offset % len(frame)))
+    assert mismatches == [f"epoch 2 client 1: {name} float round-trip failed"]
+
+
+@pytest.mark.parametrize("kind, text", [
+    (KIND_DOWNLINK, "downlink index round-trip failed"),
+    (KIND_UPLINK, "uplink round-trip failed"),
+])
+def test_audit_names_an_index_the_wire_changed(monkeypatch, kind, text):
+    # K=3 and J=2: the last byte holds two 2-bit indices and four zero bits;
+    # swap the first for the one space the client did not sample
+    def swap_first(byte):
+        first, second = byte >> 6, (byte >> 4) & 0b11
+        (unsampled,) = {0, 1, 2} - {first, second}
+        return (unsampled << 6) | (second << 4)
+    mismatches = _audited_run(monkeypatch, "decode_frames", _flip_in_client_1_frame(
+        kind, lambda frame: len(frame) - 1, swap_first))
+    assert mismatches == [f"epoch 2 client 1: {text}"]
+
+
+@pytest.mark.parametrize("kind, name", [(KIND_DOWNLINK, "downlink"), (KIND_UPLINK, "uplink")])
+@pytest.mark.parametrize("offset", [0, 4], ids=["epoch", "client-id"])
+def test_audit_names_a_header_the_wire_changed(monkeypatch, kind, name, offset):
+    mismatches = _audited_run(monkeypatch, "decode_frames", _flip_in_client_1_frame(
+        kind, lambda frame: offset))
+    assert mismatches == [f"epoch 2 client 1: {name} header round-trip failed"]
