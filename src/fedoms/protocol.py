@@ -12,22 +12,26 @@ This module owns everything that crosses the client/server boundary:
 * :func:`account_bits` — closed-form information-bit cost of each message.
 * :func:`aggregate_reports` — the server-side merge of client reports into
   importance-weighted loss/gradient estimates, one scatter-add per quantity.
-* the wire audit: with ``setup.audit`` set, each epoch's downlink frames and
-  then its uplink frames are encoded and decoded as one batch each, and
-  every check (bits against the closed form, header epoch, client id and
-  kind, indices, floats to single precision in both directions, and the
-  aggregation against the engine's) runs once over the batch.
+* the wire audit: with ``setup.audit`` set, each epoch's 2·M frames, its
+  downlinks followed by its uplinks, are encoded and decoded together in
+  one batch (or in a few consecutive batches when one would outgrow the
+  memory budget below), and every check (bits against the closed form,
+  header epoch, client id and kind, indices, floats to single precision in
+  both directions, and the aggregation against the engine's) runs once
+  over each batch.
 * :func:`run_epoch` — the round kernel: one communication epoch of S
-  servers, vectorized across clients.  It reads a :class:`RunSetup` (the
-  spaces, the client streams, the pre-drawn sampling uniforms and the step
-  sizes) and writes a :class:`ServerState` (the distributions, the models
-  and the round-by-round trace).  The cooperative learner runs it with one
-  server for all clients, the noncooperative baseline with one server per
-  client and no messages.
+  servers, vectorized across clients and, in blocks, across the epoch's
+  rounds.  It reads a :class:`RunSetup` (the spaces, the client streams,
+  the pre-drawn sampling uniforms and the step sizes) and writes a
+  :class:`ServerState` (the distributions, the models and the round-by-round
+  trace).  The cooperative learner runs it with one server for all clients,
+  the noncooperative baseline with one server per client and no messages.
 
 The engine keeps each server's sampling distribution in log space (see
 :mod:`fedoms.mirror` for why) and its models as one zero-padded (K, d_max)
-block, so spaces of mixed widths share every code path.
+block, so spaces of mixed widths share every code path.  One memory budget,
+``_BLOCK_FLOATS``, bounds both the rounds :func:`run_epoch` evaluates at once
+and the frames the audit codes at once.
 """
 
 from __future__ import annotations
@@ -94,6 +98,17 @@ class RunInvariantError(RuntimeError):
     schedules, so a violation silently invalidates every guarantee of the
     run; we abort instead of continuing with a broken configuration.
     """
+
+
+# Floats one array of a round block or of an audit batch may hold: 512 KiB
+# of float64, so that the few arrays a block keeps live stay in a 2 MiB L2
+# cache.  mixed-audit's rounds (300 x 60 floats each) run as fast in blocks
+# of 3 rounds, this budget, as one at a time, and 1.3x slower in blocks of 7
+# or 10 (twice or four times the budget).  A hidden-arm epoch (20 x 16 per
+# round, 20 frames of 4 floats) runs as one block and one audit batch;
+# rff-table's 2000 x 100 rounds stay one per block, and its 2000 frames go
+# in 8 batches of 250.
+_BLOCK_FLOATS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +264,14 @@ def _left_justify(values: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np
     return table, counts
 
 
-def encode_frames(kind: int, epoch: int, client_ids: np.ndarray, indices: np.ndarray,
-                  floats: np.ndarray, counts: np.ndarray,
+def encode_frames(kind: int | np.ndarray, epoch: int, client_ids: np.ndarray,
+                  indices: np.ndarray, floats: np.ndarray, counts: np.ndarray,
                   num_spaces: int) -> tuple[np.ndarray, np.ndarray]:
-    """Serialize n frames of one kind and epoch into one back-to-back buffer.
+    """Serialize n frames of one epoch into one back-to-back buffer.
 
+    ``kind`` is one kind for every frame or an (n,) array of per-frame
+    kinds; the kind only labels the header, since ``floats`` and ``counts``
+    already hold what each frame carries (an uplink's mean losses first).
     Frame ``r`` goes to client ``client_ids[r]`` and carries the first
     ``counts[r]`` entries of ``floats[r]`` as little-endian f32, then the J
     indices of ``indices[r]`` packed ceil(log2 K) bits each, most significant
@@ -294,10 +312,11 @@ def decode_frames(buffer: np.ndarray, lengths: np.ndarray, num_spaces: int,
                   dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Parse back-to-back frames of one index count: the inverse of :func:`encode_frames`.
 
-    ``lengths`` delimits the frames of ``buffer``; ``dims`` gives every
-    space's parameter dimension, which splits the float block once the
-    indices are known.  Each header's ``payload_bits`` must equal the bits
-    its payload carries: 8 per float byte plus ceil(log2 K) per index.
+    The frames may mix kinds.  ``lengths`` delimits the frames of
+    ``buffer``; ``dims`` gives every space's parameter dimension, which
+    splits the float block once the indices are known.  Each header's
+    ``payload_bits`` must equal the bits its payload carries: 8 per float
+    byte plus ceil(log2 K) per index.
     Returns the (n,) headers (a structured array with the header's field
     names), the (n, J) indices, the (n, J) mean losses that open an uplink
     payload (zero for a downlink frame) and the (n, J, d_max) weight or
@@ -608,7 +627,12 @@ class AuditLog:
     and kind and the indices exactly, and the floats of both directions to
     single precision; the closed-form bit account must equal the frame's
     actual payload bits; and the scatter-add of the clients' reports must
-    agree with the engine's aggregation to near machine precision.
+    agree with the engine's aggregation to near machine precision.  An
+    epoch's downlink and uplink frames are coded as one batch when they fit
+    the memory budget, but its notes keep one order either way: the
+    downlinks' checks, then the uplinks', each check over the clients in
+    order, then the aggregation's.
+    ``frames_checked`` counts 2·M frames per epoch.
     """
 
     frames_checked: int = 0
@@ -639,52 +663,70 @@ def _audit_epoch(
     ``weights`` (K, d_max) are the broadcast models.  ``mean_losses`` and
     ``mean_grads`` hold each client's report per sampled space, in the flat
     order of ``groups``; ``grad_est[k]`` is the engine's estimate for space
-    ``stepped[k]``, and ``loss_est`` its (K,) loss estimate.  All of the
-    epoch's downlink frames go through one :func:`encode_frames` and one
-    :func:`decode_frames` call, then all its uplink frames, and each check
-    runs once over the batch, so the replay costs a fixed number of numpy
-    calls whatever the client count.
+    ``stepped[k]``, and ``loss_est`` its (K,) loss estimate.  The epoch's
+    2·M frames, frame f the downlink to client f and frame M + f the uplink
+    from it, go through :func:`encode_frames` and :func:`decode_frames` as
+    one batch when its (2·M, J·(d_max + 1)) float table fits
+    ``_BLOCK_FLOATS``, else as the fewest equal batches of one direction each
+    that fit it, and each check runs once over each batch, so the replay
+    costs a fixed number of numpy calls per batch whatever the client count.
+    Every float row has room for an uplink's J mean losses followed by J
+    zero-padded vectors; a downlink leaves the loss slots unsent.
     """
     K = setup.num_spaces
     dims = setup.dims
     clients, J = indices.shape
-    client_ids = np.arange(clients)
     flat_of = np.empty((clients, J), dtype=np.int64)
     flat_of[groups.rows, groups.slots] = np.arange(groups.rows.size)
     losses = mean_losses[flat_of]  # (clients, J): each client's report
     grads = mean_grads[flat_of]  # (clients, J, d_max)
     spread = (np.arange(setup.max_dim) < dims[indices][:, :, None]).reshape(clients, -1)
-    # (kind, name, index-check text, float values, which of them are sent, engine bits)
-    directions = (
-        (KIND_DOWNLINK, "downlink", "downlink index round-trip failed",
-         weights[indices].reshape(clients, -1), spread, down_bits),
-        (KIND_UPLINK, "uplink", "uplink round-trip failed",
-         np.concatenate([losses, grads.reshape(clients, -1)], axis=1),
-         np.concatenate([np.ones((clients, J), dtype=bool), spread], axis=1), up_bits),
-    )
-    for kind, name, index_text, values, sent, engine_bits in directions:
-        buffer, lengths = encode_frames(kind, epoch, client_ids, indices,
+    width = spread.shape[1]  # J * d_max
+    frames = 2 * clients
+    kinds = np.repeat([KIND_DOWNLINK, KIND_UPLINK], clients)
+    client_ids = np.concatenate([np.arange(clients)] * 2)
+    engine_bits = np.concatenate([down_bits, up_bits])
+    bad = np.empty((4, frames), dtype=bool)  # one row per check, one column per frame
+    per_batch = max(1, _BLOCK_FLOATS // (J * (setup.max_dim + 1)))
+    if frames <= per_batch:
+        bounds = [0, frames]
+    else:  # each direction in equal batches of one kind, whose frames the
+        # codec can often lay out by a reshape where a mixed batch needs a mask
+        per_kind = -(-clients // per_batch)
+        cuts = (np.arange(per_kind) * clients // per_kind).tolist()
+        bounds = cuts + [clients + c for c in cuts] + [frames]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        ids = client_ids[lo:hi]
+        downs = max(0, min(hi, clients) - lo)  # the batch's downlinks come first
+        up = slice(max(lo, clients) - clients, max(hi - clients, 0))
+        values = np.zeros((hi - lo, J + width))
+        values[:downs, J:] = weights[indices[lo:lo + downs]].reshape(-1, width)
+        values[downs:, :J] = losses[up]
+        values[downs:, J:] = grads[up].reshape(-1, width)
+        sent = np.empty(values.shape, dtype=bool)
+        sent[:, :J] = (kinds[lo:hi] == KIND_UPLINK)[:, None]
+        sent[:, J:] = spread[ids]
+        buffer, lengths = encode_frames(kinds[lo:hi], epoch, ids, indices[ids],
                                         *_left_justify(values, sent), K)
         header, got_indices, got_losses, got = decode_frames(buffer, lengths, K, dims)
-        got = got.reshape(clients, -1)
-        if kind == KIND_UPLINK:
-            got = np.concatenate([got_losses, got], axis=1)
-        index_bad = (got_indices != indices).any(axis=1)
-        # one row per check, one column per client
-        bad = np.stack([
-            header["payload_bits"] != engine_bits,
-            (header["epoch"] != epoch) | (header["client_id"] != client_ids)
-            | (header["kind"] != kind),
-            index_bad,
-            # floats must come back as their single-precision values
-            ((got != values.astype(np.float32)) & sent).any(axis=1) & ~index_bad,
-        ])
-        if bad.any():
-            texts = (f"engine {name} bits mismatch", f"{name} header round-trip failed",
-                     index_text, f"{name} float round-trip failed")
-            for check, j in np.argwhere(bad).tolist():
-                audit.note(f"epoch {epoch} client {j}: {texts[check]}")
-        audit.frames_checked += clients
+        got = np.concatenate([got_losses, got.reshape(hi - lo, -1)], axis=1)
+        index_bad = (got_indices != indices[ids]).any(axis=1)
+        bad[0, lo:hi] = header["payload_bits"] != engine_bits[lo:hi]
+        bad[1, lo:hi] = ((header["epoch"] != epoch) | (header["client_id"] != ids)
+                         | (header["kind"] != kinds[lo:hi]))
+        bad[2, lo:hi] = index_bad
+        # floats must come back as their single-precision values
+        bad[3, lo:hi] = ((got != values.astype(np.float32)) & sent).any(axis=1) & ~index_bad
+    if bad.any():
+        texts = [(f"engine {name} bits mismatch", f"{name} header round-trip failed",
+                  index_text, f"{name} float round-trip failed")
+                 for name, index_text in (("downlink", "downlink index round-trip failed"),
+                                          ("uplink", "uplink round-trip failed"))]
+        # every downlink note, check by check over the clients, then every uplink note
+        for kind, check, j in np.argwhere(
+                bad.reshape(4, 2, clients).transpose(1, 0, 2)).tolist():
+            audit.note(f"epoch {epoch} client {j}: {texts[kind][check]}")
+    audit.frames_checked += frames
     # the server merges the reports as computed, before the wire rounds them
     agg_loss, agg_grad = _scatter_reports(indices.ravel(), losses.ravel(),
                                           grads.reshape(clients * J, -1), inclusion,
@@ -711,6 +753,7 @@ def _check_bounds(
     g_limit_sq: np.ndarray,
     spaces: Sequence[HypothesisSpace],
     round_index: int,
+    rounds: int = 1,
 ) -> None:
     """Abort the run if a loss or gradient breaks its declared bound.
 
@@ -720,7 +763,24 @@ def _check_bounds(
     written as ``not (worst <= limit)`` so that a NaN fails them.  Losses
     must also be non-negative, which the entropy step requires; a linear
     loss goes negative once a space's radius times feature bound passes 1.
+
+    With ``rounds`` > 1 the arrays hold a round-major block of that many
+    rounds, the first of them round ``round_index``, each laid out as one
+    round's segments.  The block is tested in one pass; if it fails, its
+    first failing round is checked again alone, so the error names the
+    round, space and check that a round-by-round check would have raised.
     """
+    if rounds > 1:
+        per_round = (rounds, losses.size // rounds)
+        losses2, grad_sq2 = losses.reshape(per_round), grad_sq.reshape(per_round)
+        ok = ((np.maximum.reduceat(losses2, starts, axis=1) <= loss_limit).all(axis=1)
+              & (losses2 >= 0.0).all(axis=1)
+              & (np.maximum.reduceat(grad_sq2, starts, axis=1) <= g_limit_sq).all(axis=1))
+        if not ok.all():
+            c = int(np.argmin(ok))
+            _check_bounds(losses2[c], grad_sq2[c], starts, touched, loss_limit, g_limit_sq,
+                          spaces, round_index + c)
+        return
     worst = np.maximum.reduceat(losses, starts)
     ok = worst <= loss_limit
     if not ok.all():
@@ -753,6 +813,43 @@ def _check_bounds(
         )
 
 
+def _block_index(rounds: int, rows: np.ndarray, columns: np.ndarray | None,
+                 weights: np.ndarray, lead_mask: np.ndarray, lead_rows: np.ndarray) -> tuple:
+    """One round's flat entry arrays, repeated for a block of ``rounds`` rounds.
+
+    Returns the block's rows, feature columns (None stays None), weight rows,
+    lead mask and lead clients, each ``rounds`` copies of the round's in
+    round-major order, then each entry's and each lead's round offset within
+    the block.
+    """
+    return (*(None if x is None else np.concatenate((x,) * rounds)
+              for x in (rows, columns, weights, lead_mask, lead_rows)),
+            np.repeat(np.arange(rounds), rows.size),
+            np.repeat(np.arange(rounds), lead_rows.size))
+
+
+def _add_rounds(total: np.ndarray | None, block: np.ndarray, rounds: int) -> np.ndarray:
+    """``total`` plus each round of a round-major block, one round at a time.
+
+    The rounds are added in round order, ``((total + r0) + r1) + ...``,
+    which is the order a round-by-round loop adds them, so the sums do not
+    depend on how an epoch is cut into blocks.  With ``total`` None the sum
+    starts from the first round itself: that gives the same values as
+    summing from zero (losses are never -0.0) while sparing the one-round
+    epochs of nco two array passes each.
+    """
+    if rounds == 1:
+        return block if total is None else total + block
+    parts = block.reshape(rounds, -1)  # one row per round
+    if total is not None:
+        parts = np.concatenate((total.reshape(1, -1), parts))
+    # numpy sums a C-ordered table more than one column wide down its rows one
+    # row at a time, in order, but a single column pairwise; accumulate is
+    # sequential by definition, and 13x slower than sum on a 10 x 18000 table
+    summed = parts.sum(axis=0) if parts.shape[1] > 1 else np.add.accumulate(parts)[-1]
+    return summed.reshape(-1, *block.shape[1:])
+
+
 def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     """Advance every server by one communication epoch.
 
@@ -765,16 +862,28 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     its clients sampled.  Writes per-round trace rows into ``state``,
     including, when ``setup.communicates``, the exact bits of every message.
 
-    All per-(client, space) work runs on flat arrays sorted by space.  Its
-    floats do not depend on S except through the aggregation.  With S=M each
-    (server, space) pair has exactly one report, so nothing is summed.  With
-    S=1 numpy's ``sum(axis=0)`` adds the importance-weighted reports over
-    clients: the losses as a dense (M, K) table, the gradients over each
-    space's contiguous (n, d_max) segment.  Over a block more than one column
-    wide it adds the rows one at a time in ascending client order; over a
-    single column (K = 1, or d_max = 1) it sums pairwise, in an order fixed
-    by n alone.  Either way the sampled subsets fix the order, so the floats
-    are reproducible.
+    All per-(client, space) work runs on flat arrays sorted by space: one
+    round's n entries, a (client, sampled space) pair each.  Subsets and
+    models are frozen for the epoch, so its rounds are independent until
+    they are summed, and they are evaluated in blocks of C rounds.  A block
+    is flat and round-major: C copies of the round layout, C·n entries, so a
+    one-round block is exactly the round's arrays.  C is the most rounds
+    whose (C·n, max(d_max, input width)) arrays fit ``_BLOCK_FLOATS``,
+    capped at the epoch's N rounds; the last block of an epoch may be
+    shorter.  Each block's bounds are checked in one pass (an error still
+    names the first failing round), and each block's losses and gradients
+    are added to the epoch's sums one round at a time in round order, the
+    additions a round-by-round loop makes, so the floats do not depend on C.
+
+    The floats do not depend on S except through the aggregation.  With S=M
+    each (server, space) pair has exactly one report, so nothing is summed.
+    With S=1 numpy's ``sum(axis=0)`` adds the importance-weighted reports
+    over clients: the losses as a dense (M, K) table, the gradients over
+    each space's contiguous (n, d_max) segment.  Over a segment more than
+    one column wide it adds the rows one at a time in ascending client
+    order; over a single column (K = 1, or d_max = 1) it sums pairwise, in
+    an order fixed by n alone.  Either way the sampled subsets fix the
+    order, so the floats are reproducible.
     """
 
     if epoch != state.epochs_done + 1:
@@ -810,44 +919,55 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
 
     columns = setup.feature_columns
     identity = setup.identity_features
-    if columns is not None:
-        flat_columns = columns[flat_spaces]
-    elif not identity:
+    flat_columns = None if columns is None else columns[flat_spaces]
+    n = rows.size
+    layout = (rows, flat_columns, w_flat, lead_mask, lead_rows)
+    if N == 1:
+        C = 1
+    else:
+        C = min(N, max(1, _BLOCK_FLOATS // (n * max(setup.max_dim, setup.xs.shape[2]))))
+    # a one-round block is the round's own arrays at round offset 0
+    full = (*layout, 0, 0) if C == 1 else _block_index(C, *layout)
+    if columns is None and not identity:
         widths = setup.dims[touched]
-        phi = np.zeros((rows.size, setup.max_dim))  # zero past each space's width
-    for t in range(t0, t0 + N):
+        phi = np.zeros((C * n, setup.max_dim))  # zero past each space's width
+    loss_sum = grad_sum = None
+    for a in range(t0, t0 + N, C):
+        rounds = min(C, t0 + N - a)
+        b_rows, b_columns, b_w, b_lead, b_lead_rows, offsets, lead_offsets = (
+            full if rounds == C else _block_index(rounds, *layout))
+        t = offsets + a  # each entry's round: an int when blocks are one round
+        yt = setup.ys[b_rows, t]
         # the fused gathers pick the same floats the per-space maps would
         if columns is not None:
-            yt = setup.ys[rows, t]
-            phi = setup.xs[rows, t, flat_columns][:, None]
+            phi_b = setup.xs[b_rows, t, b_columns][:, None]
         elif identity:
-            yt = setup.ys[rows, t]
-            phi = setup.xs[rows, t, :]
+            phi_b = setup.xs[b_rows, t, :]
         else:
-            xt = setup.xs[:, t, :][rows]
-            yt = setup.ys[:, t][rows]
+            # one call per space and block; a block's input is stacked by
+            # round, so each round's matmul is the one a one-round block makes
+            shape = (n, -1) if rounds == 1 else (rounds, n, -1)
+            xt = setup.xs[b_rows, t].reshape(shape)
+            phi_b = phi[:rounds * n]
+            panel = phi_b.reshape(shape)
             for k in range(touched.size):
                 seg = slice(ends[k], ends[k + 1])
-                phi[seg, :widths[k]] = spaces[touched[k]].feature_map(xt[seg])
-        values = (phi * w_flat).sum(axis=1)
+                panel[..., seg, :widths[k]] = spaces[touched[k]].feature_map(xt[..., seg, :])
+        values = (phi_b * b_w).sum(axis=1)
         closs = loss_value(setup.loss, values, yt)
         dvals = loss_derivative(setup.loss, values, yt)
-        gsq = (dvals * dvals) * (phi * phi).sum(axis=1)
+        gsq = (dvals * dvals) * (phi_b * phi_b).sum(axis=1)
         _check_bounds(closs, gsq, starts, touched, loss_limit, g_limit_sq,
-                      spaces, t + 1)
-        # seeding the sums with the first round, and not dividing a one-round
-        # epoch by N=1, gives the same values as summing from zero (losses
-        # are never -0.0) while sparing the nco rounds two array passes each
-        if t == t0:
-            loss_sum, grad_sum = closs, dvals[:, None] * phi
-        else:
-            loss_sum = loss_sum + closs
-            grad_sum = grad_sum + dvals[:, None] * phi
-        state.predictions[t, lead_rows] = values[lead_mask]
-        state.losses[t, lead_rows] = closs[lead_mask]
+                      spaces, a + 1, rounds)
+        loss_sum = _add_rounds(loss_sum, closs, rounds)
+        grad_sum = _add_rounds(grad_sum, dvals[:, None] * phi_b, rounds)
+        t = lead_offsets + a
+        state.predictions[t, b_lead_rows] = values[b_lead]
+        state.losses[t, b_lead_rows] = closs[b_lead]
 
     # Server aggregation: mean over the epoch, importance weight, mean over
     # the server's clients.  Spaces outside every subset estimate to zero.
+    # A one-round epoch is not divided by N=1: the same values, a pass fewer.
     mean_losses = loss_sum / N if N > 1 else loss_sum
     mean_grads = grad_sum / N if N > 1 else grad_sum
     inc = inclusion[servers, flat_spaces]

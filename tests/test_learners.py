@@ -1,12 +1,15 @@
 """Tests for schedules, the two drivers, and regret accounting."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import fedoms.protocol as protocol
 import oracles
+from fedoms import learners
 from fedoms.data import AdversarialSpec, Streams, generate_adversarial, synthetic_linear
 from fedoms.learners import (
     LearnerConfig,
@@ -617,6 +620,40 @@ def test_engine_invariants_hold_on_random_small_configs(run):
             others = dims[:i] + dims[i + 1:]
             sums = {dims[i] + sum(c) for c in itertools.combinations(others, J - 1)}
             assert bits - index_bits in {32 * s for s in sums}
+
+
+def _run_bytes(cfg, streams, budget):
+    """The cooperative run of ``cfg`` with the kernel's block budget set to
+    ``budget`` floats: its distributions, weights and trace panels as bytes,
+    and its audit record."""
+    with mock.patch.object(protocol, "_BLOCK_FLOATS", budget):
+        state, _, audit = learners._run_servers(cfg, streams, cfg.effective_epochs,
+                                                cooperative=True)
+    panels = (state.log_p, state.weights, state.predictions, state.losses, state.leads,
+              state.uplink_bits, state.downlink_bits)
+    record = None if audit is None else (audit.frames_checked, audit.mismatches)
+    return [panel.tobytes() for panel in panels], record
+
+
+@settings(deadline=None, max_examples=60)
+@given(_small_runs(), st.booleans(), st.integers(1, 400))
+# one client and one one-wide space: each round is a single entry, and a
+# block's rounds form a single column, which numpy's sum adds pairwise
+@example(((make_space(CoordinateMap(2, 0), 1.0, Loss.SQUARE),), Loss.SQUARE,
+          1, 1, 24, 2, 2, 0), True, 22)
+def test_round_blocks_and_audit_batches_leave_every_byte_of_a_run(run, audit, budget):
+    # budget 1 runs one round per block and codes one frame per batch; a
+    # drawn budget cuts epochs into blocks (the last one may be shorter) and
+    # the 2*M frames into batches of other sizes; the default runs the small
+    # epochs here as one block and one batch
+    spaces, loss, J, M, T, R, d, seed = run
+    streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=seed)
+    cfg = LearnerConfig(spaces=spaces, loss=loss, clients=M, subset_size=J, horizon=T,
+                        epochs=R, master_seed=seed, audit=audit)
+    one_round = _run_bytes(cfg, streams, 1)
+    assert one_round[1] == ((2 * M * R, []) if audit else None)
+    assert _run_bytes(cfg, streams, budget) == one_round
+    assert _run_bytes(cfg, streams, protocol._BLOCK_FLOATS) == one_round
 
 
 @pytest.mark.parametrize("learner", [run_fomd_oms, run_nco_oms])

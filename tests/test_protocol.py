@@ -3,6 +3,7 @@ aggregation, and the epoch engine."""
 
 import dataclasses
 import inspect
+import re
 import struct
 
 import numpy as np
@@ -289,12 +290,14 @@ def test_index_packing_round_trips(num_spaces, data):
 
 @st.composite
 def _frame_batches(draw):
-    """Frames of one kind and epoch for a few clients, with K, J and the dims.
+    """Frames of one epoch for a few clients, with K, J and the dims.
 
-    Each client samples its own J distinct spaces of mixed widths; K=1 makes
-    the index field 0 bits wide, and epoch and client ids span their 32-bit
-    fields.  The subsets and floats come from a drawn seed, which keeps a
-    failing example quick to shrink.
+    The kind is one scalar for every frame, or an array that may interleave
+    downlink and uplink frames in one buffer.  Each client samples its own J
+    distinct spaces of mixed widths; K=1 makes the index field 0 bits wide,
+    and epoch and client ids span their 32-bit fields.  The subsets and
+    floats come from a drawn seed, which keeps a failing example quick to
+    shrink.
     """
     num_spaces = draw(st.one_of(st.just(1), st.integers(1, 300)), label="K")
     subset_size = draw(st.integers(1, min(num_spaces, 255)), label="J")
@@ -304,39 +307,46 @@ def _frame_batches(draw):
     client_ids = np.array(draw(st.lists(st.integers(0, 2**32 - 1), min_size=clients,
                                         max_size=clients), label="client ids"))
     epoch = draw(st.integers(0, 2**32 - 1), label="epoch")
-    kind = draw(st.sampled_from((KIND_DOWNLINK, KIND_UPLINK)), label="kind")
+    kinds = (KIND_DOWNLINK, KIND_UPLINK)
+    if draw(st.booleans(), label="one kind"):
+        kind = draw(st.sampled_from(kinds), label="kind")
+        frame_kinds = [kind] * clients
+    else:
+        frame_kinds = draw(st.lists(st.sampled_from(kinds), min_size=clients,
+                                    max_size=clients), label="kinds")
+        kind = np.array(frame_kinds)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     indices = np.array([rng.permutation(num_spaces)[:subset_size] for _ in range(clients)])
     rows = []
-    for row in indices:
-        lead = rng.random(subset_size) if kind == KIND_UPLINK else np.empty(0)
+    for row, frame_kind in zip(indices, frame_kinds):
+        lead = rng.random(subset_size) if frame_kind == KIND_UPLINK else np.empty(0)
         rows.append(np.concatenate([lead, *(rng.standard_normal(dims[i]) for i in row)]))
-    return kind, epoch, client_ids, indices, rows, num_spaces, dims
+    return kind, frame_kinds, epoch, client_ids, indices, rows, num_spaces, dims
 
 
 @settings(max_examples=100, deadline=None)
 @given(_frame_batches())
 def test_frame_batch_matches_the_per_frame_oracle_and_decodes_back(case):
-    kind, epoch, client_ids, indices, rows, num_spaces, dims = case
+    kind, frame_kinds, epoch, client_ids, indices, rows, num_spaces, dims = case
     counts = np.array([row.size for row in rows])
     floats = np.zeros((len(rows), counts.max()))
     for r, row in enumerate(rows):
         floats[r, :row.size] = row
     buffer, lengths = encode_frames(kind, epoch, client_ids, indices, floats, counts,
                                     num_spaces)
-    frames = [oracles.reference_frame_bytes(kind, epoch, int(c), idx.tolist(), row,
+    frames = [oracles.reference_frame_bytes(k, epoch, int(c), idx.tolist(), row,
                                             num_spaces)
-              for c, idx, row in zip(client_ids, indices, rows)]
+              for k, c, idx, row in zip(frame_kinds, client_ids, indices, rows)]
     assert buffer.tobytes() == b"".join(frames)
     assert lengths.tolist() == [len(f) for f in frames]
     header, got_indices, losses, vectors = decode_frames(buffer, lengths, num_spaces, dims)
     assert header["epoch"].tolist() == [epoch] * len(rows)
     assert header["client_id"].tolist() == client_ids.tolist()
-    assert header["kind"].tolist() == [kind] * len(rows)
+    assert header["kind"].tolist() == frame_kinds
     assert np.array_equal(got_indices, indices)
     J = indices.shape[1]
     for r, row in enumerate(rows):
-        lead = J if kind == KIND_UPLINK else 0
+        lead = J if frame_kinds[r] == KIND_UPLINK else 0
         assert np.array_equal(losses[r], _single(row[:J]) if lead else np.zeros(J))
         sent = np.concatenate([vectors[r, a, :dims[i]] for a, i in enumerate(indices[r])])
         assert np.array_equal(sent, _single(row[lead:]))
@@ -490,8 +500,14 @@ def test_run_invariant_violation_aborts_the_run():
         run_fomd_oms(cfg2, streams)
 
 
-@pytest.mark.parametrize("run_learner", [run_fomd_oms, run_nco_oms])
-def test_nan_target_aborts_naming_the_round_and_space(run_learner):
+@pytest.mark.parametrize("run_learner, epochs", [
+    pytest.param(run_fomd_oms, None, id="run_fomd_oms"),
+    pytest.param(run_nco_oms, None, id="run_nco_oms"),
+    # round 7 in the middle of one 10-round block, and of the second 5-round one
+    pytest.param(run_fomd_oms, 1, id="run_fomd_oms-one-epoch"),
+    pytest.param(run_fomd_oms, 2, id="run_fomd_oms-two-epochs"),
+])
+def test_nan_target_aborts_naming_the_round_and_space(run_learner, epochs):
     # NaN fails every ordered comparison, so the bound check must not pass it
     # on to the mirror step, which cannot say where it came from.  Streams
     # refuses non-finite values when it is built, so the NaN is written into
@@ -501,10 +517,36 @@ def test_nan_target_aborts_naming_the_round_and_space(run_learner):
     spaces = tuple(make_space(IdentityMap(3), radius=r, loss_kind=Loss.SQUARE)
                    for r in (0.5, 1.0))
     cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=2, subset_size=2,
-                        horizon=10, master_seed=4)
+                        horizon=10, epochs=epochs, master_seed=4)
     # J=K: client 1 samples both spaces, and space 0 is checked first
     with pytest.raises(RunInvariantError, match="round 7: space 0 produced loss nan"):
         run_learner(cfg, streams)
+
+
+@pytest.mark.parametrize("loss, x, y, message", [
+    (Loss.SQUARE, 0.1, 100.0, r"loss \S+ outside its declared bound"),
+    (Loss.LINEAR, 0.1, 1e6, r"loss \S+ below zero"),
+    (Loss.SQUARE, 10.0, 0.5, r"gradient norm \S+ outside its declared bound"),
+], ids=["loss-bound", "negative-loss", "gradient-bound"])
+def test_a_bound_broken_inside_a_block_names_the_round_a_one_round_block_names(
+        monkeypatch, loss, x, y, message):
+    # two 10-round epochs of constant data, x = 0.1 and y = 0.5, except for
+    # client 1 at round 16, the middle of the second epoch's one block; the
+    # models are nonzero by then, so a linear loss can go negative
+    xs = np.full((2, 20, 1), 0.1)
+    ys = np.full((2, 20), 0.5)
+    xs[1, 15], ys[1, 15] = x, y
+    streams = Streams(xs=xs, ys=ys, meta={})
+    spaces = tuple(make_space(IdentityMap(1), radius=r, loss_kind=loss) for r in (0.5, 1.0))
+    cfg = LearnerConfig(spaces=spaces, loss=loss, clients=2, subset_size=2, horizon=20,
+                        epochs=2, master_seed=5)
+    with pytest.raises(RunInvariantError) as blocked:
+        run_fomd_oms(cfg, streams)
+    monkeypatch.setattr(protocol, "_BLOCK_FLOATS", 1)  # one round per block
+    with pytest.raises(RunInvariantError) as one_round:
+        run_fomd_oms(cfg, streams)
+    assert str(blocked.value) == str(one_round.value)
+    assert re.match(r"round 16: space 0 produced " + message, str(blocked.value))
 
 
 def test_audit_log_reports_cleanliness():
@@ -531,9 +573,8 @@ def test_audited_run_checks_every_frame_and_stays_clean():
 # the space it caught
 
 
-def _audited_run(monkeypatch, name, wrapper):
-    """Run a small audited fomd run with ``fedoms.protocol.<name>`` wrapped."""
-    monkeypatch.setattr(protocol, name, wrapper(getattr(protocol, name)))
+def _small_audited_run():
+    """A 3-client, 5-epoch audited fomd run of K=3, J=2 four-wide spaces."""
     streams = synthetic_linear(input_dim=4, clients=3, horizon=20, seed=21)
     spaces = tuple(make_space(IdentityMap(4), radius=r, loss_kind=Loss.SQUARE)
                    for r in (0.25, 0.5, 1.0))
@@ -541,7 +582,13 @@ def _audited_run(monkeypatch, name, wrapper):
                         horizon=20, epochs=5, master_seed=8, audit=True)
     art = run_fomd_oms(cfg, streams)
     assert art.meta["audit_frames_checked"] == 2 * 3 * 5
-    return art.meta["audit_mismatches"]
+    return art
+
+
+def _audited_run(monkeypatch, name, wrapper):
+    """Run the small audited run with ``fedoms.protocol.<name>`` wrapped."""
+    monkeypatch.setattr(protocol, name, wrapper(getattr(protocol, name)))
+    return _small_audited_run().meta["audit_mismatches"]
 
 
 def _perturb_audit_input(name, change):
@@ -594,17 +641,20 @@ def test_audit_names_the_space_of_an_aggregated_gradient_that_disagrees(monkeypa
 def _flip_in_client_1_frame(kind, offset_of, change=lambda byte: byte ^ 0x01):
     """Wrap ``decode_frames`` so that one byte of client 1's epoch-2 frame changes.
 
-    ``offset_of(frame)`` picks the byte's offset within the frame's bytes.
+    The frame is the one whose header names epoch 2, client 1 and ``kind``,
+    wherever it sits in whichever batch carries it.  ``offset_of(frame)``
+    picks the byte's offset within the frame's bytes.
     """
     def wrapper(original):
         def decode(buffer, lengths, num_spaces, dims):
-            epoch, _, _, frame_kind = struct.unpack_from("<IIIB", buffer[:13].tobytes())
-            if epoch == 2 and frame_kind == kind:
-                buffer = buffer.copy()
-                start = int(lengths[0])
-                frame = buffer[start:start + int(lengths[1])]
-                at = start + offset_of(frame)
-                buffer[at] = change(int(buffer[at]))
+            starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).tolist()
+            for start, length in zip(starts, np.asarray(lengths).tolist()):
+                frame = buffer[start:start + length]
+                epoch, client, _, frame_kind = struct.unpack_from("<IIIB", frame.tobytes())
+                if (epoch, client, frame_kind) == (2, 1, kind):
+                    buffer = buffer.copy()
+                    at = start + offset_of(frame)
+                    buffer[at] = change(int(buffer[at]))
             return original(buffer, lengths, num_spaces, dims)
         return decode
     return wrapper
@@ -643,3 +693,39 @@ def test_audit_names_a_header_the_wire_changed(monkeypatch, kind, name, offset):
     mismatches = _audited_run(monkeypatch, "decode_frames", _flip_in_client_1_frame(
         kind, lambda frame: offset))
     assert mismatches == [f"epoch 2 client 1: {name} header round-trip failed"]
+
+
+def test_audit_notes_every_downlink_check_before_any_uplink_check(monkeypatch):
+    # one batch carries both directions; an uplink bit account (the first
+    # check) still comes after a downlink header (the second)
+    monkeypatch.setattr(protocol, "_audit_epoch", _perturb_audit_input(
+        "up_bits", _add_one_to_client_1)(protocol._audit_epoch))
+    mismatches = _audited_run(monkeypatch, "decode_frames", _flip_in_client_1_frame(
+        KIND_DOWNLINK, lambda frame: 0))
+    assert mismatches == ["epoch 2 client 1: downlink header round-trip failed",
+                          "epoch 2 client 1: engine uplink bits mismatch"]
+
+
+def test_an_audit_cut_into_batches_stays_clean_and_still_names_a_fault(monkeypatch):
+    whole = _small_audited_run()
+    # 20 floats hold two frames of J * (d_max + 1) = 10 floats, so each
+    # epoch's six frames travel in four batches, two per direction:
+    # (downlink 0), (downlinks 1 and 2), (uplink 0), (uplinks 1 and 2)
+    monkeypatch.setattr(protocol, "_BLOCK_FLOATS", 20)
+    batches = []
+
+    def count(original):
+        def decode(buffer, lengths, num_spaces, dims):
+            batches.append(len(lengths))
+            return original(buffer, lengths, num_spaces, dims)
+        return decode
+    monkeypatch.setattr(protocol, "decode_frames", count(protocol.decode_frames))
+    cut = _small_audited_run()
+    assert batches == [1, 2, 1, 2] * 5
+    assert cut.meta["audit_mismatches"] == []
+    for panel in ("lead_indices", "predictions", "losses", "uplink_bits", "downlink_bits"):
+        assert getattr(cut, panel).tobytes() == getattr(whole, panel).tobytes()
+    # client 1's uplink is frame 4 of 6, in the epoch's last batch
+    mismatches = _audited_run(monkeypatch, "decode_frames", _flip_in_client_1_frame(
+        KIND_UPLINK, lambda frame: 16))
+    assert mismatches == ["epoch 2 client 1: uplink float round-trip failed"]
