@@ -106,8 +106,8 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
 
     ``target_column`` selects the target by header name or by position
     (negative indices count from the right).  Every other column becomes a
-    feature.  Parse failures and non-finite cells (``nan``, ``inf``) report
-    the offending row and column.
+    feature; a file with no other column is refused.  Parse failures and
+    non-finite cells (``nan``, ``inf``) report the offending row and column.
 
     The data rows are parsed in one ``np.loadtxt`` call.  When that call
     refuses the file or finds a non-finite cell, the file is parsed again
@@ -139,6 +139,9 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
                     f"{header}"
                 )
             target_pos = header.index(target_column)
+        if len(header) == 1:
+            raise DataError(f"{path}: no feature columns; the only column, "
+                            f"{header[0]!r}, is the target")
         table = _parse_table(fh, len(header))
     if table is None:
         table = _parse_rows(path, header)

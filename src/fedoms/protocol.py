@@ -29,9 +29,14 @@ This module owns everything that crosses the client/server boundary:
 
 The engine keeps each server's sampling distribution in log space (see
 :mod:`fedoms.mirror` for why) and its models as one zero-padded (K, d_max)
-block, so spaces of mixed widths share every code path.  One memory budget,
-``_BLOCK_FLOATS``, bounds both the rounds :func:`run_epoch` evaluates at once
-and the frames the audit codes at once.
+block, so spaces of mixed widths share every code path.  An epoch's
+(client, sampled space) entries stay in client-major order when every space
+reads one input coordinate: then an epoch makes the same numpy calls however
+many spaces it touches.  Otherwise they are sorted by space, so that each
+feature map runs once per touched space and each space's gradients are summed
+over a contiguous segment.  One memory budget, ``_BLOCK_FLOATS``, bounds both
+the rounds :func:`run_epoch` evaluates at once and the frames the audit codes
+at once.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .mirror import (
     project_rows_per_row,
 )
 from .sampling import (
-    SubsetGroups,
     group_subsets,
     inclusion_probabilities,
     subsets_from_uniforms,
@@ -612,6 +616,11 @@ class RunSetup:
         return None
 
     @cached_property
+    def entry_rows(self) -> np.ndarray:
+        """The client of each client-major (client, slot) entry: j repeated J times."""
+        return np.repeat(np.arange(self.ys.shape[0]), self.subset_size)
+
+    @cached_property
     def identity_features(self) -> bool:
         """True when every space feeds the raw input through unchanged."""
         return all(isinstance(s.feature_map, IdentityMap) for s in self.spaces)
@@ -647,7 +656,7 @@ def _audit_epoch(
     setup: RunSetup,
     epoch: int,
     indices: np.ndarray,
-    groups: SubsetGroups,
+    to_clients: np.ndarray | slice,
     weights: np.ndarray,
     mean_losses: np.ndarray,
     mean_grads: np.ndarray,
@@ -661,9 +670,11 @@ def _audit_epoch(
     """Replay one epoch of the single server through the serialized message path.
 
     ``weights`` (K, d_max) are the broadcast models.  ``mean_losses`` and
-    ``mean_grads`` hold each client's report per sampled space, in the flat
-    order of ``groups``; ``grad_est[k]`` is the engine's estimate for space
-    ``stepped[k]``, and ``loss_est`` its (K,) loss estimate.  The epoch's
+    ``mean_grads`` hold each client's report per sampled space, in the
+    kernel's entry order, which indexing by ``to_clients`` makes client-major
+    (entry ``j * J + a`` client j's slot a); ``grad_est[k]`` is the engine's
+    estimate for space ``stepped[k]``, and ``loss_est`` its (K,) loss
+    estimate.  The epoch's
     2·M frames, frame f the downlink to client f and frame M + f the uplink
     from it, go through :func:`encode_frames` and :func:`decode_frames` as
     one batch when its (2·M, J·(d_max + 1)) float table fits
@@ -676,10 +687,8 @@ def _audit_epoch(
     K = setup.num_spaces
     dims = setup.dims
     clients, J = indices.shape
-    flat_of = np.empty((clients, J), dtype=np.int64)
-    flat_of[groups.rows, groups.slots] = np.arange(groups.rows.size)
-    losses = mean_losses[flat_of]  # (clients, J): each client's report
-    grads = mean_grads[flat_of]  # (clients, J, d_max)
+    losses = mean_losses[to_clients].reshape(clients, J)  # each client's report
+    grads = mean_grads[to_clients].reshape(clients, J, -1)
     spread = (np.arange(setup.max_dim) < dims[indices][:, :, None]).reshape(clients, -1)
     width = spread.shape[1]  # J * d_max
     frames = 2 * clients
@@ -747,40 +756,39 @@ def _audit_epoch(
 def _check_bounds(
     losses: np.ndarray,
     grad_sq: np.ndarray,
-    starts: np.ndarray,
-    touched: np.ndarray,
-    loss_limit: np.ndarray,
-    g_limit_sq: np.ndarray,
-    spaces: Sequence[HypothesisSpace],
+    entry_spaces: np.ndarray,
+    entry_limits: tuple[np.ndarray, np.ndarray],
+    setup: RunSetup,
     round_index: int,
-    rounds: int = 1,
 ) -> None:
     """Abort the run if a loss or gradient breaks its declared bound.
 
-    ``losses`` and ``grad_sq`` (squared gradient norms) are flat arrays
-    sorted into one segment per space of ``touched``, starting at
-    ``starts``; the limits are aligned with ``touched``.  The tests are
-    written as ``not (worst <= limit)`` so that a NaN fails them.  Losses
-    must also be non-negative, which the entropy step requires; a linear
-    loss goes negative once a space's radius times feature bound passes 1.
+    ``losses`` and ``grad_sq`` (squared gradient norms) are (rounds, n)
+    blocks of consecutive rounds, the first of them round ``round_index``;
+    entry ``f`` of a round evaluated space ``entry_spaces[f]``, whose loss
+    limit and squared gradient-norm limit ``entry_limits`` hold per entry.
+    The block is tested elementwise in one mask, written as
+    ``not (value <= limit)`` so that a NaN fails it.  Losses must also be
+    non-negative, which the entropy step requires; a linear loss goes
+    negative once a space's radius times feature bound passes 1.
 
-    With ``rounds`` > 1 the arrays hold a round-major block of that many
-    rounds, the first of them round ``round_index``, each laid out as one
-    round's segments.  The block is tested in one pass; if it fails, its
-    first failing round is checked again alone, so the error names the
-    round, space and check that a round-by-round check would have raised.
+    Only a failing block pays for a diagnosis: its first failing round is
+    checked space by space, and the error names that round, the lowest
+    failing space, and the first check it fails in the order loss bound,
+    non-negativity, gradient bound, with the space's worst value.
     """
-    if rounds > 1:
-        per_round = (rounds, losses.size // rounds)
-        losses2, grad_sq2 = losses.reshape(per_round), grad_sq.reshape(per_round)
-        ok = ((np.maximum.reduceat(losses2, starts, axis=1) <= loss_limit).all(axis=1)
-              & (losses2 >= 0.0).all(axis=1)
-              & (np.maximum.reduceat(grad_sq2, starts, axis=1) <= g_limit_sq).all(axis=1))
-        if not ok.all():
-            c = int(np.argmin(ok))
-            _check_bounds(losses2[c], grad_sq2[c], starts, touched, loss_limit, g_limit_sq,
-                          spaces, round_index + c)
+    loss_limit, g_limit_sq = entry_limits
+    ok = (losses <= loss_limit) & (losses >= 0.0) & (grad_sq <= g_limit_sq)
+    if ok.all():
         return
+    c = int(np.argmin(ok.all(axis=1)))
+    # the failing round's entries sorted into one segment per space
+    order = np.argsort(entry_spaces, kind="stable")
+    touched, starts = np.unique(entry_spaces[order], return_index=True)
+    losses, grad_sq = losses[c, order], grad_sq[c, order]
+    loss_limit, g_limit_sq = (limit[touched] for limit in setup.limits)
+    spaces = setup.spaces
+    round_index += c
     worst = np.maximum.reduceat(losses, starts)
     ok = worst <= loss_limit
     if not ok.all():
@@ -791,9 +799,10 @@ def _check_bounds(
             f"outside its declared bound {spaces[i].loss_bound:.6g}; the "
             f"step-size schedule is invalid for this data"
         )
-    if not (losses >= 0.0).all():
-        least = np.minimum.reduceat(losses, starts)
-        k = int(np.flatnonzero(~(least >= 0.0))[0])
+    least = np.minimum.reduceat(losses, starts)
+    ok = least >= 0.0
+    if not ok.all():
+        k = int(np.flatnonzero(~ok)[0])
         raise RunInvariantError(
             f"round {round_index}: space {int(touched[k])} produced loss "
             f"{float(least[k]):.6g} below zero; the entropy step needs "
@@ -801,35 +810,18 @@ def _check_bounds(
         )
     # compare squared norms; take the square root only to report a failure
     worst = np.maximum.reduceat(grad_sq, starts)
-    ok = worst <= g_limit_sq
-    if not ok.all():
-        k = int(np.flatnonzero(~ok)[0])
-        i = int(touched[k])
-        raise RunInvariantError(
-            f"round {round_index}: space {i} produced gradient norm "
-            f"{float(np.sqrt(worst[k])):.6g} outside its declared bound "
-            f"{spaces[i].lipschitz_bound:.6g}; the step-size schedule is "
-            f"invalid for this data"
-        )
+    k = int(np.flatnonzero(~(worst <= g_limit_sq))[0])
+    i = int(touched[k])
+    raise RunInvariantError(
+        f"round {round_index}: space {i} produced gradient norm "
+        f"{float(np.sqrt(worst[k])):.6g} outside its declared bound "
+        f"{spaces[i].lipschitz_bound:.6g}; the step-size schedule is "
+        f"invalid for this data"
+    )
 
 
-def _block_index(rounds: int, rows: np.ndarray, columns: np.ndarray | None,
-                 weights: np.ndarray, lead_mask: np.ndarray, lead_rows: np.ndarray) -> tuple:
-    """One round's flat entry arrays, repeated for a block of ``rounds`` rounds.
-
-    Returns the block's rows, feature columns (None stays None), weight rows,
-    lead mask and lead clients, each ``rounds`` copies of the round's in
-    round-major order, then each entry's and each lead's round offset within
-    the block.
-    """
-    return (*(None if x is None else np.concatenate((x,) * rounds)
-              for x in (rows, columns, weights, lead_mask, lead_rows)),
-            np.repeat(np.arange(rounds), rows.size),
-            np.repeat(np.arange(rounds), lead_rows.size))
-
-
-def _add_rounds(total: np.ndarray | None, block: np.ndarray, rounds: int) -> np.ndarray:
-    """``total`` plus each round of a round-major block, one round at a time.
+def _add_rounds(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+    """``total`` plus each round of a block (rounds leading), one round at a time.
 
     The rounds are added in round order, ``((total + r0) + r1) + ...``,
     which is the order a round-by-round loop adds them, so the sums do not
@@ -838,16 +830,41 @@ def _add_rounds(total: np.ndarray | None, block: np.ndarray, rounds: int) -> np.
     summing from zero (losses are never -0.0) while sparing the one-round
     epochs of nco two array passes each.
     """
-    if rounds == 1:
-        return block if total is None else total + block
-    parts = block.reshape(rounds, -1)  # one row per round
+    if block.shape[0] == 1:
+        return block[0] if total is None else total + block[0]
+    parts = block.reshape(block.shape[0], -1)  # one row per round
     if total is not None:
         parts = np.concatenate((total.reshape(1, -1), parts))
     # numpy sums a C-ordered table more than one column wide down its rows one
     # row at a time, in order, but a single column pairwise; accumulate is
     # sequential by definition, and 13x slower than sum on a 10 x 18000 table
     summed = parts.sum(axis=0) if parts.shape[1] > 1 else np.add.accumulate(parts)[-1]
-    return summed.reshape(-1, *block.shape[1:])
+    return summed.reshape(block.shape[1:])
+
+
+def _sum_by_space(entry_spaces: np.ndarray, values: np.ndarray,
+                  num_spaces: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of each space's ``values``, one float per entry, in entry order.
+
+    Entry ``f`` belongs to space ``entry_spaces[f]``.  Returns the ascending
+    ids of the spaces present and their (., 1) sums, each the sum numpy's
+    ``sum`` makes over the space's entries as one column: pairwise from
+    +0.0, which is the running sum below 8 terms.  So one ``bincount``, a
+    running sum from +0.0, gives every sum unless some space has 8 or more
+    terms.  Then one ``reduceat`` sums every space over the entries sorted by
+    space, each segment led by a +0.0: reduceat adds a segment's first term
+    to the pairwise sum of the rest.
+    """
+    counts = np.bincount(entry_spaces, minlength=num_spaces)
+    touched = counts.nonzero()[0]
+    if counts.max() < 8:
+        sums = np.bincount(entry_spaces, weights=values, minlength=num_spaces)
+    else:
+        heads = np.arange(num_spaces)  # one +0.0 per space, ahead of its entries
+        order = np.concatenate((heads, entry_spaces)).argsort(kind="stable")
+        padded = np.concatenate((np.zeros(num_spaces), values))[order]
+        sums = np.add.reduceat(padded, heads + (counts.cumsum() - counts))
+    return touched, sums[touched, None]
 
 
 def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
@@ -862,28 +879,38 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     its clients sampled.  Writes per-round trace rows into ``state``,
     including, when ``setup.communicates``, the exact bits of every message.
 
-    All per-(client, space) work runs on flat arrays sorted by space: one
-    round's n entries, a (client, sampled space) pair each.  Subsets and
-    models are frozen for the epoch, so its rounds are independent until
-    they are summed, and they are evaluated in blocks of C rounds.  A block
-    is flat and round-major: C copies of the round layout, C·n entries, so a
-    one-round block is exactly the round's arrays.  C is the most rounds
-    whose (C·n, max(d_max, input width)) arrays fit ``_BLOCK_FLOATS``,
-    capped at the epoch's N rounds; the last block of an epoch may be
-    shorter.  Each block's bounds are checked in one pass (an error still
-    names the first failing round), and each block's losses and gradients
-    are added to the epoch's sums one round at a time in round order, the
-    additions a round-by-round loop makes, so the floats do not depend on C.
+    All per-(client, space) work runs on an epoch's n = M·J entries, a
+    (client, sampled space) pair each, in one of two orders.  When every
+    space reads one input coordinate, the entries stay in client-major
+    order, entry ``j * J + a`` client j's slot a, and one gather per block
+    picks every entry's feature; each client's lead is every J-th entry.
+    Otherwise the entries are sorted by space
+    (:func:`fedoms.sampling.group_subsets`), so that each touched space's
+    feature map runs once per block on a contiguous segment, or, when every
+    space reads the raw input, one gather picks every entry's input.  The
+    floats of an entry do not depend on the order.
+
+    Subsets and models are frozen for the epoch, so its rounds are
+    independent until they are summed, and they are evaluated in blocks of
+    C rounds: C-ordered (C, n) arrays, round first, so a one-round block is
+    one row.  C is the most rounds whose (C·n, max(d_max, input width))
+    arrays fit ``_BLOCK_FLOATS``, capped at the epoch's N rounds; the last
+    block of an epoch may be shorter.  Each block's bounds are checked
+    elementwise in one pass (an error still names the first failing round),
+    and each block's losses and gradients are added to the epoch's sums one
+    round at a time in round order, the additions a round-by-round loop
+    makes, so the floats do not depend on C.
 
     The floats do not depend on S except through the aggregation.  With S=M
     each (server, space) pair has exactly one report, so nothing is summed.
-    With S=1 numpy's ``sum(axis=0)`` adds the importance-weighted reports
-    over clients: the losses as a dense (M, K) table, the gradients over
-    each space's contiguous (n, d_max) segment.  Over a segment more than
-    one column wide it adds the rows one at a time in ascending client
-    order; over a single column (K = 1, or d_max = 1) it sums pairwise, in
-    an order fixed by n alone.  Either way the sampled subsets fix the
-    order, so the floats are reproducible.
+    With S=1 numpy's ``sum(axis=0)`` adds the importance-weighted losses
+    over clients as a dense (M, K) table, and each space's gradients in
+    ascending client order: over its contiguous segment in sorted order,
+    where ``sum(axis=0)`` adds the rows one at a time when they are more
+    than one column wide and pairwise over a single column, or, with
+    client-major coordinate entries, in those same orders by
+    :func:`_sum_by_space`.  The sampled subsets fix every order, so the
+    floats are reproducible.
     """
 
     if epoch != state.epochs_done + 1:
@@ -904,66 +931,69 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     indices = subsets_from_uniforms(probs, J, setup.uniforms[:, t0, :])
     inclusion = inclusion_probabilities(probs, J)
 
-    groups = group_subsets(indices)
-    touched = groups.touched
-    starts = groups.bounds[:-1]
-    ends = groups.bounds.tolist()  # Python ints slice without a conversion
-    rows = groups.rows
-    flat_spaces = groups.spaces
-    lead_mask = groups.slots == 0
-    lead_rows = rows[lead_mask]
-    servers = rows if S == M else 0
-    w_flat = state.weights[servers, flat_spaces]
-    loss_limit = setup.limits[0][touched]
-    g_limit_sq = setup.limits[1][touched]
-
     columns = setup.feature_columns
     identity = setup.identity_features
-    flat_columns = None if columns is None else columns[flat_spaces]
+    if columns is not None:  # client-major entries
+        rows = setup.entry_rows
+        flat_spaces = indices.reshape(-1)
+        to_clients = slice(None)  # the entries already are in client order
+        lead = slice(None, None, J)
+        flat_columns = columns[flat_spaces]
+    else:  # space-sorted entries
+        groups = group_subsets(indices)
+        touched = groups.touched
+        ends = groups.bounds.tolist()  # Python ints slice without a conversion
+        rows = groups.rows
+        flat_spaces = groups.spaces
+        # the sorted position of each client-major entry
+        to_clients = np.empty(rows.size, dtype=np.int64)
+        to_clients[rows * J + groups.slots] = np.arange(rows.size)
+        lead = to_clients[::J]
     n = rows.size
-    layout = (rows, flat_columns, w_flat, lead_mask, lead_rows)
+    servers = rows if S == M else 0
+    w_flat = state.weights[servers, flat_spaces]
+    entry_limits = (setup.limits[0][flat_spaces], setup.limits[1][flat_spaces])
+
     if N == 1:
         C = 1
     else:
         C = min(N, max(1, _BLOCK_FLOATS // (n * max(setup.max_dim, setup.xs.shape[2]))))
-    # a one-round block is the round's own arrays at round offset 0
-    full = (*layout, 0, 0) if C == 1 else _block_index(C, *layout)
     if columns is None and not identity:
         widths = setup.dims[touched]
         phi = np.zeros((C * n, setup.max_dim))  # zero past each space's width
     loss_sum = grad_sum = None
     for a in range(t0, t0 + N, C):
-        rounds = min(C, t0 + N - a)
-        b_rows, b_columns, b_w, b_lead, b_lead_rows, offsets, lead_offsets = (
-            full if rounds == C else _block_index(rounds, *layout))
-        t = offsets + a  # each entry's round: an int when blocks are one round
-        yt = setup.ys[b_rows, t]
+        b = min(a + C, t0 + N)
+        # a (rounds, 1) column of round indices gathers C-ordered (rounds, n)
+        # blocks, which _add_rounds sums down their rows in round order
+        t = np.arange(a, b)[:, None]
+        yt = setup.ys[rows, t]
         # the fused gathers pick the same floats the per-space maps would
         if columns is not None:
-            phi_b = setup.xs[b_rows, t, b_columns][:, None]
+            phi_b = setup.xs[rows, t, flat_columns][..., None]
         elif identity:
-            phi_b = setup.xs[b_rows, t, :]
+            phi_b = setup.xs[rows, t]
         else:
             # one call per space and block; a block's input is stacked by
             # round, so each round's matmul is the one a one-round block makes
-            shape = (n, -1) if rounds == 1 else (rounds, n, -1)
-            xt = setup.xs[b_rows, t].reshape(shape)
-            phi_b = phi[:rounds * n]
-            panel = phi_b.reshape(shape)
+            xt = setup.xs[rows, t]
+            if b - a == 1:
+                xt = xt[0]
+            phi_b = phi[:(b - a) * n]
+            panel = phi_b.reshape(*xt.shape[:-1], -1)
             for k in range(touched.size):
                 seg = slice(ends[k], ends[k + 1])
                 panel[..., seg, :widths[k]] = spaces[touched[k]].feature_map(xt[..., seg, :])
-        values = (phi_b * b_w).sum(axis=1)
+            phi_b = phi_b.reshape(b - a, n, -1)
+        values = (phi_b * w_flat).sum(axis=2)
         closs = loss_value(setup.loss, values, yt)
         dvals = loss_derivative(setup.loss, values, yt)
-        gsq = (dvals * dvals) * (phi_b * phi_b).sum(axis=1)
-        _check_bounds(closs, gsq, starts, touched, loss_limit, g_limit_sq,
-                      spaces, a + 1, rounds)
-        loss_sum = _add_rounds(loss_sum, closs, rounds)
-        grad_sum = _add_rounds(grad_sum, dvals[:, None] * phi_b, rounds)
-        t = lead_offsets + a
-        state.predictions[t, b_lead_rows] = values[b_lead]
-        state.losses[t, b_lead_rows] = closs[b_lead]
+        gsq = (dvals * dvals) * (phi_b * phi_b).sum(axis=2)
+        _check_bounds(closs, gsq, flat_spaces, entry_limits, setup, a + 1)
+        loss_sum = _add_rounds(loss_sum, closs)
+        grad_sum = _add_rounds(grad_sum, dvals[..., None] * phi_b)
+        state.predictions[a:b] = values[:, lead]
+        state.losses[a:b] = closs[:, lead]
 
     # Server aggregation: mean over the epoch, importance weight, mean over
     # the server's clients.  Spaces outside every subset estimate to zero.
@@ -981,12 +1011,15 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     else:
         loss_est = reports.sum(axis=0, keepdims=True)
         loss_est /= M
-        # one scalar division per segment: dividing the whole (n, d_max)
-        # block by an (n, 1) column runs one inner loop per row, which costs
-        # more than the division itself when the rows are wide
-        grad_est = np.empty((touched.size, mean_grads.shape[1]))
-        for k, share in enumerate(inclusion[0, touched].tolist()):
-            grad_est[k] = (mean_grads[ends[k]:ends[k + 1]] / share).sum(axis=0)
+        if columns is not None:
+            touched, grad_est = _sum_by_space(flat_spaces, mean_grads[:, 0] / inc, K)
+        else:
+            # one scalar division per segment: dividing the whole (n, d_max)
+            # block by an (n, 1) column runs one inner loop per row, which
+            # costs more than the division itself when the rows are wide
+            grad_est = np.empty((touched.size, mean_grads.shape[1]))
+            for k, share in enumerate(inclusion[0, touched].tolist()):
+                grad_est[k] = (mean_grads[ends[k]:ends[k + 1]] / share).sum(axis=0)
         grad_est /= M
         stepped = touched
         w_old = state.weights[0, touched]
@@ -996,7 +1029,7 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
         up_bits = down_bits + 32 * J
         if setup.audit is not None:
             _audit_epoch(
-                setup.audit, setup, epoch, indices, groups, state.weights[0],
+                setup.audit, setup, epoch, indices, to_clients, state.weights[0],
                 mean_losses, mean_grads, inclusion[0], loss_est[0], stepped,
                 grad_est, down_bits, up_bits,
             )

@@ -128,14 +128,17 @@ def group_subsets(indices: np.ndarray) -> SubsetGroups:
     One stable sort of the flattened table (so rows stay ascending within a
     space) replaces a per-space membership scan; all downstream per-space
     work can then run on contiguous slices.  Segment offsets come from the
-    per-space counts.
+    per-space counts.  With at most 256 spaces the keys are sorted as
+    uint8, for which numpy's stable sort is a radix sort rather than a
+    timsort; a stable sort gives the same permutation either way.
     """
     if indices.ndim != 2:
         raise ValueError(f"indices must be 2-d, got shape {indices.shape}")
     flat = indices.ravel()
-    order = flat.argsort(kind="stable")
+    counts = np.bincount(flat)
+    keys = flat.astype(np.uint8) if counts.size <= 256 else flat
+    order = keys.argsort(kind="stable")
     spaces = flat[order]
-    counts = np.bincount(spaces)
     touched = counts.nonzero()[0]
     bounds = np.zeros(touched.size + 1, dtype=np.int64)
     np.cumsum(counts[touched], out=bounds[1:])

@@ -5,6 +5,7 @@ library root-finders, deliberately avoiding the code paths under test.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 
@@ -289,3 +290,67 @@ def reference_frame_bytes(kind, epoch, client_id, indices, floats, num_spaces) -
     header = struct.pack("<IIIBBH", epoch, client_id, 8 * len(body) + nbits, kind,
                          len(indices), 0)
     return header + body + packed
+
+
+# ---------------------------------------------------------------------------
+# numpy's float64 summation orders, written out term by term: the running
+# sum that ``bincount`` and a wide ``sum(axis=0)`` make, and the pairwise sum
+# a one-column ``sum`` makes (numpy's ``pairwise_sum``: in sequence below 8
+# terms, in 8 interleaved lanes up to 128, halves at a multiple of 8 beyond).
+
+
+def running_sum(terms, start=0.0):
+    """``((start + t0) + t1) + ...``, one term at a time."""
+    total = start
+    for t in terms:
+        total += float(t)
+    return total
+
+
+def pairwise_sum(terms):
+    """numpy's pairwise sum of ``terms``; a reduction adds it to +0.0."""
+    n = len(terms)
+    if n < 8:
+        return running_sum(terms, -0.0)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+    lanes = [float(t) for t in terms[:8]]
+    full = n - n % 8
+    for i in range(8, full, 8):
+        for j in range(8):
+            lanes[j] += float(terms[i + j])
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+    return running_sum(terms[full:], total)
+
+
+# ---------------------------------------------------------------------------
+# A feature map the round kernel cannot fuse.  The kernel gathers the
+# features of coordinate and identity spaces itself, and runs any other map
+# once per space and block; wrapping a coordinate or identity map sends the
+# same floats down that per-space path.
+
+
+@dataclasses.dataclass(frozen=True)
+class OpaqueMap:
+    """Calls ``inner``; the kernel sees neither a coordinate nor an identity map."""
+
+    inner: object
+
+    @property
+    def input_dim(self) -> int:
+        return self.inner.input_dim
+
+    @property
+    def output_dim(self) -> int:
+        return self.inner.output_dim
+
+    def __call__(self, x):
+        return self.inner(x)
+
+
+def through_map_path(space):
+    """``space`` with its feature map hidden behind :class:`OpaqueMap`."""
+    return dataclasses.replace(space, feature_map=OpaqueMap(space.feature_map))

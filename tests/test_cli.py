@@ -323,6 +323,24 @@ def test_run_on_a_csv_cell_over_the_csv_field_limit_reports_the_row(tmp_path, ca
     assert "row 6: field larger than field limit" in blob["message"]
 
 
+@pytest.mark.parametrize("space", [{"kind": "identity"}, {"kind": "rff", "features": 8}],
+                         ids=["identity", "rff"])
+def test_run_on_a_csv_with_only_a_target_column_is_a_config_error(space, tmp_path, capsys):
+    # an RFF space ran to exit 0 on constant features, an identity space
+    # failed on its radius; both now stop at the file
+    csv_path = tmp_path / "only-target.csv"
+    csv_path.write_text("target\n" + "".join(f"{v / 10}\n" for v in range(40)))
+    cfg = _base_config(horizon=None, epochs=None, subset_size=1, spaces=[space])
+    cfg["data"] = {"source": "csv", "path": str(csv_path), "target_column": "target"}
+    path = tmp_path / "csv_cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["status"] == "error" and blob["kind"] == "ConfigError"
+    assert blob["field"] == "data"
+    assert f"{csv_path}: no feature columns" in blob["message"]
+
+
 @pytest.mark.parametrize(
     "error", [DataError, ProtocolError, RunInvariantError, MirrorError],
     ids=lambda error: error.__name__)

@@ -1,6 +1,7 @@
 """Tests for ingestion, preprocessing, generators, and summary metrics."""
 
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -85,6 +86,15 @@ def test_ingest_errors_carry_row_and_column_diagnostics(tmp_path):
         ingest_csv(_write(tmp_path / "l.csv", f"a,{huge},y\n1,2,3\n"))
 
 
+def test_a_csv_with_only_a_target_column_is_refused_naming_the_file(tmp_path):
+    # with no feature column an RFF space would see a constant cos(phase)
+    # and an identity space a 0-dimensional input
+    only_target = _write(tmp_path / "only-target.csv", "target\n0.1\n0.2\n0.3\n0.4\n")
+    for target_column in ("target", 0, -1):
+        with pytest.raises(DataError, match=re.escape(f"{only_target}: no feature columns")):
+            ingest_csv(only_target, target_column=target_column)
+
+
 def test_ingest_elevators_shaped_table(tmp_path):
     f = write_regression_csv(tmp_path / "big.csv", rows=16590, input_dim=18, seed=0)
     ds = ingest_csv(f, target_column="target")
@@ -127,6 +137,10 @@ def test_fast_parse_matches_the_row_parser_bit_for_bit(tmp_path_factory, table, 
     assert np.array_equal(fast.view(np.int64), rows.view(np.int64))
     expected = np.array([[v for _, v, _ in row] for row in table])
     assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+    if width == 1:  # a target and no feature: both parsers read it, ingest refuses it
+        with pytest.raises(DataError, match="no feature columns"):
+            ingest_csv(path)
+        return
     ds = ingest_csv(path)
     assert np.array_equal(ds.targets.view(np.int64), fast[:, -1].view(np.int64))
     assert np.array_equal(ds.features.view(np.int64), fast[:, :-1].view(np.int64))

@@ -622,17 +622,21 @@ def test_engine_invariants_hold_on_random_small_configs(run):
             assert bits - index_bits in {32 * s for s in sums}
 
 
-def _run_bytes(cfg, streams, budget):
-    """The cooperative run of ``cfg`` with the kernel's block budget set to
-    ``budget`` floats: its distributions, weights and trace panels as bytes,
-    and its audit record."""
-    with mock.patch.object(protocol, "_BLOCK_FLOATS", budget):
-        state, _, audit = learners._run_servers(cfg, streams, cfg.effective_epochs,
-                                                cooperative=True)
+def _state_bytes(cfg, streams, cooperative):
+    """A run's distributions, weights and trace panels as bytes, and its audit record."""
+    epochs = cfg.effective_epochs if cooperative else cfg.horizon
+    state, _, audit = learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
     panels = (state.log_p, state.weights, state.predictions, state.losses, state.leads,
               state.uplink_bits, state.downlink_bits)
     record = None if audit is None else (audit.frames_checked, audit.mismatches)
     return [panel.tobytes() for panel in panels], record
+
+
+def _run_bytes(cfg, streams, budget):
+    """:func:`_state_bytes` of the cooperative run of ``cfg`` with the kernel's
+    block budget set to ``budget`` floats."""
+    with mock.patch.object(protocol, "_BLOCK_FLOATS", budget):
+        return _state_bytes(cfg, streams, cooperative=True)
 
 
 @settings(deadline=None, max_examples=60)
@@ -654,6 +658,50 @@ def test_round_blocks_and_audit_batches_leave_every_byte_of_a_run(run, audit, bu
     assert one_round[1] == ((2 * M * R, []) if audit else None)
     assert _run_bytes(cfg, streams, budget) == one_round
     assert _run_bytes(cfg, streams, protocol._BLOCK_FLOATS) == one_round
+
+
+@st.composite
+def _fusable_runs(draw):
+    """K <= 5 coordinate spaces or K <= 5 identity spaces over a width of 2
+    or 3, M <= 12 clients, T <= 24 and an epoch count R dividing T."""
+    kind = draw(st.sampled_from(["coordinate", "identity"]))
+    K = draw(st.integers(1, 5))
+    J = 1 if K == 1 else draw(st.integers(2, K))
+    T = draw(st.integers(2 if K == 1 else 1, 24))
+    R = draw(st.sampled_from([r for r in range(1, T + 1) if T % r == 0 and K * r >= 2]))
+    d = draw(st.integers(2, 3))
+    loss = draw(st.sampled_from(list(Loss)))
+    spaces = []
+    for _ in range(K):
+        fm = (CoordinateMap(d, draw(st.integers(0, d - 1))) if kind == "coordinate"
+              else IdentityMap(d))
+        top = min(2.0, 1.0 / feature_norm_bound(fm)) if loss is Loss.LINEAR else 2.0
+        spaces.append(make_space(fm, draw(st.floats(0.1, top, exclude_min=True)), loss))
+    return tuple(spaces), loss, J, draw(st.integers(1, 12)), T, R, d, draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_fusable_runs(), st.booleans())
+# one client, one 8-round block: gathered (rounds, n) blocks laid out entry
+# first would be summed over their rounds pairwise
+@example(((make_space(CoordinateMap(2, 0), 1.0, Loss.SQUARE),) * 2, Loss.SQUARE,
+          2, 1, 8, 1, 2, 0), False)
+def test_fused_features_and_per_space_maps_give_the_same_bytes(run, audit):
+    # client-major entries with one gather and one bincount, against space-
+    # sorted entries with one feature-map call and one sum per space; up to
+    # 12 clients over a few 1-wide spaces gives the sums of 8 or more terms
+    # that numpy adds pairwise
+    spaces, loss, J, M, T, R, d, seed = run
+    streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=seed)
+    mapped = tuple(oracles.through_map_path(s) for s in spaces)
+    for cooperative in (True, False):
+        fused, per_space = (
+            _state_bytes(LearnerConfig(spaces=group, loss=loss, clients=M, subset_size=J,
+                                       horizon=T, epochs=R if cooperative else None,
+                                       master_seed=seed, audit=audit and cooperative),
+                         streams, cooperative)
+            for group in (spaces, mapped))
+        assert fused == per_space
 
 
 @pytest.mark.parametrize("learner", [run_fomd_oms, run_nco_oms])

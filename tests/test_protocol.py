@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedoms.protocol as protocol
+from fedoms import learners, sampling
 from fedoms.learners import LearnerConfig, check_epochs, run_fomd_oms, run_nco_oms
 from fedoms.data import Streams, synthetic_linear
 from fedoms.protocol import (
@@ -32,7 +34,7 @@ from fedoms.protocol import (
     encode_frames,
     encode_uplink,
 )
-from fedoms.spaces import IdentityMap, Loss, make_space
+from fedoms.spaces import CoordinateMap, IdentityMap, Loss, make_space
 
 import oracles
 
@@ -485,6 +487,41 @@ def test_halving_the_epoch_count_halves_the_bits():
     assert half.total_uplink_bits * 2 == full.total_uplink_bits
 
 
+def test_numpy_keeps_the_summation_orders_the_kernel_relies_on():
+    # the kernel's trace bytes rest on these orders (run_epoch, _add_rounds,
+    # _sum_by_space); a numpy release that changes one must fail here
+    rng = np.random.default_rng(11)
+    parted = 0
+    for n in [*range(1, 40), 127, 128, 129, 200, 257]:
+        x = rng.normal(size=(n, 3))
+        # a table more than one column wide is summed down its rows, one at a time
+        assert x.sum(axis=0).tolist() == [oracles.running_sum(col) for col in x.T]
+        # a single column is summed pairwise: the running sum below 8 terms
+        column = x[:, :1].sum(axis=0)[0]
+        assert column == 0.0 + oracles.pairwise_sum(x[:, 0])
+        if n < 8:
+            assert column == oracles.running_sum(x[:, 0])
+        parted += column != oracles.running_sum(x[:, 0])
+        # bincount adds each cell's weights in input order
+        cells = rng.integers(0, 4, n)
+        assert np.bincount(cells, x[:, 0], minlength=4).tolist() == [
+            oracles.running_sum(x[cells == c, 0]) for c in range(4)]
+        # reduceat adds a segment's first term to the pairwise sum of the
+        # rest, which from 3 terms on is neither order above
+        if n > 1:
+            cut = int(rng.integers(0, n - 1))
+            assert np.add.reduceat(x[:, 0], [0, cut])[-1] == (
+                x[cut, 0] + oracles.pairwise_sum(x[cut + 1:, 0]))
+        # so a segment led by a +0.0 gets the one-column sum
+        assert np.add.reduceat(np.concatenate(([0.0], x[:, 0])), [0])[0] == column
+    assert parted  # the pairwise and the running sums do differ from 8 terms on
+    # each order starts from +0.0, not from the first term
+    minus = np.full((3, 2), -0.0)
+    for total in (minus.sum(axis=0), minus[:, :1].sum(axis=0),
+                  np.bincount([0, 0, 0], minus[:, 0])):
+        assert not np.signbit(total).any()
+
+
 def test_run_invariant_violation_aborts_the_run():
     streams = _constant_streams([1.0, 1.0], [1.0, 1.0])
     space = make_space(IdentityMap(1), radius=1.0, loss_kind=Loss.SQUARE)
@@ -547,6 +584,118 @@ def test_a_bound_broken_inside_a_block_names_the_round_a_one_round_block_names(
         run_fomd_oms(cfg, streams)
     assert str(blocked.value) == str(one_round.value)
     assert re.match(r"round 16: space 0 produced " + message, str(blocked.value))
+
+
+def _kernel_calls_per_epoch(monkeypatch, spaces, input_dim, cooperative, epochs, clients):
+    """The calls each epoch's run_epoch makes from protocol.py's own frames
+    (numpy functions, methods, builtins and the module's helpers, each
+    counted once however much it does inside), after the first epoch, which
+    also fills the set-up's cached properties."""
+    counts = []
+
+    def counted(state, setup, epoch):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            caller = frame if event == "c_call" else frame.f_back if event == "call" else None
+            if caller is not None and caller.f_code.co_filename == protocol.__file__:
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            protocol.run_epoch(state, setup, epoch)
+        finally:
+            sys.setprofile(None)
+        counts.append(calls)
+
+    monkeypatch.setattr(learners, "run_epoch", counted)
+    streams = synthetic_linear(input_dim=input_dim, clients=clients, horizon=12, seed=1)
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=clients, subset_size=2,
+                        horizon=12, epochs=epochs, master_seed=2)
+    learners._run_servers(cfg, streams, epochs or 12, cooperative=cooperative)
+    return counts[1:]
+
+
+def _every_client_samples(monkeypatch, forced):
+    """Make every subset lead with the spaces ``forced``, then the others drawn."""
+
+    def with_forced(probs, J, uniforms):
+        drawn = sampling.subsets_from_uniforms(probs, J, uniforms).tolist()
+        return np.array([([*forced] + [k for k in row if k not in forced])[:J] for row in drawn])
+
+    monkeypatch.setattr(protocol, "subsets_from_uniforms", with_forced)
+
+
+@pytest.mark.parametrize("clients", [3, 10], ids=["under-8-per-space", "10-on-forced-spaces"])
+@pytest.mark.parametrize("cooperative, epochs", [(True, None), (True, 2), (False, None)],
+                         ids=["fomd", "fomd-6-round-epochs", "nco"])
+def test_a_coordinate_epoch_makes_the_same_calls_whatever_spaces_it_touches(
+        monkeypatch, clients, cooperative, epochs):
+    # clients sample 2 of K spaces each.  3 clients touch 2 to 4 spaces at
+    # K = 4 and 2 to 6 at K = 32, none of them 8 times, so one bincount sums
+    # the gradients.  10 clients all sample spaces 0 and 1 at K = 4, and
+    # space 0 and 1 to 10 others at K = 32: two spaces of 10 terms against
+    # one, which numpy sums pairwise, so one reduceat sums them
+    per_k = {}
+    for K in (4, 32):
+        if clients == 10:
+            _every_client_samples(monkeypatch, (0, 1) if K == 4 else (0,))
+        spaces = tuple(make_space(CoordinateMap(K, i), 1.0, Loss.SQUARE) for i in range(K))
+        per_k[K] = _kernel_calls_per_epoch(monkeypatch, spaces, K, cooperative, epochs, clients)
+    assert len(set(per_k[4] + per_k[32])) == 1, per_k
+
+
+def _linear_run_error(xs, ys, path, epochs=None, loss_bounds=(None,) * 3, seed=5):
+    """The RunInvariantError text of a cooperative run of three 1-wide identity
+    spaces (linear loss, J = K = 3) over ``xs``/``ys``, with the features
+    gathered by the kernel (``path`` "fused") or by each space's map ("map")."""
+    spaces = []
+    for radius, bound in zip((0.5, 0.75, 1.0), loss_bounds):
+        space = make_space(IdentityMap(1), radius, Loss.LINEAR)
+        if bound is not None:
+            space = dataclasses.replace(space, loss_bound=bound)
+        spaces.append(oracles.through_map_path(space) if path == "map" else space)
+    cfg = LearnerConfig(spaces=tuple(spaces), loss=Loss.LINEAR, clients=xs.shape[0],
+                        subset_size=3, horizon=xs.shape[1], epochs=epochs,
+                        master_seed=seed, uniform_init=True)
+    with pytest.raises(RunInvariantError) as failed:
+        run_fomd_oms(cfg, Streams(xs=xs, ys=ys, meta={}))
+    return str(failed.value)
+
+
+@pytest.mark.parametrize("path", ["fused", "map"])
+def test_of_two_spaces_breaking_a_bound_in_one_round_the_lower_is_named(path):
+    # at w = 0 every loss is 1, over the bound 0.5 of spaces 1 and 2; seed 0
+    # samples (2, 1, 0) for client 0, so its first failing entry is space 2
+    xs, ys = np.full((3, 4, 1), 0.1), np.full((3, 4), 0.5)
+    message = _linear_run_error(xs, ys, path, loss_bounds=(None, 0.5, 0.5), seed=0)
+    assert message == ("round 1: space 1 produced loss 1 outside its declared bound "
+                       "0.5; the step-size schedule is invalid for this data")
+
+
+def _two_epochs_of_linear_data():
+    # two 10-round epochs, one block each; after the first the models are
+    # positive, so a target of 1e6 makes every loss negative and every
+    # gradient 1e5 long, and a target of -1e6 puts every loss over its bound
+    return np.full((2, 20, 1), 0.1), np.full((2, 20), 0.5)
+
+
+@pytest.mark.parametrize("path", ["fused", "map"])
+@pytest.mark.parametrize("targets, message", [
+    ({(1, 15): 1e6}, r"round 16: space 0 produced loss -\S+ below zero"),
+    ({(1, 15): 1e6, (0, 15): -1e6},
+     r"round 16: space 0 produced loss \S+ outside its declared bound 1\.5"),
+    ({(1, 12): 1e6, (0, 17): -1e6}, r"round 13: space 0 produced loss -\S+ below zero"),
+], ids=["non-negativity-before-gradient", "loss-bound-before-non-negativity",
+        "first-failing-round-of-the-block"])
+def test_a_failing_block_names_its_first_round_and_check(path, targets, message):
+    xs, ys = _two_epochs_of_linear_data()
+    for cell, y in targets.items():
+        ys[cell] = y
+    text = _linear_run_error(xs, ys, path, epochs=2)
+    assert re.fullmatch(message + r".*", text)
+    assert text == _linear_run_error(xs, ys, "map" if path == "fused" else "fused", epochs=2)
 
 
 def test_audit_log_reports_cleanliness():

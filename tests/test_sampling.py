@@ -255,6 +255,19 @@ def test_group_subsets_matches_membership_scan(data):
         np.testing.assert_array_equal(groups.rows[lo:hi], want_rows)
 
 
+@pytest.mark.parametrize("num_spaces", [255, 256, 257, 1000])
+def test_group_subsets_orders_entries_as_a_stable_sort_of_the_flat_table(num_spaces):
+    # up to 256 spaces the keys are sorted as uint8 (a radix sort), past
+    # that as int64; either way the permutation is the stable one
+    rng = np.random.default_rng(num_spaces)
+    idx = np.stack([rng.choice(num_spaces, 3, replace=False) for _ in range(300)])
+    idx[0] = [num_spaces - 1, 1, 0]  # the highest id is sampled
+    groups = sampling.group_subsets(idx)
+    np.testing.assert_array_equal(groups.rows * 3 + groups.slots,
+                                  idx.ravel().argsort(kind="stable"))
+    np.testing.assert_array_equal(groups.spaces, np.sort(idx.ravel()))
+
+
 def test_group_subsets_rejects_flat_input():
     with pytest.raises(ValueError):
         sampling.group_subsets(np.array([0, 1, 2]))
