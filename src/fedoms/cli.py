@@ -12,12 +12,17 @@ Subcommands:
   stderr and writes ``ab.json``.
 * ``audit-bits <config.json>`` -- run with the wire-format audit enabled and
   write ``audit.json`` recording whether every frame matched the analytic
-  bit account and round-tripped, and every mismatch the replay found.
+  bit account and round-tripped, and every mismatch the replay found.  The
+  config is validated as audited, so a run the frame header cannot hold
+  fails on its config field before any data is built.
 
 Every subcommand prints one JSON object to stdout; all failures print a
 machine-readable JSON error object there and exit with status 2.  The
 output directory defaults to the current directory and can be overridden
-with ``--out`` or the ``FEDOMS_OUT_DIR`` environment variable.
+with ``--out`` or the ``FEDOMS_OUT_DIR`` environment variable; ``run``,
+``ab`` and ``audit-bits`` create it before they run, and one that cannot be
+created is a ``ConfigError`` on ``out``.  A CSV file that cannot be read is a
+``ConfigError`` on ``data``.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -61,6 +67,17 @@ def _fail(error: Exception) -> int:
     return 2
 
 
+def _output_dir(requested: str | None) -> Path:
+    """Create the output directory before any run, so a bad ``--out`` fails first."""
+    out_dir = resolve_output_dir(requested)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path through one
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}",
+                          field="out") from None
+    return out_dir
+
+
 def _config_digest(config: ExperimentConfig) -> dict:
     return {
         "algorithm": config.algorithm,
@@ -87,9 +104,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
+    out_dir = _output_dir(args.out)
     artifact = run_from_config(config)
-    out_dir = resolve_output_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.json"
     artifact.to_csv(trace_path)
@@ -110,6 +126,7 @@ def _cmd_ab(args) -> int:
     config = load_config(args.config)
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1", field="seeds")
+    out_dir = _output_dir(args.out)
     rows = []
     for offset in range(args.seeds):
         seed = config.seed + offset
@@ -136,8 +153,6 @@ def _cmd_ab(args) -> int:
         "delta_mean": float(deltas.mean()),
         "wins_federated": int((deltas > 0).sum()),
     }
-    out_dir = resolve_output_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ab.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
     # the table is for people; stdout carries only the JSON object
@@ -154,12 +169,12 @@ def _cmd_ab(args) -> int:
 
 
 def _cmd_audit_bits(args) -> int:
-    config = load_config(args.config)
+    config = load_config(args.config, audit=True)
     if config.algorithm != "fomd":
         raise ConfigError("audit-bits applies to the federated algorithm only",
                           field="algorithm")
-    audited = dataclasses.replace(config, audit=True)
-    artifact = run_from_config(audited)
+    out_dir = _output_dir(args.out)
+    artifact = run_from_config(config)
     frames_checked = artifact.meta.get("audit_frames_checked", 0)
     mismatches = list(artifact.meta.get("audit_mismatches", ()))
     report = {
@@ -170,8 +185,6 @@ def _cmd_audit_bits(args) -> int:
         "total_uplink_bits": artifact.total_uplink_bits,
         "total_downlink_bits": artifact.total_downlink_bits,
     }
-    out_dir = resolve_output_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "audit.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
     _emit(report)

@@ -106,8 +106,9 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
 
     ``target_column`` selects the target by header name or by position
     (negative indices count from the right).  Every other column becomes a
-    feature; a file with no other column is refused.  Parse failures and
-    non-finite cells (``nan``, ``inf``) report the offending row and column.
+    feature; a file with no other column is refused.  Every failure is a
+    :class:`DataError` naming the file: one that cannot be opened, and parse
+    failures and non-finite cells (``nan``, ``inf``) with their row and column.
 
     The data rows are parsed in one ``np.loadtxt`` call.  When that call
     refuses the file or finds a non-finite cell, the file is parsed again
@@ -117,7 +118,11 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
     """
 
     path = Path(path)
-    with path.open(newline="") as fh:
+    try:
+        fh = path.open(newline="")
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise DataError(f"{path}: cannot read the data file: {exc.strerror}") from None
+    with fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:

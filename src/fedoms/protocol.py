@@ -2,15 +2,11 @@
 
 This module owns everything that crosses the client/server boundary:
 
-* :class:`DownlinkMessage` / :class:`UplinkMessage` — the logical payloads
-  exchanged once per epoch, plus :class:`Frame` with a byte-exact wire
-  encoding (header + IEEE-754 single floats + bit-packed indices).
-  :func:`encode_frames` / :func:`decode_frames` are the one implementation
-  of that layout: they code a whole batch of frames with a fixed number of
-  numpy calls, and the one-message encoders and :func:`decode_frame` are
-  their one-frame case.
-* :func:`account_bits` — closed-form information-bit cost of each message.
-* :func:`aggregate_reports` — the server-side merge of client reports into
+* the wire format: :func:`encode_frames` / :func:`decode_frames` code a
+  whole batch of frames, each a 16-byte header, IEEE-754 single floats and
+  bit-packed indices, with a fixed number of numpy calls.  A frame's header
+  states its information bits: 32 per float plus ceil(log2 K) per index.
+* :func:`_scatter_reports` — the server-side merge of client reports into
   importance-weighted loss/gradient estimates, one scatter-add per quantity.
 * the wire audit: with ``setup.audit`` set, each epoch's 2·M frames, its
   downlinks followed by its uplinks, are encoded and decoded together in
@@ -70,20 +66,12 @@ from .spaces import (
 __all__ = [
     "ProtocolError",
     "RunInvariantError",
-    "DownlinkMessage",
-    "UplinkMessage",
-    "Frame",
     "check_header_fields",
     "KIND_DOWNLINK",
     "KIND_UPLINK",
     "bits_per_index",
-    "account_bits",
     "encode_frames",
     "decode_frames",
-    "encode_downlink",
-    "encode_uplink",
-    "decode_frame",
-    "aggregate_reports",
     "ServerState",
     "RunSetup",
     "AuditLog",
@@ -92,7 +80,7 @@ __all__ = [
 
 
 class ProtocolError(ValueError):
-    """Raised for malformed messages or frames, or epochs run out of order."""
+    """Raised for malformed frames, or epochs run out of order."""
 
 
 class RunInvariantError(RuntimeError):
@@ -116,55 +104,7 @@ _BLOCK_FLOATS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
-# Messages and wire format
-
-
-@dataclass(frozen=True)
-class DownlinkMessage:
-    """Server -> client broadcast at the start of an epoch.
-
-    Carries the sampled space indices (lead first) and the current parameter
-    vector of each sampled space, in index order.
-    """
-
-    epoch: int
-    client_id: int
-    indices: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.weights):
-            raise ProtocolError(
-                f"{len(self.indices)} indices but {len(self.weights)} weight vectors"
-            )
-
-
-@dataclass(frozen=True)
-class UplinkMessage:
-    """Client -> server report at the end of an epoch.
-
-    ``mean_losses[a]`` / ``mean_gradients[a]`` are the within-epoch averages
-    of the raw losses and gradients of sampled space ``indices[a]``.  Raw
-    means: importance weighting is the server's job, so a client never needs
-    to know the sampling distribution.
-    """
-
-    epoch: int
-    client_id: int
-    indices: tuple[int, ...]
-    mean_losses: np.ndarray
-    mean_gradients: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.mean_gradients):
-            raise ProtocolError(
-                f"{len(self.indices)} indices but {len(self.mean_gradients)} gradients"
-            )
-        if np.asarray(self.mean_losses).shape != (len(self.indices),):
-            raise ProtocolError(
-                f"mean_losses shape {np.asarray(self.mean_losses).shape} != "
-                f"({len(self.indices)},)"
-            )
+# Wire format
 
 
 KIND_DOWNLINK = 0
@@ -193,67 +133,11 @@ def check_header_fields(epoch: int, client_id: int, index_count: int,
             )
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One wire frame: fixed 16-byte header plus payload bytes.
-
-    ``payload_bits`` is the number of information bits in the payload, which
-    can be smaller than ``8 * len(payload)`` because the trailing bit-packed
-    index block is zero-padded up to a byte boundary.
-    """
-
-    epoch: int
-    client_id: int
-    payload_bits: int
-    kind: int
-    index_count: int
-    payload: bytes
-
-    def to_bytes(self) -> bytes:
-        header = np.array((self.epoch, self.client_id, self.payload_bits, self.kind,
-                           self.index_count, 0), dtype=_HEADER)
-        return header.tobytes() + self.payload
-
-    @staticmethod
-    def from_bytes(blob: bytes) -> "Frame":
-        if len(blob) < HEADER_BYTES:
-            raise ProtocolError(f"frame shorter than header: {len(blob)} bytes")
-        header = np.frombuffer(blob, dtype=_HEADER, count=1)[0]
-        payload = blob[HEADER_BYTES:]
-        payload_bits = int(header["payload_bits"])
-        if payload_bits > 8 * len(payload):
-            raise ProtocolError(
-                f"header claims {payload_bits} payload bits but only "
-                f"{8 * len(payload)} are present"
-            )
-        return Frame(int(header["epoch"]), int(header["client_id"]), payload_bits,
-                     int(header["kind"]), int(header["index_count"]), payload)
-
-
 def bits_per_index(num_spaces: int) -> int:
     """Bits needed to address one of ``num_spaces`` spaces: ceil(log2 K)."""
     if num_spaces < 1:
         raise ProtocolError(f"num_spaces must be >= 1, got {num_spaces}")
     return (num_spaces - 1).bit_length()
-
-
-def account_bits(message: DownlinkMessage | UplinkMessage, num_spaces: int) -> int:
-    """Information bits of a message under the standard encoding.
-
-    Each parameter coordinate and each scalar loss costs 32 bits (IEEE-754
-    single precision); each space index costs ceil(log2 K) bits.  Downlink
-    carries weights + indices; uplink carries mean gradients (same coordinate
-    count as the weights), mean losses (one float per index), and indices.
-    """
-
-    q = bits_per_index(num_spaces)
-    if isinstance(message, DownlinkMessage):
-        coords = sum(int(w.shape[0]) for w in message.weights)
-        return 32 * coords + len(message.indices) * q
-    if isinstance(message, UplinkMessage):
-        coords = sum(int(g.shape[0]) for g in message.mean_gradients)
-        return 32 * (coords + len(message.indices)) + len(message.indices) * q
-    raise TypeError(f"unsupported message {message!r}")
 
 
 def _left_justify(values: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +160,7 @@ def encode_frames(kind: int | np.ndarray, epoch: int, client_ids: np.ndarray,
     ``kind`` is one kind for every frame or an (n,) array of per-frame
     kinds; the kind only labels the header, since ``floats`` and ``counts``
     already hold what each frame carries (an uplink's mean losses first).
-    Frame ``r`` goes to client ``client_ids[r]`` and carries the first
+    The r-th frame goes to client ``client_ids[r]`` and carries the first
     ``counts[r]`` entries of ``floats[r]`` as little-endian f32, then the J
     indices of ``indices[r]`` packed ceil(log2 K) bits each, most significant
     bit first, zero-padded to a whole byte.  The frames are built as the rows
@@ -399,44 +283,6 @@ def decode_frames(buffer: np.ndarray, lengths: np.ndarray, num_spaces: int,
     return header, indices, losses, vectors
 
 
-def _encode_message(message: DownlinkMessage | UplinkMessage, kind: int,
-                    vectors: Sequence[np.ndarray], num_spaces: int) -> Frame:
-    floats = np.concatenate(
-        [np.empty(0, dtype="<f4"), *(np.asarray(v, dtype="<f4").ravel() for v in vectors)])
-    buffer, _ = encode_frames(kind, message.epoch, np.array([message.client_id]),
-                              np.array([message.indices], dtype=np.int64),
-                              floats[None, :], np.array([floats.size]), num_spaces)
-    return Frame.from_bytes(buffer.tobytes())
-
-
-def encode_downlink(message: DownlinkMessage, num_spaces: int) -> Frame:
-    """Serialize a broadcast: f32 weights in index order, then packed indices."""
-    return _encode_message(message, KIND_DOWNLINK, message.weights, num_spaces)
-
-
-def encode_uplink(message: UplinkMessage, num_spaces: int) -> Frame:
-    """Serialize a report: f32 mean losses, f32 mean gradients, packed indices."""
-    return _encode_message(message, KIND_UPLINK,
-                           (message.mean_losses, *message.mean_gradients), num_spaces)
-
-
-def decode_frame(
-    frame: Frame, num_spaces: int, dims: Sequence[int]
-) -> DownlinkMessage | UplinkMessage:
-    """Parse a frame back into a message (floats come back as float64).
-
-    The one-frame case of :func:`decode_frames`, which checks the header's
-    bit count, the index block and the float block's length.
-    """
-    blob = np.frombuffer(frame.to_bytes(), dtype=np.uint8)
-    header, indices, losses, vectors = decode_frames(blob, [blob.size], num_spaces, dims)
-    idx = tuple(indices[0].tolist())
-    parts = tuple(vectors[0, a, :dims[i]] for a, i in enumerate(idx))
-    if header["kind"][0] == KIND_DOWNLINK:
-        return DownlinkMessage(frame.epoch, frame.client_id, idx, parts)
-    return UplinkMessage(frame.epoch, frame.client_id, idx, losses[0], parts)
-
-
 # ---------------------------------------------------------------------------
 # Server-side aggregation
 
@@ -458,65 +304,6 @@ def _scatter_reports(spaces: np.ndarray, mean_losses: np.ndarray, mean_grads: np
     grad_est = np.bincount(cells.ravel(), weights=(mean_grads / share[:, None]).ravel(),
                            minlength=K * width).reshape(K, width)
     return loss_est / count, grad_est / count
-
-
-def aggregate_reports(
-    reports: Sequence[UplinkMessage],
-    inclusion_probs: np.ndarray,
-    num_spaces: int,
-    dims: Sequence[int],
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Merge one epoch of client reports into unbiased global estimates.
-
-    Each reported mean loss/gradient is divided by the inclusion probability
-    of its space (importance weighting for the sampled-subset censoring) and
-    the weighted reports are averaged over all clients.  Spaces sampled by no
-    client get estimate zero, which is exactly what the importance weighting
-    prescribes.  Returns the (K,) loss estimate and a {space: (d_i,)} map of
-    gradient estimates for the spaces that appear in at least one report.
-    """
-
-    if not reports:
-        raise ProtocolError("no reports to aggregate")
-    epoch = reports[0].epoch
-    seen: set[int] = set()
-    for msg in reports:
-        if msg.epoch != epoch:
-            raise ProtocolError(
-                f"mixed epochs in aggregation: {msg.epoch} != {epoch}"
-            )
-        if msg.client_id in seen:
-            raise ProtocolError(f"duplicate report from client {msg.client_id}")
-        seen.add(msg.client_id)
-    inclusion_probs = np.asarray(inclusion_probs, dtype=float)
-    if inclusion_probs.shape != (num_spaces,):
-        raise ProtocolError(
-            f"inclusion_probs shape {inclusion_probs.shape} != ({num_spaces},)"
-        )
-    spaces, losses, grads = [], [], []
-    for msg in sorted(reports, key=lambda m: m.client_id):
-        for slot, i in enumerate(msg.indices):
-            if not 0 <= i < num_spaces:
-                raise ProtocolError(f"report refers to unknown space {i}")
-            if i in msg.indices[:slot]:
-                raise ProtocolError(
-                    f"report from client {msg.client_id} names space {i} twice")
-            grad = np.asarray(msg.mean_gradients[slot], dtype=float)
-            if grad.shape != (int(dims[i]),):
-                raise ProtocolError(
-                    f"gradient for space {i} has shape {grad.shape}, "
-                    f"expected ({dims[i]},)"
-                )
-            spaces.append(i)
-            losses.append(float(msg.mean_losses[slot]))
-            grads.append(grad)
-    padded = np.zeros((len(grads), max(int(d) for d in dims)))
-    for r, grad in enumerate(grads):
-        padded[r, :grad.size] = grad
-    loss_est, grad_est = _scatter_reports(np.array(spaces, dtype=np.int64),
-                                          np.array(losses), padded, inclusion_probs,
-                                          len(reports))
-    return loss_est, {i: grad_est[i, :int(dims[i])] for i in sorted(set(spaces))}
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,10 @@ def _reference_mirror(p, estimates, scales, eta):
         lam = 0.0
     elif abs(total(0.0)) <= 1e-15:
         lam = 0.0
+    elif total(-worst) <= 0.0:
+        # the sum is at least sum(p) - 1 there, which rounding can leave just
+        # below zero when every estimate is the worst: the root is -worst
+        lam = -worst
     else:
         lam = brentq(total, -worst, 0.0, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     out = [

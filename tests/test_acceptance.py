@@ -7,6 +7,7 @@ expectation is computed by an independent oracle from ``tests/oracles.py``
 or by closed-form hand arithmetic, never by the code under test.
 """
 
+import struct
 import time
 
 import numpy as np
@@ -36,14 +37,7 @@ from fedoms.mirror import (
     materialize,
     solve_entropy_multiplier,
 )
-from fedoms.protocol import (
-    DownlinkMessage,
-    UplinkMessage,
-    account_bits,
-    aggregate_reports,
-    bits_per_index,
-    encode_downlink,
-)
+from fedoms.protocol import KIND_DOWNLINK, _scatter_reports, bits_per_index, encode_frames
 from fedoms.sampling import inclusion_probabilities, subsets_from_uniforms
 from fedoms.spaces import CoordinateMap, IdentityMap, Loss, gaussian_rff, make_space
 
@@ -98,7 +92,7 @@ def subset_monte_carlo():
     elapsed = time.perf_counter() - start
 
     # tie the counting shortcut to the server's aggregation on a sub-batch:
-    # one report per sampled row, merged by aggregate_reports (which the
+    # one report per sampled row, merged by _scatter_reports (the merge the
     # audit ties to the engine), sums to the bincount sums; the merge
     # returns the mean over reports, so the sum is the mean times the count
     num_spaces, subset_size = MC_GRID[0]
@@ -108,13 +102,10 @@ def subset_monte_carlo():
     uniforms = gen.random((1000, subset_size))
     incl = inclusion_probabilities(p, subset_size)
     subsets = subsets_from_uniforms(p[None, :], subset_size, uniforms)
-    reports = [UplinkMessage(epoch=1, client_id=j, indices=tuple(row.tolist()),
-                             mean_losses=c[row],
-                             mean_gradients=tuple(np.zeros(1) for _ in row))
-               for j, row in enumerate(subsets)]
-    mean_estimate, _ = aggregate_reports(reports, incl, num_spaces, [1] * num_spaces)
-    direct = mean_estimate * len(reports)
-    flat = subsets.ravel()
+    flat = subsets.ravel()  # the reports in client order
+    mean_estimate, _ = _scatter_reports(flat, c[flat], np.zeros((flat.size, 1)), incl,
+                                        len(subsets))
+    direct = mean_estimate * len(subsets)
     shortcut = np.bincount(flat, weights=(c / incl)[flat], minlength=num_spaces)
     assert np.allclose(direct, shortcut, rtol=1e-12, atol=1e-12)
 
@@ -361,15 +352,15 @@ def test_criterion_09_communication_bit_accounting(capfd):
     expected_downlink = 10 * 100 * (32 * 200 + 2 * 3)
     expected_uplink = 10 * 100 * (32 * (200 + 2) + 2 * 3)
 
-    # one message encoded by hand: the frame states its exact bit account,
+    # one downlink encoded by hand: its header states the exact bit account,
     # and the byte blob pads the trailing index block by < 8 bits
-    msg = DownlinkMessage(epoch=1, client_id=0, indices=(0, 5),
-                          weights=(np.zeros(feat), np.zeros(feat)))
-    frame = encode_downlink(msg, num_spaces)
-    bits = account_bits(msg, num_spaces)
-    pad = 8 * len(frame.payload) - frame.payload_bits
+    buffer, lengths = encode_frames(KIND_DOWNLINK, 1, np.array([0]), np.array([[0, 5]]),
+                                    np.zeros((1, 2 * feat)), np.array([2 * feat]),
+                                    num_spaces)
+    bits = struct.unpack_from("<I", buffer, 8)[0]  # the header's payload bits
+    pad = 8 * (int(lengths[0]) - 16) - bits
     ok = (not mismatches and frames_checked == 2 * clients * horizon
-          and frame.payload_bits == bits == 32 * 200 + 2 * bits_per_index(num_spaces)
+          and bits == 32 * 200 + 2 * bits_per_index(num_spaces)
           and 0 <= pad < 8
           and art.total_downlink_bits == expected_downlink
           and art.total_uplink_bits == expected_uplink)

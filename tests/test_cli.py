@@ -358,6 +358,44 @@ def test_library_errors_keep_the_json_error_contract(error, tmp_path, capsys,
                     "message": "round 3: something broke"}
 
 
+@pytest.mark.parametrize("command", ["run", "ab", "audit-bits"])
+@pytest.mark.parametrize("name, reason", [("missing.csv", "No such file or directory"),
+                                          ("adir", "Is a directory")],
+                         ids=["missing", "directory"])
+def test_an_unreadable_csv_is_a_config_error_on_data(command, name, reason, tmp_path,
+                                                     capsys):
+    (tmp_path / "adir").mkdir()
+    csv_path = tmp_path / name
+    cfg = _base_config(horizon=None, epochs=None)
+    cfg["data"] = {"source": "csv", "path": str(csv_path), "target_column": "target"}
+    path = tmp_path / "csv_cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob == {"status": "error", "kind": "ConfigError", "field": "data",
+                    "message": f"{csv_path}: cannot read the data file: {reason}"}
+
+
+@pytest.mark.parametrize("command", ["run", "ab", "audit-bits"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["a-file", "under-a-file"])
+def test_an_output_directory_that_cannot_be_made_fails_before_the_run(command, out,
+                                                                       tmp_path, capsys,
+                                                                       monkeypatch):
+    from fedoms import cli
+
+    def no_run(*args):
+        raise AssertionError("the run started before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_from_config", no_run)
+    monkeypatch.setattr(cli, "build_experiment", no_run)
+    (tmp_path / "afile").write_text("taken\n")
+    out_dir = tmp_path / out
+    assert main([command, str(_write_config(tmp_path)), "--out", str(out_dir)]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["kind"] == "ConfigError" and blob["field"] == "out"
+    assert blob["message"].startswith(f"cannot create output directory {out_dir}: ")
+
+
 def test_run_reports_a_radius_whose_loss_bound_overflows(tmp_path, capsys):
     # (radius * sqrt(3) + 1) ** 2 overflows; the space cannot be built
     path = _write_config(tmp_path, spaces=[{"kind": "identity", "radius": 1e200},
@@ -454,7 +492,9 @@ def test_audit_bits_rejects_a_subset_too_large_for_the_frame_header(tmp_path, ca
     path.write_text(json.dumps(cfg))
     assert main(["audit-bits", str(path)]) == 2
     blob = _last_json(capsys.readouterr().out)
-    assert blob["status"] == "error" and blob["kind"] == "ProtocolError"
+    # the config is checked as audited, as validate checks one with "audit": true
+    assert blob["status"] == "error" and blob["kind"] == "ConfigError"
+    assert blob["field"] == "subset_size"
     assert "index count (subset size) 256" in blob["message"]
 
 

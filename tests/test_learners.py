@@ -193,6 +193,72 @@ def test_engine_matches_reference_at_full_subsets():
     np.testing.assert_allclose(art.final_probs, ref["final_probs"], atol=1e-9, rtol=0)
 
 
+@st.composite
+def _reference_runs(draw):
+    """2 <= K <= 5 spaces, all coordinate, all identity, all RFF or of mixed
+    kinds and widths, over one input width; 2 <= J <= K, M <= 10 clients (so
+    a coordinate space can collect the 8 reports numpy sums pairwise), T <= 24
+    rounds in R epochs, any loss and either initial distribution.  The maps,
+    radii and streams come from a drawn seed, which keeps a failure quick to
+    shrink; radii are capped for the linear loss at radius * feature_bound <= 1."""
+    K = draw(st.integers(2, 5), label="K")
+    J = draw(st.integers(2, K), label="J")
+    M = draw(st.integers(1, 10), label="M")
+    T = draw(st.integers(1, 24), label="T")
+    R = draw(st.sampled_from([r for r in range(1, T + 1) if T % r == 0]), label="epochs")
+    d = draw(st.integers(2, 4), label="input width")
+    loss = draw(st.sampled_from(list(Loss)), label="loss")
+    family = draw(st.sampled_from(["coordinate", "identity", "rff", "mixed"]), label="kinds")
+    uniform_init = draw(st.booleans(), label="uniform_init")
+    seed = draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    spaces = []
+    for _ in range(K):
+        kind = family if family != "mixed" else ("coordinate", "identity", "rff")[rng.integers(3)]
+        if kind == "identity":
+            fm = IdentityMap(d)
+        elif kind == "coordinate":
+            fm = CoordinateMap(d, int(rng.integers(d)))
+        else:
+            fm = gaussian_rff(d, int(rng.integers(1, 7)), float(rng.uniform(0.5, 3.0)), rng)
+        top = min(2.0, 1.0 / feature_norm_bound(fm)) if loss is Loss.LINEAR else 2.0
+        spaces.append(make_space(fm, float(rng.uniform(0.1, top)), loss))
+    return tuple(spaces), loss, J, M, T, R, d, uniform_init, seed
+
+
+@settings(deadline=None, max_examples=100)
+@given(_reference_runs())
+def test_both_learners_match_the_plain_loop_reference_on_random_configs(run):
+    # the cooperative learner is the reference over all clients; each
+    # noncooperative client is the reference run alone on its own stream,
+    # with its own slice of the uniform table
+    spaces, loss, J, M, T, R, d, uniform_init, seed = run
+    streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=seed)
+    uniforms = sampling_uniforms(seed, M, T, J)
+    for learner, epochs, groups in ((run_fomd_oms, R, [slice(None)]),
+                                    (run_nco_oms, T, [slice(j, j + 1) for j in range(M)])):
+        cfg = LearnerConfig(spaces=spaces, loss=loss, clients=M, subset_size=J, horizon=T,
+                            epochs=epochs if learner is run_fomd_oms else None,
+                            master_seed=seed, uniform_init=uniform_init)
+        art = learner(cfg, streams)
+        # the artifact carries no models: the final weights come from the state
+        state, _, _ = learners._run_servers(cfg, streams, epochs,
+                                            cooperative=learner is run_fomd_oms)
+        for s, group in enumerate(groups):
+            ref = oracles.reference_fomd(spaces, loss, streams.xs[group], streams.ys[group],
+                                         subset_size=J, epochs=epochs,
+                                         uniforms=uniforms[group], uniform_init=uniform_init)
+            assert np.array_equal(art.lead_indices.reshape(T, M)[:, group], ref["leads"])
+            for panel in ("predictions", "losses"):
+                np.testing.assert_allclose(getattr(art, panel).reshape(T, M)[:, group],
+                                           ref[panel], atol=1e-9, rtol=0)
+            np.testing.assert_allclose(np.atleast_2d(art.final_probs)[s], ref["final_probs"],
+                                       atol=1e-9, rtol=0)
+            for i, weights in enumerate(ref["weights"]):
+                np.testing.assert_allclose(state.weights[s, i, :weights.size], weights,
+                                           atol=1e-9, rtol=0)
+
+
 # ---------------------------------------------------------------------------
 # Batching equivalence and parity between the two drivers
 

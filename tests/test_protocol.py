@@ -18,21 +18,13 @@ from fedoms.learners import LearnerConfig, check_epochs, run_fomd_oms, run_nco_o
 from fedoms.data import Streams, synthetic_linear
 from fedoms.protocol import (
     AuditLog,
-    DownlinkMessage,
-    Frame,
     KIND_DOWNLINK,
     KIND_UPLINK,
     ProtocolError,
     RunInvariantError,
-    UplinkMessage,
-    account_bits,
-    aggregate_reports,
     bits_per_index,
-    decode_frame,
     decode_frames,
-    encode_downlink,
     encode_frames,
-    encode_uplink,
 )
 from fedoms.spaces import CoordinateMap, IdentityMap, Loss, make_space
 
@@ -87,159 +79,166 @@ def test_bits_per_index_is_ceil_log2():
         bits_per_index(0)
 
 
+def _encode(kind, epoch, client_ids, indices, rows, num_spaces):
+    """One frame per float row through :func:`encode_frames`, checked against the oracle.
+
+    ``kind`` is one kind for every frame or one per frame; frame ``r`` goes
+    to ``client_ids[r]`` and carries ``rows[r]`` (an uplink's mean losses
+    first) and ``indices[r]``.  The buffer must hold the per-frame oracle's
+    frames back to back.  Returns the buffer and the frame lengths.
+    """
+    counts = np.array([len(row) for row in rows])
+    floats = np.zeros((len(rows), counts.max()))
+    for r, row in enumerate(rows):
+        floats[r, :len(row)] = row
+    client_ids = np.asarray(client_ids)
+    indices = np.asarray(indices, dtype=np.int64)
+    buffer, lengths = encode_frames(kind, epoch, client_ids, indices, floats, counts,
+                                    num_spaces)
+    frames = [oracles.reference_frame_bytes(int(k), epoch, int(c), idx.tolist(), row,
+                                            num_spaces)
+              for k, c, idx, row in zip(np.broadcast_to(kind, len(rows)), client_ids,
+                                        indices, rows)]
+    assert buffer.tobytes() == b"".join(frames)
+    assert lengths.tolist() == [len(f) for f in frames]
+    return buffer, lengths
+
+
+def _decode(blob, lengths, num_spaces, dims):
+    return decode_frames(np.frombuffer(bytes(blob), dtype=np.uint8), lengths, num_spaces,
+                         dims)
+
+
 def test_account_bits_matches_closed_forms():
     # J=2 sampled spaces of dimension 100 each, K=8 spaces total:
     # uplink = 32*(200 + 2) + 2*3 = 6470, downlink = 32*200 + 2*3 = 6406
-    idx = (3, 5)
-    weights = tuple(np.zeros(100) for _ in idx)
-    down = DownlinkMessage(epoch=1, client_id=0, indices=idx, weights=weights)
-    assert account_bits(down, num_spaces=8) == 6406
-    up = UplinkMessage(
-        epoch=1, client_id=0, indices=idx,
-        mean_losses=np.zeros(2), mean_gradients=weights,
-    )
-    assert account_bits(up, num_spaces=8) == 6470
+    buffer, lengths = _encode(np.array([KIND_DOWNLINK, KIND_UPLINK]), 1, [0, 0],
+                              [(3, 5)] * 2, [np.zeros(200), np.zeros(202)], num_spaces=8)
+    header = _decode(buffer, lengths, 8, [100] * 8)[0]
+    assert header["payload_bits"].tolist() == [6406, 6470]
 
 
 def test_account_bits_counts_per_space_dimensions():
-    down = DownlinkMessage(1, 0, (0, 2), (np.zeros(3), np.zeros(7)))
-    assert account_bits(down, num_spaces=4) == 32 * 10 + 2 * 2
+    buffer, lengths = _encode(KIND_DOWNLINK, 1, [0], [(0, 2)], [np.zeros(10)], num_spaces=4)
+    header = _decode(buffer, lengths, 4, [3, 1, 7, 1])[0]
+    assert header["payload_bits"][0] == 32 * 10 + 2 * 2
 
 
 # ---------------------------------------------------------------------------
 # Frames
 
 
-def _random_messages(rng, num_spaces, dims, subset_size, kind):
-    idx = tuple(int(i) for i in rng.choice(num_spaces, size=subset_size, replace=False))
-    if kind == KIND_DOWNLINK:
-        return DownlinkMessage(
-            epoch=int(rng.integers(1, 50)),
-            client_id=int(rng.integers(10)),
-            indices=idx,
-            weights=tuple(rng.standard_normal(dims[i]) for i in idx),
-        )
-    return UplinkMessage(
-        epoch=int(rng.integers(1, 50)),
-        client_id=int(rng.integers(10)),
-        indices=idx,
-        mean_losses=rng.random(subset_size),
-        mean_gradients=tuple(rng.standard_normal(dims[i]) for i in idx),
-    )
+def _single(values):
+    return np.asarray(values, dtype="<f4").astype(float)
 
 
 @st.composite
 def _messages(draw):
-    """A message of either kind, its space count K and the per-space dims.
+    """One message of either kind: its kind, header, indices and floats, K and dims.
 
     K=1 makes the index field 0 bits wide; J stays within the header's
     one-byte index count, and epoch and client id span their 32-bit fields.
     """
     num_spaces = draw(st.one_of(st.just(1), st.integers(1, 300)), label="K")
     subset_size = draw(st.integers(1, min(num_spaces, 255)), label="J")
-    indices = tuple(draw(st.permutations(range(num_spaces)))[:subset_size])
+    indices = draw(st.permutations(range(num_spaces)))[:subset_size]
     dims = draw(st.lists(st.integers(1, 100), min_size=num_spaces,
                          max_size=num_spaces), label="dims")
     epoch = draw(st.integers(0, 2**32 - 1), label="epoch")
     client_id = draw(st.integers(0, 2**32 - 1), label="client id")
     # float values need no shrinking: draw a seed, not 25,000 floats
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    vectors = tuple(rng.standard_normal(dims[i]) * 10.0 ** rng.integers(-3, 4)
-                    for i in indices)
-    if draw(st.sampled_from((KIND_DOWNLINK, KIND_UPLINK)), label="kind") == KIND_DOWNLINK:
-        message = DownlinkMessage(epoch, client_id, indices, vectors)
-    else:
-        message = UplinkMessage(epoch, client_id, indices,
-                                rng.random(subset_size), vectors)
-    return message, num_spaces, dims
-
-
-def _single(values):
-    return np.asarray(values, dtype="<f4").astype(float)
+    vectors = [rng.standard_normal(dims[i]) * 10.0 ** rng.integers(-3, 4) for i in indices]
+    kind = draw(st.sampled_from((KIND_DOWNLINK, KIND_UPLINK)), label="kind")
+    losses = rng.random(subset_size) if kind == KIND_UPLINK else np.empty(0)
+    return kind, epoch, client_id, indices, losses, vectors, num_spaces, dims
 
 
 @settings(max_examples=150, deadline=None)
 @given(_messages())
 def test_frame_round_trip_preserves_messages_to_single_precision(case):
-    msg, num_spaces, dims = case
-    downlink = isinstance(msg, DownlinkMessage)
-    frame = (encode_downlink if downlink else encode_uplink)(msg, num_spaces)
-    assert frame.payload_bits == account_bits(msg, num_spaces)
+    kind, epoch, client_id, indices, losses, vectors, num_spaces, dims = case
+    row = np.concatenate([losses, *vectors])
+    buffer, lengths = _encode(kind, epoch, [client_id], [indices], [row], num_spaces)
+    J = len(indices)
+    bits = 32 * row.size + J * bits_per_index(num_spaces)
     # padding never exceeds the byte that closes the index block
-    assert 0 <= 8 * len(frame.payload) - frame.payload_bits < 8
-    back = decode_frame(Frame.from_bytes(frame.to_bytes()), num_spaces, dims)
-    assert type(back) is type(msg)
-    assert (back.epoch, back.client_id) == (msg.epoch, msg.client_id)
-    assert back.indices == msg.indices
-    if downlink:
-        pairs = zip(back.weights, msg.weights)
-    else:
-        assert np.array_equal(back.mean_losses, _single(msg.mean_losses))
-        pairs = zip(back.mean_gradients, msg.mean_gradients)
-    for got, want in pairs:
-        assert np.array_equal(got, _single(want))
+    assert 0 <= 8 * (lengths[0] - 16) - bits < 8
+    header, got_indices, got_losses, got_vectors = _decode(buffer.tobytes(), lengths,
+                                                           num_spaces, dims)
+    assert header["payload_bits"][0] == bits
+    assert (header["kind"][0], header["epoch"][0], header["client_id"][0]) == (
+        kind, epoch, client_id)
+    assert got_indices[0].tolist() == list(indices)
+    if kind == KIND_UPLINK:
+        assert np.array_equal(got_losses[0], _single(losses))
+    for a, (i, want) in enumerate(zip(indices, vectors)):
+        assert np.array_equal(got_vectors[0, a, :dims[i]], _single(want))
+        assert not got_vectors[0, a, dims[i]:].any()
 
 
 def test_frame_payload_is_byte_aligned_exactly_when_index_bits_are():
     # K=16 -> 4 bits per index, J=2 -> 8 index bits: byte-aligned payload
-    msg = DownlinkMessage(1, 0, (0, 9), (np.zeros(5), np.zeros(5)))
-    frame = encode_downlink(msg, num_spaces=16)
-    assert frame.payload_bits == 8 * len(frame.payload) == 32 * 10 + 8
+    buffer, lengths = _encode(KIND_DOWNLINK, 1, [0], [(0, 9)], [np.zeros(10)], num_spaces=16)
+    bits = _decode(buffer, lengths, 16, [5] * 16)[0]["payload_bits"][0]
+    assert bits == 8 * (lengths[0] - 16) == 32 * 10 + 8
     # K=8 -> 3 bits per index, J=2 -> 6 index bits: two zero padding bits
-    msg8 = DownlinkMessage(1, 0, (0, 5), (np.zeros(5), np.zeros(5)))
-    frame8 = encode_downlink(msg8, num_spaces=8)
-    assert 8 * len(frame8.payload) - frame8.payload_bits == 2
+    buffer, lengths = _encode(KIND_DOWNLINK, 1, [0], [(0, 5)], [np.zeros(10)], num_spaces=8)
+    bits = _decode(buffer, lengths, 8, [5] * 8)[0]["payload_bits"][0]
+    assert 8 * (lengths[0] - 16) - bits == 2
 
 
 def test_frame_header_layout_is_sixteen_bytes_little_endian():
-    msg = UplinkMessage(7, 3, (1, 0), np.array([0.5, 0.25]), (np.ones(2), np.ones(2)))
-    blob = encode_uplink(msg, num_spaces=4).to_bytes()
+    # an uplink's mean losses (0.5, 0.25), then two 2-wide gradients of ones
+    buffer, lengths = _encode(KIND_UPLINK, 7, [3], [(1, 0)], [[0.5, 0.25, 1, 1, 1, 1]],
+                              num_spaces=4)
+    blob = buffer.tobytes()
     epoch, client, bits, kind, count, pad = struct.unpack_from("<IIIBBH", blob)
     assert (epoch, client, kind, count, pad) == (7, 3, KIND_UPLINK, 2, 0)
-    assert bits == account_bits(msg, 4)
-    assert len(blob) == 16 + (bits + 7) // 8
+    assert bits == 32 * (4 + 2) + 2 * 2
+    assert len(blob) == lengths[0] == 16 + (bits + 7) // 8
     # payload floats are little-endian IEEE-754 singles in message order
     first = struct.unpack_from("<f", blob, 16)[0]
     assert first == 0.5
 
 
 def test_frame_rejects_malformed_blobs():
-    with pytest.raises(ProtocolError, match="shorter"):
-        Frame.from_bytes(b"\x00" * 10)
-    msg = DownlinkMessage(1, 0, (0, 1), (np.zeros(2), np.zeros(2)))
-    frame = encode_downlink(msg, num_spaces=4)
+    dims = [2, 2, 2, 2]
+    with pytest.raises(ProtocolError, match="frame shorter than header: 10 bytes"):
+        _decode(b"\x00" * 10, [10], 4, dims)
+    buffer, lengths = _encode(KIND_DOWNLINK, 1, [0], [(0, 1)], [np.zeros(4)], num_spaces=4)
+    blob = buffer.tobytes()
     # header claiming more bits than the payload carries
-    tampered = struct.pack("<IIIBBH", 1, 0, 10_000, KIND_DOWNLINK, 2, 0) + frame.payload
-    with pytest.raises(ProtocolError, match="payload bits"):
-        Frame.from_bytes(tampered)
+    tampered = struct.pack("<IIIBBH", 1, 0, 10_000, KIND_DOWNLINK, 2, 0) + blob[16:]
+    with pytest.raises(ProtocolError, match="header claims 10000 payload bits but the "
+                                            "payload carries 132"):
+        _decode(tampered, lengths, 4, dims)
     # non-zero padding bits in the index block
-    bad_payload = frame.payload[:-1] + bytes([frame.payload[-1] | 0x01])
-    bad = Frame(1, 0, frame.payload_bits, KIND_DOWNLINK, 2, bad_payload)
-    with pytest.raises(ProtocolError, match="padding"):
-        decode_frame(bad, 4, [2, 2, 2, 2])
+    bad = blob[:-1] + bytes([blob[-1] | 0x01])
+    with pytest.raises(ProtocolError, match="index block has non-zero padding bits"):
+        _decode(bad, lengths, 4, dims)
     # float block the wrong length for the decoded indices
-    short = Frame(1, 0, frame.payload_bits - 32, KIND_DOWNLINK, 2, frame.payload[4:])
-    with pytest.raises(ProtocolError, match="float block"):
-        decode_frame(short, 4, [2, 2, 2, 2])
+    short = struct.pack("<IIIBBH", 1, 0, 132 - 32, KIND_DOWNLINK, 2, 0) + blob[20:]
+    with pytest.raises(ProtocolError, match="downlink float block has 3 values, expected 4"):
+        _decode(short, [len(short)], 4, dims)
 
 
 def test_encoders_reject_header_fields_that_do_not_fit():
-    too_many = tuple(range(256))  # the index count is a one-byte field
-    down = DownlinkMessage(1, 0, too_many, tuple(np.zeros(1) for _ in too_many))
+    too_many = [range(256)]  # the index count is a one-byte field
     with pytest.raises(ProtocolError, match="index count .* 256 .* 8-bit"):
-        encode_downlink(down, num_spaces=256)
-    up = UplinkMessage(1, 0, too_many, np.zeros(256), tuple(np.zeros(1) for _ in too_many))
+        _encode(KIND_DOWNLINK, 1, [0], too_many, [np.zeros(256)], num_spaces=256)
     with pytest.raises(ProtocolError, match="index count"):
-        encode_uplink(up, num_spaces=256)
+        _encode(KIND_UPLINK, 1, [0], too_many, [np.zeros(512)], num_spaces=256)
     for epoch, client in ((2**32, 0), (1, 2**32), (-1, 0)):
-        msg = DownlinkMessage(epoch, client, (0, 1), (np.zeros(1), np.zeros(1)))
         with pytest.raises(ProtocolError, match="32-bit"):
-            encode_downlink(msg, num_spaces=4)
+            _encode(KIND_DOWNLINK, epoch, [client], [(0, 1)], [np.zeros(2)], num_spaces=4)
     # the largest values that fit still round-trip
-    edge = DownlinkMessage(2**32 - 1, 2**32 - 1, tuple(range(255)),
-                           tuple(np.zeros(1) for _ in range(255)))
-    back = decode_frame(Frame.from_bytes(encode_downlink(edge, 256).to_bytes()), 256, [1] * 256)
-    assert (back.epoch, back.client_id, back.indices) == (edge.epoch, edge.client_id, edge.indices)
+    edge = 2**32 - 1
+    buffer, lengths = _encode(KIND_DOWNLINK, edge, [edge], [range(255)], [np.zeros(255)],
+                              num_spaces=256)
+    header, indices, _, _ = _decode(buffer, lengths, 256, [1] * 256)
+    assert (header["epoch"][0], header["client_id"][0]) == (edge, edge)
+    assert indices[0].tolist() == list(range(255))
 
 
 def test_audited_run_checks_the_header_limits_before_its_first_epoch():
@@ -258,14 +257,16 @@ def test_decode_rejects_a_header_whose_bit_count_is_off_by_one(kind, offset):
     # K=8, J=2: the index block holds 6 bits plus 2 of padding, so a header one
     # bit off still fits in the payload and only an exact count can catch it
     rng = np.random.default_rng(3)
-    dims = [3] * 8
-    msg = _random_messages(rng, 8, dims, 2, kind)
-    frame = encode_downlink(msg, 8) if kind == KIND_DOWNLINK else encode_uplink(msg, 8)
-    blob = bytearray(frame.to_bytes())
-    struct.pack_into("<I", blob, 8, frame.payload_bits + offset)
-    tampered = Frame.from_bytes(bytes(blob))
-    with pytest.raises(ProtocolError, match="payload bits"):
-        decode_frame(tampered, 8, dims)
+    indices = rng.choice(8, size=2, replace=False)
+    # two 3-wide vectors, after an uplink's two mean losses
+    row = rng.standard_normal(6 if kind == KIND_DOWNLINK else 8)
+    buffer, lengths = _encode(kind, 1, [0], [indices], [row], num_spaces=8)
+    blob = bytearray(buffer.tobytes())
+    bits = struct.unpack_from("<I", blob, 8)[0]
+    struct.pack_into("<I", blob, 8, bits + offset)
+    with pytest.raises(ProtocolError, match=f"header claims {bits + offset} payload bits "
+                                            f"but the payload carries {bits}"):
+        _decode(blob, lengths, 8, [3] * 8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,13 +282,9 @@ def test_index_packing_round_trips(num_spaces, data):
             min_size=subset_size, max_size=subset_size, unique=True,
         )
     )
-    msg = DownlinkMessage(1, 0, tuple(indices), tuple(np.zeros(1) for _ in indices))
-    back = decode_frame(
-        Frame.from_bytes(encode_downlink(msg, num_spaces).to_bytes()),
-        num_spaces,
-        [1] * num_spaces,
-    )
-    assert back.indices == tuple(indices)
+    buffer, lengths = _encode(KIND_DOWNLINK, 1, [0], [indices], [np.zeros(subset_size)],
+                              num_spaces)
+    assert _decode(buffer, lengths, num_spaces, [1] * num_spaces)[1][0].tolist() == indices
 
 
 @st.composite
@@ -330,23 +327,18 @@ def _frame_batches(draw):
 @given(_frame_batches())
 def test_frame_batch_matches_the_per_frame_oracle_and_decodes_back(case):
     kind, frame_kinds, epoch, client_ids, indices, rows, num_spaces, dims = case
-    counts = np.array([row.size for row in rows])
-    floats = np.zeros((len(rows), counts.max()))
-    for r, row in enumerate(rows):
-        floats[r, :row.size] = row
-    buffer, lengths = encode_frames(kind, epoch, client_ids, indices, floats, counts,
-                                    num_spaces)
-    frames = [oracles.reference_frame_bytes(k, epoch, int(c), idx.tolist(), row,
-                                            num_spaces)
-              for k, c, idx, row in zip(frame_kinds, client_ids, indices, rows)]
-    assert buffer.tobytes() == b"".join(frames)
-    assert lengths.tolist() == [len(f) for f in frames]
+    buffer, lengths = _encode(kind, epoch, client_ids, indices, rows, num_spaces)
     header, got_indices, losses, vectors = decode_frames(buffer, lengths, num_spaces, dims)
     assert header["epoch"].tolist() == [epoch] * len(rows)
     assert header["client_id"].tolist() == client_ids.tolist()
     assert header["kind"].tolist() == frame_kinds
-    assert np.array_equal(got_indices, indices)
     J = indices.shape[1]
+    assert header["payload_bits"].tolist() == [
+        32 * row.size + J * bits_per_index(num_spaces) for row in rows]
+    # padding never exceeds the byte that closes the index block
+    pad = 8 * (lengths - 16) - header["payload_bits"]
+    assert ((0 <= pad) & (pad < 8)).all()
+    assert np.array_equal(got_indices, indices)
     for r, row in enumerate(rows):
         lead = J if frame_kinds[r] == KIND_UPLINK else 0
         assert np.array_equal(losses[r], _single(row[:J]) if lead else np.zeros(J))
@@ -356,64 +348,40 @@ def test_frame_batch_matches_the_per_frame_oracle_and_decodes_back(case):
 
 def test_a_report_or_broadcast_naming_a_space_twice_is_rejected():
     # without the check this report decodes and aggregates at double weight
-    up = UplinkMessage(1, 0, (1, 1), np.array([0.5, 0.5]), (np.ones(1), np.ones(1)))
+    buffer, lengths = _encode(KIND_UPLINK, 1, [0], [(1, 1)], [[0.5, 0.5, 1, 1]], 4)
     with pytest.raises(ProtocolError, match="client 0 names space 1 twice"):
-        decode_frame(Frame.from_bytes(encode_uplink(up, 4).to_bytes()), 4, [1] * 4)
-    with pytest.raises(ProtocolError, match="client 0 names space 1 twice"):
-        aggregate_reports([up], np.full(4, 0.5), 4, [1] * 4)
-    down = DownlinkMessage(1, 7, (2, 0, 2), (np.ones(1), np.ones(1), np.ones(1)))
+        _decode(buffer, lengths, 4, [1] * 4)
+    buffer, lengths = _encode(KIND_DOWNLINK, 1, [7], [(2, 0, 2)], [np.ones(3)], 4)
     with pytest.raises(ProtocolError, match="client 7 names space 2 twice"):
-        decode_frame(Frame.from_bytes(encode_downlink(down, 4).to_bytes()), 4, [1] * 4)
+        _decode(buffer, lengths, 4, [1] * 4)
 
 
 # ---------------------------------------------------------------------------
-# Aggregation
+# Aggregation: the scatter the audit ties to the engine
 
 
 def test_aggregate_reports_hand_example():
-    # two clients, three spaces, inclusion probs (0.5, 0.25, 1.0)
+    # two clients, three spaces, inclusion probs (0.5, 0.25, 1.0); client 0
+    # reports spaces (0, 1), client 1 spaces (1, 2), with the spaces' widths
+    # (1, 2, 1) zero-padded to 2
     incl = np.array([0.5, 0.25, 1.0])
-    r0 = UplinkMessage(1, 0, (0, 1), np.array([0.2, 0.3]), (np.array([1.0]), np.array([2.0, 2.0])))
-    r1 = UplinkMessage(1, 1, (1, 2), np.array([0.1, 0.4]), (np.array([3.0, 1.0]), np.array([0.5])))
-    loss_est, grad_est = aggregate_reports([r0, r1], incl, 3, dims=[1, 2, 1])
+    spaces = np.array([0, 1, 1, 2])
+    losses = np.array([0.2, 0.3, 0.1, 0.4])
+    grads = np.array([[1.0, 0.0], [2.0, 2.0], [3.0, 1.0], [0.5, 0.0]])
+    loss_est, grad_est = protocol._scatter_reports(spaces, losses, grads, incl, 2)
     # space 0: (0.2/0.5)/2 ; space 1: (0.3/0.25 + 0.1/0.25)/2 ; space 2: (0.4/1)/2
     assert np.allclose(loss_est, [0.2, 0.8, 0.2])
-    assert np.allclose(grad_est[0], [1.0])
+    assert np.allclose(grad_est[0, :1], [1.0])
     assert np.allclose(grad_est[1], [(2.0 / 0.25 + 3.0 / 0.25) / 2, (2.0 / 0.25 + 1.0 / 0.25) / 2])
-    assert np.allclose(grad_est[2], [0.25])
+    assert np.allclose(grad_est[2, :1], [0.25])
 
 
 def test_aggregate_reports_unsampled_spaces_estimate_zero():
     incl = np.array([0.6, 0.6, 0.6, 0.6])
-    r = UplinkMessage(2, 0, (1, 3), np.array([1.0, 1.0]), (np.ones(2), np.ones(2)))
-    loss_est, grad_est = aggregate_reports([r], incl, 4, dims=[2, 2, 2, 2])
+    loss_est, grad_est = protocol._scatter_reports(np.array([1, 3]), np.array([1.0, 1.0]),
+                                                   np.ones((2, 2)), incl, 1)
     assert loss_est[0] == 0.0 and loss_est[2] == 0.0
-    assert set(grad_est) == {1, 3}
-
-
-def test_aggregate_reports_validation():
-    incl = np.full(3, 0.5)
-    good = UplinkMessage(1, 0, (0, 1), np.zeros(2), (np.zeros(1), np.zeros(1)))
-    with pytest.raises(ProtocolError, match="no reports"):
-        aggregate_reports([], incl, 3, [1, 1, 1])
-    other_epoch = UplinkMessage(2, 1, (0, 1), np.zeros(2), (np.zeros(1), np.zeros(1)))
-    with pytest.raises(ProtocolError, match="mixed epochs"):
-        aggregate_reports([good, other_epoch], incl, 3, [1, 1, 1])
-    dup = UplinkMessage(1, 0, (1, 2), np.zeros(2), (np.zeros(1), np.zeros(1)))
-    with pytest.raises(ProtocolError, match="duplicate"):
-        aggregate_reports([good, dup], incl, 3, [1, 1, 1])
-    bad_dim = UplinkMessage(1, 1, (0, 1), np.zeros(2), (np.zeros(4), np.zeros(1)))
-    with pytest.raises(ProtocolError, match="shape"):
-        aggregate_reports([good, bad_dim], incl, 3, [1, 1, 1])
-    with pytest.raises(ProtocolError, match="inclusion_probs"):
-        aggregate_reports([good], np.full(2, 0.5), 3, [1, 1, 1])
-
-
-def test_message_shape_validation():
-    with pytest.raises(ProtocolError):
-        DownlinkMessage(1, 0, (0, 1), (np.zeros(2),))
-    with pytest.raises(ProtocolError):
-        UplinkMessage(1, 0, (0, 1), np.zeros(3), (np.zeros(1), np.zeros(1)))
+    assert [i for i in range(4) if grad_est[i].any()] == [1, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from scipy import stats
 
 from fedoms import rng as rngmod
 from fedoms import sampling
-from fedoms.protocol import UplinkMessage, aggregate_reports
+from fedoms.protocol import _scatter_reports
 
 from oracles import ROLE_TEST
 
@@ -154,10 +154,9 @@ def test_per_row_and_shared_probs_agree():
 
 def _estimate(raw_losses, indices, incl):
     """The server's loss estimate from one client's report on ``indices``."""
-    report = UplinkMessage(epoch=1, client_id=0, indices=tuple(int(i) for i in indices),
-                           mean_losses=np.asarray(raw_losses, dtype=float),
-                           mean_gradients=tuple(np.zeros(1) for _ in indices))
-    loss_est, _ = aggregate_reports([report], incl, incl.size, [1] * incl.size)
+    indices = np.asarray(indices, dtype=np.int64)
+    loss_est, _ = _scatter_reports(indices, np.asarray(raw_losses, dtype=float),
+                                   np.zeros((indices.size, 1)), incl, 1)
     return loss_est
 
 
