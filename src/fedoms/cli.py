@@ -3,8 +3,9 @@
 Subcommands:
 
 * ``validate <config.json>`` -- check a config file and report the parsed
-  shape without running anything; for a synthetic data source, whose input
-  width the config states, it also builds the spaces.
+  shape without running anything.  It also builds the spaces, for the input
+  width the config states or, for a CSV source, the width its header row
+  gives; the table itself is not read.
 * ``run <config.json>`` -- execute one experiment; writes ``trace.csv`` and
   ``summary.json`` into the output directory.
 * ``ab <config.json>`` -- paired comparison of the federated and the
@@ -44,13 +45,14 @@ from .config import (
     resolve_output_dir,
     run_from_config,
 )
-from .data import DataError
+from .data import DataError, _csv_header
 from .learners import run_fomd_oms, run_nco_oms
 from .mirror import MirrorError
-from .protocol import ProtocolError, RunInvariantError
+from .protocol import RunInvariantError
 
-# library errors reported as a JSON error object with exit status 2
-REPORTED_ERRORS = (ConfigError, DataError, ProtocolError, RunInvariantError, MirrorError)
+# errors reported as a JSON error object with exit status 2: every library
+# error type subclasses one of these, and a stray ValueError keeps the contract
+REPORTED_ERRORS = (ValueError, RunInvariantError, MirrorError)
 
 
 def _emit(blob: dict) -> None:
@@ -94,10 +96,18 @@ def _config_digest(config: ExperimentConfig) -> dict:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
-    if config.data.source != "csv":
-        # a synthetic source states the input width, so the spaces can be
-        # built here: a radius whose bounds overflow fails now, not at run
-        build_spaces(config, config.data.input_dim)
+    # with the input width, a radius whose bounds overflow or a coordinate
+    # out of range fails now, not at run
+    data = config.data
+    if data.source == "csv":
+        try:
+            with _csv_header(Path(data.path), data.target_column) as (_, header, _):
+                input_dim = len(header) - 1
+        except DataError as exc:
+            raise ConfigError(str(exc), field="data") from exc
+    else:
+        input_dim = data.input_dim
+    build_spaces(config, input_dim)
     _emit({"status": "ok", "config": _config_digest(config)})
     return 0
 

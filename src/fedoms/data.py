@@ -14,6 +14,7 @@ import csv
 import logging
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,6 +119,24 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
     """
 
     path = Path(path)
+    with _csv_header(path, target_column) as (fh, header, target_pos):
+        table = _parse_table(fh, len(header))
+    if table is None:
+        table = _parse_rows(path, header)
+    features = np.delete(table, target_pos, axis=1)
+    feature_names = tuple(h for i, h in enumerate(header) if i != target_pos)
+    logger.info("ingested %s: %d rows, %d features", path, table.shape[0], features.shape[1])
+    return RawDataset(features, table[:, target_pos], feature_names, header[target_pos])
+
+
+@contextmanager
+def _csv_header(path: Path, target_column: str | int):
+    """Open a CSV and check its header row as :func:`ingest_csv` does.
+
+    Yields the open file, positioned at the first data row, the stripped
+    column names and the target's position.  Reading the header alone gives
+    the input width (columns - 1) without parsing the table.
+    """
     try:
         fh = path.open(newline="")
     except OSError as exc:  # a missing file, a directory, no permission
@@ -147,13 +166,7 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
         if len(header) == 1:
             raise DataError(f"{path}: no feature columns; the only column, "
                             f"{header[0]!r}, is the target")
-        table = _parse_table(fh, len(header))
-    if table is None:
-        table = _parse_rows(path, header)
-    features = np.delete(table, target_pos, axis=1)
-    feature_names = tuple(h for i, h in enumerate(header) if i != target_pos)
-    logger.info("ingested %s: %d rows, %d features", path, table.shape[0], features.shape[1])
-    return RawDataset(features, table[:, target_pos], feature_names, header[target_pos])
+        yield fh, header, target_pos
 
 
 def _parse_table(lines, width: int) -> np.ndarray | None:

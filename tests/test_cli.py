@@ -342,7 +342,7 @@ def test_run_on_a_csv_with_only_a_target_column_is_a_config_error(space, tmp_pat
 
 
 @pytest.mark.parametrize(
-    "error", [DataError, ProtocolError, RunInvariantError, MirrorError],
+    "error", [DataError, ProtocolError, RunInvariantError, MirrorError, ValueError],
     ids=lambda error: error.__name__)
 def test_library_errors_keep_the_json_error_contract(error, tmp_path, capsys,
                                                      monkeypatch):
@@ -414,6 +414,65 @@ def test_validate_builds_the_spaces_of_a_synthetic_source(tmp_path, capsys):
     blob = _last_json(capsys.readouterr().out)
     assert blob["kind"] == "ConfigError" and blob["field"] == "spaces[0].radius"
     assert "past the float range" in blob["message"]
+
+
+@pytest.mark.parametrize("space, target, name, field, message", [
+    ({"kind": "coordinate", "index": 3}, "target", "data.csv", "spaces[0].index",
+     "spaces[0].index 3 is out of range for 3-dimensional inputs"),
+    ({"kind": "identity"}, "label", "data.csv", "data",
+     "{csv}: no column named 'label'; available columns: ['f0', 'f1', 'f2', 'target']"),
+    ({"kind": "identity"}, "target", "missing.csv", "data",
+     "{csv}: cannot read the data file: No such file or directory"),
+], ids=["coordinate-out-of-range", "missing-target", "missing-file"])
+def test_validate_checks_a_csv_source_against_its_header_row(space, target, name, field,
+                                                              message, tmp_path, capsys):
+    from fedoms.data import write_regression_csv
+
+    write_regression_csv(tmp_path / "data.csv", rows=60, input_dim=3, seed=1)
+    csv_path = tmp_path / name
+    cfg = _base_config(horizon=None, epochs=None, subset_size=1, spaces=[space])
+    cfg["data"] = {"source": "csv", "path": str(csv_path), "target_column": target}
+    path = tmp_path / "csv_cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path)]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob == {"status": "error", "kind": "ConfigError", "field": field,
+                    "message": message.format(csv=csv_path)}
+
+
+def test_validate_builds_a_csv_sources_spaces_from_the_header_alone(tmp_path, capsys,
+                                                                   monkeypatch):
+    from fedoms import data
+
+    def no_parse(*args):
+        raise AssertionError("validate parsed the data rows")
+
+    monkeypatch.setattr(data, "_parse_table", no_parse)
+    monkeypatch.setattr(data, "_parse_rows", no_parse)
+    csv_path = data.write_regression_csv(tmp_path / "data.csv", rows=60, input_dim=3,
+                                         seed=1)
+    cfg = _base_config(horizon=None, epochs=None,
+                       spaces=[{"kind": "coordinate", "index": 2}, {"kind": "identity"}])
+    cfg["data"] = {"source": "csv", "path": str(csv_path), "target_column": 0}
+    path = tmp_path / "csv_cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path)]) == 0
+    assert _last_json(capsys.readouterr().out)["status"] == "ok"
+
+
+def test_run_writes_the_reference_trace_bytes(tmp_path, capsys):
+    from fedoms.config import run_from_config
+    from oracles import reference_trace_csv
+
+    cfg = _base_config(clients=3, horizon=40, epochs=10, loss="linear",
+                       spaces=[{"kind": "coordinate", "index": i} for i in range(4)])
+    cfg["data"] = {"source": "biased_arm", "input_dim": 4, "bias": 0.3}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    expected = reference_trace_csv(run_from_config(load_config(path)))
+    assert (out / "trace.csv").read_bytes() == expected.encode()
 
 
 def test_run_rejects_coordinate_index_out_of_range(tmp_path, capsys):

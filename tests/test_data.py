@@ -446,6 +446,36 @@ def test_trace_csv_bytes_match_the_row_writer(tmp_path_factory, shape, seed, spe
     assert path.read_bytes() == reference_trace_csv(art).encode()
 
 
+@pytest.mark.parametrize("block", [1, 3, _BLOCK])
+def test_trace_csv_pinned_example_at_any_block_size(block, tmp_path, monkeypatch):
+    # one block at the default size holds signed zeros, the smallest
+    # subnormal, repeated and single values, an int column spanning exactly
+    # as many values as rows (lead_index), one spanning more (uplink_bits),
+    # int32 ids and float32 predictions
+    monkeypatch.setattr(results, "_EXPORT_BLOCK_ROWS", block)
+    art = _artifact(
+        np.array([-0.0, 0.0, 0.1, 0.1, -3.5, 1e-45], dtype=np.float32), np.zeros(6),
+        clients=2, horizon=3,
+        round_ids=np.repeat(np.arange(1, 4, dtype=np.int32), 2),
+        client_ids=np.tile(np.arange(2, dtype=np.int32), 3),
+        epoch_ids=np.ones(6, dtype=np.int32),
+        lead_indices=np.array([5, 0, 3, 1, 4, 2], dtype=np.int32),
+        losses=np.array([5e-324, 0.0, -0.0, 0.25, 0.25, 1 / 3]),
+        uplink_bits=np.array([-7, 2**40, 7, 7, 0, 10**12]),
+    )
+    expected = (
+        "round,client,epoch,lead_index,prediction,loss,uplink_bits,downlink_bits\n"
+        "1,0,1,5,-0.0,5e-324,-7,6\n"
+        "1,1,1,0,0.0,0.0,1099511627776,6\n"
+        "2,0,1,3,0.10000000149011612,-0.0,7,6\n"
+        "2,1,1,1,0.10000000149011612,0.25,7,6\n"
+        "3,0,1,4,-3.5,0.25,0,6\n"
+        "3,1,1,2,1.401298464324817e-45,0.3333333333333333,1000000000000,6\n"
+    )
+    assert reference_trace_csv(art) == expected
+    assert art.to_csv(tmp_path / "trace.csv").read_bytes() == expected.encode()
+
+
 def test_mse_hand_example():
     # errors (0.1, 0.2, 0, 0.3) over M=2, T=2: MSE = 0.14/4 = 0.035
     art = _artifact([0.1, 0.2, 0.0, 0.3], [0.0, 0.0, 0.0, 0.0], clients=2, horizon=2)
