@@ -5,7 +5,8 @@ Subcommands:
 * ``validate <config.json>`` -- check a config file and report the parsed
   shape without running anything.  It also builds the spaces, for the input
   width the config states or, for a CSV source, the width its header row
-  gives; the table itself is not read.
+  gives; a CSV source's data rows are counted, not parsed, so that its
+  horizon, epochs and update steps are checked as ``run`` checks them.
 * ``run <config.json>`` -- execute one experiment; writes ``trace.csv`` and
   ``summary.json`` into the output directory.
 * ``ab <config.json>`` -- paired comparison of the federated and the
@@ -41,11 +42,12 @@ from .config import (
     ExperimentConfig,
     build_experiment,
     build_spaces,
+    check_horizon,
     load_config,
     resolve_output_dir,
     run_from_config,
 )
-from .data import DataError, _csv_header
+from .data import DataError, csv_shape
 from .learners import run_fomd_oms, run_nco_oms
 from .mirror import MirrorError
 from .protocol import RunInvariantError
@@ -101,10 +103,10 @@ def _cmd_validate(args) -> int:
     data = config.data
     if data.source == "csv":
         try:
-            with _csv_header(Path(data.path), data.target_column) as (_, header, _):
-                input_dim = len(header) - 1
+            rows, input_dim = csv_shape(data.path, data.target_column)
         except DataError as exc:
             raise ConfigError(str(exc), field="data") from exc
+        check_horizon(config, rows // config.clients)
     else:
         input_dim = data.input_dim
     build_spaces(config, input_dim)

@@ -370,16 +370,22 @@ def build_spaces(config: ExperimentConfig, input_dim: int) -> tuple:
     return tuple(built)
 
 
+def check_horizon(config: ExperimentConfig, horizon: int) -> None:
+    """Check the horizon a data source gives against the config's horizon,
+    epochs and update steps."""
+    if config.horizon is not None and horizon != config.horizon:
+        raise ConfigError(
+            f"horizon {config.horizon} does not match the {horizon} "
+            "rounds per client derived from the data", field="horizon")
+    if config.epochs is not None:
+        _check_schedule(horizon, config.epochs)
+    _check_steps(len(config.spaces), horizon, config.epochs)
+
+
 def build_experiment(config: ExperimentConfig):
     """Load data, build spaces, and return ``(learner_config, streams)``."""
     streams = build_streams(config)
-    if config.horizon is not None and streams.horizon != config.horizon:
-        raise ConfigError(
-            f"horizon {config.horizon} does not match the {streams.horizon} "
-            "rounds per client derived from the data", field="horizon")
-    if config.epochs is not None:
-        _check_schedule(streams.horizon, config.epochs)
-    _check_steps(len(config.spaces), streams.horizon, config.epochs)
+    check_horizon(config, streams.horizon)
     spaces = build_spaces(config, streams.input_dim)
     learner = LearnerConfig(
         spaces=spaces,

@@ -28,6 +28,7 @@ __all__ = [
     "Streams",
     "AdversarialSpec",
     "ingest_csv",
+    "csv_shape",
     "preprocess_and_partition",
     "generate_adversarial",
     "default_bias",
@@ -169,6 +170,37 @@ def _csv_header(path: Path, target_column: str | int):
         yield fh, header, target_pos
 
 
+def csv_shape(path: str | Path, target_column: str | int = -1) -> tuple[int, int]:
+    """The data rows and the input width :func:`ingest_csv` would give.
+
+    The header is checked as :func:`ingest_csv` checks it, and the data
+    records are counted with its row parser's reader and blank-line rule,
+    without converting a cell, so a failure names what ingesting would.
+    """
+    path = Path(path)
+    with _csv_header(path, target_column) as (fh, header, _):
+        rows = sum(1 for _ in _records(path, fh))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return rows, len(header) - 1
+
+
+def _records(path: Path, fh):
+    """Yield (file line, cells) of each data record of ``fh``, past the header.
+
+    Blank lines are skipped; a record :mod:`csv` cannot read (e.g. a cell
+    over ``csv.field_size_limit()``) is a :class:`DataError` naming its row.
+    """
+    line_no = 1
+    try:
+        for line_no, row in enumerate(csv.reader(fh), start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # ignore blank lines
+            yield line_no, row
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {line_no + 1}: {exc}") from None
+
+
 def _parse_table(lines, width: int) -> np.ndarray | None:
     """The data rows in one ``loadtxt`` call, or None if the row parser must run.
 
@@ -192,33 +224,26 @@ def _parse_table(lines, width: int) -> np.ndarray | None:
 def _parse_rows(path: Path, header: list[str]) -> np.ndarray:
     """Parse the data rows cell by cell, naming the first bad row and column."""
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # the header, already read
+        next(csv.reader(fh))  # the header, already read
         rows: list[list[float]] = []
         line_nos = array("i")  # file line of each data row, for diagnostics
-        line_no = 1
-        try:
-            for line_no, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue  # ignore blank lines
-                if len(row) != len(header):
+        for line_no, row in _records(path, fh):
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {line_no} has {len(row)} cells, expected "
+                    f"{len(header)}"
+                )
+            parsed = []
+            for col, cell in enumerate(row):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
                     raise DataError(
-                        f"{path}: row {line_no} has {len(row)} cells, expected "
-                        f"{len(header)}"
-                    )
-                parsed = []
-                for col, cell in enumerate(row):
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {line_no}, column {header[col]!r}: "
-                            f"non-numeric cell {cell!r}"
-                        ) from None
-                rows.append(parsed)
-                line_nos.append(line_no)
-        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
-            raise DataError(f"{path}: row {line_no + 1}: {exc}") from None
+                        f"{path}: row {line_no}, column {header[col]!r}: "
+                        f"non-numeric cell {cell!r}"
+                    ) from None
+            rows.append(parsed)
+            line_nos.append(line_no)
     if not rows:
         raise DataError(f"{path}: no data rows")
     table = np.array(rows, dtype=float)

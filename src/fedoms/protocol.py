@@ -8,13 +8,16 @@ This module owns everything that crosses the client/server boundary:
   states its information bits: 32 per float plus ceil(log2 K) per index.
 * :func:`_scatter_reports` — the server-side merge of client reports into
   importance-weighted loss/gradient estimates, one scatter-add per quantity.
-* the wire audit: with ``setup.audit`` set, each epoch's 2·M frames, its
-  downlinks followed by its uplinks, are encoded and decoded together in
-  one batch (or in a few consecutive batches when one would outgrow the
-  memory budget below), and every check (bits against the closed form,
-  header epoch, client id and kind, indices, floats to single precision in
-  both directions, and the aggregation against the engine's) runs once
-  over each batch.
+* the wire audit: with ``setup.audit`` set, each epoch is staged as it
+  runs, and the staged epochs' frames, epoch by epoch its 2·M downlinks
+  followed by its uplinks, are encoded and decoded together in one batch
+  once one more epoch would outgrow the memory budget below, and after the
+  run's last epoch.  So a run of small epochs pays the codec's fixed cost a
+  few times, not once per epoch; an epoch too large for one batch is coded
+  alone, in a few consecutive batches.  Every check (bits against the
+  closed form, header epoch, client id and kind, indices, floats to single
+  precision in both directions, and the aggregation against the engine's)
+  runs once over each batch.
 * :func:`run_epoch` — the round kernel: one communication epoch of S
   servers, vectorized across clients and, in blocks, across the epoch's
   rounds.  It reads a :class:`RunSetup` (the spaces, the client streams,
@@ -97,9 +100,10 @@ class RunInvariantError(RuntimeError):
 # cache.  mixed-audit's rounds (300 x 60 floats each) run as fast in blocks
 # of 3 rounds, this budget, as one at a time, and 1.3x slower in blocks of 7
 # or 10 (twice or four times the budget).  A hidden-arm epoch (20 x 16 per
-# round, 20 frames of 4 floats) runs as one block and one audit batch;
-# rff-table's 2000 x 100 rounds stay one per block, and its 2000 frames go
-# in 8 batches of 250.
+# round) runs as one block, and an audited hidden-arm run's 8,000 frames of
+# 4 floats (400 epochs of 20) form one audit batch; rff-table's 2000 x 100
+# rounds stay one per block, and each epoch's 2000 frames go in 8 batches
+# of 250; mixed-audit's epochs of 200 frames are one batch each.
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -152,14 +156,15 @@ def _left_justify(values: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np
     return table, counts
 
 
-def encode_frames(kind: int | np.ndarray, epoch: int, client_ids: np.ndarray,
+def encode_frames(kind: int | np.ndarray, epoch: int | np.ndarray, client_ids: np.ndarray,
                   indices: np.ndarray, floats: np.ndarray, counts: np.ndarray,
                   num_spaces: int) -> tuple[np.ndarray, np.ndarray]:
-    """Serialize n frames of one epoch into one back-to-back buffer.
+    """Serialize n frames into one back-to-back buffer.
 
-    ``kind`` is one kind for every frame or an (n,) array of per-frame
-    kinds; the kind only labels the header, since ``floats`` and ``counts``
-    already hold what each frame carries (an uplink's mean losses first).
+    ``kind`` and ``epoch`` are each one value for every frame or an (n,)
+    array of per-frame values; the kind only labels the header, since
+    ``floats`` and ``counts`` already hold what each frame carries (an
+    uplink's mean losses first).
     The r-th frame goes to client ``client_ids[r]`` and carries the first
     ``counts[r]`` entries of ``floats[r]`` as little-endian f32, then the J
     indices of ``indices[r]`` packed ceil(log2 K) bits each, most significant
@@ -173,8 +178,8 @@ def encode_frames(kind: int | np.ndarray, epoch: int, client_ids: np.ndarray,
         outside = indices[(indices < 0) | (indices >= num_spaces)]
         raise ProtocolError(f"index {int(outside[0])} out of range [0, {num_spaces})")
     bits = 32 * counts + q * J
-    check_header_fields(epoch, int(client_ids.min()), J)
-    check_header_fields(epoch, int(client_ids.max()), J, int(bits.max()))
+    check_header_fields(int(np.min(epoch)), int(client_ids.min()), J)
+    check_header_fields(int(np.max(epoch)), int(client_ids.max()), J, int(bits.max()))
     index_bytes = (q * J + 7) // 8
     lengths = HEADER_BYTES + 4 * counts + index_bytes
     width = HEADER_BYTES + 4 * floats.shape[1] + index_bytes
@@ -414,8 +419,50 @@ class RunSetup:
 
 
 @dataclass
+class _Stage:
+    """The epochs staged for the next audit replay, one slot each, in frame layout.
+
+    Slot ``s`` holds epoch ``epochs[s]``: ``values[s, 0]`` are the float
+    rows of its M downlinks (J loss slots, never sent and left zero, then the
+    J broadcast vectors, zero-padded to d_max) and ``values[s, 1]`` those of
+    its M uplinks (the J mean losses, then the J gradient vectors), so the
+    first ``count`` slots are the frames' float table.  ``bits`` holds the
+    engine's bit account of each frame, ``inclusion`` and ``loss_est`` the
+    epoch's (K,) inclusion probabilities and loss estimate, and the first
+    ``steps[s]`` entries of ``stepped[s]`` and ``grad_est[s]`` the spaces the
+    epoch stepped and their gradient estimates (at most min(K, M·J)).
+    """
+
+    epochs: np.ndarray  # (slots,)
+    indices: np.ndarray  # (slots, M, J)
+    values: np.ndarray  # (slots, 2, M, J·(d_max + 1))
+    bits: np.ndarray  # (slots, 2, M)
+    inclusion: np.ndarray  # (slots, K)
+    loss_est: np.ndarray  # (slots, K)
+    steps: np.ndarray  # (slots,)
+    stepped: np.ndarray  # (slots, min(K, M·J))
+    grad_est: np.ndarray  # (slots, min(K, M·J), d_max)
+    count: int = 0
+
+    @classmethod
+    def with_slots(cls, slots: int, clients: int, J: int, K: int, d_max: int) -> "_Stage":
+        most = min(K, clients * J)
+        return cls(
+            epochs=np.zeros(slots, dtype=np.int64),
+            indices=np.zeros((slots, clients, J), dtype=np.int64),
+            values=np.zeros((slots, 2, clients, J * (d_max + 1))),
+            bits=np.zeros((slots, 2, clients), dtype=np.int64),
+            inclusion=np.zeros((slots, K)),
+            loss_est=np.zeros((slots, K)),
+            steps=np.zeros(slots, dtype=np.int64),
+            stepped=np.zeros((slots, most), dtype=np.int64),
+            grad_est=np.zeros((slots, most, d_max)),
+        )
+
+
+@dataclass
 class AuditLog:
-    """Optional per-epoch verification of the wire path.
+    """Optional verification of the wire path, epoch by epoch.
 
     When attached to a run, every epoch is also executed through the
     frame/aggregation code path and cross-checked against the vectorized
@@ -423,16 +470,19 @@ class AuditLog:
     and kind and the indices exactly, and the floats of both directions to
     single precision; the closed-form bit account must equal the frame's
     actual payload bits; and the scatter-add of the clients' reports must
-    agree with the engine's aggregation to near machine precision.  An
-    epoch's downlink and uplink frames are coded as one batch when they fit
-    the memory budget, but its notes keep one order either way: the
-    downlinks' checks, then the uplinks', each check over the clients in
-    order, then the aggregation's.
-    ``frames_checked`` counts 2·M frames per epoch.
+    agree with the engine's aggregation to near machine precision.  Epochs
+    are staged as they run and replayed in batches that fit the memory
+    budget, several epochs to a batch when their frames are few, so every
+    frame has been checked by the time the run's last epoch returns, and
+    not before.  The notes keep one order however the epochs are batched:
+    epoch by epoch, the downlinks' checks, then the uplinks', each check
+    over the clients in order, then the aggregation's.
+    ``frames_checked`` counts 2·M frames per replayed epoch.
     """
 
     frames_checked: int = 0
     mismatches: list[str] = field(default_factory=list)
+    _stage: _Stage | None = field(default=None, repr=False, compare=False)
 
     def note(self, message: str) -> None:
         self.mismatches.append(message)
@@ -454,90 +504,144 @@ def _audit_epoch(
     down_bits: np.ndarray,
     up_bits: np.ndarray,
 ) -> None:
-    """Replay one epoch of the single server through the serialized message path.
+    """Stage one epoch of the single server for the wire replay; replay when due.
 
     ``weights`` (K, d_max) are the broadcast models.  ``mean_losses`` and
     ``mean_grads`` hold each client's report per sampled space, in the
     kernel's entry order, which indexing by ``to_clients`` makes client-major
     (entry ``j * J + a`` client j's slot a); ``grad_est[k]`` is the engine's
     estimate for space ``stepped[k]``, and ``loss_est`` its (K,) loss
-    estimate.  The epoch's
-    2·M frames, frame f the downlink to client f and frame M + f the uplink
-    from it, go through :func:`encode_frames` and :func:`decode_frames` as
-    one batch when its (2·M, J·(d_max + 1)) float table fits
-    ``_BLOCK_FLOATS``, else as the fewest equal batches of one direction each
-    that fit it, and each check runs once over each batch, so the replay
-    costs a fixed number of numpy calls per batch whatever the client count.
-    Every float row has room for an uplink's J mean losses followed by J
-    zero-padded vectors; a downlink leaves the loss slots unsent.
+    estimate.
+
+    The epoch is copied into the next slot of the audit's stage, its
+    broadcast rows gathered from ``weights``, which :func:`run_epoch` steps
+    in place once this call returns.  A batch holds at most the frames whose
+    float rows of J·(d_max + 1) floats fit ``_BLOCK_FLOATS``, and the stage
+    has a slot for each epoch whose 2·M frames fit one batch together (fewer
+    if the epochs' (K,) rows would not fit the budget, or the run is
+    shorter), and at least one, so it stays within the budget unless one
+    epoch alone passes it.  The staged epochs are replayed together by
+    :func:`_replay_epochs` once the stage is full, that is once the next
+    epoch's frames would take them past the batch size, and after the run's
+    last epoch, so every replay runs inside a call of this function; an
+    epoch whose own frames pass the batch size is replayed on its own.
     """
+    clients, J = indices.shape
+    K = setup.num_spaces
+    epochs_in_run = setup.param_rates.shape[0]
+    per_batch = max(1, _BLOCK_FLOATS // (J * (setup.max_dim + 1)))
+    stage = audit._stage
+    if stage is None:
+        slots = max(1, min(per_batch // (2 * clients), _BLOCK_FLOATS // K, epochs_in_run))
+        stage = audit._stage = _Stage.with_slots(slots, clients, J, K, setup.max_dim)
+    s = stage.count
+    stage.epochs[s] = epoch
+    stage.indices[s] = indices
+    rows = stage.values[s]
+    rows[0, :, J:] = weights[indices].reshape(clients, -1)
+    rows[1, :, :J] = mean_losses[to_clients].reshape(clients, J)
+    rows[1, :, J:] = mean_grads[to_clients].reshape(clients, -1)
+    stage.bits[s] = down_bits, up_bits
+    stage.inclusion[s] = inclusion
+    stage.loss_est[s] = loss_est
+    stage.steps[s] = stepped.size
+    stage.stepped[s, :stepped.size] = stepped
+    stage.grad_est[s, :stepped.size] = grad_est
+    stage.count = s + 1
+    if stage.count == stage.epochs.size or epoch == epochs_in_run:
+        _replay_epochs(audit, setup, per_batch)
+
+
+def _replay_epochs(audit: AuditLog, setup: RunSetup, per_batch: int) -> None:
+    """Replay the E staged epochs through the serialized message path, and empty the stage.
+
+    The epochs' 2·M·E frames are laid out epoch by epoch, each epoch's
+    downlink to client f as its frame f and the uplink from client f as its
+    frame M + f.  They go through :func:`encode_frames` and
+    :func:`decode_frames` as one batch when they number at most
+    ``per_batch``, else (one epoch alone) as the fewest equal batches of one
+    direction each that fit it, and each check runs once over each batch,
+    so the replay costs a fixed number of numpy calls per batch whatever the
+    client and epoch counts.  The merge is checked by one
+    :func:`_scatter_reports` over (epoch slot, space) cells, which adds each
+    cell's reports in client order, as a one-epoch merge does.
+    """
+    stage = audit._stage
+    E, stage.count = stage.count, 0
     K = setup.num_spaces
     dims = setup.dims
-    clients, J = indices.shape
-    losses = mean_losses[to_clients].reshape(clients, J)  # each client's report
-    grads = mean_grads[to_clients].reshape(clients, J, -1)
-    spread = (np.arange(setup.max_dim) < dims[indices][:, :, None]).reshape(clients, -1)
-    width = spread.shape[1]  # J * d_max
-    frames = 2 * clients
-    kinds = np.repeat([KIND_DOWNLINK, KIND_UPLINK], clients)
-    client_ids = np.concatenate([np.arange(clients)] * 2)
-    engine_bits = np.concatenate([down_bits, up_bits])
+    d_max = setup.max_dim
+    indices = stage.indices[:E]
+    _, clients, J = indices.shape
+    frames = 2 * E * clients
+    values = stage.values[:E].reshape(frames, -1)
+    frame_indices = np.broadcast_to(indices[:, None], (E, 2, clients, J)).reshape(frames, J)
+    kinds = np.tile(np.repeat([KIND_DOWNLINK, KIND_UPLINK], clients), E)
+    client_ids = np.tile(np.arange(clients), 2 * E)
+    frame_epochs = np.repeat(stage.epochs[:E], 2 * clients)
+    engine_bits = stage.bits[:E].reshape(frames)
     bad = np.empty((4, frames), dtype=bool)  # one row per check, one column per frame
-    per_batch = max(1, _BLOCK_FLOATS // (J * (setup.max_dim + 1)))
     if frames <= per_batch:
         bounds = [0, frames]
-    else:  # each direction in equal batches of one kind, whose frames the
-        # codec can often lay out by a reshape where a mixed batch needs a mask
+    else:  # one epoch: each direction in equal batches of one kind, whose frames
+        # the codec can often lay out by a reshape where a mixed batch needs a mask
         per_kind = -(-clients // per_batch)
         cuts = (np.arange(per_kind) * clients // per_kind).tolist()
         bounds = cuts + [clients + c for c in cuts] + [frames]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        ids = client_ids[lo:hi]
-        downs = max(0, min(hi, clients) - lo)  # the batch's downlinks come first
-        up = slice(max(lo, clients) - clients, max(hi - clients, 0))
-        values = np.zeros((hi - lo, J + width))
-        values[:downs, J:] = weights[indices[lo:lo + downs]].reshape(-1, width)
-        values[downs:, :J] = losses[up]
-        values[downs:, J:] = grads[up].reshape(-1, width)
-        sent = np.empty(values.shape, dtype=bool)
-        sent[:, :J] = (kinds[lo:hi] == KIND_UPLINK)[:, None]
-        sent[:, J:] = spread[ids]
-        buffer, lengths = encode_frames(kinds[lo:hi], epoch, ids, indices[ids],
-                                        *_left_justify(values, sent), K)
+        batch = slice(lo, hi)
+        ids, batch_indices, batch_values = client_ids[batch], frame_indices[batch], values[batch]
+        # an uplink's mean losses and every vector up to its space's width
+        sent = np.empty(batch_values.shape, dtype=bool)
+        sent[:, :J] = (kinds[batch] == KIND_UPLINK)[:, None]
+        sent[:, J:] = (np.arange(d_max) < dims[batch_indices][:, :, None]).reshape(hi - lo, -1)
+        buffer, lengths = encode_frames(kinds[batch], frame_epochs[batch], ids, batch_indices,
+                                        *_left_justify(batch_values, sent), K)
         header, got_indices, got_losses, got = decode_frames(buffer, lengths, K, dims)
         got = np.concatenate([got_losses, got.reshape(hi - lo, -1)], axis=1)
-        index_bad = (got_indices != indices[ids]).any(axis=1)
-        bad[0, lo:hi] = header["payload_bits"] != engine_bits[lo:hi]
-        bad[1, lo:hi] = ((header["epoch"] != epoch) | (header["client_id"] != ids)
-                         | (header["kind"] != kinds[lo:hi]))
-        bad[2, lo:hi] = index_bad
+        index_bad = (got_indices != batch_indices).any(axis=1)
+        bad[0, batch] = header["payload_bits"] != engine_bits[batch]
+        bad[1, batch] = ((header["epoch"] != frame_epochs[batch])
+                         | (header["client_id"] != ids) | (header["kind"] != kinds[batch]))
+        bad[2, batch] = index_bad
         # floats must come back as their single-precision values
-        bad[3, lo:hi] = ((got != values.astype(np.float32)) & sent).any(axis=1) & ~index_bad
-    if bad.any():
+        bad[3, batch] = ((got != batch_values.astype(np.float32)) & sent).any(axis=1) & ~index_bad
+    audit.frames_checked += frames
+    # the server merges the reports as computed, before the wire rounds them;
+    # cell slot * K + space keeps each staged epoch's merge apart
+    cells = (np.arange(0, E * K, K)[:, None, None] + indices).ravel()
+    reports = stage.values[:E, 1]
+    agg_loss, agg_grad = _scatter_reports(cells, reports[..., :J].ravel(),
+                                          reports[..., J:].reshape(-1, d_max),
+                                          stage.inclusion[:E].ravel(), clients)
+    loss_est = stage.loss_est[:E].ravel()
+    # np.allclose's test at rtol = atol = 1e-12, without its per-call set-up
+    loss_ok = (abs(agg_loss - loss_est) <= 1e-12 + 1e-12 * abs(loss_est)).reshape(E, K)
+    reported = np.zeros(E * K, dtype=bool)
+    reported[cells] = True
+    taken = np.arange(stage.stepped.shape[1]) < stage.steps[:E, None]
+    stepped_slots = taken.nonzero()[0]
+    stepped = stage.stepped[:E][taken]
+    stepped_cells = stepped_slots * K + stepped
+    grad_est = stage.grad_est[:E][taken]
+    close = abs(agg_grad[stepped_cells] - grad_est) <= 1e-12 + 1e-12 * abs(grad_est)
+    close |= np.arange(d_max) >= dims[stepped][:, None]
+    grad_ok = reported[stepped_cells] & close.all(axis=1)
+    if bad.any() or not loss_ok.all() or not grad_ok.all():
         texts = [(f"engine {name} bits mismatch", f"{name} header round-trip failed",
                   index_text, f"{name} float round-trip failed")
                  for name, index_text in (("downlink", "downlink index round-trip failed"),
                                           ("uplink", "uplink round-trip failed"))]
-        # every downlink note, check by check over the clients, then every uplink note
-        for kind, check, j in np.argwhere(
-                bad.reshape(4, 2, clients).transpose(1, 0, 2)).tolist():
-            audit.note(f"epoch {epoch} client {j}: {texts[kind][check]}")
-    audit.frames_checked += frames
-    # the server merges the reports as computed, before the wire rounds them
-    agg_loss, agg_grad = _scatter_reports(indices.ravel(), losses.ravel(),
-                                          grads.reshape(clients * J, -1), inclusion,
-                                          clients)
-    # np.allclose's test at rtol = atol = 1e-12, without its per-call set-up
-    if not (abs(agg_loss - loss_est) <= 1e-12 + 1e-12 * abs(loss_est)).all():
-        audit.note(f"epoch {epoch}: aggregated losses disagree with engine")
-    reported = np.zeros(K, dtype=bool)
-    reported[indices] = True
-    close = abs(agg_grad[stepped] - grad_est) <= 1e-12 + 1e-12 * abs(grad_est)
-    close |= np.arange(setup.max_dim) >= dims[stepped][:, None]
-    agrees = reported[stepped] & close.all(axis=1)
-    if not agrees.all():
-        for i in stepped[~agrees].tolist():
-            audit.note(f"epoch {epoch}: aggregated gradient for space {i} disagrees")
+        # (slot, direction, check, client): each epoch's downlink notes, check
+        # by check over the clients, then its uplink notes, then its merge's
+        bad = bad.reshape(4, E, 2, clients).transpose(1, 2, 0, 3)
+        for slot, epoch in enumerate(stage.epochs[:E].tolist()):
+            for kind, check, j in np.argwhere(bad[slot]).tolist():
+                audit.note(f"epoch {epoch} client {j}: {texts[kind][check]}")
+            if not loss_ok[slot].all():
+                audit.note(f"epoch {epoch}: aggregated losses disagree with engine")
+            for i in stepped[(stepped_slots == slot) & ~grad_ok].tolist():
+                audit.note(f"epoch {epoch}: aggregated gradient for space {i} disagrees")
 
 
 def _check_bounds(

@@ -293,12 +293,11 @@ def test_run_on_a_csv_with_one_row_per_client_and_one_space_is_a_config_error(tm
     cfg["data"] = {"source": "csv", "path": str(csv_path), "target_column": "target"}
     path = tmp_path / "csv_cfg.json"
     path.write_text(json.dumps(cfg))
-    assert main(["validate", str(path)]) == 0  # the horizon is not known yet
-    capsys.readouterr()
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    blob = _last_json(capsys.readouterr().out)
-    assert blob["kind"] == "ConfigError" and blob["field"] == "horizon"
-    assert "update steps must be >= 2" in blob["message"]
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(command) == 2
+        blob = _last_json(capsys.readouterr().out)
+        assert blob["kind"] == "ConfigError" and blob["field"] == "horizon"
+        assert "update steps must be >= 2" in blob["message"]
 
 
 def test_run_on_a_csv_cell_over_the_csv_field_limit_reports_the_row(tmp_path, capsys):

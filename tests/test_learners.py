@@ -714,8 +714,9 @@ def _run_bytes(cfg, streams, budget):
 def test_round_blocks_and_audit_batches_leave_every_byte_of_a_run(run, audit, budget):
     # budget 1 runs one round per block and codes one frame per batch; a
     # drawn budget cuts epochs into blocks (the last one may be shorter) and
-    # the 2*M frames into batches of other sizes; the default runs the small
-    # epochs here as one block and one batch
+    # codes the frames in batches of other sizes, of part of an epoch or of
+    # several epochs; the default runs the small epochs here as one block
+    # each and codes a run's frames in one batch
     spaces, loss, J, M, T, R, d, seed = run
     streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=seed)
     cfg = LearnerConfig(spaces=spaces, loss=loss, clients=M, subset_size=J, horizon=T,

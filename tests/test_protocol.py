@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import fedoms.protocol as protocol
 from fedoms import learners, sampling
 from fedoms.learners import LearnerConfig, check_epochs, run_fomd_oms, run_nco_oms
-from fedoms.data import Streams, synthetic_linear
+from fedoms.data import AdversarialSpec, Streams, generate_adversarial, synthetic_linear
 from fedoms.protocol import (
     AuditLog,
     KIND_DOWNLINK,
@@ -82,10 +82,11 @@ def test_bits_per_index_is_ceil_log2():
 def _encode(kind, epoch, client_ids, indices, rows, num_spaces):
     """One frame per float row through :func:`encode_frames`, checked against the oracle.
 
-    ``kind`` is one kind for every frame or one per frame; frame ``r`` goes
-    to ``client_ids[r]`` and carries ``rows[r]`` (an uplink's mean losses
-    first) and ``indices[r]``.  The buffer must hold the per-frame oracle's
-    frames back to back.  Returns the buffer and the frame lengths.
+    ``kind`` and ``epoch`` are each one value for every frame or one per
+    frame; frame ``r`` goes to ``client_ids[r]`` and carries ``rows[r]`` (an
+    uplink's mean losses first) and ``indices[r]``.  The buffer must hold the
+    per-frame oracle's frames back to back.  Returns the buffer and the frame
+    lengths.
     """
     counts = np.array([len(row) for row in rows])
     floats = np.zeros((len(rows), counts.max()))
@@ -95,10 +96,11 @@ def _encode(kind, epoch, client_ids, indices, rows, num_spaces):
     indices = np.asarray(indices, dtype=np.int64)
     buffer, lengths = encode_frames(kind, epoch, client_ids, indices, floats, counts,
                                     num_spaces)
-    frames = [oracles.reference_frame_bytes(int(k), epoch, int(c), idx.tolist(), row,
+    frames = [oracles.reference_frame_bytes(int(k), int(e), int(c), idx.tolist(), row,
                                             num_spaces)
-              for k, c, idx, row in zip(np.broadcast_to(kind, len(rows)), client_ids,
-                                        indices, rows)]
+              for k, e, c, idx, row in zip(np.broadcast_to(kind, len(rows)),
+                                           np.broadcast_to(epoch, len(rows)), client_ids,
+                                           indices, rows)]
     assert buffer.tobytes() == b"".join(frames)
     assert lengths.tolist() == [len(f) for f in frames]
     return buffer, lengths
@@ -239,6 +241,18 @@ def test_encoders_reject_header_fields_that_do_not_fit():
     header, indices, _, _ = _decode(buffer, lengths, 256, [1] * 256)
     assert (header["epoch"][0], header["client_id"][0]) == (edge, edge)
     assert indices[0].tolist() == list(range(255))
+
+
+def test_frames_of_mixed_epochs_keep_each_header_epoch():
+    # an audit batch may span several epochs: each frame's header names its own
+    epochs = np.array([1, 1, 2, 7, 2**32 - 1])
+    buffer, lengths = _encode(KIND_UPLINK, epochs, range(5), [(0, 2)] * 5,
+                              [np.ones(4)] * 5, num_spaces=4)
+    header = _decode(buffer, lengths, 4, [1] * 4)[0]
+    assert header["epoch"].tolist() == epochs.tolist()
+    with pytest.raises(ProtocolError, match="epoch 4294967296 does not fit .* 32-bit"):
+        _encode(KIND_DOWNLINK, np.array([1, 2**32]), [0, 1], [(0, 1)] * 2,
+                [np.zeros(2)] * 2, num_spaces=4)
 
 
 def test_audited_run_checks_the_header_limits_before_its_first_epoch():
@@ -708,12 +722,12 @@ def _audited_run(monkeypatch, name, wrapper):
     return _small_audited_run().meta["audit_mismatches"]
 
 
-def _perturb_audit_input(name, change):
-    """Wrap ``_audit_epoch`` so that epoch 2 sees ``change(copy of input name)``."""
+def _perturb_audit_input(name, change, epoch=2):
+    """Wrap ``_audit_epoch`` so that ``epoch`` sees ``change(copy of input name)``."""
     def wrapper(original):
         def audit_epoch(*args):
             bound = inspect.signature(original).bind(*args)
-            if bound.arguments["epoch"] == 2:
+            if bound.arguments["epoch"] == epoch:
                 value = np.array(bound.arguments[name], copy=True)
                 change(value, bound.arguments)
                 bound.arguments[name] = value
@@ -755,10 +769,10 @@ def test_audit_names_the_space_of_an_aggregated_gradient_that_disagrees(monkeypa
     assert mismatches == [f"epoch 2: aggregated gradient for space {seen[0]} disagrees"]
 
 
-def _flip_in_client_1_frame(kind, offset_of, change=lambda byte: byte ^ 0x01):
-    """Wrap ``decode_frames`` so that one byte of client 1's epoch-2 frame changes.
+def _flip_in_client_1_frame(kind, offset_of, change=lambda byte: byte ^ 0x01, epoch=2):
+    """Wrap ``decode_frames`` so that one byte of client 1's frame in ``epoch`` changes.
 
-    The frame is the one whose header names epoch 2, client 1 and ``kind``,
+    The frame is the one whose header names ``epoch``, client 1 and ``kind``,
     wherever it sits in whichever batch carries it.  ``offset_of(frame)``
     picks the byte's offset within the frame's bytes.
     """
@@ -767,8 +781,8 @@ def _flip_in_client_1_frame(kind, offset_of, change=lambda byte: byte ^ 0x01):
             starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).tolist()
             for start, length in zip(starts, np.asarray(lengths).tolist()):
                 frame = buffer[start:start + length]
-                epoch, client, _, frame_kind = struct.unpack_from("<IIIB", frame.tobytes())
-                if (epoch, client, frame_kind) == (2, 1, kind):
+                header = struct.unpack_from("<IIIB", frame.tobytes())
+                if (header[0], header[1], header[3]) == (epoch, 1, kind):
                     buffer = buffer.copy()
                     at = start + offset_of(frame)
                     buffer[at] = change(int(buffer[at]))
@@ -846,3 +860,55 @@ def test_an_audit_cut_into_batches_stays_clean_and_still_names_a_fault(monkeypat
     mismatches = _audited_run(monkeypatch, "decode_frames", _flip_in_client_1_frame(
         KIND_UPLINK, lambda frame: 16))
     assert mismatches == ["epoch 2 client 1: uplink float round-trip failed"]
+
+
+def _decode_batch_sizes(monkeypatch):
+    """Count the frames of every ``decode_frames`` call from now on."""
+    batches = []
+
+    def count(original):
+        def decode(buffer, lengths, num_spaces, dims):
+            batches.append(len(lengths))
+            return original(buffer, lengths, num_spaces, dims)
+        return decode
+    monkeypatch.setattr(protocol, "decode_frames", count(protocol.decode_frames))
+    return batches
+
+
+def test_an_audit_batch_of_several_epochs_stays_clean_and_notes_epoch_by_epoch(monkeypatch):
+    whole = _small_audited_run()
+    # 120 floats hold 12 frames of J * (d_max + 1) = 10 floats: epochs 1 and
+    # 2 share a batch, then epochs 3 and 4, and the last epoch goes alone
+    monkeypatch.setattr(protocol, "_BLOCK_FLOATS", 120)
+    batches = _decode_batch_sizes(monkeypatch)
+    joined = _small_audited_run()
+    assert batches == [12, 12, 6]
+    assert joined.meta["audit_mismatches"] == []
+    for panel in ("lead_indices", "predictions", "losses", "uplink_bits", "downlink_bits"):
+        assert getattr(joined, panel).tobytes() == getattr(whole, panel).tobytes()
+
+    # a fault in each epoch of the first batch: epoch 1's merge note still
+    # comes before epoch 2's frame note
+    def change(loss_est, _):
+        loss_est[0] += 1e-6
+    monkeypatch.setattr(protocol, "_audit_epoch", _perturb_audit_input(
+        "loss_est", change, epoch=1)(protocol._audit_epoch))
+    mismatches = _audited_run(monkeypatch, "decode_frames", _flip_in_client_1_frame(
+        KIND_UPLINK, lambda frame: 16, epoch=2))
+    assert mismatches == ["epoch 1: aggregated losses disagree with engine",
+                          "epoch 2 client 1: uplink float round-trip failed"]
+
+
+def test_a_hidden_arm_sized_audit_decodes_its_whole_run_in_one_batch(monkeypatch):
+    # K=16 one-wide spaces, J=2: 4 floats a frame, so the run's 2 * 10 * 400
+    # frames fit the default budget's 16,384 and are replayed after its last epoch
+    spec = AdversarialSpec(kind="biased_arm", num_spaces=16, input_dim=16, horizon=400,
+                           clients=10, seed=3, subset_size=2)
+    spaces = tuple(make_space(CoordinateMap(16, i), radius=1.0, loss_kind=Loss.LINEAR)
+                   for i in range(16))
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.LINEAR, clients=10, subset_size=2,
+                        horizon=400, epochs=400, master_seed=3, audit=True)
+    batches = _decode_batch_sizes(monkeypatch)
+    art = run_fomd_oms(cfg, generate_adversarial(spec))
+    assert batches == [8000]
+    assert art.meta["audit_frames_checked"] == 8000 and art.meta["audit_mismatches"] == []
