@@ -8,7 +8,10 @@ Subcommands:
   gives; a CSV source's data rows are counted, not parsed, so that its
   horizon, epochs and update steps are checked as ``run`` checks them.
 * ``run <config.json>`` -- execute one experiment; writes ``trace.csv`` and
-  ``summary.json`` into the output directory.
+  ``summary.json`` into the output directory.  A config with ``"audit":
+  true`` whose wire replay found mismatches still writes both files, then
+  reports ``"status": "mismatch"`` with the mismatches and exits with
+  status 2, as ``audit-bits`` does.
 * ``ab <config.json>`` -- paired comparison of the federated and the
   noncooperative learner over shared seeds; prints a per-seed table to
   stderr and writes ``ab.json``.
@@ -123,15 +126,17 @@ def _cmd_run(args) -> int:
     artifact.to_csv(trace_path)
     summary = artifact.summary_dict()
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    mismatches = artifact.meta.get("audit_mismatches")
     _emit({
-        "status": "ok",
+        "status": "mismatch" if mismatches else "ok",
         "trace": str(trace_path),
         "summary": str(summary_path),
         "mse": summary["mse"],
         "total_uplink_bits": summary["total_uplink_bits"],
         "total_downlink_bits": summary["total_downlink_bits"],
+        **({"mismatches": mismatches} if mismatches else {}),
     })
-    return 0
+    return 2 if mismatches else 0
 
 
 def _cmd_ab(args) -> int:

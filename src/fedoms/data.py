@@ -394,6 +394,10 @@ def generate_adversarial(spec: AdversarialSpec) -> Streams:
 # ---------------------------------------------------------------------------
 # Synthetic regression streams
 
+# the planted vector's intercept and slope norm (total norm ~0.583)
+_INTERCEPT = 0.5
+_SLOPE_NORM = 0.3
+
 
 def synthetic_linear(
     input_dim: int,
@@ -401,16 +405,14 @@ def synthetic_linear(
     horizon: int,
     seed: int,
     noise: float = 0.05,
-    slope_norm: float = 0.3,
-    intercept: float = 0.5,
 ) -> Streams:
     """I.i.d. linear-regression streams with a planted parameter vector.
 
     The first coordinate is a constant 1 (intercept); the rest are uniform
     on [-1, 1] and independent across clients and rounds.  Targets are
-    ``intercept + <slope, x[1:]> + noise`` clipped to [0, 1], with the slope
-    drawn once (shared by all clients) at norm ``slope_norm``.  The planted
-    vector has total norm sqrt(intercept^2 + slope_norm^2), so nested-radius
+    ``_INTERCEPT + <slope, x[1:]> + noise`` clipped to [0, 1], with the slope
+    drawn once (shared by all clients) at norm ``_SLOPE_NORM``.  The planted
+    vector has total norm sqrt(_INTERCEPT^2 + _SLOPE_NORM^2), so nested-radius
     space grids straddle it: small radii underfit, large radii admit it.
     """
 
@@ -419,7 +421,7 @@ def synthetic_linear(
     planted = stream(seed, ROLE_DATA, 0)
     direction = planted.standard_normal(input_dim - 1)
     direction /= np.linalg.norm(direction)
-    slope = slope_norm * direction
+    slope = _SLOPE_NORM * direction
     xs = np.empty((clients, horizon, input_dim))
     ys = np.empty((clients, horizon))
     for j in range(clients):
@@ -428,8 +430,8 @@ def synthetic_linear(
         eps = client_rng.standard_normal(horizon)
         xs[j, :, 0] = 1.0
         xs[j, :, 1:] = rest
-        ys[j] = np.clip(intercept + rest @ slope + noise * eps, 0.0, 1.0)
-    weight = np.concatenate([[intercept], slope])
+        ys[j] = np.clip(_INTERCEPT + rest @ slope + noise * eps, 0.0, 1.0)
+    weight = np.concatenate([[_INTERCEPT], slope])
     return Streams(
         xs=xs,
         ys=ys,

@@ -6,8 +6,10 @@ This module owns everything that crosses the client/server boundary:
   whole batch of frames, each a 16-byte header, IEEE-754 single floats and
   bit-packed indices, with a fixed number of numpy calls.  A frame's header
   states its information bits: 32 per float plus ceil(log2 K) per index.
-* :func:`_scatter_reports` — the server-side merge of client reports into
+* :func:`_scatter_reports` — the audit's own merge of client reports into
   importance-weighted loss/gradient estimates, one scatter-add per quantity.
+  The engine merges with its own code, so the audit's check of the merge is
+  not a function compared with itself.
 * the wire audit: with ``setup.audit`` set, each epoch is staged as it
   runs, and the staged epochs' frames, epoch by epoch its 2·M downlinks
   followed by its uplinks, are encoded and decoded together in one batch
@@ -16,8 +18,8 @@ This module owns everything that crosses the client/server boundary:
   few times, not once per epoch; an epoch too large for one batch is coded
   alone, in a few consecutive batches.  Every check (bits against the
   closed form, header epoch, client id and kind, indices, floats to single
-  precision in both directions, and the aggregation against the engine's)
-  runs once over each batch.
+  precision in both directions, and the merge against the engine's, bit
+  for bit) runs once over each batch.
 * :func:`run_epoch` — the round kernel: one communication epoch of S
   servers, vectorized across clients and, in blocks, across the epoch's
   rounds.  It reads a :class:`RunSetup` (the spaces, the client streams,
@@ -33,9 +35,11 @@ block, so spaces of mixed widths share every code path.  An epoch's
 reads one input coordinate: then an epoch makes the same numpy calls however
 many spaces it touches.  Otherwise they are sorted by space, so that each
 feature map runs once per touched space and each space's gradients are summed
-over a contiguous segment.  One memory budget, ``_BLOCK_FLOATS``, bounds both
-the rounds :func:`run_epoch` evaluates at once and the frames the audit codes
-at once.
+over a contiguous segment.  Every server-side sum over clients is a running
+sum from +0.0 in ascending client order, the order of the audit's merge and
+of the plain-loop reference.  One memory budget, ``_BLOCK_FLOATS``, bounds
+both the rounds :func:`run_epoch` evaluates at once and the frames the audit
+codes at once.
 """
 
 from __future__ import annotations
@@ -298,7 +302,8 @@ def _scatter_reports(spaces: np.ndarray, mean_losses: np.ndarray, mean_grads: np
 
     Report ``r`` names space ``spaces[r]`` with raw ``mean_losses[r]`` and
     zero-padded ``mean_grads[r]`` (d_max,); reports come in client order,
-    and each (space, coordinate) sum runs in that order.  Returns the (K,)
+    and each (space, coordinate) sum is a running sum from +0.0 in that
+    order, the order of :func:`run_epoch`'s own merge.  Returns the (K,)
     loss and (K, d_max) gradient estimates, zero for unreported spaces.
     """
     K = inclusion_probs.shape[0]
@@ -470,13 +475,13 @@ class AuditLog:
     and kind and the indices exactly, and the floats of both directions to
     single precision; the closed-form bit account must equal the frame's
     actual payload bits; and the scatter-add of the clients' reports must
-    agree with the engine's aggregation to near machine precision.  Epochs
-    are staged as they run and replayed in batches that fit the memory
-    budget, several epochs to a batch when their frames are few, so every
-    frame has been checked by the time the run's last epoch returns, and
-    not before.  The notes keep one order however the epochs are batched:
-    epoch by epoch, the downlinks' checks, then the uplinks', each check
-    over the clients in order, then the aggregation's.
+    equal the engine's aggregation bit for bit, since both add in one
+    order.  Epochs are staged as they run and replayed in batches that fit
+    the memory budget, several epochs to a batch when their frames are few,
+    so every frame has been checked by the time the run's last epoch
+    returns, and not before.  The notes keep one order however the epochs
+    are batched: epoch by epoch, the downlinks' checks, then the uplinks',
+    each check over the clients in order, then the aggregation's.
     ``frames_checked`` counts 2·M frames per replayed epoch.
     """
 
@@ -564,7 +569,8 @@ def _replay_epochs(audit: AuditLog, setup: RunSetup, per_batch: int) -> None:
     so the replay costs a fixed number of numpy calls per batch whatever the
     client and epoch counts.  The merge is checked by one
     :func:`_scatter_reports` over (epoch slot, space) cells, which adds each
-    cell's reports in client order, as a one-epoch merge does.
+    cell's reports in client order, as a one-epoch merge does, and its
+    estimates must equal the engine's exactly.
     """
     stage = audit._stage
     E, stage.count = stage.count, 0
@@ -614,19 +620,17 @@ def _replay_epochs(audit: AuditLog, setup: RunSetup, per_batch: int) -> None:
     agg_loss, agg_grad = _scatter_reports(cells, reports[..., :J].ravel(),
                                           reports[..., J:].reshape(-1, d_max),
                                           stage.inclusion[:E].ravel(), clients)
-    loss_est = stage.loss_est[:E].ravel()
-    # np.allclose's test at rtol = atol = 1e-12, without its per-call set-up
-    loss_ok = (abs(agg_loss - loss_est) <= 1e-12 + 1e-12 * abs(loss_est)).reshape(E, K)
+    # both merges add each cell's reports from +0.0 in client order, so they
+    # must agree bit for bit
+    loss_ok = (agg_loss == stage.loss_est[:E].ravel()).reshape(E, K)
     reported = np.zeros(E * K, dtype=bool)
     reported[cells] = True
     taken = np.arange(stage.stepped.shape[1]) < stage.steps[:E, None]
     stepped_slots = taken.nonzero()[0]
     stepped = stage.stepped[:E][taken]
     stepped_cells = stepped_slots * K + stepped
-    grad_est = stage.grad_est[:E][taken]
-    close = abs(agg_grad[stepped_cells] - grad_est) <= 1e-12 + 1e-12 * abs(grad_est)
-    close |= np.arange(d_max) >= dims[stepped][:, None]
-    grad_ok = reported[stepped_cells] & close.all(axis=1)
+    same = agg_grad[stepped_cells] == stage.grad_est[:E][taken]
+    grad_ok = reported[stepped_cells] & same.all(axis=1)
     if bad.any() or not loss_ok.all() or not grad_ok.all():
         texts = [(f"engine {name} bits mismatch", f"{name} header round-trip failed",
                   index_text, f"{name} float round-trip failed")
@@ -663,52 +667,36 @@ def _check_bounds(
     non-negative, which the entropy step requires; a linear loss goes
     negative once a space's radius times feature bound passes 1.
 
-    Only a failing block pays for a diagnosis: its first failing round is
-    checked space by space, and the error names that round, the lowest
-    failing space, and the first check it fails in the order loss bound,
-    non-negativity, gradient bound, with the space's worst value.
+    Only a failing block pays for a diagnosis, from its first failing
+    round's per-entry masks: the error names that round, the first check
+    some entry fails in the order loss bound, non-negativity, gradient
+    bound, the lowest space with an entry failing it, and that space's
+    worst value.
     """
     loss_limit, g_limit_sq = entry_limits
     ok = (losses <= loss_limit) & (losses >= 0.0) & (grad_sq <= g_limit_sq)
     if ok.all():
         return
     c = int(np.argmin(ok.all(axis=1)))
-    # the failing round's entries sorted into one segment per space
-    order = np.argsort(entry_spaces, kind="stable")
-    touched, starts = np.unique(entry_spaces[order], return_index=True)
-    losses, grad_sq = losses[c, order], grad_sq[c, order]
-    loss_limit, g_limit_sq = (limit[touched] for limit in setup.limits)
-    spaces = setup.spaces
-    round_index += c
-    worst = np.maximum.reduceat(losses, starts)
-    ok = worst <= loss_limit
-    if not ok.all():
-        k = int(np.flatnonzero(~ok)[0])
-        i = int(touched[k])
-        raise RunInvariantError(
-            f"round {round_index}: space {i} produced loss {float(worst[k]):.6g} "
-            f"outside its declared bound {spaces[i].loss_bound:.6g}; the "
-            f"step-size schedule is invalid for this data"
-        )
-    least = np.minimum.reduceat(losses, starts)
-    ok = least >= 0.0
-    if not ok.all():
-        k = int(np.flatnonzero(~ok)[0])
-        raise RunInvariantError(
-            f"round {round_index}: space {int(touched[k])} produced loss "
-            f"{float(least[k]):.6g} below zero; the entropy step needs "
-            f"non-negative losses"
-        )
-    # compare squared norms; take the square root only to report a failure
-    worst = np.maximum.reduceat(grad_sq, starts)
-    k = int(np.flatnonzero(~(worst <= g_limit_sq))[0])
-    i = int(touched[k])
-    raise RunInvariantError(
-        f"round {round_index}: space {i} produced gradient norm "
-        f"{float(np.sqrt(worst[k])):.6g} outside its declared bound "
-        f"{spaces[i].lipschitz_bound:.6g}; the step-size schedule is "
-        f"invalid for this data"
-    )
+    losses, grad_sq = losses[c], grad_sq[c]
+    for check, (passed, values, pick) in enumerate((
+            (losses <= loss_limit, losses, np.max),
+            (losses >= 0.0, losses, np.min),
+            (grad_sq <= g_limit_sq, grad_sq, np.max))):
+        if not passed.all():
+            break
+    i = int(entry_spaces[~passed].min())
+    value = float(pick(values[entry_spaces == i]))
+    space = setup.spaces[i]
+    invalid = "the step-size schedule is invalid for this data"
+    if check == 0:
+        text = f"loss {value:.6g} outside its declared bound {space.loss_bound:.6g}; {invalid}"
+    elif check == 1:
+        text = f"loss {value:.6g} below zero; the entropy step needs non-negative losses"
+    else:  # squared norms were compared; take the square root only to report
+        text = (f"gradient norm {np.sqrt(value):.6g} outside its declared bound "
+                f"{space.lipschitz_bound:.6g}; {invalid}")
+    raise RunInvariantError(f"round {round_index + c}: space {i} produced {text}")
 
 
 def _add_rounds(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
@@ -731,31 +719,6 @@ def _add_rounds(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
     # sequential by definition, and 13x slower than sum on a 10 x 18000 table
     summed = parts.sum(axis=0) if parts.shape[1] > 1 else np.add.accumulate(parts)[-1]
     return summed.reshape(block.shape[1:])
-
-
-def _sum_by_space(entry_spaces: np.ndarray, values: np.ndarray,
-                  num_spaces: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of each space's ``values``, one float per entry, in entry order.
-
-    Entry ``f`` belongs to space ``entry_spaces[f]``.  Returns the ascending
-    ids of the spaces present and their (., 1) sums, each the sum numpy's
-    ``sum`` makes over the space's entries as one column: pairwise from
-    +0.0, which is the running sum below 8 terms.  So one ``bincount``, a
-    running sum from +0.0, gives every sum unless some space has 8 or more
-    terms.  Then one ``reduceat`` sums every space over the entries sorted by
-    space, each segment led by a +0.0: reduceat adds a segment's first term
-    to the pairwise sum of the rest.
-    """
-    counts = np.bincount(entry_spaces, minlength=num_spaces)
-    touched = counts.nonzero()[0]
-    if counts.max() < 8:
-        sums = np.bincount(entry_spaces, weights=values, minlength=num_spaces)
-    else:
-        heads = np.arange(num_spaces)  # one +0.0 per space, ahead of its entries
-        order = np.concatenate((heads, entry_spaces)).argsort(kind="stable")
-        padded = np.concatenate((np.zeros(num_spaces), values))[order]
-        sums = np.add.reduceat(padded, heads + (counts.cumsum() - counts))
-    return touched, sums[touched, None]
 
 
 def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
@@ -792,16 +755,17 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     round at a time in round order, the additions a round-by-round loop
     makes, so the floats do not depend on C.
 
-    The floats do not depend on S except through the aggregation.  With S=M
-    each (server, space) pair has exactly one report, so nothing is summed.
-    With S=1 numpy's ``sum(axis=0)`` adds the importance-weighted losses
-    over clients as a dense (M, K) table, and each space's gradients in
-    ascending client order: over its contiguous segment in sorted order,
-    where ``sum(axis=0)`` adds the rows one at a time when they are more
-    than one column wide and pairwise over a single column, or, with
-    client-major coordinate entries, in those same orders by
-    :func:`_sum_by_space`.  The sampled subsets fix every order, so the
-    floats are reproducible.
+    The floats do not depend on S except through the aggregation, which
+    keeps one rule: every sum over a server's clients is a running sum from
+    +0.0 in ascending client order, as both entry orders list each space's
+    entries.  One ``bincount`` over (server, space) cells sums every
+    server's importance-weighted losses.  With S=M each cell has exactly one
+    report, so no gradient is summed.  With S=1 one ``bincount`` over the
+    entries' spaces sums one-column gradients, and ``sum(axis=0)`` sums
+    wider gradient rows, one row at a time, over each space's contiguous
+    segment of the sorted entries.  The sampled subsets fix every order, so
+    the floats are reproducible, and the audit's merge must equal them bit
+    for bit.
     """
 
     if epoch != state.epochs_done + 1:
@@ -845,10 +809,7 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     w_flat = state.weights[servers, flat_spaces]
     entry_limits = (setup.limits[0][flat_spaces], setup.limits[1][flat_spaces])
 
-    if N == 1:
-        C = 1
-    else:
-        C = min(N, max(1, _BLOCK_FLOATS // (n * max(setup.max_dim, setup.xs.shape[2]))))
+    C = min(N, max(1, _BLOCK_FLOATS // (n * max(setup.max_dim, setup.xs.shape[2]))))
     if columns is None and not identity:
         widths = setup.dims[touched]
         phi = np.zeros((C * n, setup.max_dim))  # zero past each space's width
@@ -892,19 +853,22 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     mean_losses = loss_sum / N if N > 1 else loss_sum
     mean_grads = grad_sum / N if N > 1 else grad_sum
     inc = inclusion[servers, flat_spaces]
-    reports = np.zeros((M, K))
-    reports[rows, flat_spaces] = mean_losses / inc
+    # bincount adds each (server, space) cell's reports in entry order, which
+    # is ascending client order within a cell on either entry order
+    loss_est = np.bincount(servers * K + flat_spaces, weights=mean_losses / inc,
+                           minlength=S * K).reshape(S, K) / (M // S)
     if S == M:
-        loss_est = reports
         grad_est = mean_grads / inc[:, None]
         stepped = flat_spaces
         w_old = w_flat
     else:
-        loss_est = reports.sum(axis=0, keepdims=True)
-        loss_est /= M
         if columns is not None:
-            touched, grad_est = _sum_by_space(flat_spaces, mean_grads[:, 0] / inc, K)
+            touched = np.bincount(flat_spaces, minlength=K).nonzero()[0]
+        if setup.max_dim == 1:
+            grad_est = np.bincount(flat_spaces, weights=mean_grads[:, 0] / inc,
+                                   minlength=K)[touched, None]
         else:
+            # sum(axis=0) adds rows more than one column wide one at a time;
             # one scalar division per segment: dividing the whole (n, d_max)
             # block by an (n, 1) column runs one inner loop per row, which
             # costs more than the division itself when the rows are wide

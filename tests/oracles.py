@@ -297,10 +297,9 @@ def reference_frame_bytes(kind, epoch, client_id, indices, floats, num_spaces) -
 
 
 # ---------------------------------------------------------------------------
-# numpy's float64 summation orders, written out term by term: the running
-# sum that ``bincount`` and a wide ``sum(axis=0)`` make, and the pairwise sum
-# a one-column ``sum`` makes (numpy's ``pairwise_sum``: in sequence below 8
-# terms, in 8 interleaved lanes up to 128, halves at a multiple of 8 beyond).
+# The running sum that ``bincount``, a wide ``sum(axis=0)`` and
+# ``accumulate`` make, written out term by term: every sum over clients or
+# rounds in the kernel adds in this order.
 
 
 def running_sum(terms, start=0.0):
@@ -309,25 +308,6 @@ def running_sum(terms, start=0.0):
     for t in terms:
         total += float(t)
     return total
-
-
-def pairwise_sum(terms):
-    """numpy's pairwise sum of ``terms``; a reduction adds it to +0.0."""
-    n = len(terms)
-    if n < 8:
-        return running_sum(terms, -0.0)
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
-    lanes = [float(t) for t in terms[:8]]
-    full = n - n % 8
-    for i in range(8, full, 8):
-        for j in range(8):
-            lanes[j] += float(terms[i + j])
-    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
-        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-    return running_sum(terms[full:], total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface and config validation."""
 
+import inspect
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+from fedoms import protocol
 from fedoms.cli import main
 from fedoms.config import ConfigError, load_config, parse_config
 from fedoms.data import DataError
@@ -214,6 +216,26 @@ def test_run_is_byte_deterministic(tmp_path):
     summary_a.pop("wall_seconds")
     summary_b.pop("wall_seconds")
     assert summary_a == summary_b
+
+
+def test_an_audited_run_that_finds_a_mismatch_writes_its_files_and_exits_2(
+        tmp_path, capsys, monkeypatch):
+    # move the engine's loss estimate of epoch 2 before the audit sees it
+    original = protocol._audit_epoch
+
+    def audit_epoch(*args):
+        bound = inspect.signature(original).bind(*args)
+        if bound.arguments["epoch"] == 2:
+            bound.arguments["loss_est"] = bound.arguments["loss_est"] + 1e-6
+        return original(*bound.args)
+    monkeypatch.setattr(protocol, "_audit_epoch", audit_epoch)
+    out = tmp_path / "out"
+    assert main(["run", str(_write_config(tmp_path, audit=True)), "--out", str(out)]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["status"] == "mismatch"
+    assert blob["mismatches"] == ["epoch 2: aggregated losses disagree with engine"]
+    assert (out / "trace.csv").is_file() and (out / "summary.json").is_file()
+    assert json.loads((out / "summary.json").read_text())["mse"] == blob["mse"]
 
 
 def test_run_respects_output_dir_env_override(tmp_path, monkeypatch):

@@ -197,7 +197,7 @@ def test_engine_matches_reference_at_full_subsets():
 def _reference_runs(draw):
     """2 <= K <= 5 spaces, all coordinate, all identity, all RFF or of mixed
     kinds and widths, over one input width; 2 <= J <= K, M <= 10 clients (so
-    a coordinate space can collect the 8 reports numpy sums pairwise), T <= 24
+    a coordinate space can collect 8 or more reports in an epoch), T <= 24
     rounds in R epochs, any loss and either initial distribution.  The maps,
     radii and streams come from a drawn seed, which keeps a failure quick to
     shrink; radii are capped for the linear loss at radius * feature_bound <= 1."""
@@ -231,19 +231,23 @@ def _reference_runs(draw):
 def test_both_learners_match_the_plain_loop_reference_on_random_configs(run):
     # the cooperative learner is the reference over all clients; each
     # noncooperative client is the reference run alone on its own stream,
-    # with its own slice of the uniform table
+    # with its own slice of the uniform table.  The cooperative run is
+    # audited: its wire replay must find its merge equal bit for bit
     spaces, loss, J, M, T, R, d, uniform_init, seed = run
     streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=seed)
     uniforms = sampling_uniforms(seed, M, T, J)
     for learner, epochs, groups in ((run_fomd_oms, R, [slice(None)]),
                                     (run_nco_oms, T, [slice(j, j + 1) for j in range(M)])):
+        cooperative = learner is run_fomd_oms
         cfg = LearnerConfig(spaces=spaces, loss=loss, clients=M, subset_size=J, horizon=T,
-                            epochs=epochs if learner is run_fomd_oms else None,
-                            master_seed=seed, uniform_init=uniform_init)
+                            epochs=epochs if cooperative else None,
+                            master_seed=seed, uniform_init=uniform_init, audit=cooperative)
         art = learner(cfg, streams)
+        if cooperative:
+            assert art.meta["audit_mismatches"] == []
+            assert art.meta["audit_frames_checked"] == 2 * M * R
         # the artifact carries no models: the final weights come from the state
-        state, _, _ = learners._run_servers(cfg, streams, epochs,
-                                            cooperative=learner is run_fomd_oms)
+        state, _, _ = learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
         for s, group in enumerate(groups):
             ref = oracles.reference_fomd(spaces, loss, streams.xs[group], streams.ys[group],
                                          subset_size=J, epochs=epochs,
@@ -756,8 +760,8 @@ def _fusable_runs(draw):
 def test_fused_features_and_per_space_maps_give_the_same_bytes(run, audit):
     # client-major entries with one gather and one bincount, against space-
     # sorted entries with one feature-map call and one sum per space; up to
-    # 12 clients over a few 1-wide spaces gives the sums of 8 or more terms
-    # that numpy adds pairwise
+    # 12 clients over a few 1-wide spaces gives sums of 8 or more terms,
+    # where a pairwise sum would part from the running sum
     spaces, loss, J, M, T, R, d, seed = run
     streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=seed)
     mapped = tuple(oracles.through_map_path(s) for s in spaces)

@@ -470,37 +470,23 @@ def test_halving_the_epoch_count_halves_the_bits():
 
 
 def test_numpy_keeps_the_summation_orders_the_kernel_relies_on():
-    # the kernel's trace bytes rest on these orders (run_epoch, _add_rounds,
-    # _sum_by_space); a numpy release that changes one must fail here
+    # every sum over clients or rounds in the kernel is a running sum
+    # (run_epoch's merge, _add_rounds); a numpy release that changes one of
+    # these orders must fail here
     rng = np.random.default_rng(11)
-    parted = 0
     for n in [*range(1, 40), 127, 128, 129, 200, 257]:
         x = rng.normal(size=(n, 3))
         # a table more than one column wide is summed down its rows, one at a time
         assert x.sum(axis=0).tolist() == [oracles.running_sum(col) for col in x.T]
-        # a single column is summed pairwise: the running sum below 8 terms
-        column = x[:, :1].sum(axis=0)[0]
-        assert column == 0.0 + oracles.pairwise_sum(x[:, 0])
-        if n < 8:
-            assert column == oracles.running_sum(x[:, 0])
-        parted += column != oracles.running_sum(x[:, 0])
         # bincount adds each cell's weights in input order
         cells = rng.integers(0, 4, n)
         assert np.bincount(cells, x[:, 0], minlength=4).tolist() == [
             oracles.running_sum(x[cells == c, 0]) for c in range(4)]
-        # reduceat adds a segment's first term to the pairwise sum of the
-        # rest, which from 3 terms on is neither order above
-        if n > 1:
-            cut = int(rng.integers(0, n - 1))
-            assert np.add.reduceat(x[:, 0], [0, cut])[-1] == (
-                x[cut, 0] + oracles.pairwise_sum(x[cut + 1:, 0]))
-        # so a segment led by a +0.0 gets the one-column sum
-        assert np.add.reduceat(np.concatenate(([0.0], x[:, 0])), [0])[0] == column
-    assert parted  # the pairwise and the running sums do differ from 8 terms on
-    # each order starts from +0.0, not from the first term
+        # accumulate adds a single column in sequence, from its first term
+        assert np.add.accumulate(x[:, 0])[-1] == oracles.running_sum(x[1:, 0], x[0, 0])
+    # the sum and bincount start from +0.0, not from the first term
     minus = np.full((3, 2), -0.0)
-    for total in (minus.sum(axis=0), minus[:, :1].sum(axis=0),
-                  np.bincount([0, 0, 0], minus[:, 0])):
+    for total in (minus.sum(axis=0), np.bincount([0, 0, 0], minus[:, 0])):
         assert not np.signbit(total).any()
 
 
@@ -615,10 +601,10 @@ def _every_client_samples(monkeypatch, forced):
 def test_a_coordinate_epoch_makes_the_same_calls_whatever_spaces_it_touches(
         monkeypatch, clients, cooperative, epochs):
     # clients sample 2 of K spaces each.  3 clients touch 2 to 4 spaces at
-    # K = 4 and 2 to 6 at K = 32, none of them 8 times, so one bincount sums
-    # the gradients.  10 clients all sample spaces 0 and 1 at K = 4, and
-    # space 0 and 1 to 10 others at K = 32: two spaces of 10 terms against
-    # one, which numpy sums pairwise, so one reduceat sums them
+    # K = 4 and 2 to 6 at K = 32, none of them 8 times.  10 clients all
+    # sample spaces 0 and 1 at K = 4, and space 0 and 1 to 10 others at
+    # K = 32: two spaces of 10 terms against one.  Whatever the spaces and
+    # their term counts, one bincount sums every space's gradients
     per_k = {}
     for K in (4, 32):
         if clients == 10:
@@ -767,6 +753,45 @@ def test_audit_names_the_space_of_an_aggregated_gradient_that_disagrees(monkeypa
     mismatches = _audited_run(monkeypatch, "_audit_epoch",
                               _perturb_audit_input("grad_est", change))
     assert mismatches == [f"epoch 2: aggregated gradient for space {seen[0]} disagrees"]
+
+
+def _count_reports(original, reports):
+    """Wrap ``_scatter_reports`` to record each call's report count per cell."""
+    def scatter(spaces, mean_losses, mean_grads, inclusion_probs, count):
+        reports.append(np.bincount(spaces, minlength=inclusion_probs.size).tolist())
+        return original(spaces, mean_losses, mean_grads, inclusion_probs, count)
+    return scatter
+
+
+@pytest.mark.parametrize("name, text", [
+    ("loss_est", "aggregated losses disagree with engine"),
+    ("grad_est", "aggregated gradient for space {} disagrees"),
+])
+def test_audit_names_an_estimate_one_ulp_off_where_a_space_has_12_reports(
+        monkeypatch, name, text):
+    # J = K = 2 coordinate spaces over 12 clients: each space gets 12 one-
+    # column reports an epoch, where a pairwise sum would part from the
+    # running sum.  The audit's merge must match the engine's bit for bit,
+    # so a last-bit move is a mismatch
+    seen = []
+
+    def change(estimate, arguments):
+        seen.append(int(arguments["stepped"][-1]))
+        estimate.reshape(-1)[-1] = np.nextafter(estimate.reshape(-1)[-1], np.inf)
+    monkeypatch.setattr(protocol, "_audit_epoch",
+                        _perturb_audit_input(name, change)(protocol._audit_epoch))
+    reports = []
+    monkeypatch.setattr(protocol, "_scatter_reports", _count_reports(
+        protocol._scatter_reports, reports))
+    streams = synthetic_linear(input_dim=2, clients=12, horizon=15, seed=2)
+    spaces = tuple(make_space(CoordinateMap(2, i), radius=1.0, loss_kind=Loss.SQUARE)
+                   for i in range(2))
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=12, subset_size=2,
+                        horizon=15, epochs=5, master_seed=6, audit=True)
+    art = run_fomd_oms(cfg, streams)
+    # one replay of the 5 epochs, in which each space has 12 reports an epoch
+    assert reports == [[12, 12] * 5]
+    assert art.meta["audit_mismatches"] == [f"epoch 2: {text.format(*seen)}"]
 
 
 def _flip_in_client_1_frame(kind, offset_of, change=lambda byte: byte ^ 0x01, epoch=2):
