@@ -47,6 +47,7 @@ from .config import (
     build_spaces,
     check_horizon,
     load_config,
+    read_table,
     resolve_output_dir,
     run_from_config,
 )
@@ -144,12 +145,13 @@ def _cmd_ab(args) -> int:
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1", field="seeds")
     out_dir = _output_dir(args.out)
+    table = read_table(config)  # a CSV is parsed once, then partitioned per seed
     rows = []
     for offset in range(args.seeds):
         seed = config.seed + offset
         paired = dataclasses.replace(config, seed=seed, epochs=None,
                                      algorithm="fomd", audit=False)
-        learner, streams = build_experiment(paired)
+        learner, streams = build_experiment(paired, table)
         fed = run_fomd_oms(learner, streams)
         solo = run_nco_oms(learner, streams)
         delta = solo.mse() - fed.mse()

@@ -22,6 +22,7 @@ from . import rng
 from .data import (
     AdversarialSpec,
     DataError,
+    RawDataset,
     Streams,
     generate_adversarial,
     ingest_csv,
@@ -312,13 +313,33 @@ def load_config(path, audit: bool = False) -> ExperimentConfig:
 # Assembly
 
 
-def build_streams(config: ExperimentConfig) -> Streams:
-    """Materialize client streams for the configured data source."""
+def read_table(config: ExperimentConfig) -> Optional[RawDataset]:
+    """Parse a CSV source's table; ``None`` for a generated source.
+
+    The table does not depend on the seed, so a caller that builds one
+    experiment per seed parses it once and hands it to each build.
+    """
     data = config.data
+    if data.source != "csv":
+        return None
+    try:
+        return ingest_csv(data.path, target_column=data.target_column)
+    except DataError as exc:
+        raise ConfigError(str(exc), field="data") from exc
+
+
+def build_streams(config: ExperimentConfig,
+                  table: Optional[RawDataset] = None) -> Streams:
+    """Materialize client streams for the configured data source.
+
+    A CSV source is parsed here unless ``table`` gives its parsed table.
+    """
+    data = config.data
+    if data.source == "csv" and table is None:
+        table = read_table(config)
     try:
         if data.source == "csv":
-            dataset = ingest_csv(data.path, target_column=data.target_column)
-            return preprocess_and_partition(dataset, clients=config.clients,
+            return preprocess_and_partition(table, clients=config.clients,
                                             seed=config.seed)
         if data.source == "synthetic_linear":
             return synthetic_linear(input_dim=data.input_dim,
@@ -382,9 +403,14 @@ def check_horizon(config: ExperimentConfig, horizon: int) -> None:
     _check_steps(len(config.spaces), horizon, config.epochs)
 
 
-def build_experiment(config: ExperimentConfig):
-    """Load data, build spaces, and return ``(learner_config, streams)``."""
-    streams = build_streams(config)
+def build_experiment(config: ExperimentConfig,
+                     table: Optional[RawDataset] = None):
+    """Load data, build spaces, and return ``(learner_config, streams)``.
+
+    ``table`` is a CSV source's table from :func:`read_table`, parsed once
+    for many seeds; without it a CSV source is parsed here.
+    """
+    streams = build_streams(config, table)
     check_horizon(config, streams.horizon)
     spaces = build_spaces(config, streams.input_dim)
     learner = LearnerConfig(

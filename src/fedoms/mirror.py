@@ -2,10 +2,13 @@
 
 * The weighted negative-entropy regularizer over the probability simplex,
   ``psi(p) = sum_i (scale_i / eta) * p_i * log(p_i)``: its mirror step is a
-  per-coordinate exponential reweighting followed by an exact renormalization
-  via a scalar multiplier found by a monotone Newton solve
-  (:func:`solve_entropy_multiplier`).  The round kernel steps a batch of
-  log-space states at once (:func:`entropy_step_log_batch`) and reads linear
+  per-coordinate exponential reweighting followed by an exact
+  renormalization.  With one shared rate the step is the exponential-weights
+  update, taken as one log-softmax of ``log p - r * loss``; only unequal
+  rates need the scalar multiplier found by a monotone Newton solve
+  (:func:`solve_entropy_multiplier`), the one part that iterates or can
+  raise :class:`MirrorError`.  The round kernel steps a batch of log-space
+  states at once (:func:`entropy_step_log_batch`) and reads linear
   probabilities back with :func:`materialize`.
 * Euclidean projection onto a ball of given radius
   (:func:`project_rows_per_row`): the projection half of the projected
@@ -173,14 +176,23 @@ def entropy_step_log_batch(
 
     ``geometry`` supplies the scales and the learning rate; a caller that
     steps many times reuses one geometry, so its rates are derived once.
-    Returns new log-probabilities; each output row is renormalized in log
-    space so that its linear-space sum is 1 to machine precision, which keeps
-    the solver's starting bracket valid over arbitrarily long update sequences.
+    When every rate is the same r, the step is one log-softmax of
+    ``log_p - r * losses``: a multiplier shifts each row by a constant, which
+    the renormalization removes, so no solve is needed.  Otherwise the
+    multiplier comes from :func:`solve_entropy_multiplier`, which iterates
+    and can raise :class:`MirrorError`.  Returns new log-probabilities; each
+    output row is renormalized in log space so that its linear-space sum is 1
+    to machine precision, which keeps the solver's starting bracket valid
+    over arbitrarily long update sequences.
     """
     losses = np.asarray(losses, dtype=float)
     _check_losses(losses)
-    lam = solve_entropy_multiplier(log_p, losses, geometry)
-    out = log_p - geometry.rates * (lam[:, None] + losses)
+    r_min, r_max = geometry.rate_range
+    if r_min == r_max:
+        out = log_p - r_min * losses
+    else:
+        lam = solve_entropy_multiplier(log_p, losses, geometry)
+        out = log_p - geometry.rates * (lam[:, None] + losses)
     # exact renormalization (cheap logsumexp; keeps sum(exp(out)) == 1)
     m = out.max(axis=1, keepdims=True)
     out -= m + np.log(np.exp(out - m).sum(axis=1, keepdims=True))

@@ -536,6 +536,35 @@ def test_ab_reports_paired_deltas(tmp_path, capsys):
     assert "sign" in captured.err
 
 
+def test_ab_parses_a_csv_once_and_writes_the_per_seed_parse_bytes(tmp_path, monkeypatch):
+    # ab parses the table once and partitions it per seed; parsing it again
+    # for every seed, as build_experiment does without a table, must give
+    # the same ab.json bytes
+    from fedoms import cli, config as fconfig
+    from fedoms.data import write_regression_csv
+
+    csv_path = write_regression_csv(tmp_path / "data.csv", rows=60, input_dim=3,
+                                    seed=1)
+    cfg = _base_config(horizon=None, epochs=None)
+    cfg["data"] = {"source": "csv", "path": str(csv_path),
+                   "target_column": "target"}
+    path = tmp_path / "csv_cfg.json"
+    path.write_text(json.dumps(cfg))
+    calls = []
+    ingest = fconfig.ingest_csv
+    monkeypatch.setattr(fconfig, "ingest_csv",
+                        lambda *args, **kwargs: calls.append(args) or ingest(*args, **kwargs))
+
+    assert main(["ab", str(path), "--seeds", "3", "--out", str(tmp_path / "once")]) == 0
+    assert len(calls) == 1
+    monkeypatch.setattr(cli, "read_table", lambda config: None)
+    assert main(["ab", str(path), "--seeds", "3", "--out", str(tmp_path / "per_seed")]) == 0
+    assert len(calls) == 1 + 3
+    once = (tmp_path / "once" / "ab.json").read_bytes()
+    assert once == (tmp_path / "per_seed" / "ab.json").read_bytes()
+    assert len(json.loads(once)["rows"]) == 3
+
+
 def test_ab_seed_column_offsets_from_config_seed(tmp_path):
     path = _write_config(tmp_path, seed=11, epochs=None)
     out = tmp_path / "ab_out"

@@ -146,6 +146,44 @@ def test_equal_rate_multiplier_is_the_closed_form_bracket_end(data):
     np.testing.assert_allclose(stepped.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_equal_rate_step_is_one_log_softmax_of_the_multiplier_form(data):
+    # with one shared rate r the step is the exponential-weights update: it
+    # equals log_p - r (lam + c) renormalized, lam from the solver, yet
+    # never calls the solver; unequal rates still do
+    k = data.draw(st.integers(2, 8), label="K")
+    log_p = data.draw(_log_simplex_batch(k), label="log_p")
+    b = log_p.shape[0]
+    losses = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k),
+                                         min_size=b, max_size=b)), dtype=float).reshape(b, k)
+    scale = data.draw(st.floats(0.1, 10.0), label="scale")
+    eta = data.draw(st.floats(1e-3, 5.0), label="eta")
+    geom = mirror.WeightedEntropyGeometry(np.full(k, scale), eta)
+    r = geom.rates[0]
+
+    lam = mirror.solve_entropy_multiplier(log_p, losses, geom)
+    want = log_p - r * (lam[:, None] + losses)
+    want -= np.log(np.exp(want).sum(axis=1, keepdims=True))
+    solves = []
+    solve = mirror.solve_entropy_multiplier
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mirror, "solve_entropy_multiplier",
+                      lambda *args: solves.append(args) or solve(*args))
+        got = mirror.entropy_step_log_batch(log_p, losses, geom)
+        rows = [mirror.entropy_step_log_batch(log_p[i : i + 1], losses[i : i + 1], geom)
+                for i in range(b)]
+        assert solves == []
+        unequal = mirror.WeightedEntropyGeometry(
+            np.r_[2.0 * scale, np.full(k - 1, scale)], eta)
+        mirror.entropy_step_log_batch(log_p, losses, unequal)
+        assert len(solves) >= 1
+
+    np.testing.assert_allclose(np.exp(got), np.exp(want), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(np.exp(got).sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.concatenate(rows).tobytes() == got.tobytes()
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.data())
 def test_unequal_rate_step_matches_grid_oracle(data):
