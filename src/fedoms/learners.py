@@ -285,9 +285,9 @@ def _run_servers(
     The cooperative learner runs one server that averages over all M clients
     and communicates; the baseline runs one silent server per client.  Each
     server starts from the initial distribution and zero models, and steps
-    with the schedules of its client count over ``epochs`` update steps.
-    Returns the final state, the wall time of the epoch loop and the audit
-    log.
+    with the schedules of its client count over ``epochs`` update steps; the
+    leads and bits are filled from the epochs' subsets after the loop.
+    Returns the final state, the wall time of both and the audit log.
     """
     M, T, K, J = config.clients, config.horizon, config.num_spaces, config.subset_size
     servers, clients = (1, M) if cooperative else (M, 1)
@@ -315,7 +315,6 @@ def _run_servers(
         param_rates=lambda_schedule(radii, lipschitz, J, clients, epochs,
                                     np.arange(1.0, epochs + 1.0)),
         audit=audit,
-        communicates=cooperative,
     )
     log_p = np.log(initial_distribution(loss_bounds, epochs, uniform=config.uniform_init))
     state = ServerState(
@@ -323,6 +322,7 @@ def _run_servers(
         weights=np.zeros((servers, K, setup.max_dim)),
         predictions=np.zeros((T, M)),
         losses=np.zeros((T, M)),
+        subsets=np.zeros((epochs, M, J), dtype=np.int64),
         leads=np.zeros((T, M), dtype=np.int64),
         uplink_bits=np.zeros((T, M), dtype=np.int64),
         downlink_bits=np.zeros((T, M), dtype=np.int64),
@@ -330,6 +330,10 @@ def _run_servers(
     start = time.perf_counter()
     for epoch in range(1, epochs + 1):
         run_epoch(state, setup, epoch)
+    N = setup.rounds_per_epoch
+    state.leads[:] = np.repeat(state.subsets[:, :, 0], N, axis=0)
+    if cooperative:  # the baseline's servers send nothing, so it is charged 0 bits
+        state.downlink_bits[::N], state.uplink_bits[N - 1::N] = setup.message_bits(state.subsets)
     return state, time.perf_counter() - start, audit
 
 

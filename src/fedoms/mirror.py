@@ -73,7 +73,7 @@ def materialize(log_p: np.ndarray) -> np.ndarray:
     """Linear-space probabilities from log-space state (floored + renormalized)."""
     p = np.exp(log_p)
     np.maximum(p, PROB_FLOOR, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p
 
 
@@ -180,13 +180,14 @@ def entropy_step_log_batch(
     ``log_p - r * losses``: a multiplier shifts each row by a constant, which
     the renormalization removes, so no solve is needed.  Otherwise the
     multiplier comes from :func:`solve_entropy_multiplier`, which iterates
-    and can raise :class:`MirrorError`.  Returns new log-probabilities; each
+    and can raise :class:`MirrorError`.  The losses must be finite and
+    non-negative, which is not checked here: the round kernel has already
+    bounded every loss behind them.  Returns new log-probabilities; each
     output row is renormalized in log space so that its linear-space sum is 1
     to machine precision, which keeps the solver's starting bracket valid
     over arbitrarily long update sequences.
     """
     losses = np.asarray(losses, dtype=float)
-    _check_losses(losses)
     r_min, r_max = geometry.rate_range
     if r_min == r_max:
         out = log_p - r_min * losses
@@ -194,15 +195,9 @@ def entropy_step_log_batch(
         lam = solve_entropy_multiplier(log_p, losses, geometry)
         out = log_p - geometry.rates * (lam[:, None] + losses)
     # exact renormalization (cheap logsumexp; keeps sum(exp(out)) == 1)
-    m = out.max(axis=1, keepdims=True)
-    out -= m + np.log(np.exp(out - m).sum(axis=1, keepdims=True))
+    m = np.maximum.reduce(out, axis=1, keepdims=True)
+    out -= m + np.log(np.add.reduce(np.exp(out - m), axis=1, keepdims=True))
     return out
-
-
-def _check_losses(losses: np.ndarray) -> None:
-    # both comparisons are False on NaN, which min and max propagate
-    if not (losses.min() >= 0.0 and losses.max() < np.inf):
-        raise ValueError("losses must be finite and non-negative")
 
 
 # --------------------------------------------------------------------------
@@ -216,6 +211,6 @@ def project_rows_per_row(w: np.ndarray, radius: np.ndarray | float) -> np.ndarra
     radius serves every row); a row already inside its ball is returned
     unchanged.
     """
-    norms = np.sqrt((w * w).sum(axis=1))
+    norms = np.sqrt(np.add.reduce(w * w, axis=1))
     scale = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
     return w * scale[:, None]

@@ -23,10 +23,10 @@ This module owns everything that crosses the client/server boundary:
 * :func:`run_epoch` — the round kernel: one communication epoch of S
   servers, vectorized across clients and, in blocks, across the epoch's
   rounds.  It reads a :class:`RunSetup` (the spaces, the client streams,
-  the pre-drawn sampling uniforms and the step sizes) and writes a
-  :class:`ServerState` (the distributions, the models and the round-by-round
-  trace).  The cooperative learner runs it with one server for all clients,
-  the noncooperative baseline with one server per client and no messages.
+  the sampling uniforms, the step sizes and the work every epoch shares) and
+  writes a :class:`ServerState` (the distributions, the models, the trace).
+  The cooperative learner runs it with one server for all clients, the
+  noncooperative baseline with one server per client and no messages.
 
 The engine keeps each server's sampling distribution in log space (see
 :mod:`fedoms.mirror` for why) and its models as one zero-padded (K, d_max)
@@ -57,6 +57,7 @@ from .mirror import (
     project_rows_per_row,
 )
 from .sampling import (
+    complement_positions,
     group_subsets,
     inclusion_probabilities,
     subsets_from_uniforms,
@@ -177,6 +178,8 @@ def encode_frames(kind: int | np.ndarray, epoch: int | np.ndarray, client_ids: n
     Returns the uint8 buffer and the (n,) frame lengths in bytes.
     """
     n, J = indices.shape
+    if n == 0:
+        raise ProtocolError("cannot encode an empty batch: it has no frames")
     q = bits_per_index(num_spaces)
     if not (indices.min(initial=0) >= 0 and indices.max(initial=0) < num_spaces):
         outside = indices[(indices < 0) | (indices >= num_spaces)]
@@ -222,6 +225,8 @@ def decode_frames(buffer: np.ndarray, lengths: np.ndarray, num_spaces: int,
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     n = lengths.size
+    if n == 0:
+        raise ProtocolError("cannot decode an empty batch: it has no frames")
     width = int(lengths.max())
     if int(lengths.min()) < HEADER_BYTES:
         raise ProtocolError(f"frame shorter than header: {int(lengths.min())} bytes")
@@ -331,13 +336,16 @@ class ServerState:
     every client (S=1) and the noncooperative baseline one per client (S=M).
     The five (horizon, clients) panels hold the trace: the lead space, its
     prediction and loss per round and client, and the bits of every message,
-    charged at an epoch's first (downlink) and last (uplink) round.
+    charged at an epoch's first (downlink) and last (uplink) round; the
+    learner fills leads and bits after the run from ``subsets``, the (M, J)
+    tables :func:`run_epoch` writes.
     """
 
     log_p: np.ndarray
     weights: np.ndarray
     predictions: np.ndarray
     losses: np.ndarray
+    subsets: np.ndarray  # (epochs, clients, J)
     leads: np.ndarray
     uplink_bits: np.ndarray
     downlink_bits: np.ndarray
@@ -353,9 +361,8 @@ class RunSetup:
     decision per epoch only the first-round slot of each epoch is read, so
     batched and unbatched runs consume identical randomness per decision.
     ``radii``, ``lipschitz`` and ``loss_bounds`` are the spaces' (K,)
-    constants, gathered once per run.  ``communicates`` is False for the
-    noncooperative baseline: its clients send nothing, so no bits are
-    charged and there is no wire to audit.
+    constants, gathered once per run; the cached properties, set on the
+    first epoch, hold the rest of the work that is the same for every epoch.
     """
 
     spaces: tuple[HypothesisSpace, ...]
@@ -371,9 +378,8 @@ class RunSetup:
     mirror_rate: float  # eta, constant across epochs
     param_rates: np.ndarray  # (epochs, K) step sizes; row e - 1 is epoch e
     audit: "AuditLog | None" = None
-    communicates: bool = True
 
-    @property
+    @cached_property
     def num_spaces(self) -> int:
         return len(self.spaces)
 
@@ -400,6 +406,11 @@ class RunSetup:
         return loss_limits, g_limits * g_limits
 
     @cached_property
+    def subset_positions(self) -> np.ndarray:
+        """(clients, epochs, J-1) complement positions of each epoch's first-round draws."""
+        return complement_positions(self.uniforms[:, ::self.rounds_per_epoch], self.num_spaces)
+
+    @cached_property
     def feature_columns(self) -> np.ndarray | None:
         """Input column per space when every map reads one coordinate, else None.
 
@@ -418,9 +429,20 @@ class RunSetup:
         return np.repeat(np.arange(self.ys.shape[0]), self.subset_size)
 
     @cached_property
+    def entry_targets(self) -> np.ndarray:
+        """(horizon, M·J) targets of the client-major entries, one row per round."""
+        return np.ascontiguousarray(self.ys.T[:, self.entry_rows])
+
+    @cached_property
     def identity_features(self) -> bool:
         """True when every space feeds the raw input through unchanged."""
         return all(isinstance(s.feature_map, IdentityMap) for s in self.spaces)
+
+    def message_bits(self, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(downlink, uplink) bits of each (..., J) subset: 32 a float, ceil(log2 K) an index."""
+        J = self.subset_size
+        down = 32 * self.dims[subsets].sum(axis=-1) + J * bits_per_index(self.num_spaces)
+        return down, down + 32 * J
 
 
 @dataclass
@@ -675,7 +697,7 @@ def _check_bounds(
     """
     loss_limit, g_limit_sq = entry_limits
     ok = (losses <= loss_limit) & (losses >= 0.0) & (grad_sq <= g_limit_sq)
-    if ok.all():
+    if np.logical_and.reduce(ok, axis=None):
         return
     c = int(np.argmin(ok.all(axis=1)))
     losses, grad_sq = losses[c], grad_sq[c]
@@ -717,7 +739,7 @@ def _add_rounds(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
     # numpy sums a C-ordered table more than one column wide down its rows one
     # row at a time, in order, but a single column pairwise; accumulate is
     # sequential by definition, and 13x slower than sum on a 10 x 18000 table
-    summed = parts.sum(axis=0) if parts.shape[1] > 1 else np.add.accumulate(parts)[-1]
+    summed = np.add.reduce(parts, axis=0) if parts.shape[1] > 1 else np.add.accumulate(parts)[-1]
     return summed.reshape(block.shape[1:])
 
 
@@ -730,8 +752,9 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     reports epoch-averaged raw losses and gradients; each server applies
     importance weights, averages over its clients, and takes one mirror step
     on its sampling distribution plus one projected-gradient step per space
-    its clients sampled.  Writes per-round trace rows into ``state``,
-    including, when ``setup.communicates``, the exact bits of every message.
+    its clients sampled.  Writes its predictions, losses and subsets into
+    ``state``; what does not depend on the state (complement positions, the
+    client-major entries' targets) comes from ``setup``, computed once.
 
     All per-(client, space) work runs on an epoch's n = M·J entries, a
     (client, sampled space) pair each, in one of two orders.  When every
@@ -783,7 +806,9 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     spaces = setup.spaces
 
     probs = materialize(state.log_p)
-    indices = subsets_from_uniforms(probs, J, setup.uniforms[:, t0, :])
+    indices = subsets_from_uniforms(probs, setup.uniforms[:, t0, 0],
+                                    setup.subset_positions[:, epoch - 1])
+    state.subsets[epoch - 1] = indices
     inclusion = inclusion_probabilities(probs, J)
 
     columns = setup.feature_columns
@@ -819,7 +844,7 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
         # a (rounds, 1) column of round indices gathers C-ordered (rounds, n)
         # blocks, which _add_rounds sums down their rows in round order
         t = np.arange(a, b)[:, None]
-        yt = setup.ys[rows, t]
+        yt = setup.entry_targets[a:b] if columns is not None else setup.ys[rows, t]
         # the fused gathers pick the same floats the per-space maps would
         if columns is not None:
             phi_b = setup.xs[rows, t, flat_columns][..., None]
@@ -837,10 +862,10 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
                 seg = slice(ends[k], ends[k + 1])
                 panel[..., seg, :widths[k]] = spaces[touched[k]].feature_map(xt[..., seg, :])
             phi_b = phi_b.reshape(b - a, n, -1)
-        values = (phi_b * w_flat).sum(axis=2)
+        values = np.add.reduce(phi_b * w_flat, axis=2)
         closs = loss_value(setup.loss, values, yt)
         dvals = loss_derivative(setup.loss, values, yt)
-        gsq = (dvals * dvals) * (phi_b * phi_b).sum(axis=2)
+        gsq = (dvals * dvals) * np.add.reduce(phi_b * phi_b, axis=2)
         _check_bounds(closs, gsq, flat_spaces, entry_limits, setup, a + 1)
         loss_sum = _add_rounds(loss_sum, closs)
         grad_sum = _add_rounds(grad_sum, dvals[..., None] * phi_b)
@@ -849,14 +874,14 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
 
     # Server aggregation: mean over the epoch, importance weight, mean over
     # the server's clients.  Spaces outside every subset estimate to zero.
-    # A one-round epoch is not divided by N=1: the same values, a pass fewer.
+    # No division by 1 (one-round epochs, one-client servers): same values, a pass fewer.
     mean_losses = loss_sum / N if N > 1 else loss_sum
     mean_grads = grad_sum / N if N > 1 else grad_sum
     inc = inclusion[servers, flat_spaces]
     # bincount adds each (server, space) cell's reports in entry order, which
     # is ascending client order within a cell on either entry order
     loss_est = np.bincount(servers * K + flat_spaces, weights=mean_losses / inc,
-                           minlength=S * K).reshape(S, K) / (M // S)
+                           minlength=S * K).reshape(S, K)
     if S == M:
         grad_est = mean_grads / inc[:, None]
         stepped = flat_spaces
@@ -874,27 +899,22 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
             # costs more than the division itself when the rows are wide
             grad_est = np.empty((touched.size, mean_grads.shape[1]))
             for k, share in enumerate(inclusion[0, touched].tolist()):
-                grad_est[k] = (mean_grads[ends[k]:ends[k + 1]] / share).sum(axis=0)
+                grad_est[k] = np.add.reduce(mean_grads[ends[k]:ends[k + 1]] / share, axis=0)
         grad_est /= M
+        loss_est /= M
         stepped = touched
         w_old = state.weights[0, touched]
 
-    if setup.communicates:
-        down_bits = 32 * setup.dims[indices].sum(axis=1) + J * bits_per_index(K)
-        up_bits = down_bits + 32 * J
-        if setup.audit is not None:
-            _audit_epoch(
-                setup.audit, setup, epoch, indices, to_clients, state.weights[0],
-                mean_losses, mean_grads, inclusion[0], loss_est[0], stepped,
-                grad_est, down_bits, up_bits,
-            )
-        state.downlink_bits[t0] = down_bits
-        state.uplink_bits[t0 + N - 1] = up_bits
+    if setup.audit is not None:
+        _audit_epoch(
+            setup.audit, setup, epoch, indices, to_clients, state.weights[0],
+            mean_losses, mean_grads, inclusion[0], loss_est[0], stepped,
+            grad_est, *setup.message_bits(indices),
+        )
 
     rates = setup.param_rates[epoch - 1]
     state.weights[servers, stepped] = project_rows_per_row(
         w_old - rates[stepped][:, None] * grad_est, setup.radii[stepped]
     )
     state.log_p = entropy_step_log_batch(state.log_p, loss_est, setup.mirror_geometry)
-    state.leads[t0:t0 + N] = indices[:, 0][None, :]
     state.epochs_done = epoch

@@ -11,9 +11,11 @@ probability of space i has the closed form
 which is what the importance-weighted estimates divide by; the round kernel
 (:func:`fedoms.protocol.run_epoch`) applies those weights to the reported
 losses and gradients.  All sampling consumes exactly J uniform draws per
-outcome, so draws are laid out in a (round, slot) table ahead of time and
-replayed through :func:`subsets_from_uniforms`; :func:`group_subsets` sorts
-a table of sampled subsets by space for the kernel.
+outcome, so draws are laid out in a (round, slot) table ahead of time.  Only
+the lead depends on p, so a run turns the other J-1 draws into positions once
+(:func:`complement_positions`) and each epoch picks just the leads
+(:func:`subsets_from_uniforms`); :func:`group_subsets` sorts a table of
+sampled subsets by space for the kernel.
 """
 from __future__ import annotations
 
@@ -45,34 +47,51 @@ def inclusion_probabilities(p: np.ndarray, subset_size: int) -> np.ndarray:
     return ((num_spaces - j) / (num_spaces - 1.0)) * p + (j - 1.0) / (num_spaces - 1.0)
 
 
-def subsets_from_uniforms(probs: np.ndarray, subset_size: int, uniforms: np.ndarray) -> np.ndarray:
-    """Map uniform draws to ordered sampled subsets; vectorized over rows.
+def complement_positions(uniforms: np.ndarray, num_spaces: int) -> np.ndarray:
+    """The (..., J-1) int64 Fisher-Yates positions of an (..., J) table of draws.
+
+    Slot ``a`` of the pass over the K-1 spaces left after the lead picks
+    ``floor(u_a * (K - a))`` in its pool of K - a, clamped to the pool.
+    """
+    subset_size = uniforms.shape[-1]
+    validate_subset_size(subset_size, num_spaces)
+    sizes = np.arange(num_spaces - 1, num_spaces - subset_size, -1, dtype=float)
+    positions = (uniforms[..., 1:] * sizes).astype(np.int64)
+    return np.minimum(positions, num_spaces - 2 - np.arange(subset_size - 1), out=positions)
+
+
+def subsets_from_uniforms(probs: np.ndarray, lead_uniforms: np.ndarray,
+                          positions: np.ndarray) -> np.ndarray:
+    """Map draws to ordered sampled subsets; vectorized over rows.
 
     Parameters
     ----------
     probs : (n, K) probability vectors, one per row, or (1, K) shared by all.
-    subset_size : J.
-    uniforms : (n, J) draws in [0, 1); column 0 picks the lead by inverse CDF,
-        columns 1..J-1 drive a partial Fisher-Yates pass over the complement.
+    lead_uniforms : (n,) draws in [0, 1) that pick the lead by inverse CDF.
+    positions : (n, J-1) complement positions from :func:`complement_positions`
+        for the same K, which place the other J-1 spaces.
 
     Returns
     -------
     (n, J) integer indices, distinct within each row, lead first.
     """
-    n, j = uniforms.shape
+    n, subset_size = positions.shape[0], positions.shape[1] + 1
     if probs.ndim != 2:
         raise ValueError(f"probs must be (n, K) or (1, K), got shape {probs.shape}")
-    if j != subset_size:
-        raise ValueError(f"uniforms have {j} slots per row, expected {subset_size}")
-    num_spaces = probs.shape[-1]
+    if lead_uniforms.shape != (n,):
+        raise ValueError(f"{lead_uniforms.shape} lead draws for {n} rows of positions")
+    num_spaces = probs.shape[1]
     validate_subset_size(subset_size, num_spaces)
 
     out = np.empty((n, subset_size), dtype=np.int64)
     lead = out[:, 0]
-    cum = probs.cumsum(axis=-1)
     # inverse CDF: the lead is the number of cumulative masses <= the target
-    targets = uniforms[:, 0] * cum[:, -1]
-    (cum <= targets[:, None]).sum(axis=1, out=lead)
+    if probs.shape[0] == 1:
+        cum = probs[0].cumsum()  # non-decreasing, so a binary search counts them
+        lead[:] = cum.searchsorted(lead_uniforms * cum[-1], side="right")
+    else:
+        cum = probs.cumsum(axis=1)
+        np.add.reduce(cum <= (lead_uniforms * cum[:, -1])[:, None], axis=1, out=lead)
     np.minimum(lead, num_spaces - 1, out=lead)
     if subset_size == 1:
         return out
@@ -81,25 +100,17 @@ def subsets_from_uniforms(probs: np.ndarray, subset_size: int, uniforms: np.ndar
     if subset_size == 2:
         # single Fisher-Yates step; the pool entry at `pos` is pos itself
         # shifted past the lead, so skip materializing the pool
-        pos = np.minimum((uniforms[:, 1] * (num_spaces - 1)).astype(np.int64),
-                         num_spaces - 2)
+        pos = positions[:, 0]
         np.add(pos, pos >= lead, out=out[:, 1])
         return out
     # int32 pool: indices are small, and the pool dominates memory traffic
     base = np.arange(num_spaces - 1, dtype=np.int32)
     rest = base[None, :] + (base[None, :] >= lead[:, None])
     rows = np.arange(n)
-    # pool sizes per slot: K-1, K-2, ...; truncation per column is unchanged
-    sizes = np.arange(num_spaces - 1, num_spaces - subset_size, -1, dtype=float)
-    pos_all = (uniforms[:, 1:] * sizes[None, :]).astype(np.int64)
-    np.minimum(pos_all, np.int64(num_spaces - 2) - np.arange(subset_size - 1),
-               out=pos_all)
-    remaining = num_spaces - 1
-    for a in range(1, subset_size):
-        pos = pos_all[:, a - 1]
+    for a in range(1, subset_size):  # the pool holds K - a spaces
+        pos = positions[:, a - 1]
         out[:, a] = rest[rows, pos]
-        rest[rows, pos] = rest[:, remaining - 1]
-        remaining -= 1
+        rest[rows, pos] = rest[:, num_spaces - a - 1]
     return out
 
 

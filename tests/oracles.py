@@ -131,6 +131,20 @@ def _reference_subset(p, subset_size, uniforms):
     return chosen
 
 
+def fisher_yates_subsets(probs, uniforms):
+    """(n, J) ordered subsets, one row at a time by :func:`_reference_subset`.
+
+    ``probs`` is (n, K), or (1, K) shared by every row; row r of the (n, J)
+    ``uniforms`` draws subset r.  This is the sampling law the engine
+    replays, written without its split into per-run positions and per-epoch
+    leads: the lead by running sums of the masses, then each other slot by
+    a clamped position in the shrinking complement.
+    """
+    probs = np.broadcast_to(probs, (len(uniforms), probs.shape[-1]))
+    return np.array([_reference_subset(p.tolist(), len(u), u.tolist())
+                     for p, u in zip(probs, uniforms)], dtype=np.int64)
+
+
 def reference_project(w, radius):
     """Euclidean projection onto the L2 ball of ``radius``, one coordinate at a time."""
     n = math.sqrt(sum(float(x) * float(x) for x in w))

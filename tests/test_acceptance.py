@@ -38,7 +38,7 @@ from fedoms.mirror import (
     solve_entropy_multiplier,
 )
 from fedoms.protocol import KIND_DOWNLINK, _scatter_reports, bits_per_index, encode_frames
-from fedoms.sampling import inclusion_probabilities, subsets_from_uniforms
+from fedoms.sampling import complement_positions, inclusion_probabilities, subsets_from_uniforms
 from fedoms.spaces import CoordinateMap, IdentityMap, Loss, gaussian_rff, make_space
 
 MC_GRID = ((5, 2), (10, 2), (10, 5))
@@ -69,14 +69,15 @@ def subset_monte_carlo():
         p_vectors = gen.dirichlet(np.ones(num_spaces), size=MC_VECTORS)
         c_vectors = gen.random((MC_VECTORS, num_spaces))
         uniforms = gen.random((MC_DRAWS, subset_size))
+        positions = complement_positions(uniforms, num_spaces)  # the same for every p
         for p, c in zip(p_vectors, c_vectors):
             incl = inclusion_probabilities(p, subset_size)
             weights = c / incl  # the value the estimator assigns when sampled
             counts = np.zeros(num_spaces)
             value_sums = np.zeros(num_spaces)
             for lo in range(0, MC_DRAWS, MC_CHUNK):
-                subsets = subsets_from_uniforms(p[None, :], subset_size,
-                                                uniforms[lo:lo + MC_CHUNK])
+                subsets = subsets_from_uniforms(p[None, :], uniforms[lo:lo + MC_CHUNK, 0],
+                                                positions[lo:lo + MC_CHUNK])
                 flat = subsets.ravel()  # indices are distinct within a row
                 counts += np.bincount(flat, minlength=num_spaces)
                 value_sums += np.bincount(flat, weights=weights[flat],
@@ -101,7 +102,8 @@ def subset_monte_carlo():
     c = gen.random(num_spaces)
     uniforms = gen.random((1000, subset_size))
     incl = inclusion_probabilities(p, subset_size)
-    subsets = subsets_from_uniforms(p[None, :], subset_size, uniforms)
+    subsets = subsets_from_uniforms(p[None, :], uniforms[:, 0],
+                                    complement_positions(uniforms, num_spaces))
     flat = subsets.ravel()  # the reports in client order
     mean_estimate, _ = _scatter_reports(flat, c[flat], np.zeros((flat.size, 1)), incl,
                                         len(subsets))

@@ -225,6 +225,18 @@ def test_frame_rejects_malformed_blobs():
         _decode(short, [len(short)], 4, dims)
 
 
+def test_encode_frames_refuses_an_empty_batch():
+    with pytest.raises(ProtocolError, match="cannot encode an empty batch"):
+        encode_frames(KIND_DOWNLINK, 1, np.zeros(0, dtype=np.int64),
+                      np.zeros((0, 2), dtype=np.int64), np.zeros((0, 4)),
+                      np.zeros(0, dtype=np.int64), 4)
+
+
+def test_decode_frames_refuses_an_empty_batch():
+    with pytest.raises(ProtocolError, match="cannot decode an empty batch"):
+        decode_frames(np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64), 4, [1] * 4)
+
+
 def test_encoders_reject_header_fields_that_do_not_fit():
     too_many = [range(256)]  # the index count is a one-byte field
     with pytest.raises(ProtocolError, match="index count .* 256 .* 8-bit"):
@@ -469,6 +481,42 @@ def test_halving_the_epoch_count_halves_the_bits():
     assert half.total_uplink_bits * 2 == full.total_uplink_bits
 
 
+def test_leads_and_bits_filled_after_the_loop_repeat_what_each_epoch_staged(monkeypatch):
+    # 3 epochs of 4 rounds, J=3 of a 4-wide identity space and three one-wide
+    # coordinate spaces: the audit stages each epoch's subsets and bits as it
+    # runs, and the trace columns filled after the last epoch must repeat them
+    staged = []
+
+    def record(original):
+        def audit_epoch(*args):
+            bound = inspect.signature(original).bind(*args).arguments
+            staged.append([np.array(bound[name], copy=True)
+                           for name in ("indices", "down_bits", "up_bits")])
+            return original(*args)
+        return audit_epoch
+    monkeypatch.setattr(protocol, "_audit_epoch", record(protocol._audit_epoch))
+    M, T, N = 3, 12, 4
+    streams = synthetic_linear(input_dim=4, clients=M, horizon=T, seed=7)
+    spaces = (make_space(IdentityMap(4), 1.0, Loss.SQUARE),) + tuple(
+        make_space(CoordinateMap(4, i), 0.5, Loss.SQUARE) for i in range(3))
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=M, subset_size=3,
+                        horizon=T, epochs=T // N, master_seed=4, audit=True)
+    art = run_fomd_oms(cfg, streams)
+    assert art.meta["audit_mismatches"] == [] and len(staged) == T // N
+    down, up, leads = (column.reshape(T, M) for column in
+                       (art.downlink_bits, art.uplink_bits, art.lead_indices))
+    for e, (indices, down_bits, up_bits) in enumerate(staged):
+        first, last = e * N, e * N + N - 1
+        np.testing.assert_array_equal(down[first], down_bits)
+        np.testing.assert_array_equal(up[last], up_bits)
+        assert not down[first + 1:last + 1].any() and not up[first:last].any()
+        np.testing.assert_array_equal(leads[first:last + 1], np.tile(indices[:, 0], (N, 1)))
+    # a subset with the identity space carries 6 floats, one without it 3
+    assert set(down[::N].ravel().tolist()) == {32 * 6 + 3 * 2, 32 * 3 + 3 * 2}
+    nco = run_nco_oms(dataclasses.replace(cfg, epochs=None, audit=False), streams)
+    assert not nco.uplink_bits.any() and not nco.downlink_bits.any()
+
+
 def test_numpy_keeps_the_summation_orders_the_kernel_relies_on():
     # every sum over clients or rounds in the kernel is a running sum
     # (run_epoch's merge, _add_rounds); a numpy release that changes one of
@@ -554,11 +602,14 @@ def test_a_bound_broken_inside_a_block_names_the_round_a_one_round_block_names(
     assert re.match(r"round 16: space 0 produced " + message, str(blocked.value))
 
 
-def _kernel_calls_per_epoch(monkeypatch, spaces, input_dim, cooperative, epochs, clients):
-    """The calls each epoch's run_epoch makes from protocol.py's own frames
-    (numpy functions, methods, builtins and the module's helpers, each
-    counted once however much it does inside), after the first epoch, which
-    also fills the set-up's cached properties."""
+def _calls_per_epoch(monkeypatch, cfg, streams, cooperative, kernel_frames_only=True):
+    """The calls each epoch's run_epoch makes, after the first epoch, which
+    also fills the set-up's cached properties.  With ``kernel_frames_only``
+    a call counts when protocol.py's own frames make it (numpy functions,
+    methods, builtins and the module's helpers, each counted once however
+    much it does inside); without it, every Python and C call under the
+    hook counts: run_epoch's own, those of every helper it reaches, and the
+    hook's removal."""
     counts = []
 
     def counted(state, setup, epoch):
@@ -567,7 +618,8 @@ def _kernel_calls_per_epoch(monkeypatch, spaces, input_dim, cooperative, epochs,
         def profile(frame, event, arg):
             nonlocal calls
             caller = frame if event == "c_call" else frame.f_back if event == "call" else None
-            if caller is not None and caller.f_code.co_filename == protocol.__file__:
+            if caller is not None and (not kernel_frames_only
+                                       or caller.f_code.co_filename == protocol.__file__):
                 calls += 1
 
         sys.setprofile(profile)
@@ -578,18 +630,44 @@ def _kernel_calls_per_epoch(monkeypatch, spaces, input_dim, cooperative, epochs,
         counts.append(calls)
 
     monkeypatch.setattr(learners, "run_epoch", counted)
+    epochs = cfg.effective_epochs if cooperative else cfg.horizon
+    learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
+    return counts[1:]
+
+
+def _kernel_calls_per_epoch(monkeypatch, spaces, input_dim, cooperative, epochs, clients):
+    """:func:`_calls_per_epoch` from protocol.py's frames on a 12-round run."""
     streams = synthetic_linear(input_dim=input_dim, clients=clients, horizon=12, seed=1)
     cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=clients, subset_size=2,
                         horizon=12, epochs=epochs, master_seed=2)
-    learners._run_servers(cfg, streams, epochs or 12, cooperative=cooperative)
-    return counts[1:]
+    return _calls_per_epoch(monkeypatch, cfg, streams, cooperative)
+
+
+@pytest.mark.parametrize("cooperative, ceiling", [(True, 40), (False, 37)],
+                         ids=["fomd", "nco"])
+def test_a_hidden_arm_epoch_stays_under_its_call_ceiling(monkeypatch, cooperative, ceiling):
+    # the benchmark's hidden-arm shape: K=16 coordinate spaces, J=2, M=10,
+    # one round per epoch, so an epoch costs about its fixed numpy calls.
+    # Per-run work is done on the first epoch (positions, targets, block
+    # size) and the leads and bits after the last; each of the others must
+    # stay at its pinned count (71 for fomd and 63 for nco before that split)
+    spec = AdversarialSpec(kind="biased_arm", num_spaces=16, input_dim=16, horizon=40,
+                           clients=10, seed=3, subset_size=2)
+    spaces = tuple(make_space(CoordinateMap(16, i), radius=1.0, loss_kind=Loss.LINEAR)
+                   for i in range(16))
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.LINEAR, clients=10, subset_size=2,
+                        horizon=40, master_seed=3)
+    counts = _calls_per_epoch(monkeypatch, cfg, generate_adversarial(spec), cooperative,
+                              kernel_frames_only=False)
+    assert max(counts) <= ceiling, counts
 
 
 def _every_client_samples(monkeypatch, forced):
     """Make every subset lead with the spaces ``forced``, then the others drawn."""
 
-    def with_forced(probs, J, uniforms):
-        drawn = sampling.subsets_from_uniforms(probs, J, uniforms).tolist()
+    def with_forced(probs, lead_uniforms, positions):
+        drawn = sampling.subsets_from_uniforms(probs, lead_uniforms, positions).tolist()
+        J = positions.shape[1] + 1
         return np.array([([*forced] + [k for k in row if k not in forced])[:J] for row in drawn])
 
     monkeypatch.setattr(protocol, "subsets_from_uniforms", with_forced)
@@ -664,6 +742,39 @@ def test_a_failing_block_names_its_first_round_and_check(path, targets, message)
     text = _linear_run_error(xs, ys, path, epochs=2)
     assert re.fullmatch(message + r".*", text)
     assert text == _linear_run_error(xs, ys, "map" if path == "fused" else "fused", epochs=2)
+
+
+@pytest.mark.parametrize("bad, text", [(-0.1, "loss -0.1 below zero"),
+                                       (np.nan, "loss nan outside its declared bound"),
+                                       (np.inf, "loss inf outside its declared bound")])
+@pytest.mark.parametrize("learner", [run_fomd_oms, run_nco_oms])
+def test_a_bad_loss_stops_the_run_before_any_mirror_step(monkeypatch, learner, bad, text):
+    # the mirror step does not check its losses: the kernel's bound check
+    # must stop a negative, NaN or infinite loss before it reaches the step
+    steps = []
+
+    def mirror_step(original):
+        def step(*args):
+            steps.append(args)
+            return original(*args)
+        return step
+
+    def last_entry_bad(original):
+        def loss_value(kind, values, targets):
+            losses = original(kind, values, targets).copy()
+            losses[-1, -1] = bad
+            return losses
+        return loss_value
+    monkeypatch.setattr(protocol, "entropy_step_log_batch",
+                        mirror_step(protocol.entropy_step_log_batch))
+    monkeypatch.setattr(protocol, "loss_value", last_entry_bad(protocol.loss_value))
+    streams = synthetic_linear(input_dim=4, clients=3, horizon=6, seed=2)
+    spaces = tuple(make_space(CoordinateMap(4, i), 1.0, Loss.SQUARE) for i in range(4))
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=3, subset_size=2,
+                        horizon=6, master_seed=2)
+    with pytest.raises(RunInvariantError, match=rf"round 1: space \d+ produced {text}"):
+        learner(cfg, streams)
+    assert steps == []
 
 
 def test_audit_log_reports_cleanliness():

@@ -7,9 +7,16 @@ from fedoms import rng as rngmod
 from fedoms import sampling
 from fedoms.protocol import _scatter_reports
 
+import oracles
 from oracles import ROLE_TEST
 
 RNG = np.random.default_rng(33)
+
+
+def _subsets(probs, uniforms):
+    """Sample with the (n, J) draws ``uniforms``: lead column, then positions."""
+    positions = sampling.complement_positions(uniforms, probs.shape[-1])
+    return sampling.subsets_from_uniforms(probs, uniforms[:, 0], positions)
 
 
 def random_simplex(rng, k):
@@ -23,7 +30,7 @@ def empirical_inclusion(p, j, n, seed=0):
     done = 0
     while done < n:
         chunk = min(200_000, n - done)
-        idx = sampling.subsets_from_uniforms(p[None, :], j, rng.random((chunk, j)))
+        idx = _subsets(p[None, :], rng.random((chunk, j)))
         np.add.at(counts, idx.ravel(), 1.0)
         done += chunk
     return counts / n
@@ -41,19 +48,19 @@ def test_subset_size_validation():
     p = random_simplex(RNG, 5)
     for j in (1, 6, 0):
         with pytest.raises(ValueError):
-            sampling.subsets_from_uniforms(p[None, :], j, _uniforms(1, 3, j))
-    out = sampling.subsets_from_uniforms(p[None, :], 5, _uniforms(1, 3, 5))  # J = K allowed
+            _subsets(p[None, :], _uniforms(1, 3, j))
+    out = _subsets(p[None, :], _uniforms(1, 3, 5))  # J = K allowed
     assert all(sorted(row) == [0, 1, 2, 3, 4] for row in out.tolist())
     with pytest.raises(ValueError, match=r"probs must be \(n, K\) or \(1, K\)"):
-        sampling.subsets_from_uniforms(p, 2, _uniforms(1, 3, 2))  # 1-d is refused
+        _subsets(p, _uniforms(1, 3, 2))  # 1-d is refused
 
 
 def test_degenerate_single_space():
-    out = sampling.subsets_from_uniforms(np.array([[1.0]]), 1, _uniforms(0, 4, 1))
+    out = _subsets(np.array([[1.0]]), _uniforms(0, 4, 1))
     np.testing.assert_array_equal(out, np.zeros((4, 1)))
     np.testing.assert_array_equal(sampling.inclusion_probabilities(np.array([1.0]), 1), [1.0])
     with pytest.raises(ValueError):
-        sampling.subsets_from_uniforms(np.array([[1.0]]), 2, _uniforms(0, 4, 2))
+        _subsets(np.array([[1.0]]), _uniforms(0, 4, 2))
 
 
 def test_outcome_indices_distinct_lead_first():
@@ -61,23 +68,31 @@ def test_outcome_indices_distinct_lead_first():
         k = int(RNG.integers(2, 12))
         j = int(RNG.integers(2, k + 1))
         p = random_simplex(RNG, k)
-        idx = sampling.subsets_from_uniforms(p[None, :], j, _uniforms(int(RNG.integers(1e9)), 5, j))
+        idx = _subsets(p[None, :], _uniforms(int(RNG.integers(1e9)), 5, j))
         assert idx.shape == (5, j)
         assert all(len(set(row)) == j for row in idx.tolist())
         assert np.all((0 <= idx) & (idx < k))
 
 
 def test_sampling_consumes_exactly_j_uniforms():
-    # one row of J draws per decision; a table of any other width is refused
+    # one row of J draws per decision: column 0 picks the lead and the other
+    # J - 1 become positions; a lead column of another length is refused, as
+    # are positions for more spaces than the distribution has
     p = random_simplex(RNG, 6)
-    with pytest.raises(ValueError, match="3 slots per row, expected 2"):
-        sampling.subsets_from_uniforms(p[None, :], 2, _uniforms(77, 4, 3))
+    u = _uniforms(77, 4, 3)
+    positions = sampling.complement_positions(u, 6)
+    assert positions.shape == (4, 2)
+    assert _subsets(p[None, :], u).shape == (4, 3)
+    with pytest.raises(ValueError, match=r"\(3,\) lead draws for 4 rows of positions"):
+        sampling.subsets_from_uniforms(p[None, :], u[:3, 0], positions)
+    with pytest.raises(ValueError, match="2 <= J <= K"):
+        sampling.subsets_from_uniforms(p[None, :2], u[:, 0], positions)
 
 
 def test_sampling_is_deterministic_given_stream():
     p = random_simplex(RNG, 8)
-    a = sampling.subsets_from_uniforms(p[None, :], 4, rngmod.stream(5, rngmod.ROLE_SAMPLING, 2).random((6, 4)))
-    b = sampling.subsets_from_uniforms(p[None, :], 4, rngmod.stream(5, rngmod.ROLE_SAMPLING, 2).random((6, 4)))
+    a = _subsets(p[None, :], rngmod.stream(5, rngmod.ROLE_SAMPLING, 2).random((6, 4)))
+    b = _subsets(p[None, :], rngmod.stream(5, rngmod.ROLE_SAMPLING, 2).random((6, 4)))
     np.testing.assert_array_equal(a, b)
 
 
@@ -121,7 +136,7 @@ def test_lead_index_follows_p_chi_squared():
     p = np.array([0.4, 0.25, 0.2, 0.1, 0.05])
     n = 100_000
     u = rngmod.stream(9, ROLE_TEST).random((n, 2))
-    idx = sampling.subsets_from_uniforms(p[None, :], 2, u)
+    idx = _subsets(p[None, :], u)
     counts = np.bincount(idx[:, 0], minlength=5)
     _, pval = stats.chisquare(counts, f_exp=p * n)
     assert pval > 0.001
@@ -132,19 +147,41 @@ def test_non_lead_uniform_over_complement():
     p = np.array([0.5, 0.3, 0.1, 0.1])
     n = 120_000
     u = rngmod.stream(11, ROLE_TEST).random((n, 2))
-    idx = sampling.subsets_from_uniforms(p[None, :], 2, u)
+    idx = _subsets(p[None, :], u)
     mask = idx[:, 0] == 0
     counts = np.bincount(idx[mask, 1], minlength=4)[1:]
     _, pval = stats.chisquare(counts)
     assert pval > 0.001
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_sampler_equals_the_plain_fisher_yates_oracle_bit_for_bit(data):
+    # the lead by a binary search of one shared CDF, or a count per row, and
+    # the rest placed by per-run positions: the same subsets as the one-row-
+    # at-a-time law, including zero masses and draws at the ends of [0, 1)
+    k = data.draw(st.integers(1, 40), label="K")
+    j = 1 if k == 1 else data.draw(st.integers(2, k), label="J")
+    n = data.draw(st.integers(1, 12), label="n")
+    rows = data.draw(st.sampled_from([1, n]), label="probs rows")
+    mass = st.one_of(st.just(0.0), st.floats(1e-300, 1.0))
+    probs = np.array(data.draw(st.lists(st.lists(mass, min_size=k, max_size=k),
+                                        min_size=rows, max_size=rows)))
+    draw = st.one_of(st.sampled_from([0.0, 1.0 - 2.0 ** -53]),
+                     st.floats(0.0, 1.0, exclude_max=True))
+    u = np.array(data.draw(st.lists(st.lists(draw, min_size=j, max_size=j),
+                                    min_size=n, max_size=n)))
+    got = sampling.subsets_from_uniforms(probs, u[:, 0], sampling.complement_positions(u, k))
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, oracles.fisher_yates_subsets(probs, u))
+
+
 def test_per_row_and_shared_probs_agree():
     k = 6
     p = random_simplex(RNG, k)
     u = rngmod.stream(21, ROLE_TEST).random((500, 3))
-    shared = sampling.subsets_from_uniforms(p[None, :], 3, u)
-    tiled = sampling.subsets_from_uniforms(np.tile(p, (500, 1)), 3, u)
+    shared = _subsets(p[None, :], u)
+    tiled = _subsets(np.tile(p, (500, 1)), u)
     np.testing.assert_array_equal(shared, tiled)
 
 
@@ -175,7 +212,7 @@ def test_loss_estimator_is_unbiased_monte_carlo():
     true = np.array([1.0, 0.5, 2.0, 0.0, 3.0])
     n = 200_000
     u = rngmod.stream(13, ROLE_TEST).random((n, j))
-    idx = sampling.subsets_from_uniforms(p[None, :], j, u)
+    idx = _subsets(p[None, :], u)
     incl = sampling.inclusion_probabilities(p, j)
     member = np.zeros((n, k))
     member[np.arange(n)[:, None], idx] = 1.0
@@ -192,8 +229,8 @@ def test_estimator_range_bound():
         k = int(RNG.integers(2, 10))
         j = int(RNG.integers(2, k + 1))
         p = random_simplex(RNG, k)
-        subset = sampling.subsets_from_uniforms(
-            p[None, :], j, _uniforms(int(RNG.integers(1e9)), 1, j))[0]
+        subset = _subsets(
+            p[None, :], _uniforms(int(RNG.integers(1e9)), 1, j))[0]
         c = RNG.uniform(0, 1, size=j)  # losses bounded by 1
         est = _estimate(c, subset, sampling.inclusion_probabilities(p, j))
         assert np.all(est <= (k - 1.0) / (j - 1.0) + 1e-9)
@@ -205,7 +242,7 @@ def test_subset_size_matches_request(k, data):
     j = data.draw(st.integers(2, k))
     seed = data.draw(st.integers(0, 2**31 - 1))
     p = np.full(k, 1.0 / k)
-    idx = sampling.subsets_from_uniforms(p[None, :], j, _uniforms(seed, 3, j))
+    idx = _subsets(p[None, :], _uniforms(seed, 3, j))
     assert idx.shape == (3, j)
     incl = sampling.inclusion_probabilities(p, j)
     assert incl.shape == (k,)
