@@ -51,7 +51,7 @@ from .config import (
     resolve_output_dir,
     run_from_config,
 )
-from .data import DataError, csv_shape
+from .data import DataError, check_partition, csv_shape
 from .learners import run_fomd_oms, run_nco_oms
 from .mirror import MirrorError
 from .protocol import RunInvariantError
@@ -108,6 +108,7 @@ def _cmd_validate(args) -> int:
     if data.source == "csv":
         try:
             rows, input_dim = csv_shape(data.path, data.target_column)
+            check_partition(rows, config.clients)
         except DataError as exc:
             raise ConfigError(str(exc), field="data") from exc
         check_horizon(config, rows // config.clients)

@@ -29,6 +29,7 @@ __all__ = [
     "AdversarialSpec",
     "ingest_csv",
     "csv_shape",
+    "check_partition",
     "preprocess_and_partition",
     "generate_adversarial",
     "default_bias",
@@ -256,6 +257,14 @@ def _parse_rows(path: Path, header: list[str]) -> np.ndarray:
     return table
 
 
+def check_partition(rows: int, clients: int) -> None:
+    """Raise :class:`DataError` unless ``rows`` rows give each of ``clients`` clients one."""
+    if clients < 1:
+        raise DataError(f"clients must be >= 1, got {clients}")
+    if rows < clients:
+        raise DataError(f"{rows} rows cannot be split across {clients} clients")
+
+
 def preprocess_and_partition(dataset: RawDataset, clients: int, seed: int) -> Streams:
     """Rescale, shuffle, and split a dataset into per-client streams.
 
@@ -266,11 +275,8 @@ def preprocess_and_partition(dataset: RawDataset, clients: int, seed: int) -> St
     length, dropping any remainder.
     """
 
-    if clients < 1:
-        raise DataError(f"clients must be >= 1, got {clients}")
     n = dataset.rows
-    if n < clients:
-        raise DataError(f"{n} rows cannot be split across {clients} clients")
+    check_partition(n, clients)
     x = np.asarray(dataset.features, dtype=float)
     y = np.asarray(dataset.targets, dtype=float)
 

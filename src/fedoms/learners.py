@@ -238,14 +238,27 @@ def _assemble(
     algorithm: str,
     config: LearnerConfig,
     streams: Streams,
-    epochs: int,
     state: ServerState,
-    final_probs: np.ndarray,
+    setup: RunSetup,
     wall: float,
     audit: AuditLog | None,
+    cooperative: bool,
 ) -> RunArtifact:
+    """The run's artifact; its lead and bit columns come from ``state.subsets``.
+
+    A client leads with its subset's first space for the whole epoch.  A
+    cooperative run charges each message ``setup.message_bits``, downlinks
+    at an epoch's first round and uplinks at its last; the baseline's
+    servers send nothing, so it is charged 0 bits.
+    """
     M, T = config.clients, config.horizon
-    N = T // epochs
+    epochs = state.subsets.shape[0]
+    N = setup.rounds_per_epoch
+    downlink_bits = np.zeros((T, M), dtype=np.int64)
+    uplink_bits = np.zeros((T, M), dtype=np.int64)
+    if cooperative:
+        downlink_bits[::N], uplink_bits[N - 1::N] = setup.message_bits(state.subsets)
+    probs = materialize(state.log_p)
     meta = dict(streams.meta)
     meta.update(seed=config.master_seed, subset_size=config.subset_size)
     if audit is not None:
@@ -260,15 +273,15 @@ def _assemble(
         round_ids=np.repeat(np.arange(1, T + 1, dtype=np.int64), M),
         client_ids=np.tile(np.arange(M, dtype=np.int64), T),
         epoch_ids=np.repeat(np.arange(T, dtype=np.int64) // N + 1, M),
-        lead_indices=state.leads.ravel(),
+        lead_indices=np.repeat(state.subsets[:, :, 0], N, axis=0).ravel(),
         predictions=state.predictions.ravel(),
         losses=state.losses.ravel(),
         targets=np.ascontiguousarray(streams.ys, dtype=float).T.ravel(),
-        uplink_bits=state.uplink_bits.ravel(),
-        downlink_bits=state.downlink_bits.ravel(),
-        final_probs=final_probs,
-        total_uplink_bits=int(state.uplink_bits.sum()),
-        total_downlink_bits=int(state.downlink_bits.sum()),
+        uplink_bits=uplink_bits.ravel(),
+        downlink_bits=downlink_bits.ravel(),
+        final_probs=probs[0] if cooperative else probs,
+        total_uplink_bits=int(uplink_bits.sum()),
+        total_downlink_bits=int(downlink_bits.sum()),
         wall_seconds=wall,
         meta=meta,
     )
@@ -279,15 +292,15 @@ def _run_servers(
     streams: Streams,
     epochs: int,
     cooperative: bool,
-) -> tuple[ServerState, float, AuditLog | None]:
+) -> tuple[ServerState, RunSetup, float, AuditLog | None]:
     """Run ``epochs`` equal communication epochs and return the final state.
 
     The cooperative learner runs one server that averages over all M clients
     and communicates; the baseline runs one silent server per client.  Each
     server starts from the initial distribution and zero models, and steps
-    with the schedules of its client count over ``epochs`` update steps; the
-    leads and bits are filled from the epochs' subsets after the loop.
-    Returns the final state, the wall time of both and the audit log.
+    with the schedules of its client count over ``epochs`` update steps.
+    Returns the final state, the run's set-up, the wall time of the epochs
+    and the audit log.
     """
     M, T, K, J = config.clients, config.horizon, config.num_spaces, config.subset_size
     servers, clients = (1, M) if cooperative else (M, 1)
@@ -323,18 +336,11 @@ def _run_servers(
         predictions=np.zeros((T, M)),
         losses=np.zeros((T, M)),
         subsets=np.zeros((epochs, M, J), dtype=np.int64),
-        leads=np.zeros((T, M), dtype=np.int64),
-        uplink_bits=np.zeros((T, M), dtype=np.int64),
-        downlink_bits=np.zeros((T, M), dtype=np.int64),
     )
     start = time.perf_counter()
     for epoch in range(1, epochs + 1):
         run_epoch(state, setup, epoch)
-    N = setup.rounds_per_epoch
-    state.leads[:] = np.repeat(state.subsets[:, :, 0], N, axis=0)
-    if cooperative:  # the baseline's servers send nothing, so it is charged 0 bits
-        state.downlink_bits[::N], state.uplink_bits[N - 1::N] = setup.message_bits(state.subsets)
-    return state, time.perf_counter() - start, audit
+    return state, setup, time.perf_counter() - start, audit
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +358,8 @@ def run_fomd_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
     """
 
     _validate_pair(config, streams)
-    epochs = config.effective_epochs
-    state, wall, audit = _run_servers(config, streams, epochs, cooperative=True)
-    return _assemble(
-        "fomd_oms", config, streams, epochs, state,
-        materialize(state.log_p)[0], wall, audit,
-    )
+    run = _run_servers(config, streams, config.effective_epochs, cooperative=True)
+    return _assemble("fomd_oms", config, streams, *run, cooperative=True)
 
 
 def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
@@ -377,11 +379,8 @@ def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
         raise ValueError(
             "the noncooperative learner has no communication epochs; leave epochs unset"
         )
-    state, wall, _ = _run_servers(config, streams, config.horizon, cooperative=False)
-    return _assemble(
-        "nco_oms", config, streams, config.horizon, state,
-        materialize(state.log_p), wall, None,
-    )
+    run = _run_servers(config, streams, config.horizon, cooperative=False)
+    return _assemble("nco_oms", config, streams, *run, cooperative=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,18 @@ This module owns everything that crosses the client/server boundary:
   importance-weighted loss/gradient estimates, one scatter-add per quantity.
   The engine merges with its own code, so the audit's check of the merge is
   not a function compared with itself.
-* the wire audit: with ``setup.audit`` set, each epoch is staged as it
-  runs, and the staged epochs' frames, epoch by epoch its 2·M downlinks
-  followed by its uplinks, are encoded and decoded together in one batch
-  once one more epoch would outgrow the memory budget below, and after the
-  run's last epoch.  So a run of small epochs pays the codec's fixed cost a
-  few times, not once per epoch; an epoch too large for one batch is coded
-  alone, in a few consecutive batches.  Every check (bits against the
-  closed form, header epoch, client id and kind, indices, floats to single
-  precision in both directions, and the merge against the engine's, bit
-  for bit) runs once over each batch.
+* the wire audit: with ``setup.audit`` set, each epoch stages its frames'
+  floats and the engine's estimates as it runs, and the replay reads the
+  subsets and bits from the run's own records, ``ServerState.subsets`` and
+  ``RunSetup.message_bits``.  The staged epochs' frames, epoch by epoch its
+  M downlinks followed by its M uplinks, are encoded and decoded together
+  in one batch once one more epoch would outgrow the memory budget below,
+  and after the run's last epoch.  So a run of small epochs pays the
+  codec's fixed cost a few times, not once per epoch; an epoch too large
+  for one batch is coded alone, in a few consecutive batches.  Every check
+  (bits against the closed form, header epoch, client id and kind, indices,
+  floats to single precision in both directions, and the merge against the
+  engine's, bit for bit) runs once over each batch.
 * :func:`run_epoch` — the round kernel: one communication epoch of S
   servers, vectorized across clients and, in blocks, across the epoch's
   rounds.  It reads a :class:`RunSetup` (the spaces, the client streams,
@@ -334,11 +336,11 @@ class ServerState:
     space ``i``, zero past that space's width.  Client ``j`` of ``M`` belongs
     to server ``j * S // M``: the cooperative learner runs one server for
     every client (S=1) and the noncooperative baseline one per client (S=M).
-    The five (horizon, clients) panels hold the trace: the lead space, its
-    prediction and loss per round and client, and the bits of every message,
-    charged at an epoch's first (downlink) and last (uplink) round; the
-    learner fills leads and bits after the run from ``subsets``, the (M, J)
-    tables :func:`run_epoch` writes.
+    The two (horizon, clients) panels hold each round's lead prediction and
+    loss, and ``subsets`` the (M, J) table of sampled spaces each epoch
+    wrote, its lead space first: the run's one record of what was sampled.
+    The learner derives the trace's lead and bit columns from it after the
+    run, and the audit reads each staged epoch's subsets from it.
     """
 
     log_p: np.ndarray
@@ -346,9 +348,6 @@ class ServerState:
     predictions: np.ndarray
     losses: np.ndarray
     subsets: np.ndarray  # (epochs, clients, J)
-    leads: np.ndarray
-    uplink_bits: np.ndarray
-    downlink_bits: np.ndarray
     epochs_done: int = 0
 
 
@@ -449,41 +448,31 @@ class RunSetup:
 class _Stage:
     """The epochs staged for the next audit replay, one slot each, in frame layout.
 
-    Slot ``s`` holds epoch ``epochs[s]``: ``values[s, 0]`` are the float
-    rows of its M downlinks (J loss slots, never sent and left zero, then the
-    J broadcast vectors, zero-padded to d_max) and ``values[s, 1]`` those of
-    its M uplinks (the J mean losses, then the J gradient vectors), so the
-    first ``count`` slots are the frames' float table.  ``bits`` holds the
-    engine's bit account of each frame, ``inclusion`` and ``loss_est`` the
-    epoch's (K,) inclusion probabilities and loss estimate, and the first
-    ``steps[s]`` entries of ``stepped[s]`` and ``grad_est[s]`` the spaces the
-    epoch stepped and their gradient estimates (at most min(K, M·J)).
+    The first ``count`` slots hold consecutive epochs, the last of them the
+    epoch whose call replays them.  ``values[s, 0]`` are the float rows of
+    slot ``s``'s M downlinks (J loss slots, never sent and left zero, then
+    the J broadcast vectors, zero-padded to d_max) and ``values[s, 1]`` those
+    of its M uplinks (the J mean losses, then the J gradient vectors), so the
+    first ``count`` slots are the frames' float table.  ``inclusion`` and
+    ``loss_est`` hold the epoch's (K,) inclusion probabilities and loss
+    estimate, and ``grad_est`` its (K, d_max) gradient estimates, zero for
+    the spaces it did not step.  Subsets and bits are not staged: the run
+    records them.
     """
 
-    epochs: np.ndarray  # (slots,)
-    indices: np.ndarray  # (slots, M, J)
     values: np.ndarray  # (slots, 2, M, J·(d_max + 1))
-    bits: np.ndarray  # (slots, 2, M)
     inclusion: np.ndarray  # (slots, K)
     loss_est: np.ndarray  # (slots, K)
-    steps: np.ndarray  # (slots,)
-    stepped: np.ndarray  # (slots, min(K, M·J))
-    grad_est: np.ndarray  # (slots, min(K, M·J), d_max)
+    grad_est: np.ndarray  # (slots, K, d_max), zero past count
     count: int = 0
 
     @classmethod
     def with_slots(cls, slots: int, clients: int, J: int, K: int, d_max: int) -> "_Stage":
-        most = min(K, clients * J)
         return cls(
-            epochs=np.zeros(slots, dtype=np.int64),
-            indices=np.zeros((slots, clients, J), dtype=np.int64),
             values=np.zeros((slots, 2, clients, J * (d_max + 1))),
-            bits=np.zeros((slots, 2, clients), dtype=np.int64),
             inclusion=np.zeros((slots, K)),
             loss_est=np.zeros((slots, K)),
-            steps=np.zeros(slots, dtype=np.int64),
-            stepped=np.zeros((slots, most), dtype=np.int64),
-            grad_est=np.zeros((slots, most, d_max)),
+            grad_est=np.zeros((slots, K, d_max)),
         )
 
 
@@ -495,16 +484,17 @@ class AuditLog:
     frame/aggregation code path and cross-checked against the vectorized
     engine: frame round-trips must reproduce the header's epoch, client id
     and kind and the indices exactly, and the floats of both directions to
-    single precision; the closed-form bit account must equal the frame's
-    actual payload bits; and the scatter-add of the clients' reports must
-    equal the engine's aggregation bit for bit, since both add in one
-    order.  Epochs are staged as they run and replayed in batches that fit
-    the memory budget, several epochs to a batch when their frames are few,
-    so every frame has been checked by the time the run's last epoch
-    returns, and not before.  The notes keep one order however the epochs
-    are batched: epoch by epoch, the downlinks' checks, then the uplinks',
-    each check over the clients in order, then the aggregation's.
-    ``frames_checked`` counts 2·M frames per replayed epoch.
+    single precision; the closed-form bit account, ``RunSetup.message_bits``
+    of the subsets in ``ServerState.subsets``, must equal the frame's actual
+    payload bits; and the scatter-add of the clients' reports must equal the
+    engine's aggregation bit for bit, since both add in one order.  Epochs
+    are staged as they run and replayed in batches that fit the memory
+    budget, several epochs to a batch when their frames are few, so every
+    frame has been checked by the time the run's last epoch returns, and not
+    before.  The notes keep one order however the epochs are batched: epoch
+    by epoch, the downlinks' checks, then the uplinks', each check over the
+    clients in order, then the aggregation's.  ``frames_checked`` counts 2·M
+    frames per replayed epoch.
     """
 
     frames_checked: int = 0
@@ -518,73 +508,74 @@ class AuditLog:
 def _audit_epoch(
     audit: AuditLog,
     setup: RunSetup,
+    state: ServerState,
     epoch: int,
-    indices: np.ndarray,
     to_clients: np.ndarray | slice,
-    weights: np.ndarray,
     mean_losses: np.ndarray,
     mean_grads: np.ndarray,
     inclusion: np.ndarray,
     loss_est: np.ndarray,
     stepped: np.ndarray,
     grad_est: np.ndarray,
-    down_bits: np.ndarray,
-    up_bits: np.ndarray,
 ) -> None:
     """Stage one epoch of the single server for the wire replay; replay when due.
 
-    ``weights`` (K, d_max) are the broadcast models.  ``mean_losses`` and
+    ``state`` holds the epoch's subsets, ``state.subsets[epoch - 1]``, and
+    the broadcast models, ``state.weights[0]``.  ``mean_losses`` and
     ``mean_grads`` hold each client's report per sampled space, in the
     kernel's entry order, which indexing by ``to_clients`` makes client-major
     (entry ``j * J + a`` client j's slot a); ``grad_est[k]`` is the engine's
     estimate for space ``stepped[k]``, and ``loss_est`` its (K,) loss
     estimate.
 
-    The epoch is copied into the next slot of the audit's stage, its
-    broadcast rows gathered from ``weights``, which :func:`run_epoch` steps
-    in place once this call returns.  A batch holds at most the frames whose
-    float rows of J·(d_max + 1) floats fit ``_BLOCK_FLOATS``, and the stage
-    has a slot for each epoch whose 2·M frames fit one batch together (fewer
-    if the epochs' (K,) rows would not fit the budget, or the run is
-    shorter), and at least one, so it stays within the budget unless one
-    epoch alone passes it.  The staged epochs are replayed together by
-    :func:`_replay_epochs` once the stage is full, that is once the next
-    epoch's frames would take them past the batch size, and after the run's
-    last epoch, so every replay runs inside a call of this function; an
-    epoch whose own frames pass the batch size is replayed on its own.
+    The epoch's floats are copied into the next slot of the audit's stage,
+    its broadcast rows gathered from the models, which :func:`run_epoch`
+    steps in place once this call returns, and its gradient estimates
+    scattered into the slot's (K, d_max) table.  A batch holds at most the
+    frames whose float rows of J·(d_max + 1) floats fit ``_BLOCK_FLOATS``,
+    and the stage has a slot for each epoch whose 2·M frames fit one batch
+    together (fewer if the epochs' (K, d_max) gradient tables would not fit
+    the budget, or the run is shorter), and at least one, so it stays within
+    the budget unless one epoch alone passes it.  The staged epochs are
+    replayed together by :func:`_replay_epochs` once the stage is full, that
+    is once the next epoch's frames would take them past the batch size, and
+    after the run's last epoch, so every replay runs inside a call of this
+    function; an epoch whose own frames pass the batch size is replayed on
+    its own.
     """
+    indices = state.subsets[epoch - 1]
     clients, J = indices.shape
     K = setup.num_spaces
     epochs_in_run = setup.param_rates.shape[0]
     per_batch = max(1, _BLOCK_FLOATS // (J * (setup.max_dim + 1)))
     stage = audit._stage
     if stage is None:
-        slots = max(1, min(per_batch // (2 * clients), _BLOCK_FLOATS // K, epochs_in_run))
+        slots = max(1, min(per_batch // (2 * clients), _BLOCK_FLOATS // (K * setup.max_dim),
+                           epochs_in_run))
         stage = audit._stage = _Stage.with_slots(slots, clients, J, K, setup.max_dim)
     s = stage.count
-    stage.epochs[s] = epoch
-    stage.indices[s] = indices
     rows = stage.values[s]
-    rows[0, :, J:] = weights[indices].reshape(clients, -1)
+    rows[0, :, J:] = state.weights[0, indices].reshape(clients, -1)
     rows[1, :, :J] = mean_losses[to_clients].reshape(clients, J)
     rows[1, :, J:] = mean_grads[to_clients].reshape(clients, -1)
-    stage.bits[s] = down_bits, up_bits
     stage.inclusion[s] = inclusion
     stage.loss_est[s] = loss_est
-    stage.steps[s] = stepped.size
-    stage.stepped[s, :stepped.size] = stepped
-    stage.grad_est[s, :stepped.size] = grad_est
+    stage.grad_est[s, stepped] = grad_est
     stage.count = s + 1
-    if stage.count == stage.epochs.size or epoch == epochs_in_run:
-        _replay_epochs(audit, setup, per_batch)
+    if stage.count == stage.values.shape[0] or epoch == epochs_in_run:
+        _replay_epochs(audit, setup, state, epoch, per_batch)
 
 
-def _replay_epochs(audit: AuditLog, setup: RunSetup, per_batch: int) -> None:
+def _replay_epochs(audit: AuditLog, setup: RunSetup, state: ServerState, last: int,
+                   per_batch: int) -> None:
     """Replay the E staged epochs through the serialized message path, and empty the stage.
 
-    The epochs' 2·M·E frames are laid out epoch by epoch, each epoch's
-    downlink to client f as its frame f and the uplink from client f as its
-    frame M + f.  They go through :func:`encode_frames` and
+    The staged epochs are consecutive and ``last`` is the latest, so they
+    are epochs ``last - E + 1`` to ``last``, whose subsets are those rows of
+    ``state.subsets``; one :meth:`RunSetup.message_bits` call gives the bit
+    account of all their frames.  The epochs' 2·M·E frames are laid out
+    epoch by epoch, each epoch's downlink to client f as its frame f and the
+    uplink from client f as its frame M + f.  They go through :func:`encode_frames` and
     :func:`decode_frames` as one batch when they number at most
     ``per_batch``, else (one epoch alone) as the fewest equal batches of one
     direction each that fit it, and each check runs once over each batch,
@@ -592,22 +583,25 @@ def _replay_epochs(audit: AuditLog, setup: RunSetup, per_batch: int) -> None:
     client and epoch counts.  The merge is checked by one
     :func:`_scatter_reports` over (epoch slot, space) cells, which adds each
     cell's reports in client order, as a one-epoch merge does, and its
-    estimates must equal the engine's exactly.
+    estimates must equal the engine's exactly, the gradients compared over
+    the dense (E·K, d_max) tables, so a space reported but not stepped, or
+    stepped but not reported, disagrees as a changed estimate does.
     """
     stage = audit._stage
     E, stage.count = stage.count, 0
     K = setup.num_spaces
     dims = setup.dims
     d_max = setup.max_dim
-    indices = stage.indices[:E]
+    first = last - E + 1
+    indices = state.subsets[first - 1:last]
     _, clients, J = indices.shape
     frames = 2 * E * clients
     values = stage.values[:E].reshape(frames, -1)
     frame_indices = np.broadcast_to(indices[:, None], (E, 2, clients, J)).reshape(frames, J)
     kinds = np.tile(np.repeat([KIND_DOWNLINK, KIND_UPLINK], clients), E)
     client_ids = np.tile(np.arange(clients), 2 * E)
-    frame_epochs = np.repeat(stage.epochs[:E], 2 * clients)
-    engine_bits = stage.bits[:E].reshape(frames)
+    frame_epochs = np.repeat(np.arange(first, last + 1), 2 * clients)
+    engine_bits = np.stack(setup.message_bits(indices), axis=1).reshape(frames)
     bad = np.empty((4, frames), dtype=bool)  # one row per check, one column per frame
     if frames <= per_batch:
         bounds = [0, frames]
@@ -645,14 +639,8 @@ def _replay_epochs(audit: AuditLog, setup: RunSetup, per_batch: int) -> None:
     # both merges add each cell's reports from +0.0 in client order, so they
     # must agree bit for bit
     loss_ok = (agg_loss == stage.loss_est[:E].ravel()).reshape(E, K)
-    reported = np.zeros(E * K, dtype=bool)
-    reported[cells] = True
-    taken = np.arange(stage.stepped.shape[1]) < stage.steps[:E, None]
-    stepped_slots = taken.nonzero()[0]
-    stepped = stage.stepped[:E][taken]
-    stepped_cells = stepped_slots * K + stepped
-    same = agg_grad[stepped_cells] == stage.grad_est[:E][taken]
-    grad_ok = reported[stepped_cells] & same.all(axis=1)
+    grad_ok = (agg_grad == stage.grad_est[:E].reshape(E * K, d_max)).all(axis=1).reshape(E, K)
+    stage.grad_est[:E] = 0.0  # the next epochs step other spaces
     if bad.any() or not loss_ok.all() or not grad_ok.all():
         texts = [(f"engine {name} bits mismatch", f"{name} header round-trip failed",
                   index_text, f"{name} float round-trip failed")
@@ -661,12 +649,12 @@ def _replay_epochs(audit: AuditLog, setup: RunSetup, per_batch: int) -> None:
         # (slot, direction, check, client): each epoch's downlink notes, check
         # by check over the clients, then its uplink notes, then its merge's
         bad = bad.reshape(4, E, 2, clients).transpose(1, 2, 0, 3)
-        for slot, epoch in enumerate(stage.epochs[:E].tolist()):
+        for slot, epoch in enumerate(range(first, last + 1)):
             for kind, check, j in np.argwhere(bad[slot]).tolist():
                 audit.note(f"epoch {epoch} client {j}: {texts[kind][check]}")
             if not loss_ok[slot].all():
                 audit.note(f"epoch {epoch}: aggregated losses disagree with engine")
-            for i in stepped[(stepped_slots == slot) & ~grad_ok].tolist():
+            for i in np.flatnonzero(~grad_ok[slot]).tolist():
                 audit.note(f"epoch {epoch}: aggregated gradient for space {i} disagrees")
 
 
@@ -906,11 +894,8 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
         w_old = state.weights[0, touched]
 
     if setup.audit is not None:
-        _audit_epoch(
-            setup.audit, setup, epoch, indices, to_clients, state.weights[0],
-            mean_losses, mean_grads, inclusion[0], loss_est[0], stepped,
-            grad_est, *setup.message_bits(indices),
-        )
+        _audit_epoch(setup.audit, setup, state, epoch, to_clients, mean_losses, mean_grads,
+                     inclusion[0], loss_est[0], stepped, grad_est)
 
     rates = setup.param_rates[epoch - 1]
     state.weights[servers, stepped] = project_rows_per_row(

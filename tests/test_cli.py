@@ -322,6 +322,25 @@ def test_run_on_a_csv_with_one_row_per_client_and_one_space_is_a_config_error(tm
         assert "update steps must be >= 2" in blob["message"]
 
 
+def test_validate_and_run_blame_the_data_for_fewer_rows_than_clients(tmp_path, capsys):
+    # 3 rows cannot give 5 clients a round each: both commands must name the
+    # data, not the horizon of 3 // 5 = 0 rounds it would leave
+    from fedoms.data import write_regression_csv
+
+    csv_path = write_regression_csv(tmp_path / "data.csv", rows=3, input_dim=3, seed=1)
+    cfg = _base_config(horizon=None, epochs=None, clients=5)
+    cfg["data"] = {"source": "csv", "path": str(csv_path), "target_column": "target"}
+    path = tmp_path / "csv_cfg.json"
+    path.write_text(json.dumps(cfg))
+    blobs = []
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(command) == 2
+        blobs.append(_last_json(capsys.readouterr().out))
+    assert blobs[0] == blobs[1]
+    assert blobs[0]["kind"] == "ConfigError" and blobs[0]["field"] == "data"
+    assert blobs[0]["message"] == "3 rows cannot be split across 5 clients"
+
+
 def test_run_on_a_csv_cell_over_the_csv_field_limit_reports_the_row(tmp_path, capsys):
     from fedoms.data import write_regression_csv
 

@@ -247,7 +247,7 @@ def test_both_learners_match_the_plain_loop_reference_on_random_configs(run):
             assert art.meta["audit_mismatches"] == []
             assert art.meta["audit_frames_checked"] == 2 * M * R
         # the artifact carries no models: the final weights come from the state
-        state, _, _ = learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
+        state, _, _, _ = learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
         for s, group in enumerate(groups):
             ref = oracles.reference_fomd(spaces, loss, streams.xs[group], streams.ys[group],
                                          subset_size=J, epochs=epochs,
@@ -693,11 +693,10 @@ def test_engine_invariants_hold_on_random_small_configs(run):
 
 
 def _state_bytes(cfg, streams, cooperative):
-    """A run's distributions, weights and trace panels as bytes, and its audit record."""
+    """A run's distributions, weights, trace panels and subsets as bytes, and its audit record."""
     epochs = cfg.effective_epochs if cooperative else cfg.horizon
-    state, _, audit = learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
-    panels = (state.log_p, state.weights, state.predictions, state.losses, state.leads,
-              state.uplink_bits, state.downlink_bits)
+    state, _, _, audit = learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
+    panels = (state.log_p, state.weights, state.predictions, state.losses, state.subsets)
     record = None if audit is None else (audit.frames_checked, audit.mismatches)
     return [panel.tobytes() for panel in panels], record
 

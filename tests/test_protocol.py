@@ -481,20 +481,11 @@ def test_halving_the_epoch_count_halves_the_bits():
     assert half.total_uplink_bits * 2 == full.total_uplink_bits
 
 
-def test_leads_and_bits_filled_after_the_loop_repeat_what_each_epoch_staged(monkeypatch):
+def test_leads_and_bits_filled_after_the_loop_repeat_what_each_epoch_staged():
     # 3 epochs of 4 rounds, J=3 of a 4-wide identity space and three one-wide
-    # coordinate spaces: the audit stages each epoch's subsets and bits as it
-    # runs, and the trace columns filled after the last epoch must repeat them
-    staged = []
-
-    def record(original):
-        def audit_epoch(*args):
-            bound = inspect.signature(original).bind(*args).arguments
-            staged.append([np.array(bound[name], copy=True)
-                           for name in ("indices", "down_bits", "up_bits")])
-            return original(*args)
-        return audit_epoch
-    monkeypatch.setattr(protocol, "_audit_epoch", record(protocol._audit_epoch))
+    # coordinate spaces: each epoch records its subsets in state.subsets, and
+    # the trace columns derived after the last epoch must repeat them and
+    # charge each message the closed form
     M, T, N = 3, 12, 4
     streams = synthetic_linear(input_dim=4, clients=M, horizon=T, seed=7)
     spaces = (make_space(IdentityMap(4), 1.0, Loss.SQUARE),) + tuple(
@@ -502,13 +493,19 @@ def test_leads_and_bits_filled_after_the_loop_repeat_what_each_epoch_staged(monk
     cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=M, subset_size=3,
                         horizon=T, epochs=T // N, master_seed=4, audit=True)
     art = run_fomd_oms(cfg, streams)
-    assert art.meta["audit_mismatches"] == [] and len(staged) == T // N
+    state, setup, _, _ = learners._run_servers(cfg, streams, T // N, cooperative=True)
+    assert art.meta["audit_mismatches"] == [] and state.subsets.shape == (T // N, M, 3)
     down, up, leads = (column.reshape(T, M) for column in
                        (art.downlink_bits, art.uplink_bits, art.lead_indices))
-    for e, (indices, down_bits, up_bits) in enumerate(staged):
+    dims = np.array([4, 1, 1, 1])
+    for e, indices in enumerate(state.subsets):
+        # 32 bits a float, 2 bits each of the 3 indices, 32 more a mean loss
+        down_bits = 32 * dims[indices].sum(axis=1) + 3 * 2
+        np.testing.assert_array_equal(setup.message_bits(indices),
+                                      (down_bits, down_bits + 32 * 3))
         first, last = e * N, e * N + N - 1
         np.testing.assert_array_equal(down[first], down_bits)
-        np.testing.assert_array_equal(up[last], up_bits)
+        np.testing.assert_array_equal(up[last], down_bits + 32 * 3)
         assert not down[first + 1:last + 1].any() and not up[first:last].any()
         np.testing.assert_array_equal(leads[first:last + 1], np.tile(indices[:, 0], (N, 1)))
     # a subset with the identity space carries 6 floats, one without it 3
@@ -833,8 +830,17 @@ def _perturb_audit_input(name, change, epoch=2):
     return wrapper
 
 
-def _add_one_to_client_1(value, _):
-    value[1] += 1
+def _add_one_to_epoch_2_client_1_bits(monkeypatch, column):
+    """Make ``RunSetup.message_bits`` charge client 1 of epoch 2 one bit more
+    in ``column`` (0 downlink, 1 uplink).  The small audited run asks for
+    the bits of all its epochs at once, both for its trace and its replay."""
+    original = protocol.RunSetup.message_bits
+
+    def message_bits(self, subsets):
+        bits = original(self, subsets)
+        bits[column][1, 1] += 1
+        return bits
+    monkeypatch.setattr(protocol.RunSetup, "message_bits", message_bits)
 
 
 @pytest.mark.parametrize("name, text", [
@@ -842,9 +848,17 @@ def _add_one_to_client_1(value, _):
     ("up_bits", "engine uplink bits mismatch"),
 ])
 def test_audit_names_a_bit_account_the_frame_does_not_carry(monkeypatch, name, text):
-    mismatches = _audited_run(monkeypatch, "_audit_epoch",
-                              _perturb_audit_input(name, _add_one_to_client_1))
-    assert mismatches == [f"epoch 2 client 1: {text}"]
+    # one closed form charges the trace and states the audit's account, so
+    # an account off by one bit moves the trace and fails the frame check
+    column = ("down_bits", "up_bits").index(name)
+    clean = _small_audited_run()
+    _add_one_to_epoch_2_client_1_bits(monkeypatch, column)
+    art = _small_audited_run()
+    assert art.meta["audit_mismatches"] == [f"epoch 2 client 1: {text}"]
+    trace = ("downlink_bits", "uplink_bits")[column]
+    moved = (getattr(art, trace) - getattr(clean, trace)).reshape(20, 3)
+    # epoch 2 spans rounds 5 to 8: its downlinks charged at the first, uplinks at the last
+    assert np.argwhere(moved).tolist() == [[(4, 7)[column], 1]] and moved.sum() == 1
 
 
 def test_audit_names_an_aggregated_loss_that_disagrees(monkeypatch):
@@ -863,6 +877,25 @@ def test_audit_names_the_space_of_an_aggregated_gradient_that_disagrees(monkeypa
         seen.append(int(arguments["stepped"][-1]))
     mismatches = _audited_run(monkeypatch, "_audit_epoch",
                               _perturb_audit_input("grad_est", change))
+    assert mismatches == [f"epoch 2: aggregated gradient for space {seen[0]} disagrees"]
+
+
+def test_audit_names_a_space_reported_but_not_stepped(monkeypatch):
+    # the engine leaves out the last space it stepped in epoch 2; its
+    # clients reported that space, so the audit's merge has an estimate for
+    # it where the engine has none
+    seen = []
+
+    def drop_last_step(original):
+        def audit_epoch(*args):
+            bound = inspect.signature(original).bind(*args)
+            if bound.arguments["epoch"] == 2:
+                seen.append(int(bound.arguments["stepped"][-1]))
+                for name in ("stepped", "grad_est"):
+                    bound.arguments[name] = bound.arguments[name][:-1]
+            return original(*bound.args)
+        return audit_epoch
+    mismatches = _audited_run(monkeypatch, "_audit_epoch", drop_last_step)
     assert mismatches == [f"epoch 2: aggregated gradient for space {seen[0]} disagrees"]
 
 
@@ -965,8 +998,7 @@ def test_audit_names_a_header_the_wire_changed(monkeypatch, kind, name, offset):
 def test_audit_notes_every_downlink_check_before_any_uplink_check(monkeypatch):
     # one batch carries both directions; an uplink bit account (the first
     # check) still comes after a downlink header (the second)
-    monkeypatch.setattr(protocol, "_audit_epoch", _perturb_audit_input(
-        "up_bits", _add_one_to_client_1)(protocol._audit_epoch))
+    _add_one_to_epoch_2_client_1_bits(monkeypatch, 1)
     mismatches = _audited_run(monkeypatch, "decode_frames", _flip_in_client_1_frame(
         KIND_DOWNLINK, lambda frame: 0))
     assert mismatches == ["epoch 2 client 1: downlink header round-trip failed",
