@@ -33,15 +33,15 @@ This module owns everything that crosses the client/server boundary:
 The engine keeps each server's sampling distribution in log space (see
 :mod:`fedoms.mirror` for why) and its models as one zero-padded (K, d_max)
 block, so spaces of mixed widths share every code path.  An epoch's
-(client, sampled space) entries stay in client-major order when every space
-reads one input coordinate: then an epoch makes the same numpy calls however
-many spaces it touches.  Otherwise they are sorted by space, so that each
-feature map runs once per touched space and each space's gradients are summed
-over a contiguous segment.  Every server-side sum over clients is a running
-sum from +0.0 in ascending client order, the order of the audit's merge and
-of the plain-loop reference.  One memory budget, ``_BLOCK_FLOATS``, bounds
-both the rounds :func:`run_epoch` evaluates at once and the frames the audit
-codes at once.
+(client, sampled space) entries are always in client-major order, the order
+of the frames, so the audit reads the kernel's reports as they are.  When
+every space reads one input coordinate an epoch makes the same numpy calls
+however many spaces it touches; other feature maps run once per touched
+space, on that space's entries.  Every server-side sum over clients is a
+running sum from +0.0 in ascending client order, the order of the audit's
+merge and of the plain-loop reference.  One memory budget, ``_BLOCK_FLOATS``,
+bounds both the rounds :func:`run_epoch` evaluates at once and the frames the
+audit codes at once.
 """
 
 from __future__ import annotations
@@ -58,12 +58,7 @@ from .mirror import (
     materialize,
     project_rows_per_row,
 )
-from .sampling import (
-    complement_positions,
-    group_subsets,
-    inclusion_probabilities,
-    subsets_from_uniforms,
-)
+from .sampling import complement_positions, inclusion_probabilities, subsets_from_uniforms
 from .spaces import (
     CoordinateMap,
     HypothesisSpace,
@@ -510,7 +505,6 @@ def _audit_epoch(
     setup: RunSetup,
     state: ServerState,
     epoch: int,
-    to_clients: np.ndarray | slice,
     mean_losses: np.ndarray,
     mean_grads: np.ndarray,
     inclusion: np.ndarray,
@@ -522,11 +516,10 @@ def _audit_epoch(
 
     ``state`` holds the epoch's subsets, ``state.subsets[epoch - 1]``, and
     the broadcast models, ``state.weights[0]``.  ``mean_losses`` and
-    ``mean_grads`` hold each client's report per sampled space, in the
-    kernel's entry order, which indexing by ``to_clients`` makes client-major
-    (entry ``j * J + a`` client j's slot a); ``grad_est[k]`` is the engine's
-    estimate for space ``stepped[k]``, and ``loss_est`` its (K,) loss
-    estimate.
+    ``mean_grads`` hold each client's report per sampled space in the
+    kernel's client-major entry order (entry ``j * J + a`` client j's slot
+    a), which is the frames' order; ``grad_est[k]`` is the engine's estimate
+    for space ``stepped[k]``, and ``loss_est`` its (K,) loss estimate.
 
     The epoch's floats are copied into the next slot of the audit's stage,
     its broadcast rows gathered from the models, which :func:`run_epoch`
@@ -556,8 +549,8 @@ def _audit_epoch(
     s = stage.count
     rows = stage.values[s]
     rows[0, :, J:] = state.weights[0, indices].reshape(clients, -1)
-    rows[1, :, :J] = mean_losses[to_clients].reshape(clients, J)
-    rows[1, :, J:] = mean_grads[to_clients].reshape(clients, -1)
+    rows[1, :, :J] = mean_losses.reshape(clients, J)
+    rows[1, :, J:] = mean_grads.reshape(clients, -1)
     stage.inclusion[s] = inclusion
     stage.loss_est[s] = loss_est
     stage.grad_est[s, stepped] = grad_est
@@ -745,15 +738,13 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     client-major entries' targets) comes from ``setup``, computed once.
 
     All per-(client, space) work runs on an epoch's n = M·J entries, a
-    (client, sampled space) pair each, in one of two orders.  When every
-    space reads one input coordinate, the entries stay in client-major
-    order, entry ``j * J + a`` client j's slot a, and one gather per block
-    picks every entry's feature; each client's lead is every J-th entry.
-    Otherwise the entries are sorted by space
-    (:func:`fedoms.sampling.group_subsets`), so that each touched space's
-    feature map runs once per block on a contiguous segment, or, when every
-    space reads the raw input, one gather picks every entry's input.  The
-    floats of an entry do not depend on the order.
+    (client, sampled space) pair each, in client-major order: entry
+    ``j * J + a`` is client j's slot a, so each client's lead is every J-th
+    entry.  When every space reads one input coordinate, or every space the
+    raw input, one gather per block picks every entry's feature or input.
+    Otherwise each touched space's feature map runs once per block on that
+    space's entries, which list the clients that sampled it in ascending
+    order; the map writes its rows back into the entries' places.
 
     Subsets and models are frozen for the epoch, so its rounds are
     independent until they are summed, and they are evaluated in blocks of
@@ -768,15 +759,14 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
 
     The floats do not depend on S except through the aggregation, which
     keeps one rule: every sum over a server's clients is a running sum from
-    +0.0 in ascending client order, as both entry orders list each space's
-    entries.  One ``bincount`` over (server, space) cells sums every
-    server's importance-weighted losses.  With S=M each cell has exactly one
-    report, so no gradient is summed.  With S=1 one ``bincount`` over the
-    entries' spaces sums one-column gradients, and ``sum(axis=0)`` sums
-    wider gradient rows, one row at a time, over each space's contiguous
-    segment of the sorted entries.  The sampled subsets fix every order, so
-    the floats are reproducible, and the audit's merge must equal them bit
-    for bit.
+    +0.0 in ascending client order, the order in which client-major entries
+    list each space's entries.  One ``bincount`` over (server, space) cells
+    sums every server's importance-weighted losses.  With S=M each cell has
+    exactly one report, so no gradient is summed.  With S=1 one ``bincount``
+    over the entries' spaces sums one-column gradients, and ``sum(axis=0)``
+    sums wider gradient rows, one row at a time, over each space's entries.
+    The sampled subsets fix every order, so the floats are reproducible, and
+    the audit's merge must equal them bit for bit.
     """
 
     if epoch != state.epochs_done + 1:
@@ -801,30 +791,24 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
 
     columns = setup.feature_columns
     identity = setup.identity_features
-    if columns is not None:  # client-major entries
-        rows = setup.entry_rows
-        flat_spaces = indices.reshape(-1)
-        to_clients = slice(None)  # the entries already are in client order
-        lead = slice(None, None, J)
-        flat_columns = columns[flat_spaces]
-    else:  # space-sorted entries
-        groups = group_subsets(indices)
-        touched = groups.touched
-        ends = groups.bounds.tolist()  # Python ints slice without a conversion
-        rows = groups.rows
-        flat_spaces = groups.spaces
-        # the sorted position of each client-major entry
-        to_clients = np.empty(rows.size, dtype=np.int64)
-        to_clients[rows * J + groups.slots] = np.arange(rows.size)
-        lead = to_clients[::J]
+    mapped = columns is None and not identity  # a feature-map call per space
+    rows = setup.entry_rows
+    flat_spaces = indices.reshape(-1)
     n = rows.size
     servers = rows if S == M else 0
     w_flat = state.weights[servers, flat_spaces]
     entry_limits = (setup.limits[0][flat_spaces], setup.limits[1][flat_spaces])
+    if mapped or S != M:
+        touched = np.bincount(flat_spaces, minlength=K).nonzero()[0]
+    if mapped or (S != M and setup.max_dim > 1):
+        # each touched space's entries, in ascending client order
+        members = [np.flatnonzero(flat_spaces == i) for i in touched.tolist()]
 
     C = min(N, max(1, _BLOCK_FLOATS // (n * max(setup.max_dim, setup.xs.shape[2]))))
-    if columns is None and not identity:
-        widths = setup.dims[touched]
+    if columns is not None:
+        flat_columns = columns[flat_spaces]
+    elif mapped:
+        widths = setup.dims[touched].tolist()
         phi = np.zeros((C * n, setup.max_dim))  # zero past each space's width
     loss_sum = grad_sum = None
     for a in range(t0, t0 + N, C):
@@ -839,17 +823,14 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
         elif identity:
             phi_b = setup.xs[rows, t]
         else:
-            # one call per space and block; a block's input is stacked by
-            # round, so each round's matmul is the one a one-round block makes
-            xt = setup.xs[rows, t]
-            if b - a == 1:
-                xt = xt[0]
-            phi_b = phi[:(b - a) * n]
-            panel = phi_b.reshape(*xt.shape[:-1], -1)
-            for k in range(touched.size):
-                seg = slice(ends[k], ends[k + 1])
-                panel[..., seg, :widths[k]] = spaces[touched[k]].feature_map(xt[..., seg, :])
-            phi_b = phi_b.reshape(b - a, n, -1)
+            # one call per space and block, on the inputs of the clients that
+            # sampled it; a block's input is stacked by round, so each round's
+            # matmul is the one a one-round block makes
+            when = a if b - a == 1 else t  # a round, or a column of rounds
+            phi_b = phi[:(b - a) * n].reshape(b - a, n, -1)
+            panel = phi_b[0] if b - a == 1 else phi_b
+            for i, entries, width in zip(touched.tolist(), members, widths):
+                panel[..., entries, :width] = spaces[i].feature_map(setup.xs[rows[entries], when])
         values = np.add.reduce(phi_b * w_flat, axis=2)
         closs = loss_value(setup.loss, values, yt)
         dvals = loss_derivative(setup.loss, values, yt)
@@ -857,8 +838,8 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
         _check_bounds(closs, gsq, flat_spaces, entry_limits, setup, a + 1)
         loss_sum = _add_rounds(loss_sum, closs)
         grad_sum = _add_rounds(grad_sum, dvals[..., None] * phi_b)
-        state.predictions[a:b] = values[:, lead]
-        state.losses[a:b] = closs[:, lead]
+        state.predictions[a:b] = values[:, ::J]  # each client's lead is its first slot
+        state.losses[a:b] = closs[:, ::J]
 
     # Server aggregation: mean over the epoch, importance weight, mean over
     # the server's clients.  Spaces outside every subset estimate to zero.
@@ -867,7 +848,7 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     mean_grads = grad_sum / N if N > 1 else grad_sum
     inc = inclusion[servers, flat_spaces]
     # bincount adds each (server, space) cell's reports in entry order, which
-    # is ascending client order within a cell on either entry order
+    # is ascending client order within a cell
     loss_est = np.bincount(servers * K + flat_spaces, weights=mean_losses / inc,
                            minlength=S * K).reshape(S, K)
     if S == M:
@@ -875,27 +856,25 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
         stepped = flat_spaces
         w_old = w_flat
     else:
-        if columns is not None:
-            touched = np.bincount(flat_spaces, minlength=K).nonzero()[0]
         if setup.max_dim == 1:
             grad_est = np.bincount(flat_spaces, weights=mean_grads[:, 0] / inc,
                                    minlength=K)[touched, None]
         else:
             # sum(axis=0) adds rows more than one column wide one at a time;
-            # one scalar division per segment: dividing the whole (n, d_max)
+            # one scalar division per space: dividing the whole (n, d_max)
             # block by an (n, 1) column runs one inner loop per row, which
             # costs more than the division itself when the rows are wide
             grad_est = np.empty((touched.size, mean_grads.shape[1]))
             for k, share in enumerate(inclusion[0, touched].tolist()):
-                grad_est[k] = np.add.reduce(mean_grads[ends[k]:ends[k + 1]] / share, axis=0)
+                grad_est[k] = np.add.reduce(mean_grads[members[k]] / share, axis=0)
         grad_est /= M
         loss_est /= M
         stepped = touched
         w_old = state.weights[0, touched]
 
     if setup.audit is not None:
-        _audit_epoch(setup.audit, setup, state, epoch, to_clients, mean_losses, mean_grads,
-                     inclusion[0], loss_est[0], stepped, grad_est)
+        _audit_epoch(setup.audit, setup, state, epoch, mean_losses, mean_grads, inclusion[0],
+                     loss_est[0], stepped, grad_est)
 
     rates = setup.param_rates[epoch - 1]
     state.weights[servers, stepped] = project_rows_per_row(

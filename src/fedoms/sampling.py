@@ -14,12 +14,9 @@ losses and gradients.  All sampling consumes exactly J uniform draws per
 outcome, so draws are laid out in a (round, slot) table ahead of time.  Only
 the lead depends on p, so a run turns the other J-1 draws into positions once
 (:func:`complement_positions`) and each epoch picks just the leads
-(:func:`subsets_from_uniforms`); :func:`group_subsets` sorts a table of
-sampled subsets by space for the kernel.
+(:func:`subsets_from_uniforms`).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,47 +109,3 @@ def subsets_from_uniforms(probs: np.ndarray, lead_uniforms: np.ndarray,
         out[:, a] = rest[rows, pos]
         rest[rows, pos] = rest[:, num_spaces - a - 1]
     return out
-
-
-@dataclass(frozen=True)
-class SubsetGroups:
-    """A (clients, J) subset table sorted into contiguous per-space segments.
-
-    ``touched`` lists the sampled space ids in ascending order; the entries
-    of segment ``k`` (flat positions ``bounds[k]:bounds[k + 1]``) all sampled
-    space ``touched[k]``, which ``spaces`` repeats per entry.  ``rows[f]`` /
-    ``slots[f]`` give the client and the within-subset position of flat
-    entry ``f``; within a segment the rows are strictly ascending, since no
-    client samples a space twice.
-    """
-
-    touched: np.ndarray  # (S,) ascending space ids
-    bounds: np.ndarray   # (S + 1,) segment offsets into the flat order
-    spaces: np.ndarray   # (clients * J,) space id per flat entry
-    rows: np.ndarray     # (clients * J,) client per flat entry
-    slots: np.ndarray    # (clients * J,) subset position per flat entry
-
-
-def group_subsets(indices: np.ndarray) -> SubsetGroups:
-    """Group a (clients, J) table of sampled subsets by space.
-
-    One stable sort of the flattened table (so rows stay ascending within a
-    space) replaces a per-space membership scan; all downstream per-space
-    work can then run on contiguous slices.  Segment offsets come from the
-    per-space counts.  With at most 256 spaces the keys are sorted as
-    uint8, for which numpy's stable sort is a radix sort rather than a
-    timsort; a stable sort gives the same permutation either way.
-    """
-    if indices.ndim != 2:
-        raise ValueError(f"indices must be 2-d, got shape {indices.shape}")
-    flat = indices.ravel()
-    counts = np.bincount(flat)
-    keys = flat.astype(np.uint8) if counts.size <= 256 else flat
-    order = keys.argsort(kind="stable")
-    spaces = flat[order]
-    touched = counts.nonzero()[0]
-    bounds = np.zeros(touched.size + 1, dtype=np.int64)
-    np.cumsum(counts[touched], out=bounds[1:])
-    rows, slots = np.divmod(order, indices.shape[1])
-    return SubsetGroups(touched=touched, bounds=bounds, spaces=spaces,
-                        rows=rows, slots=slots)

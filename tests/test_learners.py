@@ -757,10 +757,11 @@ def _fusable_runs(draw):
 @example(((make_space(CoordinateMap(2, 0), 1.0, Loss.SQUARE),) * 2, Loss.SQUARE,
           2, 1, 8, 1, 2, 0), False)
 def test_fused_features_and_per_space_maps_give_the_same_bytes(run, audit):
-    # client-major entries with one gather and one bincount, against space-
-    # sorted entries with one feature-map call and one sum per space; up to
-    # 12 clients over a few 1-wide spaces gives sums of 8 or more terms,
-    # where a pairwise sum would part from the running sum
+    # one gather per block, against one feature-map call per touched space
+    # and block on that space's entries (both on client-major entries), and
+    # one bincount, against one sum per space for wide gradients; up to 12
+    # clients over a few 1-wide spaces gives sums of 8 or more terms, where a
+    # pairwise sum would part from the running sum
     spaces, loss, J, M, T, R, d, seed = run
     streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=seed)
     mapped = tuple(oracles.through_map_path(s) for s in spaces)

@@ -26,7 +26,7 @@ from fedoms.protocol import (
     decode_frames,
     encode_frames,
 )
-from fedoms.spaces import CoordinateMap, IdentityMap, Loss, make_space
+from fedoms.spaces import CoordinateMap, IdentityMap, Loss, gaussian_rff, make_space
 
 import oracles
 
@@ -689,10 +689,62 @@ def test_a_coordinate_epoch_makes_the_same_calls_whatever_spaces_it_touches(
     assert len(set(per_k[4] + per_k[32])) == 1, per_k
 
 
+@dataclasses.dataclass(frozen=True)
+class _RecordingMap(oracles.OpaqueMap):
+    """An :class:`oracles.OpaqueMap` that logs (its space, a copy of its input) per call."""
+
+    space: int = 0
+    log: list = dataclasses.field(default_factory=list, compare=False)
+
+    def __call__(self, x):
+        self.log.append((self.space, np.array(x)))
+        return self.inner(x)
+
+
+@pytest.mark.parametrize("one_round_blocks", [False, True], ids=["epoch-blocks", "round-blocks"])
+@pytest.mark.parametrize("cooperative", [True, False], ids=["fomd", "nco"])
+def test_each_block_maps_every_touched_space_once_over_its_clients_in_order(
+        monkeypatch, cooperative, one_round_blocks):
+    # a mixed family (coordinate, identity and two RFF spaces) runs every
+    # space's map itself.  Per block, the maps must be called once per touched
+    # space, in ascending space order, on the inputs of exactly the clients
+    # whose subset holds that space, in ascending client order: the order in
+    # which each space's sums over clients add their terms
+    if one_round_blocks:
+        monkeypatch.setattr(protocol, "_BLOCK_FLOATS", 1)
+    M, T, d = 7, 12, 3
+    rng = np.random.default_rng(4)
+    log = []
+    maps = (CoordinateMap(d, 0), IdentityMap(d), gaussian_rff(d, 4, 1.0, rng),
+            gaussian_rff(d, 5, 2.0, rng))
+    spaces = tuple(make_space(_RecordingMap(fm, space=i, log=log), 0.5, Loss.SQUARE)
+                   for i, fm in enumerate(maps))
+    streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=2)
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=M, subset_size=2,
+                        horizon=T, epochs=3, master_seed=6)
+    epochs = cfg.effective_epochs if cooperative else T
+    state, _, _, _ = learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
+
+    N = T // epochs
+    block = 1 if one_round_blocks else N  # the default budget fits a whole epoch
+    want = []
+    for e, subsets in enumerate(state.subsets):
+        for a in range(e * N, (e + 1) * N, block):
+            for i in np.unique(subsets).tolist():
+                clients = np.flatnonzero((subsets == i).any(axis=1))
+                x = streams.xs[clients, a:a + block].swapaxes(0, 1)  # (rounds, clients, d)
+                want.append((i, x[0] if block == 1 else x))
+    assert len(log) == len(want)
+    for (space, x), (want_space, want_x) in zip(log, want):
+        assert space == want_space
+        assert x.shape == want_x.shape and np.array_equal(x, want_x)
+
+
 def _linear_run_error(xs, ys, path, epochs=None, loss_bounds=(None,) * 3, seed=5):
     """The RunInvariantError text of a cooperative run of three 1-wide identity
     spaces (linear loss, J = K = 3) over ``xs``/``ys``, with the features
-    gathered by the kernel (``path`` "fused") or by each space's map ("map")."""
+    gathered by the kernel (``path`` "fused") or computed by one map call per
+    touched space and block, on that space's client-major entries ("map")."""
     spaces = []
     for radius, bound in zip((0.5, 0.75, 1.0), loss_bounds):
         space = make_space(IdentityMap(1), radius, Loss.LINEAR)

@@ -247,63 +247,3 @@ def test_subset_size_matches_request(k, data):
     incl = sampling.inclusion_probabilities(p, j)
     assert incl.shape == (k,)
     assert np.all(incl > 0) and np.all(incl <= 1.0 + 1e-12)
-
-
-# --------------------------------------------------------------------------
-# grouping subset tables by space
-# --------------------------------------------------------------------------
-
-def test_group_subsets_hand_example():
-    idx = np.array([[3, 1], [0, 3], [3, 2], [1, 0]])
-    groups = sampling.group_subsets(idx)
-    np.testing.assert_array_equal(groups.touched, [0, 1, 2, 3])
-    np.testing.assert_array_equal(groups.bounds, [0, 2, 4, 5, 8])
-    np.testing.assert_array_equal(groups.rows, [1, 3, 0, 3, 2, 0, 1, 2])
-    np.testing.assert_array_equal(groups.slots, [0, 1, 1, 0, 1, 0, 1, 0])
-    assert groups.touched.size == 4
-    assert groups.rows.size == groups.slots.size == idx.size
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.data())
-def test_group_subsets_matches_membership_scan(data):
-    # J=2, the subset size of every benchmark workload, is drawn half the time
-    k = data.draw(st.integers(2, 12), label="K")
-    j = data.draw(st.one_of(st.just(2), st.integers(2, k)), label="J")
-    m = data.draw(st.integers(1, 40), label="M")
-    perms = data.draw(st.lists(st.permutations(range(k)), min_size=m, max_size=m))
-    idx = np.array([perm[:j] for perm in perms], dtype=np.int64)
-    groups = sampling.group_subsets(idx)
-
-    present = np.unique(idx)
-    np.testing.assert_array_equal(groups.touched, present)
-    assert groups.bounds[0] == 0 and groups.bounds[-1] == idx.size
-    assert np.all(np.diff(groups.bounds) >= 1)
-    # every flat entry names the (row, slot) cell whose space it carries
-    np.testing.assert_array_equal(idx[groups.rows, groups.slots], groups.spaces)
-    for seg, space in enumerate(groups.touched):
-        lo, hi = groups.bounds[seg], groups.bounds[seg + 1]
-        np.testing.assert_array_equal(groups.spaces[lo:hi], space)
-        # the segment covers exactly the rows whose subset holds the space,
-        # in ascending order, which keeps downstream reductions byte-for-byte
-        # reproducible
-        want_rows = np.nonzero((idx == space).any(axis=1))[0]
-        np.testing.assert_array_equal(groups.rows[lo:hi], want_rows)
-
-
-@pytest.mark.parametrize("num_spaces", [255, 256, 257, 1000])
-def test_group_subsets_orders_entries_as_a_stable_sort_of_the_flat_table(num_spaces):
-    # up to 256 spaces the keys are sorted as uint8 (a radix sort), past
-    # that as int64; either way the permutation is the stable one
-    rng = np.random.default_rng(num_spaces)
-    idx = np.stack([rng.choice(num_spaces, 3, replace=False) for _ in range(300)])
-    idx[0] = [num_spaces - 1, 1, 0]  # the highest id is sampled
-    groups = sampling.group_subsets(idx)
-    np.testing.assert_array_equal(groups.rows * 3 + groups.slots,
-                                  idx.ravel().argsort(kind="stable"))
-    np.testing.assert_array_equal(groups.spaces, np.sort(idx.ravel()))
-
-
-def test_group_subsets_rejects_flat_input():
-    with pytest.raises(ValueError):
-        sampling.group_subsets(np.array([0, 1, 2]))

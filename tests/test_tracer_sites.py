@@ -34,9 +34,11 @@ for _module, _attr, _name, _ in _TRACER.MODULE_SITES:
 
 # sites the tracer still wraps whose function is gone, so their spans read 0
 # (the FOUND lines on the tracer in CHANGES.md): mirror.step_rows went with
-# the single-vector mirror twins, and the one-message encoders, decode_frame
+# the single-vector mirror twins, the one-message encoders, decode_frame
 # and aggregate_reports with the one-message wire layer, whose work the audit
-# does in encode_frames, decode_frames and _scatter_reports.  Each such site
+# does in encode_frames, decode_frames and _scatter_reports, and
+# group_subsets with the space-sorted entry order (every epoch's entries are
+# client-major, and each feature map runs on its space's entries).  Each such site
 # must stay dead, so that one coming back is noticed, and must still be in
 # the tracer's table, so that a tracer brought up to date clears this set.
 _DEAD_SITES = {
@@ -45,6 +47,7 @@ _DEAD_SITES = {
     ("encode_uplink", "protocol.encode"),
     ("decode_frame", "protocol.decode"),
     ("aggregate_reports", "protocol.aggregate_reports"),
+    ("group_subsets", "sampling.group_subsets"),
 }
 
 
