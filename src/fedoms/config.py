@@ -32,6 +32,7 @@ from .data import (
 from .learners import (
     LearnerConfig,
     check_epochs,
+    check_nco_epochs,
     check_update_steps,
     run_fomd_oms,
     run_nco_oms,
@@ -135,8 +136,10 @@ def _as_number(value, field: str) -> float:
     return number
 
 
-def _check_schedule(horizon: int, epochs: int) -> None:
+def _check_schedule(algorithm: str, horizon: int, epochs: int) -> None:
     try:
+        if algorithm == "nco":
+            check_nco_epochs(horizon, epochs)
         check_epochs(horizon, epochs)
     except ValueError as exc:
         raise ConfigError(str(exc), field="epochs") from exc
@@ -259,11 +262,8 @@ def parse_config(blob: dict) -> ExperimentConfig:
     if epochs is not None:
         epochs = _as_int(epochs, "epochs")
         _require(epochs >= 1, "epochs must be >= 1", "epochs")
-        _require(algorithm != "nco" or (horizon is not None and epochs == horizon),
-                 "nco has no communication epochs; omit 'epochs' or set it "
-                 "equal to the horizon", "epochs")
-        if horizon is not None:
-            _check_schedule(horizon, epochs)
+        if horizon is not None:  # a CSV source's horizon: check_horizon
+            _check_schedule(algorithm, horizon, epochs)
     if horizon is not None or epochs is not None:
         _check_steps(num_spaces, horizon, epochs)
 
@@ -399,7 +399,7 @@ def check_horizon(config: ExperimentConfig, horizon: int) -> None:
             f"horizon {config.horizon} does not match the {horizon} "
             "rounds per client derived from the data", field="horizon")
     if config.epochs is not None:
-        _check_schedule(horizon, config.epochs)
+        _check_schedule(config.algorithm, horizon, config.epochs)
     _check_steps(len(config.spaces), horizon, config.epochs)
 
 

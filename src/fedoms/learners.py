@@ -42,6 +42,7 @@ from .spaces import HypothesisSpace, Loss, loss_derivative, loss_value
 __all__ = [
     "LearnerConfig",
     "check_epochs",
+    "check_nco_epochs",
     "check_update_steps",
     "eta_schedule",
     "lambda_schedule",
@@ -86,6 +87,17 @@ def check_epochs(horizon: int, epochs: int) -> None:
             f"epochs must divide the horizon exactly ({horizon} rounds "
             f"over {epochs} epochs leaves a remainder)"
         )
+
+
+def check_nco_epochs(horizon: int, epochs: int | None) -> None:
+    """Reject a noncooperative epoch count other than unset or the horizon.
+
+    The baseline communicates with nobody, so it has no epochs to batch; an
+    epoch count equal to the horizon spells its one round per epoch.
+    """
+    if epochs not in (None, horizon):
+        raise ValueError("the noncooperative learner has no communication epochs; "
+                         "omit epochs or set it equal to the horizon")
 
 
 def _exploration_ratio(num_spaces: int, subset_size: int) -> float:
@@ -338,8 +350,8 @@ def _run_servers(
         subsets=np.zeros((epochs, M, J), dtype=np.int64),
     )
     start = time.perf_counter()
-    for epoch in range(1, epochs + 1):
-        run_epoch(state, setup, epoch)
+    for _ in range(epochs):
+        run_epoch(state, setup)
     return state, setup, time.perf_counter() - start, audit
 
 
@@ -370,15 +382,13 @@ def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
     with single-client schedules over the round horizon.  Nothing is sent,
     so both bit counters stay zero.  Clients are advanced in lock-step so
     the whole population is vectorized, but no value ever crosses clients.
-    ``epochs`` must be unset: with no communication there is nothing to
-    batch.  ``audit`` is ignored for the same reason.
+    ``epochs`` must be unset or the horizon (:func:`check_nco_epochs`):
+    with no communication there is nothing to batch.  ``audit`` is ignored
+    for the same reason.
     """
 
     _validate_pair(config, streams)
-    if config.epochs not in (None, config.horizon):
-        raise ValueError(
-            "the noncooperative learner has no communication epochs; leave epochs unset"
-        )
+    check_nco_epochs(config.horizon, config.epochs)
     run = _run_servers(config, streams, config.horizon, cooperative=False)
     return _assemble("nco_oms", config, streams, *run, cooperative=False)
 

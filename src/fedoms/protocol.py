@@ -22,7 +22,7 @@ This module owns everything that crosses the client/server boundary:
   (bits against the closed form, header epoch, client id and kind, indices,
   floats to single precision in both directions, and the merge against the
   engine's, bit for bit) runs once over each batch.
-* :func:`run_epoch` — the round kernel: one communication epoch of S
+* :func:`run_epoch` — the round kernel: the next communication epoch of S
   servers, vectorized across clients and, in blocks, across the epoch's
   rounds.  It reads a :class:`RunSetup` (the spaces, the client streams,
   the sampling uniforms, the step sizes and the work every epoch shares) and
@@ -62,7 +62,6 @@ from .sampling import complement_positions, inclusion_probabilities, subsets_fro
 from .spaces import (
     CoordinateMap,
     HypothesisSpace,
-    IdentityMap,
     Loss,
     loss_derivative,
     loss_value,
@@ -85,7 +84,7 @@ __all__ = [
 
 
 class ProtocolError(ValueError):
-    """Raised for malformed frames, or epochs run out of order."""
+    """Raised for malformed frames, or a server count the kernel cannot run."""
 
 
 class RunInvariantError(RuntimeError):
@@ -336,6 +335,8 @@ class ServerState:
     wrote, its lead space first: the run's one record of what was sampled.
     The learner derives the trace's lead and bit columns from it after the
     run, and the audit reads each staged epoch's subsets from it.
+    ``epochs_done`` counts the epochs run so far, so the next call of
+    :func:`run_epoch` runs epoch ``epochs_done + 1``.
     """
 
     log_p: np.ndarray
@@ -427,11 +428,6 @@ class RunSetup:
         """(horizon, M·J) targets of the client-major entries, one row per round."""
         return np.ascontiguousarray(self.ys.T[:, self.entry_rows])
 
-    @cached_property
-    def identity_features(self) -> bool:
-        """True when every space feeds the raw input through unchanged."""
-        return all(isinstance(s.feature_map, IdentityMap) for s in self.spaces)
-
     def message_bits(self, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(downlink, uplink) bits of each (..., J) subset: 32 a float, ceil(log2 K) an index."""
         J = self.subset_size
@@ -505,6 +501,7 @@ def _audit_epoch(
     setup: RunSetup,
     state: ServerState,
     epoch: int,
+    broadcast: np.ndarray,
     mean_losses: np.ndarray,
     mean_grads: np.ndarray,
     inclusion: np.ndarray,
@@ -514,30 +511,29 @@ def _audit_epoch(
 ) -> None:
     """Stage one epoch of the single server for the wire replay; replay when due.
 
-    ``state`` holds the epoch's subsets, ``state.subsets[epoch - 1]``, and
-    the broadcast models, ``state.weights[0]``.  ``mean_losses`` and
-    ``mean_grads`` hold each client's report per sampled space in the
-    kernel's client-major entry order (entry ``j * J + a`` client j's slot
-    a), which is the frames' order; ``grad_est[k]`` is the engine's estimate
-    for space ``stepped[k]``, and ``loss_est`` its (K,) loss estimate.
+    ``state`` holds the epoch's subsets, ``state.subsets[epoch - 1]``.
+    ``broadcast`` holds the model rows the server sent, and ``mean_losses``
+    and ``mean_grads`` each client's report, one per sampled space, all in
+    the kernel's client-major entry order (entry ``j * J + a`` client j's
+    slot a), which is the frames' order; ``grad_est[k]`` is the engine's
+    estimate for space ``stepped[k]``, and ``loss_est`` its (K,) loss
+    estimate.  Each array is one the kernel's step does not write, so this
+    call may come before or after the step.
 
     The epoch's floats are copied into the next slot of the audit's stage,
-    its broadcast rows gathered from the models, which :func:`run_epoch`
-    steps in place once this call returns, and its gradient estimates
-    scattered into the slot's (K, d_max) table.  A batch holds at most the
-    frames whose float rows of J·(d_max + 1) floats fit ``_BLOCK_FLOATS``,
-    and the stage has a slot for each epoch whose 2·M frames fit one batch
-    together (fewer if the epochs' (K, d_max) gradient tables would not fit
-    the budget, or the run is shorter), and at least one, so it stays within
-    the budget unless one epoch alone passes it.  The staged epochs are
-    replayed together by :func:`_replay_epochs` once the stage is full, that
-    is once the next epoch's frames would take them past the batch size, and
-    after the run's last epoch, so every replay runs inside a call of this
-    function; an epoch whose own frames pass the batch size is replayed on
-    its own.
+    and its gradient estimates scattered into the slot's (K, d_max) table.  A
+    batch holds at most the frames whose float rows of J·(d_max + 1) floats
+    fit ``_BLOCK_FLOATS``, and the stage has a slot for each epoch whose 2·M
+    frames fit one batch together (fewer if the epochs' (K, d_max) gradient
+    tables would not fit the budget, or the run is shorter), and at least
+    one, so it stays within the budget unless one epoch alone passes it.
+    The staged epochs are replayed together by :func:`_replay_epochs` once
+    the stage is full, that is once the next epoch's frames would take them
+    past the batch size, and after the run's last epoch, so every replay
+    runs inside a call of this function; an epoch whose own frames pass the
+    batch size is replayed on its own.
     """
-    indices = state.subsets[epoch - 1]
-    clients, J = indices.shape
+    clients, J = state.subsets.shape[1:]
     K = setup.num_spaces
     epochs_in_run = setup.param_rates.shape[0]
     per_batch = max(1, _BLOCK_FLOATS // (J * (setup.max_dim + 1)))
@@ -548,7 +544,7 @@ def _audit_epoch(
         stage = audit._stage = _Stage.with_slots(slots, clients, J, K, setup.max_dim)
     s = stage.count
     rows = stage.values[s]
-    rows[0, :, J:] = state.weights[0, indices].reshape(clients, -1)
+    rows[0, :, J:] = broadcast.reshape(clients, -1)
     rows[1, :, :J] = mean_losses.reshape(clients, J)
     rows[1, :, J:] = mean_grads.reshape(clients, -1)
     stage.inclusion[s] = inclusion
@@ -724,27 +720,28 @@ def _add_rounds(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
     return summed.reshape(block.shape[1:])
 
 
-def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
-    """Advance every server by one communication epoch.
+def run_epoch(state: ServerState, setup: RunSetup) -> None:
+    """Advance every server by one communication epoch, the state's next.
 
-    Epoch ``epoch`` (1-based): each server samples a subset of spaces for
-    each of its clients and broadcasts those spaces' current models; each
-    client predicts with its lead space for every round of the epoch and
-    reports epoch-averaged raw losses and gradients; each server applies
-    importance weights, averages over its clients, and takes one mirror step
-    on its sampling distribution plus one projected-gradient step per space
-    its clients sampled.  Writes its predictions, losses and subsets into
-    ``state``; what does not depend on the state (complement positions, the
-    client-major entries' targets) comes from ``setup``, computed once.
+    Epoch ``state.epochs_done + 1`` (1-based): each server samples a subset
+    of spaces for each of its clients and broadcasts those spaces' current
+    models; each client predicts with its lead space for every round of the
+    epoch and reports epoch-averaged raw losses and gradients; each server
+    applies importance weights, averages over its clients, and takes one
+    mirror step on its sampling distribution plus one projected-gradient
+    step per space its clients sampled.  Writes its predictions, losses and
+    subsets into ``state``; what does not depend on the state (complement
+    positions, the client-major entries' targets, which every epoch reads)
+    comes from ``setup``, computed once.
 
     All per-(client, space) work runs on an epoch's n = M·J entries, a
     (client, sampled space) pair each, in client-major order: entry
     ``j * J + a`` is client j's slot a, so each client's lead is every J-th
-    entry.  When every space reads one input coordinate, or every space the
-    raw input, one gather per block picks every entry's feature or input.
-    Otherwise each touched space's feature map runs once per block on that
-    space's entries, which list the clients that sampled it in ascending
-    order; the map writes its rows back into the entries' places.
+    entry.  When every space reads one input coordinate, one gather per block
+    picks every entry's feature.  Otherwise each touched space's feature map
+    runs once per block on that space's entries, which list the clients that
+    sampled it in ascending order; the map writes its rows back into the
+    entries' places.
 
     Subsets and models are frozen for the epoch, so its rounds are
     independent until they are summed, and they are evaluated in blocks of
@@ -768,11 +765,7 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     The sampled subsets fix every order, so the floats are reproducible, and
     the audit's merge must equal them bit for bit.
     """
-
-    if epoch != state.epochs_done + 1:
-        raise ProtocolError(
-            f"epochs must run in order: got {epoch}, expected {state.epochs_done + 1}"
-        )
+    epoch = state.epochs_done + 1
     M = setup.ys.shape[0]
     S = state.log_p.shape[0]
     if S != 1 and S != M:
@@ -790,8 +783,7 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
     inclusion = inclusion_probabilities(probs, J)
 
     columns = setup.feature_columns
-    identity = setup.identity_features
-    mapped = columns is None and not identity  # a feature-map call per space
+    mapped = columns is None  # a feature-map call per space
     rows = setup.entry_rows
     flat_spaces = indices.reshape(-1)
     n = rows.size
@@ -805,24 +797,19 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
         members = [np.flatnonzero(flat_spaces == i) for i in touched.tolist()]
 
     C = min(N, max(1, _BLOCK_FLOATS // (n * max(setup.max_dim, setup.xs.shape[2]))))
-    if columns is not None:
-        flat_columns = columns[flat_spaces]
-    elif mapped:
+    if mapped:
         widths = setup.dims[touched].tolist()
         phi = np.zeros((C * n, setup.max_dim))  # zero past each space's width
+    else:
+        flat_columns = columns[flat_spaces]
     loss_sum = grad_sum = None
     for a in range(t0, t0 + N, C):
         b = min(a + C, t0 + N)
         # a (rounds, 1) column of round indices gathers C-ordered (rounds, n)
         # blocks, which _add_rounds sums down their rows in round order
         t = np.arange(a, b)[:, None]
-        yt = setup.entry_targets[a:b] if columns is not None else setup.ys[rows, t]
-        # the fused gathers pick the same floats the per-space maps would
-        if columns is not None:
-            phi_b = setup.xs[rows, t, flat_columns][..., None]
-        elif identity:
-            phi_b = setup.xs[rows, t]
-        else:
+        yt = setup.entry_targets[a:b]
+        if mapped:
             # one call per space and block, on the inputs of the clients that
             # sampled it; a block's input is stacked by round, so each round's
             # matmul is the one a one-round block makes
@@ -831,6 +818,8 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
             panel = phi_b[0] if b - a == 1 else phi_b
             for i, entries, width in zip(touched.tolist(), members, widths):
                 panel[..., entries, :width] = spaces[i].feature_map(setup.xs[rows[entries], when])
+        else:  # the fused gather picks the same floats the per-space maps would
+            phi_b = setup.xs[rows, t, flat_columns][..., None]
         values = np.add.reduce(phi_b * w_flat, axis=2)
         closs = loss_value(setup.loss, values, yt)
         dvals = loss_derivative(setup.loss, values, yt)
@@ -873,8 +862,8 @@ def run_epoch(state: ServerState, setup: RunSetup, epoch: int) -> None:
         w_old = state.weights[0, touched]
 
     if setup.audit is not None:
-        _audit_epoch(setup.audit, setup, state, epoch, mean_losses, mean_grads, inclusion[0],
-                     loss_est[0], stepped, grad_est)
+        _audit_epoch(setup.audit, setup, state, epoch, w_flat, mean_losses, mean_grads,
+                     inclusion[0], loss_est[0], stepped, grad_est)
 
     rates = setup.param_rates[epoch - 1]
     state.weights[servers, stepped] = project_rows_per_row(

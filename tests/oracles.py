@@ -333,7 +333,7 @@ def running_sum(terms, start=0.0):
 
 @dataclasses.dataclass(frozen=True)
 class OpaqueMap:
-    """Calls ``inner``; the kernel sees neither a coordinate nor an identity map."""
+    """Calls ``inner``; the kernel does not see a coordinate map, so it calls the map."""
 
     inner: object
 

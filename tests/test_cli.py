@@ -90,6 +90,28 @@ def test_validate_rejects_epochs_for_noncooperative_mode(tmp_path, capsys):
     assert main(["validate", str(ok)]) == 0
 
 
+def test_nco_epochs_may_equal_the_horizon_a_csv_sets(tmp_path, capsys):
+    # 200 rows over 10 clients set a horizon of 20, which nco's epochs may
+    # spell; any other epoch count is still refused on the epochs field
+    from fedoms.data import write_regression_csv
+
+    csv_path = write_regression_csv(tmp_path / "data.csv", rows=200, input_dim=3, seed=1)
+    for epochs, code in ((20, 0), (21, 2)):
+        cfg = _base_config(algorithm="nco", clients=10, horizon=None, epochs=epochs)
+        cfg["data"] = {"source": "csv", "path": str(csv_path), "target_column": "target"}
+        path = tmp_path / f"nco_{epochs}.json"
+        path.write_text(json.dumps(cfg))
+        for command in (["validate", str(path)],
+                        ["run", str(path), "--out", str(tmp_path / "out")]):
+            assert main(command) == code
+            blob = _last_json(capsys.readouterr().out)
+            if code == 0:
+                assert blob["status"] == "ok"
+            else:
+                assert blob["field"] == "epochs"
+                assert "no communication epochs" in blob["message"]
+
+
 def test_validate_rejects_unknown_keys_and_missing_keys(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_base_config(bogus=1)))

@@ -732,9 +732,8 @@ def test_round_blocks_and_audit_batches_leave_every_byte_of_a_run(run, audit, bu
 
 @st.composite
 def _fusable_runs(draw):
-    """K <= 5 coordinate spaces or K <= 5 identity spaces over a width of 2
-    or 3, M <= 12 clients, T <= 24 and an epoch count R dividing T."""
-    kind = draw(st.sampled_from(["coordinate", "identity"]))
+    """K <= 5 coordinate spaces over a width of 2 or 3, M <= 12 clients,
+    T <= 24 and an epoch count R dividing T."""
     K = draw(st.integers(1, 5))
     J = 1 if K == 1 else draw(st.integers(2, K))
     T = draw(st.integers(2 if K == 1 else 1, 24))
@@ -743,8 +742,7 @@ def _fusable_runs(draw):
     loss = draw(st.sampled_from(list(Loss)))
     spaces = []
     for _ in range(K):
-        fm = (CoordinateMap(d, draw(st.integers(0, d - 1))) if kind == "coordinate"
-              else IdentityMap(d))
+        fm = CoordinateMap(d, draw(st.integers(0, d - 1)))
         top = min(2.0, 1.0 / feature_norm_bound(fm)) if loss is Loss.LINEAR else 2.0
         spaces.append(make_space(fm, draw(st.floats(0.1, top, exclude_min=True)), loss))
     return tuple(spaces), loss, J, draw(st.integers(1, 12)), T, R, d, draw(st.integers(0, 2**16))
@@ -758,10 +756,9 @@ def _fusable_runs(draw):
           2, 1, 8, 1, 2, 0), False)
 def test_fused_features_and_per_space_maps_give_the_same_bytes(run, audit):
     # one gather per block, against one feature-map call per touched space
-    # and block on that space's entries (both on client-major entries), and
-    # one bincount, against one sum per space for wide gradients; up to 12
-    # clients over a few 1-wide spaces gives sums of 8 or more terms, where a
-    # pairwise sum would part from the running sum
+    # and block on that space's entries (both on client-major entries); up
+    # to 12 clients over a few 1-wide spaces gives sums of 8 or more terms,
+    # where a pairwise sum would part from the running sum
     spaces, loss, J, M, T, R, d, seed = run
     streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=seed)
     mapped = tuple(oracles.through_map_path(s) for s in spaces)

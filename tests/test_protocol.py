@@ -609,7 +609,7 @@ def _calls_per_epoch(monkeypatch, cfg, streams, cooperative, kernel_frames_only=
     hook's removal."""
     counts = []
 
-    def counted(state, setup, epoch):
+    def counted(state, setup):
         calls = 0
 
         def profile(frame, event, arg):
@@ -621,7 +621,7 @@ def _calls_per_epoch(monkeypatch, cfg, streams, cooperative, kernel_frames_only=
 
         sys.setprofile(profile)
         try:
-            protocol.run_epoch(state, setup, epoch)
+            protocol.run_epoch(state, setup)
         finally:
             sys.setprofile(None)
         counts.append(calls)
@@ -741,13 +741,14 @@ def test_each_block_maps_every_touched_space_once_over_its_clients_in_order(
 
 
 def _linear_run_error(xs, ys, path, epochs=None, loss_bounds=(None,) * 3, seed=5):
-    """The RunInvariantError text of a cooperative run of three 1-wide identity
-    spaces (linear loss, J = K = 3) over ``xs``/``ys``, with the features
-    gathered by the kernel (``path`` "fused") or computed by one map call per
-    touched space and block, on that space's client-major entries ("map")."""
+    """The RunInvariantError text of a cooperative run of three spaces that
+    each read the one input coordinate (linear loss, J = K = 3) over
+    ``xs``/``ys``, with the features gathered by the kernel (``path``
+    "fused") or computed by one map call per touched space and block, on
+    that space's client-major entries ("map")."""
     spaces = []
     for radius, bound in zip((0.5, 0.75, 1.0), loss_bounds):
-        space = make_space(IdentityMap(1), radius, Loss.LINEAR)
+        space = make_space(CoordinateMap(1, 0), radius, Loss.LINEAR)
         if bound is not None:
             space = dataclasses.replace(space, loss_bound=bound)
         spaces.append(oracles.through_map_path(space) if path == "map" else space)
