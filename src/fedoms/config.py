@@ -24,6 +24,7 @@ from .data import (
     DataError,
     RawDataset,
     Streams,
+    check_linear_input_dim,
     generate_adversarial,
     ingest_csv,
     preprocess_and_partition,
@@ -286,11 +287,21 @@ def parse_config(blob: dict) -> ExperimentConfig:
             except ProtocolError as exc:
                 raise ConfigError(str(exc), field=field) from exc
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         algorithm=algorithm, clients=clients, subset_size=subset_size,
         loss=loss, seed=seed, spaces=spaces, data=data, horizon=horizon,
         epochs=epochs, uniform_init=uniform_init, audit=audit,
     )
+    if data.source != "csv":
+        # a generator's own rules, which build_streams meets again when it draws
+        try:
+            if data.source == "synthetic_linear":
+                check_linear_input_dim(data.input_dim)
+            else:
+                _adversarial_spec(config)
+        except DataError as exc:
+            raise ConfigError(str(exc), field="data") from exc
+    return config
 
 
 def load_config(path, audit: bool = False) -> ExperimentConfig:
@@ -347,17 +358,19 @@ def build_streams(config: ExperimentConfig,
                                     horizon=config.horizon,
                                     seed=config.seed,
                                     noise=data.noise)
-        spec = AdversarialSpec(kind=data.source,
-                               num_spaces=len(config.spaces),
-                               input_dim=data.input_dim,
-                               horizon=config.horizon,
-                               clients=config.clients,
-                               seed=config.seed,
-                               subset_size=config.subset_size,
-                               bias=data.bias)
-        return generate_adversarial(spec)
+        return generate_adversarial(_adversarial_spec(config))
     except DataError as exc:
         raise ConfigError(str(exc), field="data") from exc
+
+
+def _adversarial_spec(config: ExperimentConfig) -> AdversarialSpec:
+    """The generator spec of an adversarial source; it raises DataError
+    when the source cannot serve the config's spaces or horizon."""
+    data = config.data
+    return AdversarialSpec(kind=data.source, num_spaces=len(config.spaces),
+                           input_dim=data.input_dim, horizon=config.horizon,
+                           clients=config.clients, seed=config.seed,
+                           subset_size=config.subset_size, bias=data.bias)
 
 
 def build_spaces(config: ExperimentConfig, input_dim: int) -> tuple:

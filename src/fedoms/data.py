@@ -33,6 +33,7 @@ __all__ = [
     "preprocess_and_partition",
     "generate_adversarial",
     "default_bias",
+    "check_linear_input_dim",
     "synthetic_linear",
     "write_regression_csv",
 ]
@@ -405,6 +406,13 @@ _INTERCEPT = 0.5
 _SLOPE_NORM = 0.3
 
 
+def check_linear_input_dim(input_dim: int) -> None:
+    """Raise :class:`DataError` unless :func:`synthetic_linear` can draw
+    ``input_dim``-wide inputs: an intercept and at least one slope."""
+    if input_dim < 2:
+        raise DataError(f"input_dim must be >= 2 (intercept + slopes), got {input_dim}")
+
+
 def synthetic_linear(
     input_dim: int,
     clients: int,
@@ -421,9 +429,7 @@ def synthetic_linear(
     vector has total norm sqrt(_INTERCEPT^2 + _SLOPE_NORM^2), so nested-radius
     space grids straddle it: small radii underfit, large radii admit it.
     """
-
-    if input_dim < 2:
-        raise DataError(f"input_dim must be >= 2 (intercept + slopes), got {input_dim}")
+    check_linear_input_dim(input_dim)
     planted = stream(seed, ROLE_DATA, 0)
     direction = planted.standard_normal(input_dim - 1)
     direction /= np.linalg.norm(direction)

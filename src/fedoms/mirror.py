@@ -106,19 +106,18 @@ def solve_entropy_multiplier(
     at lam = 0, so that bracket always contains the root.  Writing
     A = S(0) <= 1, the root also satisfies log(A)/r_min <= lam <= log(A)/r_max
     (bound each factor exp(-r_i lam) by the extreme rates).  With equal rates
-    r the two bounds coincide: S(lam) = A exp(-r lam), so lam = log(A)/r
-    exactly, and the lower end of the intersected bracket,
-    min(max(-max_i loss_i, log(A)/r), min(0, log(A)/r)), is returned without
-    a Newton iteration (0 on all-zero loss rows).  Otherwise the root solve
-    runs Newton on log S rather than S: log S is a log-sum-exp of affine
-    functions of lam, hence also convex and decreasing, so iterates started
-    from the left end of the intersected bracket (where log S >= 0) increase
-    monotonically to the root without overshooting; unlike Newton on S
-    itself, the step log S / (-(log S)') crosses regions dominated by a
-    single stiff exponential in one move instead of creeping by 1/r_max per
-    iteration.  The bracket is kept as a safeguard: candidates are clamped
-    into it, and a stagnating step falls back to the midpoint, so worst-case
-    behaviour is that of plain bisection.
+    r the two bounds coincide: S(lam) = A exp(-r lam), so the intersected
+    bracket closes on lam = log(A)/r, its lower end, where the first
+    evaluation finds log S within tolerance (0 on all-zero loss rows).  The
+    root solve runs Newton on log S rather than S: log S is a log-sum-exp
+    of affine functions of lam, hence also convex and decreasing, so
+    iterates started from the left end of the intersected bracket (where
+    log S >= 0) increase monotonically to the root without overshooting;
+    unlike Newton on S itself, the step log S / (-(log S)') crosses regions
+    dominated by a single stiff exponential in one move instead of creeping
+    by 1/r_max per iteration.  The bracket is kept as a safeguard:
+    candidates are clamped into it, and a stagnating step falls back to the
+    midpoint, so worst-case behaviour is that of plain bisection.
     """
     rates = geometry.rates
     r_min, r_max = geometry.rate_range
@@ -129,10 +128,6 @@ def solve_entropy_multiplier(
     # all-zero loss rows have lam = 0; rounding can also invert the bracket
     # by ~1 ulp, which taking its smaller end repairs
     zero_rows = max_c <= 0.0
-    if r_min == r_max:
-        root = log_a / r_min
-        lam = np.minimum(np.maximum(-max_c, root), np.minimum(0.0, root))
-        return np.where(zero_rows, 0.0, lam)
     lo = np.maximum(-max_c, log_a / r_min)
     hi = np.minimum(0.0, log_a / r_max)
     lo = np.where(zero_rows, 0.0, np.minimum(lo, hi))

@@ -13,12 +13,11 @@ This module owns everything that crosses the client/server boundary:
 * the wire audit: with ``setup.audit`` set, each epoch stages its frames'
   floats and the engine's estimates as it runs, and the replay reads the
   subsets and bits from the run's own records, ``ServerState.subsets`` and
-  ``RunSetup.message_bits``.  The staged epochs' frames, epoch by epoch its
-  M downlinks followed by its M uplinks, are encoded and decoded together
-  in one batch once one more epoch would outgrow the memory budget below,
-  and after the run's last epoch.  So a run of small epochs pays the
-  codec's fixed cost a few times, not once per epoch; an epoch too large
-  for one batch is coded alone, in a few consecutive batches.  Every check
+  ``RunSetup.message_bits``.  The staged epochs are replayed together once
+  one more epoch would outgrow the memory budget below, and after the run's
+  last epoch: their downlinks, then their uplinks, each direction in the
+  fewest equal batches that fit the budget.  So a run of small epochs pays
+  the codec's fixed cost a few times, not once per epoch.  Every check
   (bits against the closed form, header epoch, client id and kind, indices,
   floats to single precision in both directions, and the merge against the
   engine's, bit for bit) runs once over each batch.
@@ -37,11 +36,11 @@ block, so spaces of mixed widths share every code path.  An epoch's
 of the frames, so the audit reads the kernel's reports as they are.  When
 every space reads one input coordinate an epoch makes the same numpy calls
 however many spaces it touches; other feature maps run once per touched
-space, on that space's entries.  Every server-side sum over clients is a
-running sum from +0.0 in ascending client order, the order of the audit's
-merge and of the plain-loop reference.  One memory budget, ``_BLOCK_FLOATS``,
-bounds both the rounds :func:`run_epoch` evaluates at once and the frames the
-audit codes at once.
+space and round, on that space's entries.  Every server-side sum over
+clients is a running sum from +0.0 in ascending client order, the order of
+the audit's merge and of the plain-loop reference.  One memory budget,
+``_BLOCK_FLOATS``, bounds both the rounds the fused coordinate gather of
+:func:`run_epoch` evaluates at once and the frames the audit codes at once.
 """
 
 from __future__ import annotations
@@ -96,15 +95,16 @@ class RunInvariantError(RuntimeError):
     """
 
 
-# Floats one array of a round block or of an audit batch may hold: 512 KiB
-# of float64, so that the few arrays a block keeps live stay in a 2 MiB L2
-# cache.  mixed-audit's rounds (300 x 60 floats each) run as fast in blocks
-# of 3 rounds, this budget, as one at a time, and 1.3x slower in blocks of 7
-# or 10 (twice or four times the budget).  A hidden-arm epoch (20 x 16 per
-# round) runs as one block, and an audited hidden-arm run's 8,000 frames of
-# 4 floats (400 epochs of 20) form one audit batch; rff-table's 2000 x 100
-# rounds stay one per block, and each epoch's 2000 frames go in 8 batches
-# of 250; mixed-audit's epochs of 200 frames are one batch each.
+# Floats one array of a coordinate round block or of an audit batch may
+# hold: 512 KiB of float64, so that the few arrays a block keeps live stay in
+# a 2 MiB L2 cache.  Feature-map epochs run one round per block: mixed-audit's
+# rounds (300 x 60 floats each) ran no faster in blocks of 3, this budget,
+# than one at a time, and 1.3x slower in blocks of 7 or 10.  A hidden-arm
+# epoch (20 x 16 per round) runs as one block, and an audited hidden-arm
+# run's 8,000 frames of 4 floats (400 epochs of 20) are replayed as one
+# batch per direction of 4,000; each rff-table epoch's 1000 frames a
+# direction go in 4 batches of 250; mixed-audit's epochs of 100 frames a
+# direction are one batch each.
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -524,14 +524,12 @@ def _audit_epoch(
     and its gradient estimates scattered into the slot's (K, d_max) table.  A
     batch holds at most the frames whose float rows of J·(d_max + 1) floats
     fit ``_BLOCK_FLOATS``, and the stage has a slot for each epoch whose 2·M
-    frames fit one batch together (fewer if the epochs' (K, d_max) gradient
+    frames fit that many together (fewer if the epochs' (K, d_max) gradient
     tables would not fit the budget, or the run is shorter), and at least
     one, so it stays within the budget unless one epoch alone passes it.
     The staged epochs are replayed together by :func:`_replay_epochs` once
-    the stage is full, that is once the next epoch's frames would take them
-    past the batch size, and after the run's last epoch, so every replay
-    runs inside a call of this function; an epoch whose own frames pass the
-    batch size is replayed on its own.
+    the stage is full and after the run's last epoch, so every replay runs
+    inside a call of this function.
     """
     clients, J = state.subsets.shape[1:]
     K = setup.num_spaces
@@ -562,14 +560,14 @@ def _replay_epochs(audit: AuditLog, setup: RunSetup, state: ServerState, last: i
     The staged epochs are consecutive and ``last`` is the latest, so they
     are epochs ``last - E + 1`` to ``last``, whose subsets are those rows of
     ``state.subsets``; one :meth:`RunSetup.message_bits` call gives the bit
-    account of all their frames.  The epochs' 2·M·E frames are laid out
-    epoch by epoch, each epoch's downlink to client f as its frame f and the
-    uplink from client f as its frame M + f.  They go through :func:`encode_frames` and
-    :func:`decode_frames` as one batch when they number at most
-    ``per_batch``, else (one epoch alone) as the fewest equal batches of one
-    direction each that fit it, and each check runs once over each batch,
-    so the replay costs a fixed number of numpy calls per batch whatever the
-    client and epoch counts.  The merge is checked by one
+    account of all their frames.  Each direction's E·M frames, epoch by
+    epoch and client by client, go through :func:`encode_frames` and
+    :func:`decode_frames` in the fewest equal batches of at most
+    ``per_batch`` frames, the downlinks first.  Every batch is of one kind,
+    so the codec can lay it out by a reshape where a mixed batch would need
+    a mask, and each check runs once over each batch, so the replay costs a
+    fixed number of numpy calls per batch whatever the client and epoch
+    counts.  The merge is checked by one
     :func:`_scatter_reports` over (epoch slot, space) cells, which adds each
     cell's reports in client order, as a one-epoch merge does, and its
     estimates must equal the engine's exactly, the gradients compared over
@@ -584,40 +582,37 @@ def _replay_epochs(audit: AuditLog, setup: RunSetup, state: ServerState, last: i
     first = last - E + 1
     indices = state.subsets[first - 1:last]
     _, clients, J = indices.shape
-    frames = 2 * E * clients
-    values = stage.values[:E].reshape(frames, -1)
-    frame_indices = np.broadcast_to(indices[:, None], (E, 2, clients, J)).reshape(frames, J)
-    kinds = np.tile(np.repeat([KIND_DOWNLINK, KIND_UPLINK], clients), E)
-    client_ids = np.tile(np.arange(clients), 2 * E)
-    frame_epochs = np.repeat(np.arange(first, last + 1), 2 * clients)
-    engine_bits = np.stack(setup.message_bits(indices), axis=1).reshape(frames)
-    bad = np.empty((4, frames), dtype=bool)  # one row per check, one column per frame
-    if frames <= per_batch:
-        bounds = [0, frames]
-    else:  # one epoch: each direction in equal batches of one kind, whose frames
-        # the codec can often lay out by a reshape where a mixed batch needs a mask
-        per_kind = -(-clients // per_batch)
-        cuts = (np.arange(per_kind) * clients // per_kind).tolist()
-        bounds = cuts + [clients + c for c in cuts] + [frames]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        batch = slice(lo, hi)
-        ids, batch_indices, batch_values = client_ids[batch], frame_indices[batch], values[batch]
-        # an uplink's mean losses and every vector up to its space's width
-        sent = np.empty(batch_values.shape, dtype=bool)
-        sent[:, :J] = (kinds[batch] == KIND_UPLINK)[:, None]
-        sent[:, J:] = (np.arange(d_max) < dims[batch_indices][:, :, None]).reshape(hi - lo, -1)
-        buffer, lengths = encode_frames(kinds[batch], frame_epochs[batch], ids, batch_indices,
-                                        *_left_justify(batch_values, sent), K)
-        header, got_indices, got_losses, got = decode_frames(buffer, lengths, K, dims)
-        got = np.concatenate([got_losses, got.reshape(hi - lo, -1)], axis=1)
-        index_bad = (got_indices != batch_indices).any(axis=1)
-        bad[0, batch] = header["payload_bits"] != engine_bits[batch]
-        bad[1, batch] = ((header["epoch"] != frame_epochs[batch])
-                         | (header["client_id"] != ids) | (header["kind"] != kinds[batch]))
-        bad[2, batch] = index_bad
-        # floats must come back as their single-precision values
-        bad[3, batch] = ((got != batch_values.astype(np.float32)) & sent).any(axis=1) & ~index_bad
-    audit.frames_checked += frames
+    n = E * clients  # frames per direction
+    frame_indices = indices.reshape(n, J)
+    client_ids = np.tile(np.arange(clients), E)
+    frame_epochs = np.repeat(np.arange(first, last + 1), clients)
+    # every vector up to its space's width, in either direction
+    sent = np.empty((n, J * (d_max + 1)), dtype=bool)
+    sent[:, J:] = (np.arange(d_max) < dims[frame_indices][:, :, None]).reshape(n, -1)
+    batches = -(-n // per_batch)
+    cuts = (np.arange(batches + 1) * n // batches).tolist()
+    bad = np.empty((4, 2, n), dtype=bool)  # (check, direction, frame)
+    for kind, engine_bits in enumerate(setup.message_bits(indices)):
+        engine_bits = engine_bits.reshape(n)
+        values = stage.values[:E, kind].reshape(n, -1)
+        sent[:, :J] = kind == KIND_UPLINK  # an uplink's mean losses
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            batch = slice(lo, hi)
+            ids, batch_indices = client_ids[batch], frame_indices[batch]
+            batch_values, batch_sent = values[batch], sent[batch]
+            buffer, lengths = encode_frames(kind, frame_epochs[batch], ids, batch_indices,
+                                            *_left_justify(batch_values, batch_sent), K)
+            header, got_indices, got_losses, got = decode_frames(buffer, lengths, K, dims)
+            got = np.concatenate([got_losses, got.reshape(hi - lo, -1)], axis=1)
+            index_bad = (got_indices != batch_indices).any(axis=1)
+            bad[0, kind, batch] = header["payload_bits"] != engine_bits[batch]
+            bad[1, kind, batch] = ((header["epoch"] != frame_epochs[batch])
+                                   | (header["client_id"] != ids) | (header["kind"] != kind))
+            bad[2, kind, batch] = index_bad
+            # floats must come back as their single-precision values
+            bad[3, kind, batch] = (((got != batch_values.astype(np.float32)) & batch_sent)
+                                   .any(axis=1) & ~index_bad)
+    audit.frames_checked += 2 * n
     # the server merges the reports as computed, before the wire rounds them;
     # cell slot * K + space keeps each staged epoch's merge apart
     cells = (np.arange(0, E * K, K)[:, None, None] + indices).ravel()
@@ -637,7 +632,7 @@ def _replay_epochs(audit: AuditLog, setup: RunSetup, state: ServerState, last: i
                                           ("uplink", "uplink round-trip failed"))]
         # (slot, direction, check, client): each epoch's downlink notes, check
         # by check over the clients, then its uplink notes, then its merge's
-        bad = bad.reshape(4, E, 2, clients).transpose(1, 2, 0, 3)
+        bad = bad.reshape(4, 2, E, clients).transpose(2, 1, 0, 3)
         for slot, epoch in enumerate(range(first, last + 1)):
             for kind, check, j in np.argwhere(bad[slot]).tolist():
                 audit.note(f"epoch {epoch} client {j}: {texts[kind][check]}")
@@ -739,20 +734,20 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
     ``j * J + a`` is client j's slot a, so each client's lead is every J-th
     entry.  When every space reads one input coordinate, one gather per block
     picks every entry's feature.  Otherwise each touched space's feature map
-    runs once per block on that space's entries, which list the clients that
-    sampled it in ascending order; the map writes its rows back into the
-    entries' places.
+    runs once per round on that space's (entries, input) rows, which list
+    the clients that sampled it in ascending order; the map writes its rows
+    back into the entries' places.
 
     Subsets and models are frozen for the epoch, so its rounds are
-    independent until they are summed, and they are evaluated in blocks of
-    C rounds: C-ordered (C, n) arrays, round first, so a one-round block is
-    one row.  C is the most rounds whose (C·n, max(d_max, input width))
-    arrays fit ``_BLOCK_FLOATS``, capped at the epoch's N rounds; the last
-    block of an epoch may be shorter.  Each block's bounds are checked
-    elementwise in one pass (an error still names the first failing round),
-    and each block's losses and gradients are added to the epoch's sums one
-    round at a time in round order, the additions a round-by-round loop
-    makes, so the floats do not depend on C.
+    independent until they are summed.  The coordinate gather evaluates
+    them in blocks of C rounds: C-ordered (C, n) arrays, round first, C the
+    most rounds whose (C·n, input width) gathers fit ``_BLOCK_FLOATS``,
+    capped at the epoch's N rounds; the last block of an epoch may be
+    shorter.  The feature-map path runs one round per block.  Each block's
+    bounds are checked elementwise in one pass (an error still names the
+    first failing round), and each block's losses and gradients are added
+    to the epoch's sums one round at a time in round order, the additions a
+    round-by-round loop makes, so the floats do not depend on C.
 
     The floats do not depend on S except through the aggregation, which
     keeps one rule: every sum over a server's clients is a running sum from
@@ -796,30 +791,27 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
         # each touched space's entries, in ascending client order
         members = [np.flatnonzero(flat_spaces == i) for i in touched.tolist()]
 
-    C = min(N, max(1, _BLOCK_FLOATS // (n * max(setup.max_dim, setup.xs.shape[2]))))
+    C = 1 if mapped else min(N, max(1, _BLOCK_FLOATS // (n * setup.xs.shape[2])))
     if mapped:
         widths = setup.dims[touched].tolist()
-        phi = np.zeros((C * n, setup.max_dim))  # zero past each space's width
+        # every round writes the same entries, so one buffer serves the epoch
+        phi_b = np.zeros((1, n, setup.max_dim))  # zero past each space's width
     else:
         flat_columns = columns[flat_spaces]
     loss_sum = grad_sum = None
     for a in range(t0, t0 + N, C):
         b = min(a + C, t0 + N)
-        # a (rounds, 1) column of round indices gathers C-ordered (rounds, n)
-        # blocks, which _add_rounds sums down their rows in round order
-        t = np.arange(a, b)[:, None]
         yt = setup.entry_targets[a:b]
         if mapped:
-            # one call per space and block, on the inputs of the clients that
-            # sampled it; a block's input is stacked by round, so each round's
-            # matmul is the one a one-round block makes
-            when = a if b - a == 1 else t  # a round, or a column of rounds
-            phi_b = phi[:(b - a) * n].reshape(b - a, n, -1)
-            panel = phi_b[0] if b - a == 1 else phi_b
+            # one call per touched space and round, on the (entries, input)
+            # rows of the clients that sampled it
             for i, entries, width in zip(touched.tolist(), members, widths):
-                panel[..., entries, :width] = spaces[i].feature_map(setup.xs[rows[entries], when])
-        else:  # the fused gather picks the same floats the per-space maps would
-            phi_b = setup.xs[rows, t, flat_columns][..., None]
+                phi_b[0, entries, :width] = spaces[i].feature_map(setup.xs[rows[entries], a])
+        else:
+            # the fused gather picks the same floats the per-space maps would;
+            # a (rounds, 1) column of round indices gathers C-ordered (rounds,
+            # n) blocks, which _add_rounds sums down their rows in round order
+            phi_b = setup.xs[rows, np.arange(a, b)[:, None], flat_columns][..., None]
         values = np.add.reduce(phi_b * w_flat, axis=2)
         closs = loss_value(setup.loss, values, yt)
         dvals = loss_derivative(setup.loss, values, yt)

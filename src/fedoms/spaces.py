@@ -145,7 +145,11 @@ def loss_value(kind: Loss, prediction, target):
 
 
 def loss_derivative(kind: Loss, prediction, target):
-    """Derivative of the loss in its prediction argument; broadcasts."""
+    """Derivative of the loss in its prediction argument; broadcasts.
+
+    The linear loss's derivative is constant in the prediction: it is
+    ``-target``, shaped like the target.
+    """
     v = np.asarray(prediction, dtype=float)
     y = np.asarray(target, dtype=float)
     if kind is Loss.SQUARE:
@@ -153,9 +157,7 @@ def loss_derivative(kind: Loss, prediction, target):
     if kind is Loss.ABSOLUTE:
         return np.sign(v - y)  # subgradient 0 at ties
     if kind is Loss.LINEAR:
-        if y.shape == v.shape:
-            return -y  # constant in v
-        return np.broadcast_to(-y, v.shape)  # read-only view, constant in v
+        return -y
     raise ValueError(f"unknown loss {kind!r}")
 
 

@@ -363,6 +363,33 @@ def test_validate_and_run_blame_the_data_for_fewer_rows_than_clients(tmp_path, c
     assert blobs[0]["message"] == "3 rows cannot be split across 5 clients"
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"loss": "linear", "spaces": [{"kind": "coordinate", "index": i} for i in range(2)]
+      + [{"kind": "identity"}], "data": {"source": "biased_arm", "input_dim": 2}},
+     "num_spaces 3 exceeds input_dim 2"),
+    ({"loss": "linear", "horizon": 2, "epochs": None,
+      "spaces": [{"kind": "coordinate", "index": i} for i in range(3)],
+      "data": {"source": "bernoulli_symmetric", "input_dim": 4}},
+     "num_spaces 3 exceeds horizon 2"),
+    ({"spaces": [{"kind": "identity"}, {"kind": "identity", "radius": 2.0}],
+      "data": {"source": "synthetic_linear", "input_dim": 1}},
+     "input_dim must be >= 2 (intercept + slopes), got 1"),
+], ids=["adversarial-spaces-over-input-dim", "adversarial-spaces-over-horizon",
+        "linear-input-dim-1"])
+def test_validate_and_run_refuse_a_source_that_cannot_serve_the_config_alike(
+        overrides, message, tmp_path, capsys):
+    # the generator's own rule refuses the config: validate must say what
+    # run says, on the same field, before any data is drawn
+    path = _write_config(tmp_path, **overrides)
+    blobs = []
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(command) == 2
+        blobs.append(_last_json(capsys.readouterr().out))
+    assert blobs[0] == blobs[1]
+    assert blobs[0]["kind"] == "ConfigError" and blobs[0]["field"] == "data"
+    assert blobs[0]["message"] == message
+
+
 def test_run_on_a_csv_cell_over_the_csv_field_limit_reports_the_row(tmp_path, capsys):
     from fedoms.data import write_regression_csv
 

@@ -706,10 +706,11 @@ class _RecordingMap(oracles.OpaqueMap):
 def test_each_block_maps_every_touched_space_once_over_its_clients_in_order(
         monkeypatch, cooperative, one_round_blocks):
     # a mixed family (coordinate, identity and two RFF spaces) runs every
-    # space's map itself.  Per block, the maps must be called once per touched
-    # space, in ascending space order, on the inputs of exactly the clients
-    # whose subset holds that space, in ascending client order: the order in
-    # which each space's sums over clients add their terms
+    # space's map itself.  Whatever the block budget, the maps must be called
+    # once per touched space and round, in ascending space order, on the
+    # (clients, input) rows of exactly the clients whose subset holds that
+    # space, in ascending client order: the order in which each space's sums
+    # over clients add their terms
     if one_round_blocks:
         monkeypatch.setattr(protocol, "_BLOCK_FLOATS", 1)
     M, T, d = 7, 12, 3
@@ -726,18 +727,42 @@ def test_each_block_maps_every_touched_space_once_over_its_clients_in_order(
     state, _, _, _ = learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
 
     N = T // epochs
-    block = 1 if one_round_blocks else N  # the default budget fits a whole epoch
     want = []
     for e, subsets in enumerate(state.subsets):
-        for a in range(e * N, (e + 1) * N, block):
+        for t in range(e * N, (e + 1) * N):
             for i in np.unique(subsets).tolist():
                 clients = np.flatnonzero((subsets == i).any(axis=1))
-                x = streams.xs[clients, a:a + block].swapaxes(0, 1)  # (rounds, clients, d)
-                want.append((i, x[0] if block == 1 else x))
+                want.append((i, streams.xs[clients, t]))  # (clients, d)
     assert len(log) == len(want)
     for (space, x), (want_space, want_x) in zip(log, want):
         assert space == want_space
         assert x.shape == want_x.shape and np.array_equal(x, want_x)
+
+
+def test_maps_see_one_round_of_rows_and_every_audit_batch_is_of_one_kind(monkeypatch):
+    # an audited run of 4-round epochs over identity and RFF spaces: every
+    # feature-map call gets a 2-D (entries, input) array, and every encoded
+    # batch carries frames of a single kind, each kind in turn
+    M, T, d = 5, 16, 3
+    rng = np.random.default_rng(8)
+    log = []
+    maps = (IdentityMap(d), gaussian_rff(d, 4, 1.0, rng), gaussian_rff(d, 6, 2.0, rng))
+    spaces = tuple(make_space(_RecordingMap(fm, space=i, log=log), 0.5, Loss.SQUARE)
+                   for i, fm in enumerate(maps))
+    kinds = []
+
+    def record_kind(original):
+        def encode(kind, *args):
+            kinds.append(np.unique(kind).tolist())
+            return original(kind, *args)
+        return encode
+    monkeypatch.setattr(protocol, "encode_frames", record_kind(protocol.encode_frames))
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=M, subset_size=2,
+                        horizon=T, epochs=4, master_seed=1, audit=True)
+    art = run_fomd_oms(cfg, synthetic_linear(input_dim=d, clients=M, horizon=T, seed=3))
+    assert art.meta["audit_mismatches"] == []
+    assert log and all(x.ndim == 2 and x.shape[1] == d for _, x in log)
+    assert kinds == [[KIND_DOWNLINK], [KIND_UPLINK]]
 
 
 def _linear_run_error(xs, ys, path, epochs=None, loss_bounds=(None,) * 3, seed=5):
@@ -825,6 +850,51 @@ def test_a_bad_loss_stops_the_run_before_any_mirror_step(monkeypatch, learner, b
     with pytest.raises(RunInvariantError, match=rf"round 1: space \d+ produced {text}"):
         learner(cfg, streams)
     assert steps == []
+
+
+def _run_with_one_entry_at(learner, check, value, bound):
+    """Run ``learner`` with the absolute loss over two clients, two
+    coordinate spaces (J = K = 2) and four rounds, where client 1's round-3
+    entry of space 1 has loss ``value`` (``check`` "loss") or gradient norm
+    ``value`` ("gradient"), and space 1 declares ``bound`` for it.
+
+    With the loss check every input is 0, so every loss is its target,
+    exactly, and every gradient 0; with the gradient check every target is
+    1 and every input 0 but that entry's, so space 1's model is 0 there, its
+    loss 1 and its gradient norm |x| = ``value``, exactly.  Every other entry
+    stays far inside its bounds.
+    """
+    xs, ys = np.zeros((2, 4, 2)), np.zeros((2, 4))
+    spaces = [make_space(CoordinateMap(2, i), 1.0, Loss.ABSOLUTE) for i in range(2)]
+    if check == "loss":
+        ys[1, 2] = value
+        spaces[0] = dataclasses.replace(spaces[0], loss_bound=1e12)
+        spaces[1] = dataclasses.replace(spaces[1], loss_bound=bound)
+    else:
+        ys[:] = 1.0
+        xs[1, 2, 1] = value
+        spaces[1] = dataclasses.replace(spaces[1], lipschitz_bound=bound)
+    cfg = LearnerConfig(spaces=tuple(spaces), loss=Loss.ABSOLUTE, clients=2, subset_size=2,
+                        horizon=4, master_seed=1, uniform_init=True)
+    return learner(cfg, Streams(xs=xs, ys=ys, meta={}))
+
+
+@pytest.mark.parametrize("bound", [1e6, 1e-6], ids=["relative-tolerance", "absolute-tolerance"])
+@pytest.mark.parametrize("check, text", [("loss", "loss"), ("gradient", "gradient norm")])
+@pytest.mark.parametrize("learner", [run_fomd_oms, run_nco_oms])
+def test_a_value_at_its_limit_passes_and_one_just_past_it_is_named(learner, check, text,
+                                                                   bound):
+    # a bound B allows B * (1 + 1e-12) + 1e-9: at B = 1e6 the relative
+    # tolerance is the larger part (1e-6), at B = 1e-6 the absolute one.  A
+    # value exactly at that limit passes, and the next float above it fails
+    limit = bound * (1.0 + 1e-12) + 1e-9
+    past = np.nextafter(limit, np.inf)
+    if check == "gradient":  # squared norms are compared
+        assert limit * limit < past * past
+    _run_with_one_entry_at(learner, check, limit, bound)
+    with pytest.raises(RunInvariantError,
+                       match=rf"round 3: space 1 produced {text} \S+ outside its declared bound"):
+        _run_with_one_entry_at(learner, check, past, bound)
 
 
 def test_audit_log_reports_cleanliness():
@@ -1099,11 +1169,12 @@ def _decode_batch_sizes(monkeypatch):
 def test_an_audit_batch_of_several_epochs_stays_clean_and_notes_epoch_by_epoch(monkeypatch):
     whole = _small_audited_run()
     # 120 floats hold 12 frames of J * (d_max + 1) = 10 floats: epochs 1 and
-    # 2 share a batch, then epochs 3 and 4, and the last epoch goes alone
+    # 2 are replayed together, their 6 downlinks in one batch and their 6
+    # uplinks in another, then epochs 3 and 4, and the last epoch goes alone
     monkeypatch.setattr(protocol, "_BLOCK_FLOATS", 120)
     batches = _decode_batch_sizes(monkeypatch)
     joined = _small_audited_run()
-    assert batches == [12, 12, 6]
+    assert batches == [6, 6, 6, 6, 3, 3]
     assert joined.meta["audit_mismatches"] == []
     for panel in ("lead_indices", "predictions", "losses", "uplink_bits", "downlink_bits"):
         assert getattr(joined, panel).tobytes() == getattr(whole, panel).tobytes()
@@ -1122,7 +1193,8 @@ def test_an_audit_batch_of_several_epochs_stays_clean_and_notes_epoch_by_epoch(m
 
 def test_a_hidden_arm_sized_audit_decodes_its_whole_run_in_one_batch(monkeypatch):
     # K=16 one-wide spaces, J=2: 4 floats a frame, so the run's 2 * 10 * 400
-    # frames fit the default budget's 16,384 and are replayed after its last epoch
+    # frames fit the default budget's 16,384 and are replayed after its last
+    # epoch, one batch per direction
     spec = AdversarialSpec(kind="biased_arm", num_spaces=16, input_dim=16, horizon=400,
                            clients=10, seed=3, subset_size=2)
     spaces = tuple(make_space(CoordinateMap(16, i), radius=1.0, loss_kind=Loss.LINEAR)
@@ -1131,5 +1203,5 @@ def test_a_hidden_arm_sized_audit_decodes_its_whole_run_in_one_batch(monkeypatch
                         horizon=400, epochs=400, master_seed=3, audit=True)
     batches = _decode_batch_sizes(monkeypatch)
     art = run_fomd_oms(cfg, generate_adversarial(spec))
-    assert batches == [8000]
+    assert batches == [4000, 4000]
     assert art.meta["audit_frames_checked"] == 8000 and art.meta["audit_mismatches"] == []
