@@ -377,8 +377,11 @@ def build_spaces(config: ExperimentConfig, input_dim: int) -> tuple:
     """Instantiate the configured hypothesis spaces for a known input width.
 
     Random feature draws use a dedicated stream per space so that adding or
-    reordering other spaces does not perturb an existing map.
+    reordering other spaces does not perturb an existing map.  With the
+    linear loss a space's radius times its feature bound must not pass 1,
+    the reach past which a loss can go negative (the run would stop there).
     """
+    loss = Loss(config.loss)
     built = []
     for position, spec in enumerate(config.spaces):
         if spec.kind == "identity":
@@ -394,13 +397,21 @@ def build_spaces(config: ExperimentConfig, input_dim: int) -> tuple:
             feature_map = gaussian_rff(
                 input_dim, spec.features, spec.width,
                 rng.stream(config.seed, rng.ROLE_FEATURES, position))
+        field = f"spaces[{position}].radius"
         try:
-            built.append(make_space(feature_map, spec.radius, Loss(config.loss)))
+            space = make_space(feature_map, spec.radius, loss)
         except ValueError as exc:  # a radius whose bounds leave the float range
             raise ConfigError(
-                f"spaces[{position}].radius is too large for "
-                f"{input_dim}-dimensional inputs: {exc}",
-                field=f"spaces[{position}].radius") from exc
+                f"{field} is too large for {input_dim}-dimensional inputs: {exc}",
+                field=field) from exc
+        reach = space.radius * space.feature_bound
+        if loss is Loss.LINEAR and reach > 1.0:
+            # past a reach of 1 a prediction times a target can pass 1
+            raise ConfigError(
+                f"{field} {spec.radius:g} times the feature bound {space.feature_bound:g} "
+                f"is {reach:g}, over 1: the linear loss 1 - prediction * target "
+                f"can go negative", field=field)
+        built.append(space)
     return tuple(built)
 
 

@@ -8,13 +8,16 @@ step sizes) and a ``ServerState`` that it writes (distributions, models,
 trace).  The schedules are closed forms in plain numbers (K, J, clients,
 update steps) and the spaces' radius, Lipschitz and loss-bound arrays.
 
-Both learners run the one round kernel, :func:`fedoms.protocol.run_epoch`.
-The cooperative learner (:func:`run_fomd_oms`) runs it with one server for
-all M clients over its communication epochs; the noncooperative baseline
-(:func:`run_nco_oms`) runs it with M servers, one per client, one round per
-epoch, single-client schedules and zero communication.  Both consume the
-same pre-laid per-client uniform tables, so at M=1 the two produce
-bit-identical traces.
+Both learners run the one round kernel, :func:`fedoms.protocol.run_epoch`,
+as servers of its client→server layout.  The cooperative learner
+(:func:`run_fomd_oms`) is one server for all M clients over its
+communication epochs; the noncooperative baseline (:func:`run_nco_oms`) is
+M servers, one per client, one round per epoch, single-client schedules and
+zero communication.  Both consume the same pre-laid per-client uniform
+tables, so at M=1 the two produce bit-identical traces.  :func:`run_many`
+runs many runs of the same spaces and shape (the paired runs of a
+comparison, or the seeds of a sweep) as the servers of one kernel loop, and
+each run's artifact keeps the bytes of its solo run.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .data import Streams
-from .mirror import materialize, project_rows_per_row
+from .mirror import entropy_rates, materialize, project_rows_per_row
 from .protocol import (
     AuditLog,
     RunSetup,
@@ -47,6 +51,7 @@ __all__ = [
     "eta_schedule",
     "lambda_schedule",
     "initial_distribution",
+    "run_many",
     "run_fomd_oms",
     "run_nco_oms",
     "regret_accounting",
@@ -228,7 +233,14 @@ class LearnerConfig:
         return self.horizon if self.epochs is None else self.epochs
 
 
-def _validate_pair(config: LearnerConfig, streams: Streams) -> None:
+def _layout(algorithm: str, config: LearnerConfig, streams: Streams) -> tuple[int, int, int]:
+    """Check one run and return its server count, each server's client count
+    and its epoch count.
+
+    The cooperative learner (``"fomd"``) runs one server that averages over
+    all M clients over its communication epochs; the baseline (``"nco"``)
+    runs one silent server per client, one round per epoch.
+    """
     if streams.clients != config.clients:
         raise ValueError(
             f"config expects {config.clients} clients, streams provide {streams.clients}"
@@ -244,6 +256,18 @@ def _validate_pair(config: LearnerConfig, streams: Streams) -> None:
                 f"space {i} expects input dimension {expected}, "
                 f"streams provide {streams.input_dim}"
             )
+    if algorithm == "fomd":
+        return 1, config.clients, config.effective_epochs
+    if algorithm == "nco":
+        check_nco_epochs(config.horizon, config.epochs)
+        return config.clients, 1, config.horizon
+    raise ValueError(f"algorithm must be 'fomd' or 'nco', got {algorithm!r}")
+
+
+def _joined(blocks: list[np.ndarray]) -> np.ndarray:
+    """The blocks' rows as one float array; a lone block is not copied."""
+    return (np.asarray(blocks[0], dtype=float) if len(blocks) == 1
+            else np.concatenate(blocks, dtype=float))
 
 
 def _assemble(
@@ -254,9 +278,10 @@ def _assemble(
     setup: RunSetup,
     wall: float,
     audit: AuditLog | None,
-    cooperative: bool,
+    run: int,
 ) -> RunArtifact:
-    """The run's artifact; its lead and bit columns come from ``state.subsets``.
+    """Run ``run`` of the stack as its artifact; its lead and bit columns
+    come from its slots of ``state.subsets``.
 
     A client leads with its subset's first space for the whole epoch.  A
     cooperative run charges each message ``setup.message_bits``, downlinks
@@ -264,34 +289,36 @@ def _assemble(
     servers send nothing, so it is charged 0 bits.
     """
     M, T = config.clients, config.horizon
-    epochs = state.subsets.shape[0]
+    servers = setup.server_runs == run
+    # a run's slots are consecutive: a slice keeps its panels' columns views
+    first, last = np.flatnonzero(servers[setup.slot_servers])[[0, -1]]
+    slots = slice(first, last + 1)
+    subsets = state.subsets[:, slots]
     N = setup.rounds_per_epoch
-    downlink_bits = np.zeros((T, M), dtype=np.int64)
-    uplink_bits = np.zeros((T, M), dtype=np.int64)
-    if cooperative:
-        downlink_bits[::N], uplink_bits[N - 1::N] = setup.message_bits(state.subsets)
-    probs = materialize(state.log_p)
-    meta = dict(streams.meta)
-    meta.update(seed=config.master_seed, subset_size=config.subset_size)
+    downlink_bits, uplink_bits = np.zeros((2, T, M), dtype=np.int64)
+    if algorithm == "fomd":
+        downlink_bits[::N], uplink_bits[N - 1::N] = setup.message_bits(subsets)
+    probs = materialize(state.log_p[servers])
+    meta = {**streams.meta, "seed": config.master_seed, "subset_size": config.subset_size}
     if audit is not None:
         meta["audit_frames_checked"] = audit.frames_checked
         meta["audit_mismatches"] = list(audit.mismatches)
     return RunArtifact(
-        algorithm=algorithm,
+        algorithm=f"{algorithm}_oms",
         clients=M,
         horizon=T,
-        epochs=epochs,
+        epochs=subsets.shape[0],
         num_spaces=config.num_spaces,
         round_ids=np.repeat(np.arange(1, T + 1, dtype=np.int64), M),
         client_ids=np.tile(np.arange(M, dtype=np.int64), T),
         epoch_ids=np.repeat(np.arange(T, dtype=np.int64) // N + 1, M),
-        lead_indices=np.repeat(state.subsets[:, :, 0], N, axis=0).ravel(),
-        predictions=state.predictions.ravel(),
-        losses=state.losses.ravel(),
+        lead_indices=np.repeat(subsets[:, :, 0], N, axis=0).ravel(),
+        predictions=state.predictions[:, slots].ravel(),
+        losses=state.losses[:, slots].ravel(),
         targets=np.ascontiguousarray(streams.ys, dtype=float).T.ravel(),
         uplink_bits=uplink_bits.ravel(),
         downlink_bits=downlink_bits.ravel(),
-        final_probs=probs[0] if cooperative else probs,
+        final_probs=probs[0] if algorithm == "fomd" else probs,
         total_uplink_bits=int(uplink_bits.sum()),
         total_downlink_bits=int(downlink_bits.sum()),
         wall_seconds=wall,
@@ -299,55 +326,78 @@ def _assemble(
     )
 
 
-def _run_servers(
-    config: LearnerConfig,
-    streams: Streams,
-    epochs: int,
-    cooperative: bool,
+def _run_stack(
+    runs: list[tuple[str, LearnerConfig, Streams]],
+    layouts: list[tuple[int, int, int]],
 ) -> tuple[ServerState, RunSetup, float, AuditLog | None]:
-    """Run ``epochs`` equal communication epochs and return the final state.
+    """Run a stack of runs as the servers of one kernel loop; return the final state.
 
-    The cooperative learner runs one server that averages over all M clients
-    and communicates; the baseline runs one silent server per client.  Each
-    server starts from the initial distribution and zero models, and steps
-    with the schedules of its client count over ``epochs`` update steps.
-    Returns the final state, the run's set-up, the wall time of the epochs
-    and the audit log.
+    The runs share their spaces, loss, subset size, horizon and epoch length,
+    and ``layouts`` holds each run's checked :func:`_layout`.
+    Run ``r``'s servers and client slots follow those of the runs before it;
+    each of its servers starts from its initial distribution and zero
+    models, and steps with the schedules of its client count over the run's
+    epochs (schedule ``r``).  Each distinct stream is held once: runs that
+    pass one :class:`Streams` read the same rows, and a stream every client
+    shares (a broadcast view) is one row.  Returns the final state, the
+    stack's set-up, the wall time of the epochs and the audit log of an
+    audited cooperative run, which :func:`run_many` stacks alone.
     """
-    M, T, K, J = config.clients, config.horizon, config.num_spaces, config.subset_size
-    servers, clients = (1, M) if cooperative else (M, 1)
-    audit = AuditLog() if cooperative and config.audit else None
-    if audit is not None:  # fail before the first epoch, not at its frames
-        check_header_fields(epochs, M - 1, J)
-    spaces = config.spaces
-    radii = np.array([s.radius for s in spaces], dtype=float)
-    lipschitz = np.array([s.lipschitz_bound for s in spaces], dtype=float)
-    loss_bounds = np.array([s.loss_bound for s in spaces], dtype=float)
+    _, first, _ = runs[0]
+    spaces, K, J, T = first.spaces, first.num_spaces, first.subset_size, first.horizon
+    radii, lipschitz, loss_bounds = np.array(
+        [(s.radius, s.lipschitz_bound, s.loss_bound) for s in spaces], dtype=float).T
+    blocks: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}  # id -> first row, xs, ys
+    slot_rows, slot_servers, server_runs, uniforms, log_p, etas, steps = ([] for _ in range(7))
+    audit = None
+    for run, ((algorithm, config, streams), (servers, clients, epochs)) in enumerate(
+            zip(runs, layouts)):
+        M = config.clients
+        if id(streams) not in blocks:
+            shared = streams.xs.strides[0] == 0 == streams.ys.strides[0]
+            rows = slice(0, 1 if shared else M)
+            first_row = sum(len(xs) for _, xs, _ in blocks.values())
+            blocks[id(streams)] = first_row, streams.xs[rows], streams.ys[rows]
+        first_row, xs, _ = blocks[id(streams)]
+        slot_rows.append(first_row + np.arange(M) % len(xs))
+        slot_servers.append(len(server_runs) + np.arange(M) // clients)
+        server_runs += [run] * servers
+        uniforms.append(sampling_uniforms(config.master_seed, M, T, J))
+        initial = initial_distribution(loss_bounds, epochs, uniform=config.uniform_init)
+        log_p.append(np.tile(np.log(initial), (servers, 1)))
+        etas.append(eta_schedule(K, J, clients, epochs))
+        steps.append(lambda_schedule(radii, lipschitz, J, clients, epochs,
+                                     np.arange(1.0, epochs + 1.0)))
+        if algorithm == "fomd" and config.audit:
+            audit = AuditLog()
+            check_header_fields(epochs, M - 1, J)  # fail before the first epoch
     setup = RunSetup(
         spaces=spaces,
-        loss=config.loss,
+        loss=first.loss,
         subset_size=J,
-        # the kernel gathers rows and columns into new arrays, so a
-        # broadcast view (one stream shared by every client) is not copied
-        xs=np.asarray(streams.xs, dtype=float),
-        ys=np.asarray(streams.ys, dtype=float),
-        uniforms=sampling_uniforms(config.master_seed, M, T, J),
+        # the kernel gathers rows and columns into new arrays, so a lone
+        # stream is read where it is, not copied
+        xs=_joined([xs for _, xs, _ in blocks.values()]),
+        ys=_joined([ys for _, _, ys in blocks.values()]),
+        uniforms=_joined(uniforms),
         rounds_per_epoch=T // epochs,
-        radii=radii,
+        cell_radii=np.tile(radii, len(server_runs)),
         lipschitz=lipschitz,
         loss_bounds=loss_bounds,
-        mirror_rate=eta_schedule(K, J, clients, epochs),
-        param_rates=lambda_schedule(radii, lipschitz, J, clients, epochs,
-                                    np.arange(1.0, epochs + 1.0)),
+        slot_rows=np.concatenate(slot_rows),
+        slot_servers=np.concatenate(slot_servers),
+        server_runs=np.array(server_runs),
+        mirror_rates=entropy_rates(np.array(etas)[server_runs], loss_bounds),
+        param_rates=np.stack(steps, axis=1),
         audit=audit,
     )
-    log_p = np.log(initial_distribution(loss_bounds, epochs, uniform=config.uniform_init))
+    slots = setup.slot_rows.size
     state = ServerState(
-        log_p=np.tile(log_p, (servers, 1)),
-        weights=np.zeros((servers, K, setup.max_dim)),
-        predictions=np.zeros((T, M)),
-        losses=np.zeros((T, M)),
-        subsets=np.zeros((epochs, M, J), dtype=np.int64),
+        log_p=np.concatenate(log_p),
+        weights=np.zeros((len(server_runs), K, setup.max_dim)),
+        predictions=np.zeros((T, slots)),
+        losses=np.zeros((T, slots)),
+        subsets=np.zeros((epochs, slots, J), dtype=np.int64),
     )
     start = time.perf_counter()
     for _ in range(epochs):
@@ -359,6 +409,39 @@ def _run_servers(
 # Drivers
 
 
+def run_many(runs: Sequence[tuple[str, LearnerConfig, Streams]]) -> list[RunArtifact]:
+    """Run each ``(algorithm, config, streams)`` triple; return the artifacts in order.
+
+    ``algorithm`` is ``"fomd"`` (:func:`run_fomd_oms`) or ``"nco"``
+    (:func:`run_nco_oms`).  Every run is checked before any runs.  Runs that
+    share their spaces, loss, subset size, horizon and epoch length run as
+    the servers of one kernel loop (:func:`_run_stack`), whatever their
+    algorithm, seed, streams, client count and initial distribution; an
+    audited cooperative run is a stack of its own, because the audit replays
+    one server's frames.  Spaces compare by value, except that a random
+    feature draw equals only itself.  A stacked run's artifact has the bytes
+    of its solo run's, but ``wall_seconds`` is the whole stack's loop time,
+    and a stack holds every run's streams and trace until it ends.
+    """
+    layouts = [_layout(*run) for run in runs]
+    stacks: dict[tuple, list[tuple[bool, int]]] = {}
+    for position, ((algorithm, config, _), (_, clients, epochs)) in enumerate(
+            zip(runs, layouts)):
+        # an audited cooperative run's key is its own
+        key = (config.spaces, config.loss, config.subset_size, config.horizon,
+               config.horizon // epochs, position if algorithm == "fomd" and config.audit else -1)
+        stacks.setdefault(key, []).append((clients == 1, position))
+    artifacts: list[RunArtifact] = [None] * len(runs)
+    for stack_positions in stacks.values():
+        # one-client servers go last, where the kernel needs no sums for them
+        positions = [p for _, p in sorted(stack_positions)]
+        stack = [runs[p] for p in positions]
+        state, setup, wall, audit = _run_stack(stack, [layouts[p] for p in positions])
+        for run, (p, (algorithm, config, streams)) in enumerate(zip(positions, stack)):
+            artifacts[p] = _assemble(algorithm, config, streams, state, setup, wall, audit, run)
+    return artifacts
+
+
 def run_fomd_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
     """Run the cooperative learner over its communication epochs.
 
@@ -366,12 +449,10 @@ def run_fomd_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
     a subset of spaces per client, clients report epoch-averaged losses and
     gradients for their subsets, and the server takes importance-weighted
     mirror/projected-gradient steps.  Schedules are evaluated with the epoch
-    count as the effective horizon.
+    count as the effective horizon.  A one-run :func:`run_many`.
     """
 
-    _validate_pair(config, streams)
-    run = _run_servers(config, streams, config.effective_epochs, cooperative=True)
-    return _assemble("fomd_oms", config, streams, *run, cooperative=True)
+    return run_many([("fomd", config, streams)])[0]
 
 
 def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
@@ -384,13 +465,10 @@ def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
     the whole population is vectorized, but no value ever crosses clients.
     ``epochs`` must be unset or the horizon (:func:`check_nco_epochs`):
     with no communication there is nothing to batch.  ``audit`` is ignored
-    for the same reason.
+    for the same reason.  A one-run :func:`run_many`.
     """
 
-    _validate_pair(config, streams)
-    check_nco_epochs(config.horizon, config.epochs)
-    run = _run_servers(config, streams, config.horizon, cooperative=False)
-    return _assemble("nco_oms", config, streams, *run, cooperative=False)
+    return run_many([("nco", config, streams)])[0]
 
 
 # ---------------------------------------------------------------------------

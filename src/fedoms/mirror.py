@@ -3,13 +3,15 @@
 * The weighted negative-entropy regularizer over the probability simplex,
   ``psi(p) = sum_i (scale_i / eta) * p_i * log(p_i)``: its mirror step is a
   per-coordinate exponential reweighting followed by an exact
-  renormalization.  With one shared rate the step is the exponential-weights
-  update, taken as one log-softmax of ``log p - r * loss``; only unequal
-  rates need the scalar multiplier found by a monotone Newton solve
-  (:func:`solve_entropy_multiplier`), the one part that iterates or can
-  raise :class:`MirrorError`.  The round kernel steps a batch of log-space
-  states at once (:func:`entropy_step_log_batch`) and reads linear
-  probabilities back with :func:`materialize`.
+  renormalization.  A batch of steps reads its rates eta_b / scale_i from one
+  (B, K) table (:func:`entropy_rates`), so the rows of a batch may step at
+  different rates eta_b.  With equal scales the table is (B, 1) and each step
+  is the exponential-weights update, taken as one log-softmax of
+  ``log p - r * loss``; only unequal scales need the scalar multiplier found
+  by a monotone Newton solve (:func:`solve_entropy_multiplier`), the one part
+  that iterates or can raise :class:`MirrorError`.  The round kernel steps
+  all its servers' log-space states at once (:func:`entropy_step_log_batch`)
+  and reads linear probabilities back with :func:`materialize`.
 * Euclidean projection onto a ball of given radius
   (:func:`project_rows_per_row`): the projection half of the projected
   gradient step the round kernel takes on every sampled space's model.
@@ -17,9 +19,6 @@
 All functions are pure: they never mutate their array arguments.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,34 +34,18 @@ class MirrorError(RuntimeError):
 
 
 # --------------------------------------------------------------------------
-# entropy geometry
+# entropy rates
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightedEntropyGeometry:
-    """Simplex geometry with per-coordinate positive scales and a step size."""
-    scales: np.ndarray
-    learning_rate: float
+def entropy_rates(etas: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """(B, K) rate table eta_b / scale_i of B entropy steps over K coordinates.
 
-    def __post_init__(self):
-        scales = np.asarray(self.scales, dtype=float)
-        object.__setattr__(self, "scales", scales)
-        if scales.ndim != 1 or scales.size == 0:
-            raise ValueError("scales must be a non-empty 1-d array")
-        if not np.all(np.isfinite(scales)) or np.any(scales <= 0):
-            raise ValueError("scales must be finite and strictly positive")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-
-    @cached_property
-    def rates(self) -> np.ndarray:
-        """(K,) per-coordinate ratios learning_rate / scale_i."""
-        return self.learning_rate / self.scales
-
-    @cached_property
-    def rate_range(self) -> tuple[float, float]:
-        """Smallest and largest entry of :attr:`rates`."""
-        return float(self.rates.min()), float(self.rates.max())
+    The table is (B, 1) when every scale is equal: each step then has one
+    rate, and :func:`entropy_step_log_batch` needs no multiplier solve.
+    """
+    if (scales == scales[0]).all():
+        scales = scales[:1]
+    return etas[:, None] / scales
 
 
 # --------------------------------------------------------------------------
@@ -84,7 +67,7 @@ def materialize(log_p: np.ndarray) -> np.ndarray:
 def solve_entropy_multiplier(
     log_p: np.ndarray,
     losses: np.ndarray,
-    geometry: WeightedEntropyGeometry,
+    rates: np.ndarray,
 ) -> np.ndarray:
     """Newton solve for the normalizing multipliers of a batch of entropy steps.
 
@@ -92,8 +75,9 @@ def solve_entropy_multiplier(
     ----------
     log_p : (B, K) log-probabilities; every row sums to 1 in linear space.
     losses : (B, K) non-negative loss vectors.
-    geometry : the step's scales and learning rate; its ``rates`` are the
-        per-coordinate ratios learning_rate / scale_i.
+    rates : (B, K) or (B, 1) table of per-coordinate rates eta_b / scale_i
+        (:func:`entropy_rates`), one row per step; a single row serves every
+        step.
 
     Returns
     -------
@@ -117,10 +101,11 @@ def solve_entropy_multiplier(
     dominated by a single stiff exponential in one move instead of creeping
     by 1/r_max per iteration.  The bracket is kept as a safeguard:
     candidates are clamped into it, and a stagnating step falls back to the
-    midpoint, so worst-case behaviour is that of plain bisection.
+    midpoint, so worst-case behaviour is that of plain bisection.  Each row
+    iterates on its own values only, so a row's multiplier does not depend
+    on the other rows of the batch.
     """
-    rates = geometry.rates
-    r_min, r_max = geometry.rate_range
+    r_min, r_max = rates.min(axis=1), rates.max(axis=1)
     shifted = log_p - rates * losses  # log(p_i) - r_i c_i
     max_c = losses.max(axis=1)
     m = shifted.max(axis=1)
@@ -133,11 +118,10 @@ def solve_entropy_multiplier(
     lo = np.where(zero_rows, 0.0, np.minimum(lo, hi))
     hi = np.where(zero_rows, 0.0, hi)
     lam = lo.copy()
-    rates_row = rates[None, :]
     work = np.empty_like(shifted)
     log_s = np.zeros_like(lam)
     for _ in range(BISECT_MAX_ITER):
-        np.multiply(lam[:, None], rates_row, out=work)
+        np.multiply(lam[:, None], rates, out=work)
         np.subtract(shifted, work, out=work)
         peak = work.max(axis=1)
         np.subtract(work, peak[:, None], out=work)
@@ -150,7 +134,7 @@ def solve_entropy_multiplier(
         above = log_s > 0.0
         lo = np.where(above, lam, lo)
         hi = np.where(above, hi, lam)
-        mean_rate = (work * rates_row).sum(axis=1) / total  # -(log S)' > 0
+        mean_rate = (work * rates).sum(axis=1) / total  # -(log S)' > 0
         candidate = np.clip(lam + log_s / mean_rate, lo, hi)
         stalled = candidate == lam
         lam = np.where(done, lam,
@@ -165,30 +149,30 @@ def solve_entropy_multiplier(
 def entropy_step_log_batch(
     log_p: np.ndarray,
     losses: np.ndarray,
-    geometry: WeightedEntropyGeometry,
+    rates: np.ndarray,
 ) -> np.ndarray:
     """Weighted-entropy mirror step on a batch of log-space simplex states.
 
-    ``geometry`` supplies the scales and the learning rate; a caller that
-    steps many times reuses one geometry, so its rates are derived once.
-    When every rate is the same r, the step is one log-softmax of
-    ``log_p - r * losses``: a multiplier shifts each row by a constant, which
-    the renormalization removes, so no solve is needed.  Otherwise the
-    multiplier comes from :func:`solve_entropy_multiplier`, which iterates
-    and can raise :class:`MirrorError`.  The losses must be finite and
+    ``rates`` is the (B, K) table of :func:`entropy_rates`, one row per
+    state (a single row serves every state); a caller that steps many times
+    builds it once.  Rows may carry different rates: the steps of a batch
+    are independent.  A (B, 1) table gives each row one rate r, and its step
+    is one log-softmax of ``log_p - r * losses``: a multiplier shifts each
+    row by a constant, which the renormalization removes, so no solve is
+    needed.  Otherwise the multipliers come from
+    :func:`solve_entropy_multiplier`, which iterates and can raise
+    :class:`MirrorError`.  The losses must be finite and
     non-negative, which is not checked here: the round kernel has already
     bounded every loss behind them.  Returns new log-probabilities; each
     output row is renormalized in log space so that its linear-space sum is 1
     to machine precision, which keeps the solver's starting bracket valid
     over arbitrarily long update sequences.
     """
-    losses = np.asarray(losses, dtype=float)
-    r_min, r_max = geometry.rate_range
-    if r_min == r_max:
-        out = log_p - r_min * losses
+    if rates.shape[1] == 1:
+        out = log_p - rates * losses
     else:
-        lam = solve_entropy_multiplier(log_p, losses, geometry)
-        out = log_p - geometry.rates * (lam[:, None] + losses)
+        lam = solve_entropy_multiplier(log_p, losses, rates)
+        out = log_p - rates * (lam[:, None] + losses)
     # exact renormalization (cheap logsumexp; keeps sum(exp(out)) == 1)
     m = np.maximum.reduce(out, axis=1, keepdims=True)
     out -= m + np.log(np.add.reduce(np.exp(out - m), axis=1, keepdims=True))

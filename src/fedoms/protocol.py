@@ -24,10 +24,13 @@ This module owns everything that crosses the client/server boundary:
 * :func:`run_epoch` — the round kernel: the next communication epoch of S
   servers, vectorized across clients and, in blocks, across the epoch's
   rounds.  It reads a :class:`RunSetup` (the spaces, the client streams,
-  the sampling uniforms, the step sizes and the work every epoch shares) and
-  writes a :class:`ServerState` (the distributions, the models, the trace).
-  The cooperative learner runs it with one server for all clients, the
-  noncooperative baseline with one server per client and no messages.
+  the sampling uniforms, the step sizes, the client→server layout and the
+  work every epoch shares) and writes a :class:`ServerState` (the
+  distributions, the models, the trace).  The layout maps each client slot
+  to a server and a data row, and each server to its run's schedule: the
+  cooperative learner is one server for all its clients, the noncooperative
+  baseline one silent server per client, and a stack of runs (one kernel
+  loop for many runs of the same spaces and shape) is the union of theirs.
 
 The engine keeps each server's sampling distribution in log space (see
 :mod:`fedoms.mirror` for why) and its models as one zero-padded (K, d_max)
@@ -36,9 +39,10 @@ block, so spaces of mixed widths share every code path.  An epoch's
 of the frames, so the audit reads the kernel's reports as they are.  When
 every space reads one input coordinate an epoch makes the same numpy calls
 however many spaces it touches; other feature maps run once per touched
-space and round, on that space's entries.  Every server-side sum over
-clients is a running sum from +0.0 in ascending client order, the order of
-the audit's merge and of the plain-loop reference.  One memory budget,
+space, run and round, on that run's entries of the space.  Every
+server-side sum over clients is a running sum from +0.0 in ascending client
+order, the order of the audit's merge and of the plain-loop reference, so a
+stacked run computes the same bits as the run alone.  One memory budget,
 ``_BLOCK_FLOATS``, bounds both the rounds the fused coordinate gather of
 :func:`run_epoch` evaluates at once and the frames the audit codes at once.
 """
@@ -51,12 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mirror import (
-    WeightedEntropyGeometry,
-    entropy_step_log_batch,
-    materialize,
-    project_rows_per_row,
-)
+from .mirror import entropy_step_log_batch, materialize, project_rows_per_row
 from .sampling import complement_positions, inclusion_probabilities, subsets_from_uniforms
 from .spaces import (
     CoordinateMap,
@@ -83,7 +82,7 @@ __all__ = [
 
 
 class ProtocolError(ValueError):
-    """Raised for malformed frames, or a server count the kernel cannot run."""
+    """Raised for malformed frames, or values a frame header cannot hold."""
 
 
 class RunInvariantError(RuntimeError):
@@ -157,15 +156,15 @@ def _left_justify(values: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np
     return table, counts
 
 
-def encode_frames(kind: int | np.ndarray, epoch: int | np.ndarray, client_ids: np.ndarray,
+def encode_frames(kind: int, epoch: int | np.ndarray, client_ids: np.ndarray,
                   indices: np.ndarray, floats: np.ndarray, counts: np.ndarray,
                   num_spaces: int) -> tuple[np.ndarray, np.ndarray]:
-    """Serialize n frames into one back-to-back buffer.
+    """Serialize n frames of one kind into one back-to-back buffer.
 
-    ``kind`` and ``epoch`` are each one value for every frame or an (n,)
-    array of per-frame values; the kind only labels the header, since
-    ``floats`` and ``counts`` already hold what each frame carries (an
-    uplink's mean losses first).
+    ``kind`` labels every frame's header, since ``floats`` and ``counts``
+    already hold what each frame carries (an uplink's mean losses first);
+    ``epoch`` is one value for every frame or an (n,) array of per-frame
+    values.
     The r-th frame goes to client ``client_ids[r]`` and carries the first
     ``counts[r]`` entries of ``floats[r]`` as little-endian f32, then the J
     indices of ``indices[r]`` packed ceil(log2 K) bits each, most significant
@@ -327,51 +326,63 @@ class ServerState:
 
     Row ``s`` of ``log_p`` (S, K) is server ``s``'s sampling distribution in
     log space, and ``weights[s, i]`` (S, K, d_max) its parameter vector of
-    space ``i``, zero past that space's width.  Client ``j`` of ``M`` belongs
-    to server ``j * S // M``: the cooperative learner runs one server for
-    every client (S=1) and the noncooperative baseline one per client (S=M).
-    The two (horizon, clients) panels hold each round's lead prediction and
-    loss, and ``subsets`` the (M, J) table of sampled spaces each epoch
-    wrote, its lead space first: the run's one record of what was sampled.
-    The learner derives the trace's lead and bit columns from it after the
-    run, and the audit reads each staged epoch's subsets from it.
-    ``epochs_done`` counts the epochs run so far, so the next call of
-    :func:`run_epoch` runs epoch ``epochs_done + 1``.
+    space ``i``, zero past that space's width; the kernel writes it through
+    an (S·K, d_max) view, one row per (server, space) cell, so it must be
+    C-contiguous.  Client slot ``j`` belongs to server
+    ``RunSetup.slot_servers[j]``.  The two (horizon, slots) panels
+    hold each round's lead prediction and loss, and ``subsets`` the
+    (slots, J) table of sampled spaces each epoch wrote, its lead space
+    first: the run's one record of what was sampled.  The learner derives
+    the trace's lead and bit columns from it after the run, and the audit
+    reads each staged epoch's subsets from it.  ``epochs_done`` counts the
+    epochs run so far, so the next call of :func:`run_epoch` runs epoch
+    ``epochs_done + 1``.
     """
 
     log_p: np.ndarray
     weights: np.ndarray
     predictions: np.ndarray
     losses: np.ndarray
-    subsets: np.ndarray  # (epochs, clients, J)
+    subsets: np.ndarray  # (epochs, slots, J)
     epochs_done: int = 0
 
 
 @dataclass(frozen=True)
 class RunSetup:
-    """What a run reads: the same for every epoch.
+    """What a run, or a stack of runs, reads: the same for every epoch.
 
-    ``uniforms[j, t - 1]`` holds the uniform variates the server consumes
-    when it samples the subset for client ``j`` at round ``t``; with one
-    decision per epoch only the first-round slot of each epoch is read, so
-    batched and unbatched runs consume identical randomness per decision.
-    ``radii``, ``lipschitz`` and ``loss_bounds`` are the spaces' (K,)
-    constants, gathered once per run; the cached properties, set on the
-    first epoch, hold the rest of the work that is the same for every epoch.
+    The layout: client slot ``j`` reads data row ``slot_rows[j]`` of ``xs``
+    and ``ys`` and belongs to server ``slot_servers[j]`` (non-decreasing,
+    and a server's slots ascend as its clients do); server ``s`` steps with
+    the schedule of run ``r = server_runs[s]``, the step sizes
+    ``param_rates[:, r]`` and its own row of ``mirror_rates`` (that run's
+    rate eta over each space's loss bound, constant across epochs).  A
+    (server, space) pair is a cell, numbered ``server * K + space``; the
+    feature maps see one run's entries at a time.  ``uniforms[j, t - 1]``
+    holds the uniform variates the server consumes when it samples the
+    subset for slot ``j`` at round ``t``; with one decision per epoch only
+    the first-round slot of each epoch is read, so batched and unbatched
+    runs consume identical randomness per decision.  ``lipschitz`` and
+    ``loss_bounds`` are the spaces' (K,) constants, gathered once; the
+    cached properties, set on the first epoch, hold the rest of the work
+    that is the same for every epoch.
     """
 
     spaces: tuple[HypothesisSpace, ...]
     loss: Loss
     subset_size: int
-    xs: np.ndarray  # (clients, horizon, input_dim)
-    ys: np.ndarray  # (clients, horizon)
-    uniforms: np.ndarray  # (clients, horizon, subset_size)
+    xs: np.ndarray  # (data rows, horizon, input_dim)
+    ys: np.ndarray  # (data rows, horizon)
+    uniforms: np.ndarray  # (slots, horizon, subset_size)
     rounds_per_epoch: int
-    radii: np.ndarray
+    cell_radii: np.ndarray  # (S·K,) radius of each (server, space) cell's space
     lipschitz: np.ndarray
     loss_bounds: np.ndarray
-    mirror_rate: float  # eta, constant across epochs
-    param_rates: np.ndarray  # (epochs, K) step sizes; row e - 1 is epoch e
+    slot_rows: np.ndarray  # (slots,)
+    slot_servers: np.ndarray  # (slots,)
+    server_runs: np.ndarray  # (servers,)
+    mirror_rates: np.ndarray  # (S, K) or (S, 1): mirror.entropy_rates of each server's eta
+    param_rates: np.ndarray  # (epochs, runs, K) step sizes; row e - 1 is epoch e
     audit: "AuditLog | None" = None
 
     @cached_property
@@ -388,11 +399,6 @@ class RunSetup:
         return int(self.dims.max())
 
     @cached_property
-    def mirror_geometry(self) -> WeightedEntropyGeometry:
-        """The sampling distribution's entropy geometry: loss-bound scales, rate eta."""
-        return WeightedEntropyGeometry(self.loss_bounds, self.mirror_rate)
-
-    @cached_property
     def limits(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-space (loss limit, squared gradient-norm limit) for bound checks."""
         tol = 1e-9
@@ -402,7 +408,7 @@ class RunSetup:
 
     @cached_property
     def subset_positions(self) -> np.ndarray:
-        """(clients, epochs, J-1) complement positions of each epoch's first-round draws."""
+        """(slots, epochs, J-1) complement positions of each epoch's first-round draws."""
         return complement_positions(self.uniforms[:, ::self.rounds_per_epoch], self.num_spaces)
 
     @cached_property
@@ -419,14 +425,30 @@ class RunSetup:
         return None
 
     @cached_property
-    def entry_rows(self) -> np.ndarray:
-        """The client of each client-major (client, slot) entry: j repeated J times."""
-        return np.repeat(np.arange(self.ys.shape[0]), self.subset_size)
+    def entry_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each client-major (client slot, sampled space) entry's data row, and
+        its server and its run times K: adding the entry's space to those
+        gives its cell and its (run, space) map group."""
+        servers = np.repeat(self.slot_servers, self.subset_size)
+        return (np.repeat(self.slot_rows, self.subset_size), servers * self.num_spaces,
+                self.server_runs[servers] * self.num_spaces)
 
     @cached_property
     def entry_targets(self) -> np.ndarray:
-        """(horizon, M·J) targets of the client-major entries, one row per round."""
-        return np.ascontiguousarray(self.ys.T[:, self.entry_rows])
+        """(horizon, n) targets of the client-major entries, one row per round."""
+        return np.ascontiguousarray(self.ys.T[:, self.entry_layout[0]])
+
+    @cached_property
+    def cell_clients(self) -> np.ndarray:
+        """(S·K,) float count of each cell's server's clients, the divisor of its means."""
+        return np.repeat(np.bincount(self.slot_servers).astype(float), self.num_spaces)
+
+    @cached_property
+    def lone_start(self) -> int:
+        """The entry from which on every entry's server has one client, so each
+        is its cell's one report; the learners lay such servers out last."""
+        several = np.flatnonzero(np.bincount(self.slot_servers)[self.slot_servers] > 1)
+        return self.subset_size * (int(several[-1]) + 1 if several.size else 0)
 
     def message_bits(self, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(downlink, uplink) bits of each (..., J) subset: 32 a float, ceil(log2 K) an index."""
@@ -729,14 +751,15 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
     positions, the client-major entries' targets, which every epoch reads)
     comes from ``setup``, computed once.
 
-    All per-(client, space) work runs on an epoch's n = M·J entries, a
-    (client, sampled space) pair each, in client-major order: entry
-    ``j * J + a`` is client j's slot a, so each client's lead is every J-th
-    entry.  When every space reads one input coordinate, one gather per block
-    picks every entry's feature.  Otherwise each touched space's feature map
-    runs once per round on that space's (entries, input) rows, which list
-    the clients that sampled it in ascending order; the map writes its rows
-    back into the entries' places.
+    All per-(client, space) work runs on an epoch's n = slots·J entries, a
+    (client slot, sampled space) pair each, in client-major order: entry
+    ``j * J + a`` is slot j's position a, so each client's lead is every
+    J-th entry.  When every space reads one input coordinate, one gather per
+    block picks every entry's feature.  Otherwise each touched space's
+    feature map runs once per run and round on that run's (entries, input)
+    rows, which list the run's clients that sampled the space in ascending
+    order, the rows the run alone would pass; the map writes its rows back
+    into the entries' places.
 
     Subsets and models are frozen for the epoch, so its rounds are
     independent until they are summed.  The coordinate gather evaluates
@@ -749,53 +772,57 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
     to the epoch's sums one round at a time in round order, the additions a
     round-by-round loop makes, so the floats do not depend on C.
 
-    The floats do not depend on S except through the aggregation, which
-    keeps one rule: every sum over a server's clients is a running sum from
-    +0.0 in ascending client order, the order in which client-major entries
-    list each space's entries.  One ``bincount`` over (server, space) cells
-    sums every server's importance-weighted losses.  With S=M each cell has
-    exactly one report, so no gradient is summed.  With S=1 one ``bincount``
-    over the entries' spaces sums one-column gradients, and ``sum(axis=0)``
-    sums wider gradient rows, one row at a time, over each space's entries.
-    The sampled subsets fix every order, so the floats are reproducible, and
-    the audit's merge must equal them bit for bit.
+    The servers merge over (server, space) cells under one rule: every sum
+    over a server's clients is a running sum from +0.0 in ascending client
+    order, the order in which client-major entries list each cell's entries.
+    One ``bincount`` over the cells sums every server's importance-weighted
+    losses.  The gradients take one of three sums, picked by shape.  The
+    entries from ``setup.lone_start`` on belong to one-client servers, so
+    each is its cell's one report and needs no sum.  The others are summed
+    by one ``bincount`` over the cells when the rows are one column wide,
+    and otherwise by ``sum(axis=0)`` over each touched cell's entries, which
+    adds its rows one at a time.  The three give equal floats, so a run's
+    bits do not depend on the other servers it shares the kernel with.  The
+    sampled subsets fix every order, so the floats are reproducible, and the
+    audit's merge must equal them bit for bit.
     """
     epoch = state.epochs_done + 1
-    M = setup.ys.shape[0]
     S = state.log_p.shape[0]
-    if S != 1 and S != M:
-        raise ProtocolError(f"{S} servers for {M} clients; expected 1 or {M}")
     N = setup.rounds_per_epoch
     t0 = (epoch - 1) * N  # 0-based index of the epoch's first round
     K = setup.num_spaces
     J = setup.subset_size
-    spaces = setup.spaces
+    d_max = setup.max_dim
 
     probs = materialize(state.log_p)
-    indices = subsets_from_uniforms(probs, setup.uniforms[:, t0, 0],
+    # one server's distribution is shared by every slot; one server a slot
+    # reads its own row; else each slot reads its server's
+    slots = setup.slot_rows.size
+    indices = subsets_from_uniforms(probs if S in (1, slots) else probs[setup.slot_servers],
+                                    setup.uniforms[:, t0, 0],
                                     setup.subset_positions[:, epoch - 1])
     state.subsets[epoch - 1] = indices
     inclusion = inclusion_probabilities(probs, J)
 
     columns = setup.feature_columns
-    mapped = columns is None  # a feature-map call per space
-    rows = setup.entry_rows
+    mapped = columns is None  # a feature-map call per run and touched space
+    rows, cell_base, group_base = setup.entry_layout
     flat_spaces = indices.reshape(-1)
     n = rows.size
-    servers = rows if S == M else 0
-    w_flat = state.weights[servers, flat_spaces]
+    cells = cell_base + flat_spaces  # server * K + space
+    cell_weights = state.weights.reshape(S * K, d_max)  # a view: row server * K + space
+    w_flat = cell_weights[cells]
     entry_limits = (setup.limits[0][flat_spaces], setup.limits[1][flat_spaces])
-    if mapped or S != M:
-        touched = np.bincount(flat_spaces, minlength=K).nonzero()[0]
-    if mapped or (S != M and setup.max_dim > 1):
-        # each touched space's entries, in ascending client order
-        members = [np.flatnonzero(flat_spaces == i) for i in touched.tolist()]
 
     C = 1 if mapped else min(N, max(1, _BLOCK_FLOATS // (n * setup.xs.shape[2])))
     if mapped:
-        widths = setup.dims[touched].tolist()
+        groups = group_base + flat_spaces  # run * K + space
+        touched_groups = np.bincount(groups).nonzero()[0].tolist()
+        # each (run, space) group's space and entries, in ascending client order
+        mapped_spaces = [setup.spaces[g % K] for g in touched_groups]
+        members = [np.flatnonzero(groups == g) for g in touched_groups]
         # every round writes the same entries, so one buffer serves the epoch
-        phi_b = np.zeros((1, n, setup.max_dim))  # zero past each space's width
+        phi_b = np.zeros((1, n, d_max))  # zero past each space's width
     else:
         flat_columns = columns[flat_spaces]
     loss_sum = grad_sum = None
@@ -803,10 +830,10 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
         b = min(a + C, t0 + N)
         yt = setup.entry_targets[a:b]
         if mapped:
-            # one call per touched space and round, on the (entries, input)
-            # rows of the clients that sampled it
-            for i, entries, width in zip(touched.tolist(), members, widths):
-                phi_b[0, entries, :width] = spaces[i].feature_map(setup.xs[rows[entries], a])
+            # one call per touched (run, space) and round, on the (entries,
+            # input) rows of the run's clients that sampled the space
+            for space, entries in zip(mapped_spaces, members):
+                phi_b[0, entries, :space.dim] = space.feature_map(setup.xs[rows[entries], a])
         else:
             # the fused gather picks the same floats the per-space maps would;
             # a (rounds, 1) column of round indices gathers C-ordered (rounds,
@@ -824,42 +851,43 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
 
     # Server aggregation: mean over the epoch, importance weight, mean over
     # the server's clients.  Spaces outside every subset estimate to zero.
-    # No division by 1 (one-round epochs, one-client servers): same values, a pass fewer.
+    # No division by 1 (one-round epochs): same values, a pass fewer.
     mean_losses = loss_sum / N if N > 1 else loss_sum
     mean_grads = grad_sum / N if N > 1 else grad_sum
-    inc = inclusion[servers, flat_spaces]
+    inc = inclusion.ravel()[cells]
     # bincount adds each (server, space) cell's reports in entry order, which
     # is ascending client order within a cell
-    loss_est = np.bincount(servers * K + flat_spaces, weights=mean_losses / inc,
-                           minlength=S * K).reshape(S, K)
-    if S == M:
-        grad_est = mean_grads / inc[:, None]
-        stepped = flat_spaces
-        w_old = w_flat
-    else:
-        if setup.max_dim == 1:
-            grad_est = np.bincount(flat_spaces, weights=mean_grads[:, 0] / inc,
-                                   minlength=K)[touched, None]
+    loss_est = (np.bincount(cells, weights=mean_losses / inc, minlength=S * K)
+                / setup.cell_clients).reshape(S, K)
+    lone = setup.lone_start  # the entries of one-client servers: a cell's one report
+    stepped, w_old, grad_est = cells[lone:], w_flat[lone:], mean_grads[lone:] / inc[lone:, None]
+    if lone:  # servers of several clients sum each touched cell's reports
+        shared = cells[:lone]
+        touched = np.bincount(shared).nonzero()[0]
+        if d_max == 1:
+            summed = (np.bincount(shared, weights=mean_grads[:lone, 0] / inc[:lone],
+                                  minlength=S * K)[touched, None]
+                      / setup.cell_clients[touched, None])
         else:
             # sum(axis=0) adds rows more than one column wide one at a time;
-            # one scalar division per space: dividing the whole (n, d_max)
-            # block by an (n, 1) column runs one inner loop per row, which
-            # costs more than the division itself when the rows are wide
-            grad_est = np.empty((touched.size, mean_grads.shape[1]))
-            for k, share in enumerate(inclusion[0, touched].tolist()):
-                grad_est[k] = np.add.reduce(mean_grads[members[k]] / share, axis=0)
-        grad_est /= M
-        loss_est /= M
-        stepped = touched
-        w_old = state.weights[0, touched]
+            # scalar divisions per cell: dividing the whole (n, d_max) block
+            # by an (n, 1) column runs one inner loop per row, which costs
+            # more than the division itself when the rows are wide
+            summed = np.empty((touched.size, d_max))
+            for k, cell in enumerate(touched.tolist()):
+                share = inclusion.flat[cell]  # its server's inclusion of its space
+                summed[k] = (np.add.reduce(mean_grads[:lone][shared == cell] / share, axis=0)
+                             / setup.cell_clients[cell])
+        parts = (touched, cell_weights[touched], summed), (stepped, w_old, grad_est)
+        stepped, w_old, grad_est = parts[0] if lone == n else map(np.concatenate, zip(*parts))
 
-    if setup.audit is not None:
+    if setup.audit is not None:  # a stack of one server, so its cells are its spaces
         _audit_epoch(setup.audit, setup, state, epoch, w_flat, mean_losses, mean_grads,
                      inclusion[0], loss_est[0], stepped, grad_est)
 
-    rates = setup.param_rates[epoch - 1]
-    state.weights[servers, stepped] = project_rows_per_row(
-        w_old - rates[stepped][:, None] * grad_est, setup.radii[stepped]
+    rates = setup.param_rates[epoch - 1][setup.server_runs].ravel()[stepped]
+    cell_weights[stepped] = project_rows_per_row(
+        w_old - rates[:, None] * grad_est, setup.cell_radii[stepped]
     )
-    state.log_p = entropy_step_log_batch(state.log_p, loss_est, setup.mirror_geometry)
+    state.log_p = entropy_step_log_batch(state.log_p, loss_est, setup.mirror_rates)
     state.epochs_done = epoch

@@ -64,13 +64,14 @@ class CoordinateMap:
         return x[..., self.index : self.index + 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianRFFMap:
     """Random Fourier features for the Gaussian kernel.
 
     phi_j(x) = sqrt(2/D) * cos(<omega_j, x> + b_j) with omega_j drawn from
     N(0, width^-2 I) and b_j uniform on [0, 2*pi).  The spectral sample is
-    frozen at construction; evaluation is deterministic.
+    frozen at construction; evaluation is deterministic.  A draw equals only
+    itself, so spaces holding it compare (and hash) by the draw's identity.
     """
     width: float
     weights: np.ndarray  # (D, input_dim)
@@ -132,32 +133,29 @@ class Loss(str, Enum):
 
 
 def loss_value(kind: Loss, prediction, target):
-    """Pointwise loss; broadcasts over arrays."""
-    v = np.asarray(prediction, dtype=float)
-    y = np.asarray(target, dtype=float)
+    """Pointwise loss; broadcasts over float64 arrays or floats."""
     if kind is Loss.SQUARE:
-        return (v - y) ** 2
+        return (prediction - target) ** 2
     if kind is Loss.ABSOLUTE:
-        return np.abs(v - y)
+        return np.abs(prediction - target)
     if kind is Loss.LINEAR:
-        return 1.0 - v * y
+        return 1.0 - prediction * target
     raise ValueError(f"unknown loss {kind!r}")
 
 
 def loss_derivative(kind: Loss, prediction, target):
-    """Derivative of the loss in its prediction argument; broadcasts.
+    """Derivative of the loss in its prediction argument; broadcasts over
+    float64 arrays or floats.
 
     The linear loss's derivative is constant in the prediction: it is
     ``-target``, shaped like the target.
     """
-    v = np.asarray(prediction, dtype=float)
-    y = np.asarray(target, dtype=float)
     if kind is Loss.SQUARE:
-        return 2.0 * (v - y)
+        return 2.0 * (prediction - target)
     if kind is Loss.ABSOLUTE:
-        return np.sign(v - y)  # subgradient 0 at ties
+        return np.sign(prediction - target)  # subgradient 0 at ties
     if kind is Loss.LINEAR:
-        return -y
+        return -target
     raise ValueError(f"unknown loss {kind!r}")
 
 

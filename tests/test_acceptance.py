@@ -29,10 +29,10 @@ from fedoms.learners import (
     best_fixed_hypothesis,
     regret_accounting,
     run_fomd_oms,
-    run_nco_oms,
+    run_many,
 )
 from fedoms.mirror import (
-    WeightedEntropyGeometry,
+    entropy_rates,
     entropy_step_log_batch,
     materialize,
     solve_entropy_multiplier,
@@ -150,11 +150,11 @@ def test_criterion_03_simplex_projection_against_grid_oracle(capfd):
         else:
             scales = gen.uniform(0.5, 4.0, size=num_spaces)
         eta = float(gen.uniform(0.01, 2.0))
-        geometry = WeightedEntropyGeometry(scales=scales, learning_rate=eta)
+        rates = entropy_rates(np.array([eta]), scales)
         # the kernel's step: log-space state in, linear probabilities out
         log_p = np.log(p / p.sum())[None, :]
-        stepped = materialize(entropy_step_log_batch(log_p, losses[None, :], geometry))[0]
-        lam = float(solve_entropy_multiplier(log_p, losses[None, :], geometry)[0])
+        stepped = materialize(entropy_step_log_batch(log_p, losses[None, :], rates))[0]
+        lam = float(solve_entropy_multiplier(log_p, losses[None, :], rates)[0])
         oracle_p, oracle_lam = oracles.entropy_step_grid(scales, eta, p, losses)
         worst_sum = max(worst_sum, abs(float(stepped.sum()) - 1.0))
         lam_in_range = lam_in_range and -float(losses.max()) <= lam <= 0.0
@@ -219,20 +219,20 @@ def test_criterion_05_collaboration_unnecessary_at_full_subsets(capfd):
         for i in range(num_spaces)
     )
     start = time.perf_counter()
-    delta_full, delta_pair = [], []
+    runs = []  # (seed, J) pairs of (federated, noncooperative) runs
     for seed in range(10):
         streams = synthetic_linear(input_dim=input_dim, clients=clients,
                                    horizon=horizon, seed=seed)
-        for bucket, subset_size in ((delta_full, num_spaces), (delta_pair, 2)):
+        for subset_size in (num_spaces, 2):
             cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE,
                                 clients=clients, subset_size=subset_size,
                                 horizon=horizon, master_seed=seed)
-            fed = run_fomd_oms(cfg, streams).mse()
-            solo = run_nco_oms(cfg, streams).mse()
-            bucket.append(solo - fed)
+            runs += [("fomd", cfg, streams), ("nco", cfg, streams)]
+    mse = np.array([art.mse() for art in run_many(runs)]).reshape(10, 2, 2)
     elapsed = time.perf_counter() - start
-    gap_full = abs(float(np.mean(delta_full)))
-    gap_pair = float(np.mean(delta_pair))
+    deltas = mse[:, :, 1] - mse[:, :, 0]  # (seed, J = K or 2)
+    gap_full = abs(float(np.mean(deltas[:, 0])))
+    gap_pair = float(np.mean(deltas[:, 1]))
     ok = gap_pair > 0 and gap_full <= 5.0 * gap_pair and elapsed < 120.0
     _report(capfd, 5, ok,
             "with full subsets the federated/noncooperative MSE gap "
@@ -246,7 +246,7 @@ def _paired_hidden_arm_deltas(num_spaces, clients, horizon, seeds):
         make_space(CoordinateMap(num_spaces, i), 1.0, Loss.LINEAR)
         for i in range(num_spaces)
     )
-    deltas = []
+    runs = []
     for seed in range(seeds):
         spec = AdversarialSpec(kind="biased_arm", num_spaces=num_spaces,
                                input_dim=num_spaces, horizon=horizon,
@@ -254,10 +254,9 @@ def _paired_hidden_arm_deltas(num_spaces, clients, horizon, seeds):
         streams = generate_adversarial(spec)
         cfg = LearnerConfig(spaces=spaces, loss=Loss.LINEAR, clients=clients,
                             subset_size=2, horizon=horizon, master_seed=seed)
-        fed = run_fomd_oms(cfg, streams).cumulative_loss()
-        solo = run_nco_oms(cfg, streams).cumulative_loss()
-        deltas.append((solo - fed) / clients)
-    return np.array(deltas)
+        runs += [("fomd", cfg, streams), ("nco", cfg, streams)]
+    losses = np.array([art.cumulative_loss() for art in run_many(runs)]).reshape(seeds, 2)
+    return (losses[:, 1] - losses[:, 0]) / clients
 
 
 def test_criterion_06_collaboration_necessary_with_small_subsets(capfd):
@@ -282,9 +281,8 @@ def test_criterion_07_regret_grows_sublinearly(capfd):
     radii = (0.25, 0.5, 0.75, 1.0)
     spaces = tuple(make_space(IdentityMap(input_dim), r, Loss.SQUARE)
                    for r in radii)
-    mean_regret = {}
+    runs = []
     for horizon in (1000, 4000):
-        per_seed = []
         for seed in range(10):
             streams = synthetic_linear(input_dim=input_dim, clients=clients,
                                        horizon=horizon, seed=seed)
@@ -292,13 +290,15 @@ def test_criterion_07_regret_grows_sublinearly(capfd):
                                 clients=clients, subset_size=2,
                                 horizon=horizon, master_seed=seed,
                                 uniform_init=True)
-            art = run_fomd_oms(cfg, streams)
-            # regret against the best fixed hypothesis of the best space
-            per_seed.append(max(
-                regret_accounting(art, streams, s, Loss.SQUARE,
-                                  best_fixed_hypothesis(streams, s, Loss.SQUARE))
-                for s in spaces))
-        mean_regret[horizon] = float(np.mean(per_seed))
+            runs.append(("fomd", cfg, streams))
+    per_seed = {1000: [], 4000: []}
+    for (_, cfg, streams), art in zip(runs, run_many(runs)):
+        # regret against the best fixed hypothesis of the best space
+        per_seed[cfg.horizon].append(max(
+            regret_accounting(art, streams, s, Loss.SQUARE,
+                              best_fixed_hypothesis(streams, s, Loss.SQUARE))
+            for s in spaces))
+    mean_regret = {horizon: float(np.mean(values)) for horizon, values in per_seed.items()}
     ratio = mean_regret[4000] / mean_regret[1000]
     ok = mean_regret[1000] > 0 and mean_regret[4000] > 0 and ratio <= 2.6
     _report(capfd, 7, ok,
@@ -419,7 +419,7 @@ def test_criterion_11_regression_table_smoke_comparison(capfd, tmp_path):
                                input_dim=18, seed=0)
     dataset = ingest_csv(csv, target_column="target")
     start = time.perf_counter()
-    fed_all, solo_all = [], []
+    runs = []
     for seed in range(10):
         streams = preprocess_and_partition(dataset, clients=clients, seed=seed)
         spaces = tuple(
@@ -430,8 +430,9 @@ def test_criterion_11_regression_table_smoke_comparison(capfd, tmp_path):
         cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=clients,
                             subset_size=2, horizon=streams.horizon,
                             master_seed=seed)
-        fed_all.append(run_fomd_oms(cfg, streams).mse())
-        solo_all.append(run_nco_oms(cfg, streams).mse())
+        runs += [("fomd", cfg, streams), ("nco", cfg, streams)]
+    mse = [art.mse() for art in run_many(runs)]  # each seed's random draws: one stack
+    fed_all, solo_all = mse[::2], mse[1::2]
     elapsed = time.perf_counter() - start
     fed_mean = float(np.mean(fed_all))
     solo_mean = float(np.mean(solo_all))

@@ -390,6 +390,36 @@ def test_validate_and_run_refuse_a_source_that_cannot_serve_the_config_alike(
     assert blobs[0]["message"] == message
 
 
+@pytest.mark.parametrize("spaces, position, reach", [
+    ([{"kind": "coordinate", "index": 0}, {"kind": "identity", "radius": 1.0}], 1, "1.73205"),
+    ([{"kind": "rff", "features": 4, "radius": 0.75}], 0, "1.06066"),
+], ids=["identity-reach-sqrt-3", "rff-reach-0.75-sqrt-2"])
+def test_validate_and_run_refuse_a_linear_loss_space_whose_reach_passes_1(
+        spaces, position, reach, tmp_path, capsys):
+    # past radius * feature bound = 1 the linear loss 1 - v * y can go
+    # negative: validate named no field, and run stopped mid-run with a
+    # RunInvariantError; both now refuse the radius before any data is drawn
+    path = _write_config(tmp_path, loss="linear", subset_size=len(spaces), spaces=spaces)
+    blobs = []
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(command) == 2
+        blobs.append(_last_json(capsys.readouterr().out))
+    assert blobs[0] == blobs[1]
+    assert blobs[0]["kind"] == "ConfigError"
+    assert blobs[0]["field"] == f"spaces[{position}].radius"
+    assert f"is {reach}, over 1" in blobs[0]["message"]
+
+
+def test_a_linear_loss_space_of_reach_exactly_1_is_accepted(tmp_path, capsys):
+    # hidden-arm's spaces: one coordinate each at radius 1
+    path = _write_config(tmp_path, loss="linear", horizon=12, epochs=None,
+                         spaces=[{"kind": "coordinate", "index": i} for i in range(3)],
+                         data={"source": "biased_arm", "input_dim": 3})
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_run_on_a_csv_cell_over_the_csv_field_limit_reports_the_row(tmp_path, capsys):
     from fedoms.data import write_regression_csv
 
@@ -631,6 +661,37 @@ def test_ab_parses_a_csv_once_and_writes_the_per_seed_parse_bytes(tmp_path, monk
     once = (tmp_path / "once" / "ab.json").read_bytes()
     assert once == (tmp_path / "per_seed" / "ab.json").read_bytes()
     assert len(json.loads(once)["rows"]) == 3
+
+
+def test_ab_stacks_only_seeds_whose_spaces_are_equal_and_at_most_a_full_group(
+        tmp_path, monkeypatch):
+    # a stack holds its seeds' streams and traces until it ends, so ab's
+    # peak memory stays flat in --seeds only if no stack outgrows
+    # _AB_STACK_SEEDS and seeds of different random feature draws run apart
+    from fedoms import cli
+
+    sizes = []
+    run_many = cli.run_many
+    monkeypatch.setattr(cli, "run_many", lambda runs: sizes.append(len(runs)) or run_many(runs))
+    rff = _write_config(tmp_path, "rff.json", epochs=None)
+    assert main(["ab", str(rff), "--seeds", "3", "--out", str(tmp_path / "rff")]) == 0
+    assert sizes == [2, 2, 2]
+
+    cfg = _base_config(clients=3, horizon=60, epochs=None, loss="linear",
+                       spaces=[{"kind": "coordinate", "index": i} for i in range(4)])
+    cfg["data"] = {"source": "biased_arm", "input_dim": 4, "bias": 0.3}
+    path = tmp_path / "coordinate.json"
+    path.write_text(json.dumps(cfg))
+    reports = []
+    for stack_seeds in (2, 1):
+        sizes.clear()
+        monkeypatch.setattr(cli, "_AB_STACK_SEEDS", stack_seeds)
+        out = tmp_path / f"stack{stack_seeds}"
+        assert main(["ab", str(path), "--seeds", "5", "--out", str(out)]) == 0
+        assert sizes == [2 * stack_seeds] * (5 // stack_seeds) + [2] * (5 % stack_seeds)
+        reports.append((out / "ab.json").read_bytes())
+    # a stacked seed reports the bytes it reports alone
+    assert reports[0] == reports[1]
 
 
 def test_ab_seed_column_offsets_from_config_seed(tmp_path):

@@ -1,6 +1,8 @@
 """Tests for schedules, the two drivers, and regret accounting."""
 
 import itertools
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -31,6 +33,11 @@ from fedoms.spaces import (
     gaussian_rff,
     make_space,
 )
+
+
+def _stack(*runs):
+    """Run ``runs`` as one kernel stack, each laid out by ``learners._layout``."""
+    return learners._run_stack(list(runs), [learners._layout(*run) for run in runs])
 
 
 def _lambda(K, J, M, T, rounds, U=1.0, G=1.0):
@@ -247,7 +254,7 @@ def test_both_learners_match_the_plain_loop_reference_on_random_configs(run):
             assert art.meta["audit_mismatches"] == []
             assert art.meta["audit_frames_checked"] == 2 * M * R
         # the artifact carries no models: the final weights come from the state
-        state, _, _, _ = learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
+        state, _, _, _ = _stack(("fomd" if cooperative else "nco", cfg, streams))
         for s, group in enumerate(groups):
             ref = oracles.reference_fomd(spaces, loss, streams.xs[group], streams.ys[group],
                                          subset_size=J, epochs=epochs,
@@ -694,8 +701,7 @@ def test_engine_invariants_hold_on_random_small_configs(run):
 
 def _state_bytes(cfg, streams, cooperative):
     """A run's distributions, weights, trace panels and subsets as bytes, and its audit record."""
-    epochs = cfg.effective_epochs if cooperative else cfg.horizon
-    state, _, _, audit = learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
+    state, _, _, audit = _stack(("fomd" if cooperative else "nco", cfg, streams))
     panels = (state.log_p, state.weights, state.predictions, state.losses, state.subsets)
     record = None if audit is None else (audit.frames_checked, audit.mismatches)
     return [panel.tobytes() for panel in panels], record
@@ -780,3 +786,165 @@ def test_linear_loss_past_unit_reach_fails_as_a_named_invariant(learner):
                         horizon=11, master_seed=0)
     with pytest.raises(RunInvariantError, match="loss"):
         learner(cfg, streams)
+
+
+# ---------------------------------------------------------------------------
+# Stacked runs
+
+
+def _family_spaces(family, K, d, loss, rng):
+    """K spaces of one family over input width d, radii drawn from ``rng``;
+    capped for the linear loss at radius * feature_bound <= 1."""
+    spaces = []
+    for _ in range(K):
+        if family == "identity":
+            fm = IdentityMap(d)
+        elif family == "coordinate":
+            fm = CoordinateMap(d, int(rng.integers(d)))
+        else:
+            fm = gaussian_rff(d, int(rng.integers(1, 6)), float(rng.uniform(0.5, 3.0)), rng)
+        top = min(2.0, 1.0 / feature_norm_bound(fm)) if loss is Loss.LINEAR else 2.0
+        spaces.append(make_space(fm, float(rng.uniform(0.1, top)), loss))
+    return tuple(spaces)
+
+
+@st.composite
+def _stacks(draw):
+    """1-4 runs of fomd or nco (nco only with one-round epochs), 1 <= M <= 5
+    clients each, over K <= 5 spaces of one family (coordinate, identity or
+    RFF) and any loss, with their own seeds, initial distributions and
+    streams: fresh, shared with an earlier run, or one broadcast row.  A run
+    may rebuild its spaces from the same seed: coordinate and identity spaces
+    then compare equal and stack, a new RFF draw does not."""
+    K = draw(st.integers(1, 5), label="K")
+    J = 1 if K == 1 else draw(st.integers(2, K), label="J")
+    T = draw(st.integers(2 if K == 1 else 1, 12), label="T")
+    N = draw(st.sampled_from([n for n in range(1, T + 1)
+                              if T % n == 0 and K * (T // n) >= 2]), label="epoch length")
+    d = draw(st.integers(2, 3), label="input width")
+    loss = draw(st.sampled_from(list(Loss)), label="loss")
+    family = draw(st.sampled_from(["coordinate", "identity", "rff"]), label="family")
+    space_seed = draw(st.integers(0, 2**16), label="space seed")
+    spaces = _family_spaces(family, K, d, loss, np.random.default_rng(space_seed))
+    runs = []
+    for r in range(draw(st.integers(1, 4), label="runs")):
+        algorithm = draw(st.sampled_from(["fomd", "nco"] if N == 1 else ["fomd"]))
+        seed = draw(st.integers(0, 2**16))
+        M = draw(st.integers(1, 5))
+        source = draw(st.sampled_from(["fresh", "broadcast"]
+                                      + ["shared"] * any(c.clients == M for _, c, _ in runs)))
+        if source == "shared":
+            streams = next(s for _, c, s in runs if c.clients == M)
+        elif source == "broadcast":
+            one = synthetic_linear(input_dim=d, clients=1, horizon=T, seed=seed)
+            streams = Streams(xs=np.broadcast_to(one.xs, (M, T, d)),
+                              ys=np.broadcast_to(one.ys, (M, T)), meta=one.meta)
+        else:
+            streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=seed)
+        rebuilt = draw(st.booleans())
+        run_spaces = (_family_spaces(family, K, d, loss, np.random.default_rng(space_seed))
+                      if rebuilt else spaces)
+        cfg = LearnerConfig(spaces=run_spaces, loss=loss, clients=M, subset_size=J, horizon=T,
+                            epochs=T // N if algorithm == "fomd" else None, master_seed=seed,
+                            uniform_init=draw(st.booleans()),
+                            audit=algorithm == "fomd" and draw(st.booleans()))
+        runs.append((algorithm, cfg, streams))
+    return runs
+
+
+def _artifact_bytes(artifact, directory, name):
+    """A run's trace.csv bytes, final distribution bytes and summary (wall time left out)."""
+    summary = artifact.summary_dict()
+    del summary["wall_seconds"]
+    trace = artifact.to_csv(Path(directory) / f"{name}.csv").read_bytes()
+    return trace, np.asarray(artifact.final_probs).tobytes(), summary
+
+
+@settings(deadline=None, max_examples=200)
+@given(_stacks())
+def test_a_stacked_run_keeps_the_bytes_of_its_solo_run(runs):
+    stack_sizes = []
+    run_stack = learners._run_stack
+
+    def recorded(stack, layouts):
+        stack_sizes.append(len(stack))
+        return run_stack(stack, layouts)
+
+    with mock.patch.object(learners, "_run_stack", recorded):
+        stacked = learners.run_many(runs)
+    # runs whose spaces compare equal share a stack; an audited run is alone
+    groups = []  # [spaces, or None for an audited run; runs]
+    for algorithm, cfg, _ in runs:
+        alone = algorithm == "fomd" and cfg.audit
+        group = next((g for g in groups if not alone and g[0] == cfg.spaces), None)
+        if group is None:
+            groups.append([None if alone else cfg.spaces, 1])
+        else:
+            group[1] += 1
+    assert sorted(stack_sizes) == sorted(size for _, size in groups)
+    with tempfile.TemporaryDirectory() as directory:
+        for r, ((algorithm, cfg, streams), artifact) in enumerate(zip(runs, stacked)):
+            solo = (run_fomd_oms if algorithm == "fomd" else run_nco_oms)(cfg, streams)
+            assert (_artifact_bytes(artifact, directory, f"stacked{r}")
+                    == _artifact_bytes(solo, directory, f"solo{r}"))
+
+
+def test_a_stack_holds_each_distinct_stream_once():
+    # a pair's two runs read one copy of their streams, a broadcast stream
+    # is one data row, and a third run's own stream adds its clients' rows
+    spec = AdversarialSpec(kind="biased_arm", num_spaces=4, input_dim=4, horizon=20,
+                           clients=6, seed=1)
+    shared = generate_adversarial(spec)
+    spaces = tuple(make_space(CoordinateMap(4, i), 1.0, Loss.LINEAR) for i in range(4))
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.LINEAR, clients=6, subset_size=2,
+                        horizon=20, master_seed=1)
+    own = synthetic_linear(input_dim=4, clients=6, horizon=20, seed=2)
+    runs = [("fomd", cfg, shared), ("nco", cfg, shared), ("fomd", cfg, own)]
+    state, setup, wall, _ = _stack(*runs)
+    assert setup.xs.shape == (1 + 6, 20, 4) and setup.ys.shape == (7, 20)
+    # run_many lays one-client servers out last; laid out between others,
+    # their cells are summed like any cell, to the same bits
+    assert setup.lone_start == 2 * 18
+    for run, (algorithm, cfg_, streams) in enumerate(runs):
+        art = learners._assemble(algorithm, cfg_, streams, state, setup, wall, None, run)
+        solo = (run_fomd_oms if algorithm == "fomd" else run_nco_oms)(cfg_, streams)
+        assert _trace_tuple(art) == _trace_tuple(solo)
+        assert art.final_probs.tobytes() == solo.final_probs.tobytes()
+    np.testing.assert_array_equal(setup.slot_rows, [0] * 12 + list(range(1, 7)))
+    # servers: the first fomd run's one, the baseline's six, the last run's one
+    np.testing.assert_array_equal(setup.slot_servers, [0] * 6 + list(range(1, 7)) + [7] * 6)
+    np.testing.assert_array_equal(setup.server_runs, [0] + [1] * 6 + [2])
+    # a lone broadcast stream is read where it is, not copied
+    _, solo, _, _ = _stack(("nco", cfg, shared))
+    assert np.shares_memory(solo.xs, shared.xs) and solo.xs.shape[0] == 1
+
+
+def test_run_many_refuses_an_unknown_algorithm_before_any_run():
+    spaces = _nested_spaces(3, (0.5, 1.0))
+    streams = synthetic_linear(input_dim=3, clients=2, horizon=10, seed=1)
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=2, subset_size=2,
+                        horizon=10)
+    with mock.patch.object(learners, "_run_stack") as run_stack:
+        with pytest.raises(ValueError, match="algorithm must be 'fomd' or 'nco'"):
+            learners.run_many([("fomd", cfg, streams), ("oms", cfg, streams)])
+    run_stack.assert_not_called()
+
+
+def test_a_stacked_run_of_one_client_keeps_the_bits_its_lone_rows_get(tmp_path):
+    # BLAS computes a one-row x @ W.T on another path, with other bits, than
+    # the same row among several (43 of 100 outputs differ at d=18, D=100
+    # here); so the map runs once per run and space, and a one-client run's
+    # rows stay lone rows when it shares the kernel with other runs
+    rng = np.random.default_rng(5)
+    spaces = tuple(make_space(gaussian_rff(18, 100, w, rng), 1.0, Loss.SQUARE)
+                   for w in (0.5, 2.0))
+    runs = []
+    for clients, seed in ((1, 3), (4, 4), (1, 5)):
+        streams = synthetic_linear(input_dim=18, clients=clients, horizon=6, seed=seed)
+        cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=clients, subset_size=2,
+                            horizon=6, master_seed=seed)
+        runs += [("fomd", cfg, streams), ("nco", cfg, streams)]
+    for r, ((algorithm, cfg, streams), artifact) in enumerate(zip(runs, learners.run_many(runs))):
+        solo = (run_fomd_oms if algorithm == "fomd" else run_nco_oms)(cfg, streams)
+        assert (_artifact_bytes(artifact, tmp_path, f"stacked{r}")
+                == _artifact_bytes(solo, tmp_path, f"solo{r}"))

@@ -14,18 +14,23 @@ def random_simplex(rng, k):
     return p / p.sum()
 
 
-def _step(geom, p, losses):
+def _rates(scales, eta):
+    """The one-row rate table eta / scale_i of one step: (1, 1) for equal scales."""
+    return mirror.entropy_rates(np.array([eta]), np.asarray(scales, dtype=float))
+
+
+def _step(rates, p, losses):
     """One kernel entropy step of a linear probability vector, read back linear."""
     log_p = np.log(np.asarray(p, dtype=float))[None, :]
     return mirror.materialize(
-        mirror.entropy_step_log_batch(log_p, np.asarray(losses, dtype=float)[None, :], geom))[0]
+        mirror.entropy_step_log_batch(log_p, np.asarray(losses, dtype=float)[None, :], rates))[0]
 
 
-def _multiplier(geom, p, losses):
+def _multiplier(rates, p, losses):
     """The kernel's normalizing multiplier for the same step."""
     log_p = np.log(np.asarray(p, dtype=float))[None, :]
     return float(mirror.solve_entropy_multiplier(
-        log_p, np.asarray(losses, dtype=float)[None, :], geom)[0])
+        log_p, np.asarray(losses, dtype=float)[None, :], rates)[0])
 
 
 # --------------------------------------------------------------------------
@@ -34,15 +39,15 @@ def _multiplier(geom, p, losses):
 
 def test_two_point_step_matches_hand_value():
     # eta = ln 2, equal scales, losses (1, 0): weights (0.25, 0.5) -> (1/3, 2/3)
-    geom = mirror.WeightedEntropyGeometry(np.ones(2), np.log(2.0))
-    out = _step(geom, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+    rates = _rates(np.ones(2), np.log(2.0))
+    out = _step(rates, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
     np.testing.assert_allclose(out, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
 
 def test_multiplier_matches_hand_value():
     # closed form for the same instance: lam = -log2(4/3)
-    geom = mirror.WeightedEntropyGeometry(np.ones(2), np.log(2.0))
-    lam = _multiplier(geom, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+    rates = _rates(np.ones(2), np.log(2.0))
+    lam = _multiplier(rates, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
     assert lam == pytest.approx(-np.log2(4.0 / 3.0), abs=1e-10)
 
 
@@ -53,12 +58,12 @@ def test_step_agrees_with_grid_oracle_on_random_instances():
         scales = RNG.uniform(0.5, 8.0, size=k)
         eta = float(RNG.uniform(0.01, 2.0))
         losses = RNG.uniform(0.0, 5.0, size=k)
-        geom = mirror.WeightedEntropyGeometry(scales, eta)
-        got = _step(geom, p, losses)
+        rates = _rates(scales, eta)
+        got = _step(rates, p, losses)
         want, lam = entropy_step_grid(scales, eta, p, losses)
         np.testing.assert_allclose(got, want, atol=1e-6)
         assert abs(got.sum() - 1.0) <= 1e-9
-        got_lam = _multiplier(geom, p, losses)
+        got_lam = _multiplier(rates, p, losses)
         assert -losses.max() - 1e-12 <= got_lam <= 0.0
         assert got_lam == pytest.approx(lam, abs=1e-6)
 
@@ -70,16 +75,16 @@ def test_equal_scales_reduce_to_exponentiated_gradient():
         scale = float(RNG.uniform(0.5, 4.0))
         eta = float(RNG.uniform(0.05, 1.5))
         losses = RNG.uniform(0.0, 3.0, size=k)
-        geom = mirror.WeightedEntropyGeometry(np.full(k, scale), eta)
-        got = _step(geom, p, losses)
+        rates = _rates(np.full(k, scale), eta)
+        got = _step(rates, p, losses)
         want = exponentiated_gradient(p, losses, eta / scale)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
 def test_zero_losses_are_identity():
-    geom = mirror.WeightedEntropyGeometry(np.array([2.0, 1.0, 3.0]), 0.7)
+    rates = _rates(np.array([2.0, 1.0, 3.0]), 0.7)
     p = np.array([0.2, 0.5, 0.3])
-    out = _step(geom, p, np.zeros(3))
+    out = _step(rates, p, np.zeros(3))
     np.testing.assert_allclose(out, p, atol=1e-15)
 
 
@@ -92,7 +97,7 @@ def test_step_lands_on_simplex(data):
     scales = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k)))
     eta = data.draw(st.floats(1e-3, 5.0))
     p = np.array(raw) / np.sum(raw)
-    out = _step(mirror.WeightedEntropyGeometry(scales, eta), p, losses)
+    out = _step(_rates(scales, eta), p, losses)
     assert np.all(out > 0)
     assert abs(out.sum() - 1.0) <= 1e-9
 
@@ -119,9 +124,9 @@ def test_equal_rate_multiplier_is_the_closed_form_bracket_end(data):
                                          min_size=b, max_size=b)), dtype=float).reshape(b, k)
     zero = np.array(data.draw(st.lists(st.booleans(), min_size=b, max_size=b)))
     losses[zero] = 0.0
-    geom = mirror.WeightedEntropyGeometry(np.full(k, data.draw(st.floats(0.1, 10.0))),
+    rates = _rates(np.full(k, data.draw(st.floats(0.1, 10.0))),
                                           data.draw(st.floats(1e-3, 5.0)))
-    r = geom.rates[0]
+    r = rates[0, 0]
 
     shifted = log_p - r * losses
     m = shifted.max(axis=1)
@@ -130,10 +135,10 @@ def test_equal_rate_multiplier_is_the_closed_form_bracket_end(data):
     bracket_end = np.minimum(np.maximum(-max_c, log_s0 / r), np.minimum(0.0, log_s0 / r))
     want = np.where(max_c == 0.0, 0.0, bracket_end)
 
-    lam = mirror.solve_entropy_multiplier(log_p, losses, geom)
+    lam = mirror.solve_entropy_multiplier(log_p, losses, rates)
     assert lam.tobytes() == want.tobytes()
     assert np.all(lam[max_c == 0.0] == 0.0)
-    stepped = np.exp(mirror.entropy_step_log_batch(log_p, losses, geom))
+    stepped = np.exp(mirror.entropy_step_log_batch(log_p, losses, rates))
     assert np.all(stepped >= 0.0)
     np.testing.assert_allclose(stepped.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
@@ -151,10 +156,10 @@ def test_equal_rate_step_is_one_log_softmax_of_the_multiplier_form(data):
                                          min_size=b, max_size=b)), dtype=float).reshape(b, k)
     scale = data.draw(st.floats(0.1, 10.0), label="scale")
     eta = data.draw(st.floats(1e-3, 5.0), label="eta")
-    geom = mirror.WeightedEntropyGeometry(np.full(k, scale), eta)
-    r = geom.rates[0]
+    rates = _rates(np.full(k, scale), eta)
+    r = rates[0, 0]
 
-    lam = mirror.solve_entropy_multiplier(log_p, losses, geom)
+    lam = mirror.solve_entropy_multiplier(log_p, losses, rates)
     want = log_p - r * (lam[:, None] + losses)
     want -= np.log(np.exp(want).sum(axis=1, keepdims=True))
     solves = []
@@ -162,11 +167,11 @@ def test_equal_rate_step_is_one_log_softmax_of_the_multiplier_form(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mirror, "solve_entropy_multiplier",
                       lambda *args: solves.append(args) or solve(*args))
-        got = mirror.entropy_step_log_batch(log_p, losses, geom)
-        rows = [mirror.entropy_step_log_batch(log_p[i : i + 1], losses[i : i + 1], geom)
+        got = mirror.entropy_step_log_batch(log_p, losses, rates)
+        rows = [mirror.entropy_step_log_batch(log_p[i : i + 1], losses[i : i + 1], rates)
                 for i in range(b)]
         assert solves == []
-        unequal = mirror.WeightedEntropyGeometry(
+        unequal = _rates(
             np.r_[2.0 * scale, np.full(k - 1, scale)], eta)
         mirror.entropy_step_log_batch(log_p, losses, unequal)
         assert len(solves) >= 1
@@ -185,10 +190,10 @@ def test_unequal_rate_step_matches_grid_oracle(data):
     assume(np.ptp(scales) > 0.0)
     eta = data.draw(st.floats(0.01, 2.0))
     losses = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k)))
-    geom = mirror.WeightedEntropyGeometry(scales, eta)
+    rates = _rates(scales, eta)
     want, want_lam = entropy_step_grid(scales, eta, p, losses)
-    np.testing.assert_allclose(_step(geom, p, losses), want, atol=1e-6)
-    assert _multiplier(geom, p, losses) == pytest.approx(want_lam, abs=1e-6)
+    np.testing.assert_allclose(_step(rates, p, losses), want, atol=1e-6)
+    assert _multiplier(rates, p, losses) == pytest.approx(want_lam, abs=1e-6)
 
 
 def test_batch_step_matches_single_rows():
@@ -205,22 +210,46 @@ def test_batch_step_matches_single_rows():
     logs = np.array(logs)
     logs -= np.log(np.exp(logs).sum(axis=1, keepdims=True))
     losses = np.array(losses)
-    geom = mirror.WeightedEntropyGeometry(scales, eta)
-    batch = mirror.entropy_step_log_batch(logs, losses, geom)
+    rates = _rates(scales, eta)
+    batch = mirror.entropy_step_log_batch(logs, losses, rates)
     assert np.allclose(np.exp(batch).sum(axis=1), 1.0, atol=1e-12)
     for b in range(11):
-        row = mirror.entropy_step_log_batch(logs[b : b + 1], losses[b : b + 1], geom)
+        row = mirror.entropy_step_log_batch(logs[b : b + 1], losses[b : b + 1], rates)
         np.testing.assert_allclose(np.exp(batch[b]), np.exp(row[0]), atol=1e-9)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_rows_at_different_rates_step_as_they_would_alone(data):
+    # a stack of servers steps every server's row in one call, each at its
+    # own rate eta_b: each row must come out with the bits of its one-row
+    # step, with equal scales (one log-softmax) and unequal ones (Newton)
+    k = data.draw(st.integers(2, 8), label="K")
+    log_p = data.draw(_log_simplex_batch(k), label="log_p")
+    b = log_p.shape[0]
+    losses = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k),
+                                         min_size=b, max_size=b)), dtype=float).reshape(b, k)
+    etas = np.array(data.draw(st.lists(st.floats(1e-3, 5.0), min_size=b, max_size=b)))
+    equal = data.draw(st.booleans(), label="equal scales")
+    scales = np.full(k, 2.0) if equal else np.array(
+        data.draw(st.lists(st.floats(0.5, 8.0), min_size=k, max_size=k), label="scales"))
+    rates = mirror.entropy_rates(etas, scales)
+    assert rates.shape == (b, 1 if equal or np.ptp(scales) == 0.0 else k)
+    got = mirror.entropy_step_log_batch(log_p, losses, rates)
+    for i in range(b):
+        alone = mirror.entropy_step_log_batch(log_p[i:i + 1], losses[i:i + 1],
+                                              _rates(scales, etas[i]))
+        assert alone.tobytes() == got[i:i + 1].tobytes()
 
 
 def test_long_horizon_log_state_stays_normalized():
     k = 5
-    geom = mirror.WeightedEntropyGeometry(np.array([1.0, 2.0, 4.0, 1.5, 3.0]), 0.2)
+    rates = _rates(np.array([1.0, 2.0, 4.0, 1.5, 3.0]), 0.2)
     log_p = np.log(np.full((1, k), 1.0 / k))
     rng = np.random.default_rng(7)
     for _ in range(20000):
         losses = rng.uniform(0.0, 2.0, size=(1, k))
-        log_p = mirror.entropy_step_log_batch(log_p, losses, geom)
+        log_p = mirror.entropy_step_log_batch(log_p, losses, rates)
     p = mirror.materialize(log_p[0])
     assert abs(p.sum() - 1.0) <= 1e-9
     assert np.all(p >= mirror.PROB_FLOOR)
@@ -290,13 +319,6 @@ def test_projection_is_nonexpansive(a, b, radius):
     u, v = np.array(a[:n]), np.array(b[:n])
     pu, pv = _project_one(radius, u), _project_one(radius, v)
     assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-9
-
-
-def test_geometry_validation():
-    with pytest.raises(ValueError):
-        mirror.WeightedEntropyGeometry(np.array([1.0, -1.0]), 0.5)
-    with pytest.raises(ValueError):
-        mirror.WeightedEntropyGeometry(np.array([1.0, 1.0]), 0.0)
 
 
 def test_per_row_projection_equals_stacked_projection_exactly():

@@ -84,9 +84,11 @@ def _encode(kind, epoch, client_ids, indices, rows, num_spaces):
 
     ``kind`` and ``epoch`` are each one value for every frame or one per
     frame; frame ``r`` goes to ``client_ids[r]`` and carries ``rows[r]`` (an
-    uplink's mean losses first) and ``indices[r]``.  The buffer must hold the
-    per-frame oracle's frames back to back.  Returns the buffer and the frame
-    lengths.
+    uplink's mean losses first) and ``indices[r]``.  :func:`encode_frames`
+    codes one kind per call, so each run of consecutive frames of one kind
+    is encoded in its own call, and the buffers are joined in frame order.
+    The buffer must hold the per-frame oracle's frames back to back.
+    Returns the buffer and the frame lengths.
     """
     counts = np.array([len(row) for row in rows])
     floats = np.zeros((len(rows), counts.max()))
@@ -94,8 +96,15 @@ def _encode(kind, epoch, client_ids, indices, rows, num_spaces):
         floats[r, :len(row)] = row
     client_ids = np.asarray(client_ids)
     indices = np.asarray(indices, dtype=np.int64)
-    buffer, lengths = encode_frames(kind, epoch, client_ids, indices, floats, counts,
-                                    num_spaces)
+    kinds = np.broadcast_to(kind, len(rows))
+    epochs = np.broadcast_to(epoch, len(rows))
+    cuts = [0, *np.flatnonzero(kinds[1:] != kinds[:-1]) + 1, len(rows)]
+    parts = [encode_frames(int(kinds[lo]), epochs[lo:hi] if np.ndim(epoch) else epoch,
+                           client_ids[lo:hi], indices[lo:hi], floats[lo:hi], counts[lo:hi],
+                           num_spaces)
+             for lo, hi in zip(cuts[:-1], cuts[1:])]
+    buffer = np.concatenate([part[0] for part in parts])
+    lengths = np.concatenate([part[1] for part in parts])
     frames = [oracles.reference_frame_bytes(int(k), int(e), int(c), idx.tolist(), row,
                                             num_spaces)
               for k, e, c, idx, row in zip(np.broadcast_to(kind, len(rows)),
@@ -114,10 +123,11 @@ def _decode(blob, lengths, num_spaces, dims):
 def test_account_bits_matches_closed_forms():
     # J=2 sampled spaces of dimension 100 each, K=8 spaces total:
     # uplink = 32*(200 + 2) + 2*3 = 6470, downlink = 32*200 + 2*3 = 6406
-    buffer, lengths = _encode(np.array([KIND_DOWNLINK, KIND_UPLINK]), 1, [0, 0],
-                              [(3, 5)] * 2, [np.zeros(200), np.zeros(202)], num_spaces=8)
-    header = _decode(buffer, lengths, 8, [100] * 8)[0]
-    assert header["payload_bits"].tolist() == [6406, 6470]
+    down = _encode(KIND_DOWNLINK, 1, [0], [(3, 5)], [np.zeros(200)], num_spaces=8)
+    up = _encode(KIND_UPLINK, 1, [0], [(3, 5)], [np.zeros(202)], num_spaces=8)
+    for (buffer, lengths), bits in ((down, 6406), (up, 6470)):
+        header = _decode(buffer, lengths, 8, [100] * 8)[0]
+        assert header["payload_bits"].tolist() == [bits]
 
 
 def test_account_bits_counts_per_space_dimensions():
@@ -414,6 +424,11 @@ def test_aggregate_reports_unsampled_spaces_estimate_zero():
 # Engine behavior through the public driver
 
 
+def _stack(*runs):
+    """Run ``runs`` as one kernel stack, each laid out by ``learners._layout``."""
+    return learners._run_stack(list(runs), [learners._layout(*run) for run in runs])
+
+
 def _one_space_config(horizon, **kwargs):
     space = make_space(IdentityMap(1), radius=1.0, loss_kind=Loss.SQUARE)
     return LearnerConfig(
@@ -493,7 +508,7 @@ def test_leads_and_bits_filled_after_the_loop_repeat_what_each_epoch_staged():
     cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=M, subset_size=3,
                         horizon=T, epochs=T // N, master_seed=4, audit=True)
     art = run_fomd_oms(cfg, streams)
-    state, setup, _, _ = learners._run_servers(cfg, streams, T // N, cooperative=True)
+    state, setup, _, _ = _stack(("fomd", cfg, streams))
     assert art.meta["audit_mismatches"] == [] and state.subsets.shape == (T // N, M, 3)
     down, up, leads = (column.reshape(T, M) for column in
                        (art.downlink_bits, art.uplink_bits, art.lead_indices))
@@ -627,8 +642,7 @@ def _calls_per_epoch(monkeypatch, cfg, streams, cooperative, kernel_frames_only=
         counts.append(calls)
 
     monkeypatch.setattr(learners, "run_epoch", counted)
-    epochs = cfg.effective_epochs if cooperative else cfg.horizon
-    learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
+    _stack(("fomd" if cooperative else "nco", cfg, streams))
     return counts[1:]
 
 
@@ -722,11 +736,10 @@ def test_each_block_maps_every_touched_space_once_over_its_clients_in_order(
                    for i, fm in enumerate(maps))
     streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=2)
     cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=M, subset_size=2,
-                        horizon=T, epochs=3, master_seed=6)
-    epochs = cfg.effective_epochs if cooperative else T
-    state, _, _, _ = learners._run_servers(cfg, streams, epochs, cooperative=cooperative)
+                        horizon=T, epochs=3 if cooperative else None, master_seed=6)
+    state, _, _, _ = _stack(("fomd" if cooperative else "nco", cfg, streams))
 
-    N = T // epochs
+    N = T // state.subsets.shape[0]
     want = []
     for e, subsets in enumerate(state.subsets):
         for t in range(e * N, (e + 1) * N):

@@ -185,3 +185,20 @@ def test_space_bounds_must_be_positive_and_finite():
         spaces.make_space(spaces.IdentityMap(3), 1e200, spaces.Loss.SQUARE)
     with pytest.raises(ValueError, match="loss_bound must be positive and finite"):
         spaces.make_space(spaces.IdentityMap(4), 1e308, spaces.Loss.ABSOLUTE)
+
+
+def test_a_random_feature_draw_equals_only_itself():
+    # run_many stacks runs whose spaces compare equal: a draw must compare
+    # (and hash) by identity, not by its arrays, which cannot say == alone
+    draw = spaces.gaussian_rff(3, 4, 1.0, np.random.default_rng(0))
+    twin = spaces.GaussianRFFMap(width=draw.width, weights=draw.weights.copy(),
+                                 phases=draw.phases.copy())
+    assert draw == draw and draw != twin
+    assert len({draw, twin, draw}) == 2
+    radius, loss = 0.5, spaces.Loss.SQUARE
+    assert spaces.make_space(draw, radius, loss) == spaces.make_space(draw, radius, loss)
+    assert spaces.make_space(draw, radius, loss) != spaces.make_space(twin, radius, loss)
+    # identity and coordinate maps compare by value, so rebuilt spaces stack
+    assert spaces.make_space(spaces.IdentityMap(3), radius, loss) == spaces.make_space(
+        spaces.IdentityMap(3), radius, loss)
+    assert spaces.CoordinateMap(3, 1) == spaces.CoordinateMap(3, 1) != spaces.CoordinateMap(3, 2)
