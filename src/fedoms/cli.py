@@ -3,10 +3,13 @@
 Subcommands:
 
 * ``validate <config.json>`` -- check a config file and report the parsed
-  shape without running anything.  It also builds the spaces, for the input
-  width the config states or, for a CSV source, the width its header row
-  gives; a CSV source's data rows are counted, not parsed, so that its
-  horizon, epochs and update steps are checked as ``run`` checks them.
+  shape without running anything.  It makes every check ``run`` makes up to
+  the point where data is drawn, with the same calls in the same order: it
+  parses the config, parses a CSV source's table cell by cell, and plans
+  the experiment (:func:`fedoms.config.plan_experiment`), which checks the
+  horizon, epochs, update steps, an audited run's frame header and a
+  generator's rules, and builds the spaces.  So a config that validates
+  runs, and one that does not fails ``run`` with the same JSON error.
 * ``run <config.json>`` -- execute one experiment; writes ``trace.csv`` and
   ``summary.json`` into the output directory.  A config with ``"audit":
   true`` whose wire replay found mismatches still writes both files, then
@@ -20,15 +23,16 @@ Subcommands:
 * ``audit-bits <config.json>`` -- run with the wire-format audit enabled and
   write ``audit.json`` recording whether every frame matched the analytic
   bit account and round-tripped, and every mismatch the replay found.  The
-  config is validated as audited, so a run the frame header cannot hold
-  fails on its config field before any data is built.
+  config is planned as audited, so a run the frame header cannot hold fails
+  on its config field before any data is drawn.
 
 Every subcommand prints one JSON object to stdout; all failures print a
 machine-readable JSON error object there and exit with status 2.  The
 output directory defaults to the current directory and can be overridden
 with ``--out`` or the ``FEDOMS_OUT_DIR`` environment variable; ``run``,
-``ab`` and ``audit-bits`` create it before they run, and one that cannot be
-created is a ``ConfigError`` on ``out``.  A CSV file that cannot be read is a
+``ab`` and ``audit-bits`` create it once the config is parsed, before
+anything else, and one that cannot be created is a ``ConfigError`` on
+``out``.  A CSV file that cannot be read is a
 ``ConfigError`` on ``data``.
 """
 
@@ -46,14 +50,12 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     build_experiment,
-    build_spaces,
-    check_horizon,
     load_config,
+    plan_experiment,
     read_table,
     resolve_output_dir,
     run_from_config,
 )
-from .data import DataError, check_partition, csv_shape
 from .learners import run_many
 from .mirror import MirrorError
 from .protocol import RunInvariantError
@@ -104,19 +106,7 @@ def _config_digest(config: ExperimentConfig) -> dict:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
-    # with the input width, a radius whose bounds overflow or a coordinate
-    # out of range fails now, not at run
-    data = config.data
-    if data.source == "csv":
-        try:
-            rows, input_dim = csv_shape(data.path, data.target_column)
-            check_partition(rows, config.clients)
-        except DataError as exc:
-            raise ConfigError(str(exc), field="data") from exc
-        check_horizon(config, rows // config.clients)
-    else:
-        input_dim = data.input_dim
-    build_spaces(config, input_dim)
+    plan_experiment(config, read_table(config))
     _emit({"status": "ok", "config": _config_digest(config)})
     return 0
 
@@ -157,6 +147,7 @@ def _cmd_ab(args) -> int:
         raise ConfigError("--seeds must be >= 1", field="seeds")
     out_dir = _output_dir(args.out)
     table = read_table(config)  # a CSV is parsed once, then partitioned per seed
+    plan_experiment(config, table)  # the config as given, as run checks it
     rows, group = [], []  # group: the (seed, learner, streams) of seeds that stack
 
     def run_group() -> None:
@@ -211,7 +202,7 @@ def _cmd_ab(args) -> int:
 
 
 def _cmd_audit_bits(args) -> int:
-    config = load_config(args.config, audit=True)
+    config = dataclasses.replace(load_config(args.config), audit=True)
     if config.algorithm != "fomd":
         raise ConfigError("audit-bits applies to the federated algorithm only",
                           field="algorithm")

@@ -2,10 +2,19 @@
 
 A config file describes one experiment end to end: which algorithm to run,
 how many clients and rounds, the candidate hypothesis spaces, and where the
-data comes from.  ``load_config`` validates everything that can be checked
-statically; ``build_experiment`` loads the data and performs the checks that
-depend on the realized stream shape (for CSV sources the per-client horizon
-is derived from the file).
+data comes from.  Set-up takes three steps, each a :class:`ConfigError` on
+the field at fault:
+
+* ``load_config`` (:func:`parse_config`) checks each key alone: its type,
+  its range, and the subset size against the number of spaces;
+* :func:`read_table` parses a CSV source's table, and
+  :func:`plan_experiment` checks every rule that needs the horizon or the
+  input width (a CSV source's table gives both), then builds the spaces and
+  the :class:`LearnerConfig`;
+* :func:`build_experiment` then draws the streams.
+
+``fedoms validate`` stops after the plan; ``run``, ``ab`` and
+``audit-bits`` take the same steps, so a config that validates runs.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .data import (
     RawDataset,
     Streams,
     check_linear_input_dim,
+    check_partition,
     generate_adversarial,
     ingest_csv,
     preprocess_and_partition,
@@ -35,8 +45,7 @@ from .learners import (
     check_epochs,
     check_nco_epochs,
     check_update_steps,
-    run_fomd_oms,
-    run_nco_oms,
+    run_many,
 )
 from .protocol import ProtocolError, check_header_fields
 from .results import RunArtifact
@@ -137,23 +146,6 @@ def _as_number(value, field: str) -> float:
     return number
 
 
-def _check_schedule(algorithm: str, horizon: int, epochs: int) -> None:
-    try:
-        if algorithm == "nco":
-            check_nco_epochs(horizon, epochs)
-        check_epochs(horizon, epochs)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="epochs") from exc
-
-
-def _check_steps(num_spaces: int, horizon: Optional[int], epochs: Optional[int]) -> None:
-    """Reject a step count too small for the mirror rate; names the field that set it."""
-    try:
-        check_update_steps(num_spaces, horizon if epochs is None else epochs)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="horizon" if epochs is None else "epochs") from exc
-
-
 def _parse_space(entry, position: int) -> SpaceSpec:
     field = f"spaces[{position}]"
     _require(isinstance(entry, dict), f"{field} must be an object", field)
@@ -216,7 +208,12 @@ def _parse_data(entry) -> DataSpec:
 
 
 def parse_config(blob: dict) -> ExperimentConfig:
-    """Validate a decoded JSON object and return a typed config."""
+    """Check each key of a decoded JSON object alone and return a typed config.
+
+    A key is checked for its type and range, and the subset size against the
+    number of spaces; every rule that needs the horizon or the input width is
+    :func:`plan_experiment`'s.
+    """
     _require(isinstance(blob, dict), "config must be a JSON object", "")
     unknown = set(blob) - _TOP_LEVEL_KEYS
     _require(not unknown, f"unknown config keys {sorted(unknown)}",
@@ -242,11 +239,10 @@ def parse_config(blob: dict) -> ExperimentConfig:
     _require(isinstance(raw_spaces, list) and raw_spaces,
              "spaces must be a non-empty list", "spaces")
     spaces = tuple(_parse_space(s, i) for i, s in enumerate(raw_spaces))
-    num_spaces = len(spaces)
 
     subset_size = _as_int(blob["subset_size"], "subset_size")
     try:
-        validate_subset_size(subset_size, num_spaces)
+        validate_subset_size(subset_size, len(spaces))
     except ValueError as exc:
         raise ConfigError(str(exc), field="subset_size") from exc
 
@@ -263,49 +259,28 @@ def parse_config(blob: dict) -> ExperimentConfig:
     if epochs is not None:
         epochs = _as_int(epochs, "epochs")
         _require(epochs >= 1, "epochs must be >= 1", "epochs")
-        if horizon is not None:  # a CSV source's horizon: check_horizon
-            _check_schedule(algorithm, horizon, epochs)
-    if horizon is not None or epochs is not None:
-        _check_steps(num_spaces, horizon, epochs)
-
     uniform_init = blob.get("uniform_init", False)
     _require(isinstance(uniform_init, bool), "uniform_init must be a boolean",
              "uniform_init")
     audit = blob.get("audit", False)
     _require(isinstance(audit, bool), "audit must be a boolean", "audit")
-    if audit and algorithm == "fomd":
-        # an audited run's frame header holds J, every client id and every
-        # epoch number; the epoch count is unknown while a CSV file sets the
-        # horizon
-        checks = [("subset_size", 0, 0, subset_size), ("clients", 0, clients - 1, 0)]
-        if epochs is not None or horizon is not None:
-            checks.append(("horizon", horizon, 0, 0) if epochs is None
-                          else ("epochs", epochs, 0, 0))
-        for field, *header in checks:
-            try:
-                check_header_fields(*header)
-            except ProtocolError as exc:
-                raise ConfigError(str(exc), field=field) from exc
-
-    config = ExperimentConfig(
-        algorithm=algorithm, clients=clients, subset_size=subset_size,
-        loss=loss, seed=seed, spaces=spaces, data=data, horizon=horizon,
-        epochs=epochs, uniform_init=uniform_init, audit=audit,
+    return ExperimentConfig(
+        algorithm=algorithm,
+        clients=clients,
+        subset_size=subset_size,
+        loss=loss,
+        seed=seed,
+        spaces=spaces,
+        data=data,
+        horizon=horizon,
+        epochs=epochs,
+        uniform_init=uniform_init,
+        audit=audit,
     )
-    if data.source != "csv":
-        # a generator's own rules, which build_streams meets again when it draws
-        try:
-            if data.source == "synthetic_linear":
-                check_linear_input_dim(data.input_dim)
-            else:
-                _adversarial_spec(config)
-        except DataError as exc:
-            raise ConfigError(str(exc), field="data") from exc
-    return config
 
 
-def load_config(path, audit: bool = False) -> ExperimentConfig:
-    """Read and validate a JSON config file; ``audit`` validates it as audited."""
+def load_config(path) -> ExperimentConfig:
+    """Read a JSON config file and check each key (:func:`parse_config`)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -314,10 +289,7 @@ def load_config(path, audit: bool = False) -> ExperimentConfig:
         blob = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", field="")
-    config = parse_config(blob)
-    if audit and not config.audit:  # the frame header's limits now apply
-        config = parse_config({**blob, "audit": True})
-    return config
+    return parse_config(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +311,81 @@ def read_table(config: ExperimentConfig) -> Optional[RawDataset]:
         raise ConfigError(str(exc), field="data") from exc
 
 
-def build_streams(config: ExperimentConfig,
-                  table: Optional[RawDataset] = None) -> Streams:
-    """Materialize client streams for the configured data source.
+def plan_experiment(config: ExperimentConfig,
+                    table: Optional[RawDataset]) -> LearnerConfig:
+    """Check every rule that needs the horizon or the input width, then build
+    the spaces and return the learner config; no data is drawn.
 
-    A CSV source is parsed here unless ``table`` gives its parsed table.
+    ``table`` is a CSV source's table from :func:`read_table` (``None`` for a
+    generated source): its rows over the clients give the horizon, and its
+    feature columns the input width.  The rules run in one order, so a config
+    that breaks two is blamed on the same field by every command: the rows
+    against the clients and the stated horizon, the epochs, the update steps,
+    an audited run's frame header, a generator's own rules, then the spaces.
     """
+    data, epochs = config.data, config.epochs
+    if data.source == "csv":
+        try:
+            check_partition(table.rows, config.clients)
+        except DataError as exc:
+            raise ConfigError(str(exc), field="data") from exc
+        horizon, input_dim = table.rows // config.clients, table.input_dim
+        _require(config.horizon in (None, horizon),
+                 f"horizon {config.horizon} does not match the {horizon} "
+                 "rounds per client derived from the data", "horizon")
+    else:
+        horizon, input_dim = config.horizon, data.input_dim
+    if epochs is not None:
+        try:
+            if config.algorithm == "nco":
+                check_nco_epochs(horizon, epochs)
+            check_epochs(horizon, epochs)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field="epochs") from exc
+    # the learner steps once per epoch, or once per round without epochs;
+    # a rule on the step count names the field that set it
+    steps, steps_field = (horizon, "horizon") if epochs is None else (epochs, "epochs")
+    try:
+        check_update_steps(len(config.spaces), steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=steps_field) from exc
+    if config.audit and config.algorithm == "fomd":
+        # an audited run's frame header holds J, every client id and every
+        # epoch number
+        for field, *header in (("subset_size", 0, 0, config.subset_size),
+                               ("clients", 0, config.clients - 1, 0),
+                               (steps_field, steps, 0, 0)):
+            try:
+                check_header_fields(*header)
+            except ProtocolError as exc:
+                raise ConfigError(str(exc), field=field) from exc
+    if data.source != "csv":
+        # a generator's own rules, which build_streams meets again when it draws
+        try:
+            if data.source == "synthetic_linear":
+                check_linear_input_dim(input_dim)
+            else:
+                _adversarial_spec(config)
+        except DataError as exc:
+            raise ConfigError(str(exc), field="data") from exc
+    return LearnerConfig(
+        spaces=build_spaces(config, input_dim),
+        loss=Loss(config.loss),
+        clients=config.clients,
+        subset_size=config.subset_size,
+        horizon=horizon,
+        epochs=epochs,
+        master_seed=config.seed,
+        uniform_init=config.uniform_init,
+        audit=config.audit,
+    )
+
+
+def build_streams(config: ExperimentConfig,
+                  table: Optional[RawDataset]) -> Streams:
+    """Draw the client streams of the configured data source; ``table`` is a
+    CSV source's table from :func:`read_table`."""
     data = config.data
-    if data.source == "csv" and table is None:
-        table = read_table(config)
     try:
         if data.source == "csv":
             return preprocess_and_partition(table, clients=config.clients,
@@ -415,48 +453,23 @@ def build_spaces(config: ExperimentConfig, input_dim: int) -> tuple:
     return tuple(built)
 
 
-def check_horizon(config: ExperimentConfig, horizon: int) -> None:
-    """Check the horizon a data source gives against the config's horizon,
-    epochs and update steps."""
-    if config.horizon is not None and horizon != config.horizon:
-        raise ConfigError(
-            f"horizon {config.horizon} does not match the {horizon} "
-            "rounds per client derived from the data", field="horizon")
-    if config.epochs is not None:
-        _check_schedule(config.algorithm, horizon, config.epochs)
-    _check_steps(len(config.spaces), horizon, config.epochs)
-
-
 def build_experiment(config: ExperimentConfig,
                      table: Optional[RawDataset] = None):
-    """Load data, build spaces, and return ``(learner_config, streams)``.
+    """Plan the experiment, draw its streams, and return ``(learner_config, streams)``.
 
     ``table`` is a CSV source's table from :func:`read_table`, parsed once
     for many seeds; without it a CSV source is parsed here.
     """
-    streams = build_streams(config, table)
-    check_horizon(config, streams.horizon)
-    spaces = build_spaces(config, streams.input_dim)
-    learner = LearnerConfig(
-        spaces=spaces,
-        loss=Loss(config.loss),
-        clients=config.clients,
-        subset_size=config.subset_size,
-        horizon=streams.horizon,
-        epochs=config.epochs,
-        master_seed=config.seed,
-        uniform_init=config.uniform_init,
-        audit=config.audit,
-    )
-    return learner, streams
+    if table is None:
+        table = read_table(config)
+    learner = plan_experiment(config, table)
+    return learner, build_streams(config, table)
 
 
 def run_from_config(config: ExperimentConfig) -> RunArtifact:
     """Execute the configured experiment and return its artifact."""
     learner, streams = build_experiment(config)
-    if config.algorithm == "nco":
-        return run_nco_oms(learner, streams)
-    return run_fomd_oms(learner, streams)
+    return run_many([(config.algorithm, learner, streams)])[0]
 
 
 def resolve_output_dir(requested: Optional[str]) -> Path:

@@ -14,7 +14,6 @@ import csv
 import logging
 import warnings
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +27,6 @@ __all__ = [
     "Streams",
     "AdversarialSpec",
     "ingest_csv",
-    "csv_shape",
     "check_partition",
     "preprocess_and_partition",
     "generate_adversarial",
@@ -122,24 +120,6 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
     """
 
     path = Path(path)
-    with _csv_header(path, target_column) as (fh, header, target_pos):
-        table = _parse_table(fh, len(header))
-    if table is None:
-        table = _parse_rows(path, header)
-    features = np.delete(table, target_pos, axis=1)
-    feature_names = tuple(h for i, h in enumerate(header) if i != target_pos)
-    logger.info("ingested %s: %d rows, %d features", path, table.shape[0], features.shape[1])
-    return RawDataset(features, table[:, target_pos], feature_names, header[target_pos])
-
-
-@contextmanager
-def _csv_header(path: Path, target_column: str | int):
-    """Open a CSV and check its header row as :func:`ingest_csv` does.
-
-    Yields the open file, positioned at the first data row, the stripped
-    column names and the target's position.  Reading the header alone gives
-    the input width (columns - 1) without parsing the table.
-    """
     try:
         fh = path.open(newline="")
     except OSError as exc:  # a missing file, a directory, no permission
@@ -169,22 +149,13 @@ def _csv_header(path: Path, target_column: str | int):
         if len(header) == 1:
             raise DataError(f"{path}: no feature columns; the only column, "
                             f"{header[0]!r}, is the target")
-        yield fh, header, target_pos
-
-
-def csv_shape(path: str | Path, target_column: str | int = -1) -> tuple[int, int]:
-    """The data rows and the input width :func:`ingest_csv` would give.
-
-    The header is checked as :func:`ingest_csv` checks it, and the data
-    records are counted with its row parser's reader and blank-line rule,
-    without converting a cell, so a failure names what ingesting would.
-    """
-    path = Path(path)
-    with _csv_header(path, target_column) as (fh, header, _):
-        rows = sum(1 for _ in _records(path, fh))
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return rows, len(header) - 1
+        table = _parse_table(fh, len(header))
+    if table is None:
+        table = _parse_rows(path, header)
+    features = np.delete(table, target_pos, axis=1)
+    feature_names = tuple(h for i, h in enumerate(header) if i != target_pos)
+    logger.info("ingested %s: %d rows, %d features", path, table.shape[0], features.shape[1])
+    return RawDataset(features, table[:, target_pos], feature_names, header[target_pos])
 
 
 def _records(path: Path, fh):

@@ -1,6 +1,8 @@
 """End-to-end tests for the command line interface and config validation."""
 
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedoms import protocol
 from fedoms.cli import main
@@ -46,6 +50,16 @@ def _write_config(tmp_path, name="cfg.json", **overrides):
 def _last_json(captured: str) -> dict:
     """Parse the captured stdout, which must be exactly one JSON object."""
     return json.loads(captured)
+
+
+def _spoil_csv(csv_path, cell):
+    """Put ``cell`` in the second column of the file's row 6, or with ``None``
+    drop that row's last cell."""
+    lines = csv_path.read_text().splitlines()
+    cells = lines[5].split(",")
+    lines[5] = ",".join(cells[:-1] if cell is None else [cells[0], cell, *cells[2:]])
+    csv_path.write_text("\n".join(lines) + "\n")
+    return csv_path
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +220,98 @@ def test_parse_config_field_diagnostics():
     with pytest.raises(ConfigError) as err:
         parse_config(cfg)
     assert err.value.field == "data.path"
+
+
+# ---------------------------------------------------------------------------
+# validate is the static half of run
+
+
+@pytest.fixture(scope="module")
+def property_files(tmp_path_factory):
+    """The CSV files the property draws from, written once: a clean one,
+    three that the parser refuses at row 6, and one of 2 rows, fewer than
+    most client counts."""
+    from fedoms.data import write_regression_csv
+
+    root = tmp_path_factory.mktemp("validate_property")
+    files = {"clean": write_regression_csv(root / "clean.csv", rows=12, input_dim=3, seed=1),
+             "few": write_regression_csv(root / "few.csv", rows=2, input_dim=3, seed=2)}
+    for name, cell in (("nan", "nan"), ("text", "one"), ("short", None)):
+        files[name] = _spoil_csv(
+            write_regression_csv(root / f"{name}.csv", rows=12, input_dim=3, seed=1), cell)
+    return root, files
+
+
+# a linear-loss space of radius 2 or 8 on wide inputs passes the reach of 1,
+# and its loss goes negative within a few rounds if the plan lets it run
+_RADII = st.sampled_from([0.25, 0.5, 1.0, 2.0, 8.0])
+_SPACES = st.one_of(
+    st.builds(dict, kind=st.just("identity"), radius=_RADII),
+    st.builds(dict, kind=st.just("coordinate"), radius=_RADII, index=st.integers(0, 4)),
+    st.builds(dict, kind=st.just("rff"), radius=_RADII, features=st.integers(1, 4),
+              width=st.sampled_from([0.5, 2.0])),
+)
+
+
+@st.composite
+def _configs(draw):
+    """A config drawn from every key; a CSV source names one of
+    ``property_files``' files, and a short horizon keeps each run small."""
+    spaces = draw(st.lists(_SPACES, min_size=1, max_size=4))
+    cfg = {
+        "algorithm": draw(st.sampled_from(["fomd", "nco"])),
+        "clients": draw(st.integers(1, 5)),
+        "subset_size": draw(st.integers(1, len(spaces))),
+        "loss": draw(st.sampled_from(["square", "absolute", "linear"])),
+        "seed": draw(st.integers(0, 3)),
+        "spaces": spaces,
+        "uniform_init": draw(st.booleans()),
+        "audit": draw(st.booleans()),
+    }
+    source = draw(st.sampled_from(["csv", "synthetic_linear", "bernoulli_symmetric",
+                                   "biased_arm"]))
+    if source == "csv":
+        cfg["data"] = {"source": "csv", "target_column": "target",
+                       "path": draw(st.sampled_from(["clean", "few", "nan", "text", "short"]))}
+        horizon = draw(st.none() | st.integers(1, 12))
+    else:
+        cfg["data"] = {"source": source, "input_dim": draw(st.integers(1, 4))}
+        if source == "biased_arm":
+            cfg["data"]["bias"] = draw(st.sampled_from([None, 0.3, 1.5]))
+        horizon = draw(st.integers(1, 16))
+    for key, value in (("horizon", horizon), ("epochs", draw(st.none() | st.integers(1, 6)))):
+        if value is not None:
+            cfg[key] = value
+    return cfg
+
+
+def _stdout_of(argv) -> tuple[int, str]:
+    """Run the CLI in-process; its stdout must be one JSON object."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    json.loads(out.getvalue())
+    return code, out.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(cfg=_configs())
+def test_a_config_that_validates_runs_and_one_that_does_not_fails_run_alike(
+        cfg, property_files):
+    # validate makes run's checks up to the data draw, so the two agree: a
+    # library error escaping main, or a non-JSON stdout, fails here too
+    root, files = property_files
+    if cfg["data"]["source"] == "csv":
+        cfg["data"]["path"] = str(files[cfg["data"]["path"]])
+    path = root / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    validated = _stdout_of(["validate", str(path)])
+    ran = _stdout_of(["run", str(path), "--out", str(root / "out")])
+    assert validated[0] in (0, 2) and ran[0] in (0, 2)
+    if validated[0] == 0:
+        assert ran[0] == 0, ran[1]
+    else:
+        assert ran == validated
 
 
 # ---------------------------------------------------------------------------
@@ -559,24 +665,27 @@ def test_validate_checks_a_csv_source_against_its_header_row(space, target, name
                     "message": message.format(csv=csv_path)}
 
 
-def test_validate_builds_a_csv_sources_spaces_from_the_header_alone(tmp_path, capsys,
-                                                                   monkeypatch):
-    from fedoms import data
+@pytest.mark.parametrize("cell, message", [
+    ("nan", "row 6, column 'f1': non-finite cell nan"),
+    ("one", "row 6, column 'f1': non-numeric cell 'one'"),
+    (None, "row 6 has 3 cells, expected 4"),
+], ids=["nan-cell", "non-numeric-cell", "short-row"])
+def test_validate_and_run_refuse_a_bad_csv_alike(cell, message, tmp_path, capsys):
+    # validate once counted a CSV's rows without converting a cell and passed
+    # these files, which run refuses; both now parse the table alike
+    from fedoms.data import write_regression_csv
 
-    def no_parse(*args):
-        raise AssertionError("validate parsed the data rows")
-
-    monkeypatch.setattr(data, "_parse_table", no_parse)
-    monkeypatch.setattr(data, "_parse_rows", no_parse)
-    csv_path = data.write_regression_csv(tmp_path / "data.csv", rows=60, input_dim=3,
-                                         seed=1)
-    cfg = _base_config(horizon=None, epochs=None,
-                       spaces=[{"kind": "coordinate", "index": 2}, {"kind": "identity"}])
-    cfg["data"] = {"source": "csv", "path": str(csv_path), "target_column": 0}
+    csv_path = _spoil_csv(write_regression_csv(tmp_path / "data.csv", rows=60, input_dim=3,
+                                               seed=1), cell)
+    cfg = _base_config(horizon=None, epochs=None)
+    cfg["data"] = {"source": "csv", "path": str(csv_path), "target_column": "target"}
     path = tmp_path / "csv_cfg.json"
     path.write_text(json.dumps(cfg))
-    assert main(["validate", str(path)]) == 0
-    assert _last_json(capsys.readouterr().out)["status"] == "ok"
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(command) == 2
+        assert _last_json(capsys.readouterr().out) == {
+            "status": "error", "kind": "ConfigError", "field": "data",
+            "message": f"{csv_path}: {message}"}
 
 
 def test_run_writes_the_reference_trace_bytes(tmp_path, capsys):
@@ -637,7 +746,7 @@ def test_ab_reports_paired_deltas(tmp_path, capsys):
 def test_ab_parses_a_csv_once_and_writes_the_per_seed_parse_bytes(tmp_path, monkeypatch):
     # ab parses the table once and partitions it per seed; parsing it again
     # for every seed, as build_experiment does without a table, must give
-    # the same ab.json bytes
+    # the same ab.json bytes (ab's own parse checks the config as given)
     from fedoms import cli, config as fconfig
     from fedoms.data import write_regression_csv
 
@@ -655,9 +764,10 @@ def test_ab_parses_a_csv_once_and_writes_the_per_seed_parse_bytes(tmp_path, monk
 
     assert main(["ab", str(path), "--seeds", "3", "--out", str(tmp_path / "once")]) == 0
     assert len(calls) == 1
-    monkeypatch.setattr(cli, "read_table", lambda config: None)
+    build = fconfig.build_experiment
+    monkeypatch.setattr(cli, "build_experiment", lambda config, table: build(config))
     assert main(["ab", str(path), "--seeds", "3", "--out", str(tmp_path / "per_seed")]) == 0
-    assert len(calls) == 1 + 3
+    assert len(calls) == 1 + 1 + 3
     once = (tmp_path / "once" / "ab.json").read_bytes()
     assert once == (tmp_path / "per_seed" / "ab.json").read_bytes()
     assert len(json.loads(once)["rows"]) == 3

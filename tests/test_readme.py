@@ -1,24 +1,28 @@
-"""The README's library quick start must run and print what it says it prints.
+"""The README's examples must run and do what it says they do.
 
-The test runs the README's one ``python`` block in a temporary directory and
+One test runs the README's one ``python`` block in a temporary directory and
 checks the figures its comments state: the federated and solo MSEs, to the
-four places written there, and the batched run's tenfold bit saving.
+four places written there, and the batched run's tenfold bit saving.  The
+other writes its one ``json`` block, the config example, to a file and runs
+the command line's ``validate``, ``run`` and ``audit-bits`` on it.
 """
 
 import re
 from pathlib import Path
 
+from fedoms.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _python_block() -> str:
-    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
-    assert len(blocks) == 1, f"README has {len(blocks)} python blocks, expected 1"
+def _block(language: str) -> str:
+    blocks = re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1, f"README has {len(blocks)} {language} blocks, expected 1"
     return blocks[0]
 
 
 def test_readme_quick_start_prints_the_stated_figures(tmp_path, monkeypatch, capsys):
-    code = _python_block()
+    code = _block("python")
     stated = re.search(r"print\(fed\.mse\(\), solo\.mse\(\)\)\s*# ([\d.]+) vs ([\d.]+)", code)
     assert stated, "README no longer states the federated and solo MSEs"
     assert "# 10x fewer bits than fed" in code
@@ -31,3 +35,11 @@ def test_readme_quick_start_prints_the_stated_figures(tmp_path, monkeypatch, cap
     assert f"{solo.mse():.4f}" == stated.group(2)
     assert batched.total_downlink_bits * 10 == fed.total_downlink_bits
     assert (tmp_path / "trace.csv").is_file()
+
+
+def test_readme_config_example_validates_runs_and_audits(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(_block("json"))
+    for command in ("validate", "run", "audit-bits"):
+        out = [] if command == "validate" else ["--out", str(tmp_path / command)]
+        assert main([command, str(path), *out]) == 0, capsys.readouterr().out
