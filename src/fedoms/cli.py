@@ -7,9 +7,10 @@ Subcommands:
   the point where data is drawn, with the same calls in the same order: it
   parses the config, parses a CSV source's table cell by cell, and plans
   the experiment (:func:`fedoms.config.plan_experiment`), which checks the
-  horizon, epochs, update steps, an audited run's frame header and a
-  generator's rules, and builds the spaces.  So a config that validates
-  runs, and one that does not fails ``run`` with the same JSON error.
+  horizon, a CSV's column ranges, epochs, update steps, an audited run's
+  frame header and a generator's rules, and builds the spaces.  So a config
+  that validates runs, and one that does not fails ``run`` with the same
+  JSON error.  The digest gives the planned horizon, the one ``run`` uses.
 * ``run <config.json>`` -- execute one experiment; writes ``trace.csv`` and
   ``summary.json`` into the output directory.  A config with ``"audit":
   true`` whose wire replay found mismatches still writes both files, then
@@ -56,7 +57,7 @@ from .config import (
     resolve_output_dir,
     run_from_config,
 )
-from .learners import run_many
+from .learners import LearnerConfig, run_many
 from .mirror import MirrorError
 from .protocol import RunInvariantError
 
@@ -90,7 +91,9 @@ def _output_dir(requested: str | None) -> Path:
     return out_dir
 
 
-def _config_digest(config: ExperimentConfig) -> dict:
+def _config_digest(config: ExperimentConfig, learner: LearnerConfig) -> dict:
+    """The config's shape as ``run`` will use it: the horizon and epochs are
+    the planned ones, so a CSV source's horizon is its rows // clients."""
     return {
         "algorithm": config.algorithm,
         "clients": config.clients,
@@ -98,16 +101,16 @@ def _config_digest(config: ExperimentConfig) -> dict:
         "subset_size": config.subset_size,
         "loss": config.loss,
         "seed": config.seed,
-        "horizon": config.horizon,
-        "epochs": config.epochs,
+        "horizon": learner.horizon,
+        "epochs": learner.epochs,
         "data_source": config.data.source,
     }
 
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
-    plan_experiment(config, read_table(config))
-    _emit({"status": "ok", "config": _config_digest(config)})
+    learner = plan_experiment(config, read_table(config))
+    _emit({"status": "ok", "config": _config_digest(config, learner)})
     return 0
 
 

@@ -35,6 +35,7 @@ from .data import (
     Streams,
     check_linear_input_dim,
     check_partition,
+    check_rescale,
     generate_adversarial,
     ingest_csv,
     preprocess_and_partition,
@@ -320,13 +321,15 @@ def plan_experiment(config: ExperimentConfig,
     generated source): its rows over the clients give the horizon, and its
     feature columns the input width.  The rules run in one order, so a config
     that breaks two is blamed on the same field by every command: the rows
-    against the clients and the stated horizon, the epochs, the update steps,
+    against the clients, each column's range (:func:`fedoms.data.check_rescale`)
+    and the stated horizon, the epochs, the update steps,
     an audited run's frame header, a generator's own rules, then the spaces.
     """
     data, epochs = config.data, config.epochs
     if data.source == "csv":
         try:
             check_partition(table.rows, config.clients)
+            check_rescale(table)
         except DataError as exc:
             raise ConfigError(str(exc), field="data") from exc
         horizon, input_dim = table.rows // config.clients, table.input_dim

@@ -15,6 +15,7 @@ import logging
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "AdversarialSpec",
     "ingest_csv",
     "check_partition",
+    "check_rescale",
     "preprocess_and_partition",
     "generate_adversarial",
     "default_bias",
@@ -45,12 +47,16 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class RawDataset:
-    """A parsed numeric table: feature matrix, target vector, column names."""
+    """A parsed numeric table: feature matrix, target vector, column names.
+
+    ``source`` names where the table was read from, for diagnostics.
+    """
 
     features: np.ndarray  # (rows, input_dim)
     targets: np.ndarray  # (rows,)
     feature_names: tuple[str, ...]
     target_name: str
+    source: str = ""
 
     @property
     def rows(self) -> int:
@@ -59,6 +65,13 @@ class RawDataset:
     @property
     def input_dim(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def extrema(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each column's (min, max) as two (input_dim + 1,) arrays, the target last."""
+        x = np.asarray(self.features, dtype=float)
+        y = np.asarray(self.targets, dtype=float)
+        return np.append(x.min(axis=0), y.min()), np.append(x.max(axis=0), y.max())
 
 
 @dataclass(frozen=True)
@@ -155,7 +168,9 @@ def ingest_csv(path: str | Path, target_column: str | int = -1) -> RawDataset:
     features = np.delete(table, target_pos, axis=1)
     feature_names = tuple(h for i, h in enumerate(header) if i != target_pos)
     logger.info("ingested %s: %d rows, %d features", path, table.shape[0], features.shape[1])
-    return RawDataset(features, table[:, target_pos], feature_names, header[target_pos])
+    # a copy of the target column, so that the parsed table can be freed
+    return RawDataset(features, table[:, target_pos].copy(), feature_names,
+                      header[target_pos], str(path))
 
 
 def _records(path: Path, fh):
@@ -237,49 +252,74 @@ def check_partition(rows: int, clients: int) -> None:
         raise DataError(f"{rows} rows cannot be split across {clients} clients")
 
 
+def check_rescale(dataset: RawDataset) -> None:
+    """Raise :class:`DataError` unless every column can be rescaled.
+
+    :func:`preprocess_and_partition` divides ``2 * (x - min)`` by a
+    column's range ``max - min``; when that range, or twice it, is not a
+    finite float (a column holding ``1e308`` and ``-1e308``), the rescaled
+    values would be NaN.  The error names the source and the column.
+    """
+    lo, hi = dataset.extrema
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = ~np.isfinite(2.0 * (hi - lo))
+    if wide.any():
+        c = int(np.flatnonzero(wide)[0])
+        name = (*dataset.feature_names, dataset.target_name)[c]
+        where = f"{dataset.source}: " if dataset.source else ""
+        raise DataError(f"{where}column {name!r} spans {float(lo[c])!r} to "
+                        f"{float(hi[c])!r}, a range too wide to rescale: twice it "
+                        f"is not a finite float")
+
+
 def preprocess_and_partition(dataset: RawDataset, clients: int, seed: int) -> Streams:
     """Rescale, shuffle, and split a dataset into per-client streams.
 
     Features are min-max rescaled to [-1, 1] and targets to [0, 1] using the
-    global extrema of the whole dataset; constant columns map to 0 with a
-    logged warning.  Rows are then randomly permuted (deterministic in
-    ``seed``) and split contiguously into ``clients`` streams of equal
-    length, dropping any remainder.
+    global extrema of the whole dataset (:func:`check_rescale` refuses a
+    column whose range overflows); constant columns map to 0 with a logged
+    warning.  Rows are randomly permuted (deterministic in ``seed``) and
+    split contiguously into ``clients`` streams of equal length, dropping
+    any remainder.  The kept rows are gathered first and rescaled in that
+    copy, so ``dataset`` is never written.
     """
 
     n = dataset.rows
     check_partition(n, clients)
-    x = np.asarray(dataset.features, dtype=float)
-    y = np.asarray(dataset.targets, dtype=float)
-
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
+    check_rescale(dataset)
+    lo, hi = dataset.extrema
     span = hi - lo
     flat = span == 0.0
-    if flat.any():
-        names = [dataset.feature_names[i] for i in np.flatnonzero(flat)]
-        logger.warning("constant feature columns %s mapped to 0", names)
-    safe = np.where(flat, 1.0, span)
-    xs = -1.0 + 2.0 * (x - lo) / safe
-    xs[:, flat] = 0.0
-
-    y_lo, y_hi = y.min(), y.max()
-    if y_hi == y_lo:
-        logger.warning("constant target column mapped to 0")
-        ys = np.zeros_like(y)
-    else:
-        ys = (y - y_lo) / (y_hi - y_lo)
-
     order = stream(seed, ROLE_PERMUTE).permutation(n)
     horizon = n // clients
+    keep = order[: horizon * clients]
+
+    # -1 + 2 (x - lo) / span, one operation at a time in that order
+    xs = np.asarray(dataset.features, dtype=float)[keep]
+    xs -= lo[:-1]
+    xs *= 2.0
+    xs /= np.where(flat[:-1], 1.0, span[:-1])
+    xs += -1.0
+    if flat[:-1].any():
+        names = [dataset.feature_names[i] for i in np.flatnonzero(flat[:-1])]
+        logger.warning("constant feature columns %s mapped to 0", names)
+        xs[:, flat[:-1]] = 0.0
+
+    ys = np.asarray(dataset.targets, dtype=float)[keep]
+    if flat[-1]:
+        logger.warning("constant target column mapped to 0")
+        ys[:] = 0.0
+    else:
+        ys -= lo[-1]
+        ys /= span[-1]
+
     dropped = n - horizon * clients
     if dropped:
         logger.warning("dropping %d of %d rows to split evenly across %d clients",
                        dropped, n, clients)
-    keep = order[: horizon * clients]
     return Streams(
-        xs=xs[keep].reshape(clients, horizon, -1),
-        ys=ys[keep].reshape(clients, horizon),
+        xs=xs.reshape(clients, horizon, -1),
+        ys=ys.reshape(clients, horizon),
         meta={
             "source": "preprocessed",
             "rows": int(n),

@@ -280,24 +280,18 @@ def _assemble(
     audit: AuditLog | None,
     run: int,
 ) -> RunArtifact:
-    """Run ``run`` of the stack as its artifact; its lead and bit columns
+    """Run ``run`` of the stack as its artifact; its leads and message bits
     come from its slots of ``state.subsets``.
 
     A client leads with its subset's first space for the whole epoch.  A
-    cooperative run charges each message ``setup.message_bits``, downlinks
-    at an epoch's first round and uplinks at its last; the baseline's
-    servers send nothing, so it is charged 0 bits.
+    cooperative run charges each message ``setup.message_bits``; the
+    baseline's servers send nothing, so it stores no bits.
     """
-    M, T = config.clients, config.horizon
     servers = setup.server_runs == run
     # a run's slots are consecutive: a slice keeps its panels' columns views
     first, last = np.flatnonzero(servers[setup.slot_servers])[[0, -1]]
     slots = slice(first, last + 1)
     subsets = state.subsets[:, slots]
-    N = setup.rounds_per_epoch
-    downlink_bits, uplink_bits = np.zeros((2, T, M), dtype=np.int64)
-    if algorithm == "fomd":
-        downlink_bits[::N], uplink_bits[N - 1::N] = setup.message_bits(subsets)
     probs = materialize(state.log_p[servers])
     meta = {**streams.meta, "seed": config.master_seed, "subset_size": config.subset_size}
     if audit is not None:
@@ -305,22 +299,16 @@ def _assemble(
         meta["audit_mismatches"] = list(audit.mismatches)
     return RunArtifact(
         algorithm=f"{algorithm}_oms",
-        clients=M,
-        horizon=T,
+        clients=config.clients,
+        horizon=config.horizon,
         epochs=subsets.shape[0],
         num_spaces=config.num_spaces,
-        round_ids=np.repeat(np.arange(1, T + 1, dtype=np.int64), M),
-        client_ids=np.tile(np.arange(M, dtype=np.int64), T),
-        epoch_ids=np.repeat(np.arange(T, dtype=np.int64) // N + 1, M),
-        lead_indices=np.repeat(subsets[:, :, 0], N, axis=0).ravel(),
         predictions=state.predictions[:, slots].ravel(),
         losses=state.losses[:, slots].ravel(),
-        targets=np.ascontiguousarray(streams.ys, dtype=float).T.ravel(),
-        uplink_bits=uplink_bits.ravel(),
-        downlink_bits=downlink_bits.ravel(),
+        leads=subsets[:, :, 0].copy(),
+        stream_targets=streams.ys,
+        message_bits=setup.message_bits(subsets) if algorithm == "fomd" else None,
         final_probs=probs[0] if algorithm == "fomd" else probs,
-        total_uplink_bits=int(uplink_bits.sum()),
-        total_downlink_bits=int(downlink_bits.sum()),
         wall_seconds=wall,
         meta=meta,
     )
@@ -336,8 +324,9 @@ def _run_stack(
     and ``layouts`` holds each run's checked :func:`_layout`.
     Run ``r``'s servers and client slots follow those of the runs before it;
     each of its servers starts from its initial distribution and zero
-    models, and steps with the schedules of its client count over the run's
-    epochs (schedule ``r``).  Each distinct stream is held once: runs that
+    models, and steps with the schedules of its client count over the
+    stack's epochs; the runs' servers of one client count share one
+    step-size table.  Each distinct stream is held once: runs that
     pass one :class:`Streams` read the same rows, and a stream every client
     shares (a broadcast view) is one row.  Returns the final state, the
     stack's set-up, the wall time of the epochs and the audit log of an
@@ -348,7 +337,9 @@ def _run_stack(
     radii, lipschitz, loss_bounds = np.array(
         [(s.radius, s.lipschitz_bound, s.loss_bound) for s in spaces], dtype=float).T
     blocks: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}  # id -> first row, xs, ys
-    slot_rows, slot_servers, server_runs, uniforms, log_p, etas, steps = ([] for _ in range(7))
+    slot_rows, slot_servers, server_runs, server_schedules, uniforms, log_p = (
+        [] for _ in range(6))
+    schedules: dict[int, int] = {}  # a server's client count -> its schedule
     audit = None
     for run, ((algorithm, config, streams), (servers, clients, epochs)) in enumerate(
             zip(runs, layouts)):
@@ -362,15 +353,19 @@ def _run_stack(
         slot_rows.append(first_row + np.arange(M) % len(xs))
         slot_servers.append(len(server_runs) + np.arange(M) // clients)
         server_runs += [run] * servers
+        server_schedules += [schedules.setdefault(clients, len(schedules))] * servers
         uniforms.append(sampling_uniforms(config.master_seed, M, T, J))
         initial = initial_distribution(loss_bounds, epochs, uniform=config.uniform_init)
         log_p.append(np.tile(np.log(initial), (servers, 1)))
-        etas.append(eta_schedule(K, J, clients, epochs))
-        steps.append(lambda_schedule(radii, lipschitz, J, clients, epochs,
-                                     np.arange(1.0, epochs + 1.0)))
         if algorithm == "fomd" and config.audit:
             audit = AuditLog()
             check_header_fields(epochs, M - 1, J)  # fail before the first epoch
+    etas, param_rates = np.empty(len(schedules)), np.empty((epochs, len(schedules), K))
+    for clients, schedule in schedules.items():
+        etas[schedule] = eta_schedule(K, J, clients, epochs)
+        param_rates[:, schedule] = lambda_schedule(radii, lipschitz, J, clients, epochs,
+                                                   np.arange(1.0, epochs + 1.0))
+    server_schedules = np.array(server_schedules)
     setup = RunSetup(
         spaces=spaces,
         loss=first.loss,
@@ -387,8 +382,9 @@ def _run_stack(
         slot_rows=np.concatenate(slot_rows),
         slot_servers=np.concatenate(slot_servers),
         server_runs=np.array(server_runs),
-        mirror_rates=entropy_rates(np.array(etas)[server_runs], loss_bounds),
-        param_rates=np.stack(steps, axis=1),
+        server_schedules=server_schedules,
+        mirror_rates=entropy_rates(etas[server_schedules], loss_bounds),
+        param_rates=param_rates,
         audit=audit,
     )
     slots = setup.slot_rows.size

@@ -332,11 +332,11 @@ class ServerState:
     ``RunSetup.slot_servers[j]``.  The two (horizon, slots) panels
     hold each round's lead prediction and loss, and ``subsets`` the
     (slots, J) table of sampled spaces each epoch wrote, its lead space
-    first: the run's one record of what was sampled.  The learner derives
-    the trace's lead and bit columns from it after the run, and the audit
-    reads each staged epoch's subsets from it.  ``epochs_done`` counts the
-    epochs run so far, so the next call of :func:`run_epoch` runs epoch
-    ``epochs_done + 1``.
+    first: the run's one record of what was sampled.  The learner takes
+    each run's per-epoch leads and message bits from it after the run, and
+    the audit reads each staged epoch's subsets from it.  ``epochs_done``
+    counts the epochs run so far, so the next call of :func:`run_epoch` runs
+    epoch ``epochs_done + 1``.
     """
 
     log_p: np.ndarray
@@ -353,12 +353,13 @@ class RunSetup:
 
     The layout: client slot ``j`` reads data row ``slot_rows[j]`` of ``xs``
     and ``ys`` and belongs to server ``slot_servers[j]`` (non-decreasing,
-    and a server's slots ascend as its clients do); server ``s`` steps with
-    the schedule of run ``r = server_runs[s]``, the step sizes
-    ``param_rates[:, r]`` and its own row of ``mirror_rates`` (that run's
-    rate eta over each space's loss bound, constant across epochs).  A
-    (server, space) pair is a cell, numbered ``server * K + space``; the
-    feature maps see one run's entries at a time.  ``uniforms[j, t - 1]``
+    and a server's slots ascend as its clients do); server ``s`` belongs to
+    run ``server_runs[s]`` and steps with the step sizes
+    ``param_rates[:, server_schedules[s]]``, one table per client count, and
+    its own row of ``mirror_rates`` (its rate eta over each space's loss
+    bound, constant across epochs).  A (server, space) pair is a cell,
+    numbered ``server * K + space``; the feature maps see one run's entries
+    at a time.  ``uniforms[j, t - 1]``
     holds the uniform variates the server consumes when it samples the
     subset for slot ``j`` at round ``t``; with one decision per epoch only
     the first-round slot of each epoch is read, so batched and unbatched
@@ -381,8 +382,9 @@ class RunSetup:
     slot_rows: np.ndarray  # (slots,)
     slot_servers: np.ndarray  # (slots,)
     server_runs: np.ndarray  # (servers,)
+    server_schedules: np.ndarray  # (servers,) each server's column of param_rates
     mirror_rates: np.ndarray  # (S, K) or (S, 1): mirror.entropy_rates of each server's eta
-    param_rates: np.ndarray  # (epochs, runs, K) step sizes; row e - 1 is epoch e
+    param_rates: np.ndarray  # (epochs, schedules, K) step sizes; row e - 1 is epoch e
     audit: "AuditLog | None" = None
 
     @cached_property
@@ -437,6 +439,12 @@ class RunSetup:
     def entry_targets(self) -> np.ndarray:
         """(horizon, n) targets of the client-major entries, one row per round."""
         return np.ascontiguousarray(self.ys.T[:, self.entry_layout[0]])
+
+    @cached_property
+    def cell_rates(self) -> np.ndarray:
+        """(S·K,) each cell's position in an epoch's flattened row of ``param_rates``."""
+        K = self.num_spaces
+        return (self.server_schedules[:, None] * K + np.arange(K)).ravel()
 
     @cached_property
     def cell_clients(self) -> np.ndarray:
@@ -885,7 +893,7 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
         _audit_epoch(setup.audit, setup, state, epoch, w_flat, mean_losses, mean_grads,
                      inclusion[0], loss_est[0], stepped, grad_est)
 
-    rates = setup.param_rates[epoch - 1][setup.server_runs].ravel()[stepped]
+    rates = setup.param_rates[epoch - 1].ravel()[setup.cell_rates[stepped]]
     cell_weights[stepped] = project_rows_per_row(
         w_old - rates[:, None] * grad_est, setup.cell_radii[stepped]
     )

@@ -1,18 +1,23 @@
 """Run artifacts and trace serialization.
 
-A completed run produces a :class:`RunArtifact`: one row per (round, client)
-pair holding the lead space, the lead model's prediction and realized loss,
-and the information bits moved that round.  The artifact serializes to a
-stable CSV (column order fixed, shortest round-trip float repr) so repeated
-runs with the same seed are byte-identical, and to a JSON-ready summary.
-The CSV is written in blocks of rows: within a block each distinct cell value
-is formatted once, uniqued by bit pattern so ``-0.0`` and ``0.0`` keep their
-own text, and the rows are joined in one call, with no per-row Python code.
+A completed run produces a :class:`RunArtifact`: what the run produced (each
+round's lead prediction and realized loss per client, and each epoch's lead
+space and message bits per client) plus run-level figures.  Its trace has
+one row per (round, client) pair; the per-row columns that repeat the
+layout or the per-epoch record are derived on first read, not stored.  The
+artifact serializes to a stable CSV (column order fixed, shortest round-trip
+float repr) so repeated runs with the same seed are byte-identical, and to a
+JSON-ready summary.  The CSV is written in blocks of rows, each block's
+columns built from the stored record: within a block each distinct cell
+value is formatted once, uniqued by bit pattern so ``-0.0`` and ``0.0`` keep
+their own text, and the rows are joined in one call, with no per-row Python
+code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +39,24 @@ _EXPORT_BLOCK_ROWS = 4096  # trace rows per write; larger blocks raise peak memo
 
 @dataclass(frozen=True)
 class RunArtifact:
-    """Complete record of one run: M*T trace rows plus run-level totals.
+    """Complete record of one run: its M*T trace rows plus run-level figures.
 
-    Rows are ordered by round, then by client id.  ``final_probs`` is the
-    server's final sampling distribution — shape (K,) for the cooperative
-    learner, (M, K) for the noncooperative one (one distribution per
-    client).  ``wall_seconds`` is the wall time of the serial simulation.
+    Rows are ordered by round, then by client id, and each of the ``epochs``
+    epochs spans ``horizon // epochs`` consecutive rounds.  The artifact
+    stores what the run produced: the (T·M,) ``predictions`` and ``losses``
+    of the rows; ``leads[e, j]``, the space client ``j`` led with for all of
+    epoch ``e + 1``; for a cooperative run, ``message_bits``, the
+    (downlink, uplink) bits of each client-epoch as two (epochs, M) arrays,
+    a downlink charged at the epoch's first round and an uplink at its last
+    (``None`` for the baseline, which sends nothing); and
+    ``stream_targets``, the streams' own (M, T) target array, held, not
+    copied.  The per-row columns ``round_ids``, ``client_ids``,
+    ``epoch_ids``, ``lead_indices``, ``targets``, ``uplink_bits`` and
+    ``downlink_bits`` are derived from these, each at most once.
+    ``final_probs`` is the server's final sampling distribution — shape (K,)
+    for the cooperative learner, (M, K) for the noncooperative one (one
+    distribution per client).  ``wall_seconds`` is the wall time of the
+    serial simulation.
     """
 
     algorithm: str
@@ -47,38 +64,91 @@ class RunArtifact:
     horizon: int
     epochs: int
     num_spaces: int
-    round_ids: np.ndarray
-    client_ids: np.ndarray
-    epoch_ids: np.ndarray
-    lead_indices: np.ndarray
-    predictions: np.ndarray
-    losses: np.ndarray
-    targets: np.ndarray
-    uplink_bits: np.ndarray
-    downlink_bits: np.ndarray
+    predictions: np.ndarray  # (T·M,)
+    losses: np.ndarray  # (T·M,)
+    leads: np.ndarray  # (epochs, M)
+    stream_targets: np.ndarray  # (M, T)
+    message_bits: tuple[np.ndarray, np.ndarray] | None  # (epochs, M) each
     final_probs: np.ndarray
-    total_uplink_bits: int
-    total_downlink_bits: int
     wall_seconds: float
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = self.clients * self.horizon
-        for name in ("round_ids", "client_ids", "epoch_ids", "lead_indices",
-                     "predictions", "losses", "targets", "uplink_bits",
-                     "downlink_bits"):
-            arr = getattr(self, name)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
+        M, T, R = self.clients, self.horizon, self.epochs
+        if not 1 <= R <= T or T % R:
+            raise ValueError(f"epochs {R} must divide the horizon {T}")
+        shapes = [("predictions", self.predictions, (M * T,)),
+                  ("losses", self.losses, (M * T,)),
+                  ("leads", self.leads, (R, M)),
+                  ("stream_targets", self.stream_targets, (M, T))]
+        shapes += [("message_bits", bits, (R, M)) for bits in self.message_bits or ()]
+        for name, arr, shape in shapes:
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
 
     @property
     def rows(self) -> int:
         return self.clients * self.horizon
 
+    @property
+    def rounds_per_epoch(self) -> int:
+        return self.horizon // self.epochs
+
+    @cached_property
+    def round_ids(self) -> np.ndarray:
+        return np.repeat(np.arange(1, self.horizon + 1, dtype=np.int64), self.clients)
+
+    @cached_property
+    def client_ids(self) -> np.ndarray:
+        return np.tile(np.arange(self.clients, dtype=np.int64), self.horizon)
+
+    @cached_property
+    def epoch_ids(self) -> np.ndarray:
+        rounds = np.arange(self.horizon, dtype=np.int64)
+        return np.repeat(rounds // self.rounds_per_epoch + 1, self.clients)
+
+    @cached_property
+    def lead_indices(self) -> np.ndarray:
+        return np.repeat(self.leads, self.rounds_per_epoch, axis=0).ravel()
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """The (T·M,) targets of the rows, round-major."""
+        return np.ascontiguousarray(self.stream_targets, dtype=float).T.ravel()
+
+    @cached_property
+    def downlink_bits(self) -> np.ndarray:
+        return self._round_bits(0)
+
+    @cached_property
+    def uplink_bits(self) -> np.ndarray:
+        return self._round_bits(1)
+
+    def _round_bits(self, direction: int) -> np.ndarray:
+        """(T·M,) bits of one direction of ``message_bits``, charged at each
+        epoch's first round (0, the downlink) or last round (1, the uplink)."""
+        bits = np.zeros((self.horizon, self.clients), dtype=np.int64)
+        if self.message_bits is not None:
+            N = self.rounds_per_epoch
+            bits[direction * (N - 1)::N] = self.message_bits[direction]
+        return bits.ravel()
+
+    @property
+    def total_downlink_bits(self) -> int:
+        return 0 if self.message_bits is None else int(self.message_bits[0].sum())
+
+    @property
+    def total_uplink_bits(self) -> int:
+        return 0 if self.message_bits is None else int(self.message_bits[1].sum())
+
     def mse(self) -> float:
         """Mean squared error of the lead predictions against the targets."""
-        err = self.predictions - self.targets
-        return float(np.mean(err * err))
+        # the errors are written round-major, the rows' order, so the mean
+        # adds them in the order of the flat (T·M,) columns
+        shape = (self.horizon, self.clients)
+        err = np.subtract(self.predictions.reshape(shape), self.stream_targets.T,
+                          out=np.empty(shape)).ravel()
+        return float(np.mean(np.multiply(err, err, out=err)))
 
     def cumulative_loss(self) -> float:
         """Total realized lead-model loss over all clients and rounds."""
@@ -90,23 +160,50 @@ class RunArtifact:
         Floats use ``repr`` (shortest exact round-trip), so identical runs
         yield byte-identical files.  Each block of rows becomes one list of
         strings per column, with each distinct value formatted once, and the
-        rows are joined in one call; no per-row objects outlive a block.
+        rows are joined in one call; no per-row objects outlive a block, and
+        no whole derived column is built.
         """
         path = Path(path)
-        columns = (
-            (self.round_ids, np.int64), (self.client_ids, np.int64),
-            (self.epoch_ids, np.int64), (self.lead_indices, np.int64),
-            (self.predictions, float), (self.losses, float),
-            (self.uplink_bits, np.int64), (self.downlink_bits, np.int64),
-        )
         with path.open("w", newline="") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
             for lo in range(0, self.rows, _EXPORT_BLOCK_ROWS):
-                block = slice(lo, lo + _EXPORT_BLOCK_ROWS)
-                cells = [_cell_texts(col[block].astype(dtype, copy=False))
-                         for col, dtype in columns]
+                columns = self._block_columns(lo, min(lo + _EXPORT_BLOCK_ROWS, self.rows))
+                texts = {}  # a column that serves twice is formatted once
+                for col in columns:
+                    if id(col) not in texts:
+                        texts[id(col)] = _cell_texts(col)
+                cells = [texts[id(col)] for col in columns]
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         return path
+
+    def _block_columns(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The trace columns of rows ``lo`` to ``hi``, in ``TRACE_COLUMNS`` order.
+
+        With one round per epoch the per-epoch record is the per-round
+        record, so a block slices it, and the round column is the epoch
+        column; otherwise each row's client-epoch cell is gathered, and a
+        message's bits are kept only at its charged round.
+        """
+        N, M = self.rounds_per_epoch, self.clients
+        rounds, clients = np.divmod(np.arange(lo, hi, dtype=np.int64), M)
+        if N == 1:
+            epochs, cells = rounds, slice(lo, hi)
+        else:
+            epochs = rounds // N
+            cells = epochs * M + clients
+        round_ids = rounds + 1
+        if self.message_bits is None:
+            down = up = np.zeros(hi - lo, dtype=np.int64)
+        else:
+            down, up = (bits.reshape(-1)[cells] for bits in self.message_bits)
+            if N > 1:
+                phase = rounds - epochs * N
+                down, up = np.where(phase == 0, down, 0), np.where(phase == N - 1, up, 0)
+        return [round_ids, clients, round_ids if N == 1 else epochs + 1,
+                self.leads.reshape(-1)[cells].astype(np.int64, copy=False),
+                self.predictions[lo:hi].astype(float, copy=False),
+                self.losses[lo:hi].astype(float, copy=False),
+                up.astype(np.int64, copy=False), down.astype(np.int64, copy=False)]
 
     def summary_dict(self) -> dict:
         """JSON-ready run summary (totals must match the trace column sums)."""

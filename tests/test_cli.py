@@ -62,6 +62,16 @@ def _spoil_csv(csv_path, cell):
     return csv_path
 
 
+def _widen_csv(csv_path):
+    """Make the file's first column alternate 1e308 and -1e308, a range
+    whose width overflows the float range."""
+    lines = csv_path.read_text().splitlines()
+    for r in range(1, len(lines)):
+        lines[r] = ",".join(["1e308" if r % 2 else "-1e308", *lines[r].split(",")[1:]])
+    csv_path.write_text("\n".join(lines) + "\n")
+    return csv_path
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -73,6 +83,23 @@ def test_validate_accepts_good_config(tmp_path, capsys):
     assert blob["status"] == "ok"
     assert blob["config"]["num_spaces"] == 3
     assert blob["config"]["subset_size"] == 2
+
+
+def test_validate_prints_the_horizon_run_derives_from_a_csv(tmp_path, capsys):
+    # a CSV source's horizon is its rows // clients, planned before any run
+    from fedoms.data import write_regression_csv
+
+    csv_path = write_regression_csv(tmp_path / "data.csv", rows=61, input_dim=3, seed=1)
+    cfg = _base_config(horizon=None, epochs=5)
+    cfg["data"] = {"source": "csv", "path": str(csv_path), "target_column": "target"}
+    path = tmp_path / "csv_cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path)]) == 0
+    digest = _last_json(capsys.readouterr().out)["config"]
+    assert (digest["horizon"], digest["epochs"]) == (30, 5)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["horizon"], summary["epochs"]) == (30, 5)
 
 
 def test_validate_rejects_subset_size_one_with_named_constraint(tmp_path, capsys):
@@ -229,8 +256,8 @@ def test_parse_config_field_diagnostics():
 @pytest.fixture(scope="module")
 def property_files(tmp_path_factory):
     """The CSV files the property draws from, written once: a clean one,
-    three that the parser refuses at row 6, and one of 2 rows, fewer than
-    most client counts."""
+    three that the parser refuses at row 6, one of 2 rows, fewer than most
+    client counts, and one whose first column's range overflows."""
     from fedoms.data import write_regression_csv
 
     root = tmp_path_factory.mktemp("validate_property")
@@ -239,6 +266,8 @@ def property_files(tmp_path_factory):
     for name, cell in (("nan", "nan"), ("text", "one"), ("short", None)):
         files[name] = _spoil_csv(
             write_regression_csv(root / f"{name}.csv", rows=12, input_dim=3, seed=1), cell)
+    files["wide"] = _widen_csv(write_regression_csv(root / "wide.csv", rows=12, input_dim=3,
+                                                    seed=1))
     return root, files
 
 
@@ -272,7 +301,8 @@ def _configs(draw):
                                    "biased_arm"]))
     if source == "csv":
         cfg["data"] = {"source": "csv", "target_column": "target",
-                       "path": draw(st.sampled_from(["clean", "few", "nan", "text", "short"]))}
+                       "path": draw(st.sampled_from(["clean", "few", "nan", "text", "short",
+                                                      "wide"]))}
         horizon = draw(st.none() | st.integers(1, 12))
     else:
         cfg["data"] = {"source": source, "input_dim": draw(st.integers(1, 4))}
@@ -686,6 +716,25 @@ def test_validate_and_run_refuse_a_bad_csv_alike(cell, message, tmp_path, capsys
         assert _last_json(capsys.readouterr().out) == {
             "status": "error", "kind": "ConfigError", "field": "data",
             "message": f"{csv_path}: {message}"}
+
+
+def test_validate_and_run_refuse_a_column_whose_rescale_overflows_alike(tmp_path, capsys):
+    # validate once passed this file; run rescaled its first column to NaN
+    # and refused the streams, naming neither the file nor the column
+    from fedoms.data import write_regression_csv
+
+    csv_path = _widen_csv(write_regression_csv(tmp_path / "data.csv", rows=12, input_dim=3,
+                                               seed=1))
+    cfg = _base_config(horizon=None, epochs=None)
+    cfg["data"] = {"source": "csv", "path": str(csv_path), "target_column": "target"}
+    path = tmp_path / "csv_cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(command) == 2
+        assert _last_json(capsys.readouterr().out) == {
+            "status": "error", "kind": "ConfigError", "field": "data",
+            "message": f"{csv_path}: column 'f0' spans -1e+308 to 1e+308, a range too wide "
+                       f"to rescale: twice it is not a finite float"}
 
 
 def test_run_writes_the_reference_trace_bytes(tmp_path, capsys):

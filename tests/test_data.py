@@ -1,6 +1,7 @@
 """Tests for ingestion, preprocessing, generators, and summary metrics."""
 
 import csv
+import math
 import re
 import warnings
 
@@ -24,6 +25,7 @@ from fedoms.data import (
     write_regression_csv,
 )
 from fedoms.results import RunArtifact
+from fedoms.rng import ROLE_PERMUTE, stream
 
 from oracles import reference_trace_csv
 
@@ -44,6 +46,9 @@ def test_ingest_hand_file_exactly(tmp_path):
     assert np.array_equal(ds.features, [[1, 2], [4, 5], [7, 8]])
     assert np.array_equal(ds.targets, [3, 6, 9])
     assert ds.feature_names == ("a", "b") and ds.target_name == "y"
+    # both own their memory, so nothing holds the parsed table
+    assert ds.features.base is None and ds.targets.base is None
+    assert ds.source == str(f)
 
 
 def test_ingest_target_by_position(tmp_path):
@@ -239,6 +244,58 @@ def test_already_scaled_data_is_only_permuted():
     assert sorted(streams.ys[0]) == sorted(y)
 
 
+def _rescale_then_gather(ds, clients, seed):
+    """The partition as it once ran: rescale the whole table, then gather the kept rows."""
+    x, y = ds.features, ds.targets
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    flat = hi - lo == 0.0
+    xs = -1.0 + 2.0 * (x - lo) / np.where(flat, 1.0, hi - lo)
+    xs[:, flat] = 0.0
+    ys = np.zeros_like(y) if y.max() == y.min() else (y - y.min()) / (y.max() - y.min())
+    horizon = ds.rows // clients
+    keep = stream(seed, ROLE_PERMUTE).permutation(ds.rows)[:horizon * clients]
+    return xs[keep].reshape(clients, horizon, -1), ys[keep].reshape(clients, horizon)
+
+
+@settings(deadline=None, max_examples=50)
+@given(rows=st.integers(5, 40), width=st.integers(1, 4), clients=st.integers(1, 5),
+       seed=st.integers(0, 2**16), flat_target=st.booleans())
+def test_partition_gathers_then_rescales_to_the_same_bytes_and_never_writes_the_table(
+        rows, width, clients, seed, flat_target):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-5, 5, width)
+    x[:, rng.random(width) < 0.3] = 2.5  # constant columns
+    y = np.full(rows, 0.5) if flat_target else rng.normal(size=rows)
+    ds = _dataset(x, y)
+    ds.features.flags.writeable = ds.targets.flags.writeable = False
+    streams = preprocess_and_partition(ds, clients=clients, seed=seed)
+    want_xs, want_ys = _rescale_then_gather(ds, clients, seed)
+    assert streams.xs.tobytes() == want_xs.tobytes()
+    assert streams.ys.tobytes() == want_ys.tobytes()
+    assert np.array_equal(ds.features, x) and np.array_equal(ds.targets, y)
+
+
+@pytest.mark.parametrize("column, name, lo, hi", [
+    (0, "f0", -1e308, 1e308),  # the range itself overflows
+    (1, "f1", -1e308, 0.7e308),  # only twice the range overflows
+    (2, "y", -1e308, 1e308),
+])
+def test_a_column_whose_rescale_overflows_is_refused_by_name(column, name, lo, hi):
+    table = np.zeros((4, 3))
+    table[:, column] = [lo, hi, 0.0, 1.0]
+    ds = RawDataset(table[:, :2].copy(), table[:, 2].copy(), ("f0", "f1"), "y", "t.csv")
+    message = (f"t.csv: column '{name}' spans {lo!r} to {hi!r}, a range too wide to "
+               f"rescale: twice it is not a finite float")
+    for call in (data.check_rescale, lambda d: preprocess_and_partition(d, 2, 0)):
+        with pytest.raises(DataError) as info:
+            call(ds)
+        assert str(info.value) == message
+    # the widest range that still rescales
+    table[:, column] = [-0.4e308, 0.4e308, 0.0, 1.0]
+    ds = RawDataset(table[:, :2].copy(), table[:, 2].copy(), ("f0", "f1"), "y")
+    assert np.isfinite(preprocess_and_partition(ds, 2, 0).xs).all()
+
+
 def test_partition_rejects_too_few_rows():
     ds = _dataset([[1.0], [2.0]], [0.0, 1.0])
     with pytest.raises(DataError, match="cannot be split"):
@@ -388,26 +445,24 @@ def test_streams_reject_non_finite_values_naming_client_and_round(bad):
 # Metrics summaries
 
 
-def _artifact(predictions, targets, clients, horizon, **overrides):
-    n = clients * horizon
+def _artifact(predictions, targets, clients, horizon, epochs=None, **overrides):
+    """An artifact of flat, round-major ``predictions`` and ``targets``, one
+    round per epoch unless ``epochs`` says otherwise; each client-epoch leads
+    with space 0 and is charged 6 downlink and 10 uplink bits."""
+    epochs = horizon if epochs is None else epochs
     fields = dict(
         algorithm="fomd_oms",
         clients=clients,
         horizon=horizon,
-        epochs=horizon,
+        epochs=epochs,
         num_spaces=2,
-        round_ids=np.repeat(np.arange(1, horizon + 1, dtype=np.int64), clients),
-        client_ids=np.tile(np.arange(clients, dtype=np.int64), horizon),
-        epoch_ids=np.repeat(np.arange(1, horizon + 1, dtype=np.int64), clients),
-        lead_indices=np.zeros(n, dtype=np.int64),
         predictions=np.asarray(predictions, dtype=float),
-        losses=np.zeros(n),
-        targets=np.asarray(targets, dtype=float),
-        uplink_bits=np.full(n, 10, dtype=np.int64),
-        downlink_bits=np.full(n, 6, dtype=np.int64),
+        losses=np.zeros(clients * horizon),
+        leads=np.zeros((epochs, clients), dtype=np.int64),
+        stream_targets=np.asarray(targets, dtype=float).reshape(horizon, clients).T,
+        message_bits=(np.full((epochs, clients), 6, dtype=np.int64),
+                      np.full((epochs, clients), 10, dtype=np.int64)),
         final_probs=np.array([0.5, 0.5]),
-        total_uplink_bits=10 * n,
-        total_downlink_bits=6 * n,
         wall_seconds=0.5,
     )
     fields.update(overrides)
@@ -424,12 +479,14 @@ _SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 1e-
 @given(
     shape=st.sampled_from([(1, 1), (3, 7), (1, _BLOCK - 1), (4, _BLOCK // 4), (1, _BLOCK + 1),
                            (5, (2 * _BLOCK + 3) // 5 + 1)]),
+    split=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
     specials=st.lists(st.tuples(st.sampled_from(_SPECIAL_FLOATS), st.integers(0, 10**6)),
                       max_size=30),
 )
-def test_trace_csv_bytes_match_the_row_writer(tmp_path_factory, shape, seed, specials):
+def test_trace_csv_bytes_match_the_row_writer(tmp_path_factory, shape, split, seed, specials):
     clients, horizon = shape
+    epochs = horizon // math.gcd(horizon, split)  # epochs of gcd(horizon, split) rounds
     n = clients * horizon
     rng = np.random.default_rng(seed)
     predictions = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
@@ -437,11 +494,11 @@ def test_trace_csv_bytes_match_the_row_writer(tmp_path_factory, shape, seed, spe
     for value, at in specials:
         predictions[at % n] = value
         losses[(at // 7) % n] = abs(value)
-    art = _artifact(predictions, np.zeros(n), clients, horizon,
-                    lead_indices=rng.integers(0, 16, n),
+    art = _artifact(predictions, np.zeros(n), clients, horizon, epochs,
+                    leads=rng.integers(0, 16, (epochs, clients)),
                     losses=losses,
-                    uplink_bits=rng.integers(0, 2**40, n),
-                    downlink_bits=rng.integers(0, 2**20, n))
+                    message_bits=(rng.integers(0, 2**20, (epochs, clients)),
+                                  rng.integers(0, 2**40, (epochs, clients))))
     path = art.to_csv(tmp_path_factory.mktemp("trace") / "trace.csv")
     assert path.read_bytes() == reference_trace_csv(art).encode()
 
@@ -451,29 +508,61 @@ def test_trace_csv_pinned_example_at_any_block_size(block, tmp_path, monkeypatch
     # one block at the default size holds signed zeros, the smallest
     # subnormal, repeated and single values, an int column spanning exactly
     # as many values as rows (lead_index), one spanning more (uplink_bits),
-    # int32 ids and float32 predictions
+    # int32 leads and float32 predictions
     monkeypatch.setattr(results, "_EXPORT_BLOCK_ROWS", block)
     art = _artifact(
         np.array([-0.0, 0.0, 0.1, 0.1, -3.5, 1e-45], dtype=np.float32), np.zeros(6),
         clients=2, horizon=3,
-        round_ids=np.repeat(np.arange(1, 4, dtype=np.int32), 2),
-        client_ids=np.tile(np.arange(2, dtype=np.int32), 3),
-        epoch_ids=np.ones(6, dtype=np.int32),
-        lead_indices=np.array([5, 0, 3, 1, 4, 2], dtype=np.int32),
+        leads=np.array([[5, 0], [3, 1], [4, 2]], dtype=np.int32),
         losses=np.array([5e-324, 0.0, -0.0, 0.25, 0.25, 1 / 3]),
-        uplink_bits=np.array([-7, 2**40, 7, 7, 0, 10**12]),
+        message_bits=(np.full((3, 2), 6), np.array([[-7, 2**40], [7, 7], [0, 10**12]])),
     )
     expected = (
         "round,client,epoch,lead_index,prediction,loss,uplink_bits,downlink_bits\n"
         "1,0,1,5,-0.0,5e-324,-7,6\n"
         "1,1,1,0,0.0,0.0,1099511627776,6\n"
-        "2,0,1,3,0.10000000149011612,-0.0,7,6\n"
-        "2,1,1,1,0.10000000149011612,0.25,7,6\n"
-        "3,0,1,4,-3.5,0.25,0,6\n"
-        "3,1,1,2,1.401298464324817e-45,0.3333333333333333,1000000000000,6\n"
+        "2,0,2,3,0.10000000149011612,-0.0,7,6\n"
+        "2,1,2,1,0.10000000149011612,0.25,7,6\n"
+        "3,0,3,4,-3.5,0.25,0,6\n"
+        "3,1,3,2,1.401298464324817e-45,0.3333333333333333,1000000000000,6\n"
     )
     assert reference_trace_csv(art) == expected
     assert art.to_csv(tmp_path / "trace.csv").read_bytes() == expected.encode()
+
+
+@settings(deadline=None, max_examples=50)
+@given(clients=st.integers(1, 4), epochs=st.integers(1, 5), rounds_per_epoch=st.integers(1, 4),
+       seed=st.integers(0, 2**16), cooperative=st.booleans())
+def test_derived_trace_columns_are_the_columns_an_artifact_once_stored(
+        clients, epochs, rounds_per_epoch, seed, cooperative):
+    M, R, N = clients, epochs, rounds_per_epoch
+    T = R * N
+    rng = np.random.default_rng(seed)
+    leads = rng.integers(0, 8, (R, M))
+    bits = (rng.integers(0, 500, (R, M)), rng.integers(0, 500, (R, M))) if cooperative else None
+    targets = rng.random((M, T))
+    art = _artifact(np.zeros(M * T), targets.T.ravel(), M, T, R, leads=leads, message_bits=bits)
+    # each column as the learner built it when the artifact stored it
+    downlink, uplink = np.zeros((2, T, M), dtype=np.int64)
+    if cooperative:
+        downlink[::N], uplink[N - 1::N] = bits
+    want = {
+        "round_ids": np.repeat(np.arange(1, T + 1, dtype=np.int64), M),
+        "client_ids": np.tile(np.arange(M, dtype=np.int64), T),
+        "epoch_ids": np.repeat(np.arange(T, dtype=np.int64) // N + 1, M),
+        "lead_indices": np.repeat(leads, N, axis=0).ravel(),
+        "targets": np.ascontiguousarray(targets, dtype=float).T.ravel(),
+        "uplink_bits": uplink.ravel(),
+        "downlink_bits": downlink.ravel(),
+    }
+    for name, column in want.items():
+        got = getattr(art, name)
+        assert got.dtype == column.dtype and got.shape == column.shape, name
+        assert got.tobytes() == column.tobytes(), name
+        assert getattr(art, name) is got  # derived once
+    assert (art.total_uplink_bits, art.total_downlink_bits) == (uplink.sum(), downlink.sum())
+    err = art.predictions - want["targets"]
+    assert art.mse() == float(np.mean(err * err))
 
 
 def test_mse_hand_example():
@@ -491,7 +580,14 @@ def test_mse_perfect_and_constant_predictors():
 
 def test_artifact_validates_column_lengths():
     with pytest.raises(ValueError, match="predictions"):
-        _artifact([0.1, 0.2, 0.0], [0.0, 0.0, 0.0], clients=2, horizon=2)
+        _artifact([0.1, 0.2, 0.0], [0.0] * 4, clients=2, horizon=2)
+    with pytest.raises(ValueError, match="leads"):
+        _artifact([0.0] * 4, [0.0] * 4, clients=2, horizon=2, leads=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="message_bits"):
+        _artifact([0.0] * 4, [0.0] * 4, clients=2, horizon=2,
+                  message_bits=(np.zeros((2, 2)), np.zeros((1, 2))))
+    with pytest.raises(ValueError, match="epochs 3 must divide the horizon 2"):
+        _artifact([0.0] * 4, [0.0] * 4, clients=2, horizon=2, epochs=3)
 
 
 def test_summary_dict_round_trips_to_json():

@@ -527,6 +527,70 @@ def test_trace_row_order_and_totals():
     assert np.array_equal(art.targets.reshape(20, 3), streams.ys.T)
 
 
+def _stored_bytes(artifact):
+    """Bytes of the arrays an artifact stores, each counted as the array that owns its memory."""
+    owners = {}
+    for arr in (artifact.predictions, artifact.losses, artifact.leads,
+                *(artifact.message_bits or ())):
+        while arr.base is not None:
+            arr = arr.base
+        owners[id(arr)] = arr.nbytes
+    return sum(owners.values())
+
+
+def test_an_artifact_stores_16_bytes_a_client_round_and_24_a_client_epoch_at_most():
+    # predictions and losses per row; a lead and two message sizes per
+    # client-epoch; the targets are the streams' own array
+    spaces = _nested_spaces(3, (0.5, 1.0, 1.5))
+    M, T = 3, 20
+    streams = synthetic_linear(input_dim=3, clients=M, horizon=T, seed=5)
+    other = synthetic_linear(input_dim=3, clients=M, horizon=T, seed=6)
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=M, subset_size=2,
+                        horizon=T, master_seed=5)
+    batched = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=M, subset_size=2,
+                            horizon=T, epochs=4, master_seed=5)
+    cases = [(run_fomd_oms(cfg, streams), streams), (run_fomd_oms(batched, streams), streams),
+             (run_nco_oms(cfg, streams), streams)]
+    cases += zip(learners.run_many([("fomd", cfg, streams), ("nco", cfg, other),
+                                    ("fomd", cfg, other)]), (streams, other, other))
+    for art, source in cases:
+        assert _stored_bytes(art) <= 16 * M * T + 24 * M * art.epochs
+        assert art.stream_targets is source.ys
+
+
+def test_a_stack_holds_one_step_size_table_per_client_count():
+    # ten seeds' paired runs, as `fedoms ab --seeds 10` stacks them: every
+    # cooperative server averages M clients and every baseline server one
+    spaces = tuple(make_space(CoordinateMap(4, i), 1.0, Loss.LINEAR) for i in range(4))
+    M, T = 5, 20
+    runs = []
+    for seed in range(10):
+        spec = AdversarialSpec(kind="biased_arm", num_spaces=4, input_dim=4, horizon=T,
+                               clients=M, seed=seed)
+        cfg = LearnerConfig(spaces=spaces, loss=Loss.LINEAR, clients=M, subset_size=2,
+                            horizon=T, master_seed=seed)
+        streams = generate_adversarial(spec)
+        runs += [("fomd", cfg, streams), ("nco", cfg, streams)]
+    setups = []
+    run_stack = learners._run_stack
+
+    def recorded(stack, layouts):
+        result = run_stack(stack, layouts)
+        setups.append(result[1])
+        return result
+
+    with mock.patch.object(learners, "_run_stack", recorded):
+        learners.run_many(runs)
+    (setup,) = setups
+    # the cooperative runs come first, the one-client servers last
+    np.testing.assert_array_equal(setup.server_schedules, [0] * 10 + [1] * 10 * M)
+    assert setup.param_rates.shape == (T, 2, 4)
+    rounds = np.arange(1.0, T + 1.0)
+    for column, clients in enumerate((M, 1)):
+        want = _lambda(4, 2, clients, T, rounds)
+        assert setup.param_rates[:, column].tobytes() == want.tobytes()
+
+
 def test_trace_csv_is_deterministic(tmp_path):
     spaces = _nested_spaces(3, (0.5, 1.0, 1.5))
     streams = synthetic_linear(input_dim=3, clients=2, horizon=15, seed=4)
