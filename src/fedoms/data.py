@@ -290,6 +290,7 @@ def preprocess_and_partition(dataset: RawDataset, clients: int, seed: int) -> St
     lo, hi = dataset.extrema
     span = hi - lo
     flat = span == 0.0
+    x_flat = flat[:-1]  # the features'; the target's is flat[-1]
     order = stream(seed, ROLE_PERMUTE).permutation(n)
     horizon = n // clients
     keep = order[: horizon * clients]
@@ -298,12 +299,12 @@ def preprocess_and_partition(dataset: RawDataset, clients: int, seed: int) -> St
     xs = np.asarray(dataset.features, dtype=float)[keep]
     xs -= lo[:-1]
     xs *= 2.0
-    xs /= np.where(flat[:-1], 1.0, span[:-1])
+    xs /= np.where(x_flat, 1.0, span[:-1])
     xs += -1.0
-    if flat[:-1].any():
-        names = [dataset.feature_names[i] for i in np.flatnonzero(flat[:-1])]
+    if x_flat.any():
+        names = [dataset.feature_names[i] for i in np.flatnonzero(x_flat)]
         logger.warning("constant feature columns %s mapped to 0", names)
-        xs[:, flat[:-1]] = 0.0
+        xs[:, x_flat] = 0.0
 
     ys = np.asarray(dataset.targets, dtype=float)[keep]
     if flat[-1]:
