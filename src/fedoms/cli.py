@@ -118,9 +118,8 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     out_dir = _output_dir(args.out)
     artifact = run_from_config(config)
-    trace_path = out_dir / "trace.csv"
+    trace_path = artifact.to_csv(out_dir / "trace.csv")
     summary_path = out_dir / "summary.json"
-    artifact.to_csv(trace_path)
     summary = artifact.summary_dict()
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     mismatches = artifact.meta.get("audit_mismatches")
@@ -158,12 +157,13 @@ def _cmd_ab(args) -> int:
         # MSEs and dropped, so at most a group and one more seed are held
         artifacts = run_many([(algorithm, learner, streams) for _, learner, streams in group
                               for algorithm in ("fomd", "nco")])
-        for (seed, _, _), fed, solo in zip(group, artifacts[::2], artifacts[1::2]):
-            delta = solo.mse() - fed.mse()
+        mses = [artifact.mse() for artifact in artifacts]
+        for (seed, _, _), fed, solo in zip(group, mses[::2], mses[1::2]):
+            delta = solo - fed
             rows.append({
                 "seed": seed,
-                "mse_federated": fed.mse(),
-                "mse_noncooperative": solo.mse(),
+                "mse_federated": fed,
+                "mse_noncooperative": solo,
                 "delta": delta,
                 "sign": "+" if delta > 0 else ("-" if delta < 0 else "0"),
             })

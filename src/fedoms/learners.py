@@ -277,11 +277,11 @@ def _assemble(
     state: ServerState,
     setup: RunSetup,
     wall: float,
-    audit: AuditLog | None,
     run: int,
 ) -> RunArtifact:
     """Run ``run`` of the stack as its artifact; its leads and message bits
-    come from its slots of ``state.subsets``.
+    come from its slots of ``state.subsets``, and an audited run's check
+    counts from ``setup.audit``.
 
     A client leads with its subset's first space for the whole epoch.  A
     cooperative run charges each message ``setup.message_bits``; the
@@ -294,15 +294,11 @@ def _assemble(
     subsets = state.subsets[:, slots]
     probs = materialize(state.log_p[servers])
     meta = {**streams.meta, "seed": config.master_seed, "subset_size": config.subset_size}
-    if audit is not None:
-        meta["audit_frames_checked"] = audit.frames_checked
-        meta["audit_mismatches"] = list(audit.mismatches)
+    if setup.audit is not None:
+        meta["audit_frames_checked"] = setup.audit.frames_checked
+        meta["audit_mismatches"] = list(setup.audit.mismatches)
     return RunArtifact(
         algorithm=f"{algorithm}_oms",
-        clients=config.clients,
-        horizon=config.horizon,
-        epochs=subsets.shape[0],
-        num_spaces=config.num_spaces,
         predictions=state.predictions[:, slots].ravel(),
         losses=state.losses[:, slots].ravel(),
         leads=subsets[:, :, 0].copy(),
@@ -317,7 +313,7 @@ def _assemble(
 def _run_stack(
     runs: list[tuple[str, LearnerConfig, Streams]],
     layouts: list[tuple[int, int, int]],
-) -> tuple[ServerState, RunSetup, float, AuditLog | None]:
+) -> tuple[ServerState, RunSetup, float]:
     """Run a stack of runs as the servers of one kernel loop; return the final state.
 
     The runs share their spaces, loss, subset size, horizon and epoch length,
@@ -329,8 +325,9 @@ def _run_stack(
     step-size table.  Each distinct stream is held once: runs that
     pass one :class:`Streams` read the same rows, and a stream every client
     shares (a broadcast view) is one row.  Returns the final state, the
-    stack's set-up, the wall time of the epochs and the audit log of an
-    audited cooperative run, which :func:`run_many` stacks alone.
+    stack's set-up, whose ``audit`` is the log of an audited cooperative
+    run (which :func:`run_many` stacks alone), and the wall time of the
+    epochs.
     """
     _, first, _ = runs[0]
     spaces, K, J, T = first.spaces, first.num_spaces, first.subset_size, first.horizon
@@ -398,7 +395,7 @@ def _run_stack(
     start = time.perf_counter()
     for _ in range(epochs):
         run_epoch(state, setup)
-    return state, setup, time.perf_counter() - start, audit
+    return state, setup, time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +429,9 @@ def run_many(runs: Sequence[tuple[str, LearnerConfig, Streams]]) -> list[RunArti
         # one-client servers go last, where the kernel needs no sums for them
         positions = [p for _, p in sorted(stack_positions)]
         stack = [runs[p] for p in positions]
-        state, setup, wall, audit = _run_stack(stack, [layouts[p] for p in positions])
+        state, setup, wall = _run_stack(stack, [layouts[p] for p in positions])
         for run, (p, (algorithm, config, streams)) in enumerate(zip(positions, stack)):
-            artifacts[p] = _assemble(algorithm, config, streams, state, setup, wall, audit, run)
+            artifacts[p] = _assemble(algorithm, config, streams, state, setup, wall, run)
     return artifacts
 
 

@@ -3,8 +3,9 @@
 A completed run produces a :class:`RunArtifact`: what the run produced (each
 round's lead prediction and realized loss per client, and each epoch's lead
 space and message bits per client) plus run-level figures.  Its trace has
-one row per (round, client) pair; the per-row columns that repeat the
-layout or the per-epoch record are derived on first read, not stored.  The
+one row per (round, client) pair.  The run's shape comes from the stored
+arrays' shapes, and the per-row columns that repeat the layout or the
+per-epoch record are derived together on first read, not stored.  The
 artifact serializes to a stable CSV (column order fixed, shortest round-trip
 float repr) so repeated runs with the same seed are byte-identical, and to a
 JSON-ready summary.  The CSV is written in blocks of rows, each block's
@@ -48,28 +49,26 @@ class RunArtifact:
     epoch ``e + 1``; for a cooperative run, ``message_bits``, the
     (downlink, uplink) bits of each client-epoch as two (epochs, M) arrays,
     a downlink charged at the epoch's first round and an uplink at its last
-    (``None`` for the baseline, which sends nothing); and
-    ``stream_targets``, the streams' own (M, T) target array, held, not
-    copied.  The per-row columns ``round_ids``, ``client_ids``,
-    ``epoch_ids``, ``lead_indices``, ``targets``, ``uplink_bits`` and
-    ``downlink_bits`` are derived from these, each at most once.
-    ``final_probs`` is the server's final sampling distribution — shape (K,)
+    (``None`` for the baseline, which sends nothing); ``stream_targets``,
+    the streams' own (M, T) target array, held, not copied;
+    ``final_probs``, the server's final sampling distribution — shape (K,)
     for the cooperative learner, (M, K) for the noncooperative one (one
-    distribution per client).  ``wall_seconds`` is the wall time of the
-    serial simulation.
+    distribution per client); and ``wall_seconds``, the wall time of the
+    serial simulation.  Everything else is derived: the run's shape
+    (``clients``, ``horizon``, ``epochs``, ``num_spaces``) from the arrays'
+    shapes, and the per-row columns ``round_ids``, ``client_ids``,
+    ``epoch_ids``, ``lead_indices``, ``uplink_bits`` and ``downlink_bits``
+    (read-only, built together on first read) and ``targets`` from the
+    record.
     """
 
     algorithm: str
-    clients: int
-    horizon: int
-    epochs: int
-    num_spaces: int
     predictions: np.ndarray  # (T·M,)
     losses: np.ndarray  # (T·M,)
     leads: np.ndarray  # (epochs, M)
     stream_targets: np.ndarray  # (M, T)
     message_bits: tuple[np.ndarray, np.ndarray] | None  # (epochs, M) each
-    final_probs: np.ndarray
+    final_probs: np.ndarray  # (..., K)
     wall_seconds: float
     meta: dict = field(default_factory=dict)
 
@@ -77,61 +76,45 @@ class RunArtifact:
         M, T, R = self.clients, self.horizon, self.epochs
         if not 1 <= R <= T or T % R:
             raise ValueError(f"epochs {R} must divide the horizon {T}")
-        shapes = [("predictions", self.predictions, (M * T,)),
-                  ("losses", self.losses, (M * T,)),
+        # the shape is read from stream_targets and leads, so they come first
+        shapes = [("stream_targets", self.stream_targets, (M, T)),
                   ("leads", self.leads, (R, M)),
-                  ("stream_targets", self.stream_targets, (M, T))]
+                  ("predictions", self.predictions, (M * T,)),
+                  ("losses", self.losses, (M * T,))]
         shapes += [("message_bits", bits, (R, M)) for bits in self.message_bits or ()]
         for name, arr, shape in shapes:
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
 
-    @property
-    def rows(self) -> int:
-        return self.clients * self.horizon
-
-    @property
-    def rounds_per_epoch(self) -> int:
-        return self.horizon // self.epochs
-
-    @cached_property
-    def round_ids(self) -> np.ndarray:
-        return np.repeat(np.arange(1, self.horizon + 1, dtype=np.int64), self.clients)
+    # the run's shape, read from the stored arrays' shapes
+    clients = property(lambda self: self.stream_targets.shape[0])
+    horizon = property(lambda self: self.stream_targets.shape[-1])
+    epochs = property(lambda self: self.leads.shape[0])
+    num_spaces = property(lambda self: self.final_probs.shape[-1])
+    rows = property(lambda self: self.clients * self.horizon)
+    rounds_per_epoch = property(lambda self: self.horizon // self.epochs)
 
     @cached_property
-    def client_ids(self) -> np.ndarray:
-        return np.tile(np.arange(self.clients, dtype=np.int64), self.horizon)
+    def _columns(self) -> dict[str, np.ndarray]:
+        """The whole trace's columns by name, read-only, since one array may
+        serve two columns or view the stored record."""
+        columns = dict(zip(TRACE_COLUMNS, self._block_columns(0, self.rows)))
+        for column in columns.values():
+            column.flags.writeable = False
+        return columns
 
-    @cached_property
-    def epoch_ids(self) -> np.ndarray:
-        rounds = np.arange(self.horizon, dtype=np.int64)
-        return np.repeat(rounds // self.rounds_per_epoch + 1, self.clients)
-
-    @cached_property
-    def lead_indices(self) -> np.ndarray:
-        return np.repeat(self.leads, self.rounds_per_epoch, axis=0).ravel()
+    # the per-row columns of the whole trace, built together on first read
+    round_ids = property(lambda self: self._columns["round"])
+    client_ids = property(lambda self: self._columns["client"])
+    epoch_ids = property(lambda self: self._columns["epoch"])
+    lead_indices = property(lambda self: self._columns["lead_index"])
+    uplink_bits = property(lambda self: self._columns["uplink_bits"])
+    downlink_bits = property(lambda self: self._columns["downlink_bits"])
 
     @cached_property
     def targets(self) -> np.ndarray:
         """The (T·M,) targets of the rows, round-major."""
         return np.ascontiguousarray(self.stream_targets, dtype=float).T.ravel()
-
-    @cached_property
-    def downlink_bits(self) -> np.ndarray:
-        return self._round_bits(0)
-
-    @cached_property
-    def uplink_bits(self) -> np.ndarray:
-        return self._round_bits(1)
-
-    def _round_bits(self, direction: int) -> np.ndarray:
-        """(T·M,) bits of one direction of ``message_bits``, charged at each
-        epoch's first round (0, the downlink) or last round (1, the uplink)."""
-        bits = np.zeros((self.horizon, self.clients), dtype=np.int64)
-        if self.message_bits is not None:
-            N = self.rounds_per_epoch
-            bits[direction * (N - 1)::N] = self.message_bits[direction]
-        return bits.ravel()
 
     @property
     def total_downlink_bits(self) -> int:

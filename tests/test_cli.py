@@ -344,6 +344,24 @@ def test_a_config_that_validates_runs_and_one_that_does_not_fails_run_alike(
         assert ran == validated
 
 
+@pytest.mark.parametrize("name, code", [("clean", 0), ("few", 2), ("nan", 2), ("text", 2),
+                                        ("short", 2), ("wide", 2)])
+def test_validate_and_run_agree_on_each_property_file(name, code, property_files):
+    # the property rarely draws a config that passes every other rule on a
+    # given file; one valid in every other key reaches each file's own rule
+    root, files = property_files
+    cfg = {"algorithm": "fomd", "clients": 2, "subset_size": 1, "loss": "square", "seed": 0,
+           "spaces": [{"kind": "coordinate", "index": 0}],
+           "data": {"source": "csv", "target_column": "target", "path": str(files[name])}}
+    path = root / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    validated = _stdout_of(["validate", str(path)])
+    ran = _stdout_of(["run", str(path), "--out", str(root / name)])
+    assert validated[0] == ran[0] == code, ran[1]
+    if code:
+        assert ran == validated
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -790,6 +808,19 @@ def test_ab_reports_paired_deltas(tmp_path, capsys):
     assert blob["status"] == "ok" and blob["delta_mean"] == report["delta_mean"]
     assert "mean delta (noncoop - federated)" in captured.err
     assert "sign" in captured.err
+
+
+def test_ab_computes_each_artifacts_mse_once(tmp_path, monkeypatch):
+    # each call writes a (T, M) error buffer, so each of a seed's two
+    # artifacts is reduced to its MSE by one call
+    from fedoms.results import RunArtifact
+
+    calls = []
+    mse = RunArtifact.mse
+    monkeypatch.setattr(RunArtifact, "mse", lambda self: calls.append(self) or mse(self))
+    path = _write_config(tmp_path, epochs=None)
+    assert main(["ab", str(path), "--seeds", "3", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 6 and len({id(artifact) for artifact in calls}) == 6
 
 
 def test_ab_parses_a_csv_once_and_writes_the_per_seed_parse_bytes(tmp_path, monkeypatch):

@@ -452,10 +452,6 @@ def _artifact(predictions, targets, clients, horizon, epochs=None, **overrides):
     epochs = horizon if epochs is None else epochs
     fields = dict(
         algorithm="fomd_oms",
-        clients=clients,
-        horizon=horizon,
-        epochs=epochs,
-        num_spaces=2,
         predictions=np.asarray(predictions, dtype=float),
         losses=np.zeros(clients * horizon),
         leads=np.zeros((epochs, clients), dtype=np.int64),
@@ -588,6 +584,36 @@ def test_artifact_validates_column_lengths():
                   message_bits=(np.zeros((2, 2)), np.zeros((1, 2))))
     with pytest.raises(ValueError, match="epochs 3 must divide the horizon 2"):
         _artifact([0.0] * 4, [0.0] * 4, clients=2, horizon=2, epochs=3)
+    # the shape comes from the arrays, so arrays that disagree name one of them
+    for overrides, name in ((dict(stream_targets=np.zeros((3, 2))), "leads"),  # 3 clients, 2
+                            (dict(leads=np.zeros(2, dtype=np.int64)), "leads"),
+                            (dict(stream_targets=np.zeros(4)), "stream_targets"),
+                            (dict(losses=np.zeros(5)), "losses")):
+        with pytest.raises(ValueError, match=name):
+            _artifact([0.0] * 4, [0.0] * 4, clients=2, horizon=2, **overrides)
+
+
+@pytest.mark.parametrize("epochs", [3, 1])
+@pytest.mark.parametrize("cooperative", [True, False])
+def test_an_artifacts_derived_columns_are_read_only(epochs, cooperative):
+    # one array may serve two columns (round and epoch at one round per
+    # epoch, nco's two bit columns) or view the record (bits at one round per
+    # epoch), so a write to any of them must fail
+    art = _artifact(np.zeros(6), np.zeros(6), clients=2, horizon=3, epochs=epochs,
+                    **({} if cooperative else {"message_bits": None}))
+    for name in ("round_ids", "client_ids", "epoch_ids", "lead_indices", "uplink_bits",
+                 "downlink_bits"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(art, name)[0] = 1
+    assert all(bits.flags.writeable for bits in art.message_bits or ())
+
+
+def test_export_and_summary_build_no_whole_trace_column(tmp_path):
+    art = _artifact(np.arange(12.0), np.zeros(12), clients=3, horizon=4, epochs=2)
+    art.to_csv(tmp_path / "trace.csv")
+    art.summary_dict()
+    assert not {"_columns", "targets"} & vars(art).keys()
+    assert art.round_ids.size == 12 and "_columns" in vars(art)
 
 
 def test_summary_dict_round_trips_to_json():

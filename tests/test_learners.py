@@ -1,5 +1,6 @@
 """Tests for schedules, the two drivers, and regret accounting."""
 
+import dataclasses
 import itertools
 import tempfile
 from pathlib import Path
@@ -254,7 +255,7 @@ def test_both_learners_match_the_plain_loop_reference_on_random_configs(run):
             assert art.meta["audit_mismatches"] == []
             assert art.meta["audit_frames_checked"] == 2 * M * R
         # the artifact carries no models: the final weights come from the state
-        state, _, _, _ = _stack(("fomd" if cooperative else "nco", cfg, streams))
+        state, _, _ = _stack(("fomd" if cooperative else "nco", cfg, streams))
         for s, group in enumerate(groups):
             ref = oracles.reference_fomd(spaces, loss, streams.xs[group], streams.ys[group],
                                          subset_size=J, epochs=epochs,
@@ -558,6 +559,28 @@ def test_an_artifact_stores_16_bytes_a_client_round_and_24_a_client_epoch_at_mos
         assert art.stream_targets is source.ys
 
 
+def test_an_artifacts_shape_is_the_one_its_run_was_given():
+    # an artifact derives its shape from its arrays; it equals the config's
+    # clients, horizon and spaces and the run's epochs, which the learner
+    # once stored beside them, on solo and stacked runs alike
+    spaces = _nested_spaces(3, (0.5, 1.0, 1.5))
+    streams = synthetic_linear(input_dim=3, clients=3, horizon=12, seed=4)
+    lone = synthetic_linear(input_dim=3, clients=1, horizon=12, seed=5)
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=3, subset_size=2,
+                        horizon=12, master_seed=1)
+    batched = dataclasses.replace(cfg, epochs=4)
+    one = dataclasses.replace(cfg, clients=1)
+    cases = [(run_fomd_oms(batched, streams), batched, 4), (run_nco_oms(cfg, streams), cfg, 12),
+             (run_fomd_oms(one, lone), one, 12)]
+    cases += zip(learners.run_many([("fomd", cfg, streams), ("nco", cfg, streams),
+                                    ("nco", one, lone)]), (cfg, cfg, one), (12, 12, 12))
+    for art, config, epochs in cases:
+        shape = (art.clients, art.horizon, art.epochs, art.num_spaces, art.rows,
+                 art.rounds_per_epoch)
+        assert shape == (config.clients, 12, epochs, 3, config.clients * 12, 12 // epochs)
+        assert all(type(value) is int for value in shape)
+
+
 def test_a_stack_holds_one_step_size_table_per_client_count():
     # ten seeds' paired runs, as `fedoms ab --seeds 10` stacks them: every
     # cooperative server averages M clients and every baseline server one
@@ -765,7 +788,8 @@ def test_engine_invariants_hold_on_random_small_configs(run):
 
 def _state_bytes(cfg, streams, cooperative):
     """A run's distributions, weights, trace panels and subsets as bytes, and its audit record."""
-    state, _, _, audit = _stack(("fomd" if cooperative else "nco", cfg, streams))
+    state, setup, _ = _stack(("fomd" if cooperative else "nco", cfg, streams))
+    audit = setup.audit
     panels = (state.log_p, state.weights, state.predictions, state.losses, state.subsets)
     record = None if audit is None else (audit.frames_checked, audit.mismatches)
     return [panel.tobytes() for panel in panels], record
@@ -964,13 +988,13 @@ def test_a_stack_holds_each_distinct_stream_once():
                         horizon=20, master_seed=1)
     own = synthetic_linear(input_dim=4, clients=6, horizon=20, seed=2)
     runs = [("fomd", cfg, shared), ("nco", cfg, shared), ("fomd", cfg, own)]
-    state, setup, wall, _ = _stack(*runs)
+    state, setup, wall = _stack(*runs)
     assert setup.xs.shape == (1 + 6, 20, 4) and setup.ys.shape == (7, 20)
     # run_many lays one-client servers out last; laid out between others,
     # their cells are summed like any cell, to the same bits
     assert setup.lone_start == 2 * 18
     for run, (algorithm, cfg_, streams) in enumerate(runs):
-        art = learners._assemble(algorithm, cfg_, streams, state, setup, wall, None, run)
+        art = learners._assemble(algorithm, cfg_, streams, state, setup, wall, run)
         solo = (run_fomd_oms if algorithm == "fomd" else run_nco_oms)(cfg_, streams)
         assert _trace_tuple(art) == _trace_tuple(solo)
         assert art.final_probs.tobytes() == solo.final_probs.tobytes()
@@ -979,7 +1003,7 @@ def test_a_stack_holds_each_distinct_stream_once():
     np.testing.assert_array_equal(setup.slot_servers, [0] * 6 + list(range(1, 7)) + [7] * 6)
     np.testing.assert_array_equal(setup.server_runs, [0] + [1] * 6 + [2])
     # a lone broadcast stream is read where it is, not copied
-    _, solo, _, _ = _stack(("nco", cfg, shared))
+    _, solo, _ = _stack(("nco", cfg, shared))
     assert np.shares_memory(solo.xs, shared.xs) and solo.xs.shape[0] == 1
 
 

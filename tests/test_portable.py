@@ -43,11 +43,11 @@ except ImportError:  # numpy 1.x
 
 learner, streams = build_experiment(load_config(sys.argv[1]))
 run = ("fomd", learner, streams)
-state, setup, _, audit = learners._run_stack([run], [learners._layout(*run)])
+state, setup, _ = learners._run_stack([run], [learners._layout(*run)])
 down, up = setup.message_bits(state.subsets)
 print(json.dumps({
     "subsets": state.subsets.tolist(), "bits": [down.tolist(), up.tolist()],
-    "audit": [audit.frames_checked, audit.mismatches],
+    "audit": [setup.audit.frames_checked, setup.audit.mismatches],
     "floats": {name: getattr(state, name).tolist()
                for name in ("predictions", "losses", "log_p", "weights")},
     "avx512": bool(__cpu_features__.get("AVX512_SKX")),

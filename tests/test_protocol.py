@@ -508,7 +508,7 @@ def test_leads_and_bits_filled_after_the_loop_repeat_what_each_epoch_staged():
     cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=M, subset_size=3,
                         horizon=T, epochs=T // N, master_seed=4, audit=True)
     art = run_fomd_oms(cfg, streams)
-    state, setup, _, _ = _stack(("fomd", cfg, streams))
+    state, setup, _ = _stack(("fomd", cfg, streams))
     assert art.meta["audit_mismatches"] == [] and state.subsets.shape == (T // N, M, 3)
     down, up, leads = (column.reshape(T, M) for column in
                        (art.downlink_bits, art.uplink_bits, art.lead_indices))
@@ -737,7 +737,7 @@ def test_each_block_maps_every_touched_space_once_over_its_clients_in_order(
     streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=2)
     cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=M, subset_size=2,
                         horizon=T, epochs=3 if cooperative else None, master_seed=6)
-    state, _, _, _ = _stack(("fomd" if cooperative else "nco", cfg, streams))
+    state, _, _ = _stack(("fomd" if cooperative else "nco", cfg, streams))
 
     N = T // state.subsets.shape[0]
     want = []
