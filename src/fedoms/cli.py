@@ -8,33 +8,31 @@ Subcommands:
   parses the config, parses a CSV source's table cell by cell, and plans
   the experiment (:func:`fedoms.config.plan_experiment`), which checks the
   horizon, a CSV's column ranges, epochs, update steps, an audited run's
-  frame header and a generator's rules, and builds the spaces.  So a config
-  that validates runs, and one that does not fails ``run`` with the same
-  JSON error.  The digest gives the planned horizon, the one ``run`` uses.
+  algorithm and frame header and a generator's rules, and builds the
+  spaces.  So a config that validates runs, and one that does not fails
+  ``run`` with the same JSON error.  The digest gives the planned horizon,
+  the one ``run`` uses.
 * ``run <config.json>`` -- execute one experiment; writes ``trace.csv`` and
-  ``summary.json`` into the output directory.  A config with ``"audit":
-  true`` whose wire replay found mismatches still writes both files, then
+  ``summary.json`` into the output directory.  With ``"audit": true`` (the
+  federated algorithm only) every frame goes through the wire format and
+  ``summary.json``'s ``meta`` records the frames checked and every mismatch
+  the replay found; a run with mismatches still writes both files, then
   reports ``"status": "mismatch"`` with the mismatches and exits with
-  status 2, as ``audit-bits`` does.
+  status 2.
 * ``ab <config.json>`` -- paired comparison of the federated and the
   noncooperative learner over shared seeds; prints a per-seed table to
-  stderr and writes ``ab.json``.  Consecutive seeds whose spaces compare
-  equal (no random feature draws) go to one :func:`fedoms.learners.run_many`
-  call, up to ``_AB_STACK_SEEDS`` of them, and run as one stack.
-* ``audit-bits <config.json>`` -- run with the wire-format audit enabled and
-  write ``audit.json`` recording whether every frame matched the analytic
-  bit account and round-tripped, and every mismatch the replay found.  The
-  config is planned as audited, so a run the frame header cannot hold fails
-  on its config field before any data is drawn.
+  stderr and writes ``ab.json``.  The seeds' pairs go to one lazy
+  :func:`fedoms.learners.run_many` call, which draws each seed's streams
+  when it reaches them and decides which runs stack; each artifact is
+  reduced to its MSE as it comes.
 
 Every subcommand prints one JSON object to stdout; all failures print a
 machine-readable JSON error object there and exit with status 2.  The
 output directory defaults to the current directory and can be overridden
-with ``--out`` or the ``FEDOMS_OUT_DIR`` environment variable; ``run``,
-``ab`` and ``audit-bits`` create it once the config is parsed, before
-anything else, and one that cannot be created is a ``ConfigError`` on
-``out``.  A CSV file that cannot be read is a
-``ConfigError`` on ``data``.
+with ``--out`` or the ``FEDOMS_OUT_DIR`` environment variable; ``run`` and
+``ab`` create it once the config is parsed, before anything else, and one
+that cannot be created is a ``ConfigError`` on ``out``.  A CSV file that
+cannot be read is a ``ConfigError`` on ``data``.
 """
 
 from __future__ import annotations
@@ -135,14 +133,6 @@ def _cmd_run(args) -> int:
     return 2 if mismatches else 0
 
 
-# The most seeds ``ab`` runs as one stack.  A stack holds every seed's
-# streams, tables and trace until it ends, so this bounds the peak memory
-# whatever --seeds is.  On hidden-arm's shape (M=10, K=16, T=4000), 20 seeds
-# in stacks of 1, 5, 10 and 20 took 11.0, 3.5, 2.2 and 2.6 s at 52, 104, 167
-# and 289 MB peak RSS (2-vCPU Xeon, numpy 2.4.6).
-_AB_STACK_SEEDS = 10
-
-
 def _cmd_ab(args) -> int:
     config = load_config(args.config)
     if args.seeds < 1:
@@ -150,35 +140,22 @@ def _cmd_ab(args) -> int:
     out_dir = _output_dir(args.out)
     table = read_table(config)  # a CSV is parsed once, then partitioned per seed
     plan_experiment(config, table)  # the config as given, as run checks it
-    rows, group = [], []  # group: the (seed, learner, streams) of seeds that stack
-
-    def run_group() -> None:
-        # one run_many call per group; its artifacts are reduced to their
-        # MSEs and dropped, so at most a group and one more seed are held
-        artifacts = run_many([(algorithm, learner, streams) for _, learner, streams in group
-                              for algorithm in ("fomd", "nco")])
-        mses = [artifact.mse() for artifact in artifacts]
-        for (seed, _, _), fed, solo in zip(group, mses[::2], mses[1::2]):
-            delta = solo - fed
-            rows.append({
-                "seed": seed,
-                "mse_federated": fed,
-                "mse_noncooperative": solo,
-                "delta": delta,
-                "sign": "+" if delta > 0 else ("-" if delta < 0 else "0"),
-            })
-        group.clear()
-
-    for seed in range(config.seed, config.seed + args.seeds):
-        paired = dataclasses.replace(config, seed=seed, epochs=None,
-                                     algorithm="fomd", audit=False)
-        learner, streams = build_experiment(paired, table)
-        # a seed whose spaces differ (a random feature draw) cannot join the
-        # group, and a full group runs before it grows past _AB_STACK_SEEDS
-        if group and (group[0][1].spaces != learner.spaces or len(group) == _AB_STACK_SEEDS):
-            run_group()
-        group.append((seed, learner, streams))
-    run_group()
+    seeds = range(config.seed, config.seed + args.seeds)
+    # each seed's streams are drawn when run_many reaches its pair, and each
+    # artifact is reduced to its MSE as it comes, so a stack is all it holds
+    experiments = (build_experiment(dataclasses.replace(config, seed=seed, epochs=None,
+                                                        algorithm="fomd", audit=False), table)
+                   for seed in seeds)
+    mses = [artifact.mse() for artifact in run_many(
+        (algorithm, learner, streams) for learner, streams in experiments
+        for algorithm in ("fomd", "nco"))]
+    rows = [{
+        "seed": seed,
+        "mse_federated": fed,
+        "mse_noncooperative": solo,
+        "delta": solo - fed,
+        "sign": "+" if solo > fed else ("-" if solo < fed else "0"),
+    } for seed, fed, solo in zip(seeds, mses[::2], mses[1::2])]
     deltas = np.array([row["delta"] for row in rows])
     report = {
         "status": "ok",
@@ -204,29 +181,6 @@ def _cmd_ab(args) -> int:
     return 0
 
 
-def _cmd_audit_bits(args) -> int:
-    config = dataclasses.replace(load_config(args.config), audit=True)
-    if config.algorithm != "fomd":
-        raise ConfigError("audit-bits applies to the federated algorithm only",
-                          field="algorithm")
-    out_dir = _output_dir(args.out)
-    artifact = run_from_config(config)
-    frames_checked = artifact.meta.get("audit_frames_checked", 0)
-    mismatches = list(artifact.meta.get("audit_mismatches", ()))
-    report = {
-        "status": "ok" if not mismatches else "mismatch",
-        "frames_checked": frames_checked,
-        "mismatches": mismatches,
-        "account_matches_frames": not mismatches,
-        "total_uplink_bits": artifact.total_uplink_bits,
-        "total_downlink_bits": artifact.total_downlink_bits,
-    }
-    (out_dir / "audit.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _emit(report)
-    return 0 if not mismatches else 2
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedoms",
@@ -249,12 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of paired seeds (default 10)")
     p_ab.add_argument("--out", default=None, help="output directory")
     p_ab.set_defaults(func=_cmd_ab)
-
-    p_audit = sub.add_parser(
-        "audit-bits", help="run with the wire-format audit enabled")
-    p_audit.add_argument("config")
-    p_audit.add_argument("--out", default=None, help="output directory")
-    p_audit.set_defaults(func=_cmd_audit_bits)
 
     return parser
 

@@ -13,8 +13,8 @@ the field at fault:
   the :class:`LearnerConfig`;
 * :func:`build_experiment` then draws the streams.
 
-``fedoms validate`` stops after the plan; ``run``, ``ab`` and
-``audit-bits`` take the same steps, so a config that validates runs.
+``fedoms validate`` stops after the plan; ``run`` and ``ab`` take the
+same steps, so a config that validates runs.
 """
 
 from __future__ import annotations
@@ -322,8 +322,9 @@ def plan_experiment(config: ExperimentConfig,
     feature columns the input width.  The rules run in one order, so a config
     that breaks two is blamed on the same field by every command: the rows
     against the clients, each column's range (:func:`fedoms.data.check_rescale`)
-    and the stated horizon, the epochs, the update steps,
-    an audited run's frame header, a generator's own rules, then the spaces.
+    and the stated horizon, the epochs, the update steps, an audited run's
+    algorithm (only ``fomd`` sends frames) and frame header, a generator's
+    own rules, then the spaces.
     """
     data, epochs = config.data, config.epochs
     if data.source == "csv":
@@ -352,7 +353,9 @@ def plan_experiment(config: ExperimentConfig,
         check_update_steps(len(config.spaces), steps)
     except ValueError as exc:
         raise ConfigError(str(exc), field=steps_field) from exc
-    if config.audit and config.algorithm == "fomd":
+    if config.audit:
+        _require(config.algorithm == "fomd", "audit applies to the federated "
+                 "algorithm only: the noncooperative learner sends no frames", "audit")
         # an audited run's frame header holds J, every client id and every
         # epoch number
         for field, *header in (("subset_size", 0, 0, config.subset_size),
@@ -472,7 +475,7 @@ def build_experiment(config: ExperimentConfig,
 def run_from_config(config: ExperimentConfig) -> RunArtifact:
     """Execute the configured experiment and return its artifact."""
     learner, streams = build_experiment(config)
-    return run_many([(config.algorithm, learner, streams)])[0]
+    return next(run_many([(config.algorithm, learner, streams)]))
 
 
 def resolve_output_dir(requested: Optional[str]) -> Path:

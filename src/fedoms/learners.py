@@ -16,8 +16,11 @@ M servers, one per client, one round per epoch, single-client schedules and
 zero communication.  Both consume the same pre-laid per-client uniform
 tables, so at M=1 the two produce bit-identical traces.  :func:`run_many`
 runs many runs of the same spaces and shape (the paired runs of a
-comparison, or the seeds of a sweep) as the servers of one kernel loop, and
-each run's artifact keeps the bytes of its solo run.
+comparison, or the seeds of a sweep) as the servers of one kernel loop, in
+stacks of consecutive runs under one memory bound, and each run's artifact
+keeps the bytes of its solo run.  It reads its runs lazily and yields each
+artifact as it is built, so a caller that reduces each artifact as it comes
+holds at most one stack.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -401,38 +405,63 @@ def _run_stack(
 # ---------------------------------------------------------------------------
 # Drivers
 
+# The most bytes a stack may take, estimated from its runs' shapes at
+# 8·T·M·(4J + 2) a run: per client-round, the J sampling uniforms, J - 1
+# complement positions, J entry targets, J subset entries (at one round per
+# epoch) and two panel cells that _run_stack allocates, and one more for the
+# rest.  The real peak is higher, from transient copies, the streams and each
+# run's own uniform table: tracemalloc puts it at 1.5x the estimate at J=2
+# and 1.7x at J=10.  A stack holds its memory until its last artifact is
+# read, so the bound keeps the peak flat however many runs there are.  64 MB
+# stacks 10 seeds' fomd/nco pairs of hidden-arm's shape (M=10, K=16, J=2,
+# T=4000), 3.2 MB a run; 20 such seeds in stacks of 1, 5, 10 and 20 seeds
+# took 11.0, 3.5, 2.2 and 2.6 s at 52, 104, 167 and 289 MB peak RSS (2-vCPU
+# Xeon, numpy 2.4.6).
+_STACK_BYTES = 64_000_000
 
-def run_many(runs: Sequence[tuple[str, LearnerConfig, Streams]]) -> list[RunArtifact]:
-    """Run each ``(algorithm, config, streams)`` triple; return the artifacts in order.
+
+def run_many(runs: Iterable[tuple[str, LearnerConfig, Streams]]) -> Iterator[RunArtifact]:
+    """Run each ``(algorithm, config, streams)`` triple; yield the artifacts in order.
 
     ``algorithm`` is ``"fomd"`` (:func:`run_fomd_oms`) or ``"nco"``
-    (:func:`run_nco_oms`).  Every run is checked before any runs.  Runs that
-    share their spaces, loss, subset size, horizon and epoch length run as
-    the servers of one kernel loop (:func:`_run_stack`), whatever their
-    algorithm, seed, streams, client count and initial distribution; an
-    audited cooperative run is a stack of its own, because the audit replays
-    one server's frames.  Spaces compare by value, except that a random
-    feature draw equals only itself.  A stacked run's artifact has the bytes
-    of its solo run's, but ``wall_seconds`` is the whole stack's loop time,
-    and a stack holds every run's streams and trace until it ends.
+    (:func:`run_nco_oms`).  ``runs`` is read only as far as the current
+    stack needs: consecutive runs that share their spaces, loss, subset
+    size, horizon and epoch length run as the servers of one kernel loop
+    (:func:`_run_stack`), whatever their algorithm, seed, streams, client
+    count and initial distribution, until one more run would take the
+    stack's estimated bytes past ``_STACK_BYTES``.  An audited cooperative
+    run is a stack of its own, because the audit replays one server's
+    frames.  Spaces compare by value, except that a random feature draw
+    equals only itself.  A stack runs once the run after it is read, so each
+    run is checked before its own stack runs, and at most one run past a
+    stack has been read when its first artifact is yielded.  An artifact is
+    built when it is read; it has the bytes of its solo run's, but
+    ``wall_seconds`` is the whole stack's loop time, and a stack holds every
+    run's streams and trace until its last artifact is read.
     """
-    layouts = [_layout(*run) for run in runs]
-    stacks: dict[tuple, list[tuple[bool, int]]] = {}
-    for position, ((algorithm, config, _), (_, clients, epochs)) in enumerate(
-            zip(runs, layouts)):
-        # an audited cooperative run's key is its own
-        key = (config.spaces, config.loss, config.subset_size, config.horizon,
-               config.horizon // epochs, position if algorithm == "fomd" and config.audit else -1)
-        stacks.setdefault(key, []).append((clients == 1, position))
-    artifacts: list[RunArtifact] = [None] * len(runs)
-    for stack_positions in stacks.values():
-        # one-client servers go last, where the kernel needs no sums for them
-        positions = [p for _, p in sorted(stack_positions)]
-        stack = [runs[p] for p in positions]
-        state, setup, wall = _run_stack(stack, [layouts[p] for p in positions])
-        for run, (p, (algorithm, config, streams)) in enumerate(zip(positions, stack)):
-            artifacts[p] = _assemble(algorithm, config, streams, state, setup, wall, run)
-    return artifacts
+    stack, layouts, stack_key, stack_bytes = [], [], None, 0
+    for position, run in enumerate(chain(runs, [None])):  # None ends the last stack
+        if run is not None:
+            algorithm, config, _ = run
+            layout = _layout(*run)
+            # an audited cooperative run's key is its own
+            key = (config.spaces, config.loss, config.subset_size, config.horizon,
+                   config.horizon // layout[2],
+                   position if algorithm == "fomd" and config.audit else -1)
+            run_bytes = 8 * config.horizon * config.clients * (4 * config.subset_size + 2)
+        if stack and (run is None or key != stack_key
+                      or stack_bytes + run_bytes > _STACK_BYTES):
+            # one-client servers go last, where the kernel needs no sums for them
+            order = sorted(range(len(stack)), key=lambda r: layouts[r][1] == 1)
+            result = _run_stack([stack[r] for r in order], [layouts[r] for r in order])
+            for r, stacked in enumerate(stack):
+                yield _assemble(*stacked, *result, order.index(r))
+            # drop the stack before the next one runs
+            stack, layouts, stack_bytes, result = [], [], 0, None
+        if run is not None:
+            stack.append(run)
+            layouts.append(layout)
+            stack_key, stack_bytes = key, stack_bytes + run_bytes
 
 
 def run_fomd_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
@@ -445,7 +474,7 @@ def run_fomd_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
     count as the effective horizon.  A one-run :func:`run_many`.
     """
 
-    return run_many([("fomd", config, streams)])[0]
+    return next(run_many([("fomd", config, streams)]))
 
 
 def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
@@ -461,7 +490,7 @@ def run_nco_oms(config: LearnerConfig, streams: Streams) -> RunArtifact:
     for the same reason.  A one-run :func:`run_many`.
     """
 
-    return run_many([("nco", config, streams)])[0]
+    return next(run_many([("nco", config, streams)]))
 
 
 # ---------------------------------------------------------------------------

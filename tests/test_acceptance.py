@@ -219,20 +219,22 @@ def test_criterion_05_collaboration_unnecessary_at_full_subsets(capfd):
         for i in range(num_spaces)
     )
     start = time.perf_counter()
-    runs = []  # (seed, J) pairs of (federated, noncooperative) runs
-    for seed in range(10):
-        streams = synthetic_linear(input_dim=input_dim, clients=clients,
-                                   horizon=horizon, seed=seed)
-        for subset_size in (num_spaces, 2):
+    streams = [synthetic_linear(input_dim=input_dim, clients=clients,
+                                horizon=horizon, seed=seed) for seed in range(10)]
+    # (J, seed) pairs of (federated, noncooperative) runs: run_many stacks
+    # consecutive runs, so each J's runs come together
+    runs = []
+    for subset_size in (num_spaces, 2):
+        for seed in range(10):
             cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE,
                                 clients=clients, subset_size=subset_size,
                                 horizon=horizon, master_seed=seed)
-            runs += [("fomd", cfg, streams), ("nco", cfg, streams)]
-    mse = np.array([art.mse() for art in run_many(runs)]).reshape(10, 2, 2)
+            runs += [("fomd", cfg, streams[seed]), ("nco", cfg, streams[seed])]
+    mse = np.array([art.mse() for art in run_many(runs)]).reshape(2, 10, 2)
     elapsed = time.perf_counter() - start
-    deltas = mse[:, :, 1] - mse[:, :, 0]  # (seed, J = K or 2)
-    gap_full = abs(float(np.mean(deltas[:, 0])))
-    gap_pair = float(np.mean(deltas[:, 1]))
+    deltas = mse[:, :, 1] - mse[:, :, 0]  # (J = K or 2, seed)
+    gap_full = abs(float(np.mean(deltas[0])))
+    gap_pair = float(np.mean(deltas[1]))
     ok = gap_pair > 0 and gap_full <= 5.0 * gap_pair and elapsed < 120.0
     _report(capfd, 5, ok,
             "with full subsets the federated/noncooperative MSE gap "

@@ -414,6 +414,57 @@ def test_an_audited_run_that_finds_a_mismatch_writes_its_files_and_exits_2(
     assert json.loads((out / "summary.json").read_text())["mse"] == blob["mse"]
 
 
+def test_an_audited_run_confirms_its_account_matches_its_frames(tmp_path, capsys):
+    path = _write_config(tmp_path, audit=True)
+    out = tmp_path / "audit_out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["status"] == "ok" and "mismatches" not in blob
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["meta"]["audit_mismatches"] == []
+    # one downlink and one uplink frame per client per epoch
+    assert summary["meta"]["audit_frames_checked"] == 2 * 2 * 6
+    assert summary["total_uplink_bits"] > 0 and blob["total_uplink_bits"] > 0
+
+
+def test_an_audited_run_refuses_a_subset_too_large_for_the_frame_header(tmp_path, capsys,
+                                                                         monkeypatch):
+    # the header stores the index count in one byte, so J=256 cannot be sent;
+    # the config is planned as audited, so no data is drawn
+    from fedoms import config as fconfig
+
+    def no_draw(*args):
+        raise AssertionError("data was drawn before the frame header was checked")
+
+    monkeypatch.setattr(fconfig, "build_streams", no_draw)
+    cfg = _base_config(
+        subset_size=256, horizon=300, epochs=3, loss="linear", audit=True,
+        spaces=[{"kind": "coordinate", "index": i} for i in range(256)],
+        data={"source": "biased_arm", "input_dim": 256},
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["status"] == "error" and blob["kind"] == "ConfigError"
+    assert blob["field"] == "subset_size"
+    assert "index count (subset size) 256" in blob["message"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "ab"])
+def test_an_audited_noncooperative_config_is_a_config_error_on_audit(command, tmp_path,
+                                                                     capsys):
+    # the baseline sends no frames, so an audit of it would check nothing
+    path = _write_config(tmp_path, algorithm="nco", epochs=None, audit=True)
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, str(path), *out]) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["kind"] == "ConfigError" and blob["field"] == "audit"
+    assert "federated algorithm only" in blob["message"]
+    assert not (tmp_path / "out" / "trace.csv").exists()
+    assert not (tmp_path / "out" / "ab.json").exists()
+
+
 def test_run_respects_output_dir_env_override(tmp_path, monkeypatch):
     path = _write_config(tmp_path)
     env_dir = tmp_path / "from_env"
@@ -631,7 +682,7 @@ def test_library_errors_keep_the_json_error_contract(error, tmp_path, capsys,
                     "message": "round 3: something broke"}
 
 
-@pytest.mark.parametrize("command", ["run", "ab", "audit-bits"])
+@pytest.mark.parametrize("command", ["run", "ab"])
 @pytest.mark.parametrize("name, reason", [("missing.csv", "No such file or directory"),
                                           ("adir", "Is a directory")],
                          ids=["missing", "directory"])
@@ -649,7 +700,7 @@ def test_an_unreadable_csv_is_a_config_error_on_data(command, name, reason, tmp_
                     "message": f"{csv_path}: cannot read the data file: {reason}"}
 
 
-@pytest.mark.parametrize("command", ["run", "ab", "audit-bits"])
+@pytest.mark.parametrize("command", ["run", "ab"])
 @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["a-file", "under-a-file"])
 def test_an_output_directory_that_cannot_be_made_fails_before_the_run(command, out,
                                                                        tmp_path, capsys,
@@ -853,16 +904,20 @@ def test_ab_parses_a_csv_once_and_writes_the_per_seed_parse_bytes(tmp_path, monk
     assert len(json.loads(once)["rows"]) == 3
 
 
-def test_ab_stacks_only_seeds_whose_spaces_are_equal_and_at_most_a_full_group(
+def test_ab_stacks_only_seeds_whose_spaces_are_equal_and_within_the_stack_bound(
         tmp_path, monkeypatch):
-    # a stack holds its seeds' streams and traces until it ends, so ab's
-    # peak memory stays flat in --seeds only if no stack outgrows
-    # _AB_STACK_SEEDS and seeds of different random feature draws run apart
-    from fedoms import cli
+    # ab hands every seed's pair to one run_many call, which stacks
+    # consecutive runs until one more would pass learners._STACK_BYTES; a
+    # stack holds its runs' streams and traces until it ends, so ab's peak
+    # memory stays flat in --seeds, and seeds of different random feature
+    # draws run apart
+    from fedoms import learners
 
     sizes = []
-    run_many = cli.run_many
-    monkeypatch.setattr(cli, "run_many", lambda runs: sizes.append(len(runs)) or run_many(runs))
+    run_stack = learners._run_stack
+    monkeypatch.setattr(learners, "_run_stack",
+                        lambda stack, layouts: sizes.append(len(stack))
+                        or run_stack(stack, layouts))
     rff = _write_config(tmp_path, "rff.json", epochs=None)
     assert main(["ab", str(rff), "--seeds", "3", "--out", str(tmp_path / "rff")]) == 0
     assert sizes == [2, 2, 2]
@@ -872,16 +927,19 @@ def test_ab_stacks_only_seeds_whose_spaces_are_equal_and_at_most_a_full_group(
     cfg["data"] = {"source": "biased_arm", "input_dim": 4, "bias": 0.3}
     path = tmp_path / "coordinate.json"
     path.write_text(json.dumps(cfg))
+    run_bytes = 8 * 60 * 3 * (4 * 2 + 2)  # 8·T·M·(4J + 2)
     reports = []
-    for stack_seeds in (2, 1):
+    # the default bound, two seeds' pairs, three runs (a pair splits) and one pair
+    for runs, stacks in ((None, [10]), (4, [4, 4, 2]), (3, [3, 3, 3, 1]), (2, [2] * 5)):
         sizes.clear()
-        monkeypatch.setattr(cli, "_AB_STACK_SEEDS", stack_seeds)
-        out = tmp_path / f"stack{stack_seeds}"
+        if runs is not None:
+            monkeypatch.setattr(learners, "_STACK_BYTES", runs * run_bytes)
+        out = tmp_path / f"stack{runs}"
         assert main(["ab", str(path), "--seeds", "5", "--out", str(out)]) == 0
-        assert sizes == [2 * stack_seeds] * (5 // stack_seeds) + [2] * (5 % stack_seeds)
+        assert sizes == stacks
         reports.append((out / "ab.json").read_bytes())
     # a stacked seed reports the bytes it reports alone
-    assert reports[0] == reports[1]
+    assert reports[1:] == reports[:1] * 3
 
 
 def test_ab_seed_column_offsets_from_config_seed(tmp_path):
@@ -890,47 +948,6 @@ def test_ab_seed_column_offsets_from_config_seed(tmp_path):
     assert main(["ab", str(path), "--seeds", "2", "--out", str(out)]) == 0
     report = json.loads((out / "ab.json").read_text())
     assert [row["seed"] for row in report["rows"]] == [11, 12]
-
-
-# ---------------------------------------------------------------------------
-# audit-bits
-
-
-def test_audit_bits_confirms_account_matches_frames(tmp_path, capsys):
-    path = _write_config(tmp_path)
-    out = tmp_path / "audit_out"
-    assert main(["audit-bits", str(path), "--out", str(out)]) == 0
-    report = json.loads((out / "audit.json").read_text())
-    assert report["status"] == "ok"
-    assert report["account_matches_frames"] is True
-    assert report["mismatches"] == []
-    # one downlink and one uplink frame per client per epoch
-    assert report["frames_checked"] == 2 * 2 * 6
-    assert report["total_uplink_bits"] > 0
-
-
-def test_audit_bits_rejects_a_subset_too_large_for_the_frame_header(tmp_path, capsys):
-    # the header stores the index count in one byte, so J=256 cannot be sent
-    cfg = _base_config(
-        subset_size=256, horizon=300, epochs=3, loss="linear",
-        spaces=[{"kind": "coordinate", "index": i} for i in range(256)],
-        data={"source": "biased_arm", "input_dim": 256},
-    )
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["audit-bits", str(path)]) == 2
-    blob = _last_json(capsys.readouterr().out)
-    # the config is checked as audited, as validate checks one with "audit": true
-    assert blob["status"] == "error" and blob["kind"] == "ConfigError"
-    assert blob["field"] == "subset_size"
-    assert "index count (subset size) 256" in blob["message"]
-
-
-def test_audit_bits_rejects_noncooperative_config(tmp_path, capsys):
-    path = _write_config(tmp_path, algorithm="nco", epochs=None)
-    assert main(["audit-bits", str(path)]) == 2
-    blob = _last_json(capsys.readouterr().out)
-    assert blob["field"] == "algorithm"
 
 
 # ---------------------------------------------------------------------------

@@ -603,7 +603,7 @@ def test_a_stack_holds_one_step_size_table_per_client_count():
         return result
 
     with mock.patch.object(learners, "_run_stack", recorded):
-        learners.run_many(runs)
+        list(learners.run_many(runs))
     (setup,) = setups
     # the cooperative runs come first, the one-client servers last
     np.testing.assert_array_equal(setup.server_schedules, [0] * 10 + [1] * 10 * M)
@@ -949,8 +949,11 @@ def _artifact_bytes(artifact, directory, name):
 
 
 @settings(deadline=None, max_examples=200)
-@given(_stacks())
-def test_a_stacked_run_keeps_the_bytes_of_its_solo_run(runs):
+@given(_stacks(), st.integers(0, 10))
+def test_a_stacked_run_keeps_the_bytes_of_its_solo_run(runs, eighths):
+    # a run's estimated bytes, and a bound from none to past all of them
+    sizes = [8 * cfg.horizon * cfg.clients * (4 * cfg.subset_size + 2) for _, cfg, _ in runs]
+    stack_bytes = sum(sizes) * eighths // 8
     stack_sizes = []
     run_stack = learners._run_stack
 
@@ -958,18 +961,19 @@ def test_a_stacked_run_keeps_the_bytes_of_its_solo_run(runs):
         stack_sizes.append(len(stack))
         return run_stack(stack, layouts)
 
-    with mock.patch.object(learners, "_run_stack", recorded):
-        stacked = learners.run_many(runs)
-    # runs whose spaces compare equal share a stack; an audited run is alone
-    groups = []  # [spaces, or None for an audited run; runs]
-    for algorithm, cfg, _ in runs:
-        alone = algorithm == "fomd" and cfg.audit
-        group = next((g for g in groups if not alone and g[0] == cfg.spaces), None)
-        if group is None:
-            groups.append([None if alone else cfg.spaces, 1])
+    with mock.patch.object(learners, "_run_stack", recorded), \
+            mock.patch.object(learners, "_STACK_BYTES", stack_bytes):
+        stacked = list(learners.run_many(runs))
+    # consecutive runs whose spaces compare equal share a stack until one
+    # more would pass the bound; an audited run is alone
+    stacks = []  # [spaces, or the position of an audited run; bytes; runs]
+    for position, ((algorithm, cfg, _), size) in enumerate(zip(runs, sizes)):
+        key = position if algorithm == "fomd" and cfg.audit else cfg.spaces
+        if stacks and stacks[-1][0] == key and stacks[-1][1] + size <= stack_bytes:
+            stacks[-1][1:] = stacks[-1][1] + size, stacks[-1][2] + 1
         else:
-            group[1] += 1
-    assert sorted(stack_sizes) == sorted(size for _, size in groups)
+            stacks.append([key, size, 1])
+    assert stack_sizes == [size for _, _, size in stacks]
     with tempfile.TemporaryDirectory() as directory:
         for r, ((algorithm, cfg, streams), artifact) in enumerate(zip(runs, stacked)):
             solo = (run_fomd_oms if algorithm == "fomd" else run_nco_oms)(cfg, streams)
@@ -1014,8 +1018,63 @@ def test_run_many_refuses_an_unknown_algorithm_before_any_run():
                         horizon=10)
     with mock.patch.object(learners, "_run_stack") as run_stack:
         with pytest.raises(ValueError, match="algorithm must be 'fomd' or 'nco'"):
-            learners.run_many([("fomd", cfg, streams), ("oms", cfg, streams)])
+            list(learners.run_many([("fomd", cfg, streams), ("oms", cfg, streams)]))
     run_stack.assert_not_called()
+
+
+def test_the_library_baseline_ignores_audit_and_stacks_as_unaudited(tmp_path):
+    # the baseline sends no frames, so a LearnerConfig's audit is ignored for
+    # nco (a config file refuses it): the run has its unaudited bytes and no
+    # audit record, and it shares a stack as an unaudited run does
+    spaces = _nested_spaces(3, (0.5, 1.0, 1.5))
+    streams = synthetic_linear(input_dim=3, clients=3, horizon=12, seed=2)
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=3, subset_size=2,
+                        horizon=12, master_seed=2)
+    audited = dataclasses.replace(cfg, audit=True)
+    plain = run_nco_oms(cfg, streams)
+    art = run_nco_oms(audited, streams)
+    assert "audit_frames_checked" not in art.meta and "audit_mismatches" not in art.meta
+    assert _artifact_bytes(art, tmp_path, "audited") == _artifact_bytes(plain, tmp_path, "plain")
+    sizes = []
+    run_stack = learners._run_stack
+    with mock.patch.object(learners, "_run_stack",
+                           lambda stack, layouts: sizes.append(len(stack))
+                           or run_stack(stack, layouts)):
+        list(learners.run_many([("fomd", cfg, streams), ("nco", audited, streams)]))
+    assert sizes == [2]
+
+
+def test_run_many_reads_its_runs_only_as_far_as_the_current_stack_needs():
+    # a stack runs once the run after it is read, so when its first artifact
+    # is yielded at most one run past it has been read, and an artifact is
+    # built only when it is read
+    spaces = tuple(make_space(CoordinateMap(4, i), 1.0, Loss.LINEAR) for i in range(4))
+    M, T = 2, 10
+    read, built = [], []
+
+    def runs():
+        for seed in range(7):
+            cfg = LearnerConfig(spaces=spaces, loss=Loss.LINEAR, clients=M, subset_size=2,
+                                horizon=T, master_seed=seed)
+            streams = synthetic_linear(input_dim=4, clients=M, horizon=T, seed=seed)
+            for algorithm in ("fomd", "nco"):
+                read.append((algorithm, seed))
+                yield algorithm, cfg, streams
+
+    assemble = learners._assemble
+    run_bytes = 8 * T * M * (4 * 2 + 2)
+    with mock.patch.object(learners, "_STACK_BYTES", 3 * run_bytes), \
+            mock.patch.object(learners, "_assemble",
+                              lambda *args: built.append(args) or assemble(*args)):
+        artifacts = learners.run_many(runs())
+        assert read == []
+        for position, artifact in enumerate(artifacts):
+            stack_end = min(3 * (position // 3 + 1), 14)  # stacks of three runs
+            assert stack_end <= len(read) <= stack_end + 1
+            assert len(built) == position + 1
+            assert artifact.algorithm == ("fomd_oms", "nco_oms")[position % 2]
+            assert artifact.meta["seed"] == position // 2
+    assert len(read) == 14
 
 
 def test_a_stacked_run_of_one_client_keeps_the_bits_its_lone_rows_get(tmp_path):

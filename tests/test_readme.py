@@ -4,9 +4,11 @@ One test runs the README's one ``python`` block in a temporary directory and
 checks the figures its comments state: the federated and solo MSEs, to the
 four places written there, and the batched run's tenfold bit saving.  The
 other writes its one ``json`` block, the config example, to a file and runs
-the command line's ``validate``, ``run`` and ``audit-bits`` on it.
+the command line's ``validate`` and ``run`` on it, as written and with
+``"audit": true``.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -38,8 +40,14 @@ def test_readme_quick_start_prints_the_stated_figures(tmp_path, monkeypatch, cap
 
 
 def test_readme_config_example_validates_runs_and_audits(tmp_path, capsys):
-    path = tmp_path / "config.json"
-    path.write_text(_block("json"))
-    for command in ("validate", "run", "audit-bits"):
-        out = [] if command == "validate" else ["--out", str(tmp_path / command)]
-        assert main([command, str(path), *out]) == 0, capsys.readouterr().out
+    block = _block("json")
+    audited = json.dumps({**json.loads(block), "audit": True})
+    for audit, text in ((False, block), (True, audited)):
+        path = tmp_path / f"config-audit-{audit}.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 0, capsys.readouterr().out
+        out = tmp_path / f"run-audit-{audit}"
+        assert main(["run", str(path), "--out", str(out)]) == 0, capsys.readouterr().out
+        meta = json.loads((out / "summary.json").read_text())["meta"]
+        assert ("audit_mismatches" in meta) is audit
+        assert meta.get("audit_mismatches", []) == []
