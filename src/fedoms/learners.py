@@ -367,6 +367,7 @@ def _run_stack(
         param_rates[:, schedule] = lambda_schedule(radii, lipschitz, J, clients, epochs,
                                                    np.arange(1.0, epochs + 1.0))
     server_schedules = np.array(server_schedules)
+    uniforms = _joined(uniforms)  # the runs' own tables are dropped once joined
     setup = RunSetup(
         spaces=spaces,
         loss=first.loss,
@@ -375,7 +376,7 @@ def _run_stack(
         # stream is read where it is, not copied
         xs=_joined([xs for _, xs, _ in blocks.values()]),
         ys=_joined([ys for _, _, ys in blocks.values()]),
-        uniforms=_joined(uniforms),
+        uniforms=uniforms,
         rounds_per_epoch=T // epochs,
         cell_radii=np.tile(radii, len(server_runs)),
         lipschitz=lipschitz,
@@ -409,10 +410,10 @@ def _run_stack(
 # 8·T·M·(4J + 2) a run: per client-round, the J sampling uniforms, J - 1
 # complement positions, J entry targets, J subset entries (at one round per
 # epoch) and two panel cells that _run_stack allocates, and one more for the
-# rest.  The real peak is higher, from transient copies, the streams and each
-# run's own uniform table: tracemalloc puts it at 1.5x the estimate at J=2
-# and 1.7x at J=10.  A stack holds its memory until its last artifact is
-# read, so the bound keeps the peak flat however many runs there are.  64 MB
+# rest.  The real peak is higher, from transient copies and the streams:
+# tracemalloc puts it at 1.15x the estimate at J=2 and 1.33x at J=10.  A
+# stack holds its memory until its last artifact is read, so the bound
+# keeps the peak flat however many runs there are.  64 MB
 # stacks 10 seeds' fomd/nco pairs of hidden-arm's shape (M=10, K=16, J=2,
 # T=4000), 3.2 MB a run; 20 such seeds in stacks of 1, 5, 10 and 20 seeds
 # took 11.0, 3.5, 2.2 and 2.6 s at 52, 104, 167 and 289 MB peak RSS (2-vCPU

@@ -43,8 +43,10 @@ space, run and round, on that run's entries of the space.  Every
 server-side sum over clients is a running sum from +0.0 in ascending client
 order, the order of the audit's merge and of the plain-loop reference, so a
 stacked run computes the same bits as the run alone.  One memory budget,
-``_BLOCK_FLOATS``, bounds both the rounds the fused coordinate gather of
-:func:`run_epoch` evaluates at once and the frames the audit codes at once.
+``_BLOCK_FLOATS``, bounds both the blocks of :func:`run_epoch`, rounds ×
+entries (several rounds of the fused coordinate gather, or a wide round's
+entries a block at a time, and the one-client step's entries alike), and
+the frames the audit codes at once.
 """
 
 from __future__ import annotations
@@ -94,17 +96,27 @@ class RunInvariantError(RuntimeError):
     """
 
 
-# Floats one array of a coordinate round block or of an audit batch may
-# hold: 512 KiB of float64, so that the few arrays a block keeps live stay in
-# a 2 MiB L2 cache.  Feature-map epochs run one round per block: mixed-audit's
-# rounds (300 x 60 floats each) ran no faster in blocks of 3, this budget,
-# than one at a time, and 1.3x slower in blocks of 7 or 10.  A hidden-arm
-# epoch (20 x 16 per round) runs as one block, and an audited hidden-arm
-# run's 8,000 frames of 4 floats (400 epochs of 20) are replayed as one
-# batch per direction of 4,000; each rff-table epoch's 1000 frames a
-# direction go in 4 batches of 250; mixed-audit's epochs of 100 frames a
-# direction are one batch each.
-_BLOCK_FLOATS = 1 << 16
+# Floats one (rows, width) array of a run_epoch block or of an audit batch
+# may hold: 256 KiB of float64, so that the few arrays a block keeps live
+# stay in a 2 MiB L2 cache.  A block is C rounds of E entries
+# (RunSetup.blocks): a round that fits is one block, into which the
+# coordinate gather packs the most rounds that fit; a wider round goes in
+# blocks of the most entries that fit, one round each, and so does the
+# one-client step.  rff-table's rounds (2000 entries x 100 floats) go in 7
+# blocks of up to 327 entries.  Its nco ran at a median 71.4k, 75.4k and
+# 71.8k client-rounds/s with this budget at 2^14, 2^15 and 2^16, against
+# 65.9k for whole rounds, and audited fomd at 81.9k, 87.7k and 87.6k
+# against 82.5k, while fomd stayed within noise (benchmarks/run.py
+# --seconds 20, 3 runs each, 2-vCPU Xeon, numpy 2.4.6).
+# The map path never packs rounds: mixed-audit's (300 x 60 floats, one
+# block each) ran no faster in blocks of 3 rounds than one at a time, and
+# 1.3x slower in blocks of 7 or 10.  A hidden-arm epoch (20 x 16 per
+# round) runs as one block, and an audited hidden-arm run's 8,000 frames of
+# 4 floats (400 epochs of 20) are replayed as one batch per direction of
+# 4,000; each rff-table epoch's 1000 frames a direction go in 7 batches of
+# 142 or 143; mixed-audit's epochs of 100 frames a direction are one batch
+# each.
+_BLOCK_FLOATS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +450,12 @@ class RunSetup:
     @cached_property
     def entry_targets(self) -> np.ndarray:
         """(horizon, n) targets of the client-major entries, one row per round."""
-        return np.ascontiguousarray(self.ys.T[:, self.entry_layout[0]])
+        rows = self.entry_layout[0]
+        # written once, C-ordered: ys.T[:, rows] comes out F-ordered and would
+        # need a second copy, and take's default mode buffers its output
+        # (every row is in range, so clipping changes nothing)
+        return np.take(self.ys.T, rows, axis=1, mode="clip",
+                       out=np.empty((self.ys.shape[1], rows.size)))
 
     @cached_property
     def cell_rates(self) -> np.ndarray:
@@ -457,6 +474,28 @@ class RunSetup:
         is its cell's one report; the learners lay such servers out last."""
         several = np.flatnonzero(np.bincount(self.slot_servers)[self.slot_servers] > 1)
         return self.subset_size * (int(several[-1]) + 1 if several.size else 0)
+
+    @cached_property
+    def blocks(self) -> tuple[int, list[slice], list[slice]]:
+        """How :func:`run_epoch` cuts an epoch under ``_BLOCK_FLOATS``: the
+        rounds C of a block, the entry slices of a round's blocks, and those
+        of the one-client step, from ``lone_start`` on.
+
+        A block's rows are ``width`` floats wide: d_max on the map path, the
+        input width on the coordinate gather.  A round of n entries that fits
+        the budget is one block, which on the coordinate path takes the most
+        rounds that fit; a wider round is cut into blocks of the most entries
+        that fit, one round each.  The step's rows are d_max wide.
+        """
+        n = self.slot_rows.size * self.subset_size
+        mapped = self.feature_columns is None
+        width = self.max_dim if mapped else self.xs.shape[2]
+        E = min(n, max(1, _BLOCK_FLOATS // width))
+        C = 1 if mapped or E < n else min(self.rounds_per_epoch,
+                                          max(1, _BLOCK_FLOATS // (n * width)))
+        step = max(1, _BLOCK_FLOATS // self.max_dim)
+        return (C, [slice(lo, lo + E) for lo in range(0, n, E)],
+                [slice(lo, lo + step) for lo in range(self.lone_start, n, step)])
 
     def message_bits(self, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(downlink, uplink) bits of each (..., J) subset: 32 a float, ceil(log2 K) an index."""
@@ -770,15 +809,22 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
     into the entries' places.
 
     Subsets and models are frozen for the epoch, so its rounds are
-    independent until they are summed.  The coordinate gather evaluates
-    them in blocks of C rounds: C-ordered (C, n) arrays, round first, C the
-    most rounds whose (C·n, input width) gathers fit ``_BLOCK_FLOATS``,
-    capped at the epoch's N rounds; the last block of an epoch may be
-    shorter.  The feature-map path runs one round per block.  Each block's
-    bounds are checked elementwise in one pass (an error still names the
-    first failing round), and each block's losses and gradients are added
-    to the epoch's sums one round at a time in round order, the additions a
-    round-by-round loop makes, so the floats do not depend on C.
+    independent until they are summed, and its entries until they are
+    merged.  So the epoch runs in blocks of C rounds × E entries, whose
+    (C·E, width) rows fit ``_BLOCK_FLOATS`` (``setup.blocks``); a block's
+    rows are d_max wide on the map path and the input width on the
+    coordinate gather.  A round of n entries that fits is one block: E = n,
+    and the coordinate gather takes the most rounds that fit, capped at the
+    epoch's N rounds, as C-ordered (C, n) arrays, round first.  A wider round
+    runs one round per block, in contiguous client-major blocks of the most
+    entries that fit, which read slices of the round's feature rows (written
+    whole by the map calls, which do not change) and of the broadcast rows.
+    The last block of an epoch or of a round may be shorter.  The bounds of
+    a block's C rounds are checked over all n entries in one pass (an error
+    still names the first failing round).  Each block's losses and
+    gradients are added to the epoch's sums on the block's entries, one
+    round at a time in round order, the additions a round-by-round loop
+    makes, so the floats do not depend on C or E.
 
     The servers merge over (server, space) cells under one rule: every sum
     over a server's clients is a running sum from +0.0 in ascending client
@@ -786,13 +832,16 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
     One ``bincount`` over the cells sums every server's importance-weighted
     losses.  The gradients take one of three sums, picked by shape.  The
     entries from ``setup.lone_start`` on belong to one-client servers, so
-    each is its cell's one report and needs no sum.  The others are summed
-    by one ``bincount`` over the cells when the rows are one column wide,
-    and otherwise by ``sum(axis=0)`` over each touched cell's entries, which
-    adds its rows one at a time.  The three give equal floats, so a run's
-    bits do not depend on the other servers it shares the kernel with.  The
-    sampled subsets fix every order, so the floats are reproducible, and the
-    audit's merge must equal them bit for bit.
+    each is its cell's one report and needs no sum; their cells are
+    distinct, so they step in blocks of the most entries whose (E, d_max)
+    rows fit the budget, and the order of the blocks changes no value.  The
+    others are summed by one ``bincount`` over the cells when the rows are
+    one column wide, and otherwise by ``sum(axis=0)`` over each touched
+    cell's entries, which adds its rows one at a time, and step together.
+    The three sums give equal floats, so a run's bits do not depend on the
+    other servers it shares the kernel with.  The sampled subsets fix every
+    order, so the floats are reproducible, and the audit's merge must equal
+    them bit for bit.
     """
     epoch = state.epochs_done + 1
     S = state.log_p.shape[0]
@@ -822,7 +871,7 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
     w_flat = cell_weights[cells]
     entry_limits = (setup.limits[0][flat_spaces], setup.limits[1][flat_spaces])
 
-    C = 1 if mapped else min(N, max(1, _BLOCK_FLOATS // (n * setup.xs.shape[2])))
+    C, entry_blocks, lone_blocks = setup.blocks
     if mapped:
         groups = group_base + flat_spaces  # run * K + space
         touched_groups = np.bincount(groups).nonzero()[0].tolist()
@@ -833,27 +882,46 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
         phi_b = np.zeros((1, n, d_max))  # zero past each space's width
     else:
         flat_columns = columns[flat_spaces]
+    whole = entry_blocks[0].stop >= n  # the round is one block
     loss_sum = grad_sum = None
+    if not whole:  # the blocks fill the epoch's sums and each round's vectors in place
+        loss_sum, grad_sum = np.empty(n), np.empty((n, d_max))
+        values, closs, gsq = np.empty((3, 1, n))
     for a in range(t0, t0 + N, C):
         b = min(a + C, t0 + N)
-        yt = setup.entry_targets[a:b]
         if mapped:
             # one call per touched (run, space) and round, on the (entries,
             # input) rows of the run's clients that sampled the space
             for space, entries in zip(mapped_spaces, members):
                 phi_b[0, entries, :space.dim] = space.feature_map(setup.xs[rows[entries], a])
-        else:
-            # the fused gather picks the same floats the per-space maps would;
-            # a (rounds, 1) column of round indices gathers C-ordered (rounds,
-            # n) blocks, which _add_rounds sums down their rows in round order
-            phi_b = setup.xs[rows, np.arange(a, b)[:, None], flat_columns][..., None]
-        values = np.add.reduce(phi_b * w_flat, axis=2)
-        closs = loss_value(setup.loss, values, yt)
-        dvals = loss_derivative(setup.loss, values, yt)
-        gsq = (dvals * dvals) * np.add.reduce(phi_b * phi_b, axis=2)
+        for e in entry_blocks:
+            if mapped:
+                phi = phi_b[:, e]
+            else:
+                # the fused gather picks the same floats the per-space maps
+                # would; a (rounds, 1) column of round indices gathers
+                # C-ordered (rounds, entries) blocks, which _add_rounds sums
+                # down their rows in round order
+                phi = setup.xs[rows[e], np.arange(a, b)[:, None], flat_columns[e]][..., None]
+            yt = setup.entry_targets[a:b, e]
+            block_values = np.add.reduce(phi * w_flat[e], axis=2)
+            block_loss = loss_value(setup.loss, block_values, yt)
+            dvals = loss_derivative(setup.loss, block_values, yt)
+            block_gsq = (dvals * dvals) * np.add.reduce(phi * phi, axis=2)
+            if whole:
+                values, closs, gsq = block_values, block_loss, block_gsq
+                loss_sum = _add_rounds(loss_sum, closs)
+                grad_sum = _add_rounds(grad_sum, dvals[..., None] * phi)
+                continue
+            # one round: the same additions, into the block's rows of the sums
+            values[:, e], closs[:, e], gsq[:, e] = block_values, block_loss, block_gsq
+            if a == t0:
+                loss_sum[e] = block_loss[0]
+                np.multiply(dvals[0, :, None], phi[0], out=grad_sum[e])
+            else:
+                loss_sum[e] += block_loss[0]
+                grad_sum[e] += dvals[0, :, None] * phi[0]
         _check_bounds(closs, gsq, flat_spaces, entry_limits, setup, a + 1)
-        loss_sum = _add_rounds(loss_sum, closs)
-        grad_sum = _add_rounds(grad_sum, dvals[..., None] * phi_b)
         state.predictions[a:b] = values[:, ::J]  # each client's lead is its first slot
         state.losses[a:b] = closs[:, ::J]
 
@@ -867,8 +935,9 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
     # is ascending client order within a cell
     loss_est = (np.bincount(cells, weights=mean_losses / inc, minlength=S * K)
                 / setup.cell_clients).reshape(S, K)
+    rates = setup.param_rates[epoch - 1].ravel()
+    estimates = []  # the stepped cells and their gradient estimates, for the audit
     lone = setup.lone_start  # the entries of one-client servers: a cell's one report
-    stepped, w_old, grad_est = cells[lone:], w_flat[lone:], mean_grads[lone:] / inc[lone:, None]
     if lone:  # servers of several clients sum each touched cell's reports
         shared = cells[:lone]
         touched = np.bincount(shared).nonzero()[0]
@@ -886,16 +955,29 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
                 share = inclusion.flat[cell]  # its server's inclusion of its space
                 summed[k] = (np.add.reduce(mean_grads[:lone][shared == cell] / share, axis=0)
                              / setup.cell_clients[cell])
-        parts = (touched, cell_weights[touched], summed), (stepped, w_old, grad_est)
-        stepped, w_old, grad_est = parts[0] if lone == n else map(np.concatenate, zip(*parts))
+        estimates.append((touched, summed))
+        _step_cells(cell_weights, touched, cell_weights[touched], summed, rates, setup)
+    # the one-client servers' cells are distinct, so no block's step reads
+    # what another writes
+    for e in lone_blocks:
+        grad_est = mean_grads[e] / inc[e, None]
+        _step_cells(cell_weights, cells[e], w_flat[e], grad_est, rates, setup)
+        if setup.audit is not None:  # else a block's rows are freed for the next
+            estimates.append((cells[e], grad_est))
 
     if setup.audit is not None:  # a stack of one server, so its cells are its spaces
+        stepped, grad_est = (estimates[0] if len(estimates) == 1
+                             else map(np.concatenate, zip(*estimates)))
         _audit_epoch(setup.audit, setup, state, epoch, w_flat, mean_losses, mean_grads,
                      inclusion[0], loss_est[0], stepped, grad_est)
-
-    rates = setup.param_rates[epoch - 1].ravel()[setup.cell_rates[stepped]]
-    cell_weights[stepped] = project_rows_per_row(
-        w_old - rates[:, None] * grad_est, setup.cell_radii[stepped]
-    )
     state.log_p = entropy_step_log_batch(state.log_p, loss_est, setup.mirror_rates)
     state.epochs_done = epoch
+
+
+def _step_cells(cell_weights: np.ndarray, cells: np.ndarray, w_old: np.ndarray,
+                grad_est: np.ndarray, rates: np.ndarray, setup: RunSetup) -> None:
+    """Write the projected-gradient step of ``cells`` into ``cell_weights``:
+    from their rows ``w_old`` along ``grad_est``, at the epoch's flattened
+    row of step sizes ``rates``, onto each cell's ball."""
+    cell_weights[cells] = project_rows_per_row(
+        w_old - rates[setup.cell_rates[cells], None] * grad_est, setup.cell_radii[cells])

@@ -786,42 +786,68 @@ def test_engine_invariants_hold_on_random_small_configs(run):
             assert bits - index_bits in {32 * s for s in sums}
 
 
-def _state_bytes(cfg, streams, cooperative):
-    """A run's distributions, weights, trace panels and subsets as bytes, and its audit record."""
-    state, setup, _ = _stack(("fomd" if cooperative else "nco", cfg, streams))
+def _state_bytes(*runs):
+    """A stack's distributions, weights, trace panels and subsets as bytes,
+    and its audit record."""
+    state, setup, _ = _stack(*runs)
     audit = setup.audit
     panels = (state.log_p, state.weights, state.predictions, state.losses, state.subsets)
     record = None if audit is None else (audit.frames_checked, audit.mismatches)
     return [panel.tobytes() for panel in panels], record
 
 
-def _run_bytes(cfg, streams, budget):
-    """:func:`_state_bytes` of the cooperative run of ``cfg`` with the kernel's
-    block budget set to ``budget`` floats."""
+def _run_bytes(runs, budget):
+    """:func:`_state_bytes` of the stack of ``runs`` with the kernel's block
+    budget set to ``budget`` floats."""
     with mock.patch.object(protocol, "_BLOCK_FLOATS", budget):
-        return _state_bytes(cfg, streams, cooperative=True)
+        return _state_bytes(*runs)
+
+
+def _wide_run(K, M, seed):
+    """A :func:`_small_runs` draw of K <= 3 square-loss spaces 6, 3 and 4
+    floats wide (RFF, identity, RFF over 3 inputs), J = K, M clients and six
+    rounds in three epochs."""
+    rng = np.random.default_rng(seed)
+    maps = (gaussian_rff(3, 6, 1.0, rng), IdentityMap(3), gaussian_rff(3, 4, 2.0, rng))
+    spaces = tuple(make_space(fm, 0.5, Loss.SQUARE) for fm in maps[:K])
+    return spaces, Loss.SQUARE, K, M, 6, 3, 3, seed
 
 
 @settings(deadline=None, max_examples=60)
-@given(_small_runs(), st.booleans(), st.integers(1, 400))
+@given(_small_runs(), st.sampled_from(["fomd", "nco", "pair"]), st.booleans(),
+       st.integers(1, 400))
 # one client and one one-wide space: each round is a single entry, and a
 # block's rounds form a single column, which numpy's sum adds pairwise
 @example(((make_space(CoordinateMap(2, 0), 1.0, Loss.SQUARE),), Loss.SQUARE,
-          1, 1, 24, 2, 2, 0), True, 22)
-def test_round_blocks_and_audit_batches_leave_every_byte_of_a_run(run, audit, budget):
-    # budget 1 runs one round per block and codes one frame per batch; a
-    # drawn budget cuts epochs into blocks (the last one may be shorter) and
-    # codes the frames in batches of other sizes, of part of an epoch or of
-    # several epochs; the default runs the small epochs here as one block
-    # each and codes a run's frames in one batch
+          1, 1, 24, 2, 2, 0), "fomd", True, 22)
+# rows 6 floats wide against a budget of 12: an audited run at M=1 has 3
+# entries, cut into blocks of 2 and 1 on the map path and in its one-client
+# step
+@example(_wide_run(3, 1, 0), "fomd", True, 12)
+# a fomd/nco pair of 3 clients: 6 shared entries, then 6 of one-client
+# servers; blocks of 5 entries on the map path (the last one of 2) and in
+# the step from entry 6 on (5, then 1)
+@example(_wide_run(2, 3, 1), "pair", False, 30)
+def test_round_blocks_and_audit_batches_leave_every_byte_of_a_run(run, kind, audit, budget):
+    # budget 1 runs one round of one entry per block, steps one entry's
+    # cell at a time and codes one frame per batch; a drawn budget cuts
+    # epochs into blocks of rounds or of entries (the last one may be
+    # shorter) and codes the frames in batches of other sizes, of part of an
+    # epoch or of several epochs; the default runs the small epochs here as
+    # one block each and codes a run's frames in one batch.  A run is the
+    # cooperative learner over R epochs, the noncooperative baseline, or
+    # both of them, per round, as one stack
     spaces, loss, J, M, T, R, d, seed = run
     streams = synthetic_linear(input_dim=d, clients=M, horizon=T, seed=seed)
     cfg = LearnerConfig(spaces=spaces, loss=loss, clients=M, subset_size=J, horizon=T,
                         epochs=R, master_seed=seed, audit=audit)
-    one_round = _run_bytes(cfg, streams, 1)
-    assert one_round[1] == ((2 * M * R, []) if audit else None)
-    assert _run_bytes(cfg, streams, budget) == one_round
-    assert _run_bytes(cfg, streams, protocol._BLOCK_FLOATS) == one_round
+    per_round = dataclasses.replace(cfg, epochs=None, audit=False)
+    runs = {"fomd": [("fomd", cfg, streams)], "nco": [("nco", per_round, streams)],
+            "pair": [("fomd", per_round, streams), ("nco", per_round, streams)]}[kind]
+    one_entry = _run_bytes(runs, 1)
+    assert one_entry[1] == ((2 * M * R, []) if audit and kind == "fomd" else None)
+    assert _run_bytes(runs, budget) == one_entry
+    assert _run_bytes(runs, protocol._BLOCK_FLOATS) == one_entry
 
 
 @st.composite
@@ -858,10 +884,11 @@ def test_fused_features_and_per_space_maps_give_the_same_bytes(run, audit):
     mapped = tuple(oracles.through_map_path(s) for s in spaces)
     for cooperative in (True, False):
         fused, per_space = (
-            _state_bytes(LearnerConfig(spaces=group, loss=loss, clients=M, subset_size=J,
-                                       horizon=T, epochs=R if cooperative else None,
-                                       master_seed=seed, audit=audit and cooperative),
-                         streams, cooperative)
+            _state_bytes(("fomd" if cooperative else "nco",
+                          LearnerConfig(spaces=group, loss=loss, clients=M, subset_size=J,
+                                        horizon=T, epochs=R if cooperative else None,
+                                        master_seed=seed, audit=audit and cooperative),
+                          streams))
             for group in (spaces, mapped))
         assert fused == per_space
 

@@ -607,7 +607,7 @@ def test_a_bound_broken_inside_a_block_names_the_round_a_one_round_block_names(
                         epochs=2, master_seed=5)
     with pytest.raises(RunInvariantError) as blocked:
         run_fomd_oms(cfg, streams)
-    monkeypatch.setattr(protocol, "_BLOCK_FLOATS", 1)  # one round per block
+    monkeypatch.setattr(protocol, "_BLOCK_FLOATS", 1)  # one round of one entry per block
     with pytest.raises(RunInvariantError) as one_round:
         run_fomd_oms(cfg, streams)
     assert str(blocked.value) == str(one_round.value)
@@ -1206,7 +1206,7 @@ def test_an_audit_batch_of_several_epochs_stays_clean_and_notes_epoch_by_epoch(m
 
 def test_a_hidden_arm_sized_audit_decodes_its_whole_run_in_one_batch(monkeypatch):
     # K=16 one-wide spaces, J=2: 4 floats a frame, so the run's 2 * 10 * 400
-    # frames fit the default budget's 16,384 and are replayed after its last
+    # frames fit the default budget's 8,192 and are replayed after its last
     # epoch, one batch per direction
     spec = AdversarialSpec(kind="biased_arm", num_spaces=16, input_dim=16, horizon=400,
                            clients=10, seed=3, subset_size=2)
