@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .data import Streams
-from .mirror import entropy_rates, materialize, project_rows_per_row
+from .mirror import entropy_rates, materialize
 from .protocol import (
     AuditLog,
     RunSetup,
@@ -45,7 +45,7 @@ from .protocol import (
 from .results import RunArtifact
 from .rng import sampling_uniforms
 from .sampling import validate_subset_size
-from .spaces import HypothesisSpace, Loss, loss_derivative, loss_value
+from .spaces import HypothesisSpace, Loss, loss_value
 
 __all__ = [
     "LearnerConfig",
@@ -254,8 +254,8 @@ def _layout(algorithm: str, config: LearnerConfig, streams: Streams) -> tuple[in
             f"config expects horizon {config.horizon}, streams provide {streams.horizon}"
         )
     for i, space in enumerate(config.spaces):
-        expected = getattr(space.feature_map, "input_dim", None)
-        if expected is not None and expected != streams.input_dim:
+        expected = space.feature_map.input_dim
+        if expected != streams.input_dim:
             raise ValueError(
                 f"space {i} expects input dimension {expected}, "
                 f"streams provide {streams.input_dim}"
@@ -530,45 +530,42 @@ def best_fixed_hypothesis(
     streams: Streams,
     space: HypothesisSpace,
     loss_kind: Loss,
-    steps: int = 10_000,
 ) -> np.ndarray:
-    """Approximate the best fixed parameter vector in a space, offline.
+    """The best fixed parameter vector in a space, offline and exact.
 
-    Full-batch projected gradient descent with step sizes radius/(G sqrt(s))
-    over ``steps`` iterations, returning the iterate with the lowest
-    objective seen.  For the square loss the objective and gradient are
-    evaluated through precomputed second moments, so the per-step cost is
-    independent of the dataset size.
+    Minimises the summed loss over all clients and rounds on the space's
+    ball.  For the square loss that is a trust-region subproblem (Moré &
+    Sorensen, 1983): with the Gram matrix G = Φ'Φ = Q diag(λ) Q' and
+    β = Q'Φ'y, the least-norm least-squares point Q (β / λ) is returned if
+    it lies in the ball; otherwise the point Q (β / (λ + μ)) on the sphere,
+    with μ > 0 bisected to the last float, whose norm does not exceed the
+    radius.  Eigenvalues within rounding of zero count as zero, and the
+    point has no component along their eigenvectors.  For the linear loss
+    it is radius · Σyφ / ‖Σyφ‖, or zeros when Σyφ = 0.  Any other loss
+    raises ``ValueError``.
     """
 
     phi = space.feature_map(streams.xs.reshape(-1, streams.input_dim))
     y = streams.ys.reshape(-1)
-    n = y.shape[0]
-    if loss_kind == Loss.SQUARE:
-        gram = phi.T @ phi / n
-        moment = phi.T @ y / n
-        const = float(y @ y) / n
+    r = space.radius
+    if loss_kind == Loss.LINEAR:
+        pull = phi.T @ y
+        norm = np.linalg.norm(pull)
+        return r * pull / norm if norm > 0 else np.zeros(space.dim)
+    if loss_kind != Loss.SQUARE:
+        raise ValueError(f"no exact comparator for the {loss_kind.value} loss")
+    lam, q = np.linalg.eigh(phi.T @ phi)
+    positive = lam > lam.shape[0] * np.finfo(float).eps * lam[-1]
+    beta = q.T @ (phi.T @ y)
 
-        def objective(v: np.ndarray) -> float:
-            return float(v @ (gram @ v) - 2.0 * (moment @ v) + const)
+    def point(mu: float) -> np.ndarray:
+        return q @ np.divide(beta, lam + mu, out=np.zeros_like(beta), where=positive)
 
-        def gradient(v: np.ndarray) -> np.ndarray:
-            return 2.0 * (gram @ v - moment)
-
-    else:
-
-        def objective(v: np.ndarray) -> float:
-            return float(loss_value(loss_kind, phi @ v, y).mean())
-
-        def gradient(v: np.ndarray) -> np.ndarray:
-            return phi.T @ loss_derivative(loss_kind, phi @ v, y) / n
-
-    w = np.zeros(space.dim)
-    best_w, best_f = w.copy(), objective(w)
-    for s in range(1, steps + 1):
-        rate = space.radius / (space.lipschitz_bound * np.sqrt(s))
-        w = project_rows_per_row((w - rate * gradient(w))[None, :], space.radius)[0]
-        f = objective(w)
-        if f < best_f:
-            best_f, best_w = f, w.copy()
-    return best_w
+    w = point(0.0)
+    if np.linalg.norm(w) <= r:
+        return w
+    # ‖point(μ)‖ falls as μ grows and is below ‖β‖ / μ, so hi starts inside
+    lo, hi = 0.0, 2.0 * np.linalg.norm(beta) / r
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if np.linalg.norm(point(mid)) > r else (lo, mid)
+    return point(hi)

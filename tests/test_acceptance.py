@@ -279,6 +279,7 @@ def test_criterion_06_collaboration_necessary_with_small_subsets(capfd):
 
 
 def test_criterion_07_regret_grows_sublinearly(capfd):
+    start = time.perf_counter()
     input_dim, clients = 4, 10
     radii = (0.25, 0.5, 0.75, 1.0)
     spaces = tuple(make_space(IdentityMap(input_dim), r, Loss.SQUARE)
@@ -302,12 +303,13 @@ def test_criterion_07_regret_grows_sublinearly(capfd):
             for s in spaces))
     mean_regret = {horizon: float(np.mean(values)) for horizon, values in per_seed.items()}
     ratio = mean_regret[4000] / mean_regret[1000]
+    elapsed = time.perf_counter() - start
     ok = mean_regret[1000] > 0 and mean_regret[4000] > 0 and ratio <= 2.6
     _report(capfd, 7, ok,
             "quadrupling the horizon grows regret by <= 2.6x "
             "(square-root shape, 10-seed averages)",
             f"Reg(1000) = {mean_regret[1000]:.1f}, Reg(4000) = "
-            f"{mean_regret[4000]:.1f}, ratio = {ratio:.3f}")
+            f"{mean_regret[4000]:.1f}, ratio = {ratio:.3f}, {elapsed:.1f}s")
 
 
 def test_criterion_08_random_feature_kernel_fidelity(capfd):

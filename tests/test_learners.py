@@ -652,7 +652,7 @@ def test_regret_against_own_final_model_is_nonnegative_on_stationary_data():
     cfg = LearnerConfig(spaces=(space,), loss=Loss.SQUARE, clients=2, subset_size=1,
                         horizon=400, master_seed=17)
     art = run_fomd_oms(cfg, streams)
-    comparator = best_fixed_hypothesis(streams, space, Loss.SQUARE, steps=3000)
+    comparator = best_fixed_hypothesis(streams, space, Loss.SQUARE)
     regret = regret_accounting(art, streams, space, Loss.SQUARE, comparator)
     assert regret >= -1e-6
 
@@ -683,7 +683,7 @@ def test_regret_per_round_shrinks_over_doubling_horizons():
             cfg = LearnerConfig(spaces=(space,), loss=Loss.LINEAR, clients=1,
                                 subset_size=1, horizon=horizon, master_seed=seed)
             art = run_fomd_oms(cfg, streams)
-            comparator = best_fixed_hypothesis(streams, space, Loss.LINEAR, steps=2000)
+            comparator = best_fixed_hypothesis(streams, space, Loss.LINEAR)
             total += regret_accounting(art, streams, space, Loss.LINEAR, comparator)
         averages.append(total / len(list(seeds)) / horizon)
     assert averages[1] < averages[0]
@@ -692,7 +692,7 @@ def test_regret_per_round_shrinks_over_doubling_horizons():
 def test_best_fixed_hypothesis_beats_the_planted_vector():
     streams = synthetic_linear(input_dim=4, clients=2, horizon=300, seed=23)
     space = make_space(IdentityMap(4), radius=1.0, loss_kind=Loss.SQUARE)
-    w = best_fixed_hypothesis(streams, space, Loss.SQUARE, steps=4000)
+    w = best_fixed_hypothesis(streams, space, Loss.SQUARE)
     phi = streams.xs.reshape(-1, 4)
     y = streams.ys.reshape(-1)
 
@@ -703,6 +703,81 @@ def test_best_fixed_hypothesis_beats_the_planted_vector():
     planted[0] = 0.5  # generator intercept; slopes unknown here, so compare
     assert mean_loss(w) <= mean_loss(planted) + 1e-9
     assert np.linalg.norm(w) <= 1.0 + 1e-9
+
+
+def _comparator_instance(seed, dim, radius_scale, rank_deficient=False):
+    """A random square-loss instance whose ball holds ``radius_scale`` times
+    the least-norm least-squares point; returns (streams, space, phi, y)."""
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(2, 40, dim))
+    if rank_deficient:  # one column a sum of two others, one all zero
+        xs[..., 2] = xs[..., 0] - 0.5 * xs[..., 1]
+        xs[..., 3] = 0.0
+    ys = xs @ rng.normal(size=dim) + 0.3 * rng.normal(size=(2, 40))
+    phi, y = xs.reshape(-1, dim), ys.reshape(-1)
+    least = np.linalg.lstsq(phi, y, rcond=None)[0]
+    space = make_space(IdentityMap(dim), radius=radius_scale * float(np.linalg.norm(least)),
+                       loss_kind=Loss.SQUARE)
+    return Streams(xs=xs, ys=ys, meta={}), space, phi, y
+
+
+def _assert_square_kkt(w, phi, y, radius):
+    """KKT of min ‖Φw − y‖² on ‖w‖ ≤ radius, a convex problem, so they
+    certify the minimum: ‖w‖ ≤ radius exactly, and to 1e-9, with G and b
+    the mean Gram matrix and moment, a multiplier μ ≥ 0 with
+    Gw − b + μw = 0 and μ (radius − ‖w‖) = 0."""
+    n = y.shape[0]
+    half_gradient = (phi.T @ (phi @ w) - phi.T @ y) / n
+    norm = float(np.linalg.norm(w))
+    assert norm <= radius
+    mu = -float(w @ half_gradient) / norm**2 if norm > 0 else 0.0
+    assert mu >= -1e-9
+    assert np.abs(half_gradient + mu * w).max() <= 1e-9
+    assert mu * (radius - norm) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("rank_deficient", [False, True])
+@pytest.mark.parametrize("radius_scale", [0.3, 0.9, 3.0])
+def test_the_square_loss_comparator_meets_the_kkt_conditions(seed, rank_deficient,
+                                                             radius_scale):
+    streams, space, phi, y = _comparator_instance(seed, 6, radius_scale, rank_deficient)
+    w = best_fixed_hypothesis(streams, space, Loss.SQUARE)
+    _assert_square_kkt(w, phi, y, space.radius)
+    if radius_scale > 1:  # the radius is inactive: the least-norm point itself
+        np.testing.assert_allclose(w, np.linalg.lstsq(phi, y, rcond=None)[0],
+                                   rtol=0, atol=1e-9)
+    else:  # the radius is active
+        assert np.linalg.norm(w) >= space.radius * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_linear_loss_comparator_meets_the_kkt_conditions(seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1, 1, size=(3, 30, 4))
+    ys = rng.choice([-1.0, 1.0], size=(3, 30))
+    space = make_space(IdentityMap(4), radius=0.7, loss_kind=Loss.LINEAR)
+    w = best_fixed_hypothesis(Streams(xs=xs, ys=ys, meta={}), space, Loss.LINEAR)
+    # the summed loss's gradient is −Σyφ, constant: w sits on the sphere
+    # along Σyφ, with multiplier ‖Σyφ‖ / radius
+    pull = xs.reshape(-1, 4).T @ ys.reshape(-1)
+    assert abs(np.linalg.norm(w) - 0.7) <= 1e-9
+    assert np.abs(pull - np.linalg.norm(pull) / 0.7 * w).max() <= 1e-9
+
+
+def test_the_linear_loss_comparator_is_zero_when_no_direction_pulls():
+    xs = np.random.default_rng(3).uniform(-1, 1, size=(2, 20, 3))
+    space = make_space(IdentityMap(3), radius=1.0, loss_kind=Loss.LINEAR)
+    w = best_fixed_hypothesis(Streams(xs=xs, ys=np.zeros((2, 20)), meta={}), space,
+                              Loss.LINEAR)
+    assert w.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_there_is_no_exact_comparator_for_the_absolute_loss():
+    streams, _, _, _ = _comparator_instance(0, 3, 1.0)
+    space = make_space(IdentityMap(3), radius=1.0, loss_kind=Loss.ABSOLUTE)
+    with pytest.raises(ValueError, match="absolute"):
+        best_fixed_hypothesis(streams, space, Loss.ABSOLUTE)
 
 
 def test_selection_concentrates_on_spaces_that_can_express_the_signal():
