@@ -31,8 +31,9 @@ machine-readable JSON error object there and exit with status 2.  The
 output directory defaults to the current directory and can be overridden
 with ``--out`` or the ``FEDOMS_OUT_DIR`` environment variable; ``run`` and
 ``ab`` create it once the config is parsed, before anything else, and one
-that cannot be created is a ``ConfigError`` on ``out``.  A CSV file that
-cannot be read is a ``ConfigError`` on ``data``.
+that cannot be created, or an output file that cannot be written, is a
+``ConfigError`` on ``out``.  A CSV file that cannot be read is a
+``ConfigError`` on ``data``.
 """
 
 from __future__ import annotations
@@ -78,15 +79,21 @@ def _fail(error: Exception) -> int:
     return 2
 
 
+def _output(path: Path, make, action: str = "write output file") -> Path:
+    """Make an output path by ``make(path)``; one that cannot be made is a
+    ``ConfigError`` on ``out`` that names it."""
+    try:
+        make(path)
+    except OSError as exc:  # a file in the way, a path through one, a full disk
+        raise ConfigError(f"cannot {action} {path}: {exc.strerror}", field="out") from None
+    return path
+
+
 def _output_dir(requested: str | None) -> Path:
     """Create the output directory before any run, so a bad ``--out`` fails first."""
-    out_dir = resolve_output_dir(requested)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # an existing file, or a path through one
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}",
-                          field="out") from None
-    return out_dir
+    return _output(resolve_output_dir(requested),
+                   lambda path: path.mkdir(parents=True, exist_ok=True),
+                   "create output directory")
 
 
 def _config_digest(config: ExperimentConfig, learner: LearnerConfig) -> dict:
@@ -116,10 +123,10 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     out_dir = _output_dir(args.out)
     artifact = run_from_config(config)
-    trace_path = artifact.to_csv(out_dir / "trace.csv")
-    summary_path = out_dir / "summary.json"
+    trace_path = _output(out_dir / "trace.csv", artifact.to_csv)
     summary = artifact.summary_dict()
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary_path = _output(out_dir / "summary.json", lambda path: path.write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n"))
     mismatches = artifact.meta.get("audit_mismatches")
     _emit({
         "status": "mismatch" if mismatches else "ok",
@@ -166,8 +173,8 @@ def _cmd_ab(args) -> int:
         "delta_mean": float(deltas.mean()),
         "wins_federated": int((deltas > 0).sum()),
     }
-    (out_dir / "ab.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _output(out_dir / "ab.json", lambda path: path.write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n"))
     # the table is for people; stdout carries only the JSON object
     print(f"{'seed':>6}  {'federated':>12}  {'noncoop':>12}  {'delta':>12}  sign",
           file=sys.stderr)

@@ -219,10 +219,9 @@ class LearnerConfig:
         if not self.spaces:
             raise ValueError("at least one hypothesis space is required")
         validate_subset_size(self.subset_size, len(self.spaces))
-        if self.clients < 1:
-            raise ValueError(f"clients must be >= 1, got {self.clients}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        for name, least in (("clients", 1), ("horizon", 1), ("master_seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.epochs is not None:
             check_epochs(self.horizon, self.epochs)
         # the baseline steps T >= R times, so this bounds both learners
@@ -316,22 +315,25 @@ def _assemble(
 
 def _run_stack(
     runs: list[tuple[str, LearnerConfig, Streams]],
-    layouts: list[tuple[int, int, int]],
 ) -> tuple[ServerState, RunSetup, float]:
     """Run a stack of runs as the servers of one kernel loop; return the final state.
 
     The runs share their spaces, loss, subset size, horizon and epoch length,
-    and ``layouts`` holds each run's checked :func:`_layout`.
-    Run ``r``'s servers and client slots follow those of the runs before it;
-    each of its servers starts from its initial distribution and zero
+    and each is checked by :func:`_layout`.  The runs whose servers have
+    several clients are laid out first, in the order given, and then the
+    runs of one-client servers, where the kernel needs no sums for them;
+    each run's servers and client slots are consecutive, and
+    ``server_runs`` names a server's run by its position in ``runs``.  Each
+    of a run's servers starts from its initial distribution and zero
     models, and steps with the schedules of its client count over the
     stack's epochs; the runs' servers of one client count share one
-    step-size table.  Each distinct stream is held once: runs that
-    pass one :class:`Streams` read the same rows, and a stream every client
-    shares (a broadcast view) is one row.  Returns the final state, the
-    stack's set-up, whose ``audit`` is the log of an audited cooperative
-    run (which :func:`run_many` stacks alone), and the wall time of the
-    epochs.
+    step-size table.  A run's sampling uniforms are cut to the draws of each
+    epoch's first round, the ones its decisions read.  Each distinct stream
+    is held once: runs that pass one :class:`Streams` read the same rows,
+    and a stream every client shares (a broadcast view) is one row.
+    Returns the final state, the stack's set-up, whose ``audit`` is the log
+    of an audited cooperative run (which :func:`run_many` stacks alone), and
+    the wall time of the epochs.
     """
     _, first, _ = runs[0]
     spaces, K, J, T = first.spaces, first.num_spaces, first.subset_size, first.horizon
@@ -342,8 +344,9 @@ def _run_stack(
         [] for _ in range(6))
     schedules: dict[int, int] = {}  # a server's client count -> its schedule
     audit = None
-    for run, ((algorithm, config, streams), (servers, clients, epochs)) in enumerate(
-            zip(runs, layouts)):
+    layouts = [_layout(*run) for run in runs]
+    for run in sorted(range(len(runs)), key=lambda r: layouts[r][1] == 1):
+        (algorithm, config, streams), (servers, clients, epochs) = runs[run], layouts[run]
         M = config.clients
         if id(streams) not in blocks:
             shared = streams.xs.strides[0] == 0 == streams.ys.strides[0]
@@ -355,7 +358,7 @@ def _run_stack(
         slot_servers.append(len(server_runs) + np.arange(M) // clients)
         server_runs += [run] * servers
         server_schedules += [schedules.setdefault(clients, len(schedules))] * servers
-        uniforms.append(sampling_uniforms(config.master_seed, M, T, J))
+        uniforms.append(sampling_uniforms(config.master_seed, M, T, J)[:, ::T // epochs])
         initial = initial_distribution(loss_bounds, epochs, uniform=config.uniform_init)
         log_p.append(np.tile(np.log(initial), (servers, 1)))
         if algorithm == "fomd" and config.audit:
@@ -367,20 +370,14 @@ def _run_stack(
         param_rates[:, schedule] = lambda_schedule(radii, lipschitz, J, clients, epochs,
                                                    np.arange(1.0, epochs + 1.0))
     server_schedules = np.array(server_schedules)
-    uniforms = _joined(uniforms)  # the runs' own tables are dropped once joined
     setup = RunSetup(
         spaces=spaces,
         loss=first.loss,
-        subset_size=J,
         # the kernel gathers rows and columns into new arrays, so a lone
         # stream is read where it is, not copied
         xs=_joined([xs for _, xs, _ in blocks.values()]),
         ys=_joined([ys for _, _, ys in blocks.values()]),
-        uniforms=uniforms,
-        rounds_per_epoch=T // epochs,
-        cell_radii=np.tile(radii, len(server_runs)),
-        lipschitz=lipschitz,
-        loss_bounds=loss_bounds,
+        uniforms=_joined(uniforms),
         slot_rows=np.concatenate(slot_rows),
         slot_servers=np.concatenate(slot_servers),
         server_runs=np.array(server_runs),
@@ -407,10 +404,11 @@ def _run_stack(
 # Drivers
 
 # The most bytes a stack may take, estimated from its runs' shapes at
-# 8·T·M·(4J + 2) a run: per client-round, the J sampling uniforms, J - 1
-# complement positions, J entry targets, J subset entries (at one round per
-# epoch) and two panel cells that _run_stack allocates, and one more for the
-# rest.  The real peak is higher, from transient copies and the streams:
+# 8·T·M·(4J + 2) a run: the J entry targets and two panel cells of each
+# client-round and the J sampling uniforms, J - 1 complement positions and J
+# subset entries of each client-epoch that _run_stack allocates, counted as
+# if every round were an epoch (so batched runs take less), and one more for
+# the rest.  The real peak is higher, from transient copies and the streams:
 # tracemalloc puts it at 1.15x the estimate at J=2 and 1.33x at J=10.  A
 # stack holds its memory until its last artifact is read, so the bound
 # keeps the peak flat however many runs there are.  64 MB
@@ -440,28 +438,24 @@ def run_many(runs: Iterable[tuple[str, LearnerConfig, Streams]]) -> Iterator[Run
     ``wall_seconds`` is the whole stack's loop time, and a stack holds every
     run's streams and trace until its last artifact is read.
     """
-    stack, layouts, stack_key, stack_bytes = [], [], None, 0
+    stack, stack_key, stack_bytes = [], None, 0
     for position, run in enumerate(chain(runs, [None])):  # None ends the last stack
         if run is not None:
             algorithm, config, _ = run
-            layout = _layout(*run)
             # an audited cooperative run's key is its own
             key = (config.spaces, config.loss, config.subset_size, config.horizon,
-                   config.horizon // layout[2],
+                   config.horizon // _layout(*run)[2],
                    position if algorithm == "fomd" and config.audit else -1)
             run_bytes = 8 * config.horizon * config.clients * (4 * config.subset_size + 2)
         if stack and (run is None or key != stack_key
                       or stack_bytes + run_bytes > _STACK_BYTES):
-            # one-client servers go last, where the kernel needs no sums for them
-            order = sorted(range(len(stack)), key=lambda r: layouts[r][1] == 1)
-            result = _run_stack([stack[r] for r in order], [layouts[r] for r in order])
+            result = _run_stack(stack)
             for r, stacked in enumerate(stack):
-                yield _assemble(*stacked, *result, order.index(r))
+                yield _assemble(*stacked, *result, r)
             # drop the stack before the next one runs
-            stack, layouts, stack_bytes, result = [], [], 0, None
+            stack, stack_bytes, result = [], 0, None
         if run is not None:
             stack.append(run)
-            layouts.append(layout)
             stack_key, stack_bytes = key, stack_bytes + run_bytes
 
 

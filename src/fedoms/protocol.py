@@ -24,8 +24,8 @@ This module owns everything that crosses the client/server boundary:
 * :func:`run_epoch` — the round kernel: the next communication epoch of S
   servers, vectorized across clients and, in blocks, across the epoch's
   rounds.  It reads a :class:`RunSetup` (the spaces, the client streams,
-  the sampling uniforms, the step sizes, the client→server layout and the
-  work every epoch shares) and writes a :class:`ServerState` (the
+  each epoch's sampling draws, the step sizes, the client→server layout and
+  the work every epoch shares) and writes a :class:`ServerState` (the
   distributions, the models, the trace).  The layout maps each client slot
   to a server and a data row, and each server to its run's schedule: the
   cooperative learner is one server for all its clients, the noncooperative
@@ -223,7 +223,7 @@ def decode_frames(buffer: np.ndarray, lengths: np.ndarray, num_spaces: int,
     ``buffer``; ``dims`` gives every space's parameter dimension, which
     splits the float block once the indices are known.  Each header's
     ``payload_bits`` must equal the bits its payload carries: 8 per float
-    byte plus ceil(log2 K) per index.
+    byte plus ceil(log2 K) per index, and its ``pad`` field must be zero.
     Returns the (n,) headers (a structured array with the header's field
     names), the (n, J) indices, the (n, J) mean losses that open an uplink
     payload (zero for a downlink frame) and the (n, J, d_max) weight or
@@ -246,6 +246,10 @@ def decode_frames(buffer: np.ndarray, lengths: np.ndarray, num_spaces: int,
         table = np.zeros((n, width), dtype=np.uint8)
         table[np.arange(width) < lengths[:, None]] = buffer
     header = table[:, :HEADER_BYTES].copy().view(_HEADER)[:, 0]
+    padded = np.flatnonzero(header["pad"])  # encode_frames writes 0
+    if padded.size:
+        raise ProtocolError(f"frame for client {int(header['client_id'][padded[0]])} has "
+                            f"non-zero header padding {int(header['pad'][padded[0]])}")
     J = int(header["index_count"][0])
     if (header["index_count"] != J).any():
         raise ProtocolError("the frames of one batch must carry the same index count")
@@ -371,26 +375,21 @@ class RunSetup:
     its own row of ``mirror_rates`` (its rate eta over each space's loss
     bound, constant across epochs).  A (server, space) pair is a cell,
     numbered ``server * K + space``; the feature maps see one run's entries
-    at a time.  ``uniforms[j, t - 1]``
-    holds the uniform variates the server consumes when it samples the
-    subset for slot ``j`` at round ``t``; with one decision per epoch only
-    the first-round slot of each epoch is read, so batched and unbatched
-    runs consume identical randomness per decision.  ``lipschitz`` and
-    ``loss_bounds`` are the spaces' (K,) constants, gathered once; the
-    cached properties, set on the first epoch, hold the rest of the work
-    that is the same for every epoch.
+    at a time.  ``uniforms[j, e - 1]`` holds the J uniform variates the
+    server consumes when it samples the subset for slot ``j`` at epoch
+    ``e``: the draws of the epoch's first round, so batched and unbatched
+    runs consume identical randomness per decision.  Every other quantity
+    follows from these fields: the subset size and the epoch length from the
+    shapes of ``uniforms`` and ``xs``, and the bounds and radii from
+    ``spaces``.  The cached properties, set on the first epoch, hold that
+    work and the rest of what is the same for every epoch.
     """
 
     spaces: tuple[HypothesisSpace, ...]
     loss: Loss
-    subset_size: int
     xs: np.ndarray  # (data rows, horizon, input_dim)
     ys: np.ndarray  # (data rows, horizon)
-    uniforms: np.ndarray  # (slots, horizon, subset_size)
-    rounds_per_epoch: int
-    cell_radii: np.ndarray  # (S·K,) radius of each (server, space) cell's space
-    lipschitz: np.ndarray
-    loss_bounds: np.ndarray
+    uniforms: np.ndarray  # (slots, epochs, subset_size)
     slot_rows: np.ndarray  # (slots,)
     slot_servers: np.ndarray  # (slots,)
     server_runs: np.ndarray  # (servers,)
@@ -398,6 +397,10 @@ class RunSetup:
     mirror_rates: np.ndarray  # (S, K) or (S, 1): mirror.entropy_rates of each server's eta
     param_rates: np.ndarray  # (epochs, schedules, K) step sizes; row e - 1 is epoch e
     audit: "AuditLog | None" = None
+
+    # the run's shape, read from the stored arrays' shapes once
+    subset_size = cached_property(lambda self: self.uniforms.shape[2])
+    rounds_per_epoch = cached_property(lambda self: self.xs.shape[1] // self.uniforms.shape[1])
 
     @cached_property
     def num_spaces(self) -> int:
@@ -416,14 +419,20 @@ class RunSetup:
     def limits(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-space (loss limit, squared gradient-norm limit) for bound checks."""
         tol = 1e-9
-        loss_limits = self.loss_bounds * (1.0 + 1e-12) + tol
-        g_limits = self.lipschitz * (1.0 + 1e-12) + tol
+        bounds = np.array([(s.loss_bound, s.lipschitz_bound) for s in self.spaces], dtype=float).T
+        loss_limits, g_limits = bounds * (1.0 + 1e-12) + tol
         return loss_limits, g_limits * g_limits
 
     @cached_property
+    def cell_radii(self) -> np.ndarray:
+        """(S·K,) the radius of each (server, space) cell's space."""
+        return np.tile(np.array([s.radius for s in self.spaces], dtype=float),
+                       self.server_runs.size)
+
+    @cached_property
     def subset_positions(self) -> np.ndarray:
-        """(slots, epochs, J-1) complement positions of each epoch's first-round draws."""
-        return complement_positions(self.uniforms[:, ::self.rounds_per_epoch], self.num_spaces)
+        """(slots, epochs, J-1) complement positions of each epoch's draws."""
+        return complement_positions(self.uniforms, self.num_spaces)
 
     @cached_property
     def feature_columns(self) -> np.ndarray | None:
@@ -856,7 +865,7 @@ def run_epoch(state: ServerState, setup: RunSetup) -> None:
     # reads its own row; else each slot reads its server's
     slots = setup.slot_rows.size
     indices = subsets_from_uniforms(probs if S in (1, slots) else probs[setup.slot_servers],
-                                    setup.uniforms[:, t0, 0],
+                                    setup.uniforms[:, epoch - 1, 0],
                                     setup.subset_positions[:, epoch - 1])
     state.subsets[epoch - 1] = indices
     inclusion = inclusion_probabilities(probs, J)

@@ -720,6 +720,22 @@ def test_an_output_directory_that_cannot_be_made_fails_before_the_run(command, o
     assert blob["message"].startswith(f"cannot create output directory {out_dir}: ")
 
 
+@pytest.mark.parametrize("command, name", [("run", "trace.csv"), ("run", "summary.json"),
+                                           ("ab", "ab.json")])
+def test_an_output_file_that_cannot_be_written_is_an_error_on_out(command, name, tmp_path,
+                                                                  capsys):
+    # a directory where the output file goes: the JSON error contract, not a
+    # traceback, once the run is done
+    out_dir = tmp_path / "out"
+    (out_dir / name).mkdir(parents=True)
+    argv = [command, str(_write_config(tmp_path)), "--out", str(out_dir)]
+    assert main(argv + (["--seeds", "2"] if command == "ab" else [])) == 2
+    blob = _last_json(capsys.readouterr().out)
+    assert blob["status"] == "error" and blob["kind"] == "ConfigError"
+    assert blob["field"] == "out"
+    assert blob["message"].startswith(f"cannot write output file {out_dir / name}: ")
+
+
 def test_run_reports_a_radius_whose_loss_bound_overflows(tmp_path, capsys):
     # (radius * sqrt(3) + 1) ** 2 overflows; the space cannot be built
     path = _write_config(tmp_path, spaces=[{"kind": "identity", "radius": 1e200},
@@ -916,8 +932,7 @@ def test_ab_stacks_only_seeds_whose_spaces_are_equal_and_within_the_stack_bound(
     sizes = []
     run_stack = learners._run_stack
     monkeypatch.setattr(learners, "_run_stack",
-                        lambda stack, layouts: sizes.append(len(stack))
-                        or run_stack(stack, layouts))
+                        lambda stack: sizes.append(len(stack)) or run_stack(stack))
     rff = _write_config(tmp_path, "rff.json", epochs=None)
     assert main(["ab", str(rff), "--seeds", "3", "--out", str(tmp_path / "rff")]) == 0
     assert sizes == [2, 2, 2]

@@ -37,8 +37,8 @@ from fedoms.spaces import (
 
 
 def _stack(*runs):
-    """Run ``runs`` as one kernel stack, each laid out by ``learners._layout``."""
-    return learners._run_stack(list(runs), [learners._layout(*run) for run in runs])
+    """Run ``runs`` as one kernel stack."""
+    return learners._run_stack(list(runs))
 
 
 def _lambda(K, J, M, T, rounds, U=1.0, G=1.0):
@@ -473,6 +473,10 @@ def test_learner_config_validation():
         LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=0, subset_size=2, horizon=10)
     with pytest.raises(ValueError, match="horizon must be >= 1"):
         LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=1, subset_size=2, horizon=0)
+    # a negative seed fails here, not in the stack that would run it
+    with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+        LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=1, subset_size=2, horizon=10,
+                      master_seed=-1)
     # K * update steps = 1: the mirror rate would be 0, so construction fails
     # and not the first run
     one = spaces[:1]
@@ -597,8 +601,8 @@ def test_a_stack_holds_one_step_size_table_per_client_count():
     setups = []
     run_stack = learners._run_stack
 
-    def recorded(stack, layouts):
-        result = run_stack(stack, layouts)
+    def recorded(stack):
+        result = run_stack(stack)
         setups.append(result[1])
         return result
 
@@ -1059,9 +1063,9 @@ def test_a_stacked_run_keeps_the_bytes_of_its_solo_run(runs, eighths):
     stack_sizes = []
     run_stack = learners._run_stack
 
-    def recorded(stack, layouts):
+    def recorded(stack):
         stack_sizes.append(len(stack))
-        return run_stack(stack, layouts)
+        return run_stack(stack)
 
     with mock.patch.object(learners, "_run_stack", recorded), \
             mock.patch.object(learners, "_STACK_BYTES", stack_bytes):
@@ -1096,21 +1100,38 @@ def test_a_stack_holds_each_distinct_stream_once():
     runs = [("fomd", cfg, shared), ("nco", cfg, shared), ("fomd", cfg, own)]
     state, setup, wall = _stack(*runs)
     assert setup.xs.shape == (1 + 6, 20, 4) and setup.ys.shape == (7, 20)
-    # run_many lays one-client servers out last; laid out between others,
-    # their cells are summed like any cell, to the same bits
-    assert setup.lone_start == 2 * 18
+    # the stack lays the baseline's one-client servers out last, after the
+    # two cooperative runs' 12 slots of J = 2 entries
+    assert setup.lone_start == 2 * 12
     for run, (algorithm, cfg_, streams) in enumerate(runs):
         art = learners._assemble(algorithm, cfg_, streams, state, setup, wall, run)
         solo = (run_fomd_oms if algorithm == "fomd" else run_nco_oms)(cfg_, streams)
         assert _trace_tuple(art) == _trace_tuple(solo)
         assert art.final_probs.tobytes() == solo.final_probs.tobytes()
-    np.testing.assert_array_equal(setup.slot_rows, [0] * 12 + list(range(1, 7)))
-    # servers: the first fomd run's one, the baseline's six, the last run's one
-    np.testing.assert_array_equal(setup.slot_servers, [0] * 6 + list(range(1, 7)) + [7] * 6)
-    np.testing.assert_array_equal(setup.server_runs, [0] + [1] * 6 + [2])
+    np.testing.assert_array_equal(setup.slot_rows, [0] * 6 + list(range(1, 7)) + [0] * 6)
+    # servers: the first fomd run's one, the last run's one, the baseline's six
+    np.testing.assert_array_equal(setup.slot_servers, [0] * 6 + [1] * 6 + list(range(2, 8)))
+    np.testing.assert_array_equal(setup.server_runs, [0, 2] + [1] * 6)
     # a lone broadcast stream is read where it is, not copied
     _, solo, _ = _stack(("nco", cfg, shared))
     assert np.shares_memory(solo.xs, shared.xs) and solo.xs.shape[0] == 1
+
+
+def test_a_stack_holds_each_client_epochs_draws():
+    # a batched run's set-up keeps the draws of its epochs' first rounds, the
+    # ones its decisions read, (slots, epochs, J); the subset size, the epoch
+    # length and each cell's radius are read from the shapes and the spaces
+    spaces = _nested_spaces(3, (0.5, 1.0, 1.5))
+    streams = synthetic_linear(input_dim=3, clients=3, horizon=12, seed=2)
+    cfg = LearnerConfig(spaces=spaces, loss=Loss.SQUARE, clients=3, subset_size=2,
+                        horizon=12, epochs=4, master_seed=2)
+    runs = [("fomd", cfg, streams), ("fomd", dataclasses.replace(cfg, master_seed=3), streams)]
+    _, setup, _ = _stack(*runs)
+    want = np.concatenate([sampling_uniforms(seed, 3, 12, 2)[:, ::3] for seed in (2, 3)])
+    assert setup.uniforms.shape == (6, 4, 2)
+    assert setup.uniforms.tobytes() == want.tobytes()
+    assert (setup.subset_size, setup.rounds_per_epoch) == (2, 3)
+    np.testing.assert_array_equal(setup.cell_radii, [0.5, 1.0, 1.5] * 2)
 
 
 def test_run_many_refuses_an_unknown_algorithm_before_any_run():
@@ -1140,8 +1161,7 @@ def test_the_library_baseline_ignores_audit_and_stacks_as_unaudited(tmp_path):
     sizes = []
     run_stack = learners._run_stack
     with mock.patch.object(learners, "_run_stack",
-                           lambda stack, layouts: sizes.append(len(stack))
-                           or run_stack(stack, layouts)):
+                           lambda stack: sizes.append(len(stack)) or run_stack(stack)):
         list(learners.run_many([("fomd", cfg, streams), ("nco", audited, streams)]))
     assert sizes == [2]
 

@@ -43,7 +43,7 @@ except ImportError:  # numpy 1.x
 
 learner, streams = build_experiment(load_config(sys.argv[1]))
 run = ("fomd", learner, streams)
-state, setup, _ = learners._run_stack([run], [learners._layout(*run)])
+state, setup, _ = learners._run_stack([run])
 down, up = setup.message_bits(state.subsets)
 print(json.dumps({
     "subsets": state.subsets.tolist(), "bits": [down.tolist(), up.tolist()],

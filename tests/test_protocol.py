@@ -233,6 +233,10 @@ def test_frame_rejects_malformed_blobs():
     short = struct.pack("<IIIBBH", 1, 0, 132 - 32, KIND_DOWNLINK, 2, 0) + blob[20:]
     with pytest.raises(ProtocolError, match="downlink float block has 3 values, expected 4"):
         _decode(short, [len(short)], 4, dims)
+    # a non-zero pad field in an otherwise valid header
+    padded = struct.pack("<IIIBBH", 1, 3, 132, KIND_DOWNLINK, 2, 7) + blob[16:]
+    with pytest.raises(ProtocolError, match="frame for client 3 has non-zero header padding 7"):
+        _decode(padded, lengths, 4, dims)
 
 
 def test_encode_frames_refuses_an_empty_batch():
@@ -425,8 +429,8 @@ def test_aggregate_reports_unsampled_spaces_estimate_zero():
 
 
 def _stack(*runs):
-    """Run ``runs`` as one kernel stack, each laid out by ``learners._layout``."""
-    return learners._run_stack(list(runs), [learners._layout(*run) for run in runs])
+    """Run ``runs`` as one kernel stack."""
+    return learners._run_stack(list(runs))
 
 
 def _one_space_config(horizon, **kwargs):
